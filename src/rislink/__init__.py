@@ -8,7 +8,8 @@ from .config import (SceneConfig, SweepRanges, db_to_linear, dbm_to_watts,
                      linear_to_db, load_config, watts_to_dbm)
 from .em import (ChannelSet, FarFieldFactors, RadioParams, TirGain,
                  amplitude_gain_tir, direct_channel, exact_channel,
-                 farfield_channel, radiation_pattern, received_power)
+                 farfield_channel, farfield_power, radiation_pattern,
+                 received_power)
 from .errors import (AmbiguousSignWarning, ConfigError, DegenerateGeometry,
                      DegenerateTriangle, DimensionMismatch, DomainError,
                      EmptyFeasible, FarFieldViolation, FarFieldWarning,

@@ -216,6 +216,15 @@ def _validate(cfg: SceneConfig) -> None:
         (cfg.d_tr > 0, "d_TR must be > 0"),
         (cfg.height >= 0, "height must be >= 0"),
         (cfg.sweeps.distance_points >= 2, "distance sweep needs >= 2 points"),
+        (cfg.sweeps.plane_points >= 2, "plane sweep needs >= 2 points"),
+        (cfg.sweeps.wavelength_points >= 2,
+         "wavelength sweep needs >= 2 points"),
+        (cfg.sweeps.wavelength_octaves >= 0,
+         "wavelength sweep octaves must be >= 0"),
+        (cfg.sweeps.robustness_points >= 2,
+         "robustness sweep needs >= 2 points"),
+        (cfg.sweeps.robustness_extent > 0,
+         "robustness sweep extent must be > 0"),
     ]
     for ok, msg in checks:
         if not ok:

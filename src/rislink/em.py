@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (DegenerateGeometry, DimensionMismatch, DomainError,
                      FarFieldViolation, FarFieldWarning, ShadowedPanel)
 from .geometry import (LinkAngles, RisPanel, TransmitterArray,
-                       antenna_positions, element_positions, far_field_check,
-                       link_angles)
+                       _axis_offsets, antenna_positions, element_positions,
+                       far_field_check, link_angles)
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,40 @@ def amplitude_gain_tir(angles: LinkAngles, tx: TransmitterArray,
                    amplitude=float(delta / (angles.d_ti * angles.d_ir)))
 
 
+def _direction(center: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Unit vector from `center` toward `target`."""
+    u = target - center
+    return u / np.linalg.norm(u)
+
+
 def _offsets_along(points: np.ndarray, center: np.ndarray,
                    target: np.ndarray) -> np.ndarray:
     """Linearized path-length change of each point toward a far target:
     delta_d = -(point - center) . unit(target - center)."""
-    u = target - center
-    u = u / np.linalg.norm(u)
-    return -(points - center[None, :]) @ u
+    return -(points - center[None, :]) @ _direction(center, target)
+
+
+def _panel_phasors(ris: RisPanel, u: np.ndarray,
+                   wavenum: float) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row phasors (e_x, e_y) of the panel toward direction `u`.
+
+    The linearized phasor exp(-j*k*(x_m*axis_x + y_n*axis_y) . u) of element
+    q = n*cols + m separates into e_y[n] * e_x[m], so the L element phasors
+    are outer(e_y, e_x).ravel() in row-major order.  `u` need not be unit:
+    the sum u_TI + u_IR gives the two-hop phasor d_vec.
+    """
+    e_x = np.exp(-1j * (wavenum * (ris.axis_x @ u)
+                        * _axis_offsets(ris.cols, ris.d_x)))
+    e_y = np.exp(-1j * (wavenum * (ris.axis_y @ u)
+                        * _axis_offsets(ris.rows, ris.d_y)))
+    return e_x, e_y
 
 
 def _enforce_far_field(tx, ris, rx, margin: float, mode: str) -> None:
+    """Apply the far-field policy: "strict" raises, "warn" warns, "off"
+    skips the check."""
+    if mode not in ("strict", "warn", "off"):
+        raise DomainError(f"unknown far-field mode {mode!r}")
     if mode == "off":
         return
     chk = far_field_check(tx, ris, rx, margin=margin)
@@ -155,6 +179,26 @@ def _enforce_far_field(tx, ris, rx, margin: float, mode: str) -> None:
     warnings.warn(msg, FarFieldWarning)
 
 
+def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx: np.ndarray,
+                   radio: RadioParams, margin: float, mode: str):
+    """The part of the far-field factorization shared by farfield_channel
+    and farfield_power, after the far-field policy `mode` is applied.
+
+    Returns (angles, a_TIR, wavenum, u_TI, u_IR, b_vec): the link angles,
+    the TIR amplitude gain, 2*pi/lambda, the unit directions from the panel
+    center toward T and R, and the antenna phasors
+    b_vec = exp(j*k*Delta d^I_{T,p}).
+    """
+    _enforce_far_field(tx, ris, rx, margin, mode)
+    angles = link_angles(tx, ris, rx)
+    gain = amplitude_gain_tir(angles, tx, ris, radio)
+    wavenum = 2 * np.pi / radio.wavelength
+    b_vec = np.exp(1j * wavenum * _offsets_along(antenna_positions(tx),
+                                                 tx.center, ris.center))
+    return (angles, gain.amplitude, wavenum, _direction(ris.center, tx.center),
+            _direction(ris.center, rx), b_vec)
+
+
 def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
                      radio: RadioParams, *, direct: bool = False,
                      margin: float = 1.0,
@@ -165,39 +209,58 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     h_ir = exp(j*2*pi*d_IR/l) * c_vec.  `mode` controls far-field
     enforcement: "strict" raises, "warn" (default) warns, "off" skips.
     """
-    if mode not in ("strict", "warn", "off"):
-        raise DomainError(f"unknown far-field mode {mode!r}")
     rx = np.asarray(rx_position, dtype=float)
-    _enforce_far_field(tx, ris, rx, margin, mode)
+    angles, a_tir, wavenum, u_ti, u_ir, b_vec = _farfield_link(
+        tx, ris, rx, radio, margin, mode)
 
-    angles = link_angles(tx, ris, rx)
-    gain = amplitude_gain_tir(angles, tx, ris, radio)
-    lam = radio.wavelength
-    wavenum = 2 * np.pi / lam
-
-    elems = element_positions(ris)
-    ants = antenna_positions(tx)
-    d_t_iq = _offsets_along(elems, ris.center, tx.center)   # Delta d^T_{I,q}
-    d_r_iq = _offsets_along(elems, ris.center, rx)          # Delta d^R_{I,q}
-    d_i_tp = _offsets_along(ants, tx.center, ris.center)    # Delta d^I_{T,p}
-
-    a_vec = np.exp(1j * wavenum * d_t_iq)
-    c_vec = np.exp(1j * wavenum * d_r_iq)
-    b_vec = np.exp(1j * wavenum * d_i_tp)
+    e_x_t, e_y_t = _panel_phasors(ris, u_ti, wavenum)
+    e_x_r, e_y_r = _panel_phasors(ris, u_ir, wavenum)
+    a_vec = np.outer(e_y_t, e_x_t).ravel()   # exp(j*k*Delta d^T_{I,q})
+    c_vec = np.outer(e_y_r, e_x_r).ravel()   # exp(j*k*Delta d^R_{I,q})
     d_vec = c_vec * a_vec
     phase_ti = complex(np.exp(1j * wavenum * angles.d_ti))
     phase_ir = complex(np.exp(1j * wavenum * angles.d_ir))
 
-    h_ti = gain.amplitude * phase_ti * np.outer(a_vec, b_vec)
+    h_ti = a_tir * phase_ti * np.outer(a_vec, b_vec)
     h_ir = phase_ir * c_vec
 
     h_tr = direct_channel(tx, rx, radio, farfield=True) if direct else None
-    channels = ChannelSet(h_ti=h_ti, h_ir=h_ir, wavelength=lam, h_tr=h_tr,
-                          farfield=True)
-    factors = FarFieldFactors(a_tir=gain.amplitude, a_vec=a_vec, b_vec=b_vec,
+    channels = ChannelSet(h_ti=h_ti, h_ir=h_ir, wavelength=radio.wavelength,
+                          h_tr=h_tr, farfield=True)
+    factors = FarFieldFactors(a_tir=a_tir, a_vec=a_vec, b_vec=b_vec,
                               c_vec=c_vec, d_vec=d_vec,
                               phase_ti=phase_ti, phase_ir=phase_ir)
     return channels, factors
+
+
+def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
+                   radio: RadioParams, theta: np.ndarray, v: np.ndarray, *,
+                   mode: str = "warn") -> float:
+    """Received power of the far-field RIS link in watts, built from the
+    rank-one factors without the L x N channel.
+
+    Equals received_power(farfield_channel(..., direct=False)[0], theta, v)
+    as a_TIR^2 * |theta . d_vec|^2 * |b_vec . v|^2, where
+    theta . d_vec = e_y @ theta.reshape(rows, cols) @ e_x for the panel
+    phasors toward u_TI + u_IR.  That takes rows + cols + N exponentials and
+    O(L + N) arithmetic.  `mode` is the far-field policy of farfield_channel,
+    checked at margin 1.  `experiments.robustness` passes "off" for now; the
+    parameter is there for it to pass the scene's `far_field_mode` once the
+    robustness study honours --strict-far-field.
+    """
+    theta = np.asarray(theta)
+    v = np.asarray(v)
+    if theta.shape != (ris.count,):
+        raise DimensionMismatch(f"theta must have length {ris.count}")
+    if v.shape != (tx.count,):
+        raise DimensionMismatch(f"v must have length {tx.count}")
+    rx = np.asarray(rx_position, dtype=float)
+    _, a_tir, wavenum, u_ti, u_ir, b_vec = _farfield_link(
+        tx, ris, rx, radio, 1.0, mode)
+
+    e_x, e_y = _panel_phasors(ris, u_ti + u_ir, wavenum)
+    theta_d = e_y @ theta.reshape(ris.rows, ris.cols) @ e_x
+    return float(a_tir**2 * abs(theta_d)**2 * abs(b_vec @ v)**2)
 
 
 def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,

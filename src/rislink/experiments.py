@@ -4,28 +4,30 @@ anti-decay design, position-perturbation robustness, oracle validation)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .config import SceneConfig, watts_to_dbm
-from .em import (RadioParams, exact_channel, farfield_channel, received_power)
+from .em import (RadioParams, exact_channel, farfield_channel, farfield_power,
+                 received_power)
 from .errors import ShadowedPanel
 from .geometry import (RisPanel, TransmitterArray, UlaLayout, far_field_check,
                        link_angles)
 from .placement import optimal_orientation
-from .solvers import (closed_form_solution, power_upper_bound, svd_solution,
-                      two_path_o, two_path_power_closed_form,
-                      anti_decay_design)
-from .validation import OracleConfig, exhaustive_phase_search
+from .solvers import (anti_decay_design, closed_form_solution,
+                      power_upper_bound, svd_solution, two_path_o,
+                      two_path_power_closed_form, two_path_solution)
+from .validation import (OracleConfig, exhaustive_phase_search,
+                         random_feasible_solutions)
 
 
 @dataclass
 class SweepResult:
     """Rows of one experiment plus plotting metadata."""
 
-    kind: str                   # "line" | "heatmap" | "robustness"
+    kind: str                   # "line" | "bar" | "heatmap" | "robustness"
     header: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
@@ -223,7 +225,6 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
     for lam in np.linspace(lam_lo, lam_hi, sw.wavelength_points):
         design = anti_decay_design(float(lam), "fix_area", sw.element_ratio,
                                    total_area=sw.total_area)
-        from dataclasses import replace
         point_cfg = replace(cfg, wavelength=float(lam),
                             ris_rows=design.rows, ris_cols=design.cols,
                             element_size_x=design.d_x,
@@ -266,9 +267,8 @@ def robustness(cfg: SceneConfig) -> SweepResult:
             ris_true = _panel_at(cfg, true_pos,
                                  specular_frame(true_pos, tx.center, rx))
             try:
-                channels, _ = farfield_channel(tx, ris_true, rx, radio,
-                                               mode="off")
-                est_power = received_power(channels, est.theta, est.v)
+                est_power = farfield_power(tx, ris_true, rx, radio,
+                                           est.theta, est.v, mode="off")
             except ShadowedPanel:
                 est_power = 0.0
             d_ti = float(np.linalg.norm(tx.center - true_pos))
@@ -289,13 +289,12 @@ def solve(cfg: SceneConfig) -> SweepResult:
     d = cfg.d_tr
     tx, ris, rx = equilateral_scene(cfg, d)
     channels = exact_channel(tx, ris, rx, radio, direct=cfg.direct_link)
-    result = SweepResult(kind="line",
+    result = SweepResult(kind="bar",
                          header=("method", "predicted_dbm", "evaluated_dbm"),
                          meta=_meta(cfg, "solve",
                                     {"direct_link": cfg.direct_link}))
     sols = [closed_form_solution(tx, ris, rx, radio)]
     if cfg.direct_link:
-        from .solvers import two_path_solution
         sols.append(two_path_solution(tx, ris, rx, radio,
                                       mode=cfg.far_field_mode))
     sols.append(svd_solution(channels, cfg.tx_power))
@@ -304,20 +303,13 @@ def solve(cfg: SceneConfig) -> SweepResult:
         result.rows.append((sol.method.value,
                             watts_to_dbm(sol.predicted_power),
                             watts_to_dbm(evaluated)))
-    result.rows.append(("upper-bound",
-                        watts_to_dbm(power_upper_bound(channels,
-                                                       cfg.tx_power)),
-                        watts_to_dbm(power_upper_bound(channels,
-                                                       cfg.tx_power))))
+    bound_dbm = watts_to_dbm(power_upper_bound(channels, cfg.tx_power))
+    result.rows.append(("upper-bound", bound_dbm, bound_dbm))
     return result
 
 
 def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     """Small oracle suite: returns (name, passed, detail) triples."""
-    from dataclasses import replace
-    from .solvers import two_path_solution
-    from .validation import random_feasible_solutions
-
     tiny = replace(cfg, ris_rows=2, ris_cols=2, antennas=2)
     radio = _radio(tiny)
     tx, ris, rx = equilateral_scene(tiny, 50.0)

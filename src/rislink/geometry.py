@@ -166,6 +166,12 @@ class LinkAngles:
     theta_0: float
 
 
+def _axis_offsets(count: int, pitch: float) -> np.ndarray:
+    """Centered offsets along one grid axis: (i - (count+1)/2) * pitch for
+    the 1-based index i = 1..count."""
+    return (np.arange(1, count + 1) - (count + 1) / 2) * pitch
+
+
 def _grid_offsets(rows: int, cols: int, d_x: float, d_y: float):
     """Centered row-major grid offsets; row index is the major axis.
 

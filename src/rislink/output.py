@@ -52,7 +52,8 @@ def emit_plot_script(result: SweepResult, csv_path: str | Path,
                      script_path: str | Path) -> Path:
     """Write a gnuplot script that renders the CSV next to it.
 
-    Line sweeps plot the watt columns on a log scale; plane sweeps and
+    Line sweeps plot the watt columns on a log scale; bar tables plot the
+    evaluated dBm per label in the first column; plane sweeps and
     robustness maps render heatmaps (the latter with a 0.1 contour).
     """
     csv_path = Path(csv_path)
@@ -76,6 +77,15 @@ def emit_plot_script(result: SweepResult, csv_path: str | Path,
         plots = [f"'{csv_path.name}' skip 1 using {xcol}:{c} "
                  f"with lines title '{name}'" for c, name in watt_cols]
         lines.append("plot " + ", \\\n     ".join(plots))
+    elif result.kind == "bar":
+        ycol = _column(result, "evaluated_dbm")
+        lines += [
+            "set style fill solid 0.5",
+            "set boxwidth 0.6",
+            "set ylabel 'evaluated power (dBm)'",
+            f"plot '{csv_path.name}' skip 1 using {ycol}:xtic(1) "
+            "with boxes notitle",
+        ]
     elif result.kind == "heatmap":
         zcol = _column(result, "total_dbm") if "total_dbm" in result.header \
             else _column(result, "ris_dbm")

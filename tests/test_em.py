@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rislink.em import (ChannelSet, RadioParams, amplitude_gain_tir,
-                        direct_channel, exact_channel, farfield_channel,
-                        radiation_pattern, received_power)
+from rislink.em import (ChannelSet, RadioParams, _offsets_along,
+                        amplitude_gain_tir, direct_channel, exact_channel,
+                        farfield_channel, farfield_power, radiation_pattern,
+                        received_power)
 from rislink.errors import (DimensionMismatch, DomainError, FarFieldViolation,
                             FarFieldWarning, ShadowedPanel)
-from rislink.geometry import link_angles
+from rislink.geometry import (RisPanel, TransmitterArray, UlaLayout,
+                              UpaLayout, element_positions, link_angles)
 
 from test_geometry import EX, EY, EZ, make_panel, make_ula
 
@@ -184,3 +187,124 @@ def test_radio_params_validation():
         RadioParams(wavelength=0.0)
     with pytest.raises(DomainError):
         RadioParams(wavelength=0.01, tx_power=-1.0)
+
+
+def _frame(rng):
+    """Random orthonormal triple (normal, axis_x, axis_y)."""
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q[:, 0], q[:, 1], q[:, 2]
+
+
+def random_scene(rows, cols, upa, seed):
+    """A panel of rows x cols elements (d_x != d_y) near the origin in a
+    random frame, a ULA or UPA transmitter and a receiver 20-200 m away on
+    the panel's front side, plus the generator for the design draws."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.01, 0.1)
+    normal, ax, ay = _frame(rng)
+    ris = RisPanel(center=rng.uniform(-2.0, 2.0, 3), rows=rows, cols=cols,
+                   d_x=lam * rng.uniform(0.1, 0.5),
+                   d_y=lam * rng.uniform(0.1, 0.5),
+                   normal=normal, axis_x=ax, axis_y=ay)
+
+    def front_point():
+        el, az = rng.uniform(0.0, 1.2), rng.uniform(0.0, 2 * np.pi)
+        u = (np.cos(el) * normal
+             + np.sin(el) * (np.cos(az) * ax + np.sin(az) * ay))
+        return ris.center + rng.uniform(20.0, 200.0) * u
+
+    if upa:
+        _, tx_ax, tx_ay = _frame(rng)
+        layout = UpaLayout(rows=int(rng.integers(1, 5)),
+                           cols=int(rng.integers(1, 5)),
+                           spacing_x=lam / 2,
+                           spacing_y=lam * rng.uniform(0.3, 1.0),
+                           axis_x=tx_ax, axis_y=tx_ay)
+    else:
+        layout = UlaLayout(count=int(rng.integers(1, 9)),
+                           spacing=lam * rng.uniform(0.3, 1.0),
+                           axis=_frame(rng)[0])
+    tx = TransmitterArray(center=front_point(), layout=layout)
+    rx = front_point()
+    radio = RadioParams(wavelength=lam, tx_power=rng.uniform(0.1, 2.0))
+    return tx, ris, rx, radio, rng
+
+
+def random_design(rng, ris, tx, p_t):
+    """Unit-modulus phases and a beamformer within the power budget."""
+    theta = np.exp(1j * rng.uniform(0.0, 2 * np.pi, ris.count))
+    v = rng.standard_normal(tx.count) + 1j * rng.standard_normal(tx.count)
+    return theta, v * np.sqrt(p_t * rng.uniform(0.1, 1.0)) / np.linalg.norm(v)
+
+
+scene_args = dict(rows=st.integers(1, 7), cols=st.integers(1, 7),
+                  upa=st.booleans(), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**scene_args)
+@example(rows=2, cols=5, upa=False, seed=1)
+@example(rows=4, cols=1, upa=True, seed=2)
+def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
+    """The factored power equals the dense far-field evaluation.
+
+    The rounding error is absolute in the element and antenna sums, so it
+    is held to 1e-12 of the larger of the power and the power of a design
+    whose sums do not cancel, a_TIR^2 * L * N * ||v||^2.  A power that is
+    not a strong cancellation (at least 1e-6 of that maximum) is held to
+    1e-12 relative error.
+    """
+    tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
+    theta, v = random_design(rng, ris, tx, radio.tx_power)
+    channels, fac = farfield_channel(tx, ris, rx, radio, direct=False,
+                                     mode="off")
+    dense = received_power(channels, theta, v)
+    power = farfield_power(tx, ris, rx, radio, theta, v, mode="off")
+    scale = fac.a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
+    assert abs(power - dense) <= 1e-12 * max(dense, scale)
+    if dense >= 1e-6 * scale:
+        assert abs(power - dense) <= 1e-12 * dense
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**scene_args)
+@example(rows=3, cols=6, upa=True, seed=3)
+def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
+    """The separable panel phasors equal the per-element linearized offsets
+    of the (L, 3) element positions, in row-major order."""
+    tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
+    _, fac = farfield_channel(tx, ris, rx, radio, mode="off")
+    wavenum = 2 * np.pi / radio.wavelength
+    elems = element_positions(ris)
+    a_ref = np.exp(1j * wavenum * _offsets_along(elems, ris.center,
+                                                 tx.center))
+    c_ref = np.exp(1j * wavenum * _offsets_along(elems, ris.center, rx))
+    np.testing.assert_allclose(fac.a_vec, a_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fac.c_vec, c_ref, rtol=0, atol=1e-12)
+
+
+def test_farfield_power_checks_shapes_and_shadowing():
+    tx, ris, rx = equilateral(300.0, rows=2, cols=3)
+    theta = np.ones(6, dtype=complex)
+    v = np.ones(2, dtype=complex)
+    with pytest.raises(DimensionMismatch):
+        farfield_power(tx, ris, rx, RADIO, theta[:5], v)
+    with pytest.raises(DimensionMismatch):
+        farfield_power(tx, ris, rx, RADIO, theta, np.ones(3))
+    behind = np.array([0.0, 0.0, 2000.0])  # on the panel's back side
+    with pytest.raises(ShadowedPanel):
+        farfield_power(tx, ris, behind, RADIO, theta, v, mode="off")
+
+
+def test_farfield_power_applies_far_field_policy():
+    tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
+    ris = make_panel(rows=20, cols=20)
+    rx = np.array([5.0, 0.0, 5.0])
+    theta = np.ones(ris.count, dtype=complex)
+    v = np.ones(2, dtype=complex)
+    with pytest.raises(FarFieldViolation):
+        farfield_power(tx, ris, rx, RADIO, theta, v, mode="strict")
+    with pytest.warns(FarFieldWarning):
+        farfield_power(tx, ris, rx, RADIO, theta, v, mode="warn")
+    with pytest.raises(DomainError):
+        farfield_power(tx, ris, rx, RADIO, theta, v, mode="loud")

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from rislink.config import load_config
-from rislink.em import RadioParams
-from rislink.experiments import (analytic_point_power, equilateral_scene,
-                                 plane_endpoints, robustness, solve,
-                                 specular_frame, sweep_distance, sweep_plane,
-                                 validate_suite)
+from rislink.config import load_config, watts_to_dbm
+from rislink.em import RadioParams, farfield_channel, received_power
+from rislink.errors import ShadowedPanel
+from rislink.experiments import (_panel_at, analytic_point_power,
+                                 equilateral_scene, plane_endpoints,
+                                 robustness, solve, specular_frame,
+                                 sweep_distance, sweep_plane, validate_suite)
 from rislink.geometry import link_angles
+from rislink.output import _format_value
 from rislink.solvers import closed_form_solution
 
 from dataclasses import replace
@@ -92,6 +94,44 @@ def test_robustness_zero_at_assumed_position():
     assert len(center) == 1
     assert center[0][di] == pytest.approx(0.0, abs=1e-9)
     assert all(0.0 <= r[di] <= 1.0 for r in res.rows)
+
+
+def test_robustness_matches_dense_channel_evaluation():
+    """Each row agrees with the dense far-field channel and received_power:
+    `ideal_dbm` exactly, `estimated_dbm` as written to the CSV (the two
+    powers differ in the last bits), and the deviation within 1e-12 (it is
+    a difference of two nearly equal powers)."""
+    cfg = small_cfg()
+    res = robustness(cfg)
+    radio = RadioParams(wavelength=cfg.wavelength, tx_power=cfg.tx_power,
+                        rx_gain=cfg.rx_gain)
+    tx, rx = plane_endpoints(cfg)
+    assumed = np.zeros(3)
+    est = closed_form_solution(
+        tx, _panel_at(cfg, assumed, specular_frame(assumed, tx.center, rx)),
+        rx, radio)
+    col = {name: i for i, name in enumerate(res.header)}
+    assert len(res.rows) == 25
+    for row in res.rows:
+        pos = np.array([row[col["x_m"]], row[col["y_m"]], 0.0])
+        ris = _panel_at(cfg, pos, specular_frame(pos, tx.center, rx))
+        try:
+            channels, _ = farfield_channel(tx, ris, rx, radio, mode="off")
+            dense = received_power(channels, est.theta, est.v)
+        except ShadowedPanel:
+            dense = 0.0
+        d_ti = float(np.linalg.norm(tx.center - pos))
+        d_ir = float(np.linalg.norm(rx - pos))
+        ideal = analytic_point_power(cfg, d_ti, d_ir, cfg.d_tr,
+                                     cos_mu_ti=cfg.height / d_ti,
+                                     cos_mu_tr=0.0)["ris"]
+        assert row[col["ideal_dbm"]] == watts_to_dbm(ideal)
+        assert (_format_value(row[col["estimated_dbm"]])
+                == _format_value(watts_to_dbm(dense)))
+        assert row[col["estimated_dbm"]] == pytest.approx(
+            watts_to_dbm(dense), rel=1e-12, abs=1e-12)
+        assert row[col["deviation"]] == pytest.approx(
+            abs(dense - ideal) / max(dense, ideal), abs=1e-12)
 
 
 def test_solve_reports_all_methods():

@@ -66,6 +66,20 @@ def test_config_errors(tmp_path):
         load_config(negative)
     with pytest.raises(ConfigError):
         load_config(grid_override=1)
+    # sweeps that would write an empty or meaningless study
+    for old, new in (("points: 101", "points: 0"),    # plane
+                     ("points: 25", "points: 0"),     # wavelength
+                     ("points: 41", "points: 1"),     # robustness
+                     ("points: 41", "points: 0"),
+                     ("extent_m: 10.0", "extent_m: 0.0"),
+                     ("extent_m: 10.0", "extent_m: -5.0"),
+                     ("octaves: 1.0", "octaves: -1.0")):
+        profile = tmp_path / "sweep.yaml"
+        text = default_config_text()
+        assert text.count(old) == 1
+        profile.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError):
+            load_config(profile)
 
 
 def test_emit_csv_format_and_sidecar(tmp_path):
@@ -113,6 +127,30 @@ def test_emit_plot_scripts(tmp_path):
     with pytest.raises(ValueError):
         emit_plot_script(SweepResult(kind="mystery", header=("a",)),
                          tmp_path / "m.csv", tmp_path / "m.gp")
+
+
+def test_no_plot_script_has_an_empty_plot(tmp_path):
+    commands = [["solve"], ["solve", "--direct-link"], ["sweep-distance"],
+                ["sweep-plane"], ["sweep-plane", "--direct-link"],
+                ["sweep-wavelength"], ["robustness"]]
+    for i, args in enumerate(commands):
+        out = tmp_path / str(i)
+        assert main(args + ["--grid", "3", "--out", str(out)]) == 0
+        script = (out / (args[0].replace("-", "_") + ".gp")).read_text()
+        plots = [ln.split() for ln in script.splitlines()
+                 if ln.split()[:1] in (["plot"], ["splot"])]
+        assert len(plots) == 1, args
+        assert len(plots[0]) > 1, args
+
+
+def test_single_version_source():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text())
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    assert (meta["tool"]["setuptools"]["dynamic"]["version"]
+            == {"attr": "rislink.__version__"})
 
 
 def test_cli_exit_codes(tmp_path, capsys):
