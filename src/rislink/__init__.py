@@ -8,8 +8,8 @@ from .config import (SceneConfig, SweepRanges, db_to_linear, dbm_to_watts,
                      linear_to_db, load_config, watts_to_dbm)
 from .em import (ChannelSet, FarFieldFactors, RadioParams, TirGain,
                  amplitude_gain_tir, direct_channel, exact_channel,
-                 farfield_channel, farfield_power, radiation_pattern,
-                 received_power)
+                 farfield_channel, farfield_power, friis_amplitude,
+                 radiation_pattern, received_power, tir_delta)
 from .errors import (AmbiguousSignWarning, ConfigError, DegenerateGeometry,
                      DegenerateTriangle, DimensionMismatch, DomainError,
                      EmptyFeasible, FarFieldViolation, FarFieldWarning,
@@ -24,9 +24,8 @@ from .placement import (PlacementResult, PlaneScene, QuasiconvexityReport,
                         position_search_plane, quasiconvexity_report,
                         region_d_membership, two_path_region_adjustment)
 from .solvers import (GridDesign, Method, Solution, TwoPathTerms,
-                      anti_decay_design, closed_form_beamforming,
-                      closed_form_beamforming_general, closed_form_phases,
-                      closed_form_phases_two_path,
+                      anti_decay_design, closed_form_beamforming_general,
+                      closed_form_phases, closed_form_phases_two_path,
                       closed_form_predicted_power, closed_form_solution,
                       mrt_beamforming, power_upper_bound, svd_solution,
                       two_path_o, two_path_power_closed_form,

@@ -45,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None, help="include the unblocked direct path")
         p.add_argument("--grid", metavar="N", type=int, default=None,
                        help="override every sweep point count")
-        p.add_argument("--seed", metavar="S", type=int, default=0,
-                       help="seed for randomized routines")
         p.add_argument("--paper-scale", action="store_true",
                        help="use the full-scale panel grid from the profile")
     return parser

@@ -7,10 +7,12 @@ watts/ratios at the configuration boundary and stays linear internally.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError
@@ -23,7 +25,6 @@ def db_to_linear(db: float) -> float:
 def linear_to_db(x: float) -> float:
     if x <= 0:
         raise ConfigError("cannot express a nonpositive ratio in dB")
-    import math
     return 10.0 * math.log10(x)
 
 
@@ -31,11 +32,12 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(w: float) -> float:
-    import math
-    if w <= 0:
-        return -math.inf
-    return 10.0 * math.log10(w) + 30.0
+def watts_to_dbm(w):
+    """Power in dBm, -inf for w <= 0; scalars give floats, arrays arrays."""
+    w = np.asarray(w, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dbm = np.where(w > 0, 10.0 * np.log10(w) + 30.0, -np.inf)
+    return float(dbm) if dbm.ndim == 0 else dbm
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,39 @@ def default_config_text() -> str:
     return (resources.files("rislink.data") / "default.yaml").read_text()
 
 
+# Every key load_config reads, by section in the order it unpacks them; a
+# mapping holds subsections.
+_PROFILE_KEYS = {
+    "radio": ("tx_power_dbm", "wavelength_m", "tx_gain_db", "rx_gain_db"),
+    "ris": ("rows", "cols", "paper_scale_rows", "paper_scale_cols",
+            "element_size_x_m", "element_size_y_m", "gain_db",
+            "reflection_coeff", "pattern_exponent"),
+    "transmitter": ("antennas", "spacing_wavelengths"),
+    "geometry": ("d_tr_m", "height_m"),
+    "flags": ("direct_link", "far_field_mode"),
+    "sweeps": {
+        "distance": ("min_m", "max_m", "points"),
+        "plane": ("x_min_m", "x_max_m", "y_min_m", "y_max_m", "points"),
+        "wavelength": ("max_m", "octaves", "points", "element_ratio",
+                       "total_area_m2"),
+        "robustness": ("extent_m", "points"),
+    },
+}
+
+
+def _check_keys(section, known, where: str = "") -> None:
+    """Reject a key the loader would not read (a typo would otherwise fall
+    back to its default silently), naming the key and its section."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"section {where!r} must be a mapping")
+    for key, value in section.items():
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in section {where!r}"
+                              if where else f"unknown section {key!r}")
+        if isinstance(known, dict):
+            _check_keys(value, known[key], f"{where}.{key}" if where else key)
+
+
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing key {key!r} in section {where!r}")
@@ -115,13 +150,10 @@ def load_config(path: str | Path | None = None, *,
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    _check_keys(raw, _PROFILE_KEYS)
 
-    radio = raw.get("radio", {})
-    ris = raw.get("ris", {})
-    tx = raw.get("transmitter", {})
-    geo = raw.get("geometry", {})
-    flags = raw.get("flags", {})
-    sweeps = raw.get("sweeps", {})
+    radio, ris, tx, geo, flags, sweeps = (raw.get(name, {})
+                                          for name in _PROFILE_KEYS)
 
     try:
         wavelength = float(_require(radio, "wavelength_m", "radio"))
@@ -129,10 +161,8 @@ def load_config(path: str | Path | None = None, *,
         cfg_cols = int(_require(ris, "cols", "ris"))
         paper_rows = int(ris.get("paper_scale_rows", 100))
         paper_cols = int(ris.get("paper_scale_cols", 100))
-        dist = sweeps.get("distance", {})
-        plane = sweeps.get("plane", {})
-        wl = sweeps.get("wavelength", {})
-        rob = sweeps.get("robustness", {})
+        dist, plane, wl, rob = (sweeps.get(name, {})
+                                for name in _PROFILE_KEYS["sweeps"])
         ranges = SweepRanges(
             distance_min=float(dist.get("min_m", 20.0)),
             distance_max=float(dist.get("max_m", 200.0)),
@@ -153,12 +183,10 @@ def load_config(path: str | Path | None = None, *,
         if grid_override is not None:
             if grid_override < 2:
                 raise ConfigError("--grid must be >= 2")
-            ranges = SweepRanges(
-                **{**ranges.__dict__,
-                   "distance_points": grid_override,
-                   "plane_points": grid_override,
-                   "wavelength_points": grid_override,
-                   "robustness_points": grid_override})
+            ranges = replace(ranges, distance_points=grid_override,
+                             plane_points=grid_override,
+                             wavelength_points=grid_override,
+                             robustness_points=grid_override)
 
         mode = str(flags.get("far_field_mode", "warn"))
         if strict_far_field:

@@ -114,21 +114,32 @@ def radiation_pattern(theta, k: float):
     return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
 
 
+def tir_delta(g_t, g_r, g_ris, d_x, d_y, wavelength, f_t, f_r, gamma):
+    """Distance-free T->RIS->R amplitude, arrays broadcast:
+    delta = sqrt(G_t*G_r*G*d_x*d_y*l^2*F(theta_t)*F(theta_r)*Gamma^2
+                 / (64*pi^3)).
+    A pattern product known only as a whole (F*) goes in as f_t, f_r = 1."""
+    return np.sqrt(g_t * g_r * g_ris * d_x * d_y * wavelength**2
+                   * f_t * f_r * gamma**2 / (64 * np.pi**3))
+
+
+def friis_amplitude(g_t, g_r, wavelength, d_tr):
+    """Free-space amplitude sqrt(G_t*G_r)*l/(4*pi*d_TR); arrays broadcast."""
+    return np.sqrt(g_t * g_r) * wavelength / (4 * np.pi * d_tr)
+
+
 def amplitude_gain_tir(angles: LinkAngles, tx: TransmitterArray,
                        ris: RisPanel, radio: RadioParams) -> TirGain:
-    """Combined per-element amplitude gain of the T->RIS->R link.
-
-    delta = sqrt(G_t*G_r*G*d_x*d_y*l^2*F(theta_t)*F(theta_r)*Gamma^2/(64*pi^3))
-    and amplitude = delta / (d_TI * d_IR).
-    """
+    """Combined per-element amplitude gain of the T->RIS->R link: `tir_delta`
+    at the link's pattern angles and amplitude = delta / (d_TI * d_IR)."""
     k = ris.pattern_exponent
     f_t = radiation_pattern(angles.theta_t, k)
     f_r = radiation_pattern(angles.theta_r, k)
     if f_t * f_r == 0.0:
         raise ShadowedPanel("pattern gain vanishes; panel does not see both ends")
-    delta = np.sqrt(tx.element_gain * radio.rx_gain * ris.element_gain
-                    * ris.d_x * ris.d_y * radio.wavelength**2
-                    * f_t * f_r * ris.reflection_coeff**2 / (64 * np.pi**3))
+    delta = tir_delta(tx.element_gain, radio.rx_gain, ris.element_gain,
+                      ris.d_x, ris.d_y, radio.wavelength, f_t, f_r,
+                      ris.reflection_coeff)
     return TirGain(delta=float(delta),
                    amplitude=float(delta / (angles.d_ti * angles.d_ir)))
 
@@ -305,7 +316,7 @@ def direct_channel(tx: TransmitterArray, rx_position, radio: RadioParams,
     if d_tr == 0.0:
         raise DegenerateGeometry("transmitter and receiver coincide")
     lam = radio.wavelength
-    a_tr = np.sqrt(tx.element_gain * radio.rx_gain) * lam / (4 * np.pi * d_tr)
+    a_tr = friis_amplitude(tx.element_gain, radio.rx_gain, lam, d_tr)
     ants = antenna_positions(tx)
     if farfield:
         d_p = d_tr + _offsets_along(ants, tx.center, rx)

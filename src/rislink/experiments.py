@@ -11,14 +11,14 @@ import numpy as np
 from . import __version__
 from .config import SceneConfig, watts_to_dbm
 from .em import (RadioParams, exact_channel, farfield_channel, farfield_power,
-                 received_power)
+                 friis_amplitude, received_power, tir_delta)
 from .errors import ShadowedPanel
-from .geometry import (RisPanel, TransmitterArray, UlaLayout, far_field_check,
-                       link_angles)
+from .geometry import RisPanel, TransmitterArray, UlaLayout, far_field_check
 from .placement import optimal_orientation
-from .solvers import (anti_decay_design, closed_form_solution,
-                      power_upper_bound, svd_solution, two_path_o,
-                      two_path_power_closed_form, two_path_solution)
+from .solvers import (anti_decay_design, closed_form_predicted_power,
+                      closed_form_solution, power_upper_bound, svd_solution,
+                      two_path_o, two_path_power_closed_form,
+                      two_path_solution)
 from .validation import (OracleConfig, exhaustive_phase_search,
                          random_feasible_solutions)
 
@@ -47,6 +47,14 @@ def _panel_at(cfg: SceneConfig, center, frame) -> RisPanel:
                     reflection_coeff=cfg.reflection_coeff,
                     pattern_exponent=cfg.pattern_exponent,
                     element_gain=cfg.ris_gain)
+
+
+def _ula_at(cfg: SceneConfig, center, axis) -> TransmitterArray:
+    return TransmitterArray(center=center,
+                            layout=UlaLayout(count=cfg.antennas,
+                                             spacing=cfg.spacing,
+                                             axis=axis),
+                            element_gain=cfg.tx_gain)
 
 
 def specular_frame(position, tx_center, rx_position):
@@ -82,65 +90,62 @@ def equilateral_scene(cfg: SceneConfig, d: float):
     t_pos = np.array([-d / 2, 0.0, 0.0])
     r_pos = np.array([d / 2, 0.0, 0.0])
     i_pos = np.array([0.0, 0.0, np.sqrt(3) / 2 * d])
-    frame = specular_frame(i_pos, t_pos, r_pos)
-    tx = TransmitterArray(center=t_pos,
-                          layout=UlaLayout(count=cfg.antennas,
-                                           spacing=cfg.spacing,
-                                           axis=np.array([0.0, 1.0, 0.0])),
-                          element_gain=cfg.tx_gain)
-    ris = _panel_at(cfg, i_pos, frame)
-    return tx, ris, r_pos
+    ris = _panel_at(cfg, i_pos, specular_frame(i_pos, t_pos, r_pos))
+    return _ula_at(cfg, t_pos, [0.0, 1.0, 0.0]), ris, r_pos
 
 
 def plane_endpoints(cfg: SceneConfig):
     """T and R of the Fig.-4-style setup: plane S is z = 0, both endpoints
     at height h, projected onto T' = origin and R' = (d_TR, 0)."""
     h = cfg.height
-    sep = cfg.d_tr  # equal heights: projected separation equals d_TR
-    t_pos = np.array([0.0, 0.0, h])
-    r_pos = np.array([sep, 0.0, h])
-    tx = TransmitterArray(center=t_pos,
-                          layout=UlaLayout(count=cfg.antennas,
-                                           spacing=cfg.spacing,
-                                           axis=np.array([0.0, 0.0, 1.0])),
-                          element_gain=cfg.tx_gain)
-    return tx, r_pos
+    # equal heights: the projected separation equals d_TR
+    return (_ula_at(cfg, np.array([0.0, 0.0, h]), [0.0, 0.0, 1.0]),
+            np.array([cfg.d_tr, 0.0, h]))
 
 
-def _delta_tir(cfg: SceneConfig, f_pattern: float) -> float:
-    return float(np.sqrt(cfg.tx_gain * cfg.rx_gain * cfg.ris_gain
-                         * cfg.element_size_x * cfg.element_size_y
-                         * cfg.wavelength**2 * f_pattern
-                         * cfg.reflection_coeff**2 / (64 * np.pi**3)))
-
-
-def _direct_amplitude(cfg: SceneConfig, d_tr: float) -> float:
-    return float(np.sqrt(cfg.tx_gain * cfg.rx_gain) * cfg.wavelength
-                 / (4 * np.pi * d_tr))
-
-
-def analytic_point_power(cfg: SceneConfig, d_ti: float, d_ir: float,
-                         d_tr: float, cos_mu_ti: float, cos_mu_tr: float,
-                         ) -> dict:
-    """Closed-form powers at one RIS position with optimal orientation.
-
-    Returns the RIS-only, direct-only and combined two-path received powers
-    plus the coherence factor O; all powers in watts.
+def analytic_point_power(cfg: SceneConfig, d_ti, d_ir, d_tr, cos_mu_ti,
+                         cos_mu_tr) -> dict:
+    """Closed-form RIS-only, direct-only and combined two-path received
+    powers (W) and the coherence factor O at RIS positions with optimal
+    orientation.  The inputs broadcast as numpy arrays to the shape of every
+    result.  Scalars give floats, computed as one-element arrays to match an
+    array call bit for bit (numpy rounds `x**k` on scalars differently).
     """
+    args = (d_ti, d_ir, d_tr, cos_mu_ti, cos_mu_tr)
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    d_ti, d_ir, d_tr, cos_mu_ti, cos_mu_tr = (
+        np.broadcast_to(np.asarray(a, dtype=float), shape or (1,))
+        for a in args)
     _, _, f_star = optimal_orientation(d_ti, d_ir, d_tr,
                                        cfg.pattern_exponent)
     l = cfg.ris_rows * cfg.ris_cols
     n = cfg.antennas
-    a_tir = _delta_tir(cfg, f_star) / (d_ti * d_ir)
-    a_tr = _direct_amplitude(cfg, d_tr)
-    ris_power = n * l**2 * a_tir**2 * cfg.tx_power
-    direct_power = n * a_tr**2 * cfg.tx_power
-    o = two_path_o(n, cfg.spacing, float(np.arccos(np.clip(cos_mu_ti, -1, 1))),
-                   float(np.arccos(np.clip(cos_mu_tr, -1, 1))),
-                   cfg.wavelength)
-    combined = two_path_power_closed_form(a_tir, a_tr, o, n, l, cfg.tx_power)
-    return {"ris": ris_power, "direct": direct_power, "combined": combined,
-            "o": o}
+    a_tir = tir_delta(cfg.tx_gain, cfg.rx_gain, cfg.ris_gain,
+                      cfg.element_size_x, cfg.element_size_y, cfg.wavelength,
+                      f_star, 1.0, cfg.reflection_coeff) / (d_ti * d_ir)
+    a_tr = friis_amplitude(cfg.tx_gain, cfg.rx_gain, cfg.wavelength, d_tr)
+    o = two_path_o(n, cfg.spacing, np.arccos(np.clip(cos_mu_ti, -1, 1)),
+                   np.arccos(np.clip(cos_mu_tr, -1, 1)), cfg.wavelength)
+    powers = {"ris": closed_form_predicted_power(a_tir, n, l, cfg.tx_power),
+              "direct": n * a_tr**2 * cfg.tx_power,
+              "combined": two_path_power_closed_form(a_tir, a_tr, o, n, l,
+                                                     cfg.tx_power),
+              "o": o}
+    if shape:
+        return powers
+    return {key: float(value[0]) for key, value in powers.items()}
+
+
+def _plane_point_power(cfg: SceneConfig, x, y) -> dict:
+    """analytic_point_power with the RIS at (x, y) on plane S, between the
+    endpoints of plane_endpoints."""
+    h = cfg.height
+    d_ti = np.sqrt(x**2 + y**2 + h**2)
+    d_ir = np.sqrt((x - cfg.d_tr)**2 + y**2 + h**2)
+    # ULA axis is the plane normal, so cos(mu_TI) = h / d_TI and the
+    # horizontal T->R direction gives cos(mu_TR) = 0
+    return analytic_point_power(cfg, d_ti, d_ir, cfg.d_tr,
+                                cos_mu_ti=h / d_ti, cos_mu_tr=0.0)
 
 
 def _meta(cfg: SceneConfig, experiment: str, extra: dict | None = None) -> dict:
@@ -181,8 +186,6 @@ def sweep_plane(cfg: SceneConfig) -> SweepResult:
     """Received power versus RIS position on plane S, analytic per-point
     optimal design; adds the two-path balance when the direct link is on."""
     sw = cfg.sweeps
-    h = cfg.height
-    sep = cfg.d_tr
     header = ["x_m", "y_m", "ris_dbm"]
     if cfg.direct_link:
         header += ["direct_dbm", "total_dbm", "abs_o"]
@@ -191,19 +194,14 @@ def sweep_plane(cfg: SceneConfig) -> SweepResult:
                                     {"direct_link": cfg.direct_link}))
     xs = np.linspace(sw.plane_x[0], sw.plane_x[1], sw.plane_points)
     ys = np.linspace(sw.plane_y[0], sw.plane_y[1], sw.plane_points)
+    # one plane row (fixed y, every x) per call keeps the temporaries small
     for y in ys:
-        for x in xs:
-            d_ti = float(np.sqrt(x**2 + y**2 + h**2))
-            d_ir = float(np.sqrt((x - sep)**2 + y**2 + h**2))
-            # ULA axis is the plane normal, so cos(mu_TI) = h / d_TI and the
-            # horizontal T->R direction gives cos(mu_TR) = 0
-            p = analytic_point_power(cfg, d_ti, d_ir, sep,
-                                     cos_mu_ti=h / d_ti, cos_mu_tr=0.0)
-            row = [float(x), float(y), watts_to_dbm(p["ris"])]
-            if cfg.direct_link:
-                row += [watts_to_dbm(p["direct"]),
-                        watts_to_dbm(p["combined"]), abs(p["o"])]
-            result.rows.append(tuple(row))
+        p = _plane_point_power(cfg, xs, y)
+        cols = [xs, np.full_like(xs, y), watts_to_dbm(p["ris"])]
+        if cfg.direct_link:
+            cols += [watts_to_dbm(p["direct"]),
+                     watts_to_dbm(p["combined"]), np.abs(p["o"])]
+        result.rows.extend(zip(*(c.tolist() for c in cols)))
     return result
 
 
@@ -211,10 +209,6 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
     """Wavelength sweep with the fix-area anti-decay panel design; RIS fixed
     at R' on plane S."""
     sw = cfg.sweeps
-    h = cfg.height
-    sep = cfg.d_tr
-    d_ti = float(np.sqrt(sep**2 + h**2))
-    d_ir = h
     lam_hi = sw.wavelength_max
     lam_lo = lam_hi / 2.0 ** sw.wavelength_octaves
     result = SweepResult(kind="line",
@@ -230,8 +224,7 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
                             element_size_x=design.d_x,
                             element_size_y=design.d_y,
                             spacing=cfg.spacing / cfg.wavelength * float(lam))
-        p = analytic_point_power(point_cfg, d_ti, d_ir, sep,
-                                 cos_mu_ti=h / d_ti, cos_mu_tr=0.0)
+        p = _plane_point_power(point_cfg, cfg.d_tr, 0.0)
         result.rows.append((float(lam), p["ris"], p["direct"], p["combined"],
                             watts_to_dbm(p["ris"]), watts_to_dbm(p["direct"]),
                             watts_to_dbm(p["combined"]), design.rows,
@@ -261,25 +254,22 @@ def robustness(cfg: SceneConfig) -> SweepResult:
                          meta=_meta(cfg, "robustness"))
     offs = np.linspace(-sw.robustness_extent, sw.robustness_extent,
                        sw.robustness_points)
-    for dy in offs:
-        for dx in offs:
-            true_pos = np.array([float(dx), float(dy), 0.0])
-            ris_true = _panel_at(cfg, true_pos,
-                                 specular_frame(true_pos, tx.center, rx))
-            try:
-                est_power = farfield_power(tx, ris_true, rx, radio,
-                                           est.theta, est.v, mode="off")
-            except ShadowedPanel:
-                est_power = 0.0
-            d_ti = float(np.linalg.norm(tx.center - true_pos))
-            d_ir = float(np.linalg.norm(rx - true_pos))
-            ideal = analytic_point_power(cfg, d_ti, d_ir, cfg.d_tr,
-                                         cos_mu_ti=cfg.height / d_ti,
-                                         cos_mu_tr=0.0)["ris"]
-            dev = abs(est_power - ideal) / max(est_power, ideal)
-            result.rows.append((float(dx), float(dy), dev,
-                                watts_to_dbm(est_power),
-                                watts_to_dbm(ideal)))
+    x, y = (g.ravel() for g in np.meshgrid(offs, offs))  # y outer, x inner
+    est_power = []
+    for dx, dy in zip(x.tolist(), y.tolist()):
+        true_pos = np.array([dx, dy, 0.0])
+        ris_true = _panel_at(cfg, true_pos,
+                             specular_frame(true_pos, tx.center, rx))
+        try:
+            est_power.append(farfield_power(tx, ris_true, rx, radio,
+                                            est.theta, est.v, mode="off"))
+        except ShadowedPanel:
+            est_power.append(0.0)
+    est_power = np.array(est_power)
+    ideal = _plane_point_power(cfg, x, y)["ris"]
+    dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
+    result.rows.extend(zip(*(c.tolist() for c in (
+        x, y, dev, watts_to_dbm(est_power), watts_to_dbm(ideal)))))
     return result
 
 

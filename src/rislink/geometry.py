@@ -179,10 +179,8 @@ def _grid_offsets(rows: int, cols: int, d_x: float, d_y: float):
     n_q = q // cols + 1; its in-plane offset is
     (m_q - (cols+1)/2) * d_x  and  (n_q - (rows+1)/2) * d_y.
     """
-    q = np.arange(rows * cols)
-    m = q % cols + 1
-    n = q // cols + 1
-    return (m - (cols + 1) / 2) * d_x, (n - (rows + 1) / 2) * d_y
+    return (np.tile(_axis_offsets(cols, d_x), rows),
+            np.repeat(_axis_offsets(rows, d_y), cols))
 
 
 def antenna_positions(tx: TransmitterArray) -> np.ndarray:
@@ -193,8 +191,7 @@ def antenna_positions(tx: TransmitterArray) -> np.ndarray:
     """
     lay = tx.layout
     if isinstance(lay, UlaLayout):
-        p = np.arange(1, lay.count + 1)
-        off = ((lay.count + 1) / 2 - p) * lay.spacing
+        off = -_axis_offsets(lay.count, lay.spacing)
         return tx.center[None, :] + off[:, None] * lay.axis[None, :]
     xo, yo = _grid_offsets(lay.rows, lay.cols, lay.spacing_x, lay.spacing_y)
     return (tx.center[None, :]
@@ -226,6 +223,12 @@ def _elevation_azimuth(ris: RisPanel, direction: Vec3) -> tuple[float, float]:
     return theta, phi
 
 
+def cos_theta_0(d_ti, d_ir, d_tr):
+    """Law of cosines: cos of the angle theta_0 at the RIS in the T-I-R
+    triangle, from the three center distances (scalars or arrays)."""
+    return (d_ti**2 + d_ir**2 - d_tr**2) / (2 * d_ti * d_ir)
+
+
 def _array_axis(tx: TransmitterArray) -> Vec3:
     lay = tx.layout
     return lay.axis if isinstance(lay, UlaLayout) else lay.axis_x
@@ -253,8 +256,8 @@ def link_angles(tx: TransmitterArray, ris: RisPanel, rx_position) -> LinkAngles:
     mu_ti = _angle_between(axis, r_t - r_i)
     mu_tr = _angle_between(axis, r_t - rx)
 
-    cos_t0 = (d_ti**2 + d_ir**2 - d_tr**2) / (2 * d_ti * d_ir)
-    theta_0 = float(np.arccos(np.clip(cos_t0, -1.0, 1.0)))
+    theta_0 = float(np.arccos(np.clip(cos_theta_0(d_ti, d_ir, d_tr),
+                                      -1.0, 1.0)))
 
     return LinkAngles(d_ti=d_ti, d_ir=d_ir, d_tr=d_tr,
                       theta_t=theta_t, phi_t=phi_t,

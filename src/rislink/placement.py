@@ -18,42 +18,53 @@ import numpy as np
 
 from .errors import (DegenerateTriangle, DomainError, EmptyFeasible,
                      RegionDWarning)
+from .geometry import cos_theta_0
 
 _TRIANGLE_TOL = 1e-9
 
 
-def optimal_orientation(d_ti: float, d_ir: float, d_tr: float,
-                        k: float) -> tuple[float, float, float]:
+def _specular_pattern(cos_t0, k: float):
+    """Pattern term of the specular orientation, F* = clip(cos(theta_0)/2
+    + 1/2, 0, 1)^k = clip((d_TI^2 + d_IR^2 - d_TR^2)/(4 d_TI d_IR) + 1/2,
+    0, 1)^k; the clamp matters only for distances no triangle realizes."""
+    return np.clip(cos_t0 / 2 + 0.5, 0.0, 1.0) ** k
+
+
+def optimal_orientation(d_ti, d_ir, d_tr, k: float):
     """Specular-reflection optimum: theta_t = theta_r = theta_0 / 2.
 
-    Returns (theta_t, theta_r, F*), with
-    F* = ((d_TI^2 + d_IR^2 - d_TR^2) / (4 d_TI d_IR) + 1/2)^k.
+    Returns (theta_t, theta_r, F*); the distances broadcast as numpy arrays
+    and scalars give floats.  Raises DegenerateTriangle if any distance
+    triple violates the triangle inequality.
     """
-    if min(d_ti, d_ir, d_tr) <= 0:
+    d_ti, d_ir, d_tr = np.broadcast_arrays(
+        *(np.asarray(d, dtype=float) for d in (d_ti, d_ir, d_tr)))
+    if min(d_ti.min(), d_ir.min(), d_tr.min()) <= 0:
         raise DomainError("distances must be > 0")
-    cos_t0 = (d_ti**2 + d_ir**2 - d_tr**2) / (2 * d_ti * d_ir)
-    if abs(cos_t0) > 1 + _TRIANGLE_TOL:
+    cos_t0 = cos_theta_0(d_ti, d_ir, d_tr)
+    bad = np.abs(cos_t0) > 1 + _TRIANGLE_TOL
+    if np.any(bad):
+        i = np.argmax(bad)
         raise DegenerateTriangle(
-            f"distances ({d_ti}, {d_ir}, {d_tr}) violate the triangle inequality")
-    theta_0 = float(np.arccos(np.clip(cos_t0, -1.0, 1.0)))
-    f_star = float(np.clip(cos_t0 / 2 + 0.5, 0.0, 1.0) ** k)
-    return theta_0 / 2, theta_0 / 2, f_star
+            f"distances ({d_ti.flat[i]}, {d_ir.flat[i]}, {d_tr.flat[i]}) "
+            "violate the triangle inequality")
+    half = np.arccos(np.clip(cos_t0, -1.0, 1.0)) / 2
+    out = (half, half, _specular_pattern(cos_t0, k))
+    return tuple(map(float, out)) if half.ndim == 0 else out
 
 
 def f_object(d_ti, d_ir, d_tr: float, k: float):
     """Position-only factor of the optimally-oriented received power:
-    (pattern term)^k * d_TI^-2 * d_IR^-2.  Vectorized over d_ti / d_ir.
-
-    The pattern base is clamped to [0, 1]; a negative base would mean
-    theta_0 > pi, impossible for a true triangle but reachable when the two
-    distances are varied independently.
+    F* * d_TI^-2 * d_IR^-2.  Vectorized over d_ti / d_ir; unlike
+    optimal_orientation it accepts distance pairs that no triangle
+    realizes, where the clamped pattern term applies.
     """
     d_ti = np.asarray(d_ti, dtype=float)
     d_ir = np.asarray(d_ir, dtype=float)
     if np.any(d_ti <= 0) or np.any(d_ir <= 0) or d_tr <= 0:
         raise DomainError("distances must be > 0")
-    base = (d_ti**2 + d_ir**2 - d_tr**2) / (4 * d_ti * d_ir) + 0.5
-    val = np.clip(base, 0.0, 1.0) ** k * d_ti**-2 * d_ir**-2
+    val = (_specular_pattern(cos_theta_0(d_ti, d_ir, d_tr), k)
+           * d_ti**-2 * d_ir**-2)
     return float(val) if val.ndim == 0 else val
 
 
@@ -136,18 +147,23 @@ def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _polygon_boundary_points(poly: np.ndarray, count: int) -> np.ndarray:
-    """`count` points spread along the polygon boundary by arc length."""
-    closed = np.vstack([poly, poly[:1]])
-    seg = np.diff(closed, axis=0)
+def _polygon_edges(poly: np.ndarray):
+    """Edge vectors of the closed polygon, their lengths, and the arc length
+    at each vertex: 0 at the first vertex, the perimeter last."""
+    seg = np.diff(np.vstack([poly, poly[:1]]), axis=0)
     seg_len = np.linalg.norm(seg, axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    total = cum[-1]
-    s = np.linspace(0.0, total, count, endpoint=False)
-    idx = np.searchsorted(cum, s, side="right") - 1
-    idx = np.clip(idx, 0, len(seg) - 1)
+    return seg, seg_len, np.concatenate([[0.0], np.cumsum(seg_len)])
+
+
+def _polygon_boundary_points(poly: np.ndarray, s) -> np.ndarray:
+    """Points at arc lengths `s` (any shape) along the closed polygon
+    boundary, measured from the first vertex and wrapped modulo the
+    perimeter; returns shape s.shape + (2,)."""
+    seg, seg_len, cum = _polygon_edges(poly)
+    s = np.asarray(s, dtype=float) % cum[-1]
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
     frac = (s - cum[idx]) / np.where(seg_len[idx] > 0, seg_len[idx], 1.0)
-    return closed[idx] + frac[:, None] * seg[idx]
+    return poly[idx] + frac[..., None] * seg[idx]
 
 
 def region_d_membership(scene: PlaneScene, xy,
@@ -281,7 +297,9 @@ def position_search_plane(scene: PlaneScene,
 
     # candidate set (ii): feasible boundaries
     for poly in scene.feasible:
-        pts = _polygon_boundary_points(poly, boundary_points)
+        total = float(_polygon_edges(poly)[2][-1])
+        pts = _polygon_boundary_points(
+            poly, np.linspace(0.0, total, boundary_points, endpoint=False))
         vals, mask = eval_masked(pts)
         # boundary points are feasible by construction; containment can be
         # lost to rounding, evaluate those directly
@@ -291,18 +309,15 @@ def position_search_plane(scene: PlaneScene,
         if vals[i] > best_val:
             best_val = float(vals[i])
             best_point = pts[i]
-            closed = np.vstack([poly, poly[:1]])
-            seg_len = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-            total = float(np.sum(seg_len))
             s_i = total * i / len(pts)
             step = total / len(pts)
 
-            def refine_boundary(poly=poly, s_i=s_i, step=step, total=total):
+            def refine_boundary(poly=poly, s_i=s_i, step=step):
                 def fun(s):
-                    p = _boundary_point_at(poly, s % total)
-                    return float(objective(p[None, :])[0])
+                    return float(objective(
+                        _polygon_boundary_points(poly, [s]))[0])
                 s, val = _golden_max(fun, s_i - step, s_i + step, refine_tol)
-                return _boundary_point_at(poly, s % total), val
+                return _polygon_boundary_points(poly, s), val
 
             best_refiner = refine_boundary
 
@@ -342,18 +357,6 @@ def position_search_plane(scene: PlaneScene,
                            search_set="line-l + boundary"
                                       + (" + region-D grid" if fallback else ""),
                            region_d_fallback=fallback)
-
-
-def _boundary_point_at(poly: np.ndarray, s: float) -> np.ndarray:
-    """Point at arc length s along the closed polygon boundary."""
-    closed = np.vstack([poly, poly[:1]])
-    seg = np.diff(closed, axis=0)
-    seg_len = np.linalg.norm(seg, axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    i = int(np.searchsorted(cum, s, side="right") - 1)
-    i = min(max(i, 0), len(seg) - 1)
-    frac = (s - cum[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
-    return closed[i] + frac * seg[i]
 
 
 def position_search_3d(slices: Sequence[PlaneScene],
@@ -426,22 +429,10 @@ def quasiconvexity_report(d_tr: float, k: float, d_fixed: float,
 
     diffs = np.diff(values)
     rel = np.max(np.abs(values)) * 1e-12
-    rising = diffs > rel
-    falling = diffs < -rel
-    n_max = 0
-    n_min = 0
-    # classify strict interior extrema between non-flat moves
-    last_move = 0  # +1 rising, -1 falling
-    for i in range(len(diffs)):
-        move = 1 if rising[i] else (-1 if falling[i] else 0)
-        if move == 0:
-            continue
-        if last_move == 1 and move == -1:
-            n_max += 1
-        elif last_move == -1 and move == 1:
-            n_min += 1
-        last_move = move
-    monotone = not np.any(rising)
-    return QuasiconvexityReport(xs=xs, values=values, n_local_maxima=n_max,
-                                n_interior_strict_minima=n_min,
-                                monotone_decreasing=monotone)
+    # strict interior extrema sit where consecutive non-flat moves (+1
+    # rising, -1 falling) change direction
+    turns = np.diff(np.sign(diffs[np.abs(diffs) > rel]))
+    return QuasiconvexityReport(
+        xs=xs, values=values, n_local_maxima=int(np.sum(turns < 0)),
+        n_interior_strict_minima=int(np.sum(turns > 0)),
+        monotone_decreasing=not np.any(diffs > rel))

@@ -10,8 +10,8 @@ from enum import Enum
 
 import numpy as np
 
-from .em import (ChannelSet, FarFieldFactors, RadioParams, amplitude_gain_tir,
-                 direct_channel, farfield_channel, received_power)
+from .em import (ChannelSet, RadioParams, _offsets_along, amplitude_gain_tir,
+                 farfield_channel, received_power)
 from .errors import (AmbiguousSignWarning, DomainError, NoConvergence,
                      ZeroChannel)
 from .geometry import (LinkAngles, RisPanel, TransmitterArray, UlaLayout,
@@ -83,42 +83,20 @@ def closed_form_phases(angles: LinkAngles, ris: RisPanel,
     return np.exp(1j * phi)
 
 
-def closed_form_beamforming(angles: LinkAngles, tx: TransmitterArray,
-                            wavelength: float, p_t: float) -> np.ndarray:
-    """Decoupled closed-form ULA beamformer:
-    v_p = sqrt(P_t/N) * exp(-j*(2*pi/l)*((N+1)/2 - p)*spacing*cos(mu_TI)).
-
-    UPA arrays carry two-dimensional offsets; use
-    closed_form_beamforming_general for those.
-    """
-    lay = tx.layout
-    if not isinstance(lay, UlaLayout):
-        raise DomainError("formula variant supports ULA only; "
-                          "use closed_form_beamforming_general")
-    n = lay.count
-    p = np.arange(1, n + 1)
-    phase = (2 * np.pi / wavelength * ((n + 1) / 2 - p) * lay.spacing
-             * np.cos(angles.mu_ti))
-    return np.sqrt(p_t / n) * np.exp(-1j * phase)
-
-
 def closed_form_beamforming_general(tx: TransmitterArray, ris_position,
                                     wavelength: float,
                                     p_t: float) -> np.ndarray:
     """Closed-form beamformer from linearized per-antenna offsets toward the
     RIS; covers both ULA and UPA layouts."""
-    target = np.asarray(ris_position, dtype=float)
-    ants = antenna_positions(tx)
-    u = target - tx.center
-    u = u / np.linalg.norm(u)
-    offsets = -(ants - tx.center[None, :]) @ u
+    offsets = _offsets_along(antenna_positions(tx), tx.center,
+                             np.asarray(ris_position, dtype=float))
     b_vec = np.exp(1j * 2 * np.pi / wavelength * offsets)
     return np.sqrt(p_t / tx.count) * np.conj(b_vec)
 
 
-def closed_form_predicted_power(a_tir: float, n: int, l: int,
-                                p_t: float) -> float:
-    """Received power achieved by the far-field closed form: N * L^2 * a_TIR^2 * P_t."""
+def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
+    """Received power achieved by the far-field closed form,
+    N * L^2 * a_TIR^2 * P_t; a_tir may be an array."""
     return n * l**2 * a_tir**2 * p_t
 
 
@@ -128,12 +106,8 @@ def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     angles = link_angles(tx, ris, rx_position)
     gain = amplitude_gain_tir(angles, tx, ris, radio)
     theta = closed_form_phases(angles, ris, radio.wavelength)
-    if isinstance(tx.layout, UlaLayout):
-        v = closed_form_beamforming(angles, tx, radio.wavelength,
-                                    radio.tx_power)
-    else:
-        v = closed_form_beamforming_general(tx, ris.center, radio.wavelength,
-                                            radio.tx_power)
+    v = closed_form_beamforming_general(tx, ris.center, radio.wavelength,
+                                        radio.tx_power)
     predicted = closed_form_predicted_power(gain.amplitude, tx.count,
                                             ris.count, radio.tx_power)
     _check_feasible(v, theta, radio.tx_power)
@@ -141,24 +115,27 @@ def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                     method=Method.CLOSED_FORM)
 
 
-def two_path_o(n: int, spacing: float, mu_ti: float, mu_tr: float,
-               wavelength: float) -> float:
+def two_path_o(n: int, spacing: float, mu_ti, mu_tr, wavelength: float):
     """Sinc-ratio coherence factor between the RIS and direct paths.
 
     O = sinc(N*u) / sinc(u) with u = spacing*(cos(mu_TI) - cos(mu_TR))*pi/l
-    and sinc(x) = sin(x)/x, sinc(0) = 1.  Falls back to the direct
-    geometric-progression sum when the denominator sinc vanishes.
+    and sinc(x) = sin(x)/x, sinc(0) = 1.  Entries where the denominator
+    sinc vanishes take the direct geometric-progression sum instead.  The
+    angles broadcast as numpy arrays; scalar angles give a float.
     """
     if n < 1:
         raise DomainError("antenna count must be >= 1")
-    u = spacing * (np.cos(mu_ti) - np.cos(mu_tr)) * np.pi / wavelength
+    u = np.asarray(spacing * (np.cos(mu_ti) - np.cos(mu_tr)) * np.pi
+                   / wavelength)
     den = np.sinc(u / np.pi)  # np.sinc is the normalized sin(pi x)/(pi x)
-    if abs(den) < 1e-9:
+    singular = np.abs(den) < 1e-9
+    o = np.asarray(np.sinc(n * u / np.pi) / np.where(singular, 1.0, den))
+    if np.any(singular):
         # removable singularity: evaluate (1/N) * sum_p cos(K_p) directly
         p = np.arange(1, n + 1)
-        k_p = 2 * u * (p - (n + 1) / 2)
-        return float(np.mean(np.cos(k_p)))
-    return float(np.sinc(n * u / np.pi) / den)
+        k_p = 2 * u[singular][:, None] * (p - (n + 1) / 2)
+        o[singular] = np.mean(np.cos(k_p), axis=1)
+    return float(o) if o.ndim == 0 else o
 
 
 def two_path_terms(angles: LinkAngles, tx: TransmitterArray,
@@ -192,15 +169,16 @@ def closed_form_phases_two_path(angles: LinkAngles, ris: RisPanel,
     return base * np.exp(1j * terms.phase_offset)
 
 
-def two_path_power_closed_form(a_tir: float, a_tr: float, o: float, n: int,
-                               l: int, p_t: float) -> float:
+def two_path_power_closed_form(a_tir, a_tr, o, n: int, l: int, p_t: float):
     """Received power of the optimal two-path design:
     N*L^2*a_TIR^2*P_t + N*a_TR^2*P_t + 2*N*L*a_TR*a_TIR*|O|*P_t (the sign
-    fold in the phases turns the cross term positive)."""
-    if a_tir < 0 or a_tr < 0:
+    fold in the phases turns the cross term positive).  Amplitudes and O
+    broadcast as numpy arrays; scalars give a float."""
+    if np.any(a_tir < 0) or np.any(a_tr < 0):
         raise DomainError("amplitudes must be nonnegative")
-    return (n * l**2 * a_tir**2 * p_t + n * a_tr**2 * p_t
-            + 2 * n * l * a_tr * a_tir * abs(o) * p_t)
+    power = (closed_form_predicted_power(a_tir, n, l, p_t) + n * a_tr**2 * p_t
+             + 2 * n * l * a_tr * a_tir * np.abs(o) * p_t)
+    return float(power) if np.ndim(power) == 0 else power
 
 
 def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,

@@ -2,6 +2,7 @@
 line with the measured quantity."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from rislink.solvers import (closed_form_predicted_power, closed_form_solution,
 from rislink.validation import OracleConfig, dense_position_grid, exhaustive_phase_search
 
 import sys
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent))
 from test_em import RADIO, equilateral  # noqa: E402
 from test_placement import rect  # noqa: E402
 from rislink.placement import PlaneScene, plane_objective  # noqa: E402
@@ -203,9 +204,8 @@ def test_06_objective_quasiconvex_in_each_distance():
 def test_07_two_path_ripple_count_half_of_antennas():
     lam, h, n = 0.0286, 80.0, 16
     xs = np.linspace(0.0, 1000.0, 20001)
-    env = np.array([abs(two_path_o(n, lam / 2,
-                                   float(np.arccos(h / np.hypot(h, x))),
-                                   np.pi / 2, lam)) for x in xs])
+    env = np.abs(two_path_o(n, lam / 2, np.arccos(h / np.hypot(h, xs)),
+                            np.pi / 2, lam))
     count = 0
     for i in range(len(env)):
         left = env[i - 1] if i > 0 else -np.inf
@@ -267,3 +267,19 @@ def test_10_cli_experiments_deterministic(tmp_path):
             mismatches.append(command)
     report("CLI reruns produce byte-identical CSV output", not mismatches,
            f"mismatches: {mismatches or 'none'}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep-plane", "--direct-link", "--grid", "7"),
+    ("sweep-wavelength", "--grid", "7"),
+])
+def test_10b_cli_analytic_studies_match_golden_csv(argv, tmp_path):
+    """The analytic model's studies reproduce the checked-in CSVs byte for
+    byte; tests/golden/ holds them as written before the model took arrays."""
+    from rislink.cli import main
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    name = argv[0].replace("-", "_") + ".csv"
+    golden = (Path(__file__).parent / "golden" / name).read_bytes()
+    fresh = (tmp_path / name).read_bytes()
+    report(f"{argv[0]} CSV matches the golden file", fresh == golden,
+           f"{len(fresh)} bytes vs {len(golden)} golden")

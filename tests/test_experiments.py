@@ -66,6 +66,26 @@ def test_analytic_point_power_matches_solver_prediction():
     assert p["ris"] == pytest.approx(sol.predicted_power, rel=1e-12)
 
 
+def test_analytic_point_power_arrays_match_scalar_calls():
+    cfg = small_cfg()   # spacing lambda/2
+    d_ti = np.array([150.0, 120.0, 90.0, 200.0, 150.0])
+    d_ir = np.array([150.0, 100.0, 130.0, 60.0, 160.0])
+    # entries 0 and 3 sit on the removable singularity of O:
+    # mu_TI = 0 and mu_TR = pi give u = pi
+    cos_ti = np.array([1.0, 0.3, 0.8, 1.0, -0.2])
+    cos_tr = np.array([-1.0, 0.0, 0.1, -1.0, 0.5])
+    p = analytic_point_power(cfg, d_ti, d_ir, 150.0, cos_mu_ti=cos_ti,
+                             cos_mu_tr=cos_tr)
+    scalar = [analytic_point_power(cfg, *args, cos_mu_ti=ct, cos_mu_tr=cr)
+              for *args, ct, cr in zip(d_ti, d_ir, [150.0] * 5, cos_ti,
+                                       cos_tr)]
+    assert all(isinstance(v, float) for v in scalar[0].values())
+    for key in ("ris", "direct", "combined", "o"):
+        assert p[key].shape == (5,)
+        assert np.array_equal(p[key], [q[key] for q in scalar]), key
+    assert p["o"][0] == pytest.approx(-1.0, rel=1e-9)
+
+
 def test_sweep_distance_monotone_decreasing():
     res = sweep_distance(small_cfg())
     assert len(res.rows) == 4

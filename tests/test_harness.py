@@ -80,6 +80,23 @@ def test_config_errors(tmp_path):
         profile.write_text(text.replace(old, new))
         with pytest.raises(ConfigError):
             load_config(profile)
+    # a misspelt key would otherwise fall back to its default silently
+    text = default_config_text()
+    for old, new, message in (
+            ("    points: 101", "    pionts: 5",
+             "unknown key 'pionts' in section 'sweeps.plane'"),
+            ("  height_m: 80.0", "  hieght_m: 80.0",
+             "unknown key 'hieght_m' in section 'geometry'"),
+            ("  plane:", "  plain:", "unknown key 'plain' in section 'sweeps'"),
+            ("flags:", "flag:", "unknown section 'flag'"),
+            ("flags:\n  direct_link: false\n  far_field_mode: warn   "
+             "# warn | strict | off\n", "flags:\n",
+             "section 'flags' must be a mapping")):
+        assert text.count(old) == 1
+        profile = tmp_path / "typo.yaml"
+        profile.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=message):
+            load_config(profile)
 
 
 def test_emit_csv_format_and_sidecar(tmp_path):
@@ -162,6 +179,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["solve", "--config", missing]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_rejects_removed_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_cli_validate_passes(capsys):

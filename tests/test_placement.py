@@ -4,7 +4,8 @@ import pytest
 from rislink.errors import (DegenerateTriangle, DomainError, EmptyFeasible,
                             RegionDWarning)
 from rislink.placement import (PlaneScene, QuasiconvexityReport, RegionD,
-                               _golden_max, f_object, optimal_orientation,
+                               _golden_max, _polygon_boundary_points,
+                               f_object, optimal_orientation,
                                plane_objective, position_search_3d,
                                position_search_plane, quasiconvexity_report,
                                region_d_membership,
@@ -49,6 +50,43 @@ def test_degenerate_triangle_raises():
         optimal_orientation(10.0, 10.0, 100.0, 3.0)
     with pytest.raises(DomainError):
         optimal_orientation(0.0, 10.0, 10.0, 3.0)
+    # one bad entry in an array is enough
+    with pytest.raises(DegenerateTriangle, match="10.0, 10.0, 100.0"):
+        optimal_orientation(np.array([100.0, 10.0]), 10.0, 100.0, 3.0)
+
+
+def test_optimal_orientation_arrays_match_scalar_calls():
+    d_ti = np.array([100.0, 150.0, 80.0])
+    d_ir = np.array([150.0, 150.0, 190.0])
+    for k in (0.0, 3.0):
+        got = optimal_orientation(d_ti, d_ir, 200.0, k)
+        want = [optimal_orientation(a, b, 200.0, k)
+                for a, b in zip(d_ti, d_ir)]
+        assert all(isinstance(v, float) for v in want[0])
+        for j in range(3):
+            # F* = base**k rounds differently on numpy scalars and arrays
+            np.testing.assert_allclose(got[j], [w[j] for w in want],
+                                       rtol=1e-15)
+        # F* is the f_object pattern term
+        assert np.array_equal(got[2] * d_ti**-2 * d_ir**-2,
+                              f_object(d_ti, d_ir, 200.0, k))
+
+
+def test_boundary_points_by_arc_length():
+    poly = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])   # 3-4-5 triangle
+    vertices_at = np.array([0.0, 3.0, 7.0])
+    np.testing.assert_array_equal(_polygon_boundary_points(poly, vertices_at),
+                                  poly)
+    # s wraps modulo the perimeter 12, in both directions
+    np.testing.assert_allclose(
+        _polygon_boundary_points(poly, vertices_at + 12.0), poly, atol=1e-12)
+    np.testing.assert_allclose(
+        _polygon_boundary_points(poly, vertices_at - 24.0), poly, atol=1e-12)
+    # midpoints of the edges; a scalar arc length gives one point
+    np.testing.assert_allclose(
+        _polygon_boundary_points(poly, [1.5, 5.0, 9.5]),
+        [[1.5, 0.0], [3.0, 2.0], [1.5, 2.0]], atol=1e-12)
+    assert _polygon_boundary_points(poly, 5.0).shape == (2,)
 
 
 def test_f_object_values_and_clamp():

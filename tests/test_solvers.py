@@ -5,7 +5,6 @@ from rislink.em import RadioParams, exact_channel, farfield_channel, received_po
 from rislink.errors import (AmbiguousSignWarning, DomainError, ZeroChannel)
 from rislink.geometry import LinkAngles, UlaLayout, link_angles
 from rislink.solvers import (Method, anti_decay_design,
-                             closed_form_beamforming,
                              closed_form_beamforming_general,
                              closed_form_phases, closed_form_predicted_power,
                              closed_form_solution, mrt_beamforming,
@@ -83,7 +82,13 @@ def test_closed_form_dominates_random_designs():
 def test_ula_and_general_beamformer_agree():
     tx, ris, rx = equilateral(200.0)
     ang = link_angles(tx, ris, rx)
-    v1 = closed_form_beamforming(ang, tx, RADIO.wavelength, P_T)
+    # decoupled ULA closed form:
+    # v_p = sqrt(P_t/N) * exp(-j*(2*pi/l)*((N+1)/2 - p)*spacing*cos(mu_TI))
+    n, spacing = tx.layout.count, tx.layout.spacing
+    p = np.arange(1, n + 1)
+    v1 = np.sqrt(P_T / n) * np.exp(
+        -1j * 2 * np.pi / RADIO.wavelength * ((n + 1) / 2 - p) * spacing
+        * np.cos(ang.mu_ti))
     v2 = closed_form_beamforming_general(tx, ris.center, RADIO.wavelength,
                                          P_T)
     # both maximize the same rank-one channel: equal up to a global phase
@@ -131,6 +136,47 @@ def test_two_path_o_frozen_value_and_limits():
     # vanishing denominator: u = pi, direct sum gives exactly -1 for N = 16
     o2 = two_path_o(16, lam / 2, 0.0, np.pi, lam)
     assert o2 == pytest.approx(-1.0, rel=1e-9)
+
+
+def test_two_path_o_arrays_match_scalar_calls():
+    lam, n = 0.0286, 16
+    # entries 0 and 3 sit on the removable singularity (u = pi)
+    mu_ti = np.array([0.0, 0.3, float(np.arccos(0.3)), 0.0, 1.2])
+    mu_tr = np.array([np.pi, 0.3, np.pi / 2, np.pi, 2.0])
+    o = two_path_o(n, lam / 2, mu_ti, mu_tr, lam)
+    want = np.array([two_path_o(n, lam / 2, a, b, lam)
+                     for a, b in zip(mu_ti, mu_tr)])
+    assert isinstance(want[0], float) and isinstance(
+        two_path_o(n, lam / 2, 0.0, np.pi, lam), float)
+    assert np.array_equal(o, want)
+    assert o[0] == pytest.approx(-1.0, rel=1e-9)
+    # broadcasting a scalar angle against an array, and 2-d inputs
+    assert np.array_equal(two_path_o(n, lam / 2, mu_ti, np.pi, lam),
+                          [two_path_o(n, lam / 2, a, np.pi, lam)
+                           for a in mu_ti])
+    assert np.array_equal(two_path_o(n, lam / 2, mu_ti.reshape(5, 1),
+                                     mu_tr.reshape(5, 1), lam),
+                          want.reshape(5, 1))
+    # spacing lambda: two different singular points, u = pi and u = 2*pi
+    mu_ti, mu_tr = np.array([0.0, 0.3, 0.0]), np.array([np.pi / 2, 1.0, np.pi])
+    o = two_path_o(n, lam, mu_ti, mu_tr, lam)
+    assert np.array_equal(o, [two_path_o(n, lam, a, b, lam)
+                              for a, b in zip(mu_ti, mu_tr)])
+    np.testing.assert_allclose(o[[0, 2]], [-1.0, 1.0], rtol=1e-9)
+
+
+def test_two_path_power_closed_form_arrays_match_scalar_calls():
+    a_tir = np.array([1e-8, 2e-8, 0.0])
+    o = np.array([0.5, -0.25, 1.0])
+    power = two_path_power_closed_form(a_tir, 1e-5, o, 16, 400, P_T)
+    want = [two_path_power_closed_form(float(a), 1e-5, float(b), 16, 400,
+                                       P_T) for a, b in zip(a_tir, o)]
+    assert isinstance(want[0], float)
+    # numpy rounds x**2 on Python floats and on arrays differently
+    np.testing.assert_allclose(power, want, rtol=1e-15)
+    with pytest.raises(DomainError):
+        two_path_power_closed_form(np.array([1e-8, -1e-8]), 1e-5, 0.5, 16,
+                                   400, P_T)
 
 
 def test_two_path_terms_sign_fold_and_warning():
