@@ -13,8 +13,8 @@ from .em import (ChannelSet, FarFieldFactors, RadioParams, TirGain,
 from .errors import (AmbiguousSignWarning, ConfigError, DegenerateGeometry,
                      DegenerateTriangle, DimensionMismatch, DomainError,
                      EmptyFeasible, FarFieldViolation, FarFieldWarning,
-                     NoConvergence, RegionDWarning, RislinkError,
-                     ShadowedPanel, TooLarge, ZeroChannel)
+                     RegionDWarning, RislinkError, ShadowedPanel, TooLarge,
+                     ZeroChannel)
 from .geometry import (FarFieldCheck, LinkAngles, RisPanel, TransmitterArray,
                        UlaLayout, UpaLayout, antenna_positions,
                        element_positions, far_field_check, link_angles)

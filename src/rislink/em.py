@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +41,34 @@ class RadioParams:
             raise DomainError("power and gain must be nonnegative")
 
 
+def _leading_singular_pair(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Leading left singular vector u and singular value sigma of `a` (L x N)
+    from `eigh` of the N x N Gram matrix a^H a.
+
+    sigma = sqrt(max(lambda_max, 0)) and u = a @ v_1 / sigma, normalized;
+    the global phase of u makes its first significant entry real-positive.
+    A zero matrix gives sigma = 0 and u = e_1, which is then a leading
+    singular vector like any other unit vector.
+    """
+    lam, vecs = np.linalg.eigh(a.conj().T @ a)
+    sigma = float(np.sqrt(max(lam[-1], 0.0)))
+    if sigma == 0.0:
+        u = np.zeros(a.shape[0], dtype=complex)
+        u[0] = 1.0
+        return u, 0.0
+    u = a @ vecs[:, -1] / sigma
+    u /= np.linalg.norm(u)
+    idx = int(np.argmax(np.abs(u) > 1e-12 * np.max(np.abs(u))))
+    return u * np.exp(-1j * np.angle(u[idx])), sigma
+
+
 @dataclass(frozen=True)
 class ChannelSet:
-    """Assembled channel matrices for one scene."""
+    """Assembled channel matrices for one scene.
+
+    The cascade and its leading singular pair are computed on first use and
+    kept, read-only; the channel arrays must not be changed after that.
+    """
 
     h_ti: np.ndarray            # (L, N) cascaded T->RIS coefficients
     h_ir: np.ndarray            # (L,)   RIS->R coefficients
@@ -68,9 +94,24 @@ class ChannelSet:
     def num_antennas(self) -> int:
         return self.h_ti.shape[1]
 
+    @cached_property
+    def _cascade(self) -> np.ndarray:
+        cascade = self.h_ir[:, None] * self.h_ti
+        cascade.flags.writeable = False
+        return cascade
+
     def cascade(self) -> np.ndarray:
-        """L x N cascade matrix: row q is h_ir[q] * h_ti[q, :]."""
-        return self.h_ir[:, None] * self.h_ti
+        """L x N cascade matrix (read-only): row q is h_ir[q] * h_ti[q, :]."""
+        return self._cascade
+
+    @cached_property
+    def leading_pair(self) -> tuple[np.ndarray, float]:
+        """(u_1, sigma_max) of the cascade: its leading left singular vector
+        (read-only, first significant entry real-positive) and singular
+        value, shared by the SVD design and the power bound."""
+        u, sigma = _leading_singular_pair(self._cascade)
+        u.flags.writeable = False
+        return u, sigma
 
 
 @dataclass(frozen=True)
@@ -290,16 +331,35 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
 
     elems = element_positions(ris)             # (L, 3)
     ants = antenna_positions(tx)               # (N, 3)
-    d_ti = np.linalg.norm(elems[:, None, :] - ants[None, :, :], axis=2)  # (L, N)
+    # Per-pair distances from one squared-difference plane per axis, summed
+    # x + y + z in the order np.linalg.norm(..., axis=2) sums them (so the
+    # bits match) but with no (L, N, 3) temporary.  The planes are
+    # antenna-major (N, L) so that every inner loop runs over the L
+    # elements; the channel gets the (L, N) transpose view.
+    d_ti = np.subtract.outer(ants[:, 0], elems[:, 0])
+    d_ti *= d_ti
+    for c in (1, 2):
+        diff = np.subtract.outer(ants[:, c], elems[:, c])
+        diff *= diff
+        d_ti += diff
+    np.sqrt(d_ti, out=d_ti)
     d_ir = np.linalg.norm(rx[None, :] - elems, axis=1)                   # (L,)
     if np.min(d_ti) == 0.0 or np.min(d_ir) == 0.0:
         raise DegenerateGeometry("antenna/element/receiver positions coincide")
 
-    h_ti = gain.delta / (d_ti * d_ir[:, None]) * np.exp(1j * wavenum * d_ti)
+    # exp(j*k*d) written as cos + j*sin into one complex array, then scaled
+    # by the real amplitude delta / (d_ti * d_ir) in place
+    phase = wavenum * d_ti
+    h_ti = np.empty(d_ti.shape, dtype=complex)
+    np.cos(phase, out=h_ti.real)
+    np.sin(phase, out=h_ti.imag)
+    amp = np.multiply(d_ti, d_ir, out=phase)
+    np.divide(gain.delta, amp, out=amp)
+    h_ti *= amp
     h_ir = np.exp(1j * wavenum * d_ir)
 
     h_tr = direct_channel(tx, rx, radio, farfield=False) if direct else None
-    return ChannelSet(h_ti=h_ti, h_ir=h_ir, wavelength=lam, h_tr=h_tr,
+    return ChannelSet(h_ti=h_ti.T, h_ir=h_ir, wavelength=lam, h_tr=h_tr,
                       farfield=False)
 
 

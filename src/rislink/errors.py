@@ -33,14 +33,6 @@ class ZeroChannel(RislinkError):
     """Effective channel is identically zero; no direction to align with."""
 
 
-class NoConvergence(RislinkError):
-    """Iterative routine did not reach the requested tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
-
-
 class EmptyFeasible(RislinkError):
     """The feasible placement region contains no candidate points."""
 

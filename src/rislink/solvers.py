@@ -12,8 +12,7 @@ import numpy as np
 
 from .em import (ChannelSet, RadioParams, _offsets_along, amplitude_gain_tir,
                  farfield_channel, received_power)
-from .errors import (AmbiguousSignWarning, DomainError, NoConvergence,
-                     ZeroChannel)
+from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import (LinkAngles, RisPanel, TransmitterArray, UlaLayout,
                        _grid_offsets, antenna_positions, link_angles)
 
@@ -160,13 +159,13 @@ def two_path_terms(angles: LinkAngles, tx: TransmitterArray,
 
 
 def closed_form_phases_two_path(angles: LinkAngles, ris: RisPanel,
-                                tx: TransmitterArray,
+                                terms: TwoPathTerms,
                                 wavelength: float) -> np.ndarray:
     """Two-path closed-form phase shifts: the RIS-only design rotated by the
-    constant offset that phase-aligns the RIS path with the direct path."""
-    base = closed_form_phases(angles, ris, wavelength)
-    terms = two_path_terms(angles, tx, wavelength)
-    return base * np.exp(1j * terms.phase_offset)
+    constant offset of `terms` (see two_path_terms) that phase-aligns the
+    RIS path with the direct path."""
+    return (closed_form_phases(angles, ris, wavelength)
+            * np.exp(1j * terms.phase_offset))
 
 
 def two_path_power_closed_form(a_tir, a_tr, o, n: int, l: int, p_t: float):
@@ -188,12 +187,12 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     beamformer against the assembled far-field effective channel."""
     angles = link_angles(tx, ris, rx_position)
     gain = amplitude_gain_tir(angles, tx, ris, radio)
-    theta = closed_form_phases_two_path(angles, ris, tx, radio.wavelength)
+    terms = two_path_terms(angles, tx, radio.wavelength)
+    theta = closed_form_phases_two_path(angles, ris, terms, radio.wavelength)
     channels, _ = farfield_channel(tx, ris, rx_position, radio, direct=True,
                                    margin=margin, mode=mode)
     row = (channels.h_ir * theta) @ channels.h_ti + channels.h_tr
     v = mrt_beamforming(row, radio.tx_power)
-    terms = two_path_terms(angles, tx, radio.wavelength)
     a_tr = float(np.abs(channels.h_tr[0]))
     predicted = two_path_power_closed_form(gain.amplitude, a_tr, terms.o,
                                            tx.count, ris.count,
@@ -203,56 +202,11 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                     method=Method.CLOSED_FORM_TWO_PATH)
 
 
-def _leading_left_singular_vector(a: np.ndarray, *, tol: float = 1e-12,
-                                  max_iter: int = 10_000,
-                                  seed: int = 0) -> tuple[np.ndarray, float]:
-    """Leading left singular vector and singular value of `a` (L x N) via
-    power iteration on the N x N Gram matrix.
-
-    Deterministic all-ones start; re-randomized from a fixed seed if the
-    start is orthogonal to the dominant eigenvector.  The global phase of
-    the returned vector makes its first significant entry real-positive.
-    """
-    l, n = a.shape
-    gram = a.conj().T @ a
-    scale = np.linalg.norm(gram)
-    if scale == 0.0:
-        raise ZeroChannel("cascade channel is identically zero")
-    v = np.ones(n, dtype=complex) / np.sqrt(n)
-    lam_prev = -np.inf
-    rng = np.random.default_rng(seed)
-    residual = np.inf
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # start vector in the null space: restart from the fixed seed
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm
-        lam = float(np.real(np.vdot(v, gram @ v)))
-        residual = abs(lam - lam_prev) / max(abs(lam), 1e-300)
-        if residual <= tol:
-            lam_prev = lam
-            break
-        lam_prev = lam
-    else:
-        raise NoConvergence("power iteration did not converge", residual)
-    sigma = np.sqrt(max(lam_prev, 0.0))
-    u = a @ v / sigma
-    u /= np.linalg.norm(u)
-    # fix the global phase: first significant entry real-positive
-    idx = int(np.argmax(np.abs(u) > 1e-12 * np.max(np.abs(u))))
-    u = u * np.exp(-1j * np.angle(u[idx]))
-    return u, float(sigma)
-
-
 def svd_solution(channels: ChannelSet, p_t: float) -> Solution:
     """SVD-based design: project the leading left singular vector of the
     cascade channel onto unit-modulus phases, then MRT."""
     cascade = channels.cascade()
-    u1, _sigma = _leading_left_singular_vector(cascade)
+    u1, _ = channels.leading_pair
     conj_u = np.conj(u1)
     theta = np.where(np.abs(conj_u) > 0.0,
                      np.exp(1j * np.angle(conj_u)), 1.0 + 0j)
@@ -267,12 +221,18 @@ def svd_solution(channels: ChannelSet, p_t: float) -> Solution:
 
 
 def power_upper_bound(channels: ChannelSet, p_t: float) -> float:
-    """Received-power ceiling L * sigma_max(cascade)^2 * P_t (RIS link only)."""
-    cascade = channels.cascade()
-    if not np.any(cascade):
-        return 0.0
-    sigma = np.linalg.svd(cascade, compute_uv=False)[0]
-    return float(channels.num_elements * sigma**2 * p_t)
+    """Received-power ceiling over unit-modulus phases and ||v||^2 <= P_t.
+
+    RIS link only: |theta^T C v| <= sqrt(L) * sigma_max(C) * ||v|| gives
+    L * sigma_max^2 * P_t.  With the direct row h_TR the triangle inequality
+    gives |theta^T C v + h_TR v| <= (sqrt(L) * sigma_max + ||h_TR||) * ||v||,
+    so (sqrt(L) * sigma_max + ||h_TR||)^2 * P_t.
+    """
+    _, sigma = channels.leading_pair
+    if channels.h_tr is None:
+        return float(channels.num_elements * sigma**2 * p_t)
+    amp = np.sqrt(channels.num_elements) * sigma + np.linalg.norm(channels.h_tr)
+    return float(amp**2 * p_t)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ _ENUM_BUDGET = 10**9
 @dataclass(frozen=True)
 class OracleConfig:
     phase_levels: int = 256
-    grid_points_1d: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if self.phase_levels < 2:

@@ -272,10 +272,15 @@ def test_10_cli_experiments_deterministic(tmp_path):
 @pytest.mark.parametrize("argv", [
     ("sweep-plane", "--direct-link", "--grid", "7"),
     ("sweep-wavelength", "--grid", "7"),
+    ("sweep-distance", "--grid", "7"),
+    ("solve", "--paper-scale"),
 ])
 def test_10b_cli_analytic_studies_match_golden_csv(argv, tmp_path):
-    """The analytic model's studies reproduce the checked-in CSVs byte for
-    byte; tests/golden/ holds them as written before the model took arrays."""
+    """The studies reproduce the checked-in CSVs byte for byte.  tests/golden/
+    holds the analytic model's studies (sweep-plane, sweep-wavelength) as
+    written before the model took arrays, and the exact-channel studies
+    (sweep-distance, solve) as written before the per-axis distance planes,
+    the cached cascade and the Gram `eigh` kernel."""
     from rislink.cli import main
     assert main([*argv, "--out", str(tmp_path)]) == 0
     name = argv[0].replace("-", "_") + ".csv"

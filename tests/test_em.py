@@ -9,7 +9,8 @@ from rislink.em import (ChannelSet, RadioParams, _offsets_along,
 from rislink.errors import (DimensionMismatch, DomainError, FarFieldViolation,
                             FarFieldWarning, ShadowedPanel)
 from rislink.geometry import (RisPanel, TransmitterArray, UlaLayout,
-                              UpaLayout, element_positions, link_angles)
+                              UpaLayout, antenna_positions, element_positions,
+                              link_angles)
 
 from test_geometry import EX, EY, EZ, make_panel, make_ula
 
@@ -281,6 +282,44 @@ def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
     c_ref = np.exp(1j * wavenum * _offsets_along(elems, ris.center, rx))
     np.testing.assert_allclose(fac.a_vec, a_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(fac.c_vec, c_ref, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**scene_args)
+@example(rows=5, cols=3, upa=False, seed=4)
+@example(rows=2, cols=6, upa=True, seed=5)
+def test_exact_channel_matches_norm_formula(rows, cols, upa, seed):
+    """The per-axis distance planes and the cos/sin phasor give the same
+    bits as the (L, N, 3) norm and np.exp formula written out here."""
+    tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
+    channels = exact_channel(tx, ris, rx, radio)
+    wavenum = 2 * np.pi / radio.wavelength
+    elems = element_positions(ris)
+    ants = antenna_positions(tx)
+    d_ti = np.linalg.norm(elems[:, None, :] - ants[None, :, :], axis=2)
+    d_ir = np.linalg.norm(rx[None, :] - elems, axis=1)
+    delta = amplitude_gain_tir(link_angles(tx, ris, rx), tx, ris,
+                               radio).delta
+    h_ti = delta / (d_ti * d_ir[:, None]) * np.exp(1j * wavenum * d_ti)
+    assert np.array_equal(channels.h_ti, h_ti)
+    assert np.array_equal(channels.h_ir, np.exp(1j * wavenum * d_ir))
+
+
+def test_channel_set_caches_cascade_and_leading_pair_read_only():
+    tx, ris, rx = equilateral(50.0, rows=3, cols=2, count=3)
+    channels = exact_channel(tx, ris, rx, RADIO)
+    cascade = channels.cascade()
+    assert channels.cascade() is cascade
+    np.testing.assert_array_equal(cascade,
+                                  channels.h_ir[:, None] * channels.h_ti)
+    u1, sigma = channels.leading_pair
+    assert channels.leading_pair[0] is u1
+    assert sigma == pytest.approx(np.linalg.svd(cascade,
+                                                compute_uv=False)[0],
+                                  rel=1e-12)
+    for arr in (cascade, u1):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_farfield_power_checks_shapes_and_shadowing():

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rislink.em import RadioParams, exact_channel, farfield_channel, received_power
+from rislink.em import (RadioParams, _leading_singular_pair, exact_channel,
+                        farfield_channel, received_power)
 from rislink.errors import (AmbiguousSignWarning, DomainError, ZeroChannel)
 from rislink.geometry import LinkAngles, UlaLayout, link_angles
 from rislink.solvers import (Method, anti_decay_design,
@@ -10,10 +14,10 @@ from rislink.solvers import (Method, anti_decay_design,
                              closed_form_solution, mrt_beamforming,
                              power_upper_bound, svd_solution, two_path_o,
                              two_path_power_closed_form, two_path_solution,
-                             two_path_terms, _leading_left_singular_vector)
+                             two_path_terms)
 from rislink.validation import random_feasible_solutions
 
-from test_em import RADIO, equilateral
+from test_em import RADIO, equilateral, random_scene, scene_args
 from test_geometry import EY, make_ula
 
 P_T = RADIO.tx_power
@@ -222,20 +226,42 @@ def test_two_path_power_formula_uses_coherence_magnitude():
         two_path_power_closed_form(-1e-8, 1e-5, 0.5, 16, 400, P_T)
 
 
-def test_power_iteration_matches_dense_svd():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
-        u, sigma = _leading_left_singular_vector(a)
-        u_ref, s_ref, _ = np.linalg.svd(a)
-        assert sigma == pytest.approx(s_ref[0], rel=1e-10)
-        u0 = u_ref[:, 0]
-        c = np.vdot(u0, u)
-        np.testing.assert_allclose(u, u0 * c / abs(c), atol=1e-5)
-        # deterministic phase: first significant entry real-positive
-        idx = int(np.argmax(np.abs(u) > 1e-12 * np.max(np.abs(u))))
-        assert u[idx].imag == pytest.approx(0.0, abs=1e-10)
-        assert u[idx].real > 0
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(l=st.integers(1, 40), n=st.integers(1, 8), rank=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1))
+@example(l=12, n=5, rank=1, seed=0)
+@example(l=12, n=5, rank=3, seed=1)
+@example(l=6, n=4, rank=0, seed=2)
+def test_leading_singular_pair_matches_dense_svd(l, n, rank, seed):
+    """The Gram `eigh` kernel against dense SVD on a random complex L x N
+    matrix of the drawn rank (capped at min(L, N); 0 is the zero matrix).
+
+    sigma is held to 1e-12 relative.  u is compared up to a global phase;
+    its error scales with the spectral gap sigma_1^2 / (sigma_1^2 -
+    sigma_2^2), so the tolerance does too."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, l, n)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a = gauss(l, rank) @ gauss(rank, n)
+    u, sigma = _leading_singular_pair(a)
+    u_ref, s_ref, _ = np.linalg.svd(a)
+    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
+    if rank == 0:
+        assert sigma == 0.0
+        return
+    assert sigma == pytest.approx(s_ref[0], rel=1e-12)
+    s2 = s_ref[1] if len(s_ref) > 1 else 0.0
+    gap = s_ref[0]**2 / (s_ref[0]**2 - s2**2)
+    u0 = u_ref[:, 0]
+    c = np.vdot(u0, u)
+    np.testing.assert_allclose(u, u0 * c / abs(c), rtol=0, atol=1e-10 * gap)
+    # deterministic phase: first significant entry real-positive
+    idx = int(np.argmax(np.abs(u) > 1e-12 * np.max(np.abs(u))))
+    assert abs(u[idx].imag) <= 1e-15
+    assert u[idx].real > 0
 
 
 def test_svd_solution_matches_closed_form_on_farfield_channel():
@@ -269,6 +295,32 @@ def test_power_upper_bound_zero_channel():
     ch = ChannelSet(h_ti=np.zeros((4, 2), dtype=complex),
                     h_ir=np.zeros(4, dtype=complex), wavelength=0.0286)
     assert power_upper_bound(ch, 1.0) == 0.0
+    # with a direct row the ceiling is the direct path's alone
+    h_tr = np.array([3e-4, 4e-4j])
+    direct = ChannelSet(h_ti=ch.h_ti, h_ir=ch.h_ir, wavelength=0.0286,
+                        h_tr=h_tr)
+    assert power_upper_bound(direct, 2.0) == pytest.approx(2.0 * 25e-8,
+                                                           rel=1e-15)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(direct=st.booleans(), **scene_args)
+@example(direct=True, rows=4, cols=4, upa=False, seed=5)
+def test_bound_is_at_least_every_design(direct, rows, cols, upa, seed):
+    """On the exact channel of a random scene, with and without the direct
+    link, no design (closed form, two-path on ULA scenes, SVD) evaluates
+    above power_upper_bound."""
+    tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
+    channels = exact_channel(tx, ris, rx, radio, direct=direct)
+    sols = [closed_form_solution(tx, ris, rx, radio),
+            svd_solution(channels, radio.tx_power)]
+    if direct and not upa:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AmbiguousSignWarning)
+            sols.append(two_path_solution(tx, ris, rx, radio, mode="off"))
+    bound = power_upper_bound(channels, radio.tx_power)
+    for sol in sols:
+        assert received_power(channels, sol.theta, sol.v) <= bound * (1 + 1e-9)
 
 
 def test_anti_decay_fix_area_design():
