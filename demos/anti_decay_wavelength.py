@@ -8,28 +8,25 @@ elements track the wavelength (side = wavelength / 3 here).  The L^2 growth
 of the reflected power exactly offsets the per-element loss.
 """
 
-import numpy as np
-
-from rislink import anti_decay_design, load_config, watts_to_dbm
+from rislink import anti_decay_design, load_config
 from rislink.experiments import sweep_wavelength
 
 cfg = load_config()
 result = sweep_wavelength(cfg)
 
-lam_i = result.header.index("wavelength_m")
-ris_i = result.header.index("ris_dbm")
-dir_i = result.header.index("direct_dbm")
-rows_i = result.header.index("rows")
+col = result.columns
 
 print(f"{'wavelength (m)':>15} {'grid':>11} {'RIS link':>10} {'direct':>10}")
-for row in result.rows[:: max(len(result.rows) // 8, 1)]:
-    print(f"{row[lam_i]:15.5f} {row[rows_i]:5d} x {row[rows_i]:<4d}"
-          f"{row[ris_i]:9.2f} {row[dir_i]:10.2f}")
+for i in range(0, len(result), max(len(result) // 8, 1)):
+    print(f"{col['wavelength_m'][i]:15.5f} {col['rows'][i]:5d} x "
+          f"{col['cols'][i]:<4d}{col['ris_dbm'][i]:9.2f} "
+          f"{col['direct_dbm'][i]:10.2f}")
 
-ris = [row[ris_i] for row in result.rows]
-direct = [row[dir_i] for row in result.rows]
-print(f"\nRIS-link swing over the octave:    {max(ris) - min(ris):.3f} dB")
-print(f"direct-link swing over the octave: {max(direct) - min(direct):.3f} dB")
+ris = col["ris_dbm"]
+direct = col["direct_dbm"]
+print(f"\nRIS-link swing over the octave:    {ris.max() - ris.min():.3f} dB")
+print(f"direct-link swing over the octave: "
+      f"{direct.max() - direct.min():.3f} dB")
 
 d = anti_decay_design(cfg.wavelength / 2, "fix_area", 1 / 3, total_area=9.0)
 print(f"\nAt half the default wavelength the 9 m^2 panel carries "

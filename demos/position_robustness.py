@@ -16,28 +16,26 @@ from rislink.experiments import robustness
 cfg = load_config()
 result = robustness(cfg)
 
-xi = result.header.index("x_m")
-yi = result.header.index("y_m")
-di = result.header.index("deviation")
+x, y, deviation = (result.columns[name]
+                   for name in ("x_m", "y_m", "deviation"))
 
-xs = sorted({row[xi] for row in result.rows})
-ys = sorted({row[yi] for row in result.rows})
-dev = {(row[xi], row[yi]): row[di] for row in result.rows}
+xs = np.unique(x)
+ys = np.unique(y)
+dev = dict(zip(zip(x.tolist(), y.tolist()), deviation.tolist()))
 
 print("normalized power deviation map ('.' < 0.01, 'o' < 0.1, 'X' >= 0.1),")
 print(f"{2 * cfg.sweeps.robustness_extent:.0f} m on each side, assumed "
       "position at the center:\n")
 step = max(len(xs) // 21, 1)
-for y in ys[::step]:
+for yy in ys[::step]:
     line = "".join(
-        "." if dev[(x, y)] < 0.01 else ("o" if dev[(x, y)] < 0.1 else "X")
-        for x in xs[::step])
+        "." if dev[(xx, yy)] < 0.01 else ("o" if dev[(xx, yy)] < 0.1 else "X")
+        for xx in xs[::step])
     print("   " + line)
 
-inside = [row[di] for row in result.rows
-          if abs(row[xi]) <= 2.5 and abs(row[yi]) <= 2.5]
+inside = (np.abs(x) <= 2.5) & (np.abs(y) <= 2.5)
 print(f"\nworst deviation on the central 5 m x 5 m square: "
-      f"{max(inside):.4f}")
+      f"{deviation[inside].max():.4f}")
 print("Stale phase shifts survive because the optimal phase profile at the")
 print("specular orientation is uniform across the panel; position error")
 print("only detunes the transmit beamformer, and a 16-antenna array is")

@@ -25,10 +25,10 @@ from .placement import (PlacementResult, PlaneScene, QuasiconvexityReport,
                         region_d_membership, two_path_region_adjustment)
 from .solvers import (GridDesign, Method, Solution, TwoPathTerms,
                       anti_decay_design, closed_form_beamforming_general,
-                      closed_form_phases, closed_form_phases_two_path,
-                      closed_form_predicted_power, closed_form_solution,
-                      mrt_beamforming, power_upper_bound, svd_solution,
-                      two_path_o, two_path_power_closed_form,
-                      two_path_solution, two_path_terms)
+                      closed_form_phases, closed_form_predicted_power,
+                      closed_form_solution, mrt_beamforming,
+                      power_upper_bound, svd_solution, two_path_o,
+                      two_path_power_closed_form, two_path_solution,
+                      two_path_terms)
 from .validation import (GridArgmax, OracleConfig, dense_position_grid,
                          exhaustive_phase_search, random_feasible_solutions)

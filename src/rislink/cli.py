@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     stem = args.command.replace("-", "_")
     csv_path = emit_csv(result, out / f"{stem}.csv")
     emit_plot_script(result, csv_path, out / f"{stem}.gp")
-    print(f"wrote {csv_path} ({len(result.rows)} rows)")
+    print(f"wrote {csv_path} ({len(result)} rows)")
     return 0
 
 

@@ -25,12 +25,23 @@ from .validation import (OracleConfig, exhaustive_phase_search,
 
 @dataclass
 class SweepResult:
-    """Rows of one experiment plus plotting metadata."""
+    """The table of one experiment, as named columns, plus plotting metadata.
+
+    `columns` maps each CSV header, in order, to one column of equal length:
+    a numpy float or int array, or a list of str.
+    """
 
     kind: str                   # "line" | "bar" | "heatmap" | "robustness"
-    header: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    columns: dict[str, np.ndarray | list[str]]
     meta: dict = field(default_factory=dict)
+
+    @property
+    def header(self) -> tuple[str, ...]:
+        return tuple(self.columns)
+
+    def __len__(self) -> int:
+        """Number of rows: the length of the first column."""
+        return len(next(iter(self.columns.values()), ()))
 
 
 def _radio(cfg: SceneConfig) -> RadioParams:
@@ -161,48 +172,45 @@ def sweep_distance(cfg: SceneConfig) -> SweepResult:
     the upper bound, all evaluated on the exact per-pair channel."""
     radio = _radio(cfg)
     sw = cfg.sweeps
-    result = SweepResult(kind="line",
-                         header=("d_m", "closed_form_w", "svd_w",
-                                 "upper_bound_w", "closed_form_dbm",
-                                 "svd_dbm", "upper_bound_dbm",
-                                 "far_field_ok"),
-                         meta=_meta(cfg, "sweep-distance"))
-    for d in np.linspace(sw.distance_min, sw.distance_max,
-                         sw.distance_points):
-        tx, ris, rx = equilateral_scene(cfg, float(d))
+    ds = np.linspace(sw.distance_min, sw.distance_max, sw.distance_points)
+    closed, svd, bound = (np.empty(len(ds)) for _ in range(3))
+    ok = np.empty(len(ds), dtype=int)
+    for i, d in enumerate(ds.tolist()):
+        tx, ris, rx = equilateral_scene(cfg, d)
         channels = exact_channel(tx, ris, rx, radio)
         sol = closed_form_solution(tx, ris, rx, radio)
-        closed = received_power(channels, sol.theta, sol.v)
-        svd = svd_solution(channels, cfg.tx_power).predicted_power
-        bound = power_upper_bound(channels, cfg.tx_power)
-        ok = far_field_check(tx, ris, rx, margin=1.0).ok
-        result.rows.append((float(d), closed, svd, bound,
-                            watts_to_dbm(closed), watts_to_dbm(svd),
-                            watts_to_dbm(bound), int(ok)))
-    return result
+        closed[i] = received_power(channels, sol.theta, sol.v)
+        svd[i] = svd_solution(channels, cfg.tx_power).predicted_power
+        bound[i] = power_upper_bound(channels, cfg.tx_power)
+        ok[i] = far_field_check(tx, ris, rx, margin=1.0).ok
+    return SweepResult(kind="line",
+                       columns={"d_m": ds, "closed_form_w": closed,
+                                "svd_w": svd, "upper_bound_w": bound,
+                                "closed_form_dbm": watts_to_dbm(closed),
+                                "svd_dbm": watts_to_dbm(svd),
+                                "upper_bound_dbm": watts_to_dbm(bound),
+                                "far_field_ok": ok},
+                       meta=_meta(cfg, "sweep-distance"))
 
 
 def sweep_plane(cfg: SceneConfig) -> SweepResult:
     """Received power versus RIS position on plane S, analytic per-point
     optimal design; adds the two-path balance when the direct link is on."""
     sw = cfg.sweeps
-    header = ["x_m", "y_m", "ris_dbm"]
-    if cfg.direct_link:
-        header += ["direct_dbm", "total_dbm", "abs_o"]
-    result = SweepResult(kind="heatmap", header=tuple(header),
-                         meta=_meta(cfg, "sweep-plane",
-                                    {"direct_link": cfg.direct_link}))
     xs = np.linspace(sw.plane_x[0], sw.plane_x[1], sw.plane_points)
     ys = np.linspace(sw.plane_y[0], sw.plane_y[1], sw.plane_points)
     # one plane row (fixed y, every x) per call keeps the temporaries small
-    for y in ys:
-        p = _plane_point_power(cfg, xs, y)
-        cols = [xs, np.full_like(xs, y), watts_to_dbm(p["ris"])]
-        if cfg.direct_link:
-            cols += [watts_to_dbm(p["direct"]),
-                     watts_to_dbm(p["combined"]), np.abs(p["o"])]
-        result.rows.extend(zip(*(c.tolist() for c in cols)))
-    return result
+    per_y = [_plane_point_power(cfg, xs, y) for y in ys]
+    p = {key: np.concatenate([q[key] for q in per_y]) for key in per_y[0]}
+    columns = {"x_m": np.tile(xs, len(ys)), "y_m": np.repeat(ys, len(xs)),
+               "ris_dbm": watts_to_dbm(p["ris"])}
+    if cfg.direct_link:
+        columns.update(direct_dbm=watts_to_dbm(p["direct"]),
+                       total_dbm=watts_to_dbm(p["combined"]),
+                       abs_o=np.abs(p["o"]))
+    return SweepResult(kind="heatmap", columns=columns,
+                       meta=_meta(cfg, "sweep-plane",
+                                  {"direct_link": cfg.direct_link}))
 
 
 def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
@@ -211,25 +219,28 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
     sw = cfg.sweeps
     lam_hi = sw.wavelength_max
     lam_lo = lam_hi / 2.0 ** sw.wavelength_octaves
-    result = SweepResult(kind="line",
-                         header=("wavelength_m", "ris_w", "direct_w",
-                                 "combined_w", "ris_dbm", "direct_dbm",
-                                 "combined_dbm", "rows", "cols"),
-                         meta=_meta(cfg, "sweep-wavelength"))
-    for lam in np.linspace(lam_lo, lam_hi, sw.wavelength_points):
-        design = anti_decay_design(float(lam), "fix_area", sw.element_ratio,
-                                   total_area=sw.total_area)
-        point_cfg = replace(cfg, wavelength=float(lam),
-                            ris_rows=design.rows, ris_cols=design.cols,
-                            element_size_x=design.d_x,
-                            element_size_y=design.d_y,
-                            spacing=cfg.spacing / cfg.wavelength * float(lam))
-        p = _plane_point_power(point_cfg, cfg.d_tr, 0.0)
-        result.rows.append((float(lam), p["ris"], p["direct"], p["combined"],
-                            watts_to_dbm(p["ris"]), watts_to_dbm(p["direct"]),
-                            watts_to_dbm(p["combined"]), design.rows,
-                            design.cols))
-    return result
+    lams = np.linspace(lam_lo, lam_hi, sw.wavelength_points)
+    designs = [anti_decay_design(lam, "fix_area", sw.element_ratio,
+                                 total_area=sw.total_area)
+               for lam in lams.tolist()]
+    # one model call per wavelength, since each has its own panel
+    points = [_plane_point_power(
+        replace(cfg, wavelength=lam, ris_rows=design.rows,
+                ris_cols=design.cols, element_size_x=design.d_x,
+                element_size_y=design.d_y,
+                spacing=cfg.spacing / cfg.wavelength * lam),
+        cfg.d_tr, 0.0) for lam, design in zip(lams.tolist(), designs)]
+    ris, direct, combined = (np.array([p[key] for p in points])
+                             for key in ("ris", "direct", "combined"))
+    return SweepResult(kind="line",
+                       columns={"wavelength_m": lams, "ris_w": ris,
+                                "direct_w": direct, "combined_w": combined,
+                                "ris_dbm": watts_to_dbm(ris),
+                                "direct_dbm": watts_to_dbm(direct),
+                                "combined_dbm": watts_to_dbm(combined),
+                                "rows": np.array([d.rows for d in designs]),
+                                "cols": np.array([d.cols for d in designs])},
+                       meta=_meta(cfg, "sweep-wavelength"))
 
 
 def robustness(cfg: SceneConfig) -> SweepResult:
@@ -248,54 +259,51 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     ris_assumed = _panel_at(cfg, assumed, frame)
     est = closed_form_solution(tx, ris_assumed, rx, radio)
 
-    result = SweepResult(kind="robustness",
-                         header=("x_m", "y_m", "deviation", "estimated_dbm",
-                                 "ideal_dbm"),
-                         meta=_meta(cfg, "robustness"))
     offs = np.linspace(-sw.robustness_extent, sw.robustness_extent,
                        sw.robustness_points)
     x, y = (g.ravel() for g in np.meshgrid(offs, offs))  # y outer, x inner
-    est_power = []
-    for dx, dy in zip(x.tolist(), y.tolist()):
+    est_power = np.empty(len(x))
+    for i, (dx, dy) in enumerate(zip(x.tolist(), y.tolist())):
         true_pos = np.array([dx, dy, 0.0])
         ris_true = _panel_at(cfg, true_pos,
                              specular_frame(true_pos, tx.center, rx))
         try:
-            est_power.append(farfield_power(tx, ris_true, rx, radio,
-                                            est.theta, est.v, mode="off"))
+            est_power[i] = farfield_power(tx, ris_true, rx, radio,
+                                          est.theta, est.v, mode="off")
         except ShadowedPanel:
-            est_power.append(0.0)
-    est_power = np.array(est_power)
+            est_power[i] = 0.0
     ideal = _plane_point_power(cfg, x, y)["ris"]
     dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
-    result.rows.extend(zip(*(c.tolist() for c in (
-        x, y, dev, watts_to_dbm(est_power), watts_to_dbm(ideal)))))
-    return result
+    return SweepResult(kind="robustness",
+                       columns={"x_m": x, "y_m": y, "deviation": dev,
+                                "estimated_dbm": watts_to_dbm(est_power),
+                                "ideal_dbm": watts_to_dbm(ideal)},
+                       meta=_meta(cfg, "robustness"))
 
 
 def solve(cfg: SceneConfig) -> SweepResult:
-    """One fixed scene: every method's predicted and evaluated power."""
+    """One fixed scene: every method's predicted and evaluated power, and
+    the upper bound as the last row."""
     radio = _radio(cfg)
-    d = cfg.d_tr
-    tx, ris, rx = equilateral_scene(cfg, d)
+    tx, ris, rx = equilateral_scene(cfg, cfg.d_tr)
     channels = exact_channel(tx, ris, rx, radio, direct=cfg.direct_link)
-    result = SweepResult(kind="bar",
-                         header=("method", "predicted_dbm", "evaluated_dbm"),
-                         meta=_meta(cfg, "solve",
-                                    {"direct_link": cfg.direct_link}))
     sols = [closed_form_solution(tx, ris, rx, radio)]
     if cfg.direct_link:
         sols.append(two_path_solution(tx, ris, rx, radio,
                                       mode=cfg.far_field_mode))
     sols.append(svd_solution(channels, cfg.tx_power))
-    for sol in sols:
-        evaluated = received_power(channels, sol.theta, sol.v)
-        result.rows.append((sol.method.value,
-                            watts_to_dbm(sol.predicted_power),
-                            watts_to_dbm(evaluated)))
-    bound_dbm = watts_to_dbm(power_upper_bound(channels, cfg.tx_power))
-    result.rows.append(("upper-bound", bound_dbm, bound_dbm))
-    return result
+    bound = power_upper_bound(channels, cfg.tx_power)
+    evaluated = [received_power(channels, s.theta, s.v) for s in sols]
+    return SweepResult(kind="bar",
+                       columns={"method": [s.method.value for s in sols]
+                                + ["upper-bound"],
+                                "predicted_dbm": watts_to_dbm(
+                                    [s.predicted_power for s in sols]
+                                    + [bound]),
+                                "evaluated_dbm": watts_to_dbm(
+                                    evaluated + [bound])},
+                       meta=_meta(cfg, "solve",
+                                  {"direct_link": cfg.direct_link}))
 
 
 def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:

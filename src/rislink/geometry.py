@@ -158,12 +158,9 @@ class LinkAngles:
     d_ir: float
     d_tr: float
     theta_t: float
-    phi_t: float
     theta_r: float
-    phi_r: float
     mu_ti: float
     mu_tr: float
-    theta_0: float
 
 
 def _axis_offsets(count: int, pitch: float) -> np.ndarray:
@@ -212,17 +209,6 @@ def _angle_between(u: Vec3, v: Vec3) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def _elevation_azimuth(ris: RisPanel, direction: Vec3) -> tuple[float, float]:
-    """Elevation from the panel normal and azimuth from axis_x, in [0, 2*pi)."""
-    theta = _angle_between(ris.normal, direction)
-    x = np.dot(direction, ris.axis_x)
-    y = np.dot(direction, ris.axis_y)
-    if x == 0.0 and y == 0.0:
-        return theta, 0.0
-    phi = float(np.arctan2(y, x)) % (2 * np.pi)
-    return theta, phi
-
-
 def cos_theta_0(d_ti, d_ir, d_tr):
     """Law of cosines: cos of the angle theta_0 at the RIS in the T-I-R
     triangle, from the three center distances (scalars or arrays)."""
@@ -235,11 +221,7 @@ def _array_axis(tx: TransmitterArray) -> Vec3:
 
 
 def link_angles(tx: TransmitterArray, ris: RisPanel, rx_position) -> LinkAngles:
-    """Derive all link angles and center distances for one scene.
-
-    theta_0 (the angle at the RIS in the T-I-R triangle) is always computed
-    from the law of cosines on the three center distances.
-    """
+    """Derive all link angles and center distances for one scene."""
     rx = _as_vec3(rx_position)
     r_t, r_i = tx.center, ris.center
     d_ti = float(np.linalg.norm(r_t - r_i))
@@ -248,21 +230,16 @@ def link_angles(tx: TransmitterArray, ris: RisPanel, rx_position) -> LinkAngles:
     if min(d_ti, d_ir, d_tr) == 0.0:
         raise DegenerateGeometry("two of T, I, R coincide")
 
-    theta_t, phi_t = _elevation_azimuth(ris, r_t - r_i)
-    theta_r, phi_r = _elevation_azimuth(ris, rx - r_i)
+    # elevations of T and R from the panel normal
+    theta_t = _angle_between(ris.normal, r_t - r_i)
+    theta_r = _angle_between(ris.normal, rx - r_i)
 
     axis = _array_axis(tx)
     # Arrival directions at the transmitter (I->T, R->T); see LinkAngles doc.
     mu_ti = _angle_between(axis, r_t - r_i)
     mu_tr = _angle_between(axis, r_t - rx)
-
-    theta_0 = float(np.arccos(np.clip(cos_theta_0(d_ti, d_ir, d_tr),
-                                      -1.0, 1.0)))
-
-    return LinkAngles(d_ti=d_ti, d_ir=d_ir, d_tr=d_tr,
-                      theta_t=theta_t, phi_t=phi_t,
-                      theta_r=theta_r, phi_r=phi_r,
-                      mu_ti=mu_ti, mu_tr=mu_tr, theta_0=theta_0)
+    return LinkAngles(d_ti=d_ti, d_ir=d_ir, d_tr=d_tr, theta_t=theta_t,
+                      theta_r=theta_r, mu_ti=mu_ti, mu_tr=mu_tr)
 
 
 @dataclass(frozen=True)

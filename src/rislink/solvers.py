@@ -10,11 +10,12 @@ from enum import Enum
 
 import numpy as np
 
-from .em import (ChannelSet, RadioParams, _offsets_along, amplitude_gain_tir,
-                 farfield_channel, received_power)
+from .em import (ChannelSet, RadioParams, _direction, _offsets_along,
+                 _panel_phasors, amplitude_gain_tir, farfield_channel,
+                 received_power)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import (LinkAngles, RisPanel, TransmitterArray, UlaLayout,
-                       _grid_offsets, antenna_positions, link_angles)
+                       antenna_positions, link_angles)
 
 _FEAS_POWER_SLACK = 1e-9
 _UNIT_TOL = 1e-12
@@ -24,7 +25,6 @@ class Method(Enum):
     CLOSED_FORM = "closed-form"
     CLOSED_FORM_TWO_PATH = "closed-form-two-path"
     SVD_PROJECTED = "svd-projected"
-    MRT = "mrt"
 
 
 @dataclass(frozen=True)
@@ -65,21 +65,14 @@ def mrt_beamforming(h_eff: np.ndarray, p_t: float) -> np.ndarray:
     return np.sqrt(p_t) * np.conj(h_eff) / norm
 
 
-def closed_form_phases(angles: LinkAngles, ris: RisPanel,
+def closed_form_phases(tx: TransmitterArray, ris: RisPanel, rx_position,
                        wavelength: float) -> np.ndarray:
-    """Far-field optimal phase shifts, one unit-modulus entry per element.
-
-    phi_q = (2*pi/l) * [(sin(t_t)cos(p_t) + sin(t_r)cos(p_r)) * x_offset_q
-                        + (sin(t_t)sin(p_t) + sin(t_r)sin(p_r)) * y_offset_q]
-    which is the conjugate of the channel's combined element phasor d_vec.
-    """
-    xo, yo = _grid_offsets(ris.rows, ris.cols, ris.d_x, ris.d_y)
-    gx = (np.sin(angles.theta_t) * np.cos(angles.phi_t)
-          + np.sin(angles.theta_r) * np.cos(angles.phi_r))
-    gy = (np.sin(angles.theta_t) * np.sin(angles.phi_t)
-          + np.sin(angles.theta_r) * np.sin(angles.phi_r))
-    phi = 2 * np.pi / wavelength * (gx * xo + gy * yo)
-    return np.exp(1j * phi)
+    """Far-field optimal phase shifts, one unit-modulus entry per element:
+    the conjugate of the channel's two-hop element phasor d_vec, the panel
+    phasors toward u_TI + u_IR."""
+    u = _direction(ris.center, tx.center) + _direction(ris.center, rx_position)
+    e_x, e_y = _panel_phasors(ris, u, 2 * np.pi / wavelength)
+    return np.conj(np.outer(e_y, e_x).ravel())
 
 
 def closed_form_beamforming_general(tx: TransmitterArray, ris_position,
@@ -104,7 +97,7 @@ def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     """Assemble the far-field closed-form design for one scene."""
     angles = link_angles(tx, ris, rx_position)
     gain = amplitude_gain_tir(angles, tx, ris, radio)
-    theta = closed_form_phases(angles, ris, radio.wavelength)
+    theta = closed_form_phases(tx, ris, rx_position, radio.wavelength)
     v = closed_form_beamforming_general(tx, ris.center, radio.wavelength,
                                         radio.tx_power)
     predicted = closed_form_predicted_power(gain.amplitude, tx.count,
@@ -158,16 +151,6 @@ def two_path_terms(angles: LinkAngles, tx: TransmitterArray,
     return TwoPathTerms(o=o, phase_offset=float(offset))
 
 
-def closed_form_phases_two_path(angles: LinkAngles, ris: RisPanel,
-                                terms: TwoPathTerms,
-                                wavelength: float) -> np.ndarray:
-    """Two-path closed-form phase shifts: the RIS-only design rotated by the
-    constant offset of `terms` (see two_path_terms) that phase-aligns the
-    RIS path with the direct path."""
-    return (closed_form_phases(angles, ris, wavelength)
-            * np.exp(1j * terms.phase_offset))
-
-
 def two_path_power_closed_form(a_tir, a_tr, o, n: int, l: int, p_t: float):
     """Received power of the optimal two-path design:
     N*L^2*a_TIR^2*P_t + N*a_TR^2*P_t + 2*N*L*a_TR*a_TIR*|O|*P_t (the sign
@@ -183,12 +166,15 @@ def two_path_power_closed_form(a_tir, a_tr, o, n: int, l: int, p_t: float):
 def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                       radio: RadioParams, *, margin: float = 1.0,
                       mode: str = "warn") -> Solution:
-    """Two-path closed-form design: phases from the two-path formula, MRT
-    beamformer against the assembled far-field effective channel."""
+    """Two-path closed-form design: the RIS-only phases rotated by the
+    constant offset of two_path_terms, which phase-aligns the RIS path with
+    the direct path, and an MRT beamformer against the assembled far-field
+    effective channel."""
     angles = link_angles(tx, ris, rx_position)
     gain = amplitude_gain_tir(angles, tx, ris, radio)
     terms = two_path_terms(angles, tx, radio.wavelength)
-    theta = closed_form_phases_two_path(angles, ris, terms, radio.wavelength)
+    theta = (closed_form_phases(tx, ris, rx_position, radio.wavelength)
+             * np.exp(1j * terms.phase_offset))
     channels, _ = farfield_channel(tx, ris, rx_position, radio, direct=True,
                                    margin=margin, mode=mode)
     row = (channels.h_ir * theta) @ channels.h_ti + channels.h_tr

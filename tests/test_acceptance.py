@@ -219,12 +219,8 @@ def test_07_two_path_ripple_count_half_of_antennas():
 def test_08_anti_decay_keeps_ris_power_flat():
     cfg = load_config()
     result = sweep_wavelength(cfg)
-    lam_col = result.header.index("wavelength_m")
-    ris_col = result.header.index("ris_w")
-    dir_col = result.header.index("direct_w")
-    lams = np.array([r[lam_col] for r in result.rows])
-    ris = np.array([r[ris_col] for r in result.rows])
-    direct = np.array([r[dir_col] for r in result.rows])
+    lams, ris, direct = (result.columns[name]
+                         for name in ("wavelength_m", "ris_w", "direct_w"))
     flatness = float((ris.max() - ris.min()) / ris.max())
     lo, hi = int(np.argmin(lams)), int(np.argmax(lams))
     drop_db = 10 * np.log10(direct[hi] / direct[lo])
@@ -237,16 +233,10 @@ def test_08_anti_decay_keeps_ris_power_flat():
 def test_09_robust_region_contains_5m_square():
     cfg = load_config()
     result = robustness(cfg)
-    xi = result.header.index("x_m")
-    yi = result.header.index("y_m")
-    di = result.header.index("deviation")
-    square_ok = True
-    worst = 0.0
-    for row in result.rows:
-        if abs(row[xi]) <= 2.5 and abs(row[yi]) <= 2.5:
-            worst = max(worst, row[di])
-            if row[di] >= 0.1:
-                square_ok = False
+    col = result.columns
+    square = (np.abs(col["x_m"]) <= 2.5) & (np.abs(col["y_m"]) <= 2.5)
+    worst = float(col["deviation"][square].max())
+    square_ok = worst < 0.1
     report("normalized power deviation < 0.1 on a 5 m x 5 m square around "
            "the assumed position", square_ok,
            f"max deviation on the square {worst:.4f}")
@@ -269,22 +259,30 @@ def test_10_cli_experiments_deterministic(tmp_path):
            f"mismatches: {mismatches or 'none'}")
 
 
+# golden file of each case whose name is not the command's CSV name
+_GOLDEN_NAMES = {("solve", "--direct-link"): "solve_direct_link.csv"}
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep-plane", "--direct-link", "--grid", "7"),
     ("sweep-wavelength", "--grid", "7"),
     ("sweep-distance", "--grid", "7"),
     ("solve", "--paper-scale"),
+    ("robustness", "--grid", "7"),
+    ("solve", "--direct-link"),
 ])
 def test_10b_cli_analytic_studies_match_golden_csv(argv, tmp_path):
     """The studies reproduce the checked-in CSVs byte for byte.  tests/golden/
     holds the analytic model's studies (sweep-plane, sweep-wavelength) as
-    written before the model took arrays, and the exact-channel studies
+    written before the model took arrays, the exact-channel studies
     (sweep-distance, solve) as written before the per-axis distance planes,
-    the cached cascade and the Gram `eigh` kernel."""
+    the cached cascade and the Gram `eigh` kernel, and the robustness map
+    and the two-path solve as written before the studies built columns."""
     from rislink.cli import main
     assert main([*argv, "--out", str(tmp_path)]) == 0
     name = argv[0].replace("-", "_") + ".csv"
-    golden = (Path(__file__).parent / "golden" / name).read_bytes()
+    golden = (Path(__file__).parent / "golden"
+              / _GOLDEN_NAMES.get(argv, name)).read_bytes()
     fresh = (tmp_path / name).read_bytes()
     report(f"{argv[0]} CSV matches the golden file", fresh == golden,
            f"{len(fresh)} bytes vs {len(golden)} golden")

@@ -9,7 +9,6 @@ from rislink.experiments import (_panel_at, analytic_point_power,
                                  robustness, solve, specular_frame,
                                  sweep_distance, sweep_plane, validate_suite)
 from rislink.geometry import link_angles
-from rislink.output import _format_value
 from rislink.solvers import closed_form_solution
 
 from dataclasses import replace
@@ -88,32 +87,31 @@ def test_analytic_point_power_arrays_match_scalar_calls():
 
 def test_sweep_distance_monotone_decreasing():
     res = sweep_distance(small_cfg())
-    assert len(res.rows) == 4
-    closed = [r[res.header.index("closed_form_w")] for r in res.rows]
-    assert all(a > b for a, b in zip(closed, closed[1:]))
-    assert all(r[-1] == 1 for r in res.rows)  # far-field valid throughout
+    assert len(res) == 4
+    closed = res.columns["closed_form_w"]
+    assert np.all(closed[:-1] > closed[1:])
+    # far-field valid throughout
+    assert res.columns["far_field_ok"].tolist() == [1, 1, 1, 1]
 
 
 def test_sweep_plane_direct_link_adds_columns():
     blocked = sweep_plane(small_cfg(direct_link=False))
-    assert "direct_dbm" not in blocked.header
+    assert blocked.header == ("x_m", "y_m", "ris_dbm")
     with_direct = sweep_plane(small_cfg(direct_link=True))
-    assert "total_dbm" in with_direct.header
-    ti = with_direct.header.index("total_dbm")
-    ri = with_direct.header.index("ris_dbm")
-    di = with_direct.header.index("direct_dbm")
-    for row in with_direct.rows:
-        assert row[ti] >= max(row[ri], row[di]) - 1e-9
+    assert with_direct.header == ("x_m", "y_m", "ris_dbm", "direct_dbm",
+                                  "total_dbm", "abs_o")
+    col = with_direct.columns
+    assert np.all(col["total_dbm"]
+                  >= np.maximum(col["ris_dbm"], col["direct_dbm"]) - 1e-9)
 
 
 def test_robustness_zero_at_assumed_position():
     res = robustness(small_cfg())
-    xi, yi = res.header.index("x_m"), res.header.index("y_m")
-    di = res.header.index("deviation")
-    center = [r for r in res.rows if r[xi] == 0.0 and r[yi] == 0.0]
-    assert len(center) == 1
-    assert center[0][di] == pytest.approx(0.0, abs=1e-9)
-    assert all(0.0 <= r[di] <= 1.0 for r in res.rows)
+    col = res.columns
+    center = (col["x_m"] == 0.0) & (col["y_m"] == 0.0)
+    assert center.sum() == 1
+    assert col["deviation"][center][0] == pytest.approx(0.0, abs=1e-9)
+    assert np.all((col["deviation"] >= 0.0) & (col["deviation"] <= 1.0))
 
 
 def test_robustness_matches_dense_channel_evaluation():
@@ -130,10 +128,12 @@ def test_robustness_matches_dense_channel_evaluation():
     est = closed_form_solution(
         tx, _panel_at(cfg, assumed, specular_frame(assumed, tx.center, rx)),
         rx, radio)
-    col = {name: i for i, name in enumerate(res.header)}
-    assert len(res.rows) == 25
-    for row in res.rows:
-        pos = np.array([row[col["x_m"]], row[col["y_m"]], 0.0])
+    assert res.header == ("x_m", "y_m", "deviation", "estimated_dbm",
+                          "ideal_dbm")
+    assert len(res) == 25
+    for x, y, deviation, estimated_dbm, ideal_dbm in zip(
+            *(res.columns[name].tolist() for name in res.header)):
+        pos = np.array([x, y, 0.0])
         ris = _panel_at(cfg, pos, specular_frame(pos, tx.center, rx))
         try:
             channels, _ = farfield_channel(tx, ris, rx, radio, mode="off")
@@ -145,19 +145,18 @@ def test_robustness_matches_dense_channel_evaluation():
         ideal = analytic_point_power(cfg, d_ti, d_ir, cfg.d_tr,
                                      cos_mu_ti=cfg.height / d_ti,
                                      cos_mu_tr=0.0)["ris"]
-        assert row[col["ideal_dbm"]] == watts_to_dbm(ideal)
-        assert (_format_value(row[col["estimated_dbm"]])
-                == _format_value(watts_to_dbm(dense)))
-        assert row[col["estimated_dbm"]] == pytest.approx(
-            watts_to_dbm(dense), rel=1e-12, abs=1e-12)
-        assert row[col["deviation"]] == pytest.approx(
-            abs(dense - ideal) / max(dense, ideal), abs=1e-12)
+        assert ideal_dbm == watts_to_dbm(ideal)
+        assert "%.9g" % estimated_dbm == "%.9g" % watts_to_dbm(dense)
+        assert estimated_dbm == pytest.approx(watts_to_dbm(dense),
+                                              rel=1e-12, abs=1e-12)
+        assert deviation == pytest.approx(abs(dense - ideal)
+                                          / max(dense, ideal), abs=1e-12)
 
 
 def test_solve_reports_all_methods():
     res = solve(small_cfg(direct_link=False))
-    methods = [r[0] for r in res.rows]
-    assert methods == ["closed-form", "svd-projected", "upper-bound"]
+    assert res.columns["method"] == ["closed-form", "svd-projected",
+                                     "upper-bound"]
 
 
 def test_validate_suite_all_pass():

@@ -1,4 +1,8 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,49 +104,72 @@ def test_config_errors(tmp_path):
 
 
 def test_emit_csv_format_and_sidecar(tmp_path):
-    result = SweepResult(kind="line", header=("a", "b"),
-                         rows=[(1.0, 0.123456789123), (2.0, -np.inf)],
+    result = SweepResult(kind="line",
+                         columns={"a": np.array([1.0, 2.0, np.nan, -0.0]),
+                                  "b": np.array([0.123456789123, -np.inf,
+                                                 np.inf, 1e21]),
+                                  "n": np.array([3, 4, 5, -6]),
+                                  "s": ["w", "x", "y", "z"]},
                          meta={"experiment": "demo", "config_hash": "x" * 64,
                                "tool": "rislink", "version": "1.0.0"})
     path = emit_csv(result, tmp_path / "demo.csv")
     text = path.read_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "a,b"
-    assert lines[1] == "1,0.123456789"
-    assert lines[2] == "2,-inf"
+    assert text.split("\n") == ["a,b,n,s", "1,0.123456789,3,w",
+                                 "2,-inf,4,x", "nan,inf,5,y",
+                                 "-0,1e+21,-6,z", ""]
     meta = json.loads((tmp_path / "demo.csv.meta.json").read_text())
-    assert meta["rows"] == 2
+    assert meta["rows"] == 4
     assert meta["config_hash"] == "x" * 64
     assert "timestamp" not in meta
+    # rows are written in blocks; a table spanning several blocks reads the
+    # same as the cells formatted one by one
+    x = np.random.default_rng(3).standard_normal(10_001) * 1e3
+    k = np.arange(10_001)
+    emit_csv(SweepResult(kind="line", columns={"x": x, "k": k}),
+             tmp_path / "long.csv")
+    want = "".join(f"{format(a, '.9g')},{b}\n"
+                   for a, b in zip(x.tolist(), k.tolist()))
+    assert (tmp_path / "long.csv").read_text() == "x,k\n" + want
 
 
 def test_emit_csv_empty_and_mismatched(tmp_path):
-    empty = SweepResult(kind="line", header=("a",))
+    empty = SweepResult(kind="line", columns={"a": np.array([])})
     path = emit_csv(empty, tmp_path / "empty.csv")
     assert path.read_text() == "a\n"
-    bad = SweepResult(kind="line", header=("a",), rows=[(1.0, 2.0)])
-    with pytest.raises(ValueError):
-        emit_csv(bad, tmp_path / "bad.csv")
+    for columns in ({"a": np.array([1.0]), "b": np.array([1.0, 2.0])},
+                    {"a": np.array([True])}):
+        with pytest.raises(ValueError):
+            emit_csv(SweepResult(kind="line", columns=columns),
+                     tmp_path / "bad.csv")
+
+
+def _empty_columns(*names):
+    return dict.fromkeys(names, np.empty(0))
 
 
 def test_emit_plot_scripts(tmp_path):
-    line = SweepResult(kind="line", header=("d_m", "p_w", "p_dbm"),
-                       rows=[(1.0, 2.0, 3.0)])
+    line = SweepResult(kind="line",
+                       columns={"d_m": np.array([1.0]),
+                                "p_w": np.array([2.0]),
+                                "p_dbm": np.array([3.0])})
     gp = emit_plot_script(line, tmp_path / "line.csv", tmp_path / "line.gp")
     text = gp.read_text()
     assert "set logscale y" in text
     assert "using 1:2" in text
-    heat = SweepResult(kind="heatmap", header=("x_m", "y_m", "ris_dbm"))
+    heat = SweepResult(kind="heatmap",
+                       columns=_empty_columns("x_m", "y_m", "ris_dbm"))
     text = emit_plot_script(heat, tmp_path / "h.csv",
                             tmp_path / "h.gp").read_text()
     assert "set view map" in text
     rob = SweepResult(kind="robustness",
-                      header=("x_m", "y_m", "deviation", "e", "i"))
+                      columns=_empty_columns("x_m", "y_m", "deviation", "e",
+                                             "i"))
     text = emit_plot_script(rob, tmp_path / "r.csv",
                             tmp_path / "r.gp").read_text()
     assert "levels discrete 0.1" in text
     with pytest.raises(ValueError):
-        emit_plot_script(SweepResult(kind="mystery", header=("a",)),
+        emit_plot_script(SweepResult(kind="mystery",
+                                     columns=_empty_columns("a")),
                          tmp_path / "m.csv", tmp_path / "m.gp")
 
 
@@ -236,3 +263,27 @@ def test_sweep_rows_respect_power_ordering(tmp_path):
         closed, svd, bound = (float(vals[i]) for i in (ic, isv, ib))
         assert closed <= svd * (1 + 1e-9)
         assert svd <= bound * (1 + 1e-9)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in
+                                        (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, stdin=subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_trace_spans_resolve():
+    """Every layer function the benchmark traces still exists under the name
+    it traces, so `perfbench/run.py --trace 1` can install its spans."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name in tracing.SPANS:
+        assert callable(tracing._resolve(name)[2]), name

@@ -34,13 +34,44 @@ def test_mrt_direction_and_budget():
         mrt_beamforming(np.zeros(3), 1.0)
 
 
-def test_closed_form_phases_conjugate_channel_phasor():
-    tx, ris, rx = equilateral(200.0, rows=3, cols=4)
-    ang = link_angles(tx, ris, rx)
-    _, fac = farfield_channel(tx, ris, rx, RADIO)
-    theta = closed_form_phases(ang, ris, RADIO.wavelength)
+def _trig_phases(tx, ris, rx, wavelength):
+    """Closed-form phases from the elevations theta and azimuths phi of T
+    and R seen from the panel:
+    phi_q = (2*pi/l) * [(sin(t_t)cos(p_t) + sin(t_r)cos(p_r)) * x_offset_q
+                        + (sin(t_t)sin(p_t) + sin(t_r)sin(p_r)) * y_offset_q]
+    """
+    def elevation_azimuth(direction):
+        d = direction / np.linalg.norm(direction)
+        theta = np.arccos(np.clip(d @ ris.normal, -1.0, 1.0))
+        x, y = d @ ris.axis_x, d @ ris.axis_y
+        return theta, (np.arctan2(y, x) if x or y else 0.0)
+
+    t_t, p_t = elevation_azimuth(tx.center - ris.center)
+    t_r, p_r = elevation_azimuth(rx - ris.center)
+    q = np.arange(ris.count)
+    xo = (q % ris.cols + 1 - (ris.cols + 1) / 2) * ris.d_x
+    yo = (q // ris.cols + 1 - (ris.rows + 1) / 2) * ris.d_y
+    gx = np.sin(t_t) * np.cos(p_t) + np.sin(t_r) * np.cos(p_r)
+    gy = np.sin(t_t) * np.sin(p_t) + np.sin(t_r) * np.sin(p_r)
+    return np.exp(1j * 2 * np.pi / wavelength * (gx * xo + gy * yo))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**scene_args)
+@example(rows=3, cols=4, upa=False, seed=0)
+def test_closed_form_phases_conjugate_channel_phasor(rows, cols, upa, seed):
+    """The phases are the conjugate of the far-field two-hop phasor d_vec
+    and match the elevation/azimuth formula, an independent reference.  The
+    two formulas round differently, by an error that grows with the phase,
+    so the unit-modulus entries are held to 1e-12."""
+    tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
+    theta = closed_form_phases(tx, ris, rx, radio.wavelength)
+    _, fac = farfield_channel(tx, ris, rx, radio, mode="off")
     np.testing.assert_allclose(np.abs(theta), 1.0, atol=1e-12)
-    np.testing.assert_allclose(theta, np.conj(fac.d_vec), atol=1e-9)
+    np.testing.assert_allclose(theta, np.conj(fac.d_vec), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(theta, _trig_phases(tx, ris, rx,
+                                                   radio.wavelength),
+                               rtol=0, atol=1e-12)
 
 
 def test_closed_form_achieves_predicted_power_on_farfield_channel():
@@ -188,16 +219,14 @@ def test_two_path_terms_sign_fold_and_warning():
     lam = 0.0286
     # u = pi/16 zeroes the numerator sinc only -> O = 0
     ang = LinkAngles(d_ti=100.0, d_ir=100.0, d_tr=150.0, theta_t=0.1,
-                     phi_t=0.0, theta_r=0.1, phi_r=np.pi,
-                     mu_ti=float(np.arccos(1 / 8)), mu_tr=np.pi / 2,
-                     theta_0=0.2)
+                     theta_r=0.1, mu_ti=float(np.arccos(1 / 8)),
+                     mu_tr=np.pi / 2)
     with pytest.warns(AmbiguousSignWarning):
         terms = two_path_terms(ang, tx, lam)
     assert terms.o == pytest.approx(0.0, abs=1e-12)
     # negative O folds a -pi offset in
     ang2 = LinkAngles(d_ti=100.0, d_ir=100.0, d_tr=150.0, theta_t=0.1,
-                      phi_t=0.0, theta_r=0.1, phi_r=np.pi,
-                      mu_ti=0.0, mu_tr=np.pi, theta_0=0.2)
+                      theta_r=0.1, mu_ti=0.0, mu_tr=np.pi)
     terms2 = two_path_terms(ang2, tx, lam)
     assert terms2.o < 0
     expected = -np.pi - 2 * np.pi / lam * (100.0 + 100.0 - 150.0)
