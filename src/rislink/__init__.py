@@ -15,9 +15,10 @@ from .errors import (AmbiguousSignWarning, ConfigError, DegenerateGeometry,
                      EmptyFeasible, FarFieldViolation, FarFieldWarning,
                      RegionDWarning, RislinkError, ShadowedPanel, TooLarge,
                      ZeroChannel)
-from .geometry import (FarFieldCheck, LinkAngles, RisPanel, TransmitterArray,
-                       UlaLayout, UpaLayout, antenna_positions,
-                       element_positions, far_field_check, link_angles)
+from .geometry import (FarFieldCheck, LinkAngles, PanelPoses, RisPanel,
+                       TransmitterArray, UlaLayout, UpaLayout,
+                       antenna_positions, element_positions, far_field_check,
+                       link_angles)
 from .placement import (PlacementResult, PlaneScene, QuasiconvexityReport,
                         RegionD, f_object, optimal_orientation,
                         plane_objective, position_search_3d,

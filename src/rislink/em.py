@@ -15,14 +15,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DegenerateGeometry, DimensionMismatch, DomainError,
                      FarFieldViolation, FarFieldWarning, ShadowedPanel)
-from .geometry import (LinkAngles, RisPanel, TransmitterArray,
-                       _axis_offsets, antenna_positions, element_positions,
-                       far_field_check, link_angles)
+from .geometry import (LinkAngles, PanelPoses, RisPanel, TransmitterArray,
+                       _as_vec3, _axis_offsets, _norm, antenna_positions,
+                       element_positions, far_field_ratios, link_angles)
 
 
 @dataclass(frozen=True)
@@ -169,18 +170,32 @@ def friis_amplitude(g_t, g_r, wavelength, d_tr):
     return np.sqrt(g_t * g_r) * wavelength / (4 * np.pi * d_tr)
 
 
+def _pattern_delta(tx: TransmitterArray, ris: RisPanel, radio: RadioParams,
+                   theta_t, theta_r):
+    """`tir_delta` of the link at the pattern angles theta_t and theta_r
+    (floats, or arrays that broadcast), and where the panel sees both ends,
+    F(theta_t) * F(theta_r) != 0.  Elsewhere delta is 0."""
+    k = ris.pattern_exponent
+    f_t = radiation_pattern(theta_t, k)
+    f_r = radiation_pattern(theta_r, k)
+    delta = tir_delta(tx.element_gain, radio.rx_gain, ris.element_gain,
+                      ris.d_x, ris.d_y, radio.wavelength, f_t, f_r,
+                      ris.reflection_coeff)
+    return delta, f_t * f_r != 0.0
+
+
+def _require_lit(lit) -> None:
+    if not np.all(lit):
+        raise ShadowedPanel("pattern gain vanishes; panel does not see both ends")
+
+
 def amplitude_gain_tir(angles: LinkAngles, tx: TransmitterArray,
                        ris: RisPanel, radio: RadioParams) -> TirGain:
     """Combined per-element amplitude gain of the T->RIS->R link: `tir_delta`
     at the link's pattern angles and amplitude = delta / (d_TI * d_IR)."""
-    k = ris.pattern_exponent
-    f_t = radiation_pattern(angles.theta_t, k)
-    f_r = radiation_pattern(angles.theta_r, k)
-    if f_t * f_r == 0.0:
-        raise ShadowedPanel("pattern gain vanishes; panel does not see both ends")
-    delta = tir_delta(tx.element_gain, radio.rx_gain, ris.element_gain,
-                      ris.d_x, ris.d_y, radio.wavelength, f_t, f_r,
-                      ris.reflection_coeff)
+    delta, lit = _pattern_delta(tx, ris, radio, angles.theta_t,
+                                angles.theta_r)
+    _require_lit(lit)
     return TirGain(delta=float(delta),
                    amplitude=float(delta / (angles.d_ti * angles.d_ir)))
 
@@ -198,57 +213,108 @@ def _offsets_along(points: np.ndarray, center: np.ndarray,
     return -(points - center[None, :]) @ _direction(center, target)
 
 
-def _panel_phasors(ris: RisPanel, u: np.ndarray,
+def _panel_phasors(ris: RisPanel, axis_x: np.ndarray, axis_y: np.ndarray,
+                   u: np.ndarray,
                    wavenum: float) -> tuple[np.ndarray, np.ndarray]:
-    """Column and row phasors (e_x, e_y) of the panel toward direction `u`.
+    """Column and row phasors (e_x, e_y) of the panel grid of `ris` in the
+    frame (axis_x, axis_y) toward direction `u`.
 
     The linearized phasor exp(-j*k*(x_m*axis_x + y_n*axis_y) . u) of element
     q = n*cols + m separates into e_y[n] * e_x[m], so the L element phasors
     are outer(e_y, e_x).ravel() in row-major order.  `u` need not be unit:
-    the sum u_TI + u_IR gives the two-hop phasor d_vec.
+    the sum u_TI + u_IR gives the two-hop phasor d_vec.  Frames and
+    directions of shape (3,) give (cols,) and (rows,) phasors; (P, 3) stacks
+    give one row per pose, (P, cols) and (P, rows).
     """
-    e_x = np.exp(-1j * (wavenum * (ris.axis_x @ u)
+    e_x = np.exp(-1j * (wavenum * np.vecdot(axis_x, u)[..., None]
                         * _axis_offsets(ris.cols, ris.d_x)))
-    e_y = np.exp(-1j * (wavenum * (ris.axis_y @ u)
+    e_y = np.exp(-1j * (wavenum * np.vecdot(axis_y, u)[..., None]
                         * _axis_offsets(ris.rows, ris.d_y)))
     return e_x, e_y
 
 
-def _enforce_far_field(tx, ris, rx, margin: float, mode: str) -> None:
-    """Apply the far-field policy: "strict" raises, "warn" warns, "off"
-    skips the check."""
+def _enforce_far_field(tx, ris, d_ti, d_ir, margin: float, mode: str) -> None:
+    """Apply the far-field policy to P poses at hop distances d_ti, d_ir
+    (P,): "strict" raises and "warn" warns once if any pose fails the
+    check, "off" skips it."""
     if mode not in ("strict", "warn", "off"):
         raise DomainError(f"unknown far-field mode {mode!r}")
     if mode == "off":
         return
-    chk = far_field_check(tx, ris, rx, margin=margin)
-    if chk.ok:
+    ratios = np.stack(far_field_ratios(tx, ris, d_ti, d_ir, margin), axis=-1)
+    failing = np.any(ratios < 1.0, axis=-1)
+    if not failing.any():
         return
-    msg = (f"far-field conditions fail at margin {margin}: "
-           f"ratios {chk.ratios}")
+    count = (f" at {failing.sum()} of {len(failing)} poses"
+             if len(failing) > 1 else "")
+    msg = (f"far-field conditions fail at margin {margin}{count}: "
+           f"ratios {tuple(ratios[np.argmax(failing)].tolist())}")
     if mode == "strict":
         raise FarFieldViolation(msg)
     warnings.warn(msg, FarFieldWarning)
 
 
-def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx: np.ndarray,
-                   radio: RadioParams, margin: float, mode: str):
-    """The part of the far-field factorization shared by farfield_channel
-    and farfield_power, after the far-field policy `mode` is applied.
+class _FarFieldLink(NamedTuple):
+    """Far-field factorization pieces of P panel poses; see _farfield_link."""
 
-    Returns (angles, a_TIR, wavenum, u_TI, u_IR, b_vec): the link angles,
-    the TIR amplitude gain, 2*pi/lambda, the unit directions from the panel
-    center toward T and R, and the antenna phasors
-    b_vec = exp(j*k*Delta d^I_{T,p}).
+    poses: PanelPoses
+    d_ti: np.ndarray      # (P,)
+    d_ir: np.ndarray      # (P,)
+    a_tir: np.ndarray     # (P,), 0 where the panel does not see both ends
+    u_ti: np.ndarray      # (P, 3)
+    u_ir: np.ndarray      # (P, 3)
+    b_vec: np.ndarray     # (P, N)
+    wavenum: float
+
+
+def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
+                   radio: RadioParams, margin: float, mode: str,
+                   poses: PanelPoses | None = None) -> _FarFieldLink:
+    """The part of the far-field factorization shared by farfield_channel,
+    farfield_power and the two-path design, for the grid of `ris` at P
+    `poses`, after the far-field policy `mode` is applied to every pose.
+
+    Per pose: the hop distances d_TI and d_IR, the TIR amplitude a_TIR, the
+    unit directions u_TI and u_IR from the center toward T and R, and the
+    antenna phasors b_vec = exp(j*k*Delta d^I_{T,p}); also k = 2*pi/lambda.
+    The elevations are the dot products of the normals with u_TI and u_IR.
+    A pose whose panel does not see both ends gets a_TIR = 0.  With `poses`
+    None the link is that of `ris` itself (P = 1), and such a panel raises
+    ShadowedPanel instead.
     """
-    _enforce_far_field(tx, ris, rx, margin, mode)
-    angles = link_angles(tx, ris, rx)
-    gain = amplitude_gain_tir(angles, tx, ris, radio)
+    rx = _as_vec3(rx_position)
+    one = poses is None
+    if one:
+        poses = PanelPoses.of(ris)
+    to_t = tx.center - poses.center
+    to_r = rx - poses.center
+    d_ti, d_ir = _norm(to_t), _norm(to_r)
+    if np.min(d_ti) == 0.0 or np.min(d_ir) == 0.0:
+        raise DegenerateGeometry("a panel center coincides with T or R")
+    _enforce_far_field(tx, ris, d_ti, d_ir, margin, mode)
+    u_ti, u_ir = to_t / d_ti[:, None], to_r / d_ir[:, None]
+    elevation = [np.arccos(np.clip(np.vecdot(poses.normal, u), -1.0, 1.0))
+                 for u in (u_ti, u_ir)]
+    delta, lit = _pattern_delta(tx, ris, radio, *elevation)
+    if one:
+        _require_lit(lit)
     wavenum = 2 * np.pi / radio.wavelength
-    b_vec = np.exp(1j * wavenum * _offsets_along(antenna_positions(tx),
-                                                 tx.center, ris.center))
-    return (angles, gain.amplitude, wavenum, _direction(ris.center, tx.center),
-            _direction(ris.center, rx), b_vec)
+    # Delta d^I_{T,p} = (antenna_p - T) . u_TI, toward each pose
+    b_vec = np.exp(1j * wavenum * (u_ti @ (antenna_positions(tx)
+                                           - tx.center).T))
+    return _FarFieldLink(poses=poses, d_ti=d_ti, d_ir=d_ir,
+                         a_tir=delta / (d_ti * d_ir), u_ti=u_ti, u_ir=u_ir,
+                         b_vec=b_vec, wavenum=wavenum)
+
+
+def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
+                 theta: np.ndarray) -> np.ndarray:
+    """theta . d_vec for every pose of the link, (P,): the panel phasors
+    toward u_TI + u_IR summed against the phases as
+    ((e_y @ Theta) * e_x).sum(1), in O(L) per pose."""
+    e_x, e_y = _panel_phasors(ris, link.poses.axis_x, link.poses.axis_y,
+                              link.u_ti + link.u_ir, link.wavenum)
+    return ((e_y @ theta.reshape(ris.rows, ris.cols)) * e_x).sum(axis=1)
 
 
 def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
@@ -262,16 +328,19 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     enforcement: "strict" raises, "warn" (default) warns, "off" skips.
     """
     rx = np.asarray(rx_position, dtype=float)
-    angles, a_tir, wavenum, u_ti, u_ir, b_vec = _farfield_link(
-        tx, ris, rx, radio, margin, mode)
-
-    e_x_t, e_y_t = _panel_phasors(ris, u_ti, wavenum)
-    e_x_r, e_y_r = _panel_phasors(ris, u_ir, wavenum)
+    link = _farfield_link(tx, ris, rx, radio, margin, mode)
+    wavenum = link.wavenum
+    e_x_t, e_y_t = _panel_phasors(ris, ris.axis_x, ris.axis_y, link.u_ti[0],
+                                  wavenum)
+    e_x_r, e_y_r = _panel_phasors(ris, ris.axis_x, ris.axis_y, link.u_ir[0],
+                                  wavenum)
     a_vec = np.outer(e_y_t, e_x_t).ravel()   # exp(j*k*Delta d^T_{I,q})
     c_vec = np.outer(e_y_r, e_x_r).ravel()   # exp(j*k*Delta d^R_{I,q})
     d_vec = c_vec * a_vec
-    phase_ti = complex(np.exp(1j * wavenum * angles.d_ti))
-    phase_ir = complex(np.exp(1j * wavenum * angles.d_ir))
+    a_tir = float(link.a_tir[0])
+    b_vec = link.b_vec[0]
+    phase_ti = complex(np.exp(1j * wavenum * link.d_ti[0]))
+    phase_ir = complex(np.exp(1j * wavenum * link.d_ir[0]))
 
     h_ti = a_tir * phase_ti * np.outer(a_vec, b_vec)
     h_ir = phase_ir * c_vec
@@ -287,7 +356,7 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
 
 def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
                    radio: RadioParams, theta: np.ndarray, v: np.ndarray, *,
-                   mode: str = "warn") -> float:
+                   poses: PanelPoses | None = None, mode: str = "warn"):
     """Received power of the far-field RIS link in watts, built from the
     rank-one factors without the L x N channel.
 
@@ -295,10 +364,15 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
     as a_TIR^2 * |theta . d_vec|^2 * |b_vec . v|^2, where
     theta . d_vec = e_y @ theta.reshape(rows, cols) @ e_x for the panel
     phasors toward u_TI + u_IR.  That takes rows + cols + N exponentials and
-    O(L + N) arithmetic.  `mode` is the far-field policy of farfield_channel,
-    checked at margin 1.  `experiments.robustness` passes "off" for now; the
-    parameter is there for it to pass the scene's `far_field_mode` once the
-    robustness study honours --strict-far-field.
+    O(L + N) arithmetic.
+
+    With `poses` the grid of `ris` is evaluated at each of the P poses in
+    one array program and the result is a (P,) array; a pose whose panel
+    does not see both ends gets 0 W.  Without it the result is the float
+    power of `ris` itself, and such a panel raises ShadowedPanel as
+    farfield_channel does.  `mode` is the far-field policy of
+    farfield_channel, checked at margin 1 on every pose: "strict" raises
+    if any pose fails and "warn" warns once.
     """
     theta = np.asarray(theta)
     v = np.asarray(v)
@@ -306,13 +380,10 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
         raise DimensionMismatch(f"theta must have length {ris.count}")
     if v.shape != (tx.count,):
         raise DimensionMismatch(f"v must have length {tx.count}")
-    rx = np.asarray(rx_position, dtype=float)
-    _, a_tir, wavenum, u_ti, u_ir, b_vec = _farfield_link(
-        tx, ris, rx, radio, 1.0, mode)
-
-    e_x, e_y = _panel_phasors(ris, u_ti + u_ir, wavenum)
-    theta_d = e_y @ theta.reshape(ris.rows, ris.cols) @ e_x
-    return float(a_tir**2 * abs(theta_d)**2 * abs(b_vec @ v)**2)
+    link = _farfield_link(tx, ris, rx_position, radio, 1.0, mode, poses)
+    power = (link.a_tir**2 * np.abs(_theta_dot_d(ris, link, theta))**2
+             * np.abs(link.b_vec @ v)**2)
+    return float(power[0]) if poses is None else power
 
 
 def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,

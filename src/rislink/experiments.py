@@ -12,8 +12,8 @@ from . import __version__
 from .config import SceneConfig, watts_to_dbm
 from .em import (RadioParams, exact_channel, farfield_channel, farfield_power,
                  friis_amplitude, received_power, tir_delta)
-from .errors import ShadowedPanel
-from .geometry import RisPanel, TransmitterArray, UlaLayout, far_field_check
+from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
+                       _norm, far_field_check)
 from .placement import optimal_orientation
 from .solvers import (anti_decay_design, closed_form_predicted_power,
                       closed_form_solution, power_upper_bound, svd_solution,
@@ -68,31 +68,42 @@ def _ula_at(cfg: SceneConfig, center, axis) -> TransmitterArray:
                             element_gain=cfg.tx_gain)
 
 
+_EX, _EY, _EZ = np.eye(3)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / _norm(v)[..., None]
+
+
+def _reject(v: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """v less its component along n, v - (v . n) * n, row by row."""
+    return v - np.vecdot(v, n)[..., None] * n
+
+
 def specular_frame(position, tx_center, rx_position):
     """Orthonormal panel frame whose normal bisects the T and R directions,
-    i.e. the specular-reflection (optimal) orientation."""
+    i.e. the specular-reflection (optimal) orientation.
+
+    `position` is one point (3,) or a stack of P points (P, 3); normal,
+    axis_x and axis_y come back in the same shape, and each row of a stack
+    has the bits of its one-point frame.
+    """
     p = np.asarray(position, dtype=float)
-    u_t = np.asarray(tx_center, dtype=float) - p
-    u_t = u_t / np.linalg.norm(u_t)
-    u_r = np.asarray(rx_position, dtype=float) - p
-    u_r = u_r / np.linalg.norm(u_r)
+    u_t = _unit(np.asarray(tx_center, dtype=float) - p)
+    u_r = _unit(np.asarray(rx_position, dtype=float) - p)
     normal = u_t + u_r
-    nn = np.linalg.norm(normal)
-    if nn < 1e-12:
-        # T and R exactly opposite: any normal in the bisecting plane works
-        normal = np.array([0.0, 0.0, 1.0]) if abs(u_t[2]) < 0.9 \
-            else np.array([1.0, 0.0, 0.0])
-        normal = normal - np.dot(normal, u_t) * u_t
-    else:
-        normal = normal / nn
-    ax = u_t - np.dot(u_t, normal) * normal
-    if np.linalg.norm(ax) < 1e-12:
-        ax = np.array([1.0, 0.0, 0.0]) \
-            if abs(normal[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        ax = ax - np.dot(ax, normal) * normal
-    ax = ax / np.linalg.norm(ax)
-    ay = np.cross(normal, ax)
-    return normal / np.linalg.norm(normal), ax, ay / np.linalg.norm(ay)
+    nn = _norm(normal)[..., None]
+    # T and R exactly opposite: any normal in the bisecting plane works
+    opposite = nn < 1e-12
+    seed = np.where(np.abs(u_t[..., 2:]) < 0.9, _EZ, _EX)
+    normal = np.where(opposite, _reject(seed, u_t),
+                      normal / np.where(opposite, 1.0, nn))
+    ax = _reject(u_t, normal)
+    # T and R both along the normal: any in-plane axis works
+    flat = _norm(ax)[..., None] < 1e-12
+    seed = np.where(np.abs(normal[..., :1]) < 0.9, _EX, _EY)
+    ax = _unit(np.where(flat, _reject(seed, normal), ax))
+    return _unit(normal), ax, _unit(np.cross(normal, ax))
 
 
 def equilateral_scene(cfg: SceneConfig, d: float):
@@ -249,29 +260,34 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     positions.
 
     Only the beamformer and phase shifts are estimated; the panel keeps the
-    (locally known) specular orientation at its true position.
+    (locally known) specular orientation at its true position.  A true
+    position where the panel does not see both ends receives 0 W.  Under
+    far_field_mode "strict" a true position that fails the far-field check
+    is an error; otherwise the map is evaluated with the check off.
     """
     radio = _radio(cfg)
     sw = cfg.sweeps
     tx, rx = plane_endpoints(cfg)
     assumed = np.array([0.0, 0.0, 0.0])
-    frame = specular_frame(assumed, tx.center, rx)
-    ris_assumed = _panel_at(cfg, assumed, frame)
-    est = closed_form_solution(tx, ris_assumed, rx, radio)
+    ris = _panel_at(cfg, assumed, specular_frame(assumed, tx.center, rx))
+    est = closed_form_solution(tx, ris, rx, radio)
+    mode = "strict" if cfg.far_field_mode == "strict" else "off"
 
     offs = np.linspace(-sw.robustness_extent, sw.robustness_extent,
                        sw.robustness_points)
     x, y = (g.ravel() for g in np.meshgrid(offs, offs))  # y outer, x inner
-    est_power = np.empty(len(x))
-    for i, (dx, dy) in enumerate(zip(x.tolist(), y.tolist())):
-        true_pos = np.array([dx, dy, 0.0])
-        ris_true = _panel_at(cfg, true_pos,
-                             specular_frame(true_pos, tx.center, rx))
-        try:
-            est_power[i] = farfield_power(tx, ris_true, rx, radio,
-                                          est.theta, est.v, mode="off")
-        except ShadowedPanel:
-            est_power[i] = 0.0
+
+    def row_power(dy: float) -> np.ndarray:
+        centers = np.stack([offs, np.full_like(offs, dy),
+                            np.zeros_like(offs)], axis=1)
+        poses = PanelPoses(centers,
+                           *specular_frame(centers, tx.center, rx))
+        return farfield_power(tx, ris, rx, radio, est.theta, est.v,
+                              poses=poses, mode=mode)
+
+    # one grid row (fixed y, every x) per call, as in sweep_plane: one call
+    # for the whole grid raised the paper-scale peak memory by about 30 %
+    est_power = np.concatenate([row_power(dy) for dy in offs.tolist()])
     ideal = _plane_point_power(cfg, x, y)["ris"]
     dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
     return SweepResult(kind="robustness",

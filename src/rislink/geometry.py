@@ -28,11 +28,34 @@ def _as_vec3(v) -> Vec3:
     return a
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis.  `np.vecdot` takes the same BLAS
+    dot as `np.linalg.norm` of one vector, so a (3,) vector and each row of
+    a (P, 3) stack give the same bits."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def _check_unit(v: Vec3, name: str) -> Vec3:
     v = _as_vec3(v)
     if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
         raise DomainError(f"{name} must be unit-norm within {_UNIT_TOL}")
     return v
+
+
+def _check_frame(normal: np.ndarray, axis_x: np.ndarray,
+                 axis_y: np.ndarray) -> None:
+    """Check one panel frame (3,) or a stack of them (P, 3): unit norm and
+    pairwise orthogonality within _UNIT_TOL."""
+    for v, name in ((normal, "normal"), (axis_x, "axis_x"),
+                    (axis_y, "axis_y")):
+        if np.any(np.abs(_norm(v) - 1.0) > _UNIT_TOL):
+            raise DomainError(f"panel {name} must be unit-norm within "
+                              f"{_UNIT_TOL}")
+    for a, b, nm in ((normal, axis_x, "normal/axis_x"),
+                     (normal, axis_y, "normal/axis_y"),
+                     (axis_x, axis_y, "axis_x/axis_y")):
+        if np.any(np.abs(np.vecdot(a, b)) > _UNIT_TOL):
+            raise DomainError(f"panel frame not orthogonal: {nm}")
 
 
 @dataclass(frozen=True)
@@ -123,13 +146,9 @@ class RisPanel:
             raise DomainError("panel rows and cols must be >= 1")
         if self.d_x <= 0 or self.d_y <= 0:
             raise DomainError("element sizes must be > 0")
-        n = _check_unit(self.normal, "panel normal")
-        ax = _check_unit(self.axis_x, "panel axis_x")
-        ay = _check_unit(self.axis_y, "panel axis_y")
-        for a, b, nm in ((n, ax, "normal/axis_x"), (n, ay, "normal/axis_y"),
-                         (ax, ay, "axis_x/axis_y")):
-            if abs(np.dot(a, b)) > _UNIT_TOL:
-                raise DomainError(f"panel frame not orthogonal: {nm}")
+        n, ax, ay = (_as_vec3(v) for v in (self.normal, self.axis_x,
+                                            self.axis_y))
+        _check_frame(n, ax, ay)
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "axis_x", ax)
         object.__setattr__(self, "axis_y", ay)
@@ -141,6 +160,38 @@ class RisPanel:
     @property
     def count(self) -> int:
         return self.rows * self.cols
+
+
+@dataclass(frozen=True)
+class PanelPoses:
+    """P rigid poses of one panel grid: the centers and the orthonormal
+    frames (normal, in-plane x, in-plane y), each a (P, 3) array, checked
+    like the frame of a RisPanel."""
+
+    center: np.ndarray
+    normal: np.ndarray
+    axis_x: np.ndarray
+    axis_y: np.ndarray
+
+    def __post_init__(self):
+        arrays = [np.asarray(getattr(self, name), dtype=float)
+                  for name in ("center", "normal", "axis_x", "axis_y")]
+        shape = arrays[0].shape
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != 3:
+            raise DomainError(f"expected (P, 3) pose arrays, got {shape}")
+        if any(a.shape != shape for a in arrays):
+            raise DomainError("pose arrays disagree in shape")
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise DomainError("pose components must be finite")
+        _check_frame(*arrays[1:])
+        for name, a in zip(("center", "normal", "axis_x", "axis_y"), arrays):
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def of(cls, ris: RisPanel) -> PanelPoses:
+        """The panel's own pose, P = 1."""
+        return cls(center=ris.center[None], normal=ris.normal[None],
+                   axis_x=ris.axis_x[None], axis_y=ris.axis_y[None])
 
 
 @dataclass(frozen=True)
@@ -268,14 +319,23 @@ def far_field_check(tx: TransmitterArray, ris: RisPanel, rx_position,
     factor of two encodes the strict dominance.  `ratios` reports each
     left/right quotient (larger is safer).
     """
+    rx = _as_vec3(rx_position)
+    ratios = far_field_ratios(tx, ris,
+                              float(np.linalg.norm(tx.center - ris.center)),
+                              float(np.linalg.norm(rx - ris.center)), margin)
+    return FarFieldCheck(ok=all(r >= 1.0 for r in ratios), ratios=ratios)
+
+
+def far_field_ratios(tx: TransmitterArray, ris: RisPanel, d_ti, d_ir,
+                     margin: float = 1.0):
+    """The three quotients of far_field_check at the hop distances d_TI and
+    d_IR (floats, or arrays of P panel poses that broadcast):
+    d_TI / (2 * margin * N * spacing), d_TI / (2 * margin * L * hypot(d_x,
+    d_y)) and d_IR / (2 * margin * L * hypot(d_x, d_y)).  The conditions
+    hold where all three are >= 1."""
     if margin < 1.0:
         raise DomainError("margin must be >= 1")
-    rx = _as_vec3(rx_position)
-    d_ti = float(np.linalg.norm(tx.center - ris.center))
-    d_ir = float(np.linalg.norm(rx - ris.center))
     panel_scale = ris.count * float(np.hypot(ris.d_x, ris.d_y))
-    r1 = d_ti / (_STRICTNESS * margin * _tx_aperture_scale(tx))
-    r2 = d_ti / (_STRICTNESS * margin * panel_scale)
-    r3 = d_ir / (_STRICTNESS * margin * panel_scale)
-    return FarFieldCheck(ok=(r1 >= 1.0 and r2 >= 1.0 and r3 >= 1.0),
-                         ratios=(r1, r2, r3))
+    return (d_ti / (_STRICTNESS * margin * _tx_aperture_scale(tx)),
+            d_ti / (_STRICTNESS * margin * panel_scale),
+            d_ir / (_STRICTNESS * margin * panel_scale))

@@ -10,9 +10,9 @@ from enum import Enum
 
 import numpy as np
 
-from .em import (ChannelSet, RadioParams, _direction, _offsets_along,
-                 _panel_phasors, amplitude_gain_tir, farfield_channel,
-                 received_power)
+from .em import (ChannelSet, RadioParams, _direction, _farfield_link,
+                 _offsets_along, _panel_phasors, _theta_dot_d,
+                 amplitude_gain_tir, direct_channel, received_power)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import (LinkAngles, RisPanel, TransmitterArray, UlaLayout,
                        antenna_positions, link_angles)
@@ -71,7 +71,8 @@ def closed_form_phases(tx: TransmitterArray, ris: RisPanel, rx_position,
     the conjugate of the channel's two-hop element phasor d_vec, the panel
     phasors toward u_TI + u_IR."""
     u = _direction(ris.center, tx.center) + _direction(ris.center, rx_position)
-    e_x, e_y = _panel_phasors(ris, u, 2 * np.pi / wavelength)
+    e_x, e_y = _panel_phasors(ris, ris.axis_x, ris.axis_y, u,
+                              2 * np.pi / wavelength)
     return np.conj(np.outer(e_y, e_x).ravel())
 
 
@@ -168,18 +169,27 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                       mode: str = "warn") -> Solution:
     """Two-path closed-form design: the RIS-only phases rotated by the
     constant offset of two_path_terms, which phase-aligns the RIS path with
-    the direct path, and an MRT beamformer against the assembled far-field
-    effective channel."""
+    the direct path, and an MRT beamformer against the far-field effective
+    channel row.
+
+    The row is formed from the rank-one factors in O(L + N), with no L x N
+    channel: a_TIR * exp(j*k*(d_TI + d_IR)) * (theta . d_vec) * b_vec + h_TR
+    with the far-field direct row h_TR.  `mode` is the far-field policy of
+    farfield_channel.
+    """
     angles = link_angles(tx, ris, rx_position)
     gain = amplitude_gain_tir(angles, tx, ris, radio)
     terms = two_path_terms(angles, tx, radio.wavelength)
     theta = (closed_form_phases(tx, ris, rx_position, radio.wavelength)
              * np.exp(1j * terms.phase_offset))
-    channels, _ = farfield_channel(tx, ris, rx_position, radio, direct=True,
-                                   margin=margin, mode=mode)
-    row = (channels.h_ir * theta) @ channels.h_ti + channels.h_tr
+    link = _farfield_link(tx, ris, rx_position, radio, margin, mode)
+    h_tr = direct_channel(tx, rx_position, radio, farfield=True)
+    ris_amp = (gain.amplitude
+               * np.exp(1j * link.wavenum * (angles.d_ti + angles.d_ir))
+               * _theta_dot_d(ris, link, theta)[0])
+    row = ris_amp * link.b_vec[0] + h_tr
     v = mrt_beamforming(row, radio.tx_power)
-    a_tr = float(np.abs(channels.h_tr[0]))
+    a_tr = float(np.abs(h_tr[0]))
     predicted = two_path_power_closed_form(gain.amplitude, a_tr, terms.o,
                                            tx.count, ris.count,
                                            radio.tx_power)

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,9 +11,9 @@ from rislink.em import (ChannelSet, RadioParams, _offsets_along,
                         received_power)
 from rislink.errors import (DimensionMismatch, DomainError, FarFieldViolation,
                             FarFieldWarning, ShadowedPanel)
-from rislink.geometry import (RisPanel, TransmitterArray, UlaLayout,
-                              UpaLayout, antenna_positions, element_positions,
-                              link_angles)
+from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
+                              UlaLayout, UpaLayout, antenna_positions,
+                              element_positions, link_angles)
 
 from test_geometry import EX, EY, EZ, make_panel, make_ula
 
@@ -347,3 +350,103 @@ def test_farfield_power_applies_far_field_policy():
         farfield_power(tx, ris, rx, RADIO, theta, v, mode="warn")
     with pytest.raises(DomainError):
         farfield_power(tx, ris, rx, RADIO, theta, v, mode="loud")
+
+
+def test_farfield_power_applies_far_field_policy_across_poses():
+    """Over a stack of poses, "strict" raises if any pose fails the check,
+    "warn" warns once for all failing poses and "off" checks nothing."""
+    tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
+    ris = make_panel(rows=20, cols=20)
+    rx = np.array([5.0, 0.0, 5.0])
+    theta = np.ones(ris.count, dtype=complex)
+    v = np.ones(2, dtype=complex)
+
+    def poses(*heights):
+        z = np.array(heights, dtype=float)
+        centers = np.stack([np.zeros_like(z), np.zeros_like(z), z], axis=1)
+        return PanelPoses(centers, *(np.tile(a, (len(z), 1))
+                                     for a in (EZ, EX, EY)))
+
+    far = poses(-20.0, -30.0)      # d_TI >= 25 m > 2 * L * hypot(d_x, d_y)
+    mixed = poses(-20.0, 0.0, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FarFieldWarning)
+        power = farfield_power(tx, ris, rx, RADIO, theta, v, poses=far,
+                               mode="strict")
+    assert power.shape == (2,) and np.all(power > 0.0)
+    with pytest.raises(FarFieldViolation, match="2 of 3 poses"):
+        farfield_power(tx, ris, rx, RADIO, theta, v, poses=mixed,
+                       mode="strict")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warned = farfield_power(tx, ris, rx, RADIO, theta, v, poses=mixed,
+                                mode="warn")
+    assert [w.category for w in caught] == [FarFieldWarning]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FarFieldWarning)
+        off = farfield_power(tx, ris, rx, RADIO, theta, v, poses=mixed,
+                             mode="off")
+    assert np.array_equal(warned, off)
+
+
+def test_panel_poses_are_checked_like_a_panel_frame():
+    _, ris, _ = equilateral(200.0)
+    one = PanelPoses.of(ris)
+    assert one.center.shape == (1, 3)
+    assert np.array_equal(one.normal, ris.normal[None])
+    frame = dict(normal=one.normal, axis_x=one.axis_x, axis_y=one.axis_y)
+    with pytest.raises(DomainError, match="unit-norm"):
+        PanelPoses(one.center, **{**frame, "normal": 2 * one.normal})
+    with pytest.raises(DomainError, match="orthogonal"):
+        PanelPoses(one.center, **{**frame, "axis_x": one.axis_y})
+    with pytest.raises(DomainError):
+        PanelPoses(one.center[0], **frame)                  # not (P, 3)
+    with pytest.raises(DomainError):
+        PanelPoses(np.zeros((2, 3)), **frame)               # P disagrees
+    with pytest.raises(DomainError):
+        PanelPoses(np.full((1, 3), np.nan), **frame)
+
+
+def random_poses(rng, ris, count):
+    """`count` poses of the panel: centers within 2 m of its own, the first
+    half in its own frame and the rest in random frames, and last its own
+    pose facing away, so that T and R are behind it."""
+    own = [(ris.normal, ris.axis_x, ris.axis_y)] * ((count + 1) // 2)
+    frames = own + [_frame(rng) for _ in range(count // 2)]
+    frames.append((-ris.normal, ris.axis_x, -ris.axis_y))
+    centers = ris.center + rng.uniform(-2.0, 2.0, (count + 1, 3))
+    centers[-1] = ris.center
+    return PanelPoses(centers, *(np.array(a) for a in zip(*frames)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**scene_args)
+@example(rows=2, cols=5, upa=False, seed=1)
+@example(rows=4, cols=1, upa=True, seed=2)
+def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
+                                                         seed):
+    """Each pose of a stack gives the dense far-field evaluation of the
+    panel at that pose, to the tolerance of
+    test_farfield_power_matches_dense_channel; a pose whose panel does not
+    see both ends gives 0 W, where the dense channel raises ShadowedPanel."""
+    tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
+    theta, v = random_design(rng, ris, tx, radio.tx_power)
+    poses = random_poses(rng, ris, 6)
+    power = farfield_power(tx, ris, rx, radio, theta, v, poses=poses,
+                           mode="off")
+    assert power.shape == (len(poses.center),)
+    assert power[-1] == 0.0
+    for i, p in enumerate(power.tolist()):
+        panel = replace(ris, center=poses.center[i], normal=poses.normal[i],
+                        axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
+        try:
+            channels, fac = farfield_channel(tx, panel, rx, radio,
+                                             mode="off")
+        except ShadowedPanel:
+            assert p == 0.0
+            continue
+        dense = received_power(channels, theta, v)
+        scale = fac.a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
+        assert abs(p - dense) <= 1e-12 * max(dense, scale)
+        if dense >= 1e-6 * scale:
+            assert abs(p - dense) <= 1e-12 * dense

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from rislink import experiments
 from rislink.config import load_config, watts_to_dbm
 from rislink.em import RadioParams, farfield_channel, received_power
-from rislink.errors import ShadowedPanel
+from rislink.errors import FarFieldViolation, ShadowedPanel
 from rislink.experiments import (_panel_at, analytic_point_power,
                                  equilateral_scene, plane_endpoints,
                                  robustness, solve, specular_frame,
@@ -12,6 +13,8 @@ from rislink.geometry import link_angles
 from rislink.solvers import closed_form_solution
 
 from dataclasses import replace
+
+from test_geometry import EX, EY, EZ
 
 
 def small_cfg(**kw):
@@ -41,6 +44,48 @@ def test_specular_frame_is_orthonormal_and_bisecting():
 def _unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def test_specular_frame_stack_equals_one_point_frames():
+    """A (P, 3) stack of positions gives each row's one-point frame bit for
+    bit.  Regular rows are mixed with both degenerate branches: T and R
+    exactly opposite (the normal is taken from z, or from x when T is
+    overhead), and T and R on one ray from the panel (the in-plane axis is
+    taken from x, or from y when the normal is along x)."""
+    rng = np.random.default_rng(11)
+    horizontal = (np.array([0.0, 0.0, 80.0]), np.array([200.0, 0.0, 80.0]))
+    vertical = (np.array([0.0, 0.0, 10.0]), np.array([0.0, 0.0, -10.0]))
+    stacks = [
+        (horizontal, [[100.0, 0.0, 80.0],    # opposite: normal from z
+                      [300.0, 0.0, 80.0],    # one ray, normal -x: axis y
+                      [37.5, 0.0, 80.0],     # opposite
+                      [-50.0, 0.0, 80.0]]),  # one ray, normal +x: axis y
+        (vertical, [[0.0, 0.0, 0.0],         # opposite, T overhead: from x
+                    [0.0, 0.0, 30.0],        # one ray, normal -z: axis x
+                    [0.0, 0.0, 3.0]]),       # opposite
+    ]
+    expected = {(100.0, 0.0, 80.0): (EZ, None), (300.0, 0.0, 80.0): (-EX, EY),
+                (-50.0, 0.0, 80.0): (EX, EY), (0.0, 0.0, 0.0): (EX, None),
+                (0.0, 0.0, 30.0): (-EZ, EX)}
+    for (t, r), special in stacks:
+        rows = np.array([p for pair in zip(rng.uniform(-20, 20, (4, 3)),
+                                           special) for p in pair])
+        stack = specular_frame(rows, t, r)
+        assert all(a.shape == rows.shape for a in stack)
+        for i, p in enumerate(rows):
+            one = specular_frame(p, t, r)
+            for a, b in zip(stack, one):
+                assert b.shape == (3,)
+                assert np.array_equal(a[i], b)
+            normal, ax, ay = one
+            for u, w in ((normal, ax), (normal, ay), (ax, ay)):
+                assert abs(np.dot(u, w)) < 1e-12
+            want_normal, want_ax = expected.get(tuple(p), (None, None))
+            if want_normal is not None:
+                assert np.array_equal(normal, want_normal)
+            if want_ax is not None:
+                assert np.array_equal(ax, want_ax)
+
 
 
 def test_equilateral_scene_angles():
@@ -151,6 +196,45 @@ def test_robustness_matches_dense_channel_evaluation():
                                               rel=1e-12, abs=1e-12)
         assert deviation == pytest.approx(abs(dense - ideal)
                                           / max(dense, ideal), abs=1e-12)
+
+
+def test_robustness_batches_poses_by_grid_row(monkeypatch):
+    """The map is evaluated one grid row per farfield_power call, with one
+    RisPanel (the assumed pose) and no panel per point."""
+    calls = {"panel": 0, "power": 0}
+    panel, power = experiments.RisPanel, experiments.farfield_power
+
+    def counted_panel(*args, **kwargs):
+        calls["panel"] += 1
+        return panel(*args, **kwargs)
+
+    def counted_power(*args, **kwargs):
+        calls["power"] += 1
+        return power(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "RisPanel", counted_panel)
+    monkeypatch.setattr(experiments, "farfield_power", counted_power)
+    sweeps = replace(small_cfg().sweeps, robustness_points=7)
+    res = robustness(replace(small_cfg(), sweeps=sweeps))
+    assert len(res) == 49
+    assert calls["panel"] <= 1
+    assert calls["power"] <= 7
+
+
+def test_robustness_honours_strict_far_field():
+    """Under far_field_mode "strict" a true position that fails the
+    far-field check is an error; a scene that passes it writes the same
+    map as without the check."""
+    cfg = small_cfg()
+    strict = robustness(replace(cfg, far_field_mode="strict"))
+    loose = robustness(cfg)
+    for name in loose.header:
+        assert np.array_equal(strict.columns[name], loose.columns[name])
+    # the 100 x 100 panel needs d_TI >= 283 m; the map sits 80 m below T
+    big = replace(cfg, ris_rows=100, ris_cols=100)
+    with pytest.raises(FarFieldViolation):
+        robustness(replace(big, far_field_mode="strict"))
+    assert len(robustness(replace(big, far_field_mode="warn"))) == 25
 
 
 def test_solve_reports_all_methods():

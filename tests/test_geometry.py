@@ -4,7 +4,8 @@ import pytest
 from rislink.errors import DegenerateGeometry, DomainError
 from rislink.geometry import (RisPanel, TransmitterArray, UlaLayout, UpaLayout,
                               antenna_positions, element_positions,
-                              far_field_check, link_angles)
+                              far_field_check, far_field_ratios,
+                              link_angles)
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -129,6 +130,26 @@ def test_far_field_check_large_panel_fails_at_200m():
     rx = np.array([200.0, 0.0, 200.0])
     assert not far_field_check(tx, big, rx).ok
     assert far_field_check(tx, small, rx).ok
+
+
+def test_far_field_ratios_over_poses_match_far_field_check():
+    """Arrays of hop distances give, entry by entry, the ratios that
+    far_field_check reports for a panel at each distance."""
+    tx = make_ula(center=(0.0, 0.0, 200.0), count=16, spacing=0.0143)
+    ris = make_panel(rows=100, cols=100)
+    rx = np.array([200.0, 0.0, 200.0])
+    heights = [-500.0, 0.0, 150.0]
+    panels = [make_panel(center=(0.0, 0.0, z), rows=100, cols=100)
+              for z in heights]
+    d_ti = np.array([np.linalg.norm(tx.center - p.center) for p in panels])
+    d_ir = np.array([np.linalg.norm(rx - p.center) for p in panels])
+    ratios = np.stack(far_field_ratios(tx, ris, d_ti, d_ir), axis=1)
+    for row, panel in zip(ratios, panels):
+        chk = far_field_check(tx, panel, rx)
+        assert tuple(row.tolist()) == chk.ratios
+        assert bool(np.all(row >= 1.0)) == chk.ok
+    assert far_field_check(tx, panels[0], rx).ok
+    assert not far_field_check(tx, panels[2], rx).ok
 
 
 def _random_scene(rng):

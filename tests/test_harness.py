@@ -208,6 +208,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cli_robustness_strict_far_field(tmp_path, capsys):
+    """`robustness --strict-far-field` exits 2 where a perturbed position
+    fails the far-field check (the 100 x 100 panel, 80 m from T) and writes
+    nothing; the 20 x 20 panel passes and writes the map."""
+    out = tmp_path / "paper"
+    assert main(["robustness", "--paper-scale", "--strict-far-field",
+                 "--grid", "3", "--out", str(out)]) == 2
+    assert "far-field conditions fail" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["robustness", "--strict-far-field", "--grid", "3",
+                 "--out", str(tmp_path / "default")]) == 0
+
+
 def test_cli_rejects_removed_seed_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--seed", "1"])

@@ -105,12 +105,21 @@ def test_closed_form_frozen_regression_value():
                                                 rel=1e-12)
 
 
-def test_closed_form_dominates_random_designs():
-    tx, ris, rx = equilateral(150.0, rows=2, cols=3, count=3)
-    channels, _ = farfield_channel(tx, ris, rx, RADIO)
-    sol = closed_form_solution(tx, ris, rx, RADIO)
+# the scene strategy of test_bound_is_at_least_every_design as one value,
+# (tx, ris, rx, radio), so that a fixed scene can be given as an @example
+scenes = st.builds(lambda **kw: random_scene(**kw)[:4], **scene_args)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scene=scenes)
+@example(scene=(*equilateral(150.0, rows=2, cols=3, count=3), RADIO))
+def test_closed_form_dominates_random_designs(scene):
+    tx, ris, rx, radio = scene
+    channels, _ = farfield_channel(tx, ris, rx, radio, mode="off")
+    sol = closed_form_solution(tx, ris, rx, radio)
     best = received_power(channels, sol.theta, sol.v)
-    for theta, v in random_feasible_solutions((6, 3), P_T, 500, seed=5):
+    for theta, v in random_feasible_solutions((ris.count, tx.count),
+                                              radio.tx_power, 500, seed=5):
         assert received_power(channels, theta, v) <= best * (1 + 1e-9)
 
 
@@ -293,18 +302,41 @@ def test_leading_singular_pair_matches_dense_svd(l, n, rank, seed):
     assert u[idx].real > 0
 
 
-def test_svd_solution_matches_closed_form_on_farfield_channel():
-    tx, ris, rx = equilateral(200.0, rows=3, cols=3, count=4)
-    channels, _ = farfield_channel(tx, ris, rx, RADIO)
-    svd = svd_solution(channels, P_T)
-    closed = closed_form_solution(tx, ris, rx, RADIO)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scene=scenes)
+@example(scene=(*equilateral(200.0, rows=3, cols=3, count=4), RADIO))
+def test_svd_solution_matches_closed_form_on_farfield_channel(scene):
+    tx, ris, rx, radio = scene
+    p_t = radio.tx_power
+    channels, _ = farfield_channel(tx, ris, rx, radio, mode="off")
+    svd = svd_solution(channels, p_t)
+    closed = closed_form_solution(tx, ris, rx, radio)
     p_closed = received_power(channels, closed.theta, closed.v)
     assert svd.predicted_power == pytest.approx(p_closed, rel=1e-9)
     # rank-one channel: the projected solution attains the bound exactly
     assert svd.predicted_power == pytest.approx(
-        power_upper_bound(channels, P_T), rel=1e-9)
+        power_upper_bound(channels, p_t), rel=1e-9)
     np.testing.assert_allclose(np.abs(svd.theta), 1.0, atol=1e-12)
-    assert np.vdot(svd.v, svd.v).real <= P_T * (1 + 1e-9)
+    assert np.vdot(svd.v, svd.v).real <= p_t * (1 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=scene_args["rows"], cols=scene_args["cols"],
+       seed=scene_args["seed"])
+@example(rows=2, cols=2, seed=0)
+def test_two_path_row_matches_dense_farfield_channel(rows, cols, seed):
+    """The two-path MRT row formed from the rank-one factors equals the row
+    (h_ir * theta) @ h_ti + h_tr of the dense far-field channel, so the
+    beamformer is the MRT of that row."""
+    tx, ris, rx, radio, _ = random_scene(rows, cols, False, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmbiguousSignWarning)
+        sol = two_path_solution(tx, ris, rx, radio, mode="off")
+    channels, _ = farfield_channel(tx, ris, rx, radio, direct=True,
+                                   mode="off")
+    row = (channels.h_ir * sol.theta) @ channels.h_ti + channels.h_tr
+    np.testing.assert_allclose(sol.v, mrt_beamforming(row, radio.tx_power),
+                               rtol=0, atol=1e-12 * np.sqrt(radio.tx_power))
 
 
 def test_solution_ordering_near_field():
