@@ -145,7 +145,11 @@ def load_config(path: str | Path | None = None, *,
             raise ConfigError(f"config file not found: {p}")
         text = p.read_text()
     try:
-        raw = yaml.safe_load(text)
+        # libyaml's safe loader where PyYAML was built with it: the same
+        # dicts and YAMLError subclasses as the pure-Python SafeLoader, and
+        # about 5x faster on the bundled profile
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                             yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

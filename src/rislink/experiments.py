@@ -173,6 +173,16 @@ def _plane_hops(cfg: SceneConfig, x, y):
             np.sqrt((x - cfg.d_tr)**2 + y**2 + h**2))
 
 
+def _check_plane_far_field(cfg: SceneConfig, x, y) -> None:
+    """Raise FarFieldViolation if the configured panel at a point (x, y) of
+    plane S (arrays) fails the far-field check, between the endpoints of
+    plane_endpoints."""
+    tx, _ = plane_endpoints(cfg)
+    panel = _panel_at(cfg, np.zeros(3), (_EZ, _EX, _EY))
+    _enforce_far_field(tx, panel, *_plane_hops(cfg, x, y), margin=1.0,
+                       mode="strict")
+
+
 def _plane_point_power(cfg: SceneConfig, x, y) -> dict:
     """analytic_point_power with the RIS at (x, y) on plane S, between the
     endpoints of plane_endpoints."""
@@ -230,17 +240,13 @@ def sweep_plane(cfg: SceneConfig) -> SweepResult:
     ys = np.linspace(sw.plane_y[0], sw.plane_y[1], sw.plane_points)
     x, y = np.tile(xs, len(ys)), np.repeat(ys, len(xs))  # y outer, x inner
     strict = cfg.far_field_mode == "strict"
-    if strict:
-        tx, _ = plane_endpoints(cfg)
-        panel = _panel_at(cfg, np.zeros(3), (_EZ, _EX, _EY))
     # the model is elementwise: blocks of _BLOCK_ROWS points give the bits
     # of one whole-grid call and keep the temporaries small
     blocks = []
     for start in range(0, len(x), _BLOCK_ROWS):
         xb, yb = x[start:start + _BLOCK_ROWS], y[start:start + _BLOCK_ROWS]
         if strict:
-            _enforce_far_field(tx, panel, *_plane_hops(cfg, xb, yb),
-                               margin=1.0, mode="strict")
+            _check_plane_far_field(cfg, xb, yb)
         blocks.append(_plane_point_power(cfg, xb, yb))
     p = {key: np.concatenate([q[key] for q in blocks]) for key in blocks[0]}
     columns = {"x_m": x, "y_m": y, "ris_dbm": watts_to_dbm(p["ris"])}
@@ -255,7 +261,11 @@ def sweep_plane(cfg: SceneConfig) -> SweepResult:
 
 def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
     """Wavelength sweep with the fix-area anti-decay panel design; RIS fixed
-    at R' on plane S."""
+    at R' on plane S.
+
+    Under far_field_mode "strict" a wavelength whose panel fails the
+    far-field check at R' is an error; otherwise no check runs.
+    """
     sw = cfg.sweeps
     lam_hi = sw.wavelength_max
     lam_lo = lam_hi / 2.0 ** sw.wavelength_octaves
@@ -263,13 +273,16 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
     designs = [anti_decay_design(lam, "fix_area", sw.element_ratio,
                                  total_area=sw.total_area)
                for lam in lams.tolist()]
+    scenes = [replace(cfg, wavelength=lam, ris_rows=design.rows,
+                      ris_cols=design.cols, element_size_x=design.d_x,
+                      element_size_y=design.d_y,
+                      spacing=cfg.spacing / cfg.wavelength * lam)
+              for lam, design in zip(lams.tolist(), designs)]
+    if cfg.far_field_mode == "strict":
+        for scene in scenes:
+            _check_plane_far_field(scene, np.array([cfg.d_tr]), np.zeros(1))
     # one model call per wavelength, since each has its own panel
-    points = [_plane_point_power(
-        replace(cfg, wavelength=lam, ris_rows=design.rows,
-                ris_cols=design.cols, element_size_x=design.d_x,
-                element_size_y=design.d_y,
-                spacing=cfg.spacing / cfg.wavelength * lam),
-        cfg.d_tr, 0.0) for lam, design in zip(lams.tolist(), designs)]
+    points = [_plane_point_power(scene, cfg.d_tr, 0.0) for scene in scenes]
     ris, direct, combined = (np.array([p[key] for p in points])
                              for key in ("ris", "direct", "combined"))
     return SweepResult(kind="line",
@@ -305,18 +318,10 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     offs = np.linspace(-sw.robustness_extent, sw.robustness_extent,
                        sw.robustness_points)
     x, y = (g.ravel() for g in np.meshgrid(offs, offs))  # y outer, x inner
-
-    def row_power(dy: float) -> np.ndarray:
-        centers = np.stack([offs, np.full_like(offs, dy),
-                            np.zeros_like(offs)], axis=1)
-        poses = PanelPoses(centers,
-                           *specular_frame(centers, tx.center, rx))
-        return farfield_power(tx, ris, rx, radio, est.theta, est.v,
-                              poses=poses, mode=mode)
-
-    # one grid row (fixed y, every x) per call, as in sweep_plane: one call
-    # for the whole grid raised the paper-scale peak memory by about 30 %
-    est_power = np.concatenate([row_power(dy) for dy in offs.tolist()])
+    centers = np.stack([x, y, np.zeros_like(x)], axis=1)
+    poses = PanelPoses(centers, *specular_frame(centers, tx.center, rx))
+    est_power = farfield_power(tx, ris, rx, radio, est.theta, est.v,
+                               poses=poses, mode=mode)
     ideal = _plane_point_power(cfg, x, y)["ris"]
     dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
     return SweepResult(kind="robustness",

@@ -187,7 +187,7 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     ris_amp = (gain.amplitude
                * np.exp(1j * link.wavenum * (angles.d_ti + angles.d_ir))
                * _theta_dot_d(ris, link, theta)[0])
-    row = ris_amp * link.b_vec[0] + h_tr
+    row = ris_amp * link.b_vec()[0] + h_tr
     v = mrt_beamforming(row, radio.tx_power)
     a_tr = float(np.abs(h_tr[0]))
     predicted = two_path_power_closed_form(gain.amplitude, a_tr, terms.o,

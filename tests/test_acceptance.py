@@ -260,7 +260,9 @@ def test_10_cli_experiments_deterministic(tmp_path):
 
 
 # golden file of each case whose name is not the command's CSV name
-_GOLDEN_NAMES = {("solve", "--direct-link"): "solve_direct_link.csv"}
+_GOLDEN_NAMES = {("solve", "--direct-link"): "solve_direct_link.csv",
+                 ("robustness", "--paper-scale", "--grid", "7"):
+                 "robustness_paper_scale.csv"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -270,14 +272,17 @@ _GOLDEN_NAMES = {("solve", "--direct-link"): "solve_direct_link.csv"}
     ("solve", "--paper-scale"),
     ("robustness", "--grid", "7"),
     ("solve", "--direct-link"),
+    ("robustness", "--paper-scale", "--grid", "7"),
 ])
 def test_10b_cli_analytic_studies_match_golden_csv(argv, tmp_path):
     """The studies reproduce the checked-in CSVs byte for byte.  tests/golden/
     holds the analytic model's studies (sweep-plane, sweep-wavelength) as
     written before the model took arrays, the exact-channel studies
     (sweep-distance, solve) as written before the per-axis distance planes,
-    the cached cascade and the Gram `eigh` kernel, and the robustness map
-    and the two-path solve as written before the studies built columns."""
+    the cached cascade and the Gram `eigh` kernel, the robustness map
+    and the two-path solve as written before the studies built columns, and
+    the paper-scale robustness map as written when it was evaluated one
+    grid row per far-field call."""
     from rislink.cli import main
     assert main([*argv, "--out", str(tmp_path)]) == 0
     name = argv[0].replace("-", "_") + ".csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rislink.em import (ChannelSet, RadioParams, _offsets_along,
+from rislink.em import (_POSE_BLOCK, ChannelSet, RadioParams, _offsets_along,
                         amplitude_gain_tir, direct_channel, exact_channel,
                         farfield_channel, farfield_power, radiation_pattern,
                         received_power)
@@ -450,3 +450,25 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
         assert abs(p - dense) <= 1e-12 * max(dense, scale)
         if dense >= 1e-6 * scale:
             assert abs(p - dense) <= 1e-12 * dense
+
+
+def test_farfield_power_pose_blocks_equal_row_groups():
+    """A stack of three full _POSE_BLOCK blocks and a partial one, its last
+    pose shadowed, gives the bits of the same poses evaluated 41 at a time,
+    the grid-row groups the robustness map used to call with."""
+    tx, ris, rx, radio, rng = random_scene(12, 10, False, 5)
+    theta, v = random_design(rng, ris, tx, radio.tx_power)
+    poses = random_poses(rng, ris, 3 * _POSE_BLOCK + 20)
+    count = len(poses.center)
+    assert count > 3 * _POSE_BLOCK and count % _POSE_BLOCK
+    whole = farfield_power(tx, ris, rx, radio, theta, v, poses=poses,
+                           mode="off")
+    groups = [farfield_power(tx, ris, rx, radio, theta, v,
+                             poses=PanelPoses(poses.center[s:s + 41],
+                                              poses.normal[s:s + 41],
+                                              poses.axis_x[s:s + 41],
+                                              poses.axis_y[s:s + 41]),
+                             mode="off")
+              for s in range(0, count, 41)]
+    assert whole[-1] == 0.0 and np.count_nonzero(whole) > count // 2
+    assert np.array_equal(whole, np.concatenate(groups))

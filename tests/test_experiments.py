@@ -199,8 +199,8 @@ def test_robustness_matches_dense_channel_evaluation():
                                           / max(dense, ideal), abs=1e-12)
 
 
-def test_robustness_batches_poses_by_grid_row(monkeypatch):
-    """The map is evaluated one grid row per farfield_power call, with one
+def test_robustness_evaluates_grid_in_one_call(monkeypatch):
+    """The whole map is evaluated in one farfield_power call, with one
     RisPanel (the assumed pose) and no panel per point."""
     calls = {"panel": 0, "power": 0}
     panel, power = experiments.RisPanel, experiments.farfield_power
@@ -219,7 +219,7 @@ def test_robustness_batches_poses_by_grid_row(monkeypatch):
     res = robustness(replace(small_cfg(), sweeps=sweeps))
     assert len(res) == 49
     assert calls["panel"] <= 1
-    assert calls["power"] <= 7
+    assert calls["power"] == 1
 
 
 def test_robustness_honours_strict_far_field():

@@ -42,6 +42,20 @@ def test_default_config_loads_and_validates():
     assert len(cfg.config_hash) == 64
 
 
+def test_config_loads_without_libyaml(monkeypatch, tmp_path):
+    """Without PyYAML's libyaml loader the pure-Python SafeLoader loads the
+    bundled profile to the same SceneConfig, and malformed YAML is still a
+    ConfigError."""
+    import yaml
+    with_libyaml = load_config()
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_config() == with_libyaml
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("radio: [not, a, mapping\n")
+    with pytest.raises(ConfigError):
+        load_config(bad)
+
+
 def test_config_overrides():
     cfg = load_config(paper_scale=True, direct_link=True,
                       strict_far_field=True, grid_override=7)
@@ -268,6 +282,31 @@ def test_cli_sweep_plane_strict_far_field(tmp_path, capsys):
     assert not out.exists()
     assert main(["sweep-plane", "--strict-far-field", "--grid", "3",
                  "--out", str(tmp_path / "default")]) == 0
+
+
+def test_cli_sweep_wavelength_strict_far_field(tmp_path, capsys):
+    """`sweep-wavelength --strict-far-field` exits 2 where a wavelength's
+    panel fails the far-field check at R' (every fixed-area 9 m^2 panel of
+    the default profile does, 80 m from the panel to R) and writes nothing;
+    a 0.1 m^2 panel passes at every wavelength, and without the flag the
+    default study writes its golden CSV."""
+    out = tmp_path / "strict"
+    assert main(["sweep-wavelength", "--strict-far-field", "--grid", "7",
+                 "--out", str(out)]) == 2
+    assert "far-field conditions fail" in capsys.readouterr().err
+    assert not out.exists()
+    from rislink.config import default_config_text
+    small = tmp_path / "small.yaml"
+    small.write_text(default_config_text().replace("total_area_m2: 9.0",
+                                                   "total_area_m2: 0.1"))
+    assert main(["sweep-wavelength", "--strict-far-field", "--grid", "7",
+                 "--config", str(small),
+                 "--out", str(tmp_path / "small")]) == 0
+    assert main(["sweep-wavelength", "--grid", "7",
+                 "--out", str(tmp_path / "loose")]) == 0
+    golden = Path(__file__).parent / "golden" / "sweep_wavelength.csv"
+    assert ((tmp_path / "loose" / "sweep_wavelength.csv").read_bytes()
+            == golden.read_bytes())
 
 
 def test_cli_rejects_removed_seed_flag(capsys):
