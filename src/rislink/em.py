@@ -415,6 +415,17 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
     return float(power[0]) if poses is None else power
 
 
+# Entries per block of the exact channel build (exact_channel): a block is
+# as many whole antenna rows of the antenna-major (N, L) channel as fit, and
+# at least one, so its distance, phase and amplitude temporaries stay this
+# size for a panel of any size.  The default 16 x 400 channel is one block;
+# the paper-scale 16 x 10 000 one goes one row per block, and a call's
+# traced peak memory, the channel included, is 1.31 times the channel's
+# size.  One row per block at every scale made the default-scale distance
+# sweep about 20 % slower.
+_CHANNEL_BLOCK = 16384
+
+
 def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
                   radio: RadioParams, *, direct: bool = False) -> ChannelSet:
     """Per-pair geometric channel used as the validation oracle.
@@ -424,38 +435,44 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     evaluated at the panel center.
     """
     rx = np.asarray(rx_position, dtype=float)
-    angles = link_angles(tx, ris, rx)  # raises on coincident points
+    angles = link_angles(tx, ris, rx)  # raises on coincident centers
     gain = amplitude_gain_tir(angles, tx, ris, radio)
     lam = radio.wavelength
     wavenum = 2 * np.pi / lam
 
     elems = element_positions(ris)             # (L, 3)
     ants = antenna_positions(tx)               # (N, 3)
-    # Per-pair distances from one squared-difference plane per axis, summed
-    # x + y + z in the order np.linalg.norm(..., axis=2) sums them (so the
-    # bits match) but with no (L, N, 3) temporary.  The planes are
-    # antenna-major (N, L) so that every inner loop runs over the L
-    # elements; the channel gets the (L, N) transpose view.
-    d_ti = np.subtract.outer(ants[:, 0], elems[:, 0])
-    d_ti *= d_ti
-    for c in (1, 2):
-        diff = np.subtract.outer(ants[:, c], elems[:, c])
-        diff *= diff
-        d_ti += diff
-    np.sqrt(d_ti, out=d_ti)
     d_ir = np.linalg.norm(rx[None, :] - elems, axis=1)                   # (L,)
-    if np.min(d_ti) == 0.0 or np.min(d_ir) == 0.0:
-        raise DegenerateGeometry("antenna/element/receiver positions coincide")
-
-    # exp(j*k*d) written as cos + j*sin into one complex array, then scaled
-    # by the real amplitude delta / (d_ti * d_ir) in place
-    phase = wavenum * d_ti
-    h_ti = np.empty(d_ti.shape, dtype=complex)
-    np.cos(phase, out=h_ti.real)
-    np.sin(phase, out=h_ti.imag)
-    amp = np.multiply(d_ti, d_ir, out=phase)
-    np.divide(gain.delta, amp, out=amp)
-    h_ti *= amp
+    if np.min(d_ir) == 0.0:
+        raise DegenerateGeometry("element and receiver positions coincide")
+    # The channel is built antenna-major, (N, L), so that every inner loop
+    # runs over the L elements, one _CHANNEL_BLOCK block of antenna rows at
+    # a time; ChannelSet gets the (L, N) transpose view.  Per block, the
+    # per-pair distances come from one squared-difference plane per axis,
+    # summed x + y + z in the order np.linalg.norm(..., axis=2) sums them
+    # (so the bits match) but with no (L, N, 3) temporary; exp(j*k*d) is
+    # written as cos + j*sin straight into the block's rows, which are then
+    # scaled by the real amplitude delta / (d_ti * d_ir) in place.
+    h_ti = np.empty((len(ants), len(elems)), dtype=complex)
+    step = max(1, _CHANNEL_BLOCK // len(elems))
+    for start in range(0, len(ants), step):
+        block = ants[start:start + step]
+        d_ti = np.subtract.outer(block[:, 0], elems[:, 0])
+        d_ti *= d_ti
+        for c in (1, 2):
+            diff = np.subtract.outer(block[:, c], elems[:, c])
+            diff *= diff
+            d_ti += diff
+        np.sqrt(d_ti, out=d_ti)
+        if np.min(d_ti) == 0.0:
+            raise DegenerateGeometry("antenna and element positions coincide")
+        rows = h_ti[start:start + step]
+        phase = np.multiply(wavenum, d_ti, out=diff)
+        np.cos(phase, out=rows.real)
+        np.sin(phase, out=rows.imag)
+        amp = np.multiply(d_ti, d_ir, out=diff)
+        np.divide(gain.delta, amp, out=amp)
+        rows *= amp
     h_ir = np.exp(1j * wavenum * d_ir)
 
     h_tr = direct_channel(tx, rx, radio, farfield=False) if direct else None

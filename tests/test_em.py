@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rislink import em
 from rislink.em import (_POSE_BLOCK, ChannelSet, RadioParams, _offsets_along,
                         amplitude_gain_tir, direct_channel, exact_channel,
                         farfield_channel, farfield_power, radiation_pattern,
                         received_power)
-from rislink.errors import (DimensionMismatch, DomainError, FarFieldViolation,
+from rislink.errors import (DegenerateGeometry, DimensionMismatch,
+                            DomainError, FarFieldViolation,
                             FarFieldWarning, ShadowedPanel)
 from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
                               UlaLayout, UpaLayout, antenna_positions,
@@ -288,14 +291,21 @@ def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(**scene_args)
-@example(rows=5, cols=3, upa=False, seed=4)
-@example(rows=2, cols=6, upa=True, seed=5)
-def test_exact_channel_matches_norm_formula(rows, cols, upa, seed):
+@given(**scene_args, blocked=st.booleans())
+@example(rows=5, cols=3, upa=False, seed=4, blocked=False)
+@example(rows=2, cols=6, upa=True, seed=5, blocked=False)
+@example(rows=3, cols=4, upa=False, seed=0, blocked=True)   # N = 7
+@example(rows=1, cols=5, upa=True, seed=25, blocked=True)   # N = 9
+def test_exact_channel_matches_norm_formula(rows, cols, upa, seed, blocked):
     """The per-axis distance planes and the cos/sin phasor give the same
-    bits as the (L, N, 3) norm and np.exp formula written out here."""
+    bits as the (L, N, 3) norm and np.exp formula written out here, also
+    when the channel is built in several blocks of two antenna rows plus a
+    remainder (`blocked`, with odd N)."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
-    channels = exact_channel(tx, ris, rx, radio)
+    with pytest.MonkeyPatch.context() as mp:
+        if blocked:
+            mp.setattr(em, "_CHANNEL_BLOCK", 2 * ris.count + 1)
+        channels = exact_channel(tx, ris, rx, radio)
     wavenum = 2 * np.pi / radio.wavelength
     elems = element_positions(ris)
     ants = antenna_positions(tx)
@@ -306,6 +316,36 @@ def test_exact_channel_matches_norm_formula(rows, cols, upa, seed):
     h_ti = delta / (d_ti * d_ir[:, None]) * np.exp(1j * wavenum * d_ti)
     assert np.array_equal(channels.h_ti, h_ti)
     assert np.array_equal(channels.h_ir, np.exp(1j * wavenum * d_ir))
+
+
+def test_exact_channel_working_memory_is_block_sized():
+    """A paper-scale channel (L = 10 000, N = 16) is built one antenna row
+    at a time: the traced peak of the call, the returned channel included,
+    stays under twice the channel's own size."""
+    tx, ris, rx = equilateral(50.0, rows=100, cols=100, count=16)
+    exact_channel(tx, ris, rx, RADIO)   # first call: imports and caches
+    tracemalloc.start()
+    try:
+        channels = exact_channel(tx, ris, rx, RADIO)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * channels.h_ti.nbytes
+
+
+def test_exact_channel_raises_on_coincident_antenna_and_element(monkeypatch):
+    """An antenna on a panel element away from both centres passes
+    link_angles but not the channel build, also when that antenna lies in
+    a later block than the first."""
+    ris = make_panel(rows=3, cols=3, d=0.5)
+    # antennas at z = 3, 2, 1, 0 above the element at (0.5, 0.5, 0)
+    tx = make_ula(center=(0.5, 0.5, 1.5), count=4, spacing=1.0, axis=EZ)
+    assert np.array_equal(antenna_positions(tx)[3], element_positions(ris)[8])
+    rx = np.array([5.0, 0.0, 5.0])
+    link_angles(tx, ris, rx)
+    monkeypatch.setattr(em, "_CHANNEL_BLOCK", 2 * ris.count)
+    with pytest.raises(DegenerateGeometry):
+        exact_channel(tx, ris, rx, RADIO)
 
 
 def test_channel_set_caches_cascade_and_leading_pair_read_only():

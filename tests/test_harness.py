@@ -309,6 +309,59 @@ def test_cli_sweep_wavelength_strict_far_field(tmp_path, capsys):
             == golden.read_bytes())
 
 
+def test_cli_sweep_distance_strict_far_field(tmp_path):
+    """`sweep-distance` runs on the exact channel, which assumes no far
+    field: under --strict-far-field it records validity rather than
+    raising.  The 100 x 100 panel fails the check at every distance, so
+    the run exits 0 with far_field_ok = 0 on every row and the CSV of the
+    run without the flag."""
+    args = ["sweep-distance", "--paper-scale", "--grid", "5"]
+    assert main(args + ["--strict-far-field",
+                        "--out", str(tmp_path / "strict")]) == 0
+    assert main(args + ["--out", str(tmp_path / "loose")]) == 0
+    strict = (tmp_path / "strict" / "sweep_distance.csv").read_text()
+    lines = strict.strip().split("\n")
+    col = lines[0].split(",").index("far_field_ok")
+    assert [ln.split(",")[col] for ln in lines[1:]] == ["0"] * 5
+    assert strict == (tmp_path / "loose" / "sweep_distance.csv").read_text()
+
+
+def test_cli_solve_strict_far_field(tmp_path):
+    """The closed-form and SVD designs of `solve` run on the exact channel
+    and no far-field check: --strict-far-field exits 0 and writes the CSV of
+    the run without the flag."""
+    assert main(["solve", "--strict-far-field",
+                 "--out", str(tmp_path / "strict")]) == 0
+    assert main(["solve", "--out", str(tmp_path / "loose")]) == 0
+    assert ((tmp_path / "strict" / "solve.csv").read_bytes()
+            == (tmp_path / "loose" / "solve.csv").read_bytes())
+
+
+def test_cli_sidecars_record_resolved_settings(tmp_path):
+    """The sidecar records the panel grid, far-field mode and direct link
+    that the flags resolve, so runs differing only in --paper-scale,
+    --strict-far-field or --direct-link write different sidecars, while a
+    rerun writes the same bytes."""
+    runs = {"base": [], "again": [], "paper": ["--paper-scale"],
+            "strict": ["--strict-far-field"], "direct": ["--direct-link"]}
+    sidecars = {}
+    for name, flags in runs.items():
+        out = tmp_path / name
+        assert main(["sweep-distance", "--grid", "3", "--out", str(out),
+                     *flags]) == 0
+        sidecars[name] = (out / "sweep_distance.csv.meta.json").read_bytes()
+    assert sidecars.pop("again") == sidecars["base"]
+    assert len(set(sidecars.values())) == len(sidecars)
+    meta = {name: json.loads(raw) for name, raw in sidecars.items()}
+    assert (meta["base"]["ris_rows"], meta["base"]["ris_cols"]) == (20, 20)
+    assert (meta["paper"]["ris_rows"], meta["paper"]["ris_cols"]) == (100,
+                                                                      100)
+    assert meta["base"]["far_field_mode"] == "warn"
+    assert meta["strict"]["far_field_mode"] == "strict"
+    assert (meta["base"]["direct_link"], meta["direct"]["direct_link"]) == (
+        False, True)
+
+
 def test_cli_rejects_removed_seed_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--seed", "1"])
