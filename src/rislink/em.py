@@ -8,6 +8,11 @@ i.e. the matrix that multiplies the beamformer in the received-power formula.
 row.  The far-field amplitude split between the T->I and I->R hops is not
 observable; the whole product a_TIR is carried on `h_ti` and `h_ir` entries
 have unit amplitude.
+
+The far-field link of a scene (its hop distances, a_TIR, the directions
+u_TI and u_IR and the antenna phasors b_vec) is written once, in
+`_farfield_link`; `farfield_channel`, `farfield_power` and the closed-form
+designs of `solvers` all read it from there.
 """
 
 from __future__ import annotations
@@ -113,25 +118,6 @@ class ChannelSet:
         u, sigma = _leading_singular_pair(self._cascade)
         u.flags.writeable = False
         return u, sigma
-
-
-@dataclass(frozen=True)
-class FarFieldFactors:
-    """Rank-one factorization pieces of the far-field channel.
-
-    a_vec, b_vec, c_vec are the unit-modulus element/antenna phase vectors of
-    the T->RIS and RIS->R hops; d_vec = c_vec * a_vec combines both hops per
-    reflective element.  phase_ti / phase_ir are the common center-distance
-    phasors.
-    """
-
-    a_tir: float
-    a_vec: np.ndarray   # (L,)
-    b_vec: np.ndarray   # (N,)
-    c_vec: np.ndarray   # (L,)
-    d_vec: np.ndarray   # (L,)
-    phase_ti: complex
-    phase_ir: complex
 
 
 @dataclass(frozen=True)
@@ -282,9 +268,11 @@ class _FarFieldLink(NamedTuple):
 
     def b_vec(self, block: slice = slice(None)) -> np.ndarray:
         """Antenna phasors b_vec = exp(j*k*Delta d^I_{T,p}) of the poses in
-        `block`, (poses, N), with Delta d^I_{T,p} = (antenna_p - T) . u_TI."""
-        return np.exp(1j * self.wavenum * (self.u_ti[block]
-                                           @ self.antennas.T))
+        `block`, (poses, N), with Delta d^I_{T,p} = (antenna_p - T) . u_TI,
+        one (N, 3) @ (3, 1) product per pose, so that a pose's bits do not
+        depend on the other poses of the block."""
+        offsets = np.matmul(self.antennas, self.u_ti[block, :, None])[..., 0]
+        return np.exp(1j * self.wavenum * offsets)
 
 
 def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
@@ -329,7 +317,13 @@ def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
     """theta . d_vec for every pose of the link, (P,): the panel phasors
     toward u_TI + u_IR summed against the phases as
     ((e_y @ Theta) * e_x).sum(1), in O(L) per pose and one _pose_blocks
-    block at a time."""
+    block at a time.
+
+    numpy hands a one-row e_y @ Theta to gemv, which rounds otherwise than
+    the gemm of a larger block, so a lone pose goes through gemm as two
+    copies of itself.  OpenBLAS's gemm sums every row alike for any number
+    of rows, so a pose gets the same bits in any stack; the test
+    test_farfield_power_pose_bits_do_not_depend_on_batch pins this."""
     phases = theta.reshape(ris.rows, ris.cols)
     u = link.u_ti + link.u_ir
     sums = []
@@ -337,19 +331,22 @@ def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
         e_x, e_y = _panel_phasors(ris, link.poses.axis_x[block],
                                   link.poses.axis_y[block], u[block],
                                   link.wavenum)
-        sums.append(((e_y @ phases) * e_x).sum(axis=1))
+        if len(e_y) == 1:
+            e_y = np.repeat(e_y, 2, axis=0)
+        sums.append(((e_y @ phases)[:len(e_x)] * e_x).sum(axis=1))
     return np.concatenate(sums)
 
 
 def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
                      radio: RadioParams, *, direct: bool = False,
-                     margin: float = 1.0,
-                     mode: str = "warn") -> tuple[ChannelSet, FarFieldFactors]:
-    """Rank-one far-field channel with its factorization.
+                     margin: float = 1.0, mode: str = "warn") -> ChannelSet:
+    """Rank-one far-field channel, assembled from the phasors and a_TIR of
+    _farfield_link.
 
     h_ti = a_TIR * exp(j*2*pi*d_TI/l) * outer(a_vec, b_vec) and
-    h_ir = exp(j*2*pi*d_IR/l) * c_vec.  `mode` controls far-field
-    enforcement: "strict" raises, "warn" (default) warns, "off" skips.
+    h_ir = exp(j*2*pi*d_IR/l) * c_vec, with a_vec and c_vec the panel
+    phasors toward u_TI and u_IR.  `mode` controls far-field enforcement:
+    "strict" raises, "warn" (default) warns, "off" skips.
     """
     rx = np.asarray(rx_position, dtype=float)
     link = _farfield_link(tx, ris, rx, radio, margin, mode)
@@ -360,22 +357,15 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
                                   wavenum)
     a_vec = np.outer(e_y_t, e_x_t).ravel()   # exp(j*k*Delta d^T_{I,q})
     c_vec = np.outer(e_y_r, e_x_r).ravel()   # exp(j*k*Delta d^R_{I,q})
-    d_vec = c_vec * a_vec
-    a_tir = float(link.a_tir[0])
-    b_vec = link.b_vec()[0]
     phase_ti = complex(np.exp(1j * wavenum * link.d_ti[0]))
     phase_ir = complex(np.exp(1j * wavenum * link.d_ir[0]))
 
-    h_ti = a_tir * phase_ti * np.outer(a_vec, b_vec)
+    h_ti = float(link.a_tir[0]) * phase_ti * np.outer(a_vec, link.b_vec()[0])
     h_ir = phase_ir * c_vec
 
     h_tr = direct_channel(tx, rx, radio, farfield=True) if direct else None
-    channels = ChannelSet(h_ti=h_ti, h_ir=h_ir, wavelength=radio.wavelength,
-                          h_tr=h_tr, farfield=True)
-    factors = FarFieldFactors(a_tir=a_tir, a_vec=a_vec, b_vec=b_vec,
-                              c_vec=c_vec, d_vec=d_vec,
-                              phase_ti=phase_ti, phase_ir=phase_ir)
-    return channels, factors
+    return ChannelSet(h_ti=h_ti, h_ir=h_ir, wavelength=radio.wavelength,
+                      h_tr=h_tr, farfield=True)
 
 
 def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
@@ -384,7 +374,7 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
     """Received power of the far-field RIS link in watts, built from the
     rank-one factors without the L x N channel.
 
-    Equals received_power(farfield_channel(..., direct=False)[0], theta, v)
+    Equals received_power(farfield_channel(..., direct=False), theta, v)
     as a_TIR^2 * |theta . d_vec|^2 * |b_vec . v|^2, where
     theta . d_vec = e_y @ theta.reshape(rows, cols) @ e_x for the panel
     phasors toward u_TI + u_IR.  That takes rows + cols + N exponentials and
@@ -396,10 +386,12 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
     computed for all P poses at once, and the phasor sums theta . d_vec and
     b_vec . v for _POSE_BLOCK poses at a time, so one call takes a stack of
     any size while its phasor temporaries stay _POSE_BLOCK poses long;
-    callers need not split it.  Without `poses` the result is the float power of `ris` itself, and
-    such a panel raises ShadowedPanel as farfield_channel does.  `mode` is
-    the far-field policy of farfield_channel, checked at margin 1 on every
-    pose: "strict" raises if any pose fails and "warn" warns once.
+    callers need not split it.  A pose gets the same bits in a stack of any
+    size or split as in a call of its own (see _FarFieldLink.b_vec and
+    _theta_dot_d).  Without `poses` the result is the float power of `ris`
+    itself, and such a panel raises ShadowedPanel as farfield_channel does.
+    `mode` is the far-field policy of farfield_channel, checked at margin 1
+    on every pose: "strict" raises if any pose fails and "warn" warns once.
     """
     theta = np.asarray(theta)
     v = np.asarray(v)
@@ -408,7 +400,7 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
     if v.shape != (tx.count,):
         raise DimensionMismatch(f"v must have length {tx.count}")
     link = _farfield_link(tx, ris, rx_position, radio, 1.0, mode, poses)
-    b_dot_v = np.concatenate([link.b_vec(block) @ v
+    b_dot_v = np.concatenate([(link.b_vec(block) * v).sum(axis=1)
                               for block in _pose_blocks(len(link.u_ti))])
     power = (link.a_tir**2 * np.abs(_theta_dot_d(ris, link, theta))**2
              * np.abs(b_dot_v)**2)

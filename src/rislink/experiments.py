@@ -365,7 +365,7 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     oracle_cfg = OracleConfig(phase_levels=64)
     checks: list[tuple[str, bool, str]] = []
 
-    channels, _ = farfield_channel(tx, ris, rx, radio, mode="off")
+    channels = farfield_channel(tx, ris, rx, radio, mode="off")
     sol = closed_form_solution(tx, ris, rx, radio)
     closed = received_power(channels, sol.theta, sol.v)
     best, _ = exhaustive_phase_search(channels, tiny.tx_power, oracle_cfg)
@@ -373,8 +373,8 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     checks.append(("closed-form vs phase-grid oracle", rel < 5e-3,
                    f"relative gap {rel:.2e}"))
 
-    channels2, _ = farfield_channel(tx, ris, rx, radio, direct=True,
-                                    mode="off")
+    channels2 = farfield_channel(tx, ris, rx, radio, direct=True,
+                                 mode="off")
     sol2 = two_path_solution(tx, ris, rx, radio, mode="off")
     closed2 = received_power(channels2, sol2.theta, sol2.v)
     best2, _ = exhaustive_phase_search(channels2, tiny.tx_power, oracle_cfg)

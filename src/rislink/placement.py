@@ -169,7 +169,12 @@ def _polygon_boundary_points(poly: np.ndarray, s) -> np.ndarray:
 def region_d_membership(scene: PlaneScene, xy,
                         variant: str = "D") -> np.ndarray:
     """Membership test for region D (both hops shorter than d_TR) or its
-    direct-link variant D1 (transmit hop shorter than d_TR)."""
+    direct-link variant D1 (transmit hop shorter than d_TR).
+
+    With a direct link the search would also keep the feasible trace of the
+    plane spanned by the array axis and line l; for the line-l scenes of
+    this module that trace is line l itself, already a candidate, so D1
+    needs no other adjustment."""
     d_tr = scene.t_r_distance
     in_d1 = scene.d_ti(xy) <= d_tr
     if variant == "D1":
@@ -177,28 +182,6 @@ def region_d_membership(scene: PlaneScene, xy,
     if variant == "D":
         return in_d1 & (scene.d_ir(xy) <= d_tr)
     raise DomainError(f"unknown region variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class RegionD:
-    """Exclusion region where the boundary-reduction theorem is silent."""
-
-    scene: PlaneScene
-    variant: str = "D"
-
-    def contains(self, xy) -> np.ndarray:
-        return region_d_membership(self.scene, xy, self.variant)
-
-
-def two_path_region_adjustment(scene: PlaneScene) -> RegionD:
-    """Direct-link variant of the exclusion region: D1 = {d_TI <= d_TR}.
-
-    With a direct link the position search additionally keeps the feasible
-    trace of the plane spanned by the array axis and line l; for the line-l
-    parametrized scenes used here that trace is line l itself, which is
-    already in the candidate set.
-    """
-    return RegionD(scene=scene, variant="D1")
 
 
 _INV_PHI = (np.sqrt(5.0) - 1) / 2

@@ -11,11 +11,11 @@ from enum import Enum
 import numpy as np
 
 from .em import (ChannelSet, RadioParams, _direction, _farfield_link,
-                 _offsets_along, _panel_phasors, _theta_dot_d,
-                 amplitude_gain_tir, direct_channel, received_power)
+                 _panel_phasors, _theta_dot_d, direct_channel,
+                 received_power)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import (LinkAngles, RisPanel, TransmitterArray, UlaLayout,
-                       antenna_positions, link_angles)
+                       link_angles)
 
 _FEAS_POWER_SLACK = 1e-9
 _UNIT_TOL = 1e-12
@@ -76,17 +76,6 @@ def closed_form_phases(tx: TransmitterArray, ris: RisPanel, rx_position,
     return np.conj(np.outer(e_y, e_x).ravel())
 
 
-def closed_form_beamforming_general(tx: TransmitterArray, ris_position,
-                                    wavelength: float,
-                                    p_t: float) -> np.ndarray:
-    """Closed-form beamformer from linearized per-antenna offsets toward the
-    RIS; covers both ULA and UPA layouts."""
-    offsets = _offsets_along(antenna_positions(tx), tx.center,
-                             np.asarray(ris_position, dtype=float))
-    b_vec = np.exp(1j * 2 * np.pi / wavelength * offsets)
-    return np.sqrt(p_t / tx.count) * np.conj(b_vec)
-
-
 def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
     """Received power achieved by the far-field closed form,
     N * L^2 * a_TIR^2 * P_t; a_tir may be an array."""
@@ -95,13 +84,14 @@ def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
 
 def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                          radio: RadioParams) -> Solution:
-    """Assemble the far-field closed-form design for one scene."""
-    angles = link_angles(tx, ris, rx_position)
-    gain = amplitude_gain_tir(angles, tx, ris, radio)
+    """Assemble the far-field closed-form design for one scene: the
+    beamformer v = sqrt(P_t/N) * conj(b_vec) of the far-field link, which
+    covers ULA and UPA layouts alike, and the phases of closed_form_phases.
+    A panel that does not see both ends raises ShadowedPanel."""
+    link = _farfield_link(tx, ris, rx_position, radio, 1.0, "off")
     theta = closed_form_phases(tx, ris, rx_position, radio.wavelength)
-    v = closed_form_beamforming_general(tx, ris.center, radio.wavelength,
-                                        radio.tx_power)
-    predicted = closed_form_predicted_power(gain.amplitude, tx.count,
+    v = np.sqrt(radio.tx_power / tx.count) * np.conj(link.b_vec()[0])
+    predicted = closed_form_predicted_power(float(link.a_tir[0]), tx.count,
                                             ris.count, radio.tx_power)
     _check_feasible(v, theta, radio.tx_power)
     return Solution(v=v, theta=theta, predicted_power=predicted,
@@ -178,19 +168,19 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     farfield_channel.
     """
     angles = link_angles(tx, ris, rx_position)
-    gain = amplitude_gain_tir(angles, tx, ris, radio)
+    link = _farfield_link(tx, ris, rx_position, radio, margin, mode)
+    a_tir = float(link.a_tir[0])
     terms = two_path_terms(angles, tx, radio.wavelength)
     theta = (closed_form_phases(tx, ris, rx_position, radio.wavelength)
              * np.exp(1j * terms.phase_offset))
-    link = _farfield_link(tx, ris, rx_position, radio, margin, mode)
     h_tr = direct_channel(tx, rx_position, radio, farfield=True)
-    ris_amp = (gain.amplitude
+    ris_amp = (a_tir
                * np.exp(1j * link.wavenum * (angles.d_ti + angles.d_ir))
                * _theta_dot_d(ris, link, theta)[0])
     row = ris_amp * link.b_vec()[0] + h_tr
     v = mrt_beamforming(row, radio.tx_power)
     a_tr = float(np.abs(h_tr[0]))
-    predicted = two_path_power_closed_form(gain.amplitude, a_tr, terms.o,
+    predicted = two_path_power_closed_form(a_tir, a_tr, terms.o,
                                            tx.count, ris.count,
                                            radio.tx_power)
     _check_feasible(v, theta, radio.tx_power)

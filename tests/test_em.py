@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rislink.errors import (DegenerateGeometry, DimensionMismatch,
 from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
                               UlaLayout, UpaLayout, antenna_positions,
                               element_positions, link_angles)
+from rislink.solvers import closed_form_phases
 
 from test_geometry import EX, EY, EZ, make_panel, make_ula
 
@@ -81,20 +83,26 @@ def test_shadowed_panel_raises():
 
 def test_farfield_channel_rank_one_and_factors():
     tx, ris, rx = equilateral(200.0)
-    channels, fac = farfield_channel(tx, ris, rx, RADIO)
+    channels = farfield_channel(tx, ris, rx, RADIO)
     assert channels.h_ti.shape == (4, 2)
     assert channels.farfield
     # rank-one: every 2x2 minor vanishes
     s = np.linalg.svd(channels.h_ti, compute_uv=False)
     assert s[1] <= s[0] * 1e-12
-    np.testing.assert_allclose(np.abs(fac.a_vec), 1.0, atol=1e-12)
-    np.testing.assert_allclose(np.abs(channels.h_ti), fac.a_tir, rtol=1e-12)
-    np.testing.assert_allclose(fac.d_vec, fac.c_vec * fac.a_vec, atol=1e-15)
+    a_tir = em._farfield_link(tx, ris, rx, RADIO, 1.0, "off").a_tir[0]
+    np.testing.assert_allclose(np.abs(channels.h_ti), a_tir, rtol=1e-12)
+    np.testing.assert_allclose(np.abs(channels.h_ir), 1.0, atol=1e-12)
+    # each cascade column is d_vec = c_vec * a_vec, the conjugate of the
+    # closed-form phases, times one constant
+    d_vec = np.conj(closed_form_phases(tx, ris, rx, RADIO.wavelength))
+    column = channels.cascade()[:, 0]
+    np.testing.assert_allclose(column, d_vec * (column[0] / d_vec[0]),
+                               rtol=1e-12)
 
 
 def test_exact_channel_matches_farfield_at_long_range():
     tx, ris, rx = equilateral(500.0)
-    ff, _ = farfield_channel(tx, ris, rx, RADIO, mode="off")
+    ff = farfield_channel(tx, ris, rx, RADIO, mode="off")
     ex = exact_channel(tx, ris, rx, RADIO)
     # same order of amplitude and phase agreement to a fraction of a radian
     np.testing.assert_allclose(np.abs(ex.h_ti), np.abs(ff.h_ti), rtol=1e-4)
@@ -106,7 +114,7 @@ def test_phase_discrepancy_shrinks_with_scale():
     errs = []
     for scale in (1e2, 1e3, 1e4):
         tx, ris, rx = equilateral(float(scale))
-        ff, _ = farfield_channel(tx, ris, rx, RADIO, mode="off")
+        ff = farfield_channel(tx, ris, rx, RADIO, mode="off")
         ex = exact_channel(tx, ris, rx, RADIO)
         full_ff = ff.cascade()
         full_ex = ex.cascade()
@@ -263,11 +271,11 @@ def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
     """
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
     theta, v = random_design(rng, ris, tx, radio.tx_power)
-    channels, fac = farfield_channel(tx, ris, rx, radio, direct=False,
-                                     mode="off")
+    channels = farfield_channel(tx, ris, rx, radio, direct=False, mode="off")
     dense = received_power(channels, theta, v)
     power = farfield_power(tx, ris, rx, radio, theta, v, mode="off")
-    scale = fac.a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
+    a_tir = em._farfield_link(tx, ris, rx, radio, 1.0, "off").a_tir[0]
+    scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
     assert abs(power - dense) <= 1e-12 * max(dense, scale)
     if dense >= 1e-6 * scale:
         assert abs(power - dense) <= 1e-12 * dense
@@ -277,17 +285,28 @@ def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
 @given(**scene_args)
 @example(rows=3, cols=6, upa=True, seed=3)
 def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
-    """The separable panel phasors equal the per-element linearized offsets
-    of the (L, 3) element positions, in row-major order."""
+    """The far-field channel equals its factorization built from the
+    per-element and per-antenna linearized offsets of the (L, 3) element and
+    (N, 3) antenna positions, in row-major element order: the separable
+    panel phasors are the element phasors a_vec and c_vec, and the link's
+    b_vec covers ULA and UPA layouts."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
-    _, fac = farfield_channel(tx, ris, rx, radio, mode="off")
+    channels = farfield_channel(tx, ris, rx, radio, mode="off")
+    link = em._farfield_link(tx, ris, rx, radio, 1.0, "off")
     wavenum = 2 * np.pi / radio.wavelength
     elems = element_positions(ris)
     a_ref = np.exp(1j * wavenum * _offsets_along(elems, ris.center,
                                                  tx.center))
     c_ref = np.exp(1j * wavenum * _offsets_along(elems, ris.center, rx))
-    np.testing.assert_allclose(fac.a_vec, a_ref, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(fac.c_vec, c_ref, rtol=0, atol=1e-12)
+    b_ref = np.exp(1j * wavenum * _offsets_along(antenna_positions(tx),
+                                                 tx.center, ris.center))
+    h_ti = (link.a_tir[0] * np.exp(1j * wavenum * link.d_ti[0])
+            * np.outer(a_ref, b_ref))
+    np.testing.assert_allclose(channels.h_ti, h_ti, rtol=0,
+                               atol=1e-12 * link.a_tir[0])
+    np.testing.assert_allclose(channels.h_ir,
+                               np.exp(1j * wavenum * link.d_ir[0]) * c_ref,
+                               rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -480,13 +499,13 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
         panel = replace(ris, center=poses.center[i], normal=poses.normal[i],
                         axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
         try:
-            channels, fac = farfield_channel(tx, panel, rx, radio,
-                                             mode="off")
+            channels = farfield_channel(tx, panel, rx, radio, mode="off")
         except ShadowedPanel:
             assert p == 0.0
             continue
         dense = received_power(channels, theta, v)
-        scale = fac.a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
+        a_tir = em._farfield_link(tx, panel, rx, radio, 1.0, "off").a_tir[0]
+        scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
         assert abs(p - dense) <= 1e-12 * max(dense, scale)
         if dense >= 1e-6 * scale:
             assert abs(p - dense) <= 1e-12 * dense
@@ -512,3 +531,33 @@ def test_farfield_power_pose_blocks_equal_row_groups():
               for s in range(0, count, 41)]
     assert whole[-1] == 0.0 and np.count_nonzero(whole) > count // 2
     assert np.array_equal(whole, np.concatenate(groups))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**scene_args, count=st.integers(1, 40))
+@example(rows=7, cols=7, upa=True, seed=6, count=40)
+def test_farfield_power_pose_bits_do_not_depend_on_batch(rows, cols, upa,
+                                                         seed, count):
+    """Every pose of a stack, whole or cut at random points, gets the bits of
+    its own one-pose call, with pose blocks of 1, 3 and _POSE_BLOCK poses."""
+    tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
+    theta, v = random_design(rng, ris, tx, radio.tx_power)
+    poses = random_poses(rng, ris, count)
+    n = len(poses.center)
+    cuts = np.sort(rng.choice(np.arange(1, n), replace=False,
+                              size=int(rng.integers(0, min(n - 1, 3) + 1))))
+    bounds = [0, *cuts.tolist(), n]
+
+    def power(start, stop):
+        part = PanelPoses(poses.center[start:stop], poses.normal[start:stop],
+                          poses.axis_x[start:stop], poses.axis_y[start:stop])
+        return farfield_power(tx, ris, rx, radio, theta, v, poses=part,
+                              mode="off")
+
+    alone = np.concatenate([power(i, i + 1) for i in range(n)])
+    for block in (_POSE_BLOCK, 1, 3):
+        with mock.patch.object(em, "_POSE_BLOCK", block):
+            assert np.array_equal(power(0, n), alone)
+            assert np.array_equal(
+                np.concatenate([power(a, b)
+                                for a, b in zip(bounds, bounds[1:])]), alone)

@@ -182,7 +182,7 @@ def test_robustness_matches_dense_channel_evaluation():
         pos = np.array([x, y, 0.0])
         ris = _panel_at(cfg, pos, specular_frame(pos, tx.center, rx))
         try:
-            channels, _ = farfield_channel(tx, ris, rx, radio, mode="off")
+            channels = farfield_channel(tx, ris, rx, radio, mode="off")
             dense = received_power(channels, est.theta, est.v)
         except ShadowedPanel:
             dense = 0.0

@@ -3,13 +3,12 @@ import pytest
 
 from rislink.errors import (DegenerateTriangle, DomainError, EmptyFeasible,
                             RegionDWarning)
-from rislink.placement import (PlaneScene, QuasiconvexityReport, RegionD,
+from rislink.placement import (PlaneScene, QuasiconvexityReport,
                                _golden_max, _polygon_boundary_points,
                                f_object, optimal_orientation,
                                plane_objective, position_search_3d,
                                position_search_plane, quasiconvexity_report,
-                               region_d_membership,
-                               two_path_region_adjustment)
+                               region_d_membership)
 from rislink.validation import dense_position_grid
 
 
@@ -122,9 +121,9 @@ def test_region_d_membership_variants():
     assert not region_d_membership(scene, far, "D")[0]
     near_t = [[10.0, 0.0]]       # d_ti = 10 <= 100 but d_ir = 90 <= 100 too
     assert region_d_membership(scene, near_t, "D1")[0]
-    d1 = two_path_region_adjustment(scene)
-    assert isinstance(d1, RegionD) and d1.variant == "D1"
-    assert d1.contains(near_t)[0]
+    behind_t = [[-50.0, 0.0]]    # d_ti = 50 <= 100 but d_ir = 150 > 100
+    assert region_d_membership(scene, behind_t, "D1")[0]
+    assert not region_d_membership(scene, behind_t, "D")[0]
     with pytest.raises(DomainError):
         region_d_membership(scene, mid, "D2")
 

@@ -1,16 +1,19 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rislink.em import (RadioParams, _leading_singular_pair, exact_channel,
-                        farfield_channel, received_power)
-from rislink.errors import (AmbiguousSignWarning, DomainError, ZeroChannel)
-from rislink.geometry import LinkAngles, UlaLayout, link_angles
-from rislink.solvers import (Method, anti_decay_design,
-                             closed_form_beamforming_general,
-                             closed_form_phases, closed_form_predicted_power,
+from rislink.em import (RadioParams, _farfield_link, _leading_singular_pair,
+                        _offsets_along, exact_channel, farfield_channel,
+                        farfield_power, received_power)
+from rislink.errors import (AmbiguousSignWarning, DomainError, ShadowedPanel,
+                            ZeroChannel)
+from rislink.geometry import (LinkAngles, UlaLayout, element_positions,
+                              link_angles)
+from rislink.solvers import (Method, anti_decay_design, closed_form_phases,
+                             closed_form_predicted_power,
                              closed_form_solution, mrt_beamforming,
                              power_upper_bound, svd_solution, two_path_o,
                              two_path_power_closed_form, two_path_solution,
@@ -66,9 +69,13 @@ def test_closed_form_phases_conjugate_channel_phasor(rows, cols, upa, seed):
     so the unit-modulus entries are held to 1e-12."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
     theta = closed_form_phases(tx, ris, rx, radio.wavelength)
-    _, fac = farfield_channel(tx, ris, rx, radio, mode="off")
+    wavenum = 2 * np.pi / radio.wavelength
+    elems = element_positions(ris)
+    d_vec = np.exp(1j * wavenum
+                   * (_offsets_along(elems, ris.center, tx.center)
+                      + _offsets_along(elems, ris.center, rx)))
     np.testing.assert_allclose(np.abs(theta), 1.0, atol=1e-12)
-    np.testing.assert_allclose(theta, np.conj(fac.d_vec), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(theta, np.conj(d_vec), rtol=0, atol=1e-12)
     np.testing.assert_allclose(theta, _trig_phases(tx, ris, rx,
                                                    radio.wavelength),
                                rtol=0, atol=1e-12)
@@ -76,12 +83,13 @@ def test_closed_form_phases_conjugate_channel_phasor(rows, cols, upa, seed):
 
 def test_closed_form_achieves_predicted_power_on_farfield_channel():
     tx, ris, rx = equilateral(200.0, rows=3, cols=3, count=4)
-    channels, fac = farfield_channel(tx, ris, rx, RADIO)
+    channels = farfield_channel(tx, ris, rx, RADIO)
     sol = closed_form_solution(tx, ris, rx, RADIO)
     achieved = received_power(channels, sol.theta, sol.v)
-    assert achieved == pytest.approx(sol.predicted_power, rel=1e-10)
+    assert achieved == pytest.approx(sol.predicted_power, rel=1e-10, abs=0)
+    a_tir = _farfield_link(tx, ris, rx, RADIO, 1.0, "off").a_tir[0]
     assert sol.predicted_power == pytest.approx(
-        closed_form_predicted_power(fac.a_tir, 4, 9, P_T), rel=1e-12)
+        closed_form_predicted_power(a_tir, 4, 9, P_T), rel=1e-12, abs=0)
     assert sol.method is Method.CLOSED_FORM
 
 
@@ -102,7 +110,7 @@ def test_closed_form_frozen_regression_value():
     sol = closed_form_solution(tx, ris, rx_position=np.array([d / 2, 0, 0]),
                                radio=radio)
     assert sol.predicted_power == pytest.approx(3.5270063942897986e-12,
-                                                rel=1e-12)
+                                                rel=1e-12, abs=0)
 
 
 # the scene strategy of test_bound_is_at_least_every_design as one value,
@@ -115,12 +123,33 @@ scenes = st.builds(lambda **kw: random_scene(**kw)[:4], **scene_args)
 @example(scene=(*equilateral(150.0, rows=2, cols=3, count=3), RADIO))
 def test_closed_form_dominates_random_designs(scene):
     tx, ris, rx, radio = scene
-    channels, _ = farfield_channel(tx, ris, rx, radio, mode="off")
+    channels = farfield_channel(tx, ris, rx, radio, mode="off")
     sol = closed_form_solution(tx, ris, rx, radio)
     best = received_power(channels, sol.theta, sol.v)
     for theta, v in random_feasible_solutions((ris.count, tx.count),
                                               radio.tx_power, 500, seed=5):
         assert received_power(channels, theta, v) <= best * (1 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scene=scenes)
+@example(scene=(*equilateral(200.0, rows=3, cols=3, count=4), RADIO))
+def test_closed_form_predicts_its_farfield_power(scene):
+    """The predicted N * L^2 * a_TIR^2 * P_t takes a_TIR from the far-field
+    link, as the far-field power of the design does."""
+    tx, ris, rx, radio = scene
+    sol = closed_form_solution(tx, ris, rx, radio)
+    power = farfield_power(tx, ris, rx, radio, sol.theta, sol.v, mode="off")
+    assert power == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
+
+
+def test_closed_form_solution_raises_on_shadowed_panel():
+    tx, ris, rx = equilateral(100.0)
+    behind = np.array([0.0, 0.0, 2000.0])  # on the panel's back side
+    with pytest.raises(ShadowedPanel):
+        closed_form_solution(tx, ris, behind, RADIO)
+    with pytest.raises(ShadowedPanel):
+        closed_form_solution(replace(tx, center=behind), ris, rx, RADIO)
 
 
 def test_ula_and_general_beamformer_agree():
@@ -133,9 +162,10 @@ def test_ula_and_general_beamformer_agree():
     v1 = np.sqrt(P_T / n) * np.exp(
         -1j * 2 * np.pi / RADIO.wavelength * ((n + 1) / 2 - p) * spacing
         * np.cos(ang.mu_ti))
-    v2 = closed_form_beamforming_general(tx, ris.center, RADIO.wavelength,
-                                         P_T)
-    # both maximize the same rank-one channel: equal up to a global phase
+    # the closed-form design takes its beamformer from the far-field link,
+    # which covers any layout; both maximize the same rank-one channel, so
+    # they are equal up to a global phase
+    v2 = closed_form_solution(tx, ris, rx, RADIO).v
     c = np.vdot(v1, v2)
     np.testing.assert_allclose(v2, v1 * c / abs(c), atol=1e-9)
 
@@ -244,8 +274,8 @@ def test_two_path_terms_sign_fold_and_warning():
 
 def test_two_path_solution_achieves_predicted_power():
     tx, ris, rx = equilateral(300.0, rows=3, cols=3, count=8)
-    channels, _ = farfield_channel(tx, ris, rx, RADIO, direct=True,
-                                   mode="off")
+    channels = farfield_channel(tx, ris, rx, RADIO, direct=True,
+                                mode="off")
     sol = two_path_solution(tx, ris, rx, RADIO, mode="off")
     achieved = received_power(channels, sol.theta, sol.v)
     assert achieved == pytest.approx(sol.predicted_power, rel=1e-6)
@@ -308,7 +338,7 @@ def test_leading_singular_pair_matches_dense_svd(l, n, rank, seed):
 def test_svd_solution_matches_closed_form_on_farfield_channel(scene):
     tx, ris, rx, radio = scene
     p_t = radio.tx_power
-    channels, _ = farfield_channel(tx, ris, rx, radio, mode="off")
+    channels = farfield_channel(tx, ris, rx, radio, mode="off")
     svd = svd_solution(channels, p_t)
     closed = closed_form_solution(tx, ris, rx, radio)
     p_closed = received_power(channels, closed.theta, closed.v)
@@ -332,8 +362,8 @@ def test_two_path_row_matches_dense_farfield_channel(rows, cols, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AmbiguousSignWarning)
         sol = two_path_solution(tx, ris, rx, radio, mode="off")
-    channels, _ = farfield_channel(tx, ris, rx, radio, direct=True,
-                                   mode="off")
+    channels = farfield_channel(tx, ris, rx, radio, direct=True,
+                                mode="off")
     row = (channels.h_ir * sol.theta) @ channels.h_ti + channels.h_tr
     np.testing.assert_allclose(sol.v, mrt_beamforming(row, radio.tx_power),
                                rtol=0, atol=1e-12 * np.sqrt(radio.tx_power))
