@@ -279,8 +279,9 @@ def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
                    radio: RadioParams, margin: float, mode: str,
                    poses: PanelPoses | None = None) -> _FarFieldLink:
     """The part of the far-field factorization shared by farfield_channel,
-    farfield_power and the two-path design, for the grid of `ris` at P
-    `poses`, after the far-field policy `mode` is applied to every pose.
+    farfield_power and the closed-form and two-path designs of `solvers`,
+    for the grid of `ris` at P `poses`, after the far-field policy `mode` is
+    applied to every pose.
 
     Per pose: the hop distances d_TI and d_IR, the TIR amplitude a_TIR and
     the unit directions u_TI and u_IR from the center toward T and R; also
@@ -288,7 +289,8 @@ def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
     The elevations are the dot products of the normals with u_TI and u_IR.
     A pose whose panel does not see both ends gets a_TIR = 0.  With `poses`
     None the link is that of `ris` itself (P = 1), and such a panel raises
-    ShadowedPanel instead.
+    ShadowedPanel instead; closed_form_solution calls it with mode "off"
+    and relies on this check for its ShadowedPanel.
     """
     rx = _as_vec3(rx_position)
     one = poses is None
@@ -319,11 +321,9 @@ def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
     ((e_y @ Theta) * e_x).sum(1), in O(L) per pose and one _pose_blocks
     block at a time.
 
-    numpy hands a one-row e_y @ Theta to gemv, which rounds otherwise than
-    the gemm of a larger block, so a lone pose goes through gemm as two
-    copies of itself.  OpenBLAS's gemm sums every row alike for any number
-    of rows, so a pose gets the same bits in any stack; the test
-    test_farfield_power_pose_bits_do_not_depend_on_batch pins this."""
+    Each pose takes its own (1, rows) @ Theta product, the same call in a
+    stack of any size, so its bits do not depend on the other poses; one
+    (poses, rows) @ Theta product would round otherwise than a lone row."""
     phases = theta.reshape(ris.rows, ris.cols)
     u = link.u_ti + link.u_ir
     sums = []
@@ -331,9 +331,8 @@ def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
         e_x, e_y = _panel_phasors(ris, link.poses.axis_x[block],
                                   link.poses.axis_y[block], u[block],
                                   link.wavenum)
-        if len(e_y) == 1:
-            e_y = np.repeat(e_y, 2, axis=0)
-        sums.append(((e_y @ phases)[:len(e_x)] * e_x).sum(axis=1))
+        sums.append((np.matmul(e_y[:, None, :], phases)[:, 0] * e_x)
+                    .sum(axis=1))
     return np.concatenate(sums)
 
 

@@ -168,11 +168,11 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     farfield_channel.
     """
     angles = link_angles(tx, ris, rx_position)
-    link = _farfield_link(tx, ris, rx_position, radio, margin, mode)
-    a_tir = float(link.a_tir[0])
     terms = two_path_terms(angles, tx, radio.wavelength)
     theta = (closed_form_phases(tx, ris, rx_position, radio.wavelength)
              * np.exp(1j * terms.phase_offset))
+    link = _farfield_link(tx, ris, rx_position, radio, margin, mode)
+    a_tir = float(link.a_tir[0])
     h_tr = direct_channel(tx, rx_position, radio, farfield=True)
     ris_amp = (a_tir
                * np.exp(1j * link.wavenum * (angles.d_ti + angles.d_ir))

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from rislink.em import (RadioParams, _farfield_link, _leading_singular_pair,
                         _offsets_along, exact_channel, farfield_channel,
                         farfield_power, received_power)
-from rislink.errors import (AmbiguousSignWarning, DomainError, ShadowedPanel,
-                            ZeroChannel)
-from rislink.geometry import (LinkAngles, UlaLayout, element_positions,
-                              link_angles)
+from rislink.errors import (AmbiguousSignWarning, DomainError,
+                            FarFieldViolation, ShadowedPanel, ZeroChannel)
+from rislink.geometry import (LinkAngles, UlaLayout, UpaLayout,
+                              element_positions, link_angles)
 from rislink.solvers import (Method, anti_decay_design, closed_form_phases,
                              closed_form_predicted_power,
                              closed_form_solution, mrt_beamforming,
@@ -21,7 +21,7 @@ from rislink.solvers import (Method, anti_decay_design, closed_form_phases,
 from rislink.validation import random_feasible_solutions
 
 from test_em import RADIO, equilateral, random_scene, scene_args
-from test_geometry import EY, make_ula
+from test_geometry import EX, EY, make_ula
 
 P_T = RADIO.tx_power
 
@@ -97,7 +97,6 @@ def test_closed_form_frozen_regression_value():
     # Table-II-style parameters on the 200 m equilateral scene; expected
     # power computed independently with 40-digit arithmetic
     from rislink.geometry import RisPanel, TransmitterArray
-    from test_geometry import EX
     d = 200.0
     tx = TransmitterArray(center=np.array([-d / 2, 0.0, 0.0]),
                           layout=UlaLayout(count=16, spacing=0.0143, axis=EY),
@@ -284,6 +283,19 @@ def test_two_path_solution_achieves_predicted_power():
     single = closed_form_solution(tx, ris, rx, RADIO)
     assert achieved >= received_power(channels, single.theta, single.v) * (
         1 - 1e-12)
+
+
+def test_two_path_solution_rejects_upa_before_far_field_check():
+    """A UPA transmitter is a DomainError even when the scene also fails a
+    strict far-field check."""
+    tx, ris, rx = equilateral(2.0, rows=30, cols=30)
+    with pytest.raises(FarFieldViolation):
+        two_path_solution(tx, ris, rx, RADIO, mode="strict")
+    upa = replace(tx, layout=UpaLayout(rows=2, cols=2, spacing_x=0.0143,
+                                       spacing_y=0.0143, axis_x=EX,
+                                       axis_y=EY))
+    with pytest.raises(DomainError):
+        two_path_solution(upa, ris, rx, RADIO, mode="strict")
 
 
 def test_two_path_power_formula_uses_coherence_magnitude():
