@@ -24,6 +24,8 @@ _EXPERIMENTS = {
     "sweep-wavelength": sweep_wavelength,
     "robustness": robustness,
 }
+# the commands whose studies model the direct path
+_DIRECT_LINK_COMMANDS = ("solve", "sweep-plane")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,8 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory for CSV/metadata/plot script")
         p.add_argument("--strict-far-field", action="store_true",
                        help="raise instead of warning on near-field scenes")
-        p.add_argument("--direct-link", action=argparse.BooleanOptionalAction,
-                       default=None, help="include the unblocked direct path")
+        if name in _DIRECT_LINK_COMMANDS:
+            p.add_argument("--direct-link",
+                           action=argparse.BooleanOptionalAction,
+                           default=None,
+                           help="include the unblocked direct path")
         p.add_argument("--grid", metavar="N", type=int, default=None,
                        help="override every sweep point count")
         p.add_argument("--paper-scale", action="store_true",
@@ -54,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, paper_scale=args.paper_scale,
-                          direct_link=args.direct_link,
+                          direct_link=getattr(args, "direct_link", None),
                           strict_far_field=args.strict_far_field,
                           grid_override=args.grid)
     except ConfigError as exc:

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import (DegenerateGeometry, DimensionMismatch, DomainError,
                      FarFieldViolation, FarFieldWarning, ShadowedPanel)
 from .geometry import (LinkAngles, PanelPoses, RisPanel, TransmitterArray,
-                       _as_vec3, _axis_offsets, _norm, antenna_positions,
-                       element_positions, far_field_ratios, link_angles)
+                       _as_vec3, _axis_offsets, _element_planes, _norm,
+                       antenna_positions, far_field_ratios, link_angles)
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,21 @@ def _leading_singular_pair(a: np.ndarray) -> tuple[np.ndarray, float]:
         return u, 0.0
     u = a @ vecs[:, -1] / sigma
     u /= np.linalg.norm(u)
-    idx = int(np.argmax(np.abs(u) > 1e-12 * np.max(np.abs(u))))
+    mag = np.abs(u)
+    idx = int(np.argmax(mag > 1e-12 * mag.max()))
     return u * np.exp(-1j * np.angle(u[idx])), sigma
+
+
+def _unit_phasors(phase: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """exp(j*phase) as cos(phase) + j*sin(phase), written into the real and
+    imaginary parts of the complex array `out` (a new one if None), with no
+    complex temporaries; the bits are those of np.exp(1j * phase)."""
+    if out is None:
+        out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 @dataclass(frozen=True)
@@ -408,13 +421,34 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
 
 # Entries per block of the exact channel build (exact_channel): a block is
 # as many whole antenna rows of the antenna-major (N, L) channel as fit, and
-# at least one, so its distance, phase and amplitude temporaries stay this
-# size for a panel of any size.  The default 16 x 400 channel is one block;
-# the paper-scale 16 x 10 000 one goes one row per block, and a call's
-# traced peak memory, the channel included, is 1.31 times the channel's
-# size.  One row per block at every scale made the default-scale distance
-# sweep about 20 % slower.
+# at least one, so its distance, phase and amplitude buffers stay this size
+# for a panel of any size.  The default 16 x 400 channel is one block; the
+# paper-scale 16 x 10 000 one goes one row per block, and a call's traced
+# peak memory, the channel included, is 1.31 times the channel's size.  One
+# row per block at every scale made the default-scale distance sweep about
+# 20 % slower.
 _CHANNEL_BLOCK = 16384
+
+
+def _plane_distances(points: np.ndarray, planes: np.ndarray,
+                     out: np.ndarray, work: np.ndarray,
+                     shared: dict[int, np.ndarray]) -> np.ndarray:
+    """Distances from each of the points (P, 3) to every column of the
+    coordinate planes (3, L), written into `out` (P, L) with `work` of
+    the same shape: the squared per-axis differences are summed x + y + z,
+    in the order np.linalg.norm(..., axis=-1) sums them, so the bits match
+    it.  `shared` maps each axis on which every point has the same
+    coordinate to its squared-difference plane (L,), which is then read
+    instead of formed again."""
+    def square(c, dest):
+        if c in shared:
+            return shared[c]
+        diff = np.subtract(points[:, c, None], planes[c], out=dest)
+        return np.multiply(diff, diff, out=diff)
+
+    np.add(square(0, out), square(1, work), out=out)
+    out += square(2, work)
+    return np.sqrt(out, out=out)
 
 
 def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
@@ -431,40 +465,41 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     lam = radio.wavelength
     wavenum = 2 * np.pi / lam
 
-    elems = element_positions(ris)             # (L, 3)
+    elems = _element_planes(ris)               # (3, L)
     ants = antenna_positions(tx)               # (N, 3)
-    d_ir = np.linalg.norm(rx[None, :] - elems, axis=1)                   # (L,)
-    if np.min(d_ir) == 0.0:
-        raise DegenerateGeometry("element and receiver positions coincide")
+    count = ris.count
     # The channel is built antenna-major, (N, L), so that every inner loop
     # runs over the L elements, one _CHANNEL_BLOCK block of antenna rows at
-    # a time; ChannelSet gets the (L, N) transpose view.  Per block, the
-    # per-pair distances come from one squared-difference plane per axis,
-    # summed x + y + z in the order np.linalg.norm(..., axis=2) sums them
-    # (so the bits match) but with no (L, N, 3) temporary; exp(j*k*d) is
-    # written as cos + j*sin straight into the block's rows, which are then
+    # a time; ChannelSet gets the (L, N) transpose view.  Distances come
+    # from the element coordinate planes into two block-sized buffers made
+    # once per call (the distances, and a work plane for the squared
+    # differences, then k*d, then d*d_IR, and last k*d_IR); an axis on
+    # which all antennas agree, two of three for a ULA along a coordinate
+    # axis, gets one squared-difference plane for every row.  _unit_phasors
+    # writes exp(j*k*d) straight into the block's rows, which are then
     # scaled by the real amplitude delta / (d_ti * d_ir) in place.
-    h_ti = np.empty((len(ants), len(elems)), dtype=complex)
-    step = max(1, _CHANNEL_BLOCK // len(elems))
+    step = min(len(ants), max(1, _CHANNEL_BLOCK // count))
+    dist, work = np.empty((step, count)), np.empty((step, count))
+    d_ir = _plane_distances(rx[None, :], elems, np.empty((1, count)),
+                            work[:1], {})[0]
+    if np.min(d_ir) == 0.0:
+        raise DegenerateGeometry("element and receiver positions coincide")
+    shared = {c: np.square(ants[0, c] - elems[c]) for c in range(3)
+              if np.all(ants[:, c] == ants[0, c])}
+    h_ti = np.empty((len(ants), count), dtype=complex)
     for start in range(0, len(ants), step):
-        block = ants[start:start + step]
-        d_ti = np.subtract.outer(block[:, 0], elems[:, 0])
-        d_ti *= d_ti
-        for c in (1, 2):
-            diff = np.subtract.outer(block[:, c], elems[:, c])
-            diff *= diff
-            d_ti += diff
-        np.sqrt(d_ti, out=d_ti)
+        rows = h_ti[start:start + step]
+        d_ti = _plane_distances(ants[start:start + step], elems,
+                                dist[:len(rows)], work[:len(rows)],
+                                shared)
         if np.min(d_ti) == 0.0:
             raise DegenerateGeometry("antenna and element positions coincide")
-        rows = h_ti[start:start + step]
-        phase = np.multiply(wavenum, d_ti, out=diff)
-        np.cos(phase, out=rows.real)
-        np.sin(phase, out=rows.imag)
-        amp = np.multiply(d_ti, d_ir, out=diff)
+        phase = np.multiply(wavenum, d_ti, out=work[:len(rows)])
+        _unit_phasors(phase, out=rows)
+        amp = np.multiply(d_ti, d_ir, out=phase)
         np.divide(gain.delta, amp, out=amp)
         rows *= amp
-    h_ir = np.exp(1j * wavenum * d_ir)
+    h_ir = _unit_phasors(np.multiply(wavenum, d_ir, out=work[0]))
 
     h_tr = direct_channel(tx, rx, radio, farfield=False) if direct else None
     return ChannelSet(h_ti=h_ti.T, h_ir=h_ir, wavelength=lam, h_tr=h_tr,

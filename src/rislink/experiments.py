@@ -194,15 +194,15 @@ def _plane_point_power(cfg: SceneConfig, x, y) -> dict:
                                 cos_mu_ti=h / d_ti, cos_mu_tr=0.0)
 
 
-def _meta(cfg: SceneConfig, experiment: str) -> dict:
+def _meta(cfg: SceneConfig, experiment: str, **settings) -> dict:
     """Sidecar metadata: the profile's hash and the settings resolved on top
-    of it by the command line (panel grid, far-field mode, direct link), so
-    that runs differing only in such a flag write different sidecars."""
+    of it by the command line (panel grid, far-field mode, and the study's
+    own `settings` such as the direct link of the studies that model it),
+    so that runs differing only in such a flag write different sidecars."""
     return {"tool": "rislink", "version": __version__,
             "experiment": experiment, "config_hash": cfg.config_hash,
             "ris_rows": cfg.ris_rows, "ris_cols": cfg.ris_cols,
-            "far_field_mode": cfg.far_field_mode,
-            "direct_link": cfg.direct_link}
+            "far_field_mode": cfg.far_field_mode, **settings}
 
 
 def sweep_distance(cfg: SceneConfig) -> SweepResult:
@@ -258,7 +258,8 @@ def sweep_plane(cfg: SceneConfig) -> SweepResult:
                        total_dbm=watts_to_dbm(p["combined"]),
                        abs_o=np.abs(p["o"]))
     return SweepResult(kind="heatmap", columns=columns,
-                       meta=_meta(cfg, "sweep-plane"))
+                       meta=_meta(cfg, "sweep-plane",
+                                  direct_link=cfg.direct_link))
 
 
 def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
@@ -354,7 +355,8 @@ def solve(cfg: SceneConfig) -> SweepResult:
                                     + [bound]),
                                 "evaluated_dbm": watts_to_dbm(
                                     evaluated + [bound])},
-                       meta=_meta(cfg, "solve"))
+                       meta=_meta(cfg, "solve",
+                                  direct_link=cfg.direct_link))
 
 
 def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:

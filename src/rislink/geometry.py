@@ -247,12 +247,25 @@ def antenna_positions(tx: TransmitterArray) -> np.ndarray:
             + yo[:, None] * lay.axis_y[None, :])
 
 
+def _element_planes(ris: RisPanel) -> np.ndarray:
+    """Element coordinates as a (3, L) array, one contiguous plane per axis,
+    in row-major element order.
+
+    Element q = n*cols + m sits at center + x_m * axis_x + y_n * axis_y,
+    summed in that order; center + x_m * axis_x is formed once per column
+    and y_n * axis_y once per row, and only the sum runs over all L.
+    """
+    x = _axis_offsets(ris.cols, ris.d_x)
+    y = _axis_offsets(ris.rows, ris.d_y)
+    planes = ((ris.center[:, None] + ris.axis_x[:, None] * x)[:, None, :]
+              + (ris.axis_y[:, None] * y)[:, :, None])
+    return planes.reshape(3, ris.count)
+
+
 def element_positions(ris: RisPanel) -> np.ndarray:
-    """Positions of every reflective element, shape (L, 3), row-major order."""
-    xo, yo = _grid_offsets(ris.rows, ris.cols, ris.d_x, ris.d_y)
-    return (ris.center[None, :]
-            + xo[:, None] * ris.axis_x[None, :]
-            + yo[:, None] * ris.axis_y[None, :])
+    """Positions of every reflective element, shape (L, 3), row-major order:
+    the C-ordered transpose of _element_planes."""
+    return _element_planes(ris).T.copy()
 
 
 def _angle_between(u: Vec3, v: Vec3) -> float:

@@ -10,8 +10,8 @@ from enum import Enum
 
 import numpy as np
 
-from .em import (ChannelSet, RadioParams, _direction, _farfield_link,
-                 _panel_phasors, _theta_dot_d, direct_channel,
+from .em import (ChannelSet, RadioParams, _FarFieldLink, _farfield_link,
+                 _panel_phasors, _theta_dot_d, _unit_phasors, direct_channel,
                  received_power)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import (LinkAngles, RisPanel, TransmitterArray, UlaLayout,
@@ -65,15 +65,23 @@ def mrt_beamforming(h_eff: np.ndarray, p_t: float) -> np.ndarray:
     return np.sqrt(p_t) * np.conj(h_eff) / norm
 
 
+def _link_phases(ris: RisPanel, link: _FarFieldLink) -> np.ndarray:
+    """closed_form_phases from the directions u_TI and u_IR of the panel's
+    own far-field link (P = 1)."""
+    e_x, e_y = _panel_phasors(ris, ris.axis_x, ris.axis_y,
+                              link.u_ti[0] + link.u_ir[0], link.wavenum)
+    return np.conj(np.outer(e_y, e_x).ravel())
+
+
 def closed_form_phases(tx: TransmitterArray, ris: RisPanel, rx_position,
                        wavelength: float) -> np.ndarray:
     """Far-field optimal phase shifts, one unit-modulus entry per element:
     the conjugate of the channel's two-hop element phasor d_vec, the panel
-    phasors toward u_TI + u_IR."""
-    u = _direction(ris.center, tx.center) + _direction(ris.center, rx_position)
-    e_x, e_y = _panel_phasors(ris, ris.axis_x, ris.axis_y, u,
-                              2 * np.pi / wavelength)
-    return np.conj(np.outer(e_y, e_x).ravel())
+    phasors toward u_TI + u_IR of the far-field link.  A panel that does not
+    see both ends raises ShadowedPanel."""
+    link = _farfield_link(tx, ris, rx_position, RadioParams(wavelength), 1.0,
+                          "off")
+    return _link_phases(ris, link)
 
 
 def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
@@ -89,7 +97,7 @@ def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     covers ULA and UPA layouts alike, and the phases of closed_form_phases.
     A panel that does not see both ends raises ShadowedPanel."""
     link = _farfield_link(tx, ris, rx_position, radio, 1.0, "off")
-    theta = closed_form_phases(tx, ris, rx_position, radio.wavelength)
+    theta = _link_phases(ris, link)
     v = np.sqrt(radio.tx_power / tx.count) * np.conj(link.b_vec()[0])
     predicted = closed_form_predicted_power(float(link.a_tir[0]), tx.count,
                                             ris.count, radio.tx_power)
@@ -167,15 +175,14 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     with the far-field direct row h_TR.  `mode` is the far-field policy of
     farfield_channel.
     """
-    angles = link_angles(tx, ris, rx_position)
-    terms = two_path_terms(angles, tx, radio.wavelength)
-    theta = (closed_form_phases(tx, ris, rx_position, radio.wavelength)
-             * np.exp(1j * terms.phase_offset))
+    terms = two_path_terms(link_angles(tx, ris, rx_position), tx,
+                           radio.wavelength)
     link = _farfield_link(tx, ris, rx_position, radio, margin, mode)
+    theta = _link_phases(ris, link) * np.exp(1j * terms.phase_offset)
     a_tir = float(link.a_tir[0])
     h_tr = direct_channel(tx, rx_position, radio, farfield=True)
     ris_amp = (a_tir
-               * np.exp(1j * link.wavenum * (angles.d_ti + angles.d_ir))
+               * np.exp(1j * link.wavenum * (link.d_ti[0] + link.d_ir[0]))
                * _theta_dot_d(ris, link, theta)[0])
     row = ris_amp * link.b_vec()[0] + h_tr
     v = mrt_beamforming(row, radio.tx_power)
@@ -194,8 +201,8 @@ def svd_solution(channels: ChannelSet, p_t: float) -> Solution:
     cascade = channels.cascade()
     u1, _ = channels.leading_pair
     conj_u = np.conj(u1)
-    theta = np.where(np.abs(conj_u) > 0.0,
-                     np.exp(1j * np.angle(conj_u)), 1.0 + 0j)
+    theta = _unit_phasors(np.angle(conj_u))
+    theta[conj_u == 0] = 1.0
     row = theta @ cascade
     if channels.h_tr is not None:
         row = row + channels.h_tr

@@ -262,7 +262,9 @@ def test_10_cli_experiments_deterministic(tmp_path):
 # golden file of each case whose name is not the command's CSV name
 _GOLDEN_NAMES = {("solve", "--direct-link"): "solve_direct_link.csv",
                  ("robustness", "--paper-scale", "--grid", "7"):
-                 "robustness_paper_scale.csv"}
+                 "robustness_paper_scale.csv",
+                 ("sweep-distance", "--paper-scale", "--grid", "5"):
+                 "sweep_distance_paper_scale.csv"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -273,6 +275,7 @@ _GOLDEN_NAMES = {("solve", "--direct-link"): "solve_direct_link.csv",
     ("robustness", "--grid", "7"),
     ("solve", "--direct-link"),
     ("robustness", "--paper-scale", "--grid", "7"),
+    ("sweep-distance", "--paper-scale", "--grid", "5"),
 ])
 def test_10b_cli_analytic_studies_match_golden_csv(argv, tmp_path):
     """The studies reproduce the checked-in CSVs byte for byte.  tests/golden/
@@ -283,7 +286,10 @@ def test_10b_cli_analytic_studies_match_golden_csv(argv, tmp_path):
     and the two-path solve as written before the studies built columns, and
     the paper-scale robustness map as written once a pose's far-field power
     stopped depending on the poses evaluated with it (its origin deviation,
-    rounding noise around 0, then moved from 3.65e-16 to 1.82e-16)."""
+    rounding noise around 0, then moved from 3.65e-16 to 1.82e-16).  The
+    paper-scale distance sweep, whose channel goes one antenna row per
+    block, is pinned as written before the channel took its element
+    coordinates as (3, L) planes."""
     from rislink.cli import main
     assert main([*argv, "--out", str(tmp_path)]) == 0
     name = argv[0].replace("-", "_") + ".csv"

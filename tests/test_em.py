@@ -310,20 +310,33 @@ def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(**scene_args, blocked=st.booleans())
-@example(rows=5, cols=3, upa=False, seed=4, blocked=False)
-@example(rows=2, cols=6, upa=True, seed=5, blocked=False)
-@example(rows=3, cols=4, upa=False, seed=0, blocked=True)   # N = 7
-@example(rows=1, cols=5, upa=True, seed=25, blocked=True)   # N = 9
-def test_exact_channel_matches_norm_formula(rows, cols, upa, seed, blocked):
+@given(**scene_args, block_rows=st.sampled_from([None, 1, 2, 3]),
+       aligned=st.booleans())
+@example(rows=5, cols=3, upa=False, seed=4, block_rows=None, aligned=False)
+@example(rows=2, cols=6, upa=True, seed=5, block_rows=None, aligned=False)
+@example(rows=3, cols=4, upa=False, seed=0, block_rows=2,     # N = 7
+         aligned=False)
+@example(rows=1, cols=5, upa=True, seed=25, block_rows=2,     # N = 9
+         aligned=False)
+@example(rows=7, cols=7, upa=False, seed=6, block_rows=1, aligned=True)
+@example(rows=4, cols=3, upa=True, seed=7, block_rows=1, aligned=True)
+def test_exact_channel_matches_norm_formula(rows, cols, upa, seed,
+                                            block_rows, aligned):
     """The per-axis distance planes and the cos/sin phasor give the same
-    bits as the (L, N, 3) norm and np.exp formula written out here, also
-    when the channel is built in several blocks of two antenna rows plus a
-    remainder (`blocked`, with odd N)."""
+    bits as the (L, N, 3) norm and np.exp formula written out here: the
+    per-pair distances by np.linalg.norm(..., axis=2), the amplitude
+    delta / (d * d_IR) and the phasor exp(j*k*d).  That holds with the
+    channel in one block (`block_rows` None), one antenna row per block as
+    at paper scale, or blocks of two or three rows with a shorter last
+    block; and with the array along coordinate axes (`aligned`), where all
+    antennas share a coordinate on one or two axes."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
+    if aligned:
+        axes = (dict(axis_x=EX, axis_y=EZ) if upa else dict(axis=EY))
+        tx = replace(tx, layout=replace(tx.layout, **axes))
     with pytest.MonkeyPatch.context() as mp:
-        if blocked:
-            mp.setattr(em, "_CHANNEL_BLOCK", 2 * ris.count + 1)
+        if block_rows:
+            mp.setattr(em, "_CHANNEL_BLOCK", block_rows * ris.count)
         channels = exact_channel(tx, ris, rx, radio)
     wavenum = 2 * np.pi / radio.wavelength
     elems = element_positions(ris)

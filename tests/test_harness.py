@@ -338,18 +338,21 @@ def test_cli_solve_strict_far_field(tmp_path):
 
 
 def test_cli_sidecars_record_resolved_settings(tmp_path):
-    """The sidecar records the panel grid, far-field mode and direct link
-    that the flags resolve, so runs differing only in --paper-scale,
-    --strict-far-field or --direct-link write different sidecars, while a
-    rerun writes the same bytes."""
-    runs = {"base": [], "again": [], "paper": ["--paper-scale"],
-            "strict": ["--strict-far-field"], "direct": ["--direct-link"]}
+    """The sidecar records the panel grid, far-field mode and, where the
+    study reads it, direct link that the flags resolve, so runs differing
+    only in --paper-scale, --strict-far-field or --direct-link write
+    different sidecars, while a rerun writes the same bytes."""
+    runs = {"base": ["sweep-distance"], "again": ["sweep-distance"],
+            "paper": ["sweep-distance", "--paper-scale"],
+            "strict": ["sweep-distance", "--strict-far-field"],
+            "solve": ["solve"], "direct": ["solve", "--direct-link"]}
     sidecars = {}
-    for name, flags in runs.items():
+    for name, (command, *flags) in runs.items():
         out = tmp_path / name
-        assert main(["sweep-distance", "--grid", "3", "--out", str(out),
+        assert main([command, "--grid", "3", "--out", str(out),
                      *flags]) == 0
-        sidecars[name] = (out / "sweep_distance.csv.meta.json").read_bytes()
+        stem = command.replace("-", "_")
+        sidecars[name] = (out / f"{stem}.csv.meta.json").read_bytes()
     assert sidecars.pop("again") == sidecars["base"]
     assert len(set(sidecars.values())) == len(sidecars)
     meta = {name: json.loads(raw) for name, raw in sidecars.items()}
@@ -358,8 +361,23 @@ def test_cli_sidecars_record_resolved_settings(tmp_path):
                                                                       100)
     assert meta["base"]["far_field_mode"] == "warn"
     assert meta["strict"]["far_field_mode"] == "strict"
-    assert (meta["base"]["direct_link"], meta["direct"]["direct_link"]) == (
+    assert (meta["solve"]["direct_link"], meta["direct"]["direct_link"]) == (
         False, True)
+    assert "direct_link" not in meta["base"]
+
+
+@pytest.mark.parametrize("command", ["sweep-distance", "sweep-wavelength",
+                                     "robustness", "validate"])
+def test_cli_rejects_direct_link_where_no_study_reads_it(command, tmp_path,
+                                                         capsys):
+    """Only solve and sweep-plane model the direct path; every other
+    command rejects --direct-link as an unknown flag (exit code 2) and
+    writes nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--direct-link", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --direct-link" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_rejects_removed_seed_flag(capsys):

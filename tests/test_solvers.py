@@ -277,7 +277,7 @@ def test_two_path_solution_achieves_predicted_power():
                                 mode="off")
     sol = two_path_solution(tx, ris, rx, RADIO, mode="off")
     achieved = received_power(channels, sol.theta, sol.v)
-    assert achieved == pytest.approx(sol.predicted_power, rel=1e-6)
+    assert achieved == pytest.approx(sol.predicted_power, rel=1e-6, abs=0)
     assert sol.method is Method.CLOSED_FORM_TWO_PATH
     # and it beats the single-path design evaluated on the same channel
     single = closed_form_solution(tx, ris, rx, RADIO)
@@ -354,10 +354,10 @@ def test_svd_solution_matches_closed_form_on_farfield_channel(scene):
     svd = svd_solution(channels, p_t)
     closed = closed_form_solution(tx, ris, rx, radio)
     p_closed = received_power(channels, closed.theta, closed.v)
-    assert svd.predicted_power == pytest.approx(p_closed, rel=1e-9)
+    assert svd.predicted_power == pytest.approx(p_closed, rel=1e-9, abs=0)
     # rank-one channel: the projected solution attains the bound exactly
     assert svd.predicted_power == pytest.approx(
-        power_upper_bound(channels, p_t), rel=1e-9)
+        power_upper_bound(channels, p_t), rel=1e-9, abs=0)
     np.testing.assert_allclose(np.abs(svd.theta), 1.0, atol=1e-12)
     assert np.vdot(svd.v, svd.v).real <= p_t * (1 + 1e-9)
 
