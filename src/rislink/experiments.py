@@ -25,8 +25,9 @@ from .validation import (OracleConfig, exhaustive_phase_search,
 
 # Rows per block, shared by the plane map's model calls (sweep_plane), which
 # keep their temporaries to one block, and the CSV writer (output.emit_csv),
-# which formats and writes one block at a time: joining the text of the
-# whole 40 401-row plane map before writing raised a run's peak memory by 5 %.
+# which turns one block at a time into one byte matrix, compacts it and
+# writes it: joining the text of the whole 40 401-row plane map before
+# writing raised a run's peak memory by 5 %.
 _BLOCK_ROWS = 4096
 
 

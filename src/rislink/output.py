@@ -10,59 +10,198 @@ import numpy as np
 
 from .experiments import _BLOCK_ROWS, SweepResult
 
-_FORMATS = {"f": "%.9g", "i": "%d", "U": "%s"}   # by numpy dtype kind
+_KINDS = "fiU"   # float (`%.9g`), int (`%d`) and str columns, by dtype kind
+
+# Tables of the `%.9g` kernel, built once by numpy arithmetic.  A float
+# field is three little-endian words: the sign, the "0.000" prefix of
+# fixed notation below 1 and the leading digit d0; the eight digits
+# d1..d8 with the point inserted among them; and the digit pushed out by
+# the point, the exponent and the separator.  Unused bytes are NUL.  The
+# key of the per-exponent tables is 2 * (e - _E_MIN) + (v < 0).
+_E_MIN, _E_MAX = -14, 30   # exponents e with |8 - e| <= 22: 10**|8 - e| exact
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SHIFT = np.repeat(8 - np.arange(_E_MIN, _E_MAX + 1), 2)
+_MUL = np.where(_SHIFT >= 0, _POW10[np.clip(_SHIFT, 0, 22)], 1.0)
+_DIV = np.where(_SHIFT < 0, _POW10[np.clip(-_SHIFT, 0, 22)], 1.0)
 
 
-def _block_cells(part: np.ndarray, fmt: str) -> tuple[str, list]:
-    """The `%` conversion and the cells of one column within one block.
+def _words(byte_rows: np.ndarray) -> np.ndarray:
+    """One '<u8' word per row of an (..., 8) array of bytes in memory order."""
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view("<u8")[..., 0]
 
-    A float or int column whose distinct values number at most half the
-    block's rows is formatted once per distinct value and comes back as
-    str cells under `%s`.  Values are told apart by their bit pattern, so
-    0.0 and -0.0 stay distinct and every NaN formats as itself.
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """ASCII words of the 4-digit groups 0000..9999 with their trailing
+    zeros as NUL: in bytes 0-3 for d1..d4, and in bytes 4-7 for d5..d8
+    with a '0' in bytes 0-3 whenever the group is not 0, which puts back
+    the zeros of d1..d4 that are not trailing after all."""
+    v = np.arange(10_000)[:, None]
+    digits = v // [1000, 100, 10, 1] % 10
+    significant = v % [10_000, 1000, 100, 10] != 0   # nonzero from here on
+    text = np.zeros((10_000, 8), np.uint8)
+    text[:, :4] = (digits + ord("0")) * significant
+    first = _words(text)
+    second = first << 32
+    second[1:] |= int.from_bytes(b"0000", "little")
+    return first, second
+
+
+def _layout_tables() -> tuple[np.ndarray, ...]:
+    """Per-exponent and sign words: the '0' of each digit of d1..d8
+    before the point, the mask of the digits after it, the point, the
+    first word's sign and prefix, and the last word's exponent."""
+    e, neg = np.meshgrid(np.arange(_E_MIN, _E_MAX + 1), np.arange(2),
+                         indexing="ij")
+    fixed = (e >= -4) & (e < 9)
+    small = fixed & (e < 0)                    # "0." and the point before d0
+    lead = np.where(fixed & ~small, e, 0)[..., None]  # d1..d8 before the point
+    i = np.arange(8)
+    zeros = _words(np.where(i < lead, ord("0"), 0))
+    after = _words(np.where((i >= lead) & ~small[..., None], 255, 0))
+    point = _words(np.where((i == lead) & ~small[..., None], ord("."), 0))
+    prefix = np.zeros(e.shape + (8,), np.uint8)
+    prefix[..., 0] = np.where(neg == 1, ord("-"), 0)
+    prefix[..., 1] = np.where(small, ord("0"), 0)
+    prefix[..., 2] = np.where(small, ord("."), 0)
+    for j in range(3):
+        prefix[..., 3 + j] = np.where(small & (e <= -2 - j), ord("0"), 0)
+    expo = np.zeros(e.shape + (8,), np.uint8)
+    expo[..., 1] = ord("e")
+    expo[..., 2] = np.where(e < 0, ord("-"), ord("+"))
+    expo[..., 3] = abs(e) // 10 + ord("0")
+    expo[..., 4] = abs(e) % 10 + ord("0")
+    expo[fixed] = 0
+    return tuple(t.ravel() for t in (zeros, after, point, _words(prefix),
+                                     _words(expo)))
+
+
+_FIRST4, _SECOND4 = _digit_tables()
+_ZEROS, _AFTER, _POINT, _PREFIX, _EXPONENT = _layout_tables()
+_LEADING = (np.arange(10, dtype=np.uint64) + ord("0")) << 56
+
+
+def _float_fields(x: np.ndarray, words: np.ndarray, sep: int) -> np.ndarray:
+    """Write `'%.9g' % v` for every float v of x, then the byte sep, into
+    the rows of words, an (n, 3) '<u8' array; return the mask of the cells
+    left to `%`.
+
+    With e = floor(log10|v|), s = |v| * 10**(8 - e) is one correctly
+    rounded product or quotient of exact doubles.  Rounding is monotone and
+    every n + 0.5 below 1e9 is a double, so s lies on the same side of each
+    half as the exact value, or on the half itself: s rounds to the 9-digit
+    mantissa `'%.9g'` prints unless it is a half or lies outside [1e8,
+    1e9 - 0.5), which also catches a log10 off by one and a carry to 1e9.
+    Those cells, zeros, nan, inf, subnormals and |e - 8| > 22 are left to
+    `%`; their bytes here are placeholders.
     """
-    if part.dtype.kind in "fi":
-        bits, inverse = np.unique(part.view(f"i{part.itemsize}"),
-                                  return_inverse=True)
-        if 2 * len(bits) <= len(part):
-            text = [fmt % v for v in bits.view(part.dtype).tolist()]
-            return "%s", np.array(text, dtype=object)[inverse].tolist()
-    return fmt, part.tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.abs(x)
+        e = np.log10(a)
+        np.floor(e, out=e)
+        np.fmax(e, _E_MIN, out=e)
+        np.fmin(e, _E_MAX, out=e)
+        e -= _E_MIN
+        e *= 2
+        e += x < 0
+        key = e.astype(np.intp)
+        s = a * _MUL[key]
+        s /= _DIV[key]
+        m = np.rint(s)
+        np.fmin(m, 999_999_999.0, out=m)
+        fast = np.abs(s - m) < 0.5
+        fast &= s >= 1e8
+        np.fmax(m, 1e8, out=m)
+    rest = m.astype(np.intp)
+    d0 = rest // 100_000_000
+    rest -= d0 * 100_000_000
+    first = rest // 10_000
+    rest -= first * 10_000
+    digits = _FIRST4[first]
+    digits |= _SECOND4[rest]
+    digits |= _ZEROS[key]
+    after = digits & _AFTER[key]
+    digits ^= after
+    point = _POINT[key]
+    point *= after != 0            # no point when no digit follows it
+    digits |= point
+    np.bitwise_or(digits, after << 8, out=words[:, 1])
+    np.bitwise_or(_PREFIX[key], _LEADING[d0], out=words[:, 0])
+    after >>= 56
+    np.bitwise_or(after, (_EXPONENT | np.uint64(sep << 56))[key],
+                  out=words[:, 2])
+    return ~fast
+
+
+def _block_bytes(parts: list[np.ndarray]) -> bytearray:
+    """The CSV rows of one block, one part (column slice) per column.
+
+    Each cell gets a field of whole words ending in its separator, with
+    NUL bytes where it has no character; the rows' fields form one
+    zero-filled matrix whose NUL bytes are dropped in one pass.
+    """
+    n = len(parts[0])
+    cells, widths = [], []
+    for part in parts:
+        if part.dtype.kind == "f":
+            cells.append(np.asarray(part, dtype=np.float64))
+            widths.append(3)
+        else:
+            text = (part.astype("S") if part.dtype.kind == "i"
+                    else np.strings.encode(part, "utf-8"))
+            cells.append(text)
+            widths.append(text.itemsize // 8 + 1)
+    buf = bytearray(8 * n * sum(widths))
+    words = np.frombuffer(buf, dtype="<u8").reshape(n, sum(widths))
+    raw = words.view(np.uint8)
+    col = 0
+    for j, (cell, width) in enumerate(zip(cells, widths)):
+        sep = ord("\n") if j == len(cells) - 1 else ord(",")
+        start, end = 8 * col, 8 * (col + width) - 1   # end: the separator
+        if cell.dtype.kind == "f":
+            slow = np.flatnonzero(_float_fields(cell, words[:, col:col + 3],
+                                                sep))
+            if slow.size:
+                text = np.array([b"%.9g" % v for v in cell[slow].tolist()],
+                                dtype=f"S{end - start}")
+                raw[slow, start:end] = text.view(np.uint8).reshape(
+                    slow.size, -1)
+        else:
+            raw[:, start:start + cell.itemsize] = cell.view(np.uint8).reshape(
+                n, -1)
+            raw[:, end] = sep
+        col += width
+    return buf.translate(None, b"\0")
 
 
 def emit_csv(result: SweepResult, path: str | Path) -> Path:
     """Write the columns as UTF-8 CSV plus a `.meta.json` sidecar.
 
-    Rows are written in blocks of `_BLOCK_ROWS`, each row one `%` template:
-    `%.9g` for float columns (which writes nan, inf, -inf and -0 as such),
-    `%d` for int columns and `%s` for str columns.  Within a block, a float
-    or int column that repeats its values (at most half as many distinct
-    values as rows, such as a grid coordinate) is formatted once per
-    distinct value with the same conversion and joins the row as `%s`, so
-    the bytes do not depend on the path.  Output is byte-deterministic for
-    identical inputs: fixed float format, fixed row order, no timestamps in
-    the sidecar.
+    Every float cell reads as `'%.9g' % v` (which writes nan, inf, -inf
+    and -0 as such), every int cell as `'%d' % v` and every str cell as its
+    UTF-8 bytes.  Rows are formatted and written in blocks of
+    `_BLOCK_ROWS`, one compacted byte matrix per block (`_block_bytes`):
+    `_float_fields` formats a block's float column as one array program
+    and leaves the few cells it cannot round exactly to `%`; int and str
+    columns go through fixed-width byte strings.  Output is
+    byte-deterministic for identical inputs: fixed float format, fixed row
+    order, no timestamps in the sidecar.
     """
     path = Path(path)
     n = len(result)
-    formats = []
+    columns = []
     for name, col in result.columns.items():
         if len(col) != n:
             raise ValueError(f"column {name!r} has {len(col)} rows, not {n}")
-        kind = np.asarray(col).dtype.kind
-        if kind not in _FORMATS:
+        col = np.asarray(col)
+        if col.dtype.kind not in _KINDS:
             raise ValueError(f"column {name!r} is neither float, int nor str")
-        formats.append(_FORMATS[kind])
-    columns = list(result.columns.values())
+        columns.append(col)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(result.header) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(result.header) + "\n").encode("utf-8"))
         for start in range(0, n, _BLOCK_ROWS):
-            convs, block = zip(*(
-                _block_cells(np.asarray(col[start:start + _BLOCK_ROWS]), fmt)
-                for col, fmt in zip(columns, formats)))
-            template = ",".join(convs) + "\n"
-            fh.write("".join(template % row for row in zip(*block)))
+            fh.write(_block_bytes([col[start:start + _BLOCK_ROWS]
+                                   for col in columns]))
 
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     meta = dict(sorted(result.meta.items()))

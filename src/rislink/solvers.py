@@ -11,8 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .em import (ChannelSet, RadioParams, _FarFieldLink, _farfield_link,
-                 _panel_phasors, _theta_dot_d, _unit_phasors, direct_channel,
-                 received_power)
+                 _panel_phasors, _theta_dot_d, _unit_phasors, direct_channel)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import (LinkAngles, RisPanel, TransmitterArray, UlaLayout,
                        link_angles)
@@ -207,9 +206,10 @@ def svd_solution(channels: ChannelSet, p_t: float) -> Solution:
     if channels.h_tr is not None:
         row = row + channels.h_tr
     v = mrt_beamforming(row, p_t)
-    achieved = received_power(channels, theta, v)
     _check_feasible(v, theta, p_t)
-    return Solution(v=v, theta=theta, predicted_power=achieved,
+    # row is the design's effective channel, so |row v|^2 is its power
+    return Solution(v=v, theta=theta,
+                    predicted_power=float(np.abs(row @ v) ** 2),
                     method=Method.SVD_PROJECTED)
 
 

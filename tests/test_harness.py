@@ -3,18 +3,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rislink.cli import main
 from rislink.config import (dbm_to_watts, db_to_linear, linear_to_db,
                             load_config, watts_to_dbm)
 from rislink.errors import ConfigError
-from rislink.experiments import SweepResult
-from rislink.output import (_BLOCK_ROWS, _block_cells, emit_csv,
-                            emit_plot_script)
+from rislink.experiments import SweepResult, sweep_plane
+from rislink.output import (_BLOCK_ROWS, _block_bytes, _float_fields,
+                            emit_csv, emit_plot_script)
 
 
 def test_unit_round_trips():
@@ -148,10 +150,11 @@ def test_emit_csv_format_and_sidecar(tmp_path):
 
 
 def test_emit_csv_repeated_values_read_like_single_cells(tmp_path):
-    """Columns that repeat their values within a block are formatted once
-    per distinct value; the table reads byte for byte like its cells
-    formatted one by one, special floats included, and a block holding both
-    0.0 and -0.0 writes 0 and -0."""
+    """Columns that repeat their values within a block, columns of distinct
+    values and a column that changes from one to the other at a block
+    boundary read byte for byte like their cells formatted one by one,
+    special floats included, and a block holding both 0.0 and -0.0 writes
+    0 and -0."""
     rng = np.random.default_rng(8)
     n = 2 * _BLOCK_ROWS + 1000
     special = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1), np.inf,
@@ -173,12 +176,96 @@ def test_emit_csv_repeated_values_read_like_single_cells(tmp_path):
     first_block = {line.split(",")[0]
                    for line in text.split("\n")[1:1 + _BLOCK_ROWS]}
     assert {"0", "-0", "nan", "inf", "-inf"} <= first_block
-    # the repeating columns take the distinct-value path, the others do not
-    assert _block_cells(repeated[:_BLOCK_ROWS], "%.9g")[0] == "%s"
-    assert _block_cells(k[:_BLOCK_ROWS], "%d")[0] == "%s"
-    assert _block_cells(mixed[:_BLOCK_ROWS], "%.9g")[0] == "%s"
-    assert _block_cells(mixed[_BLOCK_ROWS:], "%.9g")[0] == "%.9g"
-    assert _block_cells(distinct[:_BLOCK_ROWS], "%.9g")[0] == "%.9g"
+
+
+def test_emit_csv_int_and_str_cells(tmp_path):
+    """Int cells read as `%d` up to the int64 limits and str cells as their
+    UTF-8 bytes, the empty string included, in any column position."""
+    ints = np.array([0, -1, 7, 2**63 - 1, -2**63])
+    names = ["a", "", "é-ü", "longer than eight bytes", "z"]
+    emit_csv(SweepResult(kind="bar",
+                         columns={"s": names, "k": ints,
+                                  "x": np.full(5, 0.5), "t": names}),
+             tmp_path / "mixed.csv")
+    want = "".join(f"{s},{'%d' % k},0.5,{s}\n"
+                   for s, k in zip(names, ints.tolist()))
+    assert ((tmp_path / "mixed.csv").read_bytes()
+            == ("s,k,x,t\n" + want).encode("utf-8"))
+
+
+# values where `%.9g` rounds a tie, carries into the next power of ten,
+# leaves the kernel's exact-scaling range or is not a finite nonzero number,
+# and near-ties whose scaled mantissa rounds to exactly x.5 although the
+# exact value does not lie on the tie
+_FORMAT_EDGES = [0.0, -0.0, np.copysign(np.nan, -1), np.inf, -np.inf, 5e-324,
+                 1.7976931348623157e308, 0.0001, 9.9999999995e-05,
+                 9.99999999949e-05, 100000000.5, 999999999.5, 1e22, 1e23,
+                 6.123234e-17, 0.009815713415, 0.001407476745, 4.006019415,
+                 787.3875305, 792320.4065, 9.074924195e-07]
+
+
+def _kernel_cells(x: np.ndarray) -> list:
+    """The kernel's text of each float of x, with its separator, or None
+    where it leaves the cell to `%`."""
+    words = np.zeros((len(x), 3), "<u8")
+    slow = _float_fields(x, words, ord(","))
+    raw = words.view(np.uint8)
+    return [None if s else bytes(row[row != 0]) for s, row in zip(slow, raw)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(floats=st.lists(st.floats(), max_size=64),
+       bits=st.lists(st.integers(0, 2**64 - 1), max_size=64))
+@example(floats=_FORMAT_EDGES, bits=[])
+@example(floats=[], bits=[0xFFF8000000000001, 0x0000000000000001,
+                          0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF])
+def test_float_kernel_matches_percent_format(floats, bits):
+    """Every float cell the kernel writes is `'%.9g' % v` byte for byte, and
+    a block with the cells it leaves to `%` reads like the cells formatted
+    one by one."""
+    x = np.concatenate([np.array(floats, dtype=float),
+                        np.array(bits, dtype=np.uint64).view(np.float64)])
+    if not len(x):
+        return
+    want = [b"%.9g" % v for v in x.tolist()]
+    for got, cell in zip(_kernel_cells(x), want):
+        assert got is None or got == cell + b","
+    assert bytes(_block_bytes([x])) == b"".join(c + b"\n" for c in want)
+
+
+@pytest.fixture(scope="module")
+def plane_map():
+    """The benchmark's plane map: sweep-plane --direct-link --grid 201."""
+    return sweep_plane(load_config(direct_link=True, grid_override=201))
+
+
+def test_emit_csv_plane_map_reads_like_single_cells(plane_map, tmp_path):
+    """The 40 401-row map, 10 blocks, reads cell for cell as `%`, and the
+    kernel leaves only its zero cells to `%`."""
+    assert len(plane_map) == 40_401
+    assert -(-len(plane_map) // _BLOCK_ROWS) == 10
+    path = emit_csv(plane_map, tmp_path / "plane.csv")
+    columns = [col.tolist() for col in plane_map.columns.values()]
+    template = ",".join(["%.9g"] * len(columns)) + "\n"
+    want = "".join(template % row for row in zip(*columns))
+    assert path.read_text() == ",".join(plane_map.header) + "\n" + want
+    for col in plane_map.columns.values():
+        cells = _kernel_cells(col)
+        assert [c is None for c in cells] == (col == 0).tolist()
+
+
+def test_emit_csv_memory_stays_block_bounded(plane_map, tmp_path):
+    """The writer holds one block's text at a time: its traced peak on the
+    plane map stays below the size of the CSV it writes."""
+    tracemalloc.start()
+    try:
+        path = emit_csv(plane_map, tmp_path / "plane.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size == 2_339_060
+    assert peak < size
 
 
 def test_emit_csv_empty_and_mismatched(tmp_path):
