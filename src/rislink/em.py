@@ -225,11 +225,28 @@ def _panel_phasors(ris: RisPanel, axis_x: np.ndarray, axis_y: np.ndarray,
     directions of shape (3,) give (cols,) and (rows,) phasors; (P, 3) stacks
     give one row per pose, (P, cols) and (P, rows).
     """
-    e_x = np.exp(-1j * (wavenum * np.vecdot(axis_x, u)[..., None]
-                        * _axis_offsets(ris.cols, ris.d_x)))
-    e_y = np.exp(-1j * (wavenum * np.vecdot(axis_y, u)[..., None]
-                        * _axis_offsets(ris.rows, ris.d_y)))
-    return e_x, e_y
+    return (_centred_phasors(wavenum * np.vecdot(axis_x, u), ris.cols,
+                             ris.d_x),
+            _centred_phasors(wavenum * np.vecdot(axis_y, u), ris.rows,
+                             ris.d_y))
+
+
+def _centred_phasors(scale, count: int, pitch: float) -> np.ndarray:
+    """exp(-j*scale*o_i) over the centred offsets o_i of `_axis_offsets`,
+    (..., count) for `scale` of shape (...).
+
+    The offsets are exact negatives of each other, o_{count-1-i} = -o_i, so
+    the phases are too: only the first ceil(count/2) phasors are evaluated,
+    as `_unit_phasors` of the negated phase, and the rest are their mirrored
+    conjugates.  The middle phasor of an odd count is evaluated with the
+    first half: conjugating it would flip the sign of its zero imaginary
+    part.  The bits are those of np.exp(-1j * (scale * offsets))."""
+    offsets = _axis_offsets(count, pitch)
+    half = (count + 1) // 2
+    out = np.empty(np.shape(scale) + (count,), dtype=complex)
+    _unit_phasors(-(scale[..., None] * offsets[:half]), out=out[..., :half])
+    np.conjugate(out[..., :count // 2][..., ::-1], out=out[..., half:])
+    return out
 
 
 def _enforce_far_field(tx, ris, d_ti, d_ir, margin: float, mode: str) -> None:
@@ -451,6 +468,43 @@ def _plane_distances(points: np.ndarray, planes: np.ndarray,
     return np.sqrt(out, out=out)
 
 
+def _mirrored(points: np.ndarray, planes: np.ndarray, rows: int,
+              rx: np.ndarray) -> bool:
+    """Whether reflection through a coordinate plane c = 0 maps the scene
+    onto itself exactly: each point p of `points` (N, 3) onto point N-1-p,
+    panel row n of the row-major element planes (3, L) of a `rows`-row panel
+    onto row rows-1-n, and `rx` onto itself.
+
+    Then, for element q and its image q' (q with its panel row reversed),
+    every difference along c of a mirrored pair is the negated difference
+    of the original pair, and along the two other axes the same difference,
+    so the squared differences, and every distance, phase and amplitude of
+    exact_channel formed from them, are equal bit for bit: row N-1-p of
+    the channel is row p with its panel rows reversed, and d_IR of q' is
+    that of q.  A signed zero changes no square, so +0 and -0 count as
+    equal here.  The cheapest facts are checked first, on views with no
+    copy: R's coordinate, then the antennas, then half the element planes
+    against their reversed rows."""
+    grid = planes.reshape(3, rows, -1)
+    half = (rows + 1) // 2
+
+    def reflects(a, b, c):
+        return all(np.array_equal(a[i], -b[i] if i == c else b[i])
+                   for i in range(3))
+
+    return any(rx[c] == 0.0
+               and reflects(points.T, points[::-1].T, c)
+               and reflects(grid[:, :half], grid[:, ::-1][:, :half], c)
+               for c in range(3))
+
+
+def _copy_mirrored_rows(values: np.ndarray, rows: int, copied: int) -> None:
+    """Write the last `copied` panel rows of the row-major (L,) `values` of
+    a `rows`-row panel as its first `copied` rows in reverse order."""
+    grid = values.reshape(rows, -1)
+    grid[rows - copied:] = grid[:copied][::-1]
+
+
 def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
                   radio: RadioParams, *, direct: bool = False) -> ChannelSet:
     """Per-pair geometric channel used as the validation oracle.
@@ -477,19 +531,31 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     # which all antennas agree, two of three for a ULA along a coordinate
     # axis, gets one squared-difference plane for every row.  _unit_phasors
     # writes exp(j*k*d) straight into the block's rows, which are then
-    # scaled by the real amplitude delta / (d_ti * d_ir) in place.
-    step = min(len(ants), max(1, _CHANNEL_BLOCK // count))
+    # scaled by the real amplitude delta / (d_ti * d_ir) in place.  In a
+    # mirror-symmetric scene (_mirrored; every equilateral scene of the
+    # studies) the loop builds only the first ceil(N/2) antenna rows and
+    # d_IR and h_IR only their first ceil(rows/2) panel rows: the last N//2
+    # antenna rows and rows//2 panel rows are copies of their mirror images
+    # with the panel rows reversed, and equal to what the build would give.
+    mirror = _mirrored(ants, elems, ris.rows, rx)
+    ants_copied = len(ants) // 2 if mirror else 0
+    built = len(ants) - ants_copied
+    rows_copied = ris.rows // 2 if mirror else 0
+    evaluated = count - rows_copied * ris.cols
+    step = min(built, max(1, _CHANNEL_BLOCK // count))
     dist, work = np.empty((step, count)), np.empty((step, count))
-    d_ir = _plane_distances(rx[None, :], elems, np.empty((1, count)),
-                            work[:1], {})[0]
+    d_ir = np.empty(count)
+    _plane_distances(rx[None, :], elems[:, :evaluated],
+                     d_ir[None, :evaluated], work[:1, :evaluated], {})
+    _copy_mirrored_rows(d_ir, ris.rows, rows_copied)
     if np.min(d_ir) == 0.0:
         raise DegenerateGeometry("element and receiver positions coincide")
     shared = {c: np.square(ants[0, c] - elems[c]) for c in range(3)
               if np.all(ants[:, c] == ants[0, c])}
     h_ti = np.empty((len(ants), count), dtype=complex)
-    for start in range(0, len(ants), step):
-        rows = h_ti[start:start + step]
-        d_ti = _plane_distances(ants[start:start + step], elems,
+    for start in range(0, built, step):
+        rows = h_ti[start:min(start + step, built)]
+        d_ti = _plane_distances(ants[start:start + len(rows)], elems,
                                 dist[:len(rows)], work[:len(rows)],
                                 shared)
         if np.min(d_ti) == 0.0:
@@ -499,7 +565,13 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
         amp = np.multiply(d_ti, d_ir, out=phase)
         np.divide(gain.delta, amp, out=amp)
         rows *= amp
-    h_ir = _unit_phasors(np.multiply(wavenum, d_ir, out=work[0]))
+    panels = h_ti.reshape(len(ants), ris.rows, ris.cols)
+    panels[built:] = panels[:ants_copied][::-1, ::-1]
+    h_ir = np.empty(count, dtype=complex)
+    _unit_phasors(np.multiply(wavenum, d_ir[:evaluated],
+                              out=work[0, :evaluated]),
+                  out=h_ir[:evaluated])
+    _copy_mirrored_rows(h_ir, ris.rows, rows_copied)
 
     h_tr = direct_channel(tx, rx, radio, farfield=False) if direct else None
     return ChannelSet(h_ti=h_ti.T, h_ir=h_ir, wavelength=lam, h_tr=h_tr,

@@ -264,7 +264,9 @@ _GOLDEN_NAMES = {("solve", "--direct-link"): "solve_direct_link.csv",
                  ("robustness", "--paper-scale", "--grid", "7"):
                  "robustness_paper_scale.csv",
                  ("sweep-distance", "--paper-scale", "--grid", "5"):
-                 "sweep_distance_paper_scale.csv"}
+                 "sweep_distance_paper_scale.csv",
+                 ("solve", "--paper-scale", "--direct-link"):
+                 "solve_paper_scale_direct_link.csv"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -276,6 +278,7 @@ _GOLDEN_NAMES = {("solve", "--direct-link"): "solve_direct_link.csv",
     ("solve", "--direct-link"),
     ("robustness", "--paper-scale", "--grid", "7"),
     ("sweep-distance", "--paper-scale", "--grid", "5"),
+    ("solve", "--paper-scale", "--direct-link"),
 ])
 def test_10b_cli_analytic_studies_match_golden_csv(argv, tmp_path):
     """The studies reproduce the checked-in CSVs byte for byte.  tests/golden/
@@ -289,7 +292,9 @@ def test_10b_cli_analytic_studies_match_golden_csv(argv, tmp_path):
     rounding noise around 0, then moved from 3.65e-16 to 1.82e-16).  The
     paper-scale distance sweep, whose channel goes one antenna row per
     block, is pinned as written before the channel took its element
-    coordinates as (3, L) planes."""
+    coordinates as (3, L) planes, and the paper-scale solve with the direct
+    row h_TR beside the cascade as written before the channel was built
+    from half its mirrored rows."""
     from rislink.cli import main
     assert main([*argv, "--out", str(tmp_path)]) == 0
     name = argv[0].replace("-", "_") + ".csv"

@@ -309,45 +309,170 @@ def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
                                rtol=0, atol=1e-12)
 
 
+def mirrored_scene(rows, cols, seed):
+    """A scene that reflection through y = 0 maps onto itself: the panel
+    center, T and R lie in that plane, the panel normal and axis_x in it
+    too, the panel rows and a ULA of 1-8 antennas run along y.  Each of the
+    y coordinates of the panel center and R is 0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.01, 0.1)
+    a = rng.uniform(0.0, 2 * np.pi)
+    normal = np.array([np.cos(a), 0.0, np.sin(a)])
+    ax = np.array([-np.sin(a), 0.0, np.cos(a)])
+    center = np.array([rng.uniform(-2, 2), rng.choice([0.0, -0.0]),
+                       rng.uniform(-2, 2)])
+    ris = RisPanel(center=center, rows=rows, cols=cols,
+                   d_x=lam * rng.uniform(0.1, 0.5),
+                   d_y=lam * rng.uniform(0.1, 0.5),
+                   normal=normal, axis_x=ax, axis_y=-EY)
+
+    def front_point():
+        el = rng.uniform(-1.2, 1.2)
+        return center + rng.uniform(20.0, 200.0) * (np.cos(el) * normal
+                                                    + np.sin(el) * ax)
+
+    tx = TransmitterArray(center=front_point(),
+                          layout=UlaLayout(count=int(rng.integers(1, 9)),
+                                           spacing=lam * rng.uniform(0.3, 1),
+                                           axis=EY))
+    rx = front_point()
+    rx[1] = rng.choice([0.0, -0.0])
+    return tx, ris, rx, RadioParams(wavelength=lam), rng
+
+
+def takes_mirror_build(tx, ris, rx):
+    """Whether exact_channel builds this scene from half its rows."""
+    return em._mirrored(antenna_positions(tx), em._element_planes(ris),
+                        ris.rows, rx)
+
+
+def dense_exact_channel(ants, elems, rx, delta, wavelength):
+    """h_ti and h_ir of the exact channel written out from the (N, 3)
+    antenna and (L, 3) element positions: the per-pair distances by
+    np.linalg.norm of the (L, N, 3) differences, the amplitude
+    delta / (d * d_IR) and the phasor np.exp(j*k*d)."""
+    wavenum = 2 * np.pi / wavelength
+    d_ti = np.linalg.norm(elems[:, None, :] - ants[None, :, :], axis=2)
+    d_ir = np.linalg.norm(rx[None, :] - elems, axis=1)
+    h_ti = delta / (d_ti * d_ir[:, None]) * np.exp(1j * wavenum * d_ti)
+    return h_ti, np.exp(1j * wavenum * d_ir)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(**scene_args, block_rows=st.sampled_from([None, 1, 2, 3]),
-       aligned=st.booleans())
-@example(rows=5, cols=3, upa=False, seed=4, block_rows=None, aligned=False)
-@example(rows=2, cols=6, upa=True, seed=5, block_rows=None, aligned=False)
+       aligned=st.booleans(), mirrored=st.booleans())
+@example(rows=5, cols=3, upa=False, seed=4, block_rows=None, aligned=False,
+         mirrored=False)
+@example(rows=2, cols=6, upa=True, seed=5, block_rows=None, aligned=False,
+         mirrored=False)
 @example(rows=3, cols=4, upa=False, seed=0, block_rows=2,     # N = 7
-         aligned=False)
+         aligned=False, mirrored=False)
 @example(rows=1, cols=5, upa=True, seed=25, block_rows=2,     # N = 9
-         aligned=False)
-@example(rows=7, cols=7, upa=False, seed=6, block_rows=1, aligned=True)
-@example(rows=4, cols=3, upa=True, seed=7, block_rows=1, aligned=True)
+         aligned=False, mirrored=False)
+@example(rows=7, cols=7, upa=False, seed=6, block_rows=1, aligned=True,
+         mirrored=False)
+@example(rows=4, cols=3, upa=True, seed=7, block_rows=1, aligned=True,
+         mirrored=False)
+@example(rows=5, cols=2, upa=False, seed=3, block_rows=None,  # N = 5
+         aligned=False, mirrored=True)
+@example(rows=4, cols=3, upa=False, seed=1, block_rows=1,     # N = 8
+         aligned=False, mirrored=True)
+@example(rows=1, cols=4, upa=False, seed=0, block_rows=2,     # N = 1
+         aligned=False, mirrored=True)
+@example(rows=3, cols=5, upa=False, seed=8, block_rows=3,     # N = 7
+         aligned=False, mirrored=True)
+@example(rows=7, cols=3, upa=False, seed=7, block_rows=2,     # N = 2
+         aligned=False, mirrored=True)
 def test_exact_channel_matches_norm_formula(rows, cols, upa, seed,
-                                            block_rows, aligned):
+                                            block_rows, aligned, mirrored):
     """The per-axis distance planes and the cos/sin phasor give the same
-    bits as the (L, N, 3) norm and np.exp formula written out here: the
-    per-pair distances by np.linalg.norm(..., axis=2), the amplitude
-    delta / (d * d_IR) and the phasor exp(j*k*d).  That holds with the
-    channel in one block (`block_rows` None), one antenna row per block as
-    at paper scale, or blocks of two or three rows with a shorter last
-    block; and with the array along coordinate axes (`aligned`), where all
-    antennas share a coordinate on one or two axes."""
-    tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
-    if aligned:
+    bits as the (L, N, 3) norm and np.exp formula of dense_exact_channel.
+    That holds with the channel in one block (`block_rows` None), one
+    antenna row per block as at paper scale, or blocks of two or three rows
+    with a shorter last block; with the array along coordinate axes
+    (`aligned`), where all antennas share a coordinate on one or two axes;
+    and in a scene mirrored through y = 0 (`mirrored`, from
+    mirrored_scene: odd and even N and panel rows, and -0.0 coordinates),
+    whose channel is built from half its antenna and panel rows."""
+    if mirrored:
+        tx, ris, rx, radio, _ = mirrored_scene(rows, cols, seed)
+    else:
+        tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
+    if aligned and not mirrored:
         axes = (dict(axis_x=EX, axis_y=EZ) if upa else dict(axis=EY))
         tx = replace(tx, layout=replace(tx.layout, **axes))
+    assert takes_mirror_build(tx, ris, rx) == mirrored
     with pytest.MonkeyPatch.context() as mp:
         if block_rows:
             mp.setattr(em, "_CHANNEL_BLOCK", block_rows * ris.count)
         channels = exact_channel(tx, ris, rx, radio)
-    wavenum = 2 * np.pi / radio.wavelength
-    elems = element_positions(ris)
-    ants = antenna_positions(tx)
-    d_ti = np.linalg.norm(elems[:, None, :] - ants[None, :, :], axis=2)
-    d_ir = np.linalg.norm(rx[None, :] - elems, axis=1)
     delta = amplitude_gain_tir(link_angles(tx, ris, rx), tx, ris,
                                radio).delta
-    h_ti = delta / (d_ti * d_ir[:, None]) * np.exp(1j * wavenum * d_ti)
+    h_ti, h_ir = dense_exact_channel(antenna_positions(tx),
+                                     element_positions(ris), rx, delta,
+                                     radio.wavelength)
     assert np.array_equal(channels.h_ti, h_ti)
-    assert np.array_equal(channels.h_ir, np.exp(1j * wavenum * d_ir))
+    assert np.array_equal(channels.h_ir, h_ir)
+
+
+@pytest.mark.parametrize("nudged", ["rx", "element", "antenna"])
+def test_exact_channel_near_mirror_takes_full_build(nudged, monkeypatch):
+    """A mirrored scene with R, one element or one antenna a single ulp off
+    its mirror image fails the symmetry check, is built row by row and
+    still matches dense_exact_channel on the positions it was given."""
+    tx, ris, rx, radio, _ = mirrored_scene(5, 4, seed=3)
+    assert takes_mirror_build(tx, ris, rx)
+    planes = em._element_planes(ris)
+    ants = antenna_positions(tx)
+    if nudged == "rx":
+        rx[1] = np.nextafter(0.0, 1.0)
+    elif nudged == "element":
+        planes[1, 6] = np.nextafter(planes[1, 6], np.inf)
+    else:
+        ants[0, 2] = np.nextafter(ants[0, 2], np.inf)
+    monkeypatch.setattr(em, "_element_planes", lambda _: planes)
+    monkeypatch.setattr(em, "antenna_positions", lambda _: ants)
+    assert not em._mirrored(ants, planes, ris.rows, rx)
+    channels = exact_channel(tx, ris, rx, radio)
+    delta = amplitude_gain_tir(link_angles(tx, ris, rx), tx, ris,
+                               radio).delta
+    h_ti, h_ir = dense_exact_channel(ants, planes.T, rx, delta,
+                                     radio.wavelength)
+    assert np.array_equal(channels.h_ti, h_ti)
+    assert np.array_equal(channels.h_ir, h_ir)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 8),
+       poses=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
+@example(rows=7, cols=4, poses=None, seed=0)
+@example(rows=1, cols=1, poses=3, seed=1)
+def test_panel_phasors_bits_match_exp(rows, cols, poses, seed):
+    """_panel_phasors evaluates half of each axis and conjugates the rest,
+    and still gives the bits, signs of zero included, of
+    np.exp(-1j * k*(axis . u) * offsets) for odd and even counts, for one
+    frame and for a stack of poses."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.01, 0.1)
+    ris = RisPanel(center=np.zeros(3), rows=rows, cols=cols,
+                   d_x=lam * rng.uniform(0.1, 0.5),
+                   d_y=lam * rng.uniform(0.1, 0.5),
+                   normal=EZ, axis_x=EX, axis_y=EY)
+    shape = (3,) if poses is None else (poses, 3)
+    frames = [np.linalg.qr(rng.standard_normal((3, 3)))[0]
+              for _ in range(poses or 1)]
+    axis_x = np.array([f[:, 0] for f in frames]).reshape(shape)
+    axis_y = np.array([f[:, 1] for f in frames]).reshape(shape)
+    u = rng.standard_normal(shape)
+    wavenum = 2 * np.pi / lam
+    e_x, e_y = em._panel_phasors(ris, axis_x, axis_y, u, wavenum)
+    for got, axis, count, pitch in ((e_x, axis_x, cols, ris.d_x),
+                                    (e_y, axis_y, rows, ris.d_y)):
+        offsets = (np.arange(1, count + 1) - (count + 1) / 2) * pitch
+        ref = np.exp(-1j * (wavenum * np.vecdot(axis, u)[..., None]
+                            * offsets))
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_exact_channel_working_memory_is_block_sized():

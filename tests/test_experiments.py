@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rislink import experiments
+from rislink import em, experiments
 from rislink.config import load_config, watts_to_dbm
 from rislink.em import RadioParams, farfield_channel, received_power
 from rislink.errors import FarFieldViolation, ShadowedPanel
@@ -138,6 +138,22 @@ def test_sweep_distance_monotone_decreasing():
     assert np.all(closed[:-1] > closed[1:])
     # far-field valid throughout
     assert res.columns["far_field_ok"].tolist() == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("paper_scale", [False, True])
+def test_distance_scenes_take_mirror_build(paper_scale, monkeypatch):
+    """Every equilateral scene of sweep-distance and solve, at the default
+    and at the paper-scale panel, is mirror-symmetric about y = 0 exactly,
+    so exact_channel builds it from half its rows.  A change of frame that
+    loses an exact zero fails here instead of doubling the build."""
+    check, seen = em._mirrored, []
+    monkeypatch.setattr(em, "_mirrored",
+                        lambda *args: seen.append(check(*args)) or seen[-1])
+    cfg = load_config(paper_scale=paper_scale)
+    cfg = replace(cfg, sweeps=replace(cfg.sweeps, distance_points=5))
+    sweep_distance(cfg)
+    solve(replace(cfg, direct_link=True))
+    assert seen == [True] * 6
 
 
 def test_sweep_plane_direct_link_adds_columns():
