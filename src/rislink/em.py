@@ -18,7 +18,7 @@ designs of `solvers` all read it from there.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -47,22 +47,40 @@ class RadioParams:
             raise DomainError("power and gain must be nonnegative")
 
 
-def _leading_singular_pair(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Leading left singular vector u and singular value sigma of `a` (L x N)
-    from `eigh` of the N x N Gram matrix a^H a.
+def _leading_singular_pair(h_ti: np.ndarray, h_ir: np.ndarray,
+                           mirrored: bool) -> tuple[np.ndarray, float]:
+    """Leading left singular vector u and singular value sigma of the
+    cascade C = diag(h_ir) @ h_ti (L x N), from `eigh` of its N x N Gram
+    matrix G = C^H C = sum_q |h_ir[q]|^2 h_ti[q, :]^H h_ti[q, :], with no
+    L x N cascade formed: the rows of w = conj(h_ti[:, :top]) * |h_ir|^2
+    times h_ti give the first `top` rows of G.
 
-    sigma = sqrt(max(lambda_max, 0)) and u = a @ v_1 / sigma, normalized;
-    the global phase of u makes its first significant entry real-positive.
-    A zero matrix gives sigma = 0 and u = e_1, which is then a leading
-    singular vector like any other unit vector.
+    With `mirrored` (the symmetry of a mirror-symmetric exact channel,
+    see `_mirrored`: column N-1-p of h_ti is column p with its panel rows
+    reversed, and h_ir is invariant under that reversal), G[N-1-a, N-1-b]
+    = G[a, b], so only the first ceil(N/2) rows are multiplied out and the
+    rest are copies; `eigh` reads only the lower triangle.  Otherwise
+    top = N.
+
+    sigma = sqrt(max(lambda_max, 0)) and u = h_ir * (h_ti @ v_1) / sigma,
+    normalized; the global phase of u makes its first significant entry
+    real-positive.  A zero cascade gives sigma = 0 and u = e_1, which is
+    then a leading singular vector like any other unit vector.
     """
-    lam, vecs = np.linalg.eigh(a.conj().T @ a)
+    n = h_ti.shape[1]
+    top = (n + 1) // 2 if mirrored else n
+    w = np.conj(h_ti[:, :top])
+    w *= np.square(np.abs(h_ir))[:, None]
+    gram = np.empty((n, n), dtype=complex)
+    np.matmul(w.T, h_ti, out=gram[:top])
+    gram[top:] = gram[:n - top][::-1, ::-1]
+    lam, vecs = np.linalg.eigh(gram)
     sigma = float(np.sqrt(max(lam[-1], 0.0)))
     if sigma == 0.0:
-        u = np.zeros(a.shape[0], dtype=complex)
+        u = np.zeros(h_ti.shape[0], dtype=complex)
         u[0] = 1.0
         return u, 0.0
-    u = a @ vecs[:, -1] / sigma
+    u = h_ir * (h_ti @ vecs[:, -1]) / sigma
     u /= np.linalg.norm(u)
     mag = np.abs(u)
     idx = int(np.argmax(mag > 1e-12 * mag.max()))
@@ -87,13 +105,17 @@ class ChannelSet:
 
     The cascade and its leading singular pair are computed on first use and
     kept, read-only; the channel arrays must not be changed after that.
+    The leading pair is computed from h_ti and h_ir without the cascade.
+    `mirrored` states that the channel has the symmetry of a mirror-
+    symmetric exact channel (see `_leading_singular_pair`); only
+    `exact_channel` sets it, from its `_mirrored` check.
     """
 
     h_ti: np.ndarray            # (L, N) cascaded T->RIS coefficients
     h_ir: np.ndarray            # (L,)   RIS->R coefficients
     wavelength: float
     h_tr: np.ndarray | None = None  # (N,) direct T->R row, if present
-    farfield: bool = False
+    mirrored: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         if self.h_ti.ndim != 2 or self.h_ir.ndim != 1:
@@ -128,7 +150,8 @@ class ChannelSet:
         """(u_1, sigma_max) of the cascade: its leading left singular vector
         (read-only, first significant entry real-positive) and singular
         value, shared by the SVD design and the power bound."""
-        u, sigma = _leading_singular_pair(self._cascade)
+        u, sigma = _leading_singular_pair(self.h_ti, self.h_ir,
+                                          self.mirrored)
         u.flags.writeable = False
         return u, sigma
 
@@ -394,7 +417,7 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
 
     h_tr = direct_channel(tx, rx, radio, farfield=True) if direct else None
     return ChannelSet(h_ti=h_ti, h_ir=h_ir, wavelength=radio.wavelength,
-                      h_tr=h_tr, farfield=True)
+                      h_tr=h_tr)
 
 
 def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
@@ -537,6 +560,8 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     # d_IR and h_IR only their first ceil(rows/2) panel rows: the last N//2
     # antenna rows and rows//2 panel rows are copies of their mirror images
     # with the panel rows reversed, and equal to what the build would give.
+    # The ChannelSet records that as `mirrored`, so that the leading pair
+    # multiplies out only half the Gram rows.
     mirror = _mirrored(ants, elems, ris.rows, rx)
     ants_copied = len(ants) // 2 if mirror else 0
     built = len(ants) - ants_copied
@@ -575,7 +600,7 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
 
     h_tr = direct_channel(tx, rx, radio, farfield=False) if direct else None
     return ChannelSet(h_ti=h_ti.T, h_ir=h_ir, wavelength=lam, h_tr=h_tr,
-                      farfield=False)
+                      mirrored=mirror)
 
 
 def direct_channel(tx: TransmitterArray, rx_position, radio: RadioParams,

@@ -395,4 +395,16 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     bound = power_upper_bound(channels, tiny.tx_power)
     checks.append(("closed form within bound", closed <= bound * (1 + 1e-9),
                    f"power {closed:.3e} bound {bound:.3e}"))
+
+    # the exact channel of the symmetric scene takes the half-Gram path
+    exact = exact_channel(tx, ris, rx, radio)
+    u1, sigma = exact.leading_pair
+    u_ref, s_ref, _ = np.linalg.svd(exact.cascade())
+    sigma_err = abs(sigma - s_ref[0]) / s_ref[0]
+    c = np.vdot(u_ref[:, 0], u1)
+    u_err = float(np.linalg.norm(u1 - u_ref[:, 0] * c / abs(c)))
+    checks.append(("leading singular pair vs dense SVD",
+                   exact.mirrored and sigma_err < 1e-12 and u_err < 1e-10,
+                   f"sigma relative error {sigma_err:.1e}, u error "
+                   f"{u_err:.1e}, mirrored {exact.mirrored}"))
     return checks

@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .em import (ChannelSet, RadioParams, _FarFieldLink, _farfield_link,
-                 _panel_phasors, _theta_dot_d, _unit_phasors, direct_channel)
+                 _panel_phasors, _theta_dot_d, direct_channel)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import (LinkAngles, RisPanel, TransmitterArray, UlaLayout,
                        link_angles)
@@ -195,14 +195,15 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
 
 
 def svd_solution(channels: ChannelSet, p_t: float) -> Solution:
-    """SVD-based design: project the leading left singular vector of the
-    cascade channel onto unit-modulus phases, then MRT."""
-    cascade = channels.cascade()
+    """SVD-based design: project the leading left singular vector u_1 of the
+    cascade channel onto unit-modulus phases, theta = conj(u_1) / |u_1|
+    (1 where u_1 is 0), then MRT against the effective row
+    (h_IR * theta) @ H_TI (+ h_TR)."""
     u1, _ = channels.leading_pair
-    conj_u = np.conj(u1)
-    theta = _unit_phasors(np.angle(conj_u))
-    theta[conj_u == 0] = 1.0
-    row = theta @ cascade
+    mag = np.abs(u1)
+    theta = np.ones(len(u1), dtype=complex)
+    np.divide(np.conj(u1), mag, out=theta, where=mag != 0)
+    row = (channels.h_ir * theta) @ channels.h_ti
     if channels.h_tr is not None:
         row = row + channels.h_tr
     v = mrt_beamforming(row, p_t)

@@ -85,7 +85,6 @@ def test_farfield_channel_rank_one_and_factors():
     tx, ris, rx = equilateral(200.0)
     channels = farfield_channel(tx, ris, rx, RADIO)
     assert channels.h_ti.shape == (4, 2)
-    assert channels.farfield
     # rank-one: every 2x2 minor vanishes
     s = np.linalg.svd(channels.h_ti, compute_uv=False)
     assert s[1] <= s[0] * 1e-12
@@ -393,7 +392,8 @@ def test_exact_channel_matches_norm_formula(rows, cols, upa, seed,
     (`aligned`), where all antennas share a coordinate on one or two axes;
     and in a scene mirrored through y = 0 (`mirrored`, from
     mirrored_scene: odd and even N and panel rows, and -0.0 coordinates),
-    whose channel is built from half its antenna and panel rows."""
+    whose channel is built from half its antenna and panel rows and carries
+    the `mirrored` flag that lets the leading pair use half the Gram."""
     if mirrored:
         tx, ris, rx, radio, _ = mirrored_scene(rows, cols, seed)
     else:
@@ -406,6 +406,7 @@ def test_exact_channel_matches_norm_formula(rows, cols, upa, seed,
         if block_rows:
             mp.setattr(em, "_CHANNEL_BLOCK", block_rows * ris.count)
         channels = exact_channel(tx, ris, rx, radio)
+    assert channels.mirrored == mirrored
     delta = amplitude_gain_tir(link_angles(tx, ris, rx), tx, ris,
                                radio).delta
     h_ti, h_ir = dense_exact_channel(antenna_positions(tx),
@@ -434,6 +435,7 @@ def test_exact_channel_near_mirror_takes_full_build(nudged, monkeypatch):
     monkeypatch.setattr(em, "antenna_positions", lambda _: ants)
     assert not em._mirrored(ants, planes, ris.rows, rx)
     channels = exact_channel(tx, ris, rx, radio)
+    assert not channels.mirrored
     delta = amplitude_gain_tir(link_angles(tx, ris, rx), tx, ris,
                                radio).delta
     h_ti, h_ir = dense_exact_channel(ants, planes.T, rx, delta,

@@ -144,16 +144,41 @@ def test_sweep_distance_monotone_decreasing():
 def test_distance_scenes_take_mirror_build(paper_scale, monkeypatch):
     """Every equilateral scene of sweep-distance and solve, at the default
     and at the paper-scale panel, is mirror-symmetric about y = 0 exactly,
-    so exact_channel builds it from half its rows.  A change of frame that
-    loses an exact zero fails here instead of doubling the build."""
+    so exact_channel builds it from half its rows and its ChannelSet
+    carries the `mirrored` flag, which halves the Gram of the leading pair.
+    A change of frame that loses an exact zero, or a channel that loses the
+    flag, fails here instead of doubling the work."""
     check, seen = em._mirrored, []
     monkeypatch.setattr(em, "_mirrored",
                         lambda *args: seen.append(check(*args)) or seen[-1])
+    build, channels = experiments.exact_channel, []
+    monkeypatch.setattr(experiments, "exact_channel",
+                        lambda *args, **kw: channels.append(
+                            build(*args, **kw)) or channels[-1])
     cfg = load_config(paper_scale=paper_scale)
     cfg = replace(cfg, sweeps=replace(cfg.sweeps, distance_points=5))
     sweep_distance(cfg)
     solve(replace(cfg, direct_link=True))
     assert seen == [True] * 6
+    assert [c.mirrored for c in channels] == [True] * 6
+
+
+# the paper-scale two-path design of solve warns that it is near-field
+@pytest.mark.filterwarnings("ignore::rislink.errors.FarFieldWarning")
+@pytest.mark.parametrize("paper_scale", [False, True])
+def test_study_spectral_path_forms_no_cascade(paper_scale, monkeypatch):
+    """sweep-distance and solve with the direct link take the SVD design
+    and the bound from h_ti and h_ir: a study that builds the L x N cascade
+    fails here instead of paying for it at every point."""
+    def no_cascade(self):
+        raise AssertionError("the L x N cascade was formed")
+
+    monkeypatch.setattr(em.ChannelSet, "_cascade", property(no_cascade))
+    cfg = load_config(paper_scale=paper_scale)
+    cfg = replace(cfg, sweeps=replace(cfg.sweeps, distance_points=3))
+    assert len(sweep_distance(cfg)) == 3
+    assert solve(replace(cfg, direct_link=True)).columns["method"][-2:] == [
+        "svd-projected", "upper-bound"]
 
 
 def test_sweep_plane_direct_link_adds_columns():
@@ -284,7 +309,7 @@ def test_solve_reports_all_methods():
 
 def test_validate_suite_all_pass():
     checks = validate_suite(small_cfg())
-    assert len(checks) == 4
+    assert len(checks) == 5
     assert all(ok for _, ok, _ in checks)
 
 

@@ -307,29 +307,56 @@ def test_two_path_power_formula_uses_coherence_magnitude():
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(l=st.integers(1, 40), n=st.integers(1, 8), rank=st.integers(0, 8),
+@given(rows=st.integers(1, 6), cols=st.integers(1, 7), n=st.integers(1, 8),
+       rank=st.integers(0, 8), mirrored=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-@example(l=12, n=5, rank=1, seed=0)
-@example(l=12, n=5, rank=3, seed=1)
-@example(l=6, n=4, rank=0, seed=2)
-def test_leading_singular_pair_matches_dense_svd(l, n, rank, seed):
-    """The Gram `eigh` kernel against dense SVD on a random complex L x N
-    matrix of the drawn rank (capped at min(L, N); 0 is the zero matrix).
+@example(rows=3, cols=4, n=5, rank=1, mirrored=False, seed=0)
+@example(rows=3, cols=4, n=5, rank=3, mirrored=False, seed=1)
+@example(rows=2, cols=3, n=4, rank=0, mirrored=False, seed=2)
+@example(rows=3, cols=4, n=5, rank=3, mirrored=True, seed=3)
+@example(rows=5, cols=2, n=1, rank=1, mirrored=True, seed=4)
+@example(rows=4, cols=3, n=8, rank=8, mirrored=True, seed=5)
+@example(rows=1, cols=1, n=3, rank=2, mirrored=True, seed=6)
+def test_leading_singular_pair_matches_dense_svd(rows, cols, n, rank,
+                                                 mirrored, seed):
+    """The factor-form Gram `eigh` kernel against dense SVD of the cascade
+    h_ir[:, None] * h_ti, with h_ti a random complex L x N matrix of the
+    drawn rank (capped at min(L, N); 0 is the zero matrix), L = rows * cols
+    panel elements, and h_ir of random moduli, about a fifth of them 0.
+
+    A `mirrored` input has the symmetry of a mirror-symmetric exact
+    channel and is passed with the flag: a random half reflected, so that
+    column N-1-p of h_ti is column p with the panel rows reversed and h_ir
+    is invariant under that reversal (odd N and odd rows have a middle
+    column and panel row that map onto themselves).
 
     sigma is held to 1e-12 relative.  u is compared up to a global phase;
     its error scales with the spectral gap sigma_1^2 / (sigma_1^2 -
     sigma_2^2), so the tolerance does too."""
     rng = np.random.default_rng(seed)
+    l = rows * cols
     rank = min(rank, l, n)
 
     def gauss(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    a = gauss(l, rank) @ gauss(rank, n)
-    u, sigma = _leading_singular_pair(a)
-    u_ref, s_ref, _ = np.linalg.svd(a)
+    h_ti = gauss(l, rank) @ gauss(rank, n)
+    h_ir = rng.uniform(0.0, 2.0, l) * np.exp(2j * np.pi * rng.random(l))
+    h_ir[rng.random(l) < 0.2] = 0.0
+    if mirrored:
+        # the (antenna, panel row) pairs in antenna-major order map onto
+        # the same list reversed: copy the reversed first half onto the last
+        pairs = h_ti.T.reshape(n * rows, cols)
+        pairs[len(pairs) - len(pairs) // 2:] = pairs[:len(pairs) // 2][::-1]
+        h_ti = pairs.reshape(n, l).T
+        panel = h_ir.reshape(rows, cols)
+        panel[rows - rows // 2:] = panel[:rows // 2][::-1]
+        assert np.array_equal(h_ti[:, ::-1],
+                              h_ti.reshape(rows, cols, n)[::-1].reshape(l, n))
+    u, sigma = _leading_singular_pair(h_ti, h_ir, mirrored)
+    u_ref, s_ref, _ = np.linalg.svd(h_ir[:, None] * h_ti)
     assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
-    if rank == 0:
+    if s_ref[0] == 0.0:
         assert sigma == 0.0
         return
     assert sigma == pytest.approx(s_ref[0], rel=1e-12)
