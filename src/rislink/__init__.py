@@ -21,13 +21,13 @@ from .geometry import (FarFieldCheck, LinkAngles, PanelPoses, RisPanel,
                        link_angles)
 from .placement import (PlacementResult, PlaneScene, QuasiconvexityReport,
                         f_object, optimal_orientation, plane_objective,
-                        position_search_3d, position_search_plane,
-                        quasiconvexity_report, region_d_membership)
+                        position_search_plane, quasiconvexity_report,
+                        region_d_membership)
 from .solvers import (GridDesign, Method, Solution, TwoPathTerms,
                       anti_decay_design, closed_form_phases,
                       closed_form_predicted_power, closed_form_solution,
                       mrt_beamforming, power_upper_bound, svd_solution,
                       two_path_o, two_path_power_closed_form,
                       two_path_solution, two_path_terms)
-from .validation import (GridArgmax, OracleConfig, dense_position_grid,
+from .validation import (GridArgmax, dense_position_grid,
                          exhaustive_phase_search, random_feasible_solutions)

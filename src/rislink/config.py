@@ -80,8 +80,6 @@ class SceneConfig:
     far_field_mode: str
     sweeps: SweepRanges
     config_hash: str = ""
-    paper_scale_rows: int = 100
-    paper_scale_cols: int = 100
 
 
 def default_config_text() -> str:
@@ -223,8 +221,6 @@ def load_config(path: str | Path | None = None, *,
             far_field_mode=mode,
             sweeps=ranges,
             config_hash=hashlib.sha256(text.encode()).hexdigest(),
-            paper_scale_rows=paper_rows,
-            paper_scale_cols=paper_cols,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config value error: {exc}") from exc

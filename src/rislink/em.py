@@ -222,19 +222,6 @@ def amplitude_gain_tir(angles: LinkAngles, tx: TransmitterArray,
                    amplitude=float(delta / (angles.d_ti * angles.d_ir)))
 
 
-def _direction(center: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Unit vector from `center` toward `target`."""
-    u = target - center
-    return u / np.linalg.norm(u)
-
-
-def _offsets_along(points: np.ndarray, center: np.ndarray,
-                   target: np.ndarray) -> np.ndarray:
-    """Linearized path-length change of each point toward a far target:
-    delta_d = -(point - center) . unit(target - center)."""
-    return -(points - center[None, :]) @ _direction(center, target)
-
-
 def _panel_phasors(ris: RisPanel, axis_x: np.ndarray, axis_y: np.ndarray,
                    u: np.ndarray,
                    wavenum: float) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +259,7 @@ def _centred_phasors(scale, count: int, pitch: float) -> np.ndarray:
     return out
 
 
-def _enforce_far_field(tx, ris, d_ti, d_ir, margin: float, mode: str) -> None:
+def _enforce_far_field(tx, ris, d_ti, d_ir, mode: str) -> None:
     """Apply the far-field policy to P poses at hop distances d_ti, d_ir
     (P,): "strict" raises and "warn" warns once if any pose fails the
     check, "off" skips it."""
@@ -280,13 +267,13 @@ def _enforce_far_field(tx, ris, d_ti, d_ir, margin: float, mode: str) -> None:
         raise DomainError(f"unknown far-field mode {mode!r}")
     if mode == "off":
         return
-    ratios = np.stack(far_field_ratios(tx, ris, d_ti, d_ir, margin), axis=-1)
+    ratios = np.stack(far_field_ratios(tx, ris, d_ti, d_ir), axis=-1)
     failing = np.any(ratios < 1.0, axis=-1)
     if not failing.any():
         return
     count = (f" at {failing.sum()} of {len(failing)} poses"
              if len(failing) > 1 else "")
-    msg = (f"far-field conditions fail at margin {margin}{count}: "
+    msg = (f"far-field conditions fail{count}: "
            f"ratios {tuple(ratios[np.argmax(failing)].tolist())}")
     if mode == "strict":
         raise FarFieldViolation(msg)
@@ -329,7 +316,7 @@ class _FarFieldLink(NamedTuple):
 
 
 def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
-                   radio: RadioParams, margin: float, mode: str,
+                   radio: RadioParams, mode: str,
                    poses: PanelPoses | None = None) -> _FarFieldLink:
     """The part of the far-field factorization shared by farfield_channel,
     farfield_power and the closed-form and two-path designs of `solvers`,
@@ -354,7 +341,7 @@ def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
     d_ti, d_ir = _norm(to_t), _norm(to_r)
     if np.min(d_ti) == 0.0 or np.min(d_ir) == 0.0:
         raise DegenerateGeometry("a panel center coincides with T or R")
-    _enforce_far_field(tx, ris, d_ti, d_ir, margin, mode)
+    _enforce_far_field(tx, ris, d_ti, d_ir, mode)
     u_ti, u_ir = to_t / d_ti[:, None], to_r / d_ir[:, None]
     elevation = [np.arccos(np.clip(np.vecdot(poses.normal, u), -1.0, 1.0))
                  for u in (u_ti, u_ir)]
@@ -391,7 +378,7 @@ def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
 
 def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
                      radio: RadioParams, *, direct: bool = False,
-                     margin: float = 1.0, mode: str = "warn") -> ChannelSet:
+                     mode: str = "warn") -> ChannelSet:
     """Rank-one far-field channel, assembled from the phasors and a_TIR of
     _farfield_link.
 
@@ -401,7 +388,7 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     "strict" raises, "warn" (default) warns, "off" skips.
     """
     rx = np.asarray(rx_position, dtype=float)
-    link = _farfield_link(tx, ris, rx, radio, margin, mode)
+    link = _farfield_link(tx, ris, rx, radio, mode)
     wavenum = link.wavenum
     e_x_t, e_y_t = _panel_phasors(ris, ris.axis_x, ris.axis_y, link.u_ti[0],
                                   wavenum)
@@ -442,8 +429,8 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
     size or split as in a call of its own (see _FarFieldLink.b_vec and
     _theta_dot_d).  Without `poses` the result is the float power of `ris`
     itself, and such a panel raises ShadowedPanel as farfield_channel does.
-    `mode` is the far-field policy of farfield_channel, checked at margin 1
-    on every pose: "strict" raises if any pose fails and "warn" warns once.
+    `mode` is the far-field policy of farfield_channel, checked on every
+    pose: "strict" raises if any pose fails and "warn" warns once.
     """
     theta = np.asarray(theta)
     v = np.asarray(v)
@@ -451,7 +438,7 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
         raise DimensionMismatch(f"theta must have length {ris.count}")
     if v.shape != (tx.count,):
         raise DimensionMismatch(f"v must have length {tx.count}")
-    link = _farfield_link(tx, ris, rx_position, radio, 1.0, mode, poses)
+    link = _farfield_link(tx, ris, rx_position, radio, mode, poses)
     b_dot_v = np.concatenate([(link.b_vec(block) * v).sum(axis=1)
                               for block in _pose_blocks(len(link.u_ti))])
     power = (link.a_tir**2 * np.abs(_theta_dot_d(ris, link, theta))**2
@@ -609,7 +596,8 @@ def direct_channel(tx: TransmitterArray, rx_position, radio: RadioParams,
     with the Friis amplitude a_TR = sqrt(G_t*G_r)*l/(4*pi*d_TR).
 
     The far-field variant linearizes the per-antenna distances as
-    d_TR + ((N+1)/2 - p) * spacing * cos(mu_TR).
+    d_TR + (antenna_p - T) . (T - R) / d_TR, the offsets of
+    _FarFieldLink.b_vec toward R.
     """
     rx = np.asarray(rx_position, dtype=float)
     d_tr = float(np.linalg.norm(rx - tx.center))
@@ -619,7 +607,7 @@ def direct_channel(tx: TransmitterArray, rx_position, radio: RadioParams,
     a_tr = friis_amplitude(tx.element_gain, radio.rx_gain, lam, d_tr)
     ants = antenna_positions(tx)
     if farfield:
-        d_p = d_tr + _offsets_along(ants, tx.center, rx)
+        d_p = d_tr + (ants - tx.center) @ ((tx.center - rx) / d_tr)
     else:
         d_p = np.linalg.norm(rx[None, :] - ants, axis=1)
     return a_tr * np.exp(1j * 2 * np.pi * d_p / lam)

@@ -20,8 +20,7 @@ from .solvers import (anti_decay_design, closed_form_predicted_power,
                       closed_form_solution, power_upper_bound, svd_solution,
                       two_path_o, two_path_power_closed_form,
                       two_path_solution)
-from .validation import (OracleConfig, exhaustive_phase_search,
-                         random_feasible_solutions)
+from .validation import exhaustive_phase_search, random_feasible_solutions
 
 # Rows per block, shared by the plane map's model calls (sweep_plane), which
 # keep their temporaries to one block, and the CSV writer (output.emit_csv),
@@ -154,8 +153,7 @@ def analytic_point_power(cfg: SceneConfig, d_ti, d_ir, d_tr, cos_mu_ti,
                       cfg.element_size_x, cfg.element_size_y, cfg.wavelength,
                       f_star, 1.0, cfg.reflection_coeff) / (d_ti * d_ir)
     a_tr = friis_amplitude(cfg.tx_gain, cfg.rx_gain, cfg.wavelength, d_tr)
-    o = two_path_o(n, cfg.spacing, np.arccos(np.clip(cos_mu_ti, -1, 1)),
-                   np.arccos(np.clip(cos_mu_tr, -1, 1)), cfg.wavelength)
+    o = two_path_o(n, cfg.spacing, cos_mu_ti, cos_mu_tr, cfg.wavelength)
     powers = {"ris": closed_form_predicted_power(a_tir, n, l, cfg.tx_power),
               "direct": n * a_tr**2 * cfg.tx_power,
               "combined": two_path_power_closed_form(a_tir, a_tr, o, n, l,
@@ -180,8 +178,7 @@ def _check_plane_far_field(cfg: SceneConfig, x, y) -> None:
     plane_endpoints."""
     tx, _ = plane_endpoints(cfg)
     panel = _panel_at(cfg, np.zeros(3), (_EZ, _EX, _EY))
-    _enforce_far_field(tx, panel, *_plane_hops(cfg, x, y), margin=1.0,
-                       mode="strict")
+    _enforce_far_field(tx, panel, *_plane_hops(cfg, x, y), mode="strict")
 
 
 def _plane_point_power(cfg: SceneConfig, x, y) -> dict:
@@ -221,7 +218,7 @@ def sweep_distance(cfg: SceneConfig) -> SweepResult:
         closed[i] = received_power(channels, sol.theta, sol.v)
         svd[i] = svd_solution(channels, cfg.tx_power).predicted_power
         bound[i] = power_upper_bound(channels, cfg.tx_power)
-        ok[i] = far_field_check(tx, ris, rx, margin=1.0).ok
+        ok[i] = far_field_check(tx, ris, rx).ok
     return SweepResult(kind="line",
                        columns={"d_m": ds, "closed_form_w": closed,
                                 "svd_w": svd, "upper_bound_w": bound,
@@ -365,13 +362,12 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     tiny = replace(cfg, ris_rows=2, ris_cols=2, antennas=2)
     radio = _radio(tiny)
     tx, ris, rx = equilateral_scene(tiny, 50.0)
-    oracle_cfg = OracleConfig(phase_levels=64)
     checks: list[tuple[str, bool, str]] = []
 
     channels = farfield_channel(tx, ris, rx, radio, mode="off")
     sol = closed_form_solution(tx, ris, rx, radio)
     closed = received_power(channels, sol.theta, sol.v)
-    best, _ = exhaustive_phase_search(channels, tiny.tx_power, oracle_cfg)
+    best, _ = exhaustive_phase_search(channels, tiny.tx_power, levels=64)
     rel = abs(closed - best) / best
     checks.append(("closed-form vs phase-grid oracle", rel < 5e-3,
                    f"relative gap {rel:.2e}"))
@@ -380,7 +376,7 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
                                  mode="off")
     sol2 = two_path_solution(tx, ris, rx, radio, mode="off")
     closed2 = received_power(channels2, sol2.theta, sol2.v)
-    best2, _ = exhaustive_phase_search(channels2, tiny.tx_power, oracle_cfg)
+    best2, _ = exhaustive_phase_search(channels2, tiny.tx_power, levels=64)
     rel2 = abs(closed2 - best2) / best2
     checks.append(("two-path closed form vs oracle", rel2 < 5e-3,
                    f"relative gap {rel2:.2e}"))

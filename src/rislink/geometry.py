@@ -196,22 +196,14 @@ class PanelPoses:
 
 @dataclass(frozen=True)
 class LinkAngles:
-    """Center-to-center distances and all angles the channel model consumes.
-
-    `mu_ti` / `mu_tr` are the angles between the transmit-array axis and the
-    arrival directions at the transmitter from the RIS / receiver (the
-    directions I->T and R->T).  With that convention the linearized path
-    difference of antenna p toward X is exactly
-    ((N+1)/2 - p) * spacing * cos(mu_TX).
-    """
+    """Center-to-center distances and the elevations of T and R from the
+    panel normal, which set the exact channel's amplitude."""
 
     d_ti: float
     d_ir: float
     d_tr: float
     theta_t: float
     theta_r: float
-    mu_ti: float
-    mu_tr: float
 
 
 def _axis_offsets(count: int, pitch: float) -> np.ndarray:
@@ -279,13 +271,8 @@ def cos_theta_0(d_ti, d_ir, d_tr):
     return (d_ti**2 + d_ir**2 - d_tr**2) / (2 * d_ti * d_ir)
 
 
-def _array_axis(tx: TransmitterArray) -> Vec3:
-    lay = tx.layout
-    return lay.axis if isinstance(lay, UlaLayout) else lay.axis_x
-
-
 def link_angles(tx: TransmitterArray, ris: RisPanel, rx_position) -> LinkAngles:
-    """Derive all link angles and center distances for one scene."""
+    """Derive the link angles and center distances for one scene."""
     rx = _as_vec3(rx_position)
     r_t, r_i = tx.center, ris.center
     d_ti = float(np.linalg.norm(r_t - r_i))
@@ -297,13 +284,8 @@ def link_angles(tx: TransmitterArray, ris: RisPanel, rx_position) -> LinkAngles:
     # elevations of T and R from the panel normal
     theta_t = _angle_between(ris.normal, r_t - r_i)
     theta_r = _angle_between(ris.normal, rx - r_i)
-
-    axis = _array_axis(tx)
-    # Arrival directions at the transmitter (I->T, R->T); see LinkAngles doc.
-    mu_ti = _angle_between(axis, r_t - r_i)
-    mu_tr = _angle_between(axis, r_t - rx)
     return LinkAngles(d_ti=d_ti, d_ir=d_ir, d_tr=d_tr, theta_t=theta_t,
-                      theta_r=theta_r, mu_ti=mu_ti, mu_tr=mu_tr)
+                      theta_r=theta_r)
 
 
 @dataclass(frozen=True)
@@ -322,33 +304,29 @@ def _tx_aperture_scale(tx: TransmitterArray) -> float:
 _STRICTNESS = 2.0  # encodes the "much greater than" in the validity conditions
 
 
-def far_field_check(tx: TransmitterArray, ris: RisPanel, rx_position,
-                    margin: float = 1.0) -> FarFieldCheck:
-    """Check the three far-field validity conditions at the given margin.
+def far_field_check(tx: TransmitterArray, ris: RisPanel,
+                    rx_position) -> FarFieldCheck:
+    """Check the three far-field validity conditions.
 
     The conditions require the hop distances to strictly dominate the array
-    scales: ok iff d_TI >= 2 * margin * N * spacing,
-    d_TI >= 2 * margin * L * hypot(d_x, d_y) and the same for d_IR; the
-    factor of two encodes the strict dominance.  `ratios` reports each
-    left/right quotient (larger is safer).
+    scales: ok iff d_TI >= 2 * N * spacing, d_TI >= 2 * L * hypot(d_x, d_y)
+    and the same for d_IR; the factor of two encodes the strict dominance.
+    `ratios` reports each left/right quotient (larger is safer).
     """
     rx = _as_vec3(rx_position)
     ratios = far_field_ratios(tx, ris,
                               float(np.linalg.norm(tx.center - ris.center)),
-                              float(np.linalg.norm(rx - ris.center)), margin)
+                              float(np.linalg.norm(rx - ris.center)))
     return FarFieldCheck(ok=all(r >= 1.0 for r in ratios), ratios=ratios)
 
 
-def far_field_ratios(tx: TransmitterArray, ris: RisPanel, d_ti, d_ir,
-                     margin: float = 1.0):
+def far_field_ratios(tx: TransmitterArray, ris: RisPanel, d_ti, d_ir):
     """The three quotients of far_field_check at the hop distances d_TI and
     d_IR (floats, or arrays of P panel poses that broadcast):
-    d_TI / (2 * margin * N * spacing), d_TI / (2 * margin * L * hypot(d_x,
-    d_y)) and d_IR / (2 * margin * L * hypot(d_x, d_y)).  The conditions
-    hold where all three are >= 1."""
-    if margin < 1.0:
-        raise DomainError("margin must be >= 1")
+    d_TI / (2 * N * spacing), d_TI / (2 * L * hypot(d_x, d_y)) and
+    d_IR / (2 * L * hypot(d_x, d_y)).  The conditions hold where all three
+    are >= 1."""
     panel_scale = ris.count * float(np.hypot(ris.d_x, ris.d_y))
-    return (d_ti / (_STRICTNESS * margin * _tx_aperture_scale(tx)),
-            d_ti / (_STRICTNESS * margin * panel_scale),
-            d_ir / (_STRICTNESS * margin * panel_scale))
+    return (d_ti / (_STRICTNESS * _tx_aperture_scale(tx)),
+            d_ti / (_STRICTNESS * panel_scale),
+            d_ir / (_STRICTNESS * panel_scale))

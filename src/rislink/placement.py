@@ -212,7 +212,6 @@ class PlacementResult:
     value: float
     search_set: str
     region_d_fallback: bool = False
-    slice_index: int | None = None
 
 
 def position_search_plane(scene: PlaneScene,
@@ -340,38 +339,6 @@ def position_search_plane(scene: PlaneScene,
                            search_set="line-l + boundary"
                                       + (" + region-D grid" if fallback else ""),
                            region_d_fallback=fallback)
-
-
-def position_search_3d(slices: Sequence[PlaneScene],
-                       objective_factory: Callable[[PlaneScene],
-                                                   Callable[[np.ndarray],
-                                                            np.ndarray]],
-                       **plane_kwargs) -> PlacementResult:
-    """Per-slice boundary search across parallel plane slices.
-
-    Each slice carries its own heights and feasible cross-section; the
-    optimum over the sliced feasible space lies on its surface, which the
-    per-slice boundary/line candidates cover.
-    """
-    if not slices:
-        raise EmptyFeasible("no slices provided")
-    best: PlacementResult | None = None
-    for idx, scene in enumerate(slices):
-        if not scene.feasible:
-            continue
-        try:
-            res = position_search_plane(scene, objective_factory(scene),
-                                        **plane_kwargs)
-        except EmptyFeasible:
-            continue
-        if best is None or res.value > best.value:
-            best = PlacementResult(position=res.position, value=res.value,
-                                   search_set=res.search_set,
-                                   region_d_fallback=res.region_d_fallback,
-                                   slice_index=idx)
-    if best is None:
-        raise EmptyFeasible("every slice was empty")
-    return best
 
 
 @dataclass(frozen=True)

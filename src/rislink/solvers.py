@@ -13,8 +13,7 @@ import numpy as np
 from .em import (ChannelSet, RadioParams, _FarFieldLink, _farfield_link,
                  _panel_phasors, _theta_dot_d, direct_channel)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
-from .geometry import (LinkAngles, RisPanel, TransmitterArray, UlaLayout,
-                       link_angles)
+from .geometry import RisPanel, TransmitterArray, UlaLayout, _as_vec3, _norm
 
 _FEAS_POWER_SLACK = 1e-9
 _UNIT_TOL = 1e-12
@@ -78,8 +77,7 @@ def closed_form_phases(tx: TransmitterArray, ris: RisPanel, rx_position,
     the conjugate of the channel's two-hop element phasor d_vec, the panel
     phasors toward u_TI + u_IR of the far-field link.  A panel that does not
     see both ends raises ShadowedPanel."""
-    link = _farfield_link(tx, ris, rx_position, RadioParams(wavelength), 1.0,
-                          "off")
+    link = _farfield_link(tx, ris, rx_position, RadioParams(wavelength), "off")
     return _link_phases(ris, link)
 
 
@@ -95,7 +93,7 @@ def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     beamformer v = sqrt(P_t/N) * conj(b_vec) of the far-field link, which
     covers ULA and UPA layouts alike, and the phases of closed_form_phases.
     A panel that does not see both ends raises ShadowedPanel."""
-    link = _farfield_link(tx, ris, rx_position, radio, 1.0, "off")
+    link = _farfield_link(tx, ris, rx_position, radio, "off")
     theta = _link_phases(ris, link)
     v = np.sqrt(radio.tx_power / tx.count) * np.conj(link.b_vec()[0])
     predicted = closed_form_predicted_power(float(link.a_tir[0]), tx.count,
@@ -105,18 +103,20 @@ def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                     method=Method.CLOSED_FORM)
 
 
-def two_path_o(n: int, spacing: float, mu_ti, mu_tr, wavelength: float):
+def two_path_o(n: int, spacing: float, cos_mu_ti, cos_mu_tr,
+               wavelength: float):
     """Sinc-ratio coherence factor between the RIS and direct paths.
 
     O = sinc(N*u) / sinc(u) with u = spacing*(cos(mu_TI) - cos(mu_TR))*pi/l
-    and sinc(x) = sin(x)/x, sinc(0) = 1.  Entries where the denominator
-    sinc vanishes take the direct geometric-progression sum instead.  The
-    angles broadcast as numpy arrays; scalar angles give a float.
+    and sinc(x) = sin(x)/x, sinc(0) = 1, from the cosines of the angles
+    between the array axis and the arrival directions at the transmitter
+    (I->T and R->T).  Entries where the denominator sinc vanishes take the
+    direct geometric-progression sum instead.  The cosines broadcast as
+    numpy arrays; scalar cosines give a float.
     """
     if n < 1:
         raise DomainError("antenna count must be >= 1")
-    u = np.asarray(spacing * (np.cos(mu_ti) - np.cos(mu_tr)) * np.pi
-                   / wavelength)
+    u = np.asarray(spacing * (cos_mu_ti - cos_mu_tr) * np.pi / wavelength)
     den = np.sinc(u / np.pi)  # np.sinc is the normalized sin(pi x)/(pi x)
     singular = np.abs(den) < 1e-9
     o = np.asarray(np.sinc(n * u / np.pi) / np.where(singular, 1.0, den))
@@ -128,14 +128,13 @@ def two_path_o(n: int, spacing: float, mu_ti, mu_tr, wavelength: float):
     return float(o) if o.ndim == 0 else o
 
 
-def two_path_terms(angles: LinkAngles, tx: TransmitterArray,
+def two_path_terms(layout: UlaLayout, cos_mu_ti: float, cos_mu_tr: float,
+                   d_ti: float, d_ir: float, d_tr: float,
                    wavelength: float) -> TwoPathTerms:
-    """O and the constant phase offset of the two-path closed form:
+    """O of two_path_o for the ULA `layout`, and the constant phase offset
+    of the two-path closed form at the hop distances d_TI, d_IR and d_TR:
     pi/2*(O/|O| - 1) - (2*pi/l)*(d_TI + d_IR - d_TR)."""
-    lay = tx.layout
-    if not isinstance(lay, UlaLayout):
-        raise DomainError("two-path closed form is derived for ULA layouts")
-    o = two_path_o(lay.count, lay.spacing, angles.mu_ti, angles.mu_tr,
+    o = two_path_o(layout.count, layout.spacing, cos_mu_ti, cos_mu_tr,
                    wavelength)
     if abs(o) < 1e-12:
         warnings.warn("O = 0: sign fold undefined, using +1 branch "
@@ -144,8 +143,7 @@ def two_path_terms(angles: LinkAngles, tx: TransmitterArray,
     else:
         sign = np.sign(o)
     offset = (np.pi / 2 * (sign - 1.0)
-              - 2 * np.pi / wavelength
-              * (angles.d_ti + angles.d_ir - angles.d_tr))
+              - 2 * np.pi / wavelength * (d_ti + d_ir - d_tr))
     return TwoPathTerms(o=o, phase_offset=float(offset))
 
 
@@ -162,26 +160,34 @@ def two_path_power_closed_form(a_tir, a_tr, o, n: int, l: int, p_t: float):
 
 
 def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
-                      radio: RadioParams, *, margin: float = 1.0,
-                      mode: str = "warn") -> Solution:
+                      radio: RadioParams, *, mode: str = "warn") -> Solution:
     """Two-path closed-form design: the RIS-only phases rotated by the
     constant offset of two_path_terms, which phase-aligns the RIS path with
     the direct path, and an MRT beamformer against the far-field effective
     channel row.
 
-    The row is formed from the rank-one factors in O(L + N), with no L x N
-    channel: a_TIR * exp(j*k*(d_TI + d_IR)) * (theta . d_vec) * b_vec + h_TR
-    with the far-field direct row h_TR.  `mode` is the far-field policy of
-    farfield_channel.
+    The hop distances and cos(mu_TI) = axis . u_TI come from the far-field
+    link, and d_TR and cos(mu_TR) from the one vector T - R.  The row is
+    formed from the rank-one factors in O(L + N), with no L x N channel:
+    a_TIR * exp(j*k*(d_TI + d_IR)) * (theta . d_vec) * b_vec + h_TR with the
+    far-field direct row h_TR.  `mode` is the far-field policy of
+    farfield_channel; a UPA transmitter raises DomainError before it is
+    applied.
     """
-    terms = two_path_terms(link_angles(tx, ris, rx_position), tx,
+    lay = tx.layout
+    if not isinstance(lay, UlaLayout):
+        raise DomainError("two-path closed form is derived for ULA layouts")
+    link = _farfield_link(tx, ris, rx_position, radio, mode)
+    h_tr = direct_channel(tx, rx_position, radio, farfield=True)
+    to_t = tx.center - _as_vec3(rx_position)
+    d_ti, d_ir = float(link.d_ti[0]), float(link.d_ir[0])
+    d_tr = float(_norm(to_t))
+    terms = two_path_terms(lay, float(lay.axis @ link.u_ti[0]),
+                           float(lay.axis @ to_t) / d_tr, d_ti, d_ir, d_tr,
                            radio.wavelength)
-    link = _farfield_link(tx, ris, rx_position, radio, margin, mode)
     theta = _link_phases(ris, link) * np.exp(1j * terms.phase_offset)
     a_tir = float(link.a_tir[0])
-    h_tr = direct_channel(tx, rx_position, radio, farfield=True)
-    ris_amp = (a_tir
-               * np.exp(1j * link.wavenum * (link.d_ti[0] + link.d_ir[0]))
+    ris_amp = (a_tir * np.exp(1j * link.wavenum * (d_ti + d_ir))
                * _theta_dot_d(ris, link, theta)[0])
     row = ris_amp * link.b_vec()[0] + h_tr
     v = mrt_beamforming(row, radio.tx_power)

@@ -19,28 +19,20 @@ from .placement import PlaneScene
 _ENUM_BUDGET = 10**9
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    phase_levels: int = 256
-
-    def __post_init__(self):
-        if self.phase_levels < 2:
-            raise ValueError("phase_levels must be >= 2")
-
-
 def exhaustive_phase_search(channels: ChannelSet, p_t: float,
-                            cfg: OracleConfig = OracleConfig(),
-                            ) -> tuple[float, np.ndarray]:
-    """Exact maximum received power over the discrete phase grid, with MRT
-    applied per candidate.  Returns (best_power, best_theta).
+                            levels: int = 256) -> tuple[float, np.ndarray]:
+    """Exact maximum received power over the grid of `levels` equally
+    spaced phases, with MRT applied per candidate.  Returns (best_power,
+    best_theta).
 
     The phase grid is a cyclic group, so every grid point factors as a
     global rotation times a vector whose first entry is 1.  The rotation is
     optimized in closed form per candidate, which cuts the enumeration from
     levels**L to levels**(L-1) without changing the result.
     """
+    if levels < 2:
+        raise ValueError("levels must be >= 2")
     l = channels.num_elements
-    levels = cfg.phase_levels
     if l > 6:
         raise TooLarge(f"exhaustive search limited to L <= 6, got {l}")
     if levels ** max(l - 1, 0) > _ENUM_BUDGET:

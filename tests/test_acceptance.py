@@ -2,6 +2,7 @@
 line with the measured quantity."""
 
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,14 @@ import pytest
 from rislink.config import load_config, watts_to_dbm
 from rislink.em import (RadioParams, exact_channel, farfield_channel,
                         received_power)
+from rislink.errors import FarFieldWarning
 from rislink.experiments import robustness, sweep_wavelength
 from rislink.geometry import far_field_check
 from rislink.placement import f_object, optimal_orientation, quasiconvexity_report
 from rislink.solvers import (closed_form_predicted_power, closed_form_solution,
                              mrt_beamforming, power_upper_bound, svd_solution,
                              two_path_o, two_path_solution)
-from rislink.validation import OracleConfig, dense_position_grid, exhaustive_phase_search
+from rislink.validation import dense_position_grid, exhaustive_phase_search
 
 import sys
 sys.path.insert(0, str(Path(__file__).parent))
@@ -32,20 +34,20 @@ def report(name, ok, detail):
 
 def test_01_closed_form_matches_exhaustive_oracle():
     tx, ris, rx = equilateral(200.0, rows=2, cols=2, count=2)
-    cfg = OracleConfig(phase_levels=256)
     t0 = time.time()
 
     channels = farfield_channel(tx, ris, rx, RADIO, mode="off")
     sol = closed_form_solution(tx, ris, rx, RADIO)
     power = received_power(channels, sol.theta, sol.v)
-    best, _ = exhaustive_phase_search(channels, RADIO.tx_power, cfg)
+    best, _ = exhaustive_phase_search(channels, RADIO.tx_power, levels=256)
     gap1 = abs(best - power) / best
 
     channels2 = farfield_channel(tx, ris, rx, RADIO, direct=True,
                                  mode="off")
     sol2 = two_path_solution(tx, ris, rx, RADIO, mode="off")
     power2 = received_power(channels2, sol2.theta, sol2.v)
-    best2, _ = exhaustive_phase_search(channels2, RADIO.tx_power, cfg)
+    best2, _ = exhaustive_phase_search(channels2, RADIO.tx_power,
+                                       levels=256)
     gap2 = abs(best2 - power2) / best2
 
     elapsed = time.time() - t0
@@ -204,8 +206,7 @@ def test_06_objective_quasiconvex_in_each_distance():
 def test_07_two_path_ripple_count_half_of_antennas():
     lam, h, n = 0.0286, 80.0, 16
     xs = np.linspace(0.0, 1000.0, 20001)
-    env = np.abs(two_path_o(n, lam / 2, np.arccos(h / np.hypot(h, xs)),
-                            np.pi / 2, lam))
+    env = np.abs(two_path_o(n, lam / 2, h / np.hypot(h, xs), 0.0, lam))
     count = 0
     for i in range(len(env)):
         left = env[i - 1] if i > 0 else -np.inf
@@ -267,6 +268,9 @@ _GOLDEN_NAMES = {("solve", "--direct-link"): "solve_direct_link.csv",
                  "sweep_distance_paper_scale.csv",
                  ("solve", "--paper-scale", "--direct-link"):
                  "solve_paper_scale_direct_link.csv"}
+# the cases whose far-field model is near-field and warns: the two-path
+# design of the 100 x 100 panel
+_NEAR_FIELD = {("solve", "--paper-scale", "--direct-link")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -296,7 +300,9 @@ def test_10b_cli_analytic_studies_match_golden_csv(argv, tmp_path):
     row h_TR beside the cascade as written before the channel was built
     from half its mirrored rows."""
     from rislink.cli import main
-    assert main([*argv, "--out", str(tmp_path)]) == 0
+    with (pytest.warns(FarFieldWarning) if argv in _NEAR_FIELD
+          else nullcontext()):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
     name = argv[0].replace("-", "_") + ".csv"
     golden = (Path(__file__).parent / "golden"
               / _GOLDEN_NAMES.get(argv, name)).read_bytes()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rislink import em
-from rislink.em import (_POSE_BLOCK, ChannelSet, RadioParams, _offsets_along,
+from rislink.em import (_POSE_BLOCK, ChannelSet, RadioParams,
                         amplitude_gain_tir, direct_channel, exact_channel,
                         farfield_channel, farfield_power, radiation_pattern,
                         received_power)
@@ -23,6 +23,13 @@ from rislink.solvers import closed_form_phases
 from test_geometry import EX, EY, EZ, make_panel, make_ula
 
 RADIO = RadioParams(wavelength=0.0286, tx_power=0.001)
+
+
+def offsets_toward(points, center, target):
+    """Reference linearized path-length change of each point (K, 3) toward a
+    far target: -(point - center) . unit(target - center)."""
+    u = target - center
+    return -(points - center) @ (u / np.linalg.norm(u))
 
 
 def equilateral(d=200.0, rows=2, cols=2, count=2, **panel_kw):
@@ -88,7 +95,7 @@ def test_farfield_channel_rank_one_and_factors():
     # rank-one: every 2x2 minor vanishes
     s = np.linalg.svd(channels.h_ti, compute_uv=False)
     assert s[1] <= s[0] * 1e-12
-    a_tir = em._farfield_link(tx, ris, rx, RADIO, 1.0, "off").a_tir[0]
+    a_tir = em._farfield_link(tx, ris, rx, RADIO, "off").a_tir[0]
     np.testing.assert_allclose(np.abs(channels.h_ti), a_tir, rtol=1e-12)
     np.testing.assert_allclose(np.abs(channels.h_ir), 1.0, atol=1e-12)
     # each cascade column is d_vec = c_vec * a_vec, the conjugate of the
@@ -273,7 +280,7 @@ def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
     channels = farfield_channel(tx, ris, rx, radio, direct=False, mode="off")
     dense = received_power(channels, theta, v)
     power = farfield_power(tx, ris, rx, radio, theta, v, mode="off")
-    a_tir = em._farfield_link(tx, ris, rx, radio, 1.0, "off").a_tir[0]
+    a_tir = em._farfield_link(tx, ris, rx, radio, "off").a_tir[0]
     scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
     assert abs(power - dense) <= 1e-12 * max(dense, scale)
     if dense >= 1e-6 * scale:
@@ -291,13 +298,13 @@ def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
     b_vec covers ULA and UPA layouts."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
     channels = farfield_channel(tx, ris, rx, radio, mode="off")
-    link = em._farfield_link(tx, ris, rx, radio, 1.0, "off")
+    link = em._farfield_link(tx, ris, rx, radio, "off")
     wavenum = 2 * np.pi / radio.wavelength
     elems = element_positions(ris)
-    a_ref = np.exp(1j * wavenum * _offsets_along(elems, ris.center,
+    a_ref = np.exp(1j * wavenum * offsets_toward(elems, ris.center,
                                                  tx.center))
-    c_ref = np.exp(1j * wavenum * _offsets_along(elems, ris.center, rx))
-    b_ref = np.exp(1j * wavenum * _offsets_along(antenna_positions(tx),
+    c_ref = np.exp(1j * wavenum * offsets_toward(elems, ris.center, rx))
+    b_ref = np.exp(1j * wavenum * offsets_toward(antenna_positions(tx),
                                                  tx.center, ris.center))
     h_ti = (link.a_tir[0] * np.exp(1j * wavenum * link.d_ti[0])
             * np.outer(a_ref, b_ref))
@@ -644,7 +651,7 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
             assert p == 0.0
             continue
         dense = received_power(channels, theta, v)
-        a_tir = em._farfield_link(tx, panel, rx, radio, 1.0, "off").a_tir[0]
+        a_tir = em._farfield_link(tx, panel, rx, radio, "off").a_tir[0]
         scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
         assert abs(p - dense) <= 1e-12 * max(dense, scale)
         if dense >= 1e-6 * scale:

@@ -6,9 +6,8 @@ from rislink.errors import (DegenerateTriangle, DomainError, EmptyFeasible,
 from rislink.placement import (PlaneScene, QuasiconvexityReport,
                                _golden_max, _polygon_boundary_points,
                                f_object, optimal_orientation,
-                               plane_objective, position_search_3d,
-                               position_search_plane, quasiconvexity_report,
-                               region_d_membership)
+                               plane_objective, position_search_plane,
+                               quasiconvexity_report, region_d_membership)
 from rislink.validation import dense_position_grid
 
 
@@ -172,17 +171,6 @@ def test_empty_feasible_raises():
     scene = PlaneScene(h1=10.0, h2=10.0, separation=50.0)
     with pytest.raises(EmptyFeasible):
         position_search_plane(scene, plane_objective(scene, 3.0))
-    with pytest.raises(EmptyFeasible):
-        position_search_3d([], lambda s: plane_objective(s, 3.0))
-
-
-def test_position_search_3d_picks_best_slice():
-    # slices at increasing heights; the lowest slice sees the shortest hops
-    slices = [PlaneScene(h1=h, h2=h, separation=60.0,
-                         feasible=[rect(100.0, 1.0, 140.0, 30.0)])
-              for h in (10.0, 40.0, 80.0)]
-    res = position_search_3d(slices, lambda s: plane_objective(s, 3.0))
-    assert res.slice_index == 0
 
 
 def test_quasiconvexity_scan_k_positive():

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rislink.em import (RadioParams, _farfield_link, _leading_singular_pair,
-                        _offsets_along, exact_channel, farfield_channel,
-                        farfield_power, received_power)
+                        exact_channel, farfield_channel, farfield_power,
+                        received_power)
 from rislink.errors import (AmbiguousSignWarning, DomainError,
                             FarFieldViolation, ShadowedPanel, ZeroChannel)
-from rislink.geometry import (LinkAngles, UlaLayout, UpaLayout,
-                              element_positions, link_angles)
+from rislink.geometry import UlaLayout, UpaLayout, element_positions
 from rislink.solvers import (Method, anti_decay_design, closed_form_phases,
                              closed_form_predicted_power,
                              closed_form_solution, mrt_beamforming,
@@ -20,7 +19,8 @@ from rislink.solvers import (Method, anti_decay_design, closed_form_phases,
                              two_path_terms)
 from rislink.validation import random_feasible_solutions
 
-from test_em import RADIO, equilateral, random_scene, scene_args
+from test_em import (RADIO, equilateral, offsets_toward, random_scene,
+                     scene_args)
 from test_geometry import EX, EY, make_ula
 
 P_T = RADIO.tx_power
@@ -72,8 +72,8 @@ def test_closed_form_phases_conjugate_channel_phasor(rows, cols, upa, seed):
     wavenum = 2 * np.pi / radio.wavelength
     elems = element_positions(ris)
     d_vec = np.exp(1j * wavenum
-                   * (_offsets_along(elems, ris.center, tx.center)
-                      + _offsets_along(elems, ris.center, rx)))
+                   * (offsets_toward(elems, ris.center, tx.center)
+                      + offsets_toward(elems, ris.center, rx)))
     np.testing.assert_allclose(np.abs(theta), 1.0, atol=1e-12)
     np.testing.assert_allclose(theta, np.conj(d_vec), rtol=0, atol=1e-12)
     np.testing.assert_allclose(theta, _trig_phases(tx, ris, rx,
@@ -87,7 +87,7 @@ def test_closed_form_achieves_predicted_power_on_farfield_channel():
     sol = closed_form_solution(tx, ris, rx, RADIO)
     achieved = received_power(channels, sol.theta, sol.v)
     assert achieved == pytest.approx(sol.predicted_power, rel=1e-10, abs=0)
-    a_tir = _farfield_link(tx, ris, rx, RADIO, 1.0, "off").a_tir[0]
+    a_tir = _farfield_link(tx, ris, rx, RADIO, "off").a_tir[0]
     assert sol.predicted_power == pytest.approx(
         closed_form_predicted_power(a_tir, 4, 9, P_T), rel=1e-12, abs=0)
     assert sol.method is Method.CLOSED_FORM
@@ -153,14 +153,16 @@ def test_closed_form_solution_raises_on_shadowed_panel():
 
 def test_ula_and_general_beamformer_agree():
     tx, ris, rx = equilateral(200.0)
-    ang = link_angles(tx, ris, rx)
     # decoupled ULA closed form:
     # v_p = sqrt(P_t/N) * exp(-j*(2*pi/l)*((N+1)/2 - p)*spacing*cos(mu_TI))
+    # with mu_TI the angle between the array axis and the direction I->T
+    to_t = tx.center - ris.center
+    cos_mu_ti = tx.layout.axis @ to_t / np.linalg.norm(to_t)
     n, spacing = tx.layout.count, tx.layout.spacing
     p = np.arange(1, n + 1)
     v1 = np.sqrt(P_T / n) * np.exp(
         -1j * 2 * np.pi / RADIO.wavelength * ((n + 1) / 2 - p) * spacing
-        * np.cos(ang.mu_ti))
+        * cos_mu_ti)
     # the closed-form design takes its beamformer from the far-field link,
     # which covers any layout; both maximize the same rank-one channel, so
     # they are equal up to a global phase
@@ -201,41 +203,59 @@ def test_scaling_laws_numeric_fixed_amplitude():
 
 def test_two_path_o_frozen_value_and_limits():
     lam = 0.0286
-    o = two_path_o(16, lam / 2, float(np.arccos(0.3)), np.pi / 2, lam)
+    o = two_path_o(16, lam / 2, 0.3, 0.0, lam)
     assert o == pytest.approx(0.13093012365357484, rel=1e-12)
     # coincident directions: fully coherent
     assert two_path_o(16, lam / 2, 0.3, 0.3, lam) == pytest.approx(1.0)
-    assert two_path_o(1, lam / 2, 0.1, 2.0, lam) == pytest.approx(1.0)
+    assert two_path_o(1, lam / 2, 0.1, -0.4, lam) == pytest.approx(1.0)
     # vanishing denominator: u = pi, direct sum gives exactly -1 for N = 16
-    o2 = two_path_o(16, lam / 2, 0.0, np.pi, lam)
+    o2 = two_path_o(16, lam / 2, 1.0, -1.0, lam)
     assert o2 == pytest.approx(-1.0, rel=1e-9)
 
 
 def test_two_path_o_arrays_match_scalar_calls():
     lam, n = 0.0286, 16
     # entries 0 and 3 sit on the removable singularity (u = pi)
-    mu_ti = np.array([0.0, 0.3, float(np.arccos(0.3)), 0.0, 1.2])
-    mu_tr = np.array([np.pi, 0.3, np.pi / 2, np.pi, 2.0])
-    o = two_path_o(n, lam / 2, mu_ti, mu_tr, lam)
+    cos_ti = np.array([1.0, 0.3, 0.3, 1.0, 0.36])
+    cos_tr = np.array([-1.0, 0.3, 0.0, -1.0, -0.42])
+    o = two_path_o(n, lam / 2, cos_ti, cos_tr, lam)
     want = np.array([two_path_o(n, lam / 2, a, b, lam)
-                     for a, b in zip(mu_ti, mu_tr)])
+                     for a, b in zip(cos_ti, cos_tr)])
     assert isinstance(want[0], float) and isinstance(
-        two_path_o(n, lam / 2, 0.0, np.pi, lam), float)
+        two_path_o(n, lam / 2, 1.0, -1.0, lam), float)
     assert np.array_equal(o, want)
     assert o[0] == pytest.approx(-1.0, rel=1e-9)
-    # broadcasting a scalar angle against an array, and 2-d inputs
-    assert np.array_equal(two_path_o(n, lam / 2, mu_ti, np.pi, lam),
-                          [two_path_o(n, lam / 2, a, np.pi, lam)
-                           for a in mu_ti])
-    assert np.array_equal(two_path_o(n, lam / 2, mu_ti.reshape(5, 1),
-                                     mu_tr.reshape(5, 1), lam),
+    # broadcasting a scalar cosine against an array, and 2-d inputs
+    assert np.array_equal(two_path_o(n, lam / 2, cos_ti, -1.0, lam),
+                          [two_path_o(n, lam / 2, a, -1.0, lam)
+                           for a in cos_ti])
+    assert np.array_equal(two_path_o(n, lam / 2, cos_ti.reshape(5, 1),
+                                     cos_tr.reshape(5, 1), lam),
                           want.reshape(5, 1))
     # spacing lambda: two different singular points, u = pi and u = 2*pi
-    mu_ti, mu_tr = np.array([0.0, 0.3, 0.0]), np.array([np.pi / 2, 1.0, np.pi])
-    o = two_path_o(n, lam, mu_ti, mu_tr, lam)
+    cos_ti, cos_tr = np.array([1.0, 0.3, 1.0]), np.array([0.0, 0.54, -1.0])
+    o = two_path_o(n, lam, cos_ti, cos_tr, lam)
     assert np.array_equal(o, [two_path_o(n, lam, a, b, lam)
-                              for a, b in zip(mu_ti, mu_tr)])
+                              for a, b in zip(cos_ti, cos_tr)])
     np.testing.assert_allclose(o[[0, 2]], [-1.0, 1.0], rtol=1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cos_ti=st.floats(-1.0, 1.0), cos_tr=st.floats(-1.0, 1.0),
+       n=st.integers(1, 64), pitch=st.floats(0.05, 2.0))
+@example(cos_ti=1.0, cos_tr=-1.0, n=16, pitch=0.5)   # u = pi, singular
+@example(cos_ti=0.3, cos_tr=0.3, n=64, pitch=2.0)    # u = 0
+def test_two_path_o_matches_direct_sum(cos_ti, cos_tr, n, pitch):
+    """O equals the mean (1/N) * sum_p cos(K_p), K_p = 2*u*(p - (N+1)/2),
+    of the N antenna terms, an oracle apart from the sinc ratio.  The ratio
+    loses accuracy as its denominator sinc(u) nears 0, so the error is held
+    to 1e-13 / |sinc(u)| (the code sums directly below 1e-9)."""
+    lam = 0.0286
+    o = two_path_o(n, pitch * lam, cos_ti, cos_tr, lam)
+    u = pitch * lam * (cos_ti - cos_tr) * np.pi / lam
+    p = np.arange(1, n + 1)
+    ref = np.mean(np.cos(2 * u * (p - (n + 1) / 2)))
+    assert abs(o - ref) * max(abs(np.sinc(u / np.pi)), 1e-9) <= 1e-13
 
 
 def test_two_path_power_closed_form_arrays_match_scalar_calls():
@@ -253,19 +273,14 @@ def test_two_path_power_closed_form_arrays_match_scalar_calls():
 
 
 def test_two_path_terms_sign_fold_and_warning():
-    tx = make_ula(count=16, spacing=0.0143, axis=EY)
+    lay = make_ula(count=16, spacing=0.0143, axis=EY).layout
     lam = 0.0286
     # u = pi/16 zeroes the numerator sinc only -> O = 0
-    ang = LinkAngles(d_ti=100.0, d_ir=100.0, d_tr=150.0, theta_t=0.1,
-                     theta_r=0.1, mu_ti=float(np.arccos(1 / 8)),
-                     mu_tr=np.pi / 2)
     with pytest.warns(AmbiguousSignWarning):
-        terms = two_path_terms(ang, tx, lam)
+        terms = two_path_terms(lay, 1 / 8, 0.0, 100.0, 100.0, 150.0, lam)
     assert terms.o == pytest.approx(0.0, abs=1e-12)
     # negative O folds a -pi offset in
-    ang2 = LinkAngles(d_ti=100.0, d_ir=100.0, d_tr=150.0, theta_t=0.1,
-                      theta_r=0.1, mu_ti=0.0, mu_tr=np.pi)
-    terms2 = two_path_terms(ang2, tx, lam)
+    terms2 = two_path_terms(lay, 1.0, -1.0, 100.0, 100.0, 150.0, lam)
     assert terms2.o < 0
     expected = -np.pi - 2 * np.pi / lam * (100.0 + 100.0 - 150.0)
     assert terms2.phase_offset == pytest.approx(expected, rel=1e-12)
@@ -283,6 +298,26 @@ def test_two_path_solution_achieves_predicted_power():
     single = closed_form_solution(tx, ris, rx, RADIO)
     assert achieved >= received_power(channels, single.theta, single.v) * (
         1 - 1e-12)
+
+
+@pytest.mark.parametrize("tilt", [0.1, 0.4, 0.7, 1.15])
+def test_two_path_solution_uses_arrival_directions_at_transmitter(tilt):
+    """With the ULA axis in the T-I-R plane the RIS and direct paths are
+    partly coherent, and the design achieves its predicted power on the
+    far-field channel only if mu_TI and mu_TR are the angles between the
+    axis and the arrival directions at T (I->T and R->T): reversing either
+    direction changes O, and with it the prediction and the sign fold."""
+    tx, ris, rx = equilateral(300.0, rows=3, cols=3, count=8)
+    axis = np.array([np.cos(tilt), 0.0, np.sin(tilt)])
+    tx = replace(tx, layout=replace(tx.layout, axis=axis))
+    to_i, to_r = tx.center - ris.center, tx.center - rx
+    o = two_path_o(8, tx.layout.spacing, axis @ to_i / np.linalg.norm(to_i),
+                   axis @ to_r / np.linalg.norm(to_r), RADIO.wavelength)
+    assert 0.05 < abs(o) < 0.95
+    channels = farfield_channel(tx, ris, rx, RADIO, direct=True, mode="off")
+    sol = two_path_solution(tx, ris, rx, RADIO, mode="off")
+    achieved = received_power(channels, sol.theta, sol.v)
+    assert achieved == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
 
 
 def test_two_path_solution_rejects_upa_before_far_field_check():

@@ -6,7 +6,7 @@ import pytest
 from rislink.em import ChannelSet
 from rislink.errors import EmptyFeasible, TooLarge
 from rislink.placement import PlaneScene, plane_objective
-from rislink.validation import (GridArgmax, OracleConfig, dense_position_grid,
+from rislink.validation import (GridArgmax, dense_position_grid,
                                 exhaustive_phase_search,
                                 random_feasible_solutions)
 
@@ -43,8 +43,7 @@ def naive_search(channels, p_t, levels):
                                         (3, 2, True)])
 def test_exhaustive_search_matches_naive_enumeration(l, n, direct):
     channels = random_channels(l, n, seed=l * 10 + n + direct, direct=direct)
-    cfg = OracleConfig(phase_levels=16)
-    best, theta = exhaustive_phase_search(channels, 2.0, cfg)
+    best, theta = exhaustive_phase_search(channels, 2.0, levels=16)
     assert best == pytest.approx(naive_search(channels, 2.0, 16), rel=1e-12)
     # returned theta reproduces the reported power and lies on the grid
     row = (channels.h_ir * theta) @ channels.h_ti
@@ -59,22 +58,21 @@ def test_exhaustive_search_matches_naive_enumeration(l, n, direct):
 def test_exhaustive_search_budget_guards():
     with pytest.raises(TooLarge):
         exhaustive_phase_search(random_channels(7, 2, seed=0), 1.0,
-                                OracleConfig(phase_levels=4))
+                                levels=4)
     with pytest.raises(TooLarge):
         exhaustive_phase_search(random_channels(6, 2, seed=0), 1.0,
-                                OracleConfig(phase_levels=4096))
+                                levels=4096)
 
 
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
-        OracleConfig(phase_levels=1)
+        exhaustive_phase_search(random_channels(2, 2, seed=0), 1.0, levels=1)
 
 
 def test_exhaustive_search_more_levels_never_worse():
     channels = random_channels(3, 2, seed=9)
-    p8, _ = exhaustive_phase_search(channels, 1.0, OracleConfig(phase_levels=8))
-    p16, _ = exhaustive_phase_search(channels, 1.0,
-                                     OracleConfig(phase_levels=16))
+    p8, _ = exhaustive_phase_search(channels, 1.0, levels=8)
+    p16, _ = exhaustive_phase_search(channels, 1.0, levels=16)
     assert p16 >= p8 * (1 - 1e-12)
 
 
