@@ -283,8 +283,9 @@ def _enforce_far_field(tx, ris, d_ti, d_ir, mode: str) -> None:
 # Poses per block of the pose-stack sums (_theta_dot_d, farfield_power):
 # their (poses, rows), (poses, cols) and (poses, N) phasor temporaries stay
 # this many poses long for a map of any size.  On the paper-scale robustness
-# map, 32 raised peak memory by under 1 % over row-sized calls; 64 was 2 ms
-# faster per map and raised it by 1.5 %.
+# map (perfbench robustness-paper, six alternated runs each on a 2-vCPU
+# Xeon), 64 took 0.75 ms (4.4 %) less per map than 32 but raised peak memory
+# by 0.2 MB (0.5 %) in every pair.
 _POSE_BLOCK = 32
 
 
@@ -355,24 +356,25 @@ def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
 
 
 def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
-                 theta: np.ndarray) -> np.ndarray:
-    """theta . d_vec for every pose of the link, (P,): the panel phasors
-    toward u_TI + u_IR summed against the phases as
-    ((e_y @ Theta) * e_x).sum(1), in O(L) per pose and one _pose_blocks
-    block at a time.
+                 theta: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """theta . d_vec for every pose of the link, (P,), for the phases
+    outer(theta_y, theta_x).ravel() given as their panel-axis factors
+    theta = (theta_y, theta_x) of shapes (rows,) and (cols,).
 
-    Each pose takes its own (1, rows) @ Theta product, the same call in a
-    stack of any size, so its bits do not depend on the other poses; one
-    (poses, rows) @ Theta product would round otherwise than a lone row."""
-    phases = theta.reshape(ris.rows, ris.cols)
+    The two-hop phasor toward u_TI + u_IR separates the same way, d_vec =
+    outer(e_y, e_x).ravel() (see _panel_phasors), so the planar sum is the
+    product of two linear-array sums, (e_y . theta_y) * (e_x . theta_x), in
+    O(rows + cols) per pose and one _pose_blocks block at a time.  Each sum
+    runs along a pose's own row of the (poses, rows) and (poses, cols)
+    phasor arrays, so its bits do not depend on the other poses."""
+    theta_y, theta_x = theta
     u = link.u_ti + link.u_ir
     sums = []
     for block in _pose_blocks(len(u)):
         e_x, e_y = _panel_phasors(ris, link.poses.axis_x[block],
                                   link.poses.axis_y[block], u[block],
                                   link.wavenum)
-        sums.append((np.matmul(e_y[:, None, :], phases)[:, 0] * e_x)
-                    .sum(axis=1))
+        sums.append((e_y * theta_y).sum(axis=1) * (e_x * theta_x).sum(axis=1))
     return np.concatenate(sums)
 
 
@@ -408,16 +410,21 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
 
 
 def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
-                   radio: RadioParams, theta: np.ndarray, v: np.ndarray, *,
-                   poses: PanelPoses | None = None, mode: str = "warn"):
+                   radio: RadioParams, theta: tuple[np.ndarray, np.ndarray],
+                   v: np.ndarray, *, poses: PanelPoses | None = None,
+                   mode: str = "warn"):
     """Received power of the far-field RIS link in watts, built from the
-    rank-one factors without the L x N channel.
+    rank-one factors without the L x N channel, for the separable phases
+    outer(theta_y, theta_x).ravel() given as their panel-axis factors
+    theta = (theta_y, theta_x) of shapes (rows,) and (cols,), the form the
+    closed-form design takes.
 
-    Equals received_power(farfield_channel(..., direct=False), theta, v)
-    as a_TIR^2 * |theta . d_vec|^2 * |b_vec . v|^2, where
-    theta . d_vec = e_y @ theta.reshape(rows, cols) @ e_x for the panel
-    phasors toward u_TI + u_IR.  That takes rows + cols + N exponentials and
-    O(L + N) arithmetic.
+    Equals received_power(farfield_channel(..., direct=False),
+    outer(theta_y, theta_x).ravel(), v) as
+    a_TIR^2 * |theta . d_vec|^2 * |b_vec . v|^2, where theta . d_vec =
+    (e_y . theta_y) * (e_x . theta_x) for the panel phasors toward
+    u_TI + u_IR (see _theta_dot_d).  That takes rows + cols + N
+    exponentials and O(rows + cols + N) arithmetic per pose.
 
     With `poses` the grid of `ris` is evaluated at each of the P poses and
     the result is a (P,) array; a pose whose panel does not see both ends
@@ -432,16 +439,17 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
     `mode` is the far-field policy of farfield_channel, checked on every
     pose: "strict" raises if any pose fails and "warn" warns once.
     """
-    theta = np.asarray(theta)
+    factors = tuple(np.asarray(f) for f in theta)
     v = np.asarray(v)
-    if theta.shape != (ris.count,):
-        raise DimensionMismatch(f"theta must have length {ris.count}")
+    if [f.shape for f in factors] != [(ris.rows,), (ris.cols,)]:
+        raise DimensionMismatch(f"theta must be a pair of factors of "
+                                f"shapes ({ris.rows},) and ({ris.cols},)")
     if v.shape != (tx.count,):
         raise DimensionMismatch(f"v must have length {tx.count}")
     link = _farfield_link(tx, ris, rx_position, radio, mode, poses)
     b_dot_v = np.concatenate([(link.b_vec(block) * v).sum(axis=1)
                               for block in _pose_blocks(len(link.u_ti))])
-    power = (link.a_tir**2 * np.abs(_theta_dot_d(ris, link, theta))**2
+    power = (link.a_tir**2 * np.abs(_theta_dot_d(ris, link, factors))**2
              * np.abs(b_dot_v)**2)
     return float(power[0]) if poses is None else power
 

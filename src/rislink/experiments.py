@@ -10,16 +10,16 @@ import numpy as np
 
 from . import __version__
 from .config import SceneConfig, watts_to_dbm
-from .em import (RadioParams, _enforce_far_field, exact_channel,
-                 farfield_channel, farfield_power, friis_amplitude,
-                 received_power, tir_delta)
+from .em import (RadioParams, _enforce_far_field, _farfield_link,
+                 exact_channel, farfield_channel, farfield_power,
+                 friis_amplitude, received_power, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
                        _norm, far_field_check)
 from .placement import optimal_orientation
-from .solvers import (anti_decay_design, closed_form_predicted_power,
-                      closed_form_solution, power_upper_bound, svd_solution,
-                      two_path_o, two_path_power_closed_form,
-                      two_path_solution)
+from .solvers import (_closed_form_design, anti_decay_design,
+                      closed_form_predicted_power, closed_form_solution,
+                      power_upper_bound, svd_solution, two_path_o,
+                      two_path_power_closed_form, two_path_solution)
 from .validation import exhaustive_phase_search, random_feasible_solutions
 
 # Rows per block, shared by the plane map's model calls (sweep_plane), which
@@ -219,6 +219,10 @@ def sweep_distance(cfg: SceneConfig) -> SweepResult:
         svd[i] = svd_solution(channels, cfg.tx_power).predicted_power
         bound[i] = power_upper_bound(channels, cfg.tx_power)
         ok[i] = far_field_check(tx, ris, rx).ok
+        # release this point's L x N channel before the next one is built,
+        # so that the next reuses its memory: with two alive at once the
+        # heap grows and is trimmed again on every pass of the sweep
+        del channels
     return SweepResult(kind="line",
                        columns={"d_m": ds, "closed_form_w": closed,
                                 "svd_w": svd, "upper_bound_w": bound,
@@ -313,7 +317,8 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     tx, rx = plane_endpoints(cfg)
     assumed = np.array([0.0, 0.0, 0.0])
     ris = _panel_at(cfg, assumed, specular_frame(assumed, tx.center, rx))
-    est = closed_form_solution(tx, ris, rx, radio)
+    factors, v = _closed_form_design(
+        tx, ris, _farfield_link(tx, ris, rx, radio, "off"), radio.tx_power)
     mode = "strict" if cfg.far_field_mode == "strict" else "off"
 
     offs = np.linspace(-sw.robustness_extent, sw.robustness_extent,
@@ -321,8 +326,8 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     x, y = (g.ravel() for g in np.meshgrid(offs, offs))  # y outer, x inner
     centers = np.stack([x, y, np.zeros_like(x)], axis=1)
     poses = PanelPoses(centers, *specular_frame(centers, tx.center, rx))
-    est_power = farfield_power(tx, ris, rx, radio, est.theta, est.v,
-                               poses=poses, mode=mode)
+    est_power = farfield_power(tx, ris, rx, radio, factors, v, poses=poses,
+                               mode=mode)
     ideal = _plane_point_power(cfg, x, y)["ris"]
     dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
     return SweepResult(kind="robustness",
@@ -391,6 +396,13 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     bound = power_upper_bound(channels, tiny.tx_power)
     checks.append(("closed form within bound", closed <= bound * (1 + 1e-9),
                    f"power {closed:.3e} bound {bound:.3e}"))
+
+    factors, v = _closed_form_design(
+        tx, ris, _farfield_link(tx, ris, rx, radio, "off"), tiny.tx_power)
+    factored = farfield_power(tx, ris, rx, radio, factors, v, mode="off")
+    rel3 = abs(factored - closed) / closed
+    checks.append(("factored far-field power vs dense channel", rel3 < 1e-12,
+                   f"relative gap {rel3:.1e}"))
 
     # the exact channel of the symmetric scene takes the half-Gram path
     exact = exact_channel(tx, ris, rx, radio)

@@ -63,12 +63,16 @@ def mrt_beamforming(h_eff: np.ndarray, p_t: float) -> np.ndarray:
     return np.sqrt(p_t) * np.conj(h_eff) / norm
 
 
-def _link_phases(ris: RisPanel, link: _FarFieldLink) -> np.ndarray:
+def _link_phases(ris: RisPanel,
+                 link: _FarFieldLink) -> tuple[np.ndarray, np.ndarray]:
     """closed_form_phases from the directions u_TI and u_IR of the panel's
-    own far-field link (P = 1)."""
+    own far-field link (P = 1), as their panel-axis factors (theta_y,
+    theta_x) of shapes (rows,) and (cols,): the conjugates of the row and
+    column phasors toward u_TI + u_IR, whose outer product, raveled, is the
+    phase vector."""
     e_x, e_y = _panel_phasors(ris, ris.axis_x, ris.axis_y,
                               link.u_ti[0] + link.u_ir[0], link.wavenum)
-    return np.conj(np.outer(e_y, e_x).ravel())
+    return np.conj(e_y), np.conj(e_x)
 
 
 def closed_form_phases(tx: TransmitterArray, ris: RisPanel, rx_position,
@@ -78,7 +82,7 @@ def closed_form_phases(tx: TransmitterArray, ris: RisPanel, rx_position,
     phasors toward u_TI + u_IR of the far-field link.  A panel that does not
     see both ends raises ShadowedPanel."""
     link = _farfield_link(tx, ris, rx_position, RadioParams(wavelength), "off")
-    return _link_phases(ris, link)
+    return np.outer(*_link_phases(ris, link)).ravel()
 
 
 def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
@@ -87,15 +91,26 @@ def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
     return n * l**2 * a_tir**2 * p_t
 
 
+def _closed_form_design(
+        tx: TransmitterArray, ris: RisPanel, link: _FarFieldLink,
+        p_t: float) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The far-field closed-form design of the panel's own far-field link:
+    the phase factors (theta_y, theta_x) of _link_phases and the beamformer
+    v = sqrt(P_t/N) * conj(b_vec), which covers ULA and UPA layouts
+    alike."""
+    return (_link_phases(ris, link),
+            np.sqrt(p_t / tx.count) * np.conj(link.b_vec()[0]))
+
+
 def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                          radio: RadioParams) -> Solution:
-    """Assemble the far-field closed-form design for one scene: the
-    beamformer v = sqrt(P_t/N) * conj(b_vec) of the far-field link, which
-    covers ULA and UPA layouts alike, and the phases of closed_form_phases.
-    A panel that does not see both ends raises ShadowedPanel."""
+    """Assemble the far-field closed-form design of _closed_form_design for
+    one scene, with the phases outer(theta_y, theta_x).ravel() of
+    closed_form_phases.  A panel that does not see both ends raises
+    ShadowedPanel."""
     link = _farfield_link(tx, ris, rx_position, radio, "off")
-    theta = _link_phases(ris, link)
-    v = np.sqrt(radio.tx_power / tx.count) * np.conj(link.b_vec()[0])
+    factors, v = _closed_form_design(tx, ris, link, radio.tx_power)
+    theta = np.outer(*factors).ravel()
     predicted = closed_form_predicted_power(float(link.a_tir[0]), tx.count,
                                             ris.count, radio.tx_power)
     _check_feasible(v, theta, radio.tx_power)
@@ -168,11 +183,12 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
 
     The hop distances and cos(mu_TI) = axis . u_TI come from the far-field
     link, and d_TR and cos(mu_TR) from the one vector T - R.  The row is
-    formed from the rank-one factors in O(L + N), with no L x N channel:
-    a_TIR * exp(j*k*(d_TI + d_IR)) * (theta . d_vec) * b_vec + h_TR with the
-    far-field direct row h_TR.  `mode` is the far-field policy of
-    farfield_channel; a UPA transmitter raises DomainError before it is
-    applied.
+    formed from the rank-one factors in O(rows + cols + N), with no L x N
+    channel: a_TIR * exp(j*k*(d_TI + d_IR)) * (theta . d_vec) * b_vec + h_TR
+    with the far-field direct row h_TR, where theta . d_vec is the offset
+    rotation times that of the RIS-only phase factors (_theta_dot_d).
+    `mode` is the far-field policy of farfield_channel; a UPA transmitter
+    raises DomainError before it is applied.
     """
     lay = tx.layout
     if not isinstance(lay, UlaLayout):
@@ -185,10 +201,12 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     terms = two_path_terms(lay, float(lay.axis @ link.u_ti[0]),
                            float(lay.axis @ to_t) / d_tr, d_ti, d_ir, d_tr,
                            radio.wavelength)
-    theta = _link_phases(ris, link) * np.exp(1j * terms.phase_offset)
+    factors = _link_phases(ris, link)
+    rotation = np.exp(1j * terms.phase_offset)
+    theta = np.outer(*factors).ravel() * rotation
     a_tir = float(link.a_tir[0])
     ris_amp = (a_tir * np.exp(1j * link.wavenum * (d_ti + d_ir))
-               * _theta_dot_d(ris, link, theta)[0])
+               * (rotation * _theta_dot_d(ris, link, factors)[0]))
     row = ris_amp * link.b_vec()[0] + h_tr
     v = mrt_beamforming(row, radio.tx_power)
     a_tr = float(np.abs(h_tr[0]))

@@ -251,11 +251,20 @@ def random_scene(rows, cols, upa, seed):
     return tx, ris, rx, radio, rng
 
 
+def random_factors(rng, ris):
+    """Random unit-modulus panel-axis phase factors (theta_y, theta_x) of
+    shapes (rows,) and (cols,)."""
+    return tuple(np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+                 for n in (ris.rows, ris.cols))
+
+
 def random_design(rng, ris, tx, p_t):
-    """Unit-modulus phases and a beamformer within the power budget."""
-    theta = np.exp(1j * rng.uniform(0.0, 2 * np.pi, ris.count))
+    """Unit-modulus phase factors of random_factors and a beamformer within
+    the power budget; the phases are np.outer(*factors).ravel()."""
+    factors = random_factors(rng, ris)
     v = rng.standard_normal(tx.count) + 1j * rng.standard_normal(tx.count)
-    return theta, v * np.sqrt(p_t * rng.uniform(0.1, 1.0)) / np.linalg.norm(v)
+    v *= np.sqrt(p_t * rng.uniform(0.1, 1.0)) / np.linalg.norm(v)
+    return factors, v
 
 
 scene_args = dict(rows=st.integers(1, 7), cols=st.integers(1, 7),
@@ -276,10 +285,10 @@ def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
     1e-12 relative error.
     """
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    theta, v = random_design(rng, ris, tx, radio.tx_power)
+    factors, v = random_design(rng, ris, tx, radio.tx_power)
     channels = farfield_channel(tx, ris, rx, radio, direct=False, mode="off")
-    dense = received_power(channels, theta, v)
-    power = farfield_power(tx, ris, rx, radio, theta, v, mode="off")
+    dense = received_power(channels, np.outer(*factors).ravel(), v)
+    power = farfield_power(tx, ris, rx, radio, factors, v, mode="off")
     a_tir = em._farfield_link(tx, ris, rx, radio, "off").a_tir[0]
     scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
     assert abs(power - dense) <= 1e-12 * max(dense, scale)
@@ -532,23 +541,30 @@ def test_channel_set_caches_cascade_and_leading_pair_read_only():
 
 
 def test_farfield_power_checks_shapes_and_shadowing():
+    """theta is the pair of panel-axis factors (rows,) and (cols,): swapped
+    or short factors, a third factor and the (L,) phase vector itself are
+    all DimensionMismatch."""
     tx, ris, rx = equilateral(300.0, rows=2, cols=3)
-    theta = np.ones(6, dtype=complex)
+    theta_y, theta_x = random_factors(np.random.default_rng(0), ris)
     v = np.ones(2, dtype=complex)
+    for bad in ((theta_x, theta_y), (theta_y, theta_x[:2]),
+                (theta_y, theta_x, theta_x), np.outer(theta_y, theta_x),
+                np.outer(theta_y, theta_x).ravel()):
+        with pytest.raises(DimensionMismatch):
+            farfield_power(tx, ris, rx, RADIO, bad, v)
     with pytest.raises(DimensionMismatch):
-        farfield_power(tx, ris, rx, RADIO, theta[:5], v)
-    with pytest.raises(DimensionMismatch):
-        farfield_power(tx, ris, rx, RADIO, theta, np.ones(3))
+        farfield_power(tx, ris, rx, RADIO, (theta_y, theta_x), np.ones(3))
     behind = np.array([0.0, 0.0, 2000.0])  # on the panel's back side
     with pytest.raises(ShadowedPanel):
-        farfield_power(tx, ris, behind, RADIO, theta, v, mode="off")
+        farfield_power(tx, ris, behind, RADIO, (theta_y, theta_x), v,
+                       mode="off")
 
 
 def test_farfield_power_applies_far_field_policy():
     tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
     ris = make_panel(rows=20, cols=20)
     rx = np.array([5.0, 0.0, 5.0])
-    theta = np.ones(ris.count, dtype=complex)
+    theta = random_factors(np.random.default_rng(1), ris)
     v = np.ones(2, dtype=complex)
     with pytest.raises(FarFieldViolation):
         farfield_power(tx, ris, rx, RADIO, theta, v, mode="strict")
@@ -564,7 +580,7 @@ def test_farfield_power_applies_far_field_policy_across_poses():
     tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
     ris = make_panel(rows=20, cols=20)
     rx = np.array([5.0, 0.0, 5.0])
-    theta = np.ones(ris.count, dtype=complex)
+    theta = random_factors(np.random.default_rng(1), ris)
     v = np.ones(2, dtype=complex)
 
     def poses(*heights):
@@ -636,9 +652,9 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
     test_farfield_power_matches_dense_channel; a pose whose panel does not
     see both ends gives 0 W, where the dense channel raises ShadowedPanel."""
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    theta, v = random_design(rng, ris, tx, radio.tx_power)
+    factors, v = random_design(rng, ris, tx, radio.tx_power)
     poses = random_poses(rng, ris, 6)
-    power = farfield_power(tx, ris, rx, radio, theta, v, poses=poses,
+    power = farfield_power(tx, ris, rx, radio, factors, v, poses=poses,
                            mode="off")
     assert power.shape == (len(poses.center),)
     assert power[-1] == 0.0
@@ -650,7 +666,7 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
         except ShadowedPanel:
             assert p == 0.0
             continue
-        dense = received_power(channels, theta, v)
+        dense = received_power(channels, np.outer(*factors).ravel(), v)
         a_tir = em._farfield_link(tx, panel, rx, radio, "off").a_tir[0]
         scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
         assert abs(p - dense) <= 1e-12 * max(dense, scale)
@@ -708,3 +724,40 @@ def test_farfield_power_pose_bits_do_not_depend_on_batch(rows, cols, upa,
             assert np.array_equal(
                 np.concatenate([power(a, b)
                                 for a, b in zip(bounds, bounds[1:])]), alone)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 8), upa=st.booleans(),
+       seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([1, 31, 32, 33, 70]))
+@example(rows=8, cols=3, upa=False, seed=4, count=70)
+def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
+                                                   count):
+    """theta . d_vec from the phase factors (theta_y, theta_x) equals the
+    dense sum of outer(theta_y, theta_x).ravel() against the element
+    phasors of each pose, built from its (L, 3) element positions, for
+    stacks around the _POSE_BLOCK size; the two formulas round differently
+    by up to about 1e-12 per element.  Each pose gets the bits of its own
+    one-pose call."""
+    tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
+    factors = random_factors(rng, ris)
+    poses = random_poses(rng, ris, count - 1)
+    assert len(poses.center) == count
+    link = em._farfield_link(tx, ris, rx, radio, "off", poses)
+    sums = em._theta_dot_d(ris, link, factors)
+    assert sums.shape == (count,)
+    theta = np.outer(*factors).ravel()
+    wavenum = 2 * np.pi / radio.wavelength
+    for i in range(count):
+        one = PanelPoses(poses.center[i:i + 1], poses.normal[i:i + 1],
+                         poses.axis_x[i:i + 1], poses.axis_y[i:i + 1])
+        alone = em._theta_dot_d(
+            ris, em._farfield_link(tx, ris, rx, radio, "off", one), factors)
+        assert np.array_equal(alone, sums[i:i + 1])
+        panel = replace(ris, center=poses.center[i], normal=poses.normal[i],
+                        axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
+        elems = element_positions(panel)
+        d_vec = np.exp(1j * wavenum
+                       * (offsets_toward(elems, panel.center, tx.center)
+                          + offsets_toward(elems, panel.center, rx)))
+        assert abs(sums[i] - theta @ d_vec) <= 1e-12 * ris.count

@@ -11,16 +11,16 @@ from rislink.em import (RadioParams, _farfield_link, _leading_singular_pair,
 from rislink.errors import (AmbiguousSignWarning, DomainError,
                             FarFieldViolation, ShadowedPanel, ZeroChannel)
 from rislink.geometry import UlaLayout, UpaLayout, element_positions
-from rislink.solvers import (Method, anti_decay_design, closed_form_phases,
-                             closed_form_predicted_power,
+from rislink.solvers import (Method, _closed_form_design, anti_decay_design,
+                             closed_form_phases, closed_form_predicted_power,
                              closed_form_solution, mrt_beamforming,
                              power_upper_bound, svd_solution, two_path_o,
                              two_path_power_closed_form, two_path_solution,
                              two_path_terms)
 from rislink.validation import random_feasible_solutions
 
-from test_em import (RADIO, equilateral, offsets_toward, random_scene,
-                     scene_args)
+from test_em import (RADIO, equilateral, offsets_toward, random_factors,
+                     random_scene, scene_args)
 from test_geometry import EX, EY, make_ula
 
 P_T = RADIO.tx_power
@@ -135,11 +135,22 @@ def test_closed_form_dominates_random_designs(scene):
 @example(scene=(*equilateral(200.0, rows=3, cols=3, count=4), RADIO))
 def test_closed_form_predicts_its_farfield_power(scene):
     """The predicted N * L^2 * a_TIR^2 * P_t takes a_TIR from the far-field
-    link, as the far-field power of the design does."""
+    link, as the far-field power of the design does.  The design's phase
+    factors give its phases bit for bit, and no random unit-modulus factor
+    pair does better with its beamformer."""
     tx, ris, rx, radio = scene
     sol = closed_form_solution(tx, ris, rx, radio)
-    power = farfield_power(tx, ris, rx, radio, sol.theta, sol.v, mode="off")
+    factors, v = _closed_form_design(
+        tx, ris, _farfield_link(tx, ris, rx, radio, "off"), radio.tx_power)
+    assert np.array_equal(np.outer(*factors).ravel(), sol.theta)
+    assert np.array_equal(v, sol.v)
+    power = farfield_power(tx, ris, rx, radio, factors, v, mode="off")
     assert power == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        other = random_factors(rng, ris)
+        assert farfield_power(tx, ris, rx, radio, other, v,
+                              mode="off") <= power * (1 + 1e-12)
 
 
 def test_closed_form_solution_raises_on_shadowed_panel():
@@ -292,7 +303,7 @@ def test_two_path_solution_achieves_predicted_power():
                                 mode="off")
     sol = two_path_solution(tx, ris, rx, RADIO, mode="off")
     achieved = received_power(channels, sol.theta, sol.v)
-    assert achieved == pytest.approx(sol.predicted_power, rel=1e-6, abs=0)
+    assert achieved == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
     assert sol.method is Method.CLOSED_FORM_TWO_PATH
     # and it beats the single-path design evaluated on the same channel
     single = closed_form_solution(tx, ris, rx, RADIO)
