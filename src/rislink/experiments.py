@@ -4,6 +4,7 @@ anti-decay design, position-perturbation robustness, oracle validation)."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,12 +16,15 @@ from .em import (RadioParams, _enforce_far_field, _farfield_link,
                  friis_amplitude, received_power, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
                        _norm, far_field_check)
-from .placement import optimal_orientation
+from .errors import RegionDWarning
+from .placement import (PlaneScene, optimal_orientation, plane_objective,
+                        position_search_plane)
 from .solvers import (_closed_form_design, anti_decay_design,
                       closed_form_predicted_power, closed_form_solution,
                       power_upper_bound, svd_solution, two_path_o,
                       two_path_power_closed_form, two_path_solution)
-from .validation import exhaustive_phase_search, random_feasible_solutions
+from .validation import (dense_position_grid, exhaustive_phase_search,
+                         random_feasible_solutions)
 
 # Rows per block, shared by the plane map's model calls (sweep_plane), which
 # keep their temporaries to one block, and the CSV writer (output.emit_csv),
@@ -164,32 +168,24 @@ def analytic_point_power(cfg: SceneConfig, d_ti, d_ir, d_tr, cos_mu_ti,
     return {key: float(value[0]) for key, value in powers.items()}
 
 
-def _plane_hops(cfg: SceneConfig, x, y):
-    """Hop distances d_TI and d_IR of the RIS at (x, y) on plane S, between
-    the endpoints of plane_endpoints."""
-    h = cfg.height
-    return (np.sqrt(x**2 + y**2 + h**2),
-            np.sqrt((x - cfg.d_tr)**2 + y**2 + h**2))
-
-
 def _check_plane_far_field(cfg: SceneConfig, x, y) -> None:
     """Raise FarFieldViolation if the configured panel at a point (x, y) of
     plane S (arrays) fails the far-field check, between the endpoints of
     plane_endpoints."""
     tx, _ = plane_endpoints(cfg)
     panel = _panel_at(cfg, np.zeros(3), (_EZ, _EX, _EY))
-    _enforce_far_field(tx, panel, *_plane_hops(cfg, x, y), mode="strict")
+    plane = PlaneScene(cfg.height, cfg.height, cfg.d_tr)
+    _enforce_far_field(tx, panel, *plane.hops(x, y), mode="strict")
 
 
 def _plane_point_power(cfg: SceneConfig, x, y) -> dict:
     """analytic_point_power with the RIS at (x, y) on plane S, between the
     endpoints of plane_endpoints."""
-    h = cfg.height
-    d_ti, d_ir = _plane_hops(cfg, x, y)
+    d_ti, d_ir = PlaneScene(cfg.height, cfg.height, cfg.d_tr).hops(x, y)
     # ULA axis is the plane normal, so cos(mu_TI) = h / d_TI and the
     # horizontal T->R direction gives cos(mu_TR) = 0
     return analytic_point_power(cfg, d_ti, d_ir, cfg.d_tr,
-                                cos_mu_ti=h / d_ti, cos_mu_tr=0.0)
+                                cos_mu_ti=cfg.height / d_ti, cos_mu_tr=0.0)
 
 
 def _meta(cfg: SceneConfig, experiment: str, **settings) -> dict:
@@ -415,4 +411,22 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
                    exact.mirrored and sigma_err < 1e-12 and u_err < 1e-10,
                    f"sigma relative error {sigma_err:.1e}, u error "
                    f"{u_err:.1e}, mirrored {exact.mirrored}"))
+
+    # the placement theorem on the sweep-plane window, which overlaps
+    # region D: the search's RegionDWarning is counted, not printed
+    (x0, x1), (y0, y1) = cfg.sweeps.plane_x, cfg.sweeps.plane_y
+    plane = PlaneScene(cfg.height, cfg.height, cfg.d_tr,
+                       [[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]])
+    objective = plane_objective(plane, cfg.pattern_exponent)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RegionDWarning)
+        found = position_search_plane(plane, objective)
+    grid = dense_position_grid(plane, objective, 101)
+    x, y = found.position
+    checks.append(("placement search vs dense position grid",
+                   found.value >= grid.value * (1 - 1e-9),
+                   f"search {found.value:.5e} at ({x:.2f}, {y:.2f}), "
+                   f"101 x 101 grid {grid.value:.5e}, "
+                   f"{sum(w.category is RegionDWarning for w in caught)} "
+                   "RegionDWarning"))
     return checks

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,14 +86,18 @@ class PlaneScene:
     d_tr: float | None = None
 
     def __post_init__(self):
-        if self.h1 < 0 or self.h2 < 0:
-            raise DomainError("heights must be >= 0")
-        if self.separation < 0:
-            raise DomainError("separation must be >= 0")
+        # written so that NaN fails every check
+        if not all(0 <= v < np.inf for v in (self.h1, self.h2,
+                                             self.separation)):
+            raise DomainError("heights and separation must be finite, >= 0")
+        if not 0 < self.t_r_distance < np.inf:
+            raise DomainError("d_tr must be finite and > 0")
         polys = tuple(np.asarray(p, dtype=float) for p in self.feasible)
         for p in polys:
             if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3:
                 raise DomainError("polygons must be (n>=3, 2) vertex arrays")
+            if not np.all(np.isfinite(p)):
+                raise DomainError("polygon vertices must be finite")
         object.__setattr__(self, "feasible", polys)
 
     @property
@@ -101,25 +106,31 @@ class PlaneScene:
             return self.d_tr
         return float(np.hypot(self.separation, self.h1 - self.h2))
 
-    def d_ti(self, xy) -> np.ndarray:
-        xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        return np.sqrt(xy[:, 0]**2 + xy[:, 1]**2 + self.h1**2)
-
-    def d_ir(self, xy) -> np.ndarray:
-        xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        return np.sqrt((xy[:, 0] - self.separation)**2 + xy[:, 1]**2
-                       + self.h2**2)
+    def hops(self, x, y):
+        """Hop distances (d_TI, d_IR) of the RIS at plane points (x, y),
+        which broadcast as numpy arrays."""
+        return (np.sqrt(x**2 + y**2 + self.h1**2),
+                np.sqrt((x - self.separation)**2 + y**2 + self.h2**2))
 
     def contains(self, xy) -> np.ndarray:
-        """Union membership over the feasible polygons (boundary inclusive
-        up to floating point)."""
-        xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        if not self.feasible:
-            return np.zeros(xy.shape[0], dtype=bool)
-        inside = np.zeros(xy.shape[0], dtype=bool)
+        """Union membership over the feasible polygons, each by the even-odd
+        rule (boundary inclusive up to floating point)."""
+        x, y = _columns(xy)
+        inside = np.zeros(len(x), dtype=bool)
         for poly in self.feasible:
-            inside |= _points_in_polygon(xy, poly)
+            odd = np.zeros(len(x), dtype=bool)
+            for (x1, y1), (x2, y2) in zip(poly, np.roll(poly, -1, axis=0)):
+                crosses = (y1 > y) != (y2 > y)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+                odd ^= crosses & (x < np.where(crosses, x_cross, np.inf))
+            inside |= odd
         return inside
+
+
+def _columns(xy):
+    """x and y of one plane point (2,) or of a stack of them (n, 2)."""
+    return np.atleast_2d(np.asarray(xy, dtype=float)).T
 
 
 def plane_objective(scene: PlaneScene, k: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -127,24 +138,22 @@ def plane_objective(scene: PlaneScene, k: float) -> Callable[[np.ndarray], np.nd
     d_tr = scene.t_r_distance
 
     def objective(xy: np.ndarray) -> np.ndarray:
-        return f_object(scene.d_ti(xy), scene.d_ir(xy), d_tr, k)
+        return f_object(*scene.hops(*_columns(xy)), d_tr, k)
 
     return objective
 
 
-def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd-rule containment test, vectorized over points."""
-    x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(len(points), dtype=bool)
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (x < np.where(crosses, x_cross, np.inf))
-    return inside
+def _box_grid(scene: PlaneScene, resolution: int):
+    """The (resolution**2, 2) grid over the feasible polygons' bounding box,
+    y outer and x inner, and its x and y axes."""
+    if not scene.feasible:
+        raise EmptyFeasible("scene has no feasible polygons")
+    verts = np.vstack(scene.feasible)
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    xs = np.linspace(lo[0], hi[0], resolution)
+    ys = np.linspace(lo[1], hi[1], resolution)
+    gx, gy = np.meshgrid(xs, ys)
+    return np.column_stack([gx.ravel(), gy.ravel()]), xs, ys
 
 
 def _polygon_edges(poly: np.ndarray):
@@ -169,18 +178,15 @@ def _polygon_boundary_points(poly: np.ndarray, s) -> np.ndarray:
 def region_d_membership(scene: PlaneScene, xy,
                         variant: str = "D") -> np.ndarray:
     """Membership test for region D (both hops shorter than d_TR) or its
-    direct-link variant D1 (transmit hop shorter than d_TR).
-
-    With a direct link the search would also keep the feasible trace of the
-    plane spanned by the array axis and line l; for the line-l scenes of
-    this module that trace is line l itself, already a candidate, so D1
-    needs no other adjustment."""
+    direct-link variant D1 (transmit hop shorter than d_TR).  D1 needs no
+    other change to the search: the feasible trace of the plane through the
+    array axis and line l, which a direct link adds, is line l here."""
     d_tr = scene.t_r_distance
-    in_d1 = scene.d_ti(xy) <= d_tr
+    d_ti, d_ir = scene.hops(*_columns(xy))
     if variant == "D1":
-        return in_d1
+        return d_ti <= d_tr
     if variant == "D":
-        return in_d1 & (scene.d_ir(xy) <= d_tr)
+        return (d_ti <= d_tr) & (d_ir <= d_tr)
     raise DomainError(f"unknown region variant {variant!r}")
 
 
@@ -214,131 +220,84 @@ class PlacementResult:
     region_d_fallback: bool = False
 
 
+# The fixed sampling of position_search_plane: samples per candidate curve,
+# region-D grid points per axis, line l's reach past the feasible box and
+# the endpoints (a share of their span), and the golden-section tolerance;
+# and the points of the quasiconvexity_report scan.
+_CURVE_SAMPLES = 2000
+_REGION_D_GRID = 200
+_LINE_EXTENSION = 0.25
+_REFINE_TOL = 1e-6
+_SCAN_POINTS = 10_000
+
+
 def position_search_plane(scene: PlaneScene,
                           objective: Callable[[np.ndarray], np.ndarray], *,
-                          variant: str = "D",
-                          region_d_check: bool = True,
-                          line_points: int = 2000,
-                          boundary_points: int = 2000,
-                          region_d_resolution: int = 200,
-                          line_extension: float = 0.25,
-                          refine_tol: float = 1e-6) -> PlacementResult:
+                          variant: str = "D") -> PlacementResult:
     """Boundary-reduced position search on one plane.
 
-    Candidates are the feasible trace of line l (the x axis) and every
-    feasible-region boundary, refined by golden section around the best
-    sample.  If the feasible region overlaps region D the theorem does not
-    apply there, so a dense grid over the overlap is added (flagged on the
-    result).
+    The candidate curves are line l (the x axis) by x, where only feasible
+    points count, and every feasible boundary by arc length.  The best of
+    their samples is refined by golden section along its curve.  Where the
+    feasible region overlaps region D (or D1) the theorem does not apply,
+    so a dense grid over the overlap joins in, flagged on the result and
+    warned with RegionDWarning.
     """
-    if not scene.feasible:
-        raise EmptyFeasible("scene has no feasible polygons")
-
-    all_verts = np.vstack(scene.feasible)
-    lo = all_verts.min(axis=0)
-    hi = all_verts.max(axis=0)
-    span = max(hi[0] - lo[0], scene.separation, 1.0)
-    x_lo = min(lo[0], 0.0) - line_extension * span
-    x_hi = max(hi[0], scene.separation) + line_extension * span
-
-    best_x: float | None = None
-    best_val = -np.inf
-    best_refiner: Callable[[], tuple[np.ndarray, float]] | None = None
-    best_point: np.ndarray | None = None
-
-    def eval_masked(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mask = scene.contains(points)
-        vals = np.full(points.shape[0], -np.inf)
-        if np.any(mask):
-            vals[mask] = objective(points[mask])
-        return vals, mask
-
-    # candidate set (i): line l
-    xs = np.linspace(x_lo, x_hi, line_points)
-    line_pts = np.column_stack([xs, np.zeros_like(xs)])
-    line_vals, line_mask = eval_masked(line_pts)
-    if np.any(line_mask):
-        i = int(np.argmax(line_vals))
-        if line_vals[i] > best_val:
-            best_val = float(line_vals[i])
-            best_point = line_pts[i]
-            step = xs[1] - xs[0]
-
-            def refine_line(i=i, step=step):
-                def fun(x):
-                    p = np.array([[x, 0.0]])
-                    if not scene.contains(p)[0]:
-                        return -np.inf
-                    return float(objective(p)[0])
-                a = max(xs[i] - step, x_lo)
-                b = min(xs[i] + step, x_hi)
-                x, val = _golden_max(fun, a, b, refine_tol)
-                return np.array([x, 0.0]), val
-
-            best_refiner = refine_line
-
-    # candidate set (ii): feasible boundaries
+    grid, box_x, _ = _box_grid(scene, _REGION_D_GRID)
+    span = max(box_x[-1] - box_x[0], scene.separation, 1.0)
+    x_lo = min(box_x[0], 0.0) - _LINE_EXTENSION * span
+    x_hi = max(box_x[-1], scene.separation) + _LINE_EXTENSION * span
+    n = _CURVE_SAMPLES
+    xs = np.linspace(x_lo, x_hi, n)
+    dx = xs[1] - xs[0]
+    # each curve: (points at parameters, sample parameters, feasible points
+    # only, refinement bracket of sample i, clipped on line l or wrapping)
+    curves = [(lambda x: np.stack([x, np.zeros_like(x)], axis=-1), xs, True,
+               lambda i: (max(xs[i] - dx, x_lo), min(xs[i] + dx, x_hi)))]
     for poly in scene.feasible:
         total = float(_polygon_edges(poly)[2][-1])
-        pts = _polygon_boundary_points(
-            poly, np.linspace(0.0, total, boundary_points, endpoint=False))
-        vals, mask = eval_masked(pts)
-        # boundary points are feasible by construction; containment can be
-        # lost to rounding, evaluate those directly
-        if not np.all(mask):
-            vals[~mask] = objective(pts[~mask])
+        curves.append((partial(_polygon_boundary_points, poly),
+                       np.linspace(0.0, total, n, endpoint=False), False,
+                       lambda i, t=total: (t * i / n - t / n,
+                                           t * i / n + t / n)))
+
+    best, best_val = None, -np.inf
+    for at, ts, feasible_only, bracket in curves:
+        pts = at(ts)
+        feasible = scene.contains(pts) if feasible_only else np.ones(n, bool)
+        vals = np.full(n, -np.inf)
+        if feasible.any():
+            vals[feasible] = objective(pts[feasible])
         i = int(np.argmax(vals))
         if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_point = pts[i]
-            s_i = total * i / len(pts)
-            step = total / len(pts)
-
-            def refine_boundary(poly=poly, s_i=s_i, step=step):
-                def fun(s):
-                    return float(objective(
-                        _polygon_boundary_points(poly, [s]))[0])
-                s, val = _golden_max(fun, s_i - step, s_i + step, refine_tol)
-                return _polygon_boundary_points(poly, s), val
-
-            best_refiner = refine_boundary
-
-    if best_point is None:
+            best = at, feasible_only, bracket(i)
+            best_val, best_point = float(vals[i]), pts[i]
+    if best is None:
         raise EmptyFeasible("no candidate point lies inside the feasible region")
 
-    if best_refiner is not None:
-        point, val = best_refiner()
-        if val > best_val:
-            best_point, best_val = point, val
+    at, feasible_only, (a, b) = best
 
-    # region-D fallback: dense grid over the feasible/D overlap.  Only
-    # relevant for k > 0 (pass region_d_check=False for k = 0, where the
-    # boundary theorem holds on the whole plane).
-    fallback = False
-    if region_d_check:
-        grid_x = np.linspace(lo[0], hi[0], region_d_resolution)
-        grid_y = np.linspace(lo[1], hi[1], region_d_resolution)
-        gx, gy = np.meshgrid(grid_x, grid_y)
-        grid = np.column_stack([gx.ravel(), gy.ravel()])
-        in_d = region_d_membership(scene, grid, variant) & scene.contains(grid)
-    else:
-        in_d = np.zeros(1, dtype=bool)
-        grid = np.zeros((1, 2))
-    if np.any(in_d):
-        fallback = True
+    def along(t: float) -> float:
+        p = at(np.array([t]))
+        if feasible_only and not scene.contains(p)[0]:
+            return -np.inf
+        return float(objective(p)[0])
+
+    t, val = _golden_max(along, a, b, _REFINE_TOL)
+    if val > best_val:
+        best_point, best_val = at(t), val
+
+    in_d = region_d_membership(scene, grid, variant) & scene.contains(grid)
+    fallback = bool(in_d.any())
+    if fallback:
         warnings.warn("feasible region overlaps region D; dense-grid "
                       "fallback evaluated there", RegionDWarning)
         d_vals = objective(grid[in_d])
         j = int(np.argmax(d_vals))
         if d_vals[j] > best_val:
-            best_val = float(d_vals[j])
-            best_point = grid[in_d][j]
-
-    return PlacementResult(position=np.asarray(best_point, dtype=float),
-                           value=best_val,
-                           search_set="line-l + boundary"
-                                      + (" + region-D grid" if fallback else ""),
-                           region_d_fallback=fallback)
+            best_point, best_val = grid[in_d][j], float(d_vals[j])
+    search_set = "line-l + boundary" + (" + region-D grid" if fallback else "")
+    return PlacementResult(best_point, best_val, search_set, fallback)
 
 
 @dataclass(frozen=True)
@@ -358,24 +317,19 @@ class QuasiconvexityReport:
 
 
 def quasiconvexity_report(d_tr: float, k: float, d_fixed: float,
-                          which: str = "fix_d_ti", *,
-                          points: int = 10_000,
-                          x_range: tuple[float, float] | None = None,
-                          ) -> QuasiconvexityReport:
-    """Log-grid scan of the placement objective in one distance.
+                          which: str = "fix_d_ti") -> QuasiconvexityReport:
+    """Log-grid scan of the placement objective in one distance, at
+    _SCAN_POINTS points from d_TR / 100 to 4 (d_fixed + d_TR).
 
     For k > 0 the quasi-convexity claim needs d_fixed > d_TR; for k = 0 the
     objective must be strictly decreasing in the free distance.
     """
     if which not in ("fix_d_ti", "fix_d_ir"):
         raise DomainError(f"unknown scan variant {which!r}")
-    if x_range is None:
-        x_range = (1e-2 * d_tr, 4.0 * (d_fixed + d_tr))
-    xs = np.logspace(np.log10(x_range[0]), np.log10(x_range[1]), points)
-    if which == "fix_d_ti":
-        values = f_object(d_fixed, xs, d_tr, k)
-    else:
-        values = f_object(xs, d_fixed, d_tr, k)
+    xs = np.logspace(np.log10(1e-2 * d_tr), np.log10(4.0 * (d_fixed + d_tr)),
+                     _SCAN_POINTS)
+    values = (f_object(d_fixed, xs, d_tr, k) if which == "fix_d_ti"
+              else f_object(xs, d_fixed, d_tr, k))
 
     diffs = np.diff(values)
     rel = np.max(np.abs(values)) * 1e-12

@@ -14,7 +14,7 @@ import numpy as np
 
 from .em import ChannelSet
 from .errors import EmptyFeasible, TooLarge
-from .placement import PlaneScene
+from .placement import PlaneScene, _box_grid
 
 _ENUM_BUDGET = 10**9
 
@@ -110,24 +110,15 @@ def dense_position_grid(scene: PlaneScene, objective, resolution: int,
     Ties break toward the first cell in row-major (y then x) order; the
     argmax is invariant to positive scaling of the objective.
     """
-    if not scene.feasible:
-        raise EmptyFeasible("scene has no feasible polygons")
-    verts = np.vstack(scene.feasible)
-    lo, hi = verts.min(axis=0), verts.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], resolution)
-    ys = np.linspace(lo[1], hi[1], resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    pts, xs, ys = _box_grid(scene, resolution)
     mask = scene.contains(pts)
     if not np.any(mask):
         raise EmptyFeasible("no grid cell falls in the feasible region")
     vals = np.full(len(pts), -np.inf)
     vals[mask] = objective(pts[mask])
-    order = np.argsort(vals)[::-1]
-    best = order[0]
-    margin = float(vals[best] - vals[order[1]]) if len(order) > 1 else np.inf
-    cell = ((xs[1] - xs[0]) if resolution > 1 else 0.0,
-            (ys[1] - ys[0]) if resolution > 1 else 0.0)
+    best = int(np.argmax(vals))
+    margin = float(vals[best] - np.delete(vals, best).max(initial=-np.inf))
+    cell = (xs[1] - xs[0], ys[1] - ys[0]) if resolution > 1 else (0.0, 0.0)
     return GridArgmax(position=pts[best], value=float(vals[best]),
                       runner_up_margin=margin, cell_size=cell)
 

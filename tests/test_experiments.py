@@ -313,7 +313,7 @@ def test_solve_reports_all_methods():
 
 def test_validate_suite_all_pass():
     checks = validate_suite(small_cfg())
-    assert len(checks) == 6
+    assert len(checks) == 7
     assert all(ok for _, ok, _ in checks)
 
 

@@ -103,12 +103,31 @@ def test_plane_scene_distances_and_membership():
     scene = PlaneScene(h1=80.0, h2=80.0, separation=200.0,
                        feasible=[rect(-50, 0, 250, 120)])
     assert scene.t_r_distance == pytest.approx(200.0)
-    np.testing.assert_allclose(scene.d_ti([[0.0, 0.0]]), [80.0])
-    np.testing.assert_allclose(scene.d_ir([[200.0, 0.0]]), [80.0])
+    d_ti, d_ir = scene.hops(np.array([0.0, 200.0]), np.array([0.0, 0.0]))
+    np.testing.assert_allclose(d_ti, [80.0, np.hypot(200.0, 80.0)])
+    np.testing.assert_allclose(d_ir, [np.hypot(200.0, 80.0), 80.0])
+    # scalars broadcast against arrays
+    np.testing.assert_allclose(scene.hops(100.0, np.array([0.0, 60.0]))[0],
+                               [np.hypot(100.0, 80.0), np.sqrt(20000.0)])
     assert scene.contains([[0.0, 50.0]])[0]
     assert not scene.contains([[-60.0, 50.0]])[0]
     override = PlaneScene(h1=80.0, h2=80.0, separation=200.0, d_tr=123.0)
     assert override.t_r_distance == 123.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(d_tr=-3.0), dict(d_tr=0.0), dict(d_tr=np.nan), dict(d_tr=np.inf),
+    dict(h1=np.nan), dict(h2=-1.0), dict(h2=np.inf), dict(separation=np.nan),
+    dict(separation=-1.0), dict(h1=5.0, h2=5.0, separation=0.0),
+    dict(feasible=[rect(0.0, 0.0, np.nan, 10.0)]),
+    dict(feasible=[rect(0.0, -np.inf, 10.0, 10.0)]),
+    dict(feasible=[np.zeros((2, 2))]),
+])
+def test_plane_scene_rejects_invalid_input(kwargs):
+    args = dict(h1=5.0, h2=5.0, separation=20.0,
+                feasible=[rect(0.0, 0.0, 10.0, 10.0)]) | kwargs
+    with pytest.raises(DomainError):
+        PlaneScene(**args)
 
 
 def test_region_d_membership_variants():
@@ -188,3 +207,65 @@ def test_quasiconvexity_scan_k_zero_monotone():
     assert rep2.monotone_decreasing
     with pytest.raises(DomainError):
         quasiconvexity_report(100.0, 0.0, 150.0, "fix_everything")
+
+
+def star_polygon(rng, center, radius):
+    """Simple polygon: 3-9 vertices at sorted random angles and random radii
+    in [0.3, 1] * radius about `center`."""
+    n = int(rng.integers(3, 10))
+    ang = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+    r = radius * rng.uniform(0.3, 1.0, n)
+    return np.column_stack([center[0] + r * np.cos(ang),
+                            center[1] + r * np.sin(ang)])
+
+
+def random_plane_scene(rng, near_d):
+    """1-3 star polygons on a random plane scene: kept out of the
+    d_TI <= d_TR disk, which holds region D, or one of them centred on the
+    midpoint of T'R', which lies in region D."""
+    sep = rng.uniform(20.0, 100.0)
+    h = rng.uniform(2.0, 0.5 * sep)     # equal heights: d_TR = sep
+    polys = []
+    for j in range(int(rng.integers(1, 4))):
+        if near_d and j == 0:
+            polys.append(star_polygon(rng, (sep / 2, 0.0), 0.4 * sep))
+            continue
+        ang = rng.uniform(0.0, 2 * np.pi)
+        radius = sep * rng.uniform(0.1, 0.5)
+        dist = sep + radius + sep * rng.uniform(0.05, 1.5)
+        polys.append(star_polygon(rng, (dist * np.cos(ang),
+                                        dist * np.sin(ang)), radius))
+    return PlaneScene(h1=h, h2=h, separation=sep, feasible=polys)
+
+
+def boundary_distance(poly, p):
+    """Distance from the point p to the closed polygon's edges."""
+    a, ab = poly, np.roll(poly, -1, axis=0) - poly
+    t = np.clip(np.sum((p - a) * ab, axis=1) / np.sum(ab * ab, axis=1), 0, 1)
+    return np.min(np.linalg.norm(a + t[:, None] * ab - p, axis=1))
+
+
+def test_search_reaches_dense_grid_on_random_polygons():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        scene = random_plane_scene(rng, near_d=False)
+        obj = plane_objective(scene, float(rng.choice([0.0, 1.0, 3.0])))
+        res = position_search_plane(scene, obj)
+        assert not res.region_d_fallback
+        # a feasible point, boundary points up to rounding, and its value
+        p = res.position
+        assert scene.contains(p)[0] or min(
+            boundary_distance(poly, p) for poly in scene.feasible) < 1e-9
+        assert res.value == pytest.approx(obj(p)[0], rel=1e-12, abs=0)
+        ref = dense_position_grid(scene, obj, 201)
+        assert res.value >= ref.value * (1 - 1e-9)
+
+
+def test_search_falls_back_where_polygons_overlap_region_d():
+    rng = np.random.default_rng(2025)
+    for _ in range(10):
+        scene = random_plane_scene(rng, near_d=True)
+        with pytest.warns(RegionDWarning):
+            res = position_search_plane(scene, plane_objective(scene, 3.0))
+        assert res.region_d_fallback
+        assert res.search_set == "line-l + boundary + region-D grid"

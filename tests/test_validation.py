@@ -90,6 +90,20 @@ def test_dense_position_grid_argmax():
     np.testing.assert_array_equal(res.position, res2.position)
 
 
+def test_dense_position_grid_ties_break_to_first_cell():
+    scene = PlaneScene(h1=10.0, h2=10.0, separation=50.0,
+                       feasible=[np.array([[0.0, 0.0], [1.0, 0.0],
+                                           [1.0, 1.0], [0.0, 1.0]])])
+    for resolution in (3, 4, 201):
+        res = dense_position_grid(scene, lambda xy: np.ones(len(xy)),
+                                  resolution)
+        np.testing.assert_array_equal(res.position, [0.0, 0.0])
+        assert res.runner_up_margin == 0.0
+    single = dense_position_grid(scene, lambda xy: np.ones(len(xy)), 1)
+    assert single.runner_up_margin == np.inf
+    assert single.cell_size == (0.0, 0.0)
+
+
 def test_dense_position_grid_empty_scene():
     with pytest.raises(EmptyFeasible):
         dense_position_grid(PlaneScene(h1=1.0, h2=1.0, separation=10.0),
