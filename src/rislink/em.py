@@ -280,12 +280,9 @@ def _enforce_far_field(tx, ris, d_ti, d_ir, mode: str) -> None:
     warnings.warn(msg, FarFieldWarning)
 
 
-# Poses per block of the pose-stack sums (_theta_dot_d, farfield_power):
-# their (poses, rows), (poses, cols) and (poses, N) phasor temporaries stay
-# this many poses long for a map of any size.  On the paper-scale robustness
-# map (perfbench robustness-paper, six alternated runs each on a 2-vCPU
-# Xeon), 64 took 0.75 ms (4.4 %) less per map than 32 but raised peak memory
-# by 0.2 MB (0.5 %) in every pair.
+# Poses per block of farfield_power's antenna sums b_vec . v: their
+# (poses, N) phasor temporaries stay this many poses long for a map of any
+# size.
 _POSE_BLOCK = 32
 
 
@@ -355,27 +352,65 @@ def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
                          wavenum=2 * np.pi / radio.wavelength)
 
 
-def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
-                 theta: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """theta . d_vec for every pose of the link, (P,), for the phases
-    outer(theta_y, theta_x).ravel() given as their panel-axis factors
-    theta = (theta_y, theta_x) of shapes (rows,) and (cols,).
+def _sin_ratio(y: np.ndarray) -> np.ndarray:
+    """sin(y)/y elementwise, 1 at y = 0."""
+    return np.divide(np.sin(y), y, out=np.ones_like(y), where=y != 0)
 
-    The two-hop phasor toward u_TI + u_IR separates the same way, d_vec =
-    outer(e_y, e_x).ravel() (see _panel_phasors), so the planar sum is the
-    product of two linear-array sums, (e_y . theta_y) * (e_x . theta_x), in
-    O(rows + cols) per pose and one _pose_blocks block at a time.  Each sum
-    runs along a pose's own row of the (poses, rows) and (poses, cols)
-    phasor arrays, so its bits do not depend on the other poses."""
-    theta_y, theta_x = theta
+
+def _array_factor(n: int, pitch: float, c, g, wavenum: float) -> np.ndarray:
+    """The real uniform-array sum sum_i exp(-j*k*(c - g)*o_i) over the n
+    centred offsets o_i of `_axis_offsets(n, pitch)`, elementwise in `c`:
+    the panel-axis sum of phasors toward steering component c against
+    phases that steer toward g.
+
+    It is sin(n*u)/sin(u) with u = k*pitch*(c - g)/2 (the uniform-array
+    factor).  u is folded into [-pi/2, pi/2] as u' = u - m*pi, m the
+    nearest integer to u/pi, which multiplies the sum by (-1)^(m*(n-1)),
+    and the sum is written n * f(n*u')/f(u') with f = _sin_ratio: exactly n
+    at u' = 0, and f(u') >= 2/pi never vanishes."""
+    u = wavenum * pitch * (np.asarray(c, dtype=float) - g) / 2
+    m = np.rint(u / np.pi)
+    u -= m * np.pi
+    sign = np.where(m * (n - 1) % 2, -1.0, 1.0)
+    return sign * n * _sin_ratio(n * u) / _sin_ratio(u)
+
+
+def _steering_pair(steering) -> list[np.ndarray]:
+    """The steering pair (g_y, g_x) as two real, finite 0-d arrays;
+    anything but two scalars is DimensionMismatch."""
+    try:
+        pair = [np.asarray(g) for g in steering]
+    except TypeError:
+        pair = []
+    if len(pair) != 2 or any(g.ndim for g in pair):
+        raise DimensionMismatch("steering must be a pair of scalars "
+                                "(g_y, g_x)")
+    if not all(np.isrealobj(g) and np.isfinite(g) for g in pair):
+        raise DomainError("steering components must be real and finite")
+    return pair
+
+
+def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
+                 steering) -> np.ndarray:
+    """theta . d_vec for every pose of the link, (P,), real, for the
+    closed-form phases that steer toward the pair steering = (g_y, g_x) =
+    (axis_y . u_0, axis_x . u_0) of the design's own link, u_0 = u_TI +
+    u_IR: theta = outer(theta_y, theta_x).ravel() with theta_y[n] =
+    exp(j*k*g_y*o_n) and theta_x likewise (see solvers._link_phases).
+
+    A pose's two-hop phasor d_vec = outer(e_y, e_x).ravel() toward its
+    own u_TI + u_IR separates the same way (see _panel_phasors), so theta .
+    d_vec is the product of one _array_factor per panel axis, at the pose's
+    components c_y and c_x of u_TI + u_IR against g_y and g_x: O(1) per
+    pose, elementwise over the stack, so a pose's bits do not depend on the
+    other poses.  At c = g, the design's own pose, it is exactly L."""
+    g_y, g_x = steering
     u = link.u_ti + link.u_ir
-    sums = []
-    for block in _pose_blocks(len(u)):
-        e_x, e_y = _panel_phasors(ris, link.poses.axis_x[block],
-                                  link.poses.axis_y[block], u[block],
-                                  link.wavenum)
-        sums.append((e_y * theta_y).sum(axis=1) * (e_x * theta_x).sum(axis=1))
-    return np.concatenate(sums)
+    return (_array_factor(ris.rows, ris.d_y,
+                          np.vecdot(link.poses.axis_y, u), g_y, link.wavenum)
+            * _array_factor(ris.cols, ris.d_x,
+                            np.vecdot(link.poses.axis_x, u), g_x,
+                            link.wavenum))
 
 
 def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
@@ -410,46 +445,43 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
 
 
 def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
-                   radio: RadioParams, theta: tuple[np.ndarray, np.ndarray],
-                   v: np.ndarray, *, poses: PanelPoses | None = None,
-                   mode: str = "warn"):
+                   radio: RadioParams, steering, v: np.ndarray, *,
+                   poses: PanelPoses | None = None, mode: str = "warn"):
     """Received power of the far-field RIS link in watts, built from the
-    rank-one factors without the L x N channel, for the separable phases
-    outer(theta_y, theta_x).ravel() given as their panel-axis factors
-    theta = (theta_y, theta_x) of shapes (rows,) and (cols,), the form the
-    closed-form design takes.
+    rank-one factors without the L x N channel, for the closed-form phases
+    that steer toward the pair steering = (g_y, g_x), the form the
+    closed-form design takes (see _theta_dot_d and
+    solvers._closed_form_design).
 
-    Equals received_power(farfield_channel(..., direct=False),
-    outer(theta_y, theta_x).ravel(), v) as
-    a_TIR^2 * |theta . d_vec|^2 * |b_vec . v|^2, where theta . d_vec =
-    (e_y . theta_y) * (e_x . theta_x) for the panel phasors toward
-    u_TI + u_IR (see _theta_dot_d).  That takes rows + cols + N
-    exponentials and O(rows + cols + N) arithmetic per pose.
+    Equals received_power(farfield_channel(..., direct=False), theta, v)
+    for those phases theta as a_TIR^2 * |theta . d_vec|^2 * |b_vec . v|^2,
+    where theta . d_vec is the product of two panel-axis array factors in
+    closed form (_theta_dot_d).  That takes N exponentials and O(N)
+    arithmetic per pose.
 
     With `poses` the grid of `ris` is evaluated at each of the P poses and
     the result is a (P,) array; a pose whose panel does not see both ends
-    gets 0 W.  The distances, far-field check, elevations and a_TIR are
-    computed for all P poses at once, and the phasor sums theta . d_vec and
-    b_vec . v for _POSE_BLOCK poses at a time, so one call takes a stack of
-    any size while its phasor temporaries stay _POSE_BLOCK poses long;
-    callers need not split it.  A pose gets the same bits in a stack of any
-    size or split as in a call of its own (see _FarFieldLink.b_vec and
-    _theta_dot_d).  Without `poses` the result is the float power of `ris`
-    itself, and such a panel raises ShadowedPanel as farfield_channel does.
-    `mode` is the far-field policy of farfield_channel, checked on every
-    pose: "strict" raises if any pose fails and "warn" warns once.
+    gets 0 W.  The distances, far-field check, elevations, a_TIR and
+    theta . d_vec are computed for all P poses at once, and the antenna
+    sums b_vec . v for _POSE_BLOCK poses at a time, so one call takes a
+    stack of any size while its phasor temporaries stay _POSE_BLOCK poses
+    long; callers need not split it.  A pose gets the same bits in a stack
+    of any size or split as in a call of its own (see _FarFieldLink.b_vec
+    and _theta_dot_d).  Without `poses` the result is the float power of
+    `ris` itself, and such a panel raises ShadowedPanel as farfield_channel
+    does.  `mode` is the far-field policy of farfield_channel, checked on
+    every pose: "strict" raises if any pose fails and "warn" warns once.
+    A steering that is not two scalars is DimensionMismatch, and one with a
+    non-finite component DomainError.
     """
-    factors = tuple(np.asarray(f) for f in theta)
+    steering = _steering_pair(steering)
     v = np.asarray(v)
-    if [f.shape for f in factors] != [(ris.rows,), (ris.cols,)]:
-        raise DimensionMismatch(f"theta must be a pair of factors of "
-                                f"shapes ({ris.rows},) and ({ris.cols},)")
     if v.shape != (tx.count,):
         raise DimensionMismatch(f"v must have length {tx.count}")
     link = _farfield_link(tx, ris, rx_position, radio, mode, poses)
     b_dot_v = np.concatenate([(link.b_vec(block) * v).sum(axis=1)
                               for block in _pose_blocks(len(link.u_ti))])
-    power = (link.a_tir**2 * np.abs(_theta_dot_d(ris, link, factors))**2
+    power = (link.a_tir**2 * _theta_dot_d(ris, link, steering)**2
              * np.abs(b_dot_v)**2)
     return float(power[0]) if poses is None else power
 

@@ -143,13 +143,19 @@ def plane_objective(scene: PlaneScene, k: float) -> Callable[[np.ndarray], np.nd
     return objective
 
 
-def _box_grid(scene: PlaneScene, resolution: int):
-    """The (resolution**2, 2) grid over the feasible polygons' bounding box,
-    y outer and x inner, and its x and y axes."""
+def _box(scene: PlaneScene) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners (x, y) of the feasible polygons' bounding
+    box."""
     if not scene.feasible:
         raise EmptyFeasible("scene has no feasible polygons")
     verts = np.vstack(scene.feasible)
-    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    return verts.min(axis=0), verts.max(axis=0)
+
+
+def _box_grid(scene: PlaneScene, resolution: int):
+    """The (resolution**2, 2) grid over the feasible polygons' bounding box,
+    y outer and x inner, and its x and y axes."""
+    lo, hi = _box(scene)
     xs = np.linspace(lo[0], hi[0], resolution)
     ys = np.linspace(lo[1], hi[1], resolution)
     gx, gy = np.meshgrid(xs, ys)
@@ -188,6 +194,18 @@ def region_d_membership(scene: PlaneScene, xy,
     if variant == "D":
         return (d_ti <= d_tr) & (d_ir <= d_tr)
     raise DomainError(f"unknown region variant {variant!r}")
+
+
+def _box_reaches_region_d(scene: PlaneScene, lo: np.ndarray,
+                          hi: np.ndarray) -> bool:
+    """Whether the box [lo, hi] may hold a point of region D or D1, both of
+    which need d_TI <= d_TR: d_TI at the box point nearest T' (the origin)
+    is the least over the box.  The margin, 1e-9 of d_TR plus the largest
+    coordinate, covers the rounding of d_TI and of grid points built inside
+    the box, so a box that fails holds no grid point in either region."""
+    d_tr = scene.t_r_distance
+    d_ti, _ = scene.hops(*np.clip(0.0, lo, hi))
+    return bool(d_ti <= d_tr + 1e-9 * (d_tr + np.max(np.abs([lo, hi]))))
 
 
 _INV_PHI = (np.sqrt(5.0) - 1) / 2
@@ -241,12 +259,15 @@ def position_search_plane(scene: PlaneScene,
     their samples is refined by golden section along its curve.  Where the
     feasible region overlaps region D (or D1) the theorem does not apply,
     so a dense grid over the overlap joins in, flagged on the result and
-    warned with RegionDWarning.
+    warned with RegionDWarning.  A bounding box that cannot reach the
+    regions (_box_reaches_region_d) skips that grid.
     """
-    grid, box_x, _ = _box_grid(scene, _REGION_D_GRID)
-    span = max(box_x[-1] - box_x[0], scene.separation, 1.0)
-    x_lo = min(box_x[0], 0.0) - _LINE_EXTENSION * span
-    x_hi = max(box_x[-1], scene.separation) + _LINE_EXTENSION * span
+    lo, hi = _box(scene)
+    if variant not in ("D", "D1"):
+        raise DomainError(f"unknown region variant {variant!r}")
+    span = max(hi[0] - lo[0], scene.separation, 1.0)
+    x_lo = min(lo[0], 0.0) - _LINE_EXTENSION * span
+    x_hi = max(hi[0], scene.separation) + _LINE_EXTENSION * span
     n = _CURVE_SAMPLES
     xs = np.linspace(x_lo, x_hi, n)
     dx = xs[1] - xs[0]
@@ -287,15 +308,18 @@ def position_search_plane(scene: PlaneScene,
     if val > best_val:
         best_point, best_val = at(t), val
 
-    in_d = region_d_membership(scene, grid, variant) & scene.contains(grid)
-    fallback = bool(in_d.any())
-    if fallback:
-        warnings.warn("feasible region overlaps region D; dense-grid "
-                      "fallback evaluated there", RegionDWarning)
-        d_vals = objective(grid[in_d])
-        j = int(np.argmax(d_vals))
-        if d_vals[j] > best_val:
-            best_point, best_val = grid[in_d][j], float(d_vals[j])
+    fallback = False
+    if _box_reaches_region_d(scene, lo, hi):
+        grid = _box_grid(scene, _REGION_D_GRID)[0]
+        in_d = region_d_membership(scene, grid, variant) & scene.contains(grid)
+        fallback = bool(in_d.any())
+        if fallback:
+            warnings.warn("feasible region overlaps region D; dense-grid "
+                          "fallback evaluated there", RegionDWarning)
+            d_vals = objective(grid[in_d])
+            j = int(np.argmax(d_vals))
+            if d_vals[j] > best_val:
+                best_point, best_val = grid[in_d][j], float(d_vals[j])
     search_set = "line-l + boundary" + (" + region-D grid" if fallback else "")
     return PlacementResult(best_point, best_val, search_set, fallback)
 

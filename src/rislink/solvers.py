@@ -10,8 +10,8 @@ from enum import Enum
 
 import numpy as np
 
-from .em import (ChannelSet, RadioParams, _FarFieldLink, _farfield_link,
-                 _panel_phasors, _theta_dot_d, direct_channel)
+from .em import (ChannelSet, RadioParams, _centred_phasors, _FarFieldLink,
+                 _farfield_link, _theta_dot_d, direct_channel)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import RisPanel, TransmitterArray, UlaLayout, _as_vec3, _norm
 
@@ -63,16 +63,26 @@ def mrt_beamforming(h_eff: np.ndarray, p_t: float) -> np.ndarray:
     return np.sqrt(p_t) * np.conj(h_eff) / norm
 
 
-def _link_phases(ris: RisPanel,
-                 link: _FarFieldLink) -> tuple[np.ndarray, np.ndarray]:
-    """closed_form_phases from the directions u_TI and u_IR of the panel's
-    own far-field link (P = 1), as their panel-axis factors (theta_y,
-    theta_x) of shapes (rows,) and (cols,): the conjugates of the row and
-    column phasors toward u_TI + u_IR, whose outer product, raveled, is the
-    phase vector."""
-    e_x, e_y = _panel_phasors(ris, ris.axis_x, ris.axis_y,
-                              link.u_ti[0] + link.u_ir[0], link.wavenum)
-    return np.conj(e_y), np.conj(e_x)
+def _link_steering(ris: RisPanel,
+                   link: _FarFieldLink) -> tuple[np.ndarray, np.ndarray]:
+    """The steering pair (g_y, g_x) = (axis_y . u_0, axis_x . u_0) of the
+    panel's own far-field link (P = 1), u_0 = u_TI + u_IR: the panel-axis
+    components of the two-hop direction that the closed-form phases steer
+    toward."""
+    u = link.u_ti[0] + link.u_ir[0]
+    return np.vecdot(ris.axis_y, u), np.vecdot(ris.axis_x, u)
+
+
+def _link_phases(ris: RisPanel, steering, wavenum: float) -> np.ndarray:
+    """The closed-form phases (L,) of the steering pair (g_y, g_x):
+    outer(theta_y, theta_x).ravel() of the panel-axis factors theta_y[n] =
+    exp(j*k*g_y*o_n) over the centred row offsets o_n and theta_x likewise,
+    the conjugates of the row and column phasors toward u_0 (see
+    em._panel_phasors)."""
+    g_y, g_x = steering
+    return np.outer(
+        np.conj(_centred_phasors(wavenum * g_y, ris.rows, ris.d_y)),
+        np.conj(_centred_phasors(wavenum * g_x, ris.cols, ris.d_x))).ravel()
 
 
 def closed_form_phases(tx: TransmitterArray, ris: RisPanel, rx_position,
@@ -82,7 +92,7 @@ def closed_form_phases(tx: TransmitterArray, ris: RisPanel, rx_position,
     phasors toward u_TI + u_IR of the far-field link.  A panel that does not
     see both ends raises ShadowedPanel."""
     link = _farfield_link(tx, ris, rx_position, RadioParams(wavelength), "off")
-    return np.outer(*_link_phases(ris, link)).ravel()
+    return _link_phases(ris, _link_steering(ris, link), link.wavenum)
 
 
 def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
@@ -95,22 +105,22 @@ def _closed_form_design(
         tx: TransmitterArray, ris: RisPanel, link: _FarFieldLink,
         p_t: float) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """The far-field closed-form design of the panel's own far-field link:
-    the phase factors (theta_y, theta_x) of _link_phases and the beamformer
-    v = sqrt(P_t/N) * conj(b_vec), which covers ULA and UPA layouts
-    alike."""
-    return (_link_phases(ris, link),
+    the steering pair (g_y, g_x) of _link_steering, which stands for the
+    phases of _link_phases and is what em.farfield_power takes, and the
+    beamformer v = sqrt(P_t/N) * conj(b_vec), which covers ULA and UPA
+    layouts alike."""
+    return (_link_steering(ris, link),
             np.sqrt(p_t / tx.count) * np.conj(link.b_vec()[0]))
 
 
 def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                          radio: RadioParams) -> Solution:
     """Assemble the far-field closed-form design of _closed_form_design for
-    one scene, with the phases outer(theta_y, theta_x).ravel() of
-    closed_form_phases.  A panel that does not see both ends raises
+    one scene, with the phases of closed_form_phases.  A panel that does not see both ends raises
     ShadowedPanel."""
     link = _farfield_link(tx, ris, rx_position, radio, "off")
-    factors, v = _closed_form_design(tx, ris, link, radio.tx_power)
-    theta = np.outer(*factors).ravel()
+    steering, v = _closed_form_design(tx, ris, link, radio.tx_power)
+    theta = _link_phases(ris, steering, link.wavenum)
     predicted = closed_form_predicted_power(float(link.a_tir[0]), tx.count,
                                             ris.count, radio.tx_power)
     _check_feasible(v, theta, radio.tx_power)
@@ -183,10 +193,11 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
 
     The hop distances and cos(mu_TI) = axis . u_TI come from the far-field
     link, and d_TR and cos(mu_TR) from the one vector T - R.  The row is
-    formed from the rank-one factors in O(rows + cols + N), with no L x N
-    channel: a_TIR * exp(j*k*(d_TI + d_IR)) * (theta . d_vec) * b_vec + h_TR
-    with the far-field direct row h_TR, where theta . d_vec is the offset
-    rotation times that of the RIS-only phase factors (_theta_dot_d).
+    formed from the rank-one factors in O(N), with no L x N channel:
+    a_TIR * exp(j*k*(d_TI + d_IR)) * (theta . d_vec) * b_vec + h_TR with
+    the far-field direct row h_TR, where theta . d_vec is the offset
+    rotation times L: the RIS-only phases steer toward the link's own
+    steering pair, where _theta_dot_d is exactly L.
     `mode` is the far-field policy of farfield_channel; a UPA transmitter
     raises DomainError before it is applied.
     """
@@ -201,12 +212,12 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     terms = two_path_terms(lay, float(lay.axis @ link.u_ti[0]),
                            float(lay.axis @ to_t) / d_tr, d_ti, d_ir, d_tr,
                            radio.wavelength)
-    factors = _link_phases(ris, link)
+    steering = _link_steering(ris, link)
     rotation = np.exp(1j * terms.phase_offset)
-    theta = np.outer(*factors).ravel() * rotation
+    theta = _link_phases(ris, steering, link.wavenum) * rotation
     a_tir = float(link.a_tir[0])
     ris_amp = (a_tir * np.exp(1j * link.wavenum * (d_ti + d_ir))
-               * (rotation * _theta_dot_d(ris, link, factors)[0]))
+               * (rotation * _theta_dot_d(ris, link, steering)[0]))
     row = ris_amp * link.b_vec()[0] + h_tr
     v = mrt_beamforming(row, radio.tx_power)
     a_tr = float(np.abs(h_tr[0]))

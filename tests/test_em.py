@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -18,7 +19,7 @@ from rislink.errors import (DegenerateGeometry, DimensionMismatch,
 from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
                               UlaLayout, UpaLayout, antenna_positions,
                               element_positions, link_angles)
-from rislink.solvers import closed_form_phases
+from rislink.solvers import _link_phases, closed_form_phases
 
 from test_geometry import EX, EY, EZ, make_panel, make_ula
 
@@ -251,20 +252,27 @@ def random_scene(rows, cols, upa, seed):
     return tx, ris, rx, radio, rng
 
 
-def random_factors(rng, ris):
-    """Random unit-modulus panel-axis phase factors (theta_y, theta_x) of
-    shapes (rows,) and (cols,)."""
-    return tuple(np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
-                 for n in (ris.rows, ris.cols))
+def random_steering(rng, ris):
+    """A random steering pair (g_y, g_x): the panel-axis components of
+    u_a + u_b for two random unit vectors, as a closed-form design takes
+    them from its own u_TI + u_IR."""
+    u = sum(w / np.linalg.norm(w) for w in rng.standard_normal((2, 3)))
+    return ris.axis_y @ u, ris.axis_x @ u
+
+
+def steering_phases(ris, steering, wavelength):
+    """The phase vector (L,) that the steering pair stands for, that of the
+    closed-form design."""
+    return _link_phases(ris, steering, 2 * np.pi / wavelength)
 
 
 def random_design(rng, ris, tx, p_t):
-    """Unit-modulus phase factors of random_factors and a beamformer within
-    the power budget; the phases are np.outer(*factors).ravel()."""
-    factors = random_factors(rng, ris)
+    """A steering pair of random_steering and a beamformer within the power
+    budget; the phases are steering_phases of the pair."""
+    steering = random_steering(rng, ris)
     v = rng.standard_normal(tx.count) + 1j * rng.standard_normal(tx.count)
     v *= np.sqrt(p_t * rng.uniform(0.1, 1.0)) / np.linalg.norm(v)
-    return factors, v
+    return steering, v
 
 
 scene_args = dict(rows=st.integers(1, 7), cols=st.integers(1, 7),
@@ -285,10 +293,11 @@ def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
     1e-12 relative error.
     """
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    factors, v = random_design(rng, ris, tx, radio.tx_power)
+    steering, v = random_design(rng, ris, tx, radio.tx_power)
     channels = farfield_channel(tx, ris, rx, radio, direct=False, mode="off")
-    dense = received_power(channels, np.outer(*factors).ravel(), v)
-    power = farfield_power(tx, ris, rx, radio, factors, v, mode="off")
+    dense = received_power(
+        channels, steering_phases(ris, steering, radio.wavelength), v)
+    power = farfield_power(tx, ris, rx, radio, steering, v, mode="off")
     a_tir = em._farfield_link(tx, ris, rx, radio, "off").a_tir[0]
     scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
     assert abs(power - dense) <= 1e-12 * max(dense, scale)
@@ -541,37 +550,41 @@ def test_channel_set_caches_cascade_and_leading_pair_read_only():
 
 
 def test_farfield_power_checks_shapes_and_shadowing():
-    """theta is the pair of panel-axis factors (rows,) and (cols,): swapped
-    or short factors, a third factor and the (L,) phase vector itself are
-    all DimensionMismatch."""
+    """The steering is a pair of scalars (g_y, g_x): a single scalar, one
+    or three components, a pair of (rows,) and (cols,) phase factors and
+    the (L,) phase vector are all DimensionMismatch, and a NaN, infinite or
+    complex component is DomainError."""
     tx, ris, rx = equilateral(300.0, rows=2, cols=3)
-    theta_y, theta_x = random_factors(np.random.default_rng(0), ris)
+    g_y, g_x = random_steering(np.random.default_rng(0), ris)
     v = np.ones(2, dtype=complex)
-    for bad in ((theta_x, theta_y), (theta_y, theta_x[:2]),
-                (theta_y, theta_x, theta_x), np.outer(theta_y, theta_x),
-                np.outer(theta_y, theta_x).ravel()):
+    for bad in (g_y, (g_y,), (g_y, g_x, g_x),
+                (np.ones(2, dtype=complex), np.ones(3, dtype=complex)),
+                steering_phases(ris, (g_y, g_x), RADIO.wavelength),
+                (g_y, np.array([g_x]))):
         with pytest.raises(DimensionMismatch):
             farfield_power(tx, ris, rx, RADIO, bad, v)
+    for bad in ((np.nan, g_x), (g_y, np.inf), (g_y, 1j * g_x)):
+        with pytest.raises(DomainError):
+            farfield_power(tx, ris, rx, RADIO, bad, v)
     with pytest.raises(DimensionMismatch):
-        farfield_power(tx, ris, rx, RADIO, (theta_y, theta_x), np.ones(3))
+        farfield_power(tx, ris, rx, RADIO, (g_y, g_x), np.ones(3))
     behind = np.array([0.0, 0.0, 2000.0])  # on the panel's back side
     with pytest.raises(ShadowedPanel):
-        farfield_power(tx, ris, behind, RADIO, (theta_y, theta_x), v,
-                       mode="off")
+        farfield_power(tx, ris, behind, RADIO, (g_y, g_x), v, mode="off")
 
 
 def test_farfield_power_applies_far_field_policy():
     tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
     ris = make_panel(rows=20, cols=20)
     rx = np.array([5.0, 0.0, 5.0])
-    theta = random_factors(np.random.default_rng(1), ris)
+    steering = random_steering(np.random.default_rng(1), ris)
     v = np.ones(2, dtype=complex)
     with pytest.raises(FarFieldViolation):
-        farfield_power(tx, ris, rx, RADIO, theta, v, mode="strict")
+        farfield_power(tx, ris, rx, RADIO, steering, v, mode="strict")
     with pytest.warns(FarFieldWarning):
-        farfield_power(tx, ris, rx, RADIO, theta, v, mode="warn")
+        farfield_power(tx, ris, rx, RADIO, steering, v, mode="warn")
     with pytest.raises(DomainError):
-        farfield_power(tx, ris, rx, RADIO, theta, v, mode="loud")
+        farfield_power(tx, ris, rx, RADIO, steering, v, mode="loud")
 
 
 def test_farfield_power_applies_far_field_policy_across_poses():
@@ -580,7 +593,7 @@ def test_farfield_power_applies_far_field_policy_across_poses():
     tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
     ris = make_panel(rows=20, cols=20)
     rx = np.array([5.0, 0.0, 5.0])
-    theta = random_factors(np.random.default_rng(1), ris)
+    steering = random_steering(np.random.default_rng(1), ris)
     v = np.ones(2, dtype=complex)
 
     def poses(*heights):
@@ -593,20 +606,20 @@ def test_farfield_power_applies_far_field_policy_across_poses():
     mixed = poses(-20.0, 0.0, -1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", FarFieldWarning)
-        power = farfield_power(tx, ris, rx, RADIO, theta, v, poses=far,
+        power = farfield_power(tx, ris, rx, RADIO, steering, v, poses=far,
                                mode="strict")
     assert power.shape == (2,) and np.all(power > 0.0)
     with pytest.raises(FarFieldViolation, match="2 of 3 poses"):
-        farfield_power(tx, ris, rx, RADIO, theta, v, poses=mixed,
+        farfield_power(tx, ris, rx, RADIO, steering, v, poses=mixed,
                        mode="strict")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        warned = farfield_power(tx, ris, rx, RADIO, theta, v, poses=mixed,
+        warned = farfield_power(tx, ris, rx, RADIO, steering, v, poses=mixed,
                                 mode="warn")
     assert [w.category for w in caught] == [FarFieldWarning]
     with warnings.catch_warnings():
         warnings.simplefilter("error", FarFieldWarning)
-        off = farfield_power(tx, ris, rx, RADIO, theta, v, poses=mixed,
+        off = farfield_power(tx, ris, rx, RADIO, steering, v, poses=mixed,
                              mode="off")
     assert np.array_equal(warned, off)
 
@@ -652,9 +665,10 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
     test_farfield_power_matches_dense_channel; a pose whose panel does not
     see both ends gives 0 W, where the dense channel raises ShadowedPanel."""
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    factors, v = random_design(rng, ris, tx, radio.tx_power)
+    steering, v = random_design(rng, ris, tx, radio.tx_power)
+    theta = steering_phases(ris, steering, radio.wavelength)
     poses = random_poses(rng, ris, 6)
-    power = farfield_power(tx, ris, rx, radio, factors, v, poses=poses,
+    power = farfield_power(tx, ris, rx, radio, steering, v, poses=poses,
                            mode="off")
     assert power.shape == (len(poses.center),)
     assert power[-1] == 0.0
@@ -666,7 +680,7 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
         except ShadowedPanel:
             assert p == 0.0
             continue
-        dense = received_power(channels, np.outer(*factors).ravel(), v)
+        dense = received_power(channels, theta, v)
         a_tir = em._farfield_link(tx, panel, rx, radio, "off").a_tir[0]
         scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
         assert abs(p - dense) <= 1e-12 * max(dense, scale)
@@ -679,13 +693,13 @@ def test_farfield_power_pose_blocks_equal_row_groups():
     pose shadowed, gives the bits of the same poses evaluated 41 at a time,
     the grid-row groups the robustness map used to call with."""
     tx, ris, rx, radio, rng = random_scene(12, 10, False, 5)
-    theta, v = random_design(rng, ris, tx, radio.tx_power)
+    steering, v = random_design(rng, ris, tx, radio.tx_power)
     poses = random_poses(rng, ris, 3 * _POSE_BLOCK + 20)
     count = len(poses.center)
     assert count > 3 * _POSE_BLOCK and count % _POSE_BLOCK
-    whole = farfield_power(tx, ris, rx, radio, theta, v, poses=poses,
+    whole = farfield_power(tx, ris, rx, radio, steering, v, poses=poses,
                            mode="off")
-    groups = [farfield_power(tx, ris, rx, radio, theta, v,
+    groups = [farfield_power(tx, ris, rx, radio, steering, v,
                              poses=PanelPoses(poses.center[s:s + 41],
                                               poses.normal[s:s + 41],
                                               poses.axis_x[s:s + 41],
@@ -704,7 +718,7 @@ def test_farfield_power_pose_bits_do_not_depend_on_batch(rows, cols, upa,
     """Every pose of a stack, whole or cut at random points, gets the bits of
     its own one-pose call, with pose blocks of 1, 3 and _POSE_BLOCK poses."""
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    theta, v = random_design(rng, ris, tx, radio.tx_power)
+    steering, v = random_design(rng, ris, tx, radio.tx_power)
     poses = random_poses(rng, ris, count)
     n = len(poses.center)
     cuts = np.sort(rng.choice(np.arange(1, n), replace=False,
@@ -714,7 +728,7 @@ def test_farfield_power_pose_bits_do_not_depend_on_batch(rows, cols, upa,
     def power(start, stop):
         part = PanelPoses(poses.center[start:stop], poses.normal[start:stop],
                           poses.axis_x[start:stop], poses.axis_y[start:stop])
-        return farfield_power(tx, ris, rx, radio, theta, v, poses=part,
+        return farfield_power(tx, ris, rx, radio, steering, v, poses=part,
                               mode="off")
 
     alone = np.concatenate([power(i, i + 1) for i in range(n)])
@@ -733,26 +747,27 @@ def test_farfield_power_pose_bits_do_not_depend_on_batch(rows, cols, upa,
 @example(rows=8, cols=3, upa=False, seed=4, count=70)
 def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
                                                    count):
-    """theta . d_vec from the phase factors (theta_y, theta_x) equals the
-    dense sum of outer(theta_y, theta_x).ravel() against the element
-    phasors of each pose, built from its (L, 3) element positions, for
-    stacks around the _POSE_BLOCK size; the two formulas round differently
-    by up to about 1e-12 per element.  Each pose gets the bits of its own
-    one-pose call."""
+    """theta . d_vec as the product of two closed-form array factors equals
+    the dense sum of the phases that steer toward (g_y, g_x) against the
+    element phasors of each pose, both built from the (L, 3) element
+    positions, to 1e-12 * L, for stacks around the _POSE_BLOCK size.  Each
+    pose gets the bits of its own one-pose call."""
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    factors = random_factors(rng, ris)
+    g_y, g_x = random_steering(rng, ris)
     poses = random_poses(rng, ris, count - 1)
     assert len(poses.center) == count
     link = em._farfield_link(tx, ris, rx, radio, "off", poses)
-    sums = em._theta_dot_d(ris, link, factors)
+    sums = em._theta_dot_d(ris, link, (g_y, g_x))
     assert sums.shape == (count,)
-    theta = np.outer(*factors).ravel()
     wavenum = 2 * np.pi / radio.wavelength
+    theta = np.exp(1j * wavenum * ((element_positions(ris) - ris.center)
+                                   @ (g_x * ris.axis_x + g_y * ris.axis_y)))
     for i in range(count):
         one = PanelPoses(poses.center[i:i + 1], poses.normal[i:i + 1],
                          poses.axis_x[i:i + 1], poses.axis_y[i:i + 1])
         alone = em._theta_dot_d(
-            ris, em._farfield_link(tx, ris, rx, radio, "off", one), factors)
+            ris, em._farfield_link(tx, ris, rx, radio, "off", one),
+            (g_y, g_x))
         assert np.array_equal(alone, sums[i:i + 1])
         panel = replace(ris, center=poses.center[i], normal=poses.normal[i],
                         axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
@@ -761,3 +776,30 @@ def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
                        * (offsets_toward(elems, panel.center, tx.center)
                           + offsets_toward(elems, panel.center, rx)))
         assert abs(sums[i] - theta @ d_vec) <= 1e-12 * ris.count
+
+
+def _array_sum(n, u):
+    """sum_i cos(2u(i - (n-1)/2)), i = 0..n-1, summed exactly (fsum)."""
+    return math.fsum(math.cos(2 * u * (i - (n - 1) / 2)) for i in range(n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 128),
+       u=st.one_of(st.floats(-4 * np.pi, 4 * np.pi),
+                   st.integers(-4, 4).map(lambda m: m * np.pi)))
+@example(n=1, u=0.0)
+@example(n=128, u=4 * np.pi)
+@example(n=127, u=-3 * np.pi)
+@example(n=64, u=np.pi / 2)
+@example(n=100, u=np.nextafter(np.pi, 0.0))
+def test_array_factor_matches_direct_sum(n, u):
+    """_array_factor, the closed-form uniform-array factor folded into
+    [-pi/2, pi/2], equals the direct sum of its n cosines to 1e-13 * n,
+    exact multiples of pi included; with pitch 2 and k = 1 its u is the
+    given u.  At u = 0 it is exactly n, for a scalar and for an array."""
+    got = em._array_factor(n, 2.0, np.array([u]), 0.0, 1.0)
+    assert got.shape == (1,)
+    assert abs(got[0] - _array_sum(n, u)) <= 1e-13 * n
+    assert em._array_factor(n, 2.0, 0.0, 0.0, 1.0) == n
+    assert np.array_equal(em._array_factor(n, 0.3, np.full(3, 0.7), 0.7,
+                                           50.0), np.full(3, float(n)))

@@ -267,6 +267,31 @@ def test_robustness_evaluates_grid_in_one_call(monkeypatch):
     assert calls["power"] == 1
 
 
+@pytest.mark.parametrize("paper_scale", [False, True])
+def test_robustness_theta_dot_d_is_the_panel_size(monkeypatch, paper_scale):
+    """The panel takes the specular frame at every true position, so the
+    map's u_TI + u_IR lies along its normal and theta . d_vec is exactly
+    L at every one of its 41 x 41 poses: the deviation measures only the
+    a_TIR and b_vec . v mismatch."""
+    cfg = load_config()
+    if paper_scale:
+        cfg = replace(cfg, ris_rows=100, ris_cols=100)
+    seen = []
+    theta_dot_d = em._theta_dot_d
+
+    def recorded(ris, link, steering):
+        sums = theta_dot_d(ris, link, steering)
+        seen.append((ris.count, sums))
+        return sums
+
+    monkeypatch.setattr(em, "_theta_dot_d", recorded)
+    robustness(cfg)
+    [(count, sums)] = seen
+    assert count == cfg.ris_rows * cfg.ris_cols
+    assert sums.shape == (41 * 41,)
+    assert np.all(sums == count)
+
+
 def test_robustness_honours_strict_far_field():
     """Under far_field_mode "strict" a true position that fails the
     far-field check is an error; a scene that passes it writes the same

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rislink import placement
 from rislink.errors import (DegenerateTriangle, DomainError, EmptyFeasible,
                             RegionDWarning)
 from rislink.placement import (PlaneScene, QuasiconvexityReport,
@@ -269,3 +270,40 @@ def test_search_falls_back_where_polygons_overlap_region_d():
             res = position_search_plane(scene, plane_objective(scene, 3.0))
         assert res.region_d_fallback
         assert res.search_set == "line-l + boundary + region-D grid"
+
+
+def test_search_skips_region_d_grid_where_box_cannot_reach_it(monkeypatch):
+    """On the panel-placement demo scene (d_TR = 60 m, every feasible point
+    has d_TI > 84 m) no region-D grid is built: region_d_membership is not
+    called.  A box whose nearest point to T' lies just inside the d_TI <=
+    d_TR disk still builds it, and an unknown variant still raises."""
+    scene = PlaneScene(h1=25.0, h2=25.0, separation=60.0,
+                       feasible=[rect(80.0, 10.0, 140.0, 50.0)])
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("region-D grid built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(placement, "region_d_membership", unreachable)
+        res = position_search_plane(scene, plane_objective(scene, 3.0))
+    assert not res.region_d_fallback
+    assert res.search_set == "line-l + boundary"
+    with pytest.raises(DomainError):
+        position_search_plane(scene, plane_objective(scene, 3.0),
+                              variant="E")
+
+    calls = []
+    membership = placement.region_d_membership
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return membership(*args, **kwargs)
+
+    monkeypatch.setattr(placement, "region_d_membership", counted)
+    # d_TI at the box point (0, 54.4) nearest T' is 59.87 m < d_TR; d_IR
+    # there is 84.8 m, so the grid finds no point of region D
+    edge = PlaneScene(h1=25.0, h2=25.0, separation=60.0,
+                      feasible=[rect(-20.0, 54.4, 20.0, 90.0)])
+    assert 59.8 < edge.hops(0.0, 54.4)[0] < 60.0
+    res = position_search_plane(edge, plane_objective(edge, 3.0))
+    assert calls and not res.region_d_fallback

@@ -19,8 +19,8 @@ from rislink.solvers import (Method, _closed_form_design, anti_decay_design,
                              two_path_terms)
 from rislink.validation import random_feasible_solutions
 
-from test_em import (RADIO, equilateral, offsets_toward, random_factors,
-                     random_scene, scene_args)
+from test_em import (RADIO, equilateral, offsets_toward, random_scene,
+                     random_steering, scene_args, steering_phases)
 from test_geometry import EX, EY, make_ula
 
 P_T = RADIO.tx_power
@@ -135,20 +135,21 @@ def test_closed_form_dominates_random_designs(scene):
 @example(scene=(*equilateral(200.0, rows=3, cols=3, count=4), RADIO))
 def test_closed_form_predicts_its_farfield_power(scene):
     """The predicted N * L^2 * a_TIR^2 * P_t takes a_TIR from the far-field
-    link, as the far-field power of the design does.  The design's phase
-    factors give its phases bit for bit, and no random unit-modulus factor
-    pair does better with its beamformer."""
+    link, as the far-field power of the design does.  The design's steering
+    pair gives its phases bit for bit, and no random steering pair does
+    better with its beamformer."""
     tx, ris, rx, radio = scene
     sol = closed_form_solution(tx, ris, rx, radio)
-    factors, v = _closed_form_design(
+    steering, v = _closed_form_design(
         tx, ris, _farfield_link(tx, ris, rx, radio, "off"), radio.tx_power)
-    assert np.array_equal(np.outer(*factors).ravel(), sol.theta)
+    assert np.array_equal(steering_phases(ris, steering, radio.wavelength),
+                          sol.theta)
     assert np.array_equal(v, sol.v)
-    power = farfield_power(tx, ris, rx, radio, factors, v, mode="off")
+    power = farfield_power(tx, ris, rx, radio, steering, v, mode="off")
     assert power == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        other = random_factors(rng, ris)
+        other = random_steering(rng, ris)
         assert farfield_power(tx, ris, rx, radio, other, v,
                               mode="off") <= power * (1 + 1e-12)
 
