@@ -17,6 +17,7 @@ designs of `solvers` all read it from there.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,8 +28,9 @@ import numpy as np
 from .errors import (DegenerateGeometry, DimensionMismatch, DomainError,
                      FarFieldViolation, FarFieldWarning, ShadowedPanel)
 from .geometry import (LinkAngles, PanelPoses, RisPanel, TransmitterArray,
-                       _as_vec3, _axis_offsets, _element_planes, _norm,
-                       antenna_positions, far_field_ratios, link_angles)
+                       UlaLayout, _as_vec3, _axis_offsets, _element_planes,
+                       _norm, antenna_positions, far_field_ratios,
+                       link_angles)
 
 
 @dataclass(frozen=True)
@@ -222,28 +224,23 @@ def amplitude_gain_tir(angles: LinkAngles, tx: TransmitterArray,
                    amplitude=float(delta / (angles.d_ti * angles.d_ir)))
 
 
-def _panel_phasors(ris: RisPanel, axis_x: np.ndarray, axis_y: np.ndarray,
-                   u: np.ndarray,
-                   wavenum: float) -> tuple[np.ndarray, np.ndarray]:
-    """Column and row phasors (e_x, e_y) of the panel grid of `ris` in the
-    frame (axis_x, axis_y) toward direction `u`.
-
-    The linearized phasor exp(-j*k*(x_m*axis_x + y_n*axis_y) . u) of element
-    q = n*cols + m separates into e_y[n] * e_x[m], so the L element phasors
-    are outer(e_y, e_x).ravel() in row-major order.  `u` need not be unit:
-    the sum u_TI + u_IR gives the two-hop phasor d_vec.  Frames and
-    directions of shape (3,) give (cols,) and (rows,) phasors; (P, 3) stacks
-    give one row per pose, (P, cols) and (P, rows).
-    """
-    return (_centred_phasors(wavenum * np.vecdot(axis_x, u), ris.cols,
-                             ris.d_x),
-            _centred_phasors(wavenum * np.vecdot(axis_y, u), ris.rows,
-                             ris.d_y))
+def _panel_phasors(ris: RisPanel, u: np.ndarray,
+                   wavenum: float) -> np.ndarray:
+    """The linearized element phasors exp(-j*k*(x_m*axis_x + y_n*axis_y) . u)
+    of the panel grid toward the direction u (3,), (L,) in row-major order:
+    the phasor of element q = n*cols + m is e_y[n] * e_x[m], with the row
+    and column phasors of _centred_phasors.  `u` need not be unit: the sum
+    u_TI + u_IR gives the two-hop phasor d_vec."""
+    return np.outer(
+        _centred_phasors(wavenum * np.vecdot(ris.axis_y, u), ris.rows,
+                         ris.d_y),
+        _centred_phasors(wavenum * np.vecdot(ris.axis_x, u), ris.cols,
+                         ris.d_x)).ravel()
 
 
-def _centred_phasors(scale, count: int, pitch: float) -> np.ndarray:
+def _centred_phasors(scale: float, count: int, pitch: float) -> np.ndarray:
     """exp(-j*scale*o_i) over the centred offsets o_i of `_axis_offsets`,
-    (..., count) for `scale` of shape (...).
+    (count,).
 
     The offsets are exact negatives of each other, o_{count-1-i} = -o_i, so
     the phases are too: only the first ceil(count/2) phasors are evaluated,
@@ -253,9 +250,9 @@ def _centred_phasors(scale, count: int, pitch: float) -> np.ndarray:
     part.  The bits are those of np.exp(-1j * (scale * offsets))."""
     offsets = _axis_offsets(count, pitch)
     half = (count + 1) // 2
-    out = np.empty(np.shape(scale) + (count,), dtype=complex)
-    _unit_phasors(-(scale[..., None] * offsets[:half]), out=out[..., :half])
-    np.conjugate(out[..., :count // 2][..., ::-1], out=out[..., half:])
+    out = np.empty(count, dtype=complex)
+    _unit_phasors(-(scale * offsets[:half]), out=out[:half])
+    np.conjugate(out[:count // 2][::-1], out=out[half:])
     return out
 
 
@@ -280,18 +277,6 @@ def _enforce_far_field(tx, ris, d_ti, d_ir, mode: str) -> None:
     warnings.warn(msg, FarFieldWarning)
 
 
-# Poses per block of farfield_power's antenna sums b_vec . v: their
-# (poses, N) phasor temporaries stay this many poses long for a map of any
-# size.
-_POSE_BLOCK = 32
-
-
-def _pose_blocks(count: int) -> list[slice]:
-    """Consecutive slices of at most _POSE_BLOCK poses that cover `count`."""
-    return [slice(start, start + _POSE_BLOCK)
-            for start in range(0, count, _POSE_BLOCK)]
-
-
 class _FarFieldLink(NamedTuple):
     """Far-field factorization pieces of P panel poses; see _farfield_link."""
 
@@ -304,12 +289,10 @@ class _FarFieldLink(NamedTuple):
     antennas: np.ndarray  # (N, 3) antenna offsets from the array center
     wavenum: float
 
-    def b_vec(self, block: slice = slice(None)) -> np.ndarray:
-        """Antenna phasors b_vec = exp(j*k*Delta d^I_{T,p}) of the poses in
-        `block`, (poses, N), with Delta d^I_{T,p} = (antenna_p - T) . u_TI,
-        one (N, 3) @ (3, 1) product per pose, so that a pose's bits do not
-        depend on the other poses of the block."""
-        offsets = np.matmul(self.antennas, self.u_ti[block, :, None])[..., 0]
+    def b_vec(self) -> np.ndarray:
+        """Antenna phasors b_vec = exp(j*k*Delta d^I_{T,p}) of every pose,
+        (P, N), with Delta d^I_{T,p} = (antenna_p - T) . u_TI."""
+        offsets = np.matmul(self.antennas, self.u_ti[:, :, None])[..., 0]
         return np.exp(1j * self.wavenum * offsets)
 
 
@@ -367,50 +350,64 @@ def _array_factor(n: int, pitch: float, c, g, wavenum: float) -> np.ndarray:
     factor).  u is folded into [-pi/2, pi/2] as u' = u - m*pi, m the
     nearest integer to u/pi, which multiplies the sum by (-1)^(m*(n-1)),
     and the sum is written n * f(n*u')/f(u') with f = _sin_ratio: exactly n
-    at u' = 0, and f(u') >= 2/pi never vanishes."""
+    at u' = 0, and f(u') >= 2/pi never vanishes.  The sign is read from
+    the integer parities of m and n - 1; a NaN u gives NaN."""
     u = wavenum * pitch * (np.asarray(c, dtype=float) - g) / 2
     m = np.rint(u / np.pi)
     u -= m * np.pi
-    sign = np.where(m * (n - 1) % 2, -1.0, 1.0)
+    with np.errstate(invalid="ignore"):  # a NaN m casts to some integer
+        sign = 1 - 2 * (m.astype(np.int64) & (n - 1) & 1)
     return sign * n * _sin_ratio(n * u) / _sin_ratio(u)
 
 
-def _steering_pair(steering) -> list[np.ndarray]:
-    """The steering pair (g_y, g_x) as two real, finite 0-d arrays;
-    anything but two scalars is DimensionMismatch."""
+def _steering(steering, count: int, name: str) -> list[np.ndarray]:
+    """`steering`, one scalar for `count` 1 and else `count` scalars, as a
+    list of real, finite 0-d arrays.  Any other shape is DimensionMismatch,
+    a NaN, infinite or complex component DomainError."""
     try:
-        pair = [np.asarray(g) for g in steering]
+        parts = [np.asarray(g)
+                 for g in ([steering] if count == 1 else steering)]
     except TypeError:
-        pair = []
-    if len(pair) != 2 or any(g.ndim for g in pair):
-        raise DimensionMismatch("steering must be a pair of scalars "
-                                "(g_y, g_x)")
-    if not all(np.isrealobj(g) and np.isfinite(g) for g in pair):
-        raise DomainError("steering components must be real and finite")
-    return pair
+        parts = []
+    if len(parts) != count or any(g.ndim for g in parts):
+        raise DimensionMismatch(f"{name} must be {count} scalar(s)")
+    if not all(np.isrealobj(g) and np.isfinite(g) for g in parts):
+        raise DomainError(f"{name} components must be real and finite")
+    return parts
+
+
+def _tx_axes(tx: TransmitterArray) -> list[tuple[int, float, np.ndarray]]:
+    """(count, spacing, axis) of each axis of the transmit array, in the
+    order of its steering components axis . u_TI: a ULA's one axis, or a
+    UPA's rows along axis_y and cols along axis_x."""
+    lay = tx.layout
+    if isinstance(lay, UlaLayout):
+        return [(lay.count, lay.spacing, lay.axis)]
+    return [(lay.rows, lay.spacing_y, lay.axis_y),
+            (lay.cols, lay.spacing_x, lay.axis_x)]
+
+
+def _axis_factors(axes, u, steering, wavenum: float) -> np.ndarray:
+    """A phasor sum over a uniform grid that separates along its axes: the
+    product over the axes (count, pitch, axis) of _array_factor at axis . u
+    against the matching steering component.  Elementwise over stacks of
+    directions and axes (P, 3), so a pose's bits do not depend on the
+    others."""
+    return math.prod(_array_factor(count, pitch, np.vecdot(axis, u), g,
+                                   wavenum)
+                     for (count, pitch, axis), g in zip(axes, steering))
 
 
 def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
                  steering) -> np.ndarray:
     """theta . d_vec for every pose of the link, (P,), real, for the
-    closed-form phases that steer toward the pair steering = (g_y, g_x) =
-    (axis_y . u_0, axis_x . u_0) of the design's own link, u_0 = u_TI +
-    u_IR: theta = outer(theta_y, theta_x).ravel() with theta_y[n] =
-    exp(j*k*g_y*o_n) and theta_x likewise (see solvers._link_phases).
-
-    A pose's two-hop phasor d_vec = outer(e_y, e_x).ravel() toward its
-    own u_TI + u_IR separates the same way (see _panel_phasors), so theta .
-    d_vec is the product of one _array_factor per panel axis, at the pose's
-    components c_y and c_x of u_TI + u_IR against g_y and g_x: O(1) per
-    pose, elementwise over the stack, so a pose's bits do not depend on the
-    other poses.  At c = g, the design's own pose, it is exactly L."""
-    g_y, g_x = steering
-    u = link.u_ti + link.u_ir
-    return (_array_factor(ris.rows, ris.d_y,
-                          np.vecdot(link.poses.axis_y, u), g_y, link.wavenum)
-            * _array_factor(ris.cols, ris.d_x,
-                            np.vecdot(link.poses.axis_x, u), g_x,
-                            link.wavenum))
+    closed-form phases of the steering pair (g_y, g_x) (solvers._link_phases):
+    theta and each pose's d_vec (_panel_phasors toward its u_TI + u_IR)
+    separate along the panel axes, so this is _axis_factors of the pose's
+    axes at u_TI + u_IR, exactly L at the design's own pose."""
+    return _axis_factors([(ris.rows, ris.d_y, link.poses.axis_y),
+                          (ris.cols, ris.d_x, link.poses.axis_x)],
+                         link.u_ti + link.u_ir, steering, link.wavenum)
 
 
 def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
@@ -427,12 +424,8 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     rx = np.asarray(rx_position, dtype=float)
     link = _farfield_link(tx, ris, rx, radio, mode)
     wavenum = link.wavenum
-    e_x_t, e_y_t = _panel_phasors(ris, ris.axis_x, ris.axis_y, link.u_ti[0],
-                                  wavenum)
-    e_x_r, e_y_r = _panel_phasors(ris, ris.axis_x, ris.axis_y, link.u_ir[0],
-                                  wavenum)
-    a_vec = np.outer(e_y_t, e_x_t).ravel()   # exp(j*k*Delta d^T_{I,q})
-    c_vec = np.outer(e_y_r, e_x_r).ravel()   # exp(j*k*Delta d^R_{I,q})
+    a_vec = _panel_phasors(ris, link.u_ti[0], wavenum)
+    c_vec = _panel_phasors(ris, link.u_ir[0], wavenum)
     phase_ti = complex(np.exp(1j * wavenum * link.d_ti[0]))
     phase_ir = complex(np.exp(1j * wavenum * link.d_ir[0]))
 
@@ -445,44 +438,38 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
 
 
 def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
-                   radio: RadioParams, steering, v: np.ndarray, *,
+                   radio: RadioParams, steering, tx_steering, *,
                    poses: PanelPoses | None = None, mode: str = "warn"):
-    """Received power of the far-field RIS link in watts, built from the
-    rank-one factors without the L x N channel, for the closed-form phases
-    that steer toward the pair steering = (g_y, g_x), the form the
-    closed-form design takes (see _theta_dot_d and
-    solvers._closed_form_design).
+    """Received power of the far-field RIS link in watts, without the
+    L x N channel, of the closed-form design as the two steerings of
+    solvers._closed_form_design: the pair (g_y, g_x) of its phases, and
+    the transmitter steering (a scalar for a ULA, a pair for a UPA) of its
+    beamformer v = sqrt(P_t/N) * conj(b_0).
 
     Equals received_power(farfield_channel(..., direct=False), theta, v)
-    for those phases theta as a_TIR^2 * |theta . d_vec|^2 * |b_vec . v|^2,
-    where theta . d_vec is the product of two panel-axis array factors in
-    closed form (_theta_dot_d).  That takes N exponentials and O(N)
-    arithmetic per pose.
+    as a_TIR^2 * (theta . d_vec)^2 * (sqrt(P_t/N) * AF_T)^2: theta . d_vec
+    (_theta_dot_d) and the antenna sum AF_T = b_vec . conj(b_0), exactly N
+    at the design's own pose, are _axis_factors in closed form, O(1) per
+    pose, so a pose gets the same bits in a stack of any size as alone.
 
     With `poses` the grid of `ris` is evaluated at each of the P poses and
     the result is a (P,) array; a pose whose panel does not see both ends
-    gets 0 W.  The distances, far-field check, elevations, a_TIR and
-    theta . d_vec are computed for all P poses at once, and the antenna
-    sums b_vec . v for _POSE_BLOCK poses at a time, so one call takes a
-    stack of any size while its phasor temporaries stay _POSE_BLOCK poses
-    long; callers need not split it.  A pose gets the same bits in a stack
-    of any size or split as in a call of its own (see _FarFieldLink.b_vec
-    and _theta_dot_d).  Without `poses` the result is the float power of
-    `ris` itself, and such a panel raises ShadowedPanel as farfield_channel
+    gets 0 W.  Without `poses` the result is the float power of `ris`
+    itself, and such a panel raises ShadowedPanel as farfield_channel
     does.  `mode` is the far-field policy of farfield_channel, checked on
     every pose: "strict" raises if any pose fails and "warn" warns once.
-    A steering that is not two scalars is DimensionMismatch, and one with a
-    non-finite component DomainError.
+    A steering of the wrong shape is DimensionMismatch, and one with a
+    NaN, infinite or complex component DomainError.
     """
-    steering = _steering_pair(steering)
-    v = np.asarray(v)
-    if v.shape != (tx.count,):
-        raise DimensionMismatch(f"v must have length {tx.count}")
+    steering = _steering(steering, 2, "steering")
+    tx_steering = _steering(tx_steering, len(_tx_axes(tx)),
+                            "transmitter steering")
     link = _farfield_link(tx, ris, rx_position, radio, mode, poses)
-    b_dot_v = np.concatenate([(link.b_vec(block) * v).sum(axis=1)
-                              for block in _pose_blocks(len(link.u_ti))])
+    b_dot_v = (np.sqrt(radio.tx_power / tx.count)
+               * _axis_factors(_tx_axes(tx), link.u_ti, tx_steering,
+                               link.wavenum))
     power = (link.a_tir**2 * _theta_dot_d(ris, link, steering)**2
-             * np.abs(b_dot_v)**2)
+             * b_dot_v**2)
     return float(power[0]) if poses is None else power
 
 

@@ -11,11 +11,12 @@ import numpy as np
 
 from . import __version__
 from .config import SceneConfig, watts_to_dbm
-from .em import (RadioParams, _enforce_far_field, _farfield_link,
-                 _theta_dot_d, exact_channel, farfield_channel, farfield_power,
-                 friis_amplitude, received_power, tir_delta)
+from .em import (RadioParams, _axis_factors, _enforce_far_field,
+                 _farfield_link, _theta_dot_d, _tx_axes, exact_channel,
+                 farfield_channel, farfield_power, friis_amplitude,
+                 received_power, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
-                       _norm, far_field_check)
+                       UpaLayout, _norm, far_field_check)
 from .errors import RegionDWarning
 from .placement import (PlaneScene, optimal_orientation, plane_objective,
                         position_search_plane)
@@ -317,8 +318,8 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     tx, rx = plane_endpoints(cfg)
     assumed = np.array([0.0, 0.0, 0.0])
     ris = _panel_at(cfg, assumed, specular_frame(assumed, tx.center, rx))
-    steering, v = _closed_form_design(
-        tx, ris, _farfield_link(tx, ris, rx, radio, "off"), radio.tx_power)
+    steering, tx_steering = _closed_form_design(
+        tx, ris, _farfield_link(tx, ris, rx, radio, "off"))
     mode = "strict" if cfg.far_field_mode == "strict" else "off"
 
     offs = np.linspace(-sw.robustness_extent, sw.robustness_extent,
@@ -326,8 +327,8 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     x, y = (g.ravel() for g in np.meshgrid(offs, offs))  # y outer, x inner
     centers = np.stack([x, y, np.zeros_like(x)], axis=1)
     poses = PanelPoses(centers, *specular_frame(centers, tx.center, rx))
-    est_power = farfield_power(tx, ris, rx, radio, steering, v, poses=poses,
-                               mode=mode)
+    est_power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
+                               poses=poses, mode=mode)
     ideal = _plane_point_power(cfg, x, y)["ris"]
     dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
     return SweepResult(kind="robustness",
@@ -397,35 +398,51 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     checks.append(("closed form within bound", closed <= bound * (1 + 1e-9),
                    f"power {closed:.3e} bound {bound:.3e}"))
 
-    # the factored power of the closed form at poses of its own frame moved
-    # off the design's pose, where theta . d_vec falls below L, against the
-    # dense far-field channel of each pose
-    steering, v = _closed_form_design(
-        tx, ris, _farfield_link(tx, ris, rx, radio, "off"), tiny.tx_power)
+    # the factored power of the closed form against the dense far-field
+    # channel, for a tilted 3 x 4 panel (d_x != d_y) and a 2 x 3 UPA
+    # (spacing_x != spacing_y) at the origin, where its antenna offsets are
+    # exact, all steering components nonzero, at poses moved off the
+    # design's pose: theta . d_vec falls below L and AF_T below N
+    normal = _unit(np.array([0.15, 0.25, -1.0]))
+    ax, tx_ax = _unit(_reject(_EX, normal)), _unit(np.array([1.0, 0.3, 0.4]))
+    panel = _panel_at(replace(tiny, ris_rows=3, ris_cols=4,
+                              element_size_y=1.5 * tiny.element_size_x),
+                      [25.0, 0.0, 25.0 * np.sqrt(3)],
+                      (normal, ax, np.cross(normal, ax)))
+    upa = TransmitterArray(np.zeros(3), UpaLayout(
+        2, 3, tiny.spacing, 1.4 * tiny.spacing, tx_ax,
+        _unit(_reject(_EY + _EZ, tx_ax))), tiny.tx_gain)
+    far_rx = np.array([50.0, 0.0, 0.0])
+    design = closed_form_solution(upa, panel, far_rx, radio)
+    steering, tx_steering = _closed_form_design(
+        upa, panel, _farfield_link(upa, panel, far_rx, radio, "off"))
     shifts = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0], [0.0, 30.0, 0.0],
-                       [25.0, 20.0, 0.0], [-12.0, 8.0, 6.0]])
-    poses = PanelPoses(ris.center + shifts,
-                       *(np.tile(a, (len(shifts), 1))
-                         for a in (ris.normal, ris.axis_x, ris.axis_y)))
-    factored = farfield_power(tx, ris, rx, radio, steering, v, poses=poses,
-                              mode="off")
-    moved = _farfield_link(tx, ris, rx, radio, "off", poses)
-    weakest = float(np.min(np.abs(_theta_dot_d(ris, moved, steering)))
-                    / ris.count)
-    scales = moved.a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
-    gaps, agree = [], True
+                       [-12.0, 8.0, 6.0], [-20.0, -10.0, 0.0]])
+    poses = PanelPoses(panel.center + shifts, *(
+        np.tile(a, (len(shifts), 1))
+        for a in (panel.normal, panel.axis_x, panel.axis_y)))
+    factored = farfield_power(upa, panel, far_rx, radio, steering,
+                              tx_steering, poses=poses, mode="off")
+    moved = _farfield_link(upa, panel, far_rx, radio, "off", poses)
+    weakest = [float(np.min(np.abs(f))) / n for f, n in (
+        (_theta_dot_d(panel, moved, steering), panel.count),
+        (_axis_factors(_tx_axes(upa), moved.u_ti, tx_steering,
+                       moved.wavenum), upa.count))]
+    scales = moved.a_tir**2 * panel.count * upa.count * tiny.tx_power
+    gaps, agree = [], min(map(abs, (*steering, *tx_steering))) > 0.05
     for center, power, scale in zip(poses.center, factored, scales):
         dense = received_power(
-            farfield_channel(tx, replace(ris, center=center), rx, radio,
-                             mode="off"), sol.theta, sol.v)
+            farfield_channel(upa, replace(panel, center=center), far_rx,
+                             radio, mode="off"), design.theta, design.v)
         err = abs(power - dense)
         agree &= (err <= 1e-12 * max(dense, scale)
                   and (dense < 1e-6 * scale or err <= 1e-12 * dense))
         gaps.append(err / dense)
     checks.append(("factored far-field power vs dense channel",
-                   agree and weakest < 0.9,
+                   agree and max(weakest) < 0.9,
                    f"{len(shifts)} poses, |theta.d_vec|/L down to "
-                   f"{weakest:.2f}, relative gap up to {max(gaps):.1e}"))
+                   f"{weakest[0]:.2f}, |AF_T|/N down to {weakest[1]:.2f}, "
+                   f"relative gap up to {max(gaps):.1e}"))
 
     # the exact channel of the symmetric scene takes the half-Gram path
     exact = exact_channel(tx, ris, rx, radio)

@@ -10,8 +10,8 @@ from enum import Enum
 
 import numpy as np
 
-from .em import (ChannelSet, RadioParams, _centred_phasors, _FarFieldLink,
-                 _farfield_link, _theta_dot_d, direct_channel)
+from .em import (ChannelSet, RadioParams, _array_factor, _centred_phasors,
+                 _FarFieldLink, _farfield_link, _tx_axes, direct_channel)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import RisPanel, TransmitterArray, UlaLayout, _as_vec3, _norm
 
@@ -101,26 +101,28 @@ def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
     return n * l**2 * a_tir**2 * p_t
 
 
-def _closed_form_design(
-        tx: TransmitterArray, ris: RisPanel, link: _FarFieldLink,
-        p_t: float) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The far-field closed-form design of the panel's own far-field link:
-    the steering pair (g_y, g_x) of _link_steering, which stands for the
-    phases of _link_phases and is what em.farfield_power takes, and the
-    beamformer v = sqrt(P_t/N) * conj(b_vec), which covers ULA and UPA
-    layouts alike."""
+def _closed_form_design(tx: TransmitterArray, ris: RisPanel,
+                        link: _FarFieldLink):
+    """The closed-form design of the panel's own far-field link as the two
+    steerings em.farfield_power takes: the pair of _link_steering for the
+    phases, and for the beamformer of closed_form_solution axis . u_TI
+    along each axis of em._tx_axes (a scalar for a ULA, a pair for a UPA)."""
+    tx_steering = [np.vecdot(axis, link.u_ti[0])
+                   for _, _, axis in _tx_axes(tx)]
     return (_link_steering(ris, link),
-            np.sqrt(p_t / tx.count) * np.conj(link.b_vec()[0]))
+            tx_steering[0] if len(tx_steering) == 1 else tuple(tx_steering))
 
 
 def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                          radio: RadioParams) -> Solution:
     """Assemble the far-field closed-form design of _closed_form_design for
-    one scene, with the phases of closed_form_phases.  A panel that does not see both ends raises
-    ShadowedPanel."""
+    one scene: the phases of closed_form_phases and the beamformer
+    v = sqrt(P_t/N) * conj(b_vec).  A panel that does not see both ends
+    raises ShadowedPanel."""
     link = _farfield_link(tx, ris, rx_position, radio, "off")
-    steering, v = _closed_form_design(tx, ris, link, radio.tx_power)
+    steering, _ = _closed_form_design(tx, ris, link)
     theta = _link_phases(ris, steering, link.wavenum)
+    v = np.sqrt(radio.tx_power / tx.count) * np.conj(link.b_vec()[0])
     predicted = closed_form_predicted_power(float(link.a_tir[0]), tx.count,
                                             ris.count, radio.tx_power)
     _check_feasible(v, theta, radio.tx_power)
@@ -130,27 +132,21 @@ def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
 
 def two_path_o(n: int, spacing: float, cos_mu_ti, cos_mu_tr,
                wavelength: float):
-    """Sinc-ratio coherence factor between the RIS and direct paths.
+    """Coherence factor O = sin(N*u) / (N*sin(u)) between the RIS and
+    direct paths, u = spacing*(cos(mu_TI) - cos(mu_TR))*pi/l, from the
+    cosines of the angles between the array axis and the arrival
+    directions at the transmitter (I->T and R->T).
 
-    O = sinc(N*u) / sinc(u) with u = spacing*(cos(mu_TI) - cos(mu_TR))*pi/l
-    and sinc(x) = sin(x)/x, sinc(0) = 1, from the cosines of the angles
-    between the array axis and the arrival directions at the transmitter
-    (I->T and R->T).  Entries where the denominator sinc vanishes take the
-    direct geometric-progression sum instead.  The cosines broadcast as
-    numpy arrays; scalar cosines give a float.
+    It is the ULA's em._array_factor at cos(mu_TI) against cos(mu_TR),
+    over N: exactly 1 where the cosines agree, +-1 at the zeros of sin(u).
+    The cosines broadcast as numpy arrays; scalars give a float, and a NaN
+    cosine gives NaN.
     """
     if n < 1:
         raise DomainError("antenna count must be >= 1")
-    u = np.asarray(spacing * (cos_mu_ti - cos_mu_tr) * np.pi / wavelength)
-    den = np.sinc(u / np.pi)  # np.sinc is the normalized sin(pi x)/(pi x)
-    singular = np.abs(den) < 1e-9
-    o = np.asarray(np.sinc(n * u / np.pi) / np.where(singular, 1.0, den))
-    if np.any(singular):
-        # removable singularity: evaluate (1/N) * sum_p cos(K_p) directly
-        p = np.arange(1, n + 1)
-        k_p = 2 * u[singular][:, None] * (p - (n + 1) / 2)
-        o[singular] = np.mean(np.cos(k_p), axis=1)
-    return float(o) if o.ndim == 0 else o
+    o = _array_factor(n, spacing, cos_mu_ti, cos_mu_tr,
+                      2 * np.pi / wavelength) / n
+    return float(o) if np.ndim(o) == 0 else o
 
 
 def two_path_terms(layout: UlaLayout, cos_mu_ti: float, cos_mu_tr: float,
@@ -195,11 +191,10 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     link, and d_TR and cos(mu_TR) from the one vector T - R.  The row is
     formed from the rank-one factors in O(N), with no L x N channel:
     a_TIR * exp(j*k*(d_TI + d_IR)) * (theta . d_vec) * b_vec + h_TR with
-    the far-field direct row h_TR, where theta . d_vec is the offset
-    rotation times L: the RIS-only phases steer toward the link's own
-    steering pair, where _theta_dot_d is exactly L.
-    `mode` is the far-field policy of farfield_channel; a UPA transmitter
-    raises DomainError before it is applied.
+    the far-field direct row h_TR, where theta . d_vec is L times the
+    offset rotation, as the RIS-only phases steer toward the link's own
+    steering pair.  `mode` is the far-field policy of farfield_channel; a
+    UPA transmitter raises DomainError before it is applied.
     """
     lay = tx.layout
     if not isinstance(lay, UlaLayout):
@@ -217,7 +212,7 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     theta = _link_phases(ris, steering, link.wavenum) * rotation
     a_tir = float(link.a_tir[0])
     ris_amp = (a_tir * np.exp(1j * link.wavenum * (d_ti + d_ir))
-               * (rotation * _theta_dot_d(ris, link, steering)[0]))
+               * (rotation * ris.count))
     row = ris_amp * link.b_vec()[0] + h_tr
     v = mrt_beamforming(row, radio.tx_power)
     a_tr = float(np.abs(h_tr[0]))

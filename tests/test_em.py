@@ -2,14 +2,13 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rislink import em
-from rislink.em import (_POSE_BLOCK, ChannelSet, RadioParams,
+from rislink.em import (ChannelSet, RadioParams,
                         amplitude_gain_tir, direct_channel, exact_channel,
                         farfield_channel, farfield_power, radiation_pattern,
                         received_power)
@@ -266,13 +265,63 @@ def steering_phases(ris, steering, wavelength):
     return _link_phases(ris, steering, 2 * np.pi / wavelength)
 
 
-def random_design(rng, ris, tx, p_t):
-    """A steering pair of random_steering and a beamformer within the power
-    budget; the phases are steering_phases of the pair."""
-    steering = random_steering(rng, ris)
-    v = rng.standard_normal(tx.count) + 1j * rng.standard_normal(tx.count)
-    v *= np.sqrt(p_t * rng.uniform(0.1, 1.0)) / np.linalg.norm(v)
-    return steering, v
+def random_tx_steering(rng, tx):
+    """A random transmitter steering: the components of a random unit
+    vector along the array axes, a scalar for a ULA and the pair
+    (axis_y . w, axis_x . w) for a UPA, as a closed-form design takes them
+    from its own u_TI."""
+    w = rng.standard_normal(3)
+    w /= np.linalg.norm(w)
+    lay = tx.layout
+    if isinstance(lay, UlaLayout):
+        return lay.axis @ w
+    return lay.axis_y @ w, lay.axis_x @ w
+
+
+def steering_beam(tx, tx_steering, p_t, wavelength):
+    """The beamformer (N,) that the transmitter steering stands for, that
+    of the closed-form design: sqrt(P_t/N) * conj(b_0) with b_0[p] =
+    exp(j*k*(antenna_p - T) . w) for the direction w whose components
+    along the array axes are the steering, from the antenna positions of
+    the array moved to the origin (see at_origin)."""
+    lay = tx.layout
+    if isinstance(lay, UlaLayout):
+        w = tx_steering * lay.axis
+    else:
+        w = tx_steering[0] * lay.axis_y + tx_steering[1] * lay.axis_x
+    offsets = antenna_positions(replace(tx, center=np.zeros(3))) @ w
+    return (np.sqrt(p_t / tx.count)
+            * np.exp(-1j * 2 * np.pi / wavelength * offsets))
+
+
+def at_origin(tx, ris, rx):
+    """The scene moved so that T sits at the origin.  The dense far-field
+    channel takes its antenna offsets as antenna_positions(tx) - T, which
+    round by up to ulp(|T|)/2 per coordinate: at |T| = 200 m that is a
+    phase error of k * 1.4e-14 rad per antenna, which a random transmitter
+    steering that cancels the antenna sum turns into a relative error far
+    above 1e-12.  At the origin the offsets are exact."""
+    return (replace(tx, center=np.zeros(3)),
+            replace(ris, center=ris.center - tx.center), rx - tx.center)
+
+
+def dense_power(tx, ris, rx, radio, steering, tx_steering):
+    """received_power on the dense far-field channel of the scene, moved by
+    at_origin, of the design that the steering pair and the transmitter
+    steering stand for (steering_phases and steering_beam)."""
+    tx0, ris0, rx0 = at_origin(tx, ris, rx)
+    channels = farfield_channel(tx0, ris0, rx0, radio, direct=False,
+                                mode="off")
+    return received_power(
+        channels, steering_phases(ris, steering, radio.wavelength),
+        steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength))
+
+
+def random_design(rng, ris, tx):
+    """A steering pair of random_steering and a transmitter steering of
+    random_tx_steering; the phases are steering_phases of the pair and the
+    beamformer is steering_beam of the transmitter steering."""
+    return random_steering(rng, ris), random_tx_steering(rng, tx)
 
 
 scene_args = dict(rows=st.integers(1, 7), cols=st.integers(1, 7),
@@ -284,7 +333,8 @@ scene_args = dict(rows=st.integers(1, 7), cols=st.integers(1, 7),
 @example(rows=2, cols=5, upa=False, seed=1)
 @example(rows=4, cols=1, upa=True, seed=2)
 def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
-    """The factored power equals the dense far-field evaluation.
+    """The factored power equals the dense far-field evaluation of the
+    design that the two steerings stand for.
 
     The rounding error is absolute in the element and antenna sums, so it
     is held to 1e-12 of the larger of the power and the power of a design
@@ -293,12 +343,12 @@ def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
     1e-12 relative error.
     """
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    steering, v = random_design(rng, ris, tx, radio.tx_power)
-    channels = farfield_channel(tx, ris, rx, radio, direct=False, mode="off")
-    dense = received_power(
-        channels, steering_phases(ris, steering, radio.wavelength), v)
-    power = farfield_power(tx, ris, rx, radio, steering, v, mode="off")
+    steering, tx_steering = random_design(rng, ris, tx)
+    dense = dense_power(tx, ris, rx, radio, steering, tx_steering)
+    power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
+                           mode="off")
     a_tir = em._farfield_link(tx, ris, rx, radio, "off").a_tir[0]
+    v = steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength)
     scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
     assert abs(power - dense) <= 1e-12 * max(dense, scale)
     if dense >= 1e-6 * scale:
@@ -471,35 +521,32 @@ def test_exact_channel_near_mirror_takes_full_build(nudged, monkeypatch):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(rows=st.integers(1, 8), cols=st.integers(1, 8),
-       poses=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
-@example(rows=7, cols=4, poses=None, seed=0)
-@example(rows=1, cols=1, poses=3, seed=1)
-def test_panel_phasors_bits_match_exp(rows, cols, poses, seed):
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=7, cols=4, seed=0)
+@example(rows=1, cols=1, seed=1)
+def test_panel_phasors_bits_match_exp(rows, cols, seed):
     """_panel_phasors evaluates half of each axis and conjugates the rest,
-    and still gives the bits, signs of zero included, of
-    np.exp(-1j * k*(axis . u) * offsets) for odd and even counts, for one
-    frame and for a stack of poses."""
+    and still gives the bits, signs of zero included, of the row-major
+    outer product of np.exp(-1j * k*(axis . u) * offsets) along axis_y and
+    axis_x, for odd and even counts."""
     rng = np.random.default_rng(seed)
     lam = rng.uniform(0.01, 0.1)
+    normal, axis_x, axis_y = _frame(rng)
     ris = RisPanel(center=np.zeros(3), rows=rows, cols=cols,
                    d_x=lam * rng.uniform(0.1, 0.5),
                    d_y=lam * rng.uniform(0.1, 0.5),
-                   normal=EZ, axis_x=EX, axis_y=EY)
-    shape = (3,) if poses is None else (poses, 3)
-    frames = [np.linalg.qr(rng.standard_normal((3, 3)))[0]
-              for _ in range(poses or 1)]
-    axis_x = np.array([f[:, 0] for f in frames]).reshape(shape)
-    axis_y = np.array([f[:, 1] for f in frames]).reshape(shape)
-    u = rng.standard_normal(shape)
+                   normal=normal, axis_x=axis_x, axis_y=axis_y)
+    u = rng.standard_normal(3)
     wavenum = 2 * np.pi / lam
-    e_x, e_y = em._panel_phasors(ris, axis_x, axis_y, u, wavenum)
-    for got, axis, count, pitch in ((e_x, axis_x, cols, ris.d_x),
-                                    (e_y, axis_y, rows, ris.d_y)):
-        offsets = (np.arange(1, count + 1) - (count + 1) / 2) * pitch
-        ref = np.exp(-1j * (wavenum * np.vecdot(axis, u)[..., None]
-                            * offsets))
-        assert got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
+    got = em._panel_phasors(ris, u, wavenum)
+    e_y, e_x = (np.exp(-1j * (wavenum * np.vecdot(axis, u)
+                              * ((np.arange(1, count + 1) - (count + 1) / 2)
+                                 * pitch)))
+                for axis, count, pitch in ((axis_y, rows, ris.d_y),
+                                           (axis_x, cols, ris.d_x)))
+    ref = np.outer(e_y, e_x).ravel()
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_exact_channel_working_memory_is_block_sized():
@@ -556,21 +603,45 @@ def test_farfield_power_checks_shapes_and_shadowing():
     complex component is DomainError."""
     tx, ris, rx = equilateral(300.0, rows=2, cols=3)
     g_y, g_x = random_steering(np.random.default_rng(0), ris)
-    v = np.ones(2, dtype=complex)
     for bad in (g_y, (g_y,), (g_y, g_x, g_x),
                 (np.ones(2, dtype=complex), np.ones(3, dtype=complex)),
                 steering_phases(ris, (g_y, g_x), RADIO.wavelength),
                 (g_y, np.array([g_x]))):
         with pytest.raises(DimensionMismatch):
-            farfield_power(tx, ris, rx, RADIO, bad, v)
+            farfield_power(tx, ris, rx, RADIO, bad, 0.1)
     for bad in ((np.nan, g_x), (g_y, np.inf), (g_y, 1j * g_x)):
         with pytest.raises(DomainError):
-            farfield_power(tx, ris, rx, RADIO, bad, v)
-    with pytest.raises(DimensionMismatch):
-        farfield_power(tx, ris, rx, RADIO, (g_y, g_x), np.ones(3))
+            farfield_power(tx, ris, rx, RADIO, bad, 0.1)
     behind = np.array([0.0, 0.0, 2000.0])  # on the panel's back side
     with pytest.raises(ShadowedPanel):
-        farfield_power(tx, ris, behind, RADIO, (g_y, g_x), v, mode="off")
+        farfield_power(tx, ris, behind, RADIO, (g_y, g_x), 0.1, mode="off")
+
+
+def test_farfield_power_checks_transmitter_steering():
+    """The transmitter steering is one real scalar for a ULA and a pair of
+    scalars for a UPA: a pair or an (N,) beamformer for a ULA, a scalar or
+    three components for a UPA, and a (1,) component are DimensionMismatch,
+    a NaN, infinite or complex component DomainError.  A valid steering
+    gives a finite, nonnegative float."""
+    tx, ris, rx = equilateral(300.0, rows=2, cols=3)
+    upa = replace(tx, layout=UpaLayout(rows=2, cols=3, spacing_x=0.0143,
+                                       spacing_y=0.02, axis_x=EX, axis_y=EY))
+    steering = random_steering(np.random.default_rng(0), ris)
+    for array, good, bads in (
+            (tx, 0.3, ((0.3, 0.2), np.ones(2, dtype=complex),
+                       np.array([0.3]))),
+            (upa, (0.3, -0.2), (0.3, (0.3,), (0.3, 0.2, 0.1),
+                                (0.3, np.array([0.2]))))):
+        power = farfield_power(array, ris, rx, RADIO, steering, good)
+        assert isinstance(power, float)
+        assert np.isfinite(power) and power >= 0.0
+        for bad in bads:
+            with pytest.raises(DimensionMismatch):
+                farfield_power(array, ris, rx, RADIO, steering, bad)
+        for bad in ((np.nan, np.inf, 1j) if array is tx else
+                    ((np.nan, 0.2), (0.3, -np.inf), (0.3j, 0.2))):
+            with pytest.raises(DomainError):
+                farfield_power(array, ris, rx, RADIO, steering, bad)
 
 
 def test_farfield_power_applies_far_field_policy():
@@ -578,13 +649,12 @@ def test_farfield_power_applies_far_field_policy():
     ris = make_panel(rows=20, cols=20)
     rx = np.array([5.0, 0.0, 5.0])
     steering = random_steering(np.random.default_rng(1), ris)
-    v = np.ones(2, dtype=complex)
     with pytest.raises(FarFieldViolation):
-        farfield_power(tx, ris, rx, RADIO, steering, v, mode="strict")
+        farfield_power(tx, ris, rx, RADIO, steering, 0.1, mode="strict")
     with pytest.warns(FarFieldWarning):
-        farfield_power(tx, ris, rx, RADIO, steering, v, mode="warn")
+        farfield_power(tx, ris, rx, RADIO, steering, 0.1, mode="warn")
     with pytest.raises(DomainError):
-        farfield_power(tx, ris, rx, RADIO, steering, v, mode="loud")
+        farfield_power(tx, ris, rx, RADIO, steering, 0.1, mode="loud")
 
 
 def test_farfield_power_applies_far_field_policy_across_poses():
@@ -594,7 +664,6 @@ def test_farfield_power_applies_far_field_policy_across_poses():
     ris = make_panel(rows=20, cols=20)
     rx = np.array([5.0, 0.0, 5.0])
     steering = random_steering(np.random.default_rng(1), ris)
-    v = np.ones(2, dtype=complex)
 
     def poses(*heights):
         z = np.array(heights, dtype=float)
@@ -606,20 +675,20 @@ def test_farfield_power_applies_far_field_policy_across_poses():
     mixed = poses(-20.0, 0.0, -1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", FarFieldWarning)
-        power = farfield_power(tx, ris, rx, RADIO, steering, v, poses=far,
+        power = farfield_power(tx, ris, rx, RADIO, steering, 0.1, poses=far,
                                mode="strict")
     assert power.shape == (2,) and np.all(power > 0.0)
     with pytest.raises(FarFieldViolation, match="2 of 3 poses"):
-        farfield_power(tx, ris, rx, RADIO, steering, v, poses=mixed,
+        farfield_power(tx, ris, rx, RADIO, steering, 0.1, poses=mixed,
                        mode="strict")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        warned = farfield_power(tx, ris, rx, RADIO, steering, v, poses=mixed,
+        warned = farfield_power(tx, ris, rx, RADIO, steering, 0.1, poses=mixed,
                                 mode="warn")
     assert [w.category for w in caught] == [FarFieldWarning]
     with warnings.catch_warnings():
         warnings.simplefilter("error", FarFieldWarning)
-        off = farfield_power(tx, ris, rx, RADIO, steering, v, poses=mixed,
+        off = farfield_power(tx, ris, rx, RADIO, steering, 0.1, poses=mixed,
                              mode="off")
     assert np.array_equal(warned, off)
 
@@ -665,22 +734,21 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
     test_farfield_power_matches_dense_channel; a pose whose panel does not
     see both ends gives 0 W, where the dense channel raises ShadowedPanel."""
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    steering, v = random_design(rng, ris, tx, radio.tx_power)
-    theta = steering_phases(ris, steering, radio.wavelength)
+    steering, tx_steering = random_design(rng, ris, tx)
+    v = steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength)
     poses = random_poses(rng, ris, 6)
-    power = farfield_power(tx, ris, rx, radio, steering, v, poses=poses,
-                           mode="off")
+    power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
+                           poses=poses, mode="off")
     assert power.shape == (len(poses.center),)
     assert power[-1] == 0.0
     for i, p in enumerate(power.tolist()):
         panel = replace(ris, center=poses.center[i], normal=poses.normal[i],
                         axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
         try:
-            channels = farfield_channel(tx, panel, rx, radio, mode="off")
+            dense = dense_power(tx, panel, rx, radio, steering, tx_steering)
         except ShadowedPanel:
             assert p == 0.0
             continue
-        dense = received_power(channels, theta, v)
         a_tir = em._farfield_link(tx, panel, rx, radio, "off").a_tir[0]
         scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
         assert abs(p - dense) <= 1e-12 * max(dense, scale)
@@ -689,17 +757,16 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
 
 
 def test_farfield_power_pose_blocks_equal_row_groups():
-    """A stack of three full _POSE_BLOCK blocks and a partial one, its last
-    pose shadowed, gives the bits of the same poses evaluated 41 at a time,
-    the grid-row groups the robustness map used to call with."""
+    """A stack of 117 poses, its last pose shadowed, gives the bits of the
+    same poses evaluated 41 at a time, the grid-row groups the robustness
+    map used to call with."""
     tx, ris, rx, radio, rng = random_scene(12, 10, False, 5)
-    steering, v = random_design(rng, ris, tx, radio.tx_power)
-    poses = random_poses(rng, ris, 3 * _POSE_BLOCK + 20)
+    steering, tx_steering = random_design(rng, ris, tx)
+    poses = random_poses(rng, ris, 116)
     count = len(poses.center)
-    assert count > 3 * _POSE_BLOCK and count % _POSE_BLOCK
-    whole = farfield_power(tx, ris, rx, radio, steering, v, poses=poses,
-                           mode="off")
-    groups = [farfield_power(tx, ris, rx, radio, steering, v,
+    whole = farfield_power(tx, ris, rx, radio, steering, tx_steering,
+                           poses=poses, mode="off")
+    groups = [farfield_power(tx, ris, rx, radio, steering, tx_steering,
                              poses=PanelPoses(poses.center[s:s + 41],
                                               poses.normal[s:s + 41],
                                               poses.axis_x[s:s + 41],
@@ -716,9 +783,9 @@ def test_farfield_power_pose_blocks_equal_row_groups():
 def test_farfield_power_pose_bits_do_not_depend_on_batch(rows, cols, upa,
                                                          seed, count):
     """Every pose of a stack, whole or cut at random points, gets the bits of
-    its own one-pose call, with pose blocks of 1, 3 and _POSE_BLOCK poses."""
+    its own one-pose call."""
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    steering, v = random_design(rng, ris, tx, radio.tx_power)
+    steering, tx_steering = random_design(rng, ris, tx)
     poses = random_poses(rng, ris, count)
     n = len(poses.center)
     cuts = np.sort(rng.choice(np.arange(1, n), replace=False,
@@ -728,16 +795,14 @@ def test_farfield_power_pose_bits_do_not_depend_on_batch(rows, cols, upa,
     def power(start, stop):
         part = PanelPoses(poses.center[start:stop], poses.normal[start:stop],
                           poses.axis_x[start:stop], poses.axis_y[start:stop])
-        return farfield_power(tx, ris, rx, radio, steering, v, poses=part,
-                              mode="off")
+        return farfield_power(tx, ris, rx, radio, steering, tx_steering,
+                              poses=part, mode="off")
 
     alone = np.concatenate([power(i, i + 1) for i in range(n)])
-    for block in (_POSE_BLOCK, 1, 3):
-        with mock.patch.object(em, "_POSE_BLOCK", block):
-            assert np.array_equal(power(0, n), alone)
-            assert np.array_equal(
-                np.concatenate([power(a, b)
-                                for a, b in zip(bounds, bounds[1:])]), alone)
+    assert np.array_equal(power(0, n), alone)
+    assert np.array_equal(
+        np.concatenate([power(a, b) for a, b in zip(bounds, bounds[1:])]),
+        alone)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -750,7 +815,7 @@ def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
     """theta . d_vec as the product of two closed-form array factors equals
     the dense sum of the phases that steer toward (g_y, g_x) against the
     element phasors of each pose, both built from the (L, 3) element
-    positions, to 1e-12 * L, for stacks around the _POSE_BLOCK size.  Each
+    positions, to 1e-12 * L, for stacks of 1 to 70 poses.  Each
     pose gets the bits of its own one-pose call."""
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
     g_y, g_x = random_steering(rng, ris)
@@ -803,3 +868,31 @@ def test_array_factor_matches_direct_sum(n, u):
     assert em._array_factor(n, 2.0, 0.0, 0.0, 1.0) == n
     assert np.array_equal(em._array_factor(n, 0.3, np.full(3, 0.7), 0.7,
                                            50.0), np.full(3, float(n)))
+
+
+_SIDE = st.sampled_from([-1.0, 1.0])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(n=st.integers(1, 20), m=st.integers(-4, 4), g=st.floats(-1.0, 1.0),
+       offset=st.one_of(
+           st.just(0.0),
+           st.tuples(_SIDE, st.floats(-16.0, 0.0)).map(
+               lambda t: t[0] * 10.0**t[1]),
+           st.tuples(_SIDE, _SIDE, st.floats(-16.0, -1.0)).map(
+               lambda t: t[0] * (np.pi / 2 + t[1] * 10.0**t[2]))))
+@example(n=20, m=-4, g=0.0, offset=-np.pi / 2)
+@example(n=2, m=-1, g=0.3, offset=1e-12)
+@example(n=17, m=3, g=-0.5, offset=-1e-15)
+def test_array_factor_straddles_fold_points(n, m, g, offset):
+    """Near the fold points u = m*pi, on both sides and at distances from
+    1e-16 to 1, and on both sides of the half-points (m + 1/2)*pi where the
+    fold switches m, _array_factor at c - g = m*pi + offset equals the
+    direct sum of cos(k*(c - g)*o_i) over the n centred offsets, summed
+    exactly, to 2e-14 * n.  With pitch 2 and k = 1, u is c - g.  The worst
+    error of 200 000 draws of this kind was 7.7e-15 * n, at n = 20, u
+    near -4.5*pi: the fold subtracts m * fl(pi), which is off by
+    |m| * 1.2e-16, and sin(n*u) scales that by n."""
+    c = g + (m * np.pi + offset)
+    got = em._array_factor(n, 2.0, np.array([c]), g, 1.0)
+    assert abs(got[0] - _array_sum(n, c - g)) <= 2e-14 * n

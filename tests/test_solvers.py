@@ -19,8 +19,9 @@ from rislink.solvers import (Method, _closed_form_design, anti_decay_design,
                              two_path_terms)
 from rislink.validation import random_feasible_solutions
 
-from test_em import (RADIO, equilateral, offsets_toward, random_scene,
-                     random_steering, scene_args, steering_phases)
+from test_em import (RADIO, at_origin, equilateral, offsets_toward,
+                     random_scene, random_steering, random_tx_steering,
+                     scene_args, steering_beam, steering_phases)
 from test_geometry import EX, EY, make_ula
 
 P_T = RADIO.tx_power
@@ -136,21 +137,27 @@ def test_closed_form_dominates_random_designs(scene):
 def test_closed_form_predicts_its_farfield_power(scene):
     """The predicted N * L^2 * a_TIR^2 * P_t takes a_TIR from the far-field
     link, as the far-field power of the design does.  The design's steering
-    pair gives its phases bit for bit, and no random steering pair does
-    better with its beamformer."""
+    pair gives its phases bit for bit and its transmitter steering its
+    beamformer, and no random pair of steerings does better."""
     tx, ris, rx, radio = scene
     sol = closed_form_solution(tx, ris, rx, radio)
-    steering, v = _closed_form_design(
-        tx, ris, _farfield_link(tx, ris, rx, radio, "off"), radio.tx_power)
+    steering, tx_steering = _closed_form_design(
+        tx, ris, _farfield_link(tx, ris, rx, radio, "off"))
     assert np.array_equal(steering_phases(ris, steering, radio.wavelength),
                           sol.theta)
-    assert np.array_equal(v, sol.v)
-    power = farfield_power(tx, ris, rx, radio, steering, v, mode="off")
+    v = steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength)
+    moved = closed_form_solution(*at_origin(tx, ris, rx), radio).v
+    assert np.allclose(v, moved, rtol=0, atol=1e-12 * np.abs(moved).max())
+    power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
+                           mode="off")
     assert power == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
     rng = np.random.default_rng(11)
     for _ in range(20):
         other = random_steering(rng, ris)
-        assert farfield_power(tx, ris, rx, radio, other, v,
+        assert farfield_power(tx, ris, rx, radio, other, tx_steering,
+                              mode="off") <= power * (1 + 1e-12)
+        other_tx = random_tx_steering(rng, tx)
+        assert farfield_power(tx, ris, rx, radio, steering, other_tx,
                               mode="off") <= power * (1 + 1e-12)
 
 
@@ -220,14 +227,26 @@ def test_two_path_o_frozen_value_and_limits():
     # coincident directions: fully coherent
     assert two_path_o(16, lam / 2, 0.3, 0.3, lam) == pytest.approx(1.0)
     assert two_path_o(1, lam / 2, 0.1, -0.4, lam) == pytest.approx(1.0)
-    # vanishing denominator: u = pi, direct sum gives exactly -1 for N = 16
+    # a zero of sin(u): u = pi, where the sum is -1 for N = 16
     o2 = two_path_o(16, lam / 2, 1.0, -1.0, lam)
     assert o2 == pytest.approx(-1.0, rel=1e-9)
 
 
+def test_two_path_o_propagates_nan_without_warning():
+    """A NaN cosine gives O = NaN in its own entry only, and no warning."""
+    lam = 0.0286
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(two_path_o(16, lam / 2, np.nan, 0.3, lam))
+        assert np.isnan(two_path_o(15, lam / 2, 0.3, np.nan, lam))
+        o = two_path_o(16, lam / 2, np.array([np.nan, 0.3, 1.0]),
+                       np.array([0.0, np.nan, -1.0]), lam)
+    assert np.isnan(o[:2]).all() and o[2] == pytest.approx(-1.0, rel=1e-9)
+
+
 def test_two_path_o_arrays_match_scalar_calls():
     lam, n = 0.0286, 16
-    # entries 0 and 3 sit on the removable singularity (u = pi)
+    # entries 0 and 3 sit on a zero of sin(u) (u = pi)
     cos_ti = np.array([1.0, 0.3, 0.3, 1.0, 0.36])
     cos_tr = np.array([-1.0, 0.3, 0.0, -1.0, -0.42])
     o = two_path_o(n, lam / 2, cos_ti, cos_tr, lam)
@@ -244,7 +263,7 @@ def test_two_path_o_arrays_match_scalar_calls():
     assert np.array_equal(two_path_o(n, lam / 2, cos_ti.reshape(5, 1),
                                      cos_tr.reshape(5, 1), lam),
                           want.reshape(5, 1))
-    # spacing lambda: two different singular points, u = pi and u = 2*pi
+    # spacing lambda: two different zeros of sin(u), u = pi and u = 2*pi
     cos_ti, cos_tr = np.array([1.0, 0.3, 1.0]), np.array([0.0, 0.54, -1.0])
     o = two_path_o(n, lam, cos_ti, cos_tr, lam)
     assert np.array_equal(o, [two_path_o(n, lam, a, b, lam)
@@ -255,13 +274,13 @@ def test_two_path_o_arrays_match_scalar_calls():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cos_ti=st.floats(-1.0, 1.0), cos_tr=st.floats(-1.0, 1.0),
        n=st.integers(1, 64), pitch=st.floats(0.05, 2.0))
-@example(cos_ti=1.0, cos_tr=-1.0, n=16, pitch=0.5)   # u = pi, singular
+@example(cos_ti=1.0, cos_tr=-1.0, n=16, pitch=0.5)   # u = pi, sin(u) = 0
 @example(cos_ti=0.3, cos_tr=0.3, n=64, pitch=2.0)    # u = 0
 def test_two_path_o_matches_direct_sum(cos_ti, cos_tr, n, pitch):
     """O equals the mean (1/N) * sum_p cos(K_p), K_p = 2*u*(p - (N+1)/2),
-    of the N antenna terms, an oracle apart from the sinc ratio.  The ratio
-    loses accuracy as its denominator sinc(u) nears 0, so the error is held
-    to 1e-13 / |sinc(u)| (the code sums directly below 1e-9)."""
+    of the N antenna terms, an oracle apart from the folded array factor.
+    The error is held to 1e-13 / max(|sinc(u)|, 1e-9), a rule that is
+    looser near the zeros of sin(u)."""
     lam = 0.0286
     o = two_path_o(n, pitch * lam, cos_ti, cos_tr, lam)
     u = pitch * lam * (cos_ti - cos_tr) * np.pi / lam
