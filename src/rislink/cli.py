@@ -1,7 +1,12 @@
-"""Command line entry point.
+"""Command line entry point: `rislink COMMAND [options]`.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical/domain failure,
-3 validation suite failure.
+One parser reads the command and every option, in any order: the options
+are the same for every command, except `--direct-link`/`--no-direct-link`,
+which only `solve` and `sweep-plane` take; any other command rejects them
+as unrecognized arguments.
+
+Exit codes: 0 success, 1 configuration error, 2 numerical/domain failure
+or bad arguments, 3 validation suite failure.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ _EXPERIMENTS = {
 }
 # the commands whose studies model the direct path
 _DIRECT_LINK_COMMANDS = ("solve", "sweep-plane")
+_DIRECT_LINK_FLAGS = ("--direct-link", "--no-direct-link")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,32 +40,43 @@ def _build_parser() -> argparse.ArgumentParser:
         description="RIS-assisted MISO link designs and simulation studies")
     parser.add_argument("--version", action="version",
                         version=f"rislink {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*_EXPERIMENTS, "validate"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", metavar="PATH", default=None,
-                       help="YAML scene profile (default: bundled profile)")
-        p.add_argument("--out", metavar="DIR", default="out",
-                       help="output directory for CSV/metadata/plot script")
-        p.add_argument("--strict-far-field", action="store_true",
-                       help="raise instead of warning on near-field scenes")
-        if name in _DIRECT_LINK_COMMANDS:
-            p.add_argument("--direct-link",
-                           action=argparse.BooleanOptionalAction,
-                           default=None,
-                           help="include the unblocked direct path")
-        p.add_argument("--grid", metavar="N", type=int, default=None,
-                       help="override every sweep point count")
-        p.add_argument("--paper-scale", action="store_true",
-                       help="use the full-scale panel grid from the profile")
+    parser.add_argument("command", choices=(*_EXPERIMENTS, "validate"))
+    parser.add_argument("--config", metavar="PATH", default=None,
+                        help="YAML scene profile (default: bundled profile)")
+    parser.add_argument("--out", metavar="DIR", default="out",
+                        help="output directory for CSV/metadata/plot script")
+    parser.add_argument("--strict-far-field", action="store_true",
+                        help="raise instead of warning on near-field scenes")
+    parser.add_argument("--direct-link", action=argparse.BooleanOptionalAction,
+                        default=None,
+                        help="include the unblocked direct path (solve and "
+                             "sweep-plane only)")
+    parser.add_argument("--grid", metavar="N", type=int, default=None,
+                        help="override every sweep point count")
+    parser.add_argument("--paper-scale", action="store_true",
+                        help="use the full-scale panel grid from the profile")
     return parser
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if (args.direct_link is not None
+            and args.command not in _DIRECT_LINK_COMMANDS):
+        # as given, abbreviations included: argparse matches any unique
+        # prefix of a long option
+        given = [a for a in argv if len(a) > 2 and any(
+            flag.startswith(a) for flag in _DIRECT_LINK_FLAGS)]
+        parser.error(f"unrecognized arguments: {' '.join(given)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         cfg = load_config(args.config, paper_scale=args.paper_scale,
-                          direct_link=getattr(args, "direct_link", None),
+                          direct_link=args.direct_link,
                           strict_far_field=args.strict_far_field,
                           grid_override=args.grid)
     except ConfigError as exc:

@@ -137,32 +137,59 @@ def plane_endpoints(cfg: SceneConfig):
             np.array([cfg.d_tr, 0.0, h]))
 
 
+def _point_arrays(*args):
+    """The shape the point arguments broadcast to, and each argument as a
+    float array of that shape, or of shape (1,) when all are scalars: a
+    scalar call computes on one-element arrays to match an array call bit
+    for bit (numpy rounds `x**k` on scalars differently)."""
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    return shape, [np.broadcast_to(np.asarray(a, dtype=float), shape or (1,))
+                   for a in args]
+
+
+def _ris_terms(cfg: SceneConfig, d_ti, d_ir, d_tr):
+    """a_TIR and the RIS-only power N * L^2 * a_TIR^2 * P_t at optimally
+    oriented RIS positions, from distance arrays of one shape."""
+    _, _, f_star = optimal_orientation(d_ti, d_ir, d_tr,
+                                       cfg.pattern_exponent)
+    a_tir = tir_delta(cfg.tx_gain, cfg.rx_gain, cfg.ris_gain,
+                      cfg.element_size_x, cfg.element_size_y, cfg.wavelength,
+                      f_star, 1.0, cfg.reflection_coeff) / (d_ti * d_ir)
+    return a_tir, closed_form_predicted_power(
+        a_tir, cfg.antennas, cfg.ris_rows * cfg.ris_cols, cfg.tx_power)
+
+
+def ris_point_power(cfg: SceneConfig, d_ti, d_ir, d_tr):
+    """Closed-form RIS-only received power (W) at RIS positions with optimal
+    orientation: F*, a_TIR, then N * L^2 * a_TIR^2 * P_t, with the bits of
+    analytic_point_power's "ris" and none of its two-path terms.  The
+    distances broadcast as numpy arrays; scalars give a float.
+    """
+    shape, (d_ti, d_ir, d_tr) = _point_arrays(d_ti, d_ir, d_tr)
+    power = _ris_terms(cfg, d_ti, d_ir, d_tr)[1]
+    return power if shape else float(power[0])
+
+
 def analytic_point_power(cfg: SceneConfig, d_ti, d_ir, d_tr, cos_mu_ti,
                          cos_mu_tr) -> dict:
     """Closed-form RIS-only, direct-only and combined two-path received
     powers (W) and the coherence factor O at RIS positions with optimal
-    orientation.  The inputs broadcast as numpy arrays to the shape of every
-    result.  Scalars give floats, computed as one-element arrays to match an
-    array call bit for bit (numpy rounds `x**k` on scalars differently).
+    orientation: the RIS-only term of ris_point_power, and the two-path
+    terms on top of it.  The inputs broadcast as numpy arrays to the shape
+    of every result; scalars give floats, with the bits of an array call.
+    A caller that reads only the RIS-only power calls ris_point_power.
     """
-    args = (d_ti, d_ir, d_tr, cos_mu_ti, cos_mu_tr)
-    shape = np.broadcast_shapes(*map(np.shape, args))
-    d_ti, d_ir, d_tr, cos_mu_ti, cos_mu_tr = (
-        np.broadcast_to(np.asarray(a, dtype=float), shape or (1,))
-        for a in args)
-    _, _, f_star = optimal_orientation(d_ti, d_ir, d_tr,
-                                       cfg.pattern_exponent)
-    l = cfg.ris_rows * cfg.ris_cols
+    shape, (d_ti, d_ir, d_tr, cos_mu_ti, cos_mu_tr) = _point_arrays(
+        d_ti, d_ir, d_tr, cos_mu_ti, cos_mu_tr)
+    a_tir, ris = _ris_terms(cfg, d_ti, d_ir, d_tr)
     n = cfg.antennas
-    a_tir = tir_delta(cfg.tx_gain, cfg.rx_gain, cfg.ris_gain,
-                      cfg.element_size_x, cfg.element_size_y, cfg.wavelength,
-                      f_star, 1.0, cfg.reflection_coeff) / (d_ti * d_ir)
     a_tr = friis_amplitude(cfg.tx_gain, cfg.rx_gain, cfg.wavelength, d_tr)
     o = two_path_o(n, cfg.spacing, cos_mu_ti, cos_mu_tr, cfg.wavelength)
-    powers = {"ris": closed_form_predicted_power(a_tir, n, l, cfg.tx_power),
+    powers = {"ris": ris,
               "direct": n * a_tr**2 * cfg.tx_power,
-              "combined": two_path_power_closed_form(a_tir, a_tr, o, n, l,
-                                                     cfg.tx_power),
+              "combined": two_path_power_closed_form(
+                  a_tir, a_tr, o, n, cfg.ris_rows * cfg.ris_cols,
+                  cfg.tx_power),
               "o": o}
     if shape:
         return powers
@@ -179,10 +206,13 @@ def _check_plane_far_field(cfg: SceneConfig, x, y) -> None:
     _enforce_far_field(tx, panel, *plane.hops(x, y), mode="strict")
 
 
-def _plane_point_power(cfg: SceneConfig, x, y) -> dict:
+def _plane_point_power(cfg: SceneConfig, x, y, direct: bool = True) -> dict:
     """analytic_point_power with the RIS at (x, y) on plane S, between the
-    endpoints of plane_endpoints."""
+    endpoints of plane_endpoints.  Without `direct`, only the RIS-only
+    route runs: ris_point_power, returned as the one key "ris"."""
     d_ti, d_ir = PlaneScene(cfg.height, cfg.height, cfg.d_tr).hops(x, y)
+    if not direct:
+        return {"ris": ris_point_power(cfg, d_ti, d_ir, cfg.d_tr)}
     # ULA axis is the plane normal, so cos(mu_TI) = h / d_TI and the
     # horizontal T->R direction gives cos(mu_TR) = 0
     return analytic_point_power(cfg, d_ti, d_ir, cfg.d_tr,
@@ -249,7 +279,7 @@ def sweep_plane(cfg: SceneConfig) -> SweepResult:
         xb, yb = x[start:start + _BLOCK_ROWS], y[start:start + _BLOCK_ROWS]
         if strict:
             _check_plane_far_field(cfg, xb, yb)
-        blocks.append(_plane_point_power(cfg, xb, yb))
+        blocks.append(_plane_point_power(cfg, xb, yb, cfg.direct_link))
     p = {key: np.concatenate([q[key] for q in blocks]) for key in blocks[0]}
     columns = {"x_m": x, "y_m": y, "ris_dbm": watts_to_dbm(p["ris"])}
     if cfg.direct_link:
@@ -329,7 +359,7 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     poses = PanelPoses(centers, *specular_frame(centers, tx.center, rx))
     est_power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
                                poses=poses, mode=mode)
-    ideal = _plane_point_power(cfg, x, y)["ris"]
+    ideal = _plane_point_power(cfg, x, y, direct=False)["ris"]
     dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
     return SweepResult(kind="robustness",
                        columns={"x_m": x, "y_m": y, "deviation": dev,

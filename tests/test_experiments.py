@@ -2,17 +2,21 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rislink import em, experiments
 from rislink.config import load_config, watts_to_dbm
 from rislink.em import RadioParams, farfield_channel, received_power
-from rislink.errors import FarFieldViolation, FarFieldWarning, ShadowedPanel
+from rislink.errors import (DegenerateTriangle, DomainError,
+                            FarFieldViolation, FarFieldWarning, ShadowedPanel)
 from rislink.experiments import (_BLOCK_ROWS, _panel_at, _plane_point_power,
                                  analytic_point_power,
                                  equilateral_scene, plane_endpoints,
-                                 robustness, solve, specular_frame,
-                                 sweep_distance, sweep_plane, validate_suite)
+                                 ris_point_power, robustness, solve,
+                                 specular_frame, sweep_distance, sweep_plane,
+                                 validate_suite)
 from rislink.geometry import link_angles
+from rislink.placement import PlaneScene
 from rislink.solvers import closed_form_solution
 
 from dataclasses import replace
@@ -111,6 +115,77 @@ def test_analytic_point_power_matches_solver_prediction():
     p = analytic_point_power(cfg, 150.0, 150.0, 150.0, cos_mu_ti=0.0,
                              cos_mu_tr=0.0)
     assert p["ris"] == pytest.approx(sol.predicted_power, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(st.floats(-50.0, 250.0),
+                                 st.floats(0.0, 120.0)),
+                       min_size=1, max_size=6),
+       k=st.floats(0.5, 8.0))
+def test_ris_point_power_is_the_ris_term_of_analytic_point_power(points, k):
+    """At plane-S points, ris_point_power equals analytic_point_power's
+    "ris" bit for bit, on arrays and on scalars, and both equal the paper's
+    N * L^2 * P_t * delta^2 * F* / (d_TI * d_IR)^2 with F* = cos^(2k) of
+    half the angle at the RIS, taken here from the positions themselves."""
+    cfg = replace(load_config(), pattern_exponent=k)
+    x, y = np.array(points).T
+    d_ti, d_ir = PlaneScene(cfg.height, cfg.height, cfg.d_tr).hops(x, y)
+    full = analytic_point_power(cfg, d_ti, d_ir, cfg.d_tr,
+                                cos_mu_ti=cfg.height / d_ti,
+                                cos_mu_tr=0.0)["ris"]
+    ris = ris_point_power(cfg, d_ti, d_ir, cfg.d_tr)
+    assert ris.shape == full.shape == x.shape
+    assert np.array_equal(ris, full)
+    for a, b, want in zip(d_ti.tolist(), d_ir.tolist(), full.tolist()):
+        got = ris_point_power(cfg, a, b, cfg.d_tr)
+        assert type(got) is float and got == want
+        assert got == analytic_point_power(cfg, a, b, cfg.d_tr,
+                                           cos_mu_ti=cfg.height / a,
+                                           cos_mu_tr=0.0)["ris"]
+    ris_at = np.stack([x, y, np.zeros_like(x)], axis=1)
+    to_t = np.array([0.0, 0.0, cfg.height]) - ris_at
+    to_r = np.array([cfg.d_tr, 0.0, cfg.height]) - ris_at
+    r_t, r_r = np.linalg.norm(to_t, axis=1), np.linalg.norm(to_r, axis=1)
+    half = np.arccos(np.vecdot(to_t, to_r) / (r_t * r_r)) / 2
+    delta_sq = (cfg.tx_gain * cfg.rx_gain * cfg.ris_gain
+                * cfg.element_size_x * cfg.element_size_y * cfg.wavelength**2
+                * cfg.reflection_coeff**2 / (64 * np.pi**3))
+    l = cfg.ris_rows * cfg.ris_cols
+    want = (cfg.antennas * l**2 * cfg.tx_power * delta_sq
+            * np.cos(half)**(2 * k) / (r_t * r_r)**2)
+    np.testing.assert_allclose(ris, want, rtol=1e-10)
+
+
+def _outcome(fn):
+    """fn's result, or the type and message of the model error it raises."""
+    try:
+        return fn()
+    except (DomainError, DegenerateTriangle) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.tuples(*[st.one_of(st.floats(-20.0, 0.0),
+                                st.floats(1.0, 300.0))] * 3),
+       as_array=st.booleans())
+@example(d=(0.0, 150.0, 200.0), as_array=False)
+@example(d=(150.0, -1.0, 200.0), as_array=True)
+@example(d=(60.0, 100.0, 200.0), as_array=True)
+@example(d=(100.0, 100.0, 200.0), as_array=False)
+def test_ris_point_power_fails_like_analytic_point_power(d, as_array):
+    """On any distances, valid or not, ris_point_power returns the bits of
+    analytic_point_power's "ris" or raises the same DomainError (a distance
+    at or below 0) or DegenerateTriangle (no triangle has the three
+    distances) with the same message."""
+    cfg = small_cfg()
+    args = [np.array([v]) for v in d] if as_array else list(d)
+    ris = _outcome(lambda: ris_point_power(cfg, *args))
+    full = _outcome(lambda: analytic_point_power(
+        cfg, *args, cos_mu_ti=0.5, cos_mu_tr=0.0)["ris"])
+    if isinstance(full, tuple):
+        assert ris == full
+    else:
+        assert np.array_equal(ris, full) and np.shape(ris) == np.shape(full)
 
 
 def test_analytic_point_power_arrays_match_scalar_calls():

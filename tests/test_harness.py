@@ -458,13 +458,57 @@ def test_cli_sidecars_record_resolved_settings(tmp_path):
 def test_cli_rejects_direct_link_where_no_study_reads_it(command, tmp_path,
                                                          capsys):
     """Only solve and sweep-plane model the direct path; every other
-    command rejects --direct-link as an unknown flag (exit code 2) and
-    writes nothing."""
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--direct-link", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --direct-link" in capsys.readouterr().err
+    command rejects --direct-link and --no-direct-link as unknown flags
+    (exit code 2) and writes nothing."""
+    for flag in ("--direct-link", "--no-direct-link"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}\n" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["-h"], ["robustness", "-h"]])
+def test_cli_version_and_help_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        "rislink " if argv == ["--version"] else "usage: rislink")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["--grid", "3"], "the following arguments are required: command"),
+    (["sweep"], "argument command: invalid choice: 'sweep'"),
+    (["solve", "robustness"], "unrecognized arguments: robustness"),
+])
+def test_cli_rejects_missing_or_unknown_command(argv, message, tmp_path,
+                                                capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("robustness", ["--grid", "3", "--paper-scale"]),
+    ("sweep-plane", ["--direct-link", "--grid", "4"]),
+    ("solve", ["--no-direct-link", "--strict-far-field"]),
+])
+def test_cli_options_before_the_command_act_as_after_it(command, flags,
+                                                        tmp_path):
+    """One parser reads the command and the options in any order: options
+    before the command write the files of the same options after it."""
+    after, before = tmp_path / "after", tmp_path / "before"
+    assert main([command, *flags, "--out", str(after)]) == 0
+    assert main([*flags, "--out", str(before), command]) == 0
+    names = sorted(p.name for p in after.iterdir())
+    assert names == sorted(p.name for p in before.iterdir())
+    assert len(names) == 3
+    for name in names:
+        assert (after / name).read_bytes() == (before / name).read_bytes()
 
 
 def test_cli_rejects_removed_seed_flag(capsys):
