@@ -86,8 +86,7 @@ def default_config_text() -> str:
     return (resources.files("rislink.data") / "default.yaml").read_text()
 
 
-# Every key load_config reads, by section in the order it unpacks them; a
-# mapping holds subsections.
+# Every key load_config reads, by section; a mapping holds subsections.
 _PROFILE_KEYS = {
     "radio": ("tx_power_dbm", "wavelength_m", "tx_gain_db", "rx_gain_db"),
     "ris": ("rows", "cols", "paper_scale_rows", "paper_scale_cols",
@@ -119,10 +118,39 @@ def _check_keys(section, known, where: str = "") -> None:
             _check_keys(value, known[key], f"{where}.{key}" if where else key)
 
 
-def _require(section: dict, key: str, where: str):
+def _read(raw: dict, name: str, kind: type = float, default=None):
+    """The profile value at the dotted `name` ("radio.wavelength_m",
+    "sweeps.distance.points") as `kind` (float, int or bool), or `default`
+    where the key is absent; a missing key with no default is an error.  A
+    number must be finite and not a YAML boolean, an int must not drop a
+    fraction, and a bool must be a YAML boolean.  Each error names the
+    key."""
+    *path, key = name.split(".")
+    section = raw
+    for part in path:
+        section = section.get(part, {})
     if key not in section:
-        raise ConfigError(f"missing key {key!r} in section {where!r}")
-    return section[key]
+        if default is None:
+            raise ConfigError(f"missing key {key!r} in section "
+                              f"{'.'.join(path)!r}")
+        return default
+    value = section[key]
+    if kind is bool or isinstance(value, bool):
+        if kind is bool and isinstance(value, bool):
+            return value
+        want = "true or false" if kind is bool else "a number"
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if kind is int:
+        if not number.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(number)
+    return number
 
 
 def load_config(path: str | Path | None = None, *,
@@ -154,76 +182,67 @@ def load_config(path: str | Path | None = None, *,
         raise ConfigError("config root must be a mapping")
     _check_keys(raw, _PROFILE_KEYS)
 
-    radio, ris, tx, geo, flags, sweeps = (raw.get(name, {})
-                                          for name in _PROFILE_KEYS)
+    wavelength = _read(raw, "radio.wavelength_m")
+    cfg_rows, cfg_cols = (_read(raw, f"ris.{k}", int)
+                          for k in ("rows", "cols"))
+    paper_rows, paper_cols = (_read(raw, f"ris.paper_scale_{k}", int, 100)
+                              for k in ("rows", "cols"))
+    ranges = SweepRanges(
+        distance_min=_read(raw, "sweeps.distance.min_m", float, 20.0),
+        distance_max=_read(raw, "sweeps.distance.max_m", float, 200.0),
+        distance_points=_read(raw, "sweeps.distance.points", int, 91),
+        plane_x=(_read(raw, "sweeps.plane.x_min_m", float, -50.0),
+                 _read(raw, "sweeps.plane.x_max_m", float, 250.0)),
+        plane_y=(_read(raw, "sweeps.plane.y_min_m", float, 0.0),
+                 _read(raw, "sweeps.plane.y_max_m", float, 120.0)),
+        plane_points=_read(raw, "sweeps.plane.points", int, 101),
+        wavelength_max=_read(raw, "sweeps.wavelength.max_m", float,
+                             wavelength),
+        wavelength_octaves=_read(raw, "sweeps.wavelength.octaves", float, 1.0),
+        wavelength_points=_read(raw, "sweeps.wavelength.points", int, 25),
+        element_ratio=_read(raw, "sweeps.wavelength.element_ratio", float,
+                            1.0 / 3.0),
+        total_area=_read(raw, "sweeps.wavelength.total_area_m2", float, 9.0),
+        robustness_extent=_read(raw, "sweeps.robustness.extent_m", float,
+                                10.0),
+        robustness_points=_read(raw, "sweeps.robustness.points", int, 41),
+    )
+    if grid_override is not None:
+        if grid_override < 2:
+            raise ConfigError("--grid must be >= 2")
+        ranges = replace(ranges, distance_points=grid_override,
+                         plane_points=grid_override,
+                         wavelength_points=grid_override,
+                         robustness_points=grid_override)
 
-    try:
-        wavelength = float(_require(radio, "wavelength_m", "radio"))
-        cfg_rows = int(_require(ris, "rows", "ris"))
-        cfg_cols = int(_require(ris, "cols", "ris"))
-        paper_rows = int(ris.get("paper_scale_rows", 100))
-        paper_cols = int(ris.get("paper_scale_cols", 100))
-        dist, plane, wl, rob = (sweeps.get(name, {})
-                                for name in _PROFILE_KEYS["sweeps"])
-        ranges = SweepRanges(
-            distance_min=float(dist.get("min_m", 20.0)),
-            distance_max=float(dist.get("max_m", 200.0)),
-            distance_points=int(dist.get("points", 91)),
-            plane_x=(float(plane.get("x_min_m", -50.0)),
-                     float(plane.get("x_max_m", 250.0))),
-            plane_y=(float(plane.get("y_min_m", 0.0)),
-                     float(plane.get("y_max_m", 120.0))),
-            plane_points=int(plane.get("points", 101)),
-            wavelength_max=float(wl.get("max_m", wavelength)),
-            wavelength_octaves=float(wl.get("octaves", 1.0)),
-            wavelength_points=int(wl.get("points", 25)),
-            element_ratio=float(wl.get("element_ratio", 1.0 / 3.0)),
-            total_area=float(wl.get("total_area_m2", 9.0)),
-            robustness_extent=float(rob.get("extent_m", 10.0)),
-            robustness_points=int(rob.get("points", 41)),
-        )
-        if grid_override is not None:
-            if grid_override < 2:
-                raise ConfigError("--grid must be >= 2")
-            ranges = replace(ranges, distance_points=grid_override,
-                             plane_points=grid_override,
-                             wavelength_points=grid_override,
-                             robustness_points=grid_override)
+    mode = str(raw.get("flags", {}).get("far_field_mode", "warn"))
+    if strict_far_field:
+        mode = "strict"
+    if mode not in ("warn", "strict", "off"):
+        raise ConfigError(f"unknown far_field_mode {mode!r}")
+    profile_direct = _read(raw, "flags.direct_link", bool, False)
 
-        mode = str(flags.get("far_field_mode", "warn"))
-        if strict_far_field:
-            mode = "strict"
-        if mode not in ("warn", "strict", "off"):
-            raise ConfigError(f"unknown far_field_mode {mode!r}")
-
-        cfg = SceneConfig(
-            tx_power=dbm_to_watts(float(_require(radio, "tx_power_dbm",
-                                                 "radio"))),
-            wavelength=wavelength,
-            tx_gain=db_to_linear(float(_require(radio, "tx_gain_db",
-                                                "radio"))),
-            rx_gain=db_to_linear(float(_require(radio, "rx_gain_db",
-                                                "radio"))),
-            ris_rows=paper_rows if paper_scale else cfg_rows,
-            ris_cols=paper_cols if paper_scale else cfg_cols,
-            element_size_x=float(_require(ris, "element_size_x_m", "ris")),
-            element_size_y=float(_require(ris, "element_size_y_m", "ris")),
-            ris_gain=db_to_linear(float(_require(ris, "gain_db", "ris"))),
-            reflection_coeff=float(ris.get("reflection_coeff", 1.0)),
-            pattern_exponent=float(ris.get("pattern_exponent", 3.0)),
-            antennas=int(_require(tx, "antennas", "transmitter")),
-            spacing=float(_require(tx, "spacing_wavelengths",
-                                   "transmitter")) * wavelength,
-            d_tr=float(_require(geo, "d_tr_m", "geometry")),
-            height=float(_require(geo, "height_m", "geometry")),
-            direct_link=bool(flags.get("direct_link", False))
-            if direct_link is None else direct_link,
-            far_field_mode=mode,
-            sweeps=ranges,
-            config_hash=hashlib.sha256(text.encode()).hexdigest(),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config value error: {exc}") from exc
+    cfg = SceneConfig(
+        tx_power=dbm_to_watts(_read(raw, "radio.tx_power_dbm")),
+        wavelength=wavelength,
+        tx_gain=db_to_linear(_read(raw, "radio.tx_gain_db")),
+        rx_gain=db_to_linear(_read(raw, "radio.rx_gain_db")),
+        ris_rows=paper_rows if paper_scale else cfg_rows,
+        ris_cols=paper_cols if paper_scale else cfg_cols,
+        element_size_x=_read(raw, "ris.element_size_x_m"),
+        element_size_y=_read(raw, "ris.element_size_y_m"),
+        ris_gain=db_to_linear(_read(raw, "ris.gain_db")),
+        reflection_coeff=_read(raw, "ris.reflection_coeff", float, 1.0),
+        pattern_exponent=_read(raw, "ris.pattern_exponent", float, 3.0),
+        antennas=_read(raw, "transmitter.antennas", int),
+        spacing=_read(raw, "transmitter.spacing_wavelengths") * wavelength,
+        d_tr=_read(raw, "geometry.d_tr_m"),
+        height=_read(raw, "geometry.height_m"),
+        direct_link=profile_direct if direct_link is None else direct_link,
+        far_field_mode=mode,
+        sweeps=ranges,
+        config_hash=hashlib.sha256(text.encode()).hexdigest(),
+    )
 
     _validate(cfg)
     return cfg
@@ -243,12 +262,18 @@ def _validate(cfg: SceneConfig) -> None:
         (cfg.spacing > 0, "antenna spacing must be > 0"),
         (cfg.d_tr > 0, "d_TR must be > 0"),
         (cfg.height >= 0, "height must be >= 0"),
+        (cfg.sweeps.distance_min > 0, "sweeps.distance.min_m must be > 0"),
         (cfg.sweeps.distance_points >= 2, "distance sweep needs >= 2 points"),
         (cfg.sweeps.plane_points >= 2, "plane sweep needs >= 2 points"),
         (cfg.sweeps.wavelength_points >= 2,
          "wavelength sweep needs >= 2 points"),
         (cfg.sweeps.wavelength_octaves >= 0,
          "wavelength sweep octaves must be >= 0"),
+        (cfg.sweeps.wavelength_max > 0, "sweeps.wavelength.max_m must be > 0"),
+        (cfg.sweeps.element_ratio > 0,
+         "sweeps.wavelength.element_ratio must be > 0"),
+        (cfg.sweeps.total_area > 0,
+         "sweeps.wavelength.total_area_m2 must be > 0"),
         (cfg.sweeps.robustness_points >= 2,
          "robustness sweep needs >= 2 points"),
         (cfg.sweeps.robustness_extent > 0,

@@ -1,13 +1,13 @@
 """Channel construction: radiation pattern, amplitude gains, exact and
 far-field approximated channels, direct link, and received power.
 
-Conventions.  `ChannelSet.h_ti` stores the L x N matrix whose (q, p) entry is
-the cascaded-path coefficient with positive geometric phase exp(+j*2*pi*d/l),
-i.e. the matrix that multiplies the beamformer in the received-power formula.
-`h_ir` is the matching length-L row and `h_tr` the optional length-N direct
-row.  The far-field amplitude split between the T->I and I->R hops is not
-observable; the whole product a_TIR is carried on `h_ti` and `h_ir` entries
-have unit amplitude.
+Conventions.  `ChannelSet.h_ti` stores the whole L x N cascade C =
+diag(h_IR) H_TI: its (q, p) entry is the coefficient of the path from
+antenna p through element q to R, with the positive geometric phase
+exp(+j*2*pi*(d_TI + d_IR)/l) of the two hops, so the RIS link's amplitude
+is theta @ C @ v.  No separate h_IR factor is kept: the received power
+depends on the RIS link only through C.  `h_tr` is the optional length-N
+direct row.
 
 The far-field link of a scene (its hop distances, a_TIR, the directions
 u_TI and u_IR and the antenna phasors b_vec) is written once, in
@@ -28,9 +28,9 @@ import numpy as np
 from .errors import (DegenerateGeometry, DimensionMismatch, DomainError,
                      FarFieldViolation, FarFieldWarning, ShadowedPanel)
 from .geometry import (LinkAngles, PanelPoses, RisPanel, TransmitterArray,
-                       UlaLayout, _as_vec3, _axis_offsets, _element_planes,
-                       _norm, antenna_positions, far_field_ratios,
-                       link_angles)
+                       UlaLayout, _antenna_offsets, _as_vec3, _axis_offsets,
+                       _element_planes, _norm, antenna_positions,
+                       far_field_ratios, link_angles)
 
 
 @dataclass(frozen=True)
@@ -49,40 +49,35 @@ class RadioParams:
             raise DomainError("power and gain must be nonnegative")
 
 
-def _leading_singular_pair(h_ti: np.ndarray, h_ir: np.ndarray,
+def _leading_singular_pair(c: np.ndarray,
                            mirrored: bool) -> tuple[np.ndarray, float]:
     """Leading left singular vector u and singular value sigma of the
-    cascade C = diag(h_ir) @ h_ti (L x N), from `eigh` of its N x N Gram
-    matrix G = C^H C = sum_q |h_ir[q]|^2 h_ti[q, :]^H h_ti[q, :], with no
-    L x N cascade formed: the rows of w = conj(h_ti[:, :top]) * |h_ir|^2
-    times h_ti give the first `top` rows of G.
+    cascade C (L x N), from `eigh` of its N x N Gram matrix G = C^H C: the
+    rows of conj(C[:, :top]).T times C are the first `top` rows of G.
 
     With `mirrored` (the symmetry of a mirror-symmetric exact channel,
-    see `_mirrored`: column N-1-p of h_ti is column p with its panel rows
-    reversed, and h_ir is invariant under that reversal), G[N-1-a, N-1-b]
-    = G[a, b], so only the first ceil(N/2) rows are multiplied out and the
-    rest are copies; `eigh` reads only the lower triangle.  Otherwise
-    top = N.
+    see `_mirrored`: column N-1-p of C is column p with its panel rows
+    reversed), G[N-1-a, N-1-b] = G[a, b], so only the first ceil(N/2) rows
+    are multiplied out and the rest are copies; `eigh` reads only the lower
+    triangle.  Otherwise top = N.
 
-    sigma = sqrt(max(lambda_max, 0)) and u = h_ir * (h_ti @ v_1) / sigma,
-    normalized; the global phase of u makes its first significant entry
-    real-positive.  A zero cascade gives sigma = 0 and u = e_1, which is
-    then a leading singular vector like any other unit vector.
+    sigma = sqrt(max(lambda_max, 0)) and u = C @ v_1 / sigma, normalized;
+    the global phase of u makes its first significant entry real-positive.
+    A zero cascade gives sigma = 0 and u = e_1, which is then a leading
+    singular vector like any other unit vector.
     """
-    n = h_ti.shape[1]
+    n = c.shape[1]
     top = (n + 1) // 2 if mirrored else n
-    w = np.conj(h_ti[:, :top])
-    w *= np.square(np.abs(h_ir))[:, None]
     gram = np.empty((n, n), dtype=complex)
-    np.matmul(w.T, h_ti, out=gram[:top])
+    np.matmul(np.conj(c[:, :top]).T, c, out=gram[:top])
     gram[top:] = gram[:n - top][::-1, ::-1]
     lam, vecs = np.linalg.eigh(gram)
     sigma = float(np.sqrt(max(lam[-1], 0.0)))
     if sigma == 0.0:
-        u = np.zeros(h_ti.shape[0], dtype=complex)
+        u = np.zeros(c.shape[0], dtype=complex)
         u[0] = 1.0
         return u, 0.0
-    u = h_ir * (h_ti @ vecs[:, -1]) / sigma
+    u = c @ vecs[:, -1] / sigma
     u /= np.linalg.norm(u)
     mag = np.abs(u)
     idx = int(np.argmax(mag > 1e-12 * mag.max()))
@@ -103,31 +98,25 @@ def _unit_phasors(phase: np.ndarray,
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Assembled channel matrices for one scene.
+    """Assembled channel matrices for one scene: the one L x N cascade C
+    and the optional direct row.
 
-    The cascade and its leading singular pair are computed on first use and
-    kept, read-only; the channel arrays must not be changed after that.
-    The leading pair is computed from h_ti and h_ir without the cascade.
+    The leading singular pair of C is computed on first use and kept,
+    read-only; the channel arrays must not be changed after that.
     `mirrored` states that the channel has the symmetry of a mirror-
     symmetric exact channel (see `_leading_singular_pair`); only
     `exact_channel` sets it, from its `_mirrored` check.
     """
 
-    h_ti: np.ndarray            # (L, N) cascaded T->RIS coefficients
-    h_ir: np.ndarray            # (L,)   RIS->R coefficients
-    wavelength: float
+    h_ti: np.ndarray  # (L, N) cascade C, (q, p): antenna p -> element q -> R
     h_tr: np.ndarray | None = None  # (N,) direct T->R row, if present
     mirrored: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
-        if self.h_ti.ndim != 2 or self.h_ir.ndim != 1:
-            raise DimensionMismatch("h_ti must be (L, N) and h_ir (L,)")
-        if self.h_ti.shape[0] != self.h_ir.shape[0]:
-            raise DimensionMismatch("h_ti and h_ir disagree on L")
+        if self.h_ti.ndim != 2:
+            raise DimensionMismatch("h_ti must be (L, N)")
         if self.h_tr is not None and self.h_tr.shape != (self.h_ti.shape[1],):
             raise DimensionMismatch("h_tr must have length N")
-        if self.wavelength <= 0:
-            raise DomainError("wavelength must be > 0")
 
     @property
     def num_elements(self) -> int:
@@ -137,23 +126,18 @@ class ChannelSet:
     def num_antennas(self) -> int:
         return self.h_ti.shape[1]
 
-    @cached_property
-    def _cascade(self) -> np.ndarray:
-        cascade = self.h_ir[:, None] * self.h_ti
-        cascade.flags.writeable = False
-        return cascade
-
     def cascade(self) -> np.ndarray:
-        """L x N cascade matrix (read-only): row q is h_ir[q] * h_ti[q, :]."""
-        return self._cascade
+        """The L x N cascade C as a read-only view of h_ti, no copy."""
+        view = self.h_ti.view()
+        view.flags.writeable = False
+        return view
 
     @cached_property
     def leading_pair(self) -> tuple[np.ndarray, float]:
         """(u_1, sigma_max) of the cascade: its leading left singular vector
         (read-only, first significant entry real-positive) and singular
         value, shared by the SVD design and the power bound."""
-        u, sigma = _leading_singular_pair(self.h_ti, self.h_ir,
-                                          self.mirrored)
+        u, sigma = _leading_singular_pair(self.h_ti, self.mirrored)
         u.flags.writeable = False
         return u, sigma
 
@@ -286,7 +270,7 @@ class _FarFieldLink(NamedTuple):
     a_tir: np.ndarray     # (P,), 0 where the panel does not see both ends
     u_ti: np.ndarray      # (P, 3)
     u_ir: np.ndarray      # (P, 3)
-    antennas: np.ndarray  # (N, 3) antenna offsets from the array center
+    antennas: np.ndarray  # (N, 3) antenna offsets of _antenna_offsets
     wavenum: float
 
     def b_vec(self) -> np.ndarray:
@@ -331,7 +315,7 @@ def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
         _require_lit(lit)
     return _FarFieldLink(poses=poses, d_ti=d_ti, d_ir=d_ir,
                          a_tir=delta / (d_ti * d_ir), u_ti=u_ti, u_ir=u_ir,
-                         antennas=antenna_positions(tx) - tx.center,
+                         antennas=_antenna_offsets(tx),
                          wavenum=2 * np.pi / radio.wavelength)
 
 
@@ -416,25 +400,18 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     """Rank-one far-field channel, assembled from the phasors and a_TIR of
     _farfield_link.
 
-    h_ti = a_TIR * exp(j*2*pi*d_TI/l) * outer(a_vec, b_vec) and
-    h_ir = exp(j*2*pi*d_IR/l) * c_vec, with a_vec and c_vec the panel
-    phasors toward u_TI and u_IR.  `mode` controls far-field enforcement:
-    "strict" raises, "warn" (default) warns, "off" skips.
+    C = a_TIR * exp(j*2*pi*(d_TI + d_IR)/l) * outer(d_vec, b_vec), with
+    d_vec the panel phasors toward u_TI + u_IR.  `mode` controls far-field
+    enforcement: "strict" raises, "warn" (default) warns, "off" skips.
     """
     rx = np.asarray(rx_position, dtype=float)
     link = _farfield_link(tx, ris, rx, radio, mode)
     wavenum = link.wavenum
-    a_vec = _panel_phasors(ris, link.u_ti[0], wavenum)
-    c_vec = _panel_phasors(ris, link.u_ir[0], wavenum)
-    phase_ti = complex(np.exp(1j * wavenum * link.d_ti[0]))
-    phase_ir = complex(np.exp(1j * wavenum * link.d_ir[0]))
-
-    h_ti = float(link.a_tir[0]) * phase_ti * np.outer(a_vec, link.b_vec()[0])
-    h_ir = phase_ir * c_vec
-
+    d_vec = _panel_phasors(ris, link.u_ti[0] + link.u_ir[0], wavenum)
+    hops = complex(np.exp(1j * wavenum * (link.d_ti[0] + link.d_ir[0])))
+    h_ti = float(link.a_tir[0]) * hops * np.outer(d_vec, link.b_vec()[0])
     h_tr = direct_channel(tx, rx, radio, farfield=True) if direct else None
-    return ChannelSet(h_ti=h_ti, h_ir=h_ir, wavelength=radio.wavelength,
-                      h_tr=h_tr)
+    return ChannelSet(h_ti=h_ti, h_tr=h_tr)
 
 
 def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
@@ -535,26 +512,19 @@ def _mirrored(points: np.ndarray, planes: np.ndarray, rows: int,
                for c in range(3))
 
 
-def _copy_mirrored_rows(values: np.ndarray, rows: int, copied: int) -> None:
-    """Write the last `copied` panel rows of the row-major (L,) `values` of
-    a `rows`-row panel as its first `copied` rows in reverse order."""
-    grid = values.reshape(rows, -1)
-    grid[rows - copied:] = grid[:copied][::-1]
-
-
 def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
                   radio: RadioParams, *, direct: bool = False) -> ChannelSet:
     """Per-pair geometric channel used as the validation oracle.
 
-    Entry (q, p) of h_ti carries the exact phase 2*pi*d_{TI,p,q}/l and the
-    per-pair amplitude delta / (d_{TI,p,q} * d_{IR,q}); pattern angles are
-    evaluated at the panel center.
+    Entry (q, p) of the cascade carries the exact phase
+    2*pi*(d_{TI,p,q} + d_{IR,q})/l of its two hops and the per-pair
+    amplitude delta / (d_{TI,p,q} * d_{IR,q}); pattern angles are evaluated
+    at the panel center.
     """
     rx = np.asarray(rx_position, dtype=float)
     angles = link_angles(tx, ris, rx)  # raises on coincident centers
     gain = amplitude_gain_tir(angles, tx, ris, radio)
-    lam = radio.wavelength
-    wavenum = 2 * np.pi / lam
+    wavenum = 2 * np.pi / radio.wavelength
 
     elems = _element_planes(ris)               # (3, L)
     ants = antenna_positions(tx)               # (N, 3)
@@ -564,16 +534,16 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     # a time; ChannelSet gets the (L, N) transpose view.  Distances come
     # from the element coordinate planes into two block-sized buffers made
     # once per call (the distances, and a work plane for the squared
-    # differences, then k*d, then d*d_IR, and last k*d_IR); an axis on
-    # which all antennas agree, two of three for a ULA along a coordinate
-    # axis, gets one squared-difference plane for every row.  _unit_phasors
-    # writes exp(j*k*d) straight into the block's rows, which are then
-    # scaled by the real amplitude delta / (d_ti * d_ir) in place.  In a
+    # differences, then k*(d + d_IR), then d*d_IR); an axis on which all
+    # antennas agree, two of three for a ULA along a coordinate axis, gets
+    # one squared-difference plane for every row.  _unit_phasors writes
+    # exp(j*k*(d + d_IR)) straight into the block's rows, which are then
+    # scaled by the real amplitude delta / (d * d_IR) in place.  In a
     # mirror-symmetric scene (_mirrored; every equilateral scene of the
     # studies) the loop builds only the first ceil(N/2) antenna rows and
-    # d_IR and h_IR only their first ceil(rows/2) panel rows: the last N//2
-    # antenna rows and rows//2 panel rows are copies of their mirror images
-    # with the panel rows reversed, and equal to what the build would give.
+    # d_IR only its first ceil(rows/2) panel rows: the last N//2 antenna
+    # rows and rows//2 panel rows are copies of their mirror images with
+    # the panel rows reversed, and equal to what the build would give.
     # The ChannelSet records that as `mirrored`, so that the leading pair
     # multiplies out only half the Gram rows.
     mirror = _mirrored(ants, elems, ris.rows, rx)
@@ -586,7 +556,8 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     d_ir = np.empty(count)
     _plane_distances(rx[None, :], elems[:, :evaluated],
                      d_ir[None, :evaluated], work[:1, :evaluated], {})
-    _copy_mirrored_rows(d_ir, ris.rows, rows_copied)
+    panel_ir = d_ir.reshape(ris.rows, ris.cols)
+    panel_ir[ris.rows - rows_copied:] = panel_ir[:rows_copied][::-1]
     if np.min(d_ir) == 0.0:
         raise DegenerateGeometry("element and receiver positions coincide")
     shared = {c: np.square(ants[0, c] - elems[c]) for c in range(3)
@@ -599,22 +570,17 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
                                 shared)
         if np.min(d_ti) == 0.0:
             raise DegenerateGeometry("antenna and element positions coincide")
-        phase = np.multiply(wavenum, d_ti, out=work[:len(rows)])
+        phase = np.add(d_ti, d_ir, out=work[:len(rows)])
+        phase *= wavenum
         _unit_phasors(phase, out=rows)
         amp = np.multiply(d_ti, d_ir, out=phase)
         np.divide(gain.delta, amp, out=amp)
         rows *= amp
     panels = h_ti.reshape(len(ants), ris.rows, ris.cols)
     panels[built:] = panels[:ants_copied][::-1, ::-1]
-    h_ir = np.empty(count, dtype=complex)
-    _unit_phasors(np.multiply(wavenum, d_ir[:evaluated],
-                              out=work[0, :evaluated]),
-                  out=h_ir[:evaluated])
-    _copy_mirrored_rows(h_ir, ris.rows, rows_copied)
 
     h_tr = direct_channel(tx, rx, radio, farfield=False) if direct else None
-    return ChannelSet(h_ti=h_ti.T, h_ir=h_ir, wavelength=lam, h_tr=h_tr,
-                      mirrored=mirror)
+    return ChannelSet(h_ti=h_ti.T, h_tr=h_tr, mirrored=mirror)
 
 
 def direct_channel(tx: TransmitterArray, rx_position, radio: RadioParams,
@@ -623,8 +589,8 @@ def direct_channel(tx: TransmitterArray, rx_position, radio: RadioParams,
     with the Friis amplitude a_TR = sqrt(G_t*G_r)*l/(4*pi*d_TR).
 
     The far-field variant linearizes the per-antenna distances as
-    d_TR + (antenna_p - T) . (T - R) / d_TR, the offsets of
-    _FarFieldLink.b_vec toward R.
+    d_TR + (antenna_p - T) . (T - R) / d_TR, with the offsets
+    antenna_p - T of _antenna_offsets, as _FarFieldLink.b_vec takes them.
     """
     rx = np.asarray(rx_position, dtype=float)
     d_tr = float(np.linalg.norm(rx - tx.center))
@@ -632,17 +598,17 @@ def direct_channel(tx: TransmitterArray, rx_position, radio: RadioParams,
         raise DegenerateGeometry("transmitter and receiver coincide")
     lam = radio.wavelength
     a_tr = friis_amplitude(tx.element_gain, radio.rx_gain, lam, d_tr)
-    ants = antenna_positions(tx)
     if farfield:
-        d_p = d_tr + (ants - tx.center) @ ((tx.center - rx) / d_tr)
+        d_p = d_tr + _antenna_offsets(tx) @ ((tx.center - rx) / d_tr)
     else:
-        d_p = np.linalg.norm(rx[None, :] - ants, axis=1)
+        d_p = np.linalg.norm(rx[None, :] - antenna_positions(tx), axis=1)
     return a_tr * np.exp(1j * 2 * np.pi * d_p / lam)
 
 
 def received_power(channels: ChannelSet, theta: np.ndarray,
                    v: np.ndarray) -> float:
-    """Received useful power |h_IR^H Theta H_TI^H v (+ h_TR^H v)|^2 in watts.
+    """Received useful power |theta @ C @ v (+ h_TR @ v)|^2 in watts, with
+    the cascade C of the ChannelSet.
 
     Caller guarantees unit-modulus theta and a beamformer within the power
     budget; shapes are checked here.
@@ -654,7 +620,7 @@ def received_power(channels: ChannelSet, theta: np.ndarray,
             f"theta must have length {channels.num_elements}")
     if v.shape != (channels.num_antennas,):
         raise DimensionMismatch(f"v must have length {channels.num_antennas}")
-    amp = (channels.h_ir * theta) @ channels.h_ti @ v
+    amp = theta @ channels.h_ti @ v
     if channels.h_tr is not None:
         amp = amp + channels.h_tr @ v
     return float(np.abs(amp) ** 2)

@@ -430,9 +430,9 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
 
     # the factored power of the closed form against the dense far-field
     # channel, for a tilted 3 x 4 panel (d_x != d_y) and a 2 x 3 UPA
-    # (spacing_x != spacing_y) at the origin, where its antenna offsets are
-    # exact, all steering components nonzero, at poses moved off the
-    # design's pose: theta . d_vec falls below L and AF_T below N
+    # (spacing_x != spacing_y) at the origin, all steering components
+    # nonzero, at poses moved off the design's pose: theta . d_vec falls
+    # below L and AF_T below N
     normal = _unit(np.array([0.15, 0.25, -1.0]))
     ax, tx_ax = _unit(_reject(_EX, normal)), _unit(np.array([1.0, 0.3, 0.4]))
     panel = _panel_at(replace(tiny, ris_rows=3, ris_cols=4,

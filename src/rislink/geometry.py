@@ -223,20 +223,23 @@ def _grid_offsets(rows: int, cols: int, d_x: float, d_y: float):
             np.repeat(_axis_offsets(rows, d_y), cols))
 
 
-def antenna_positions(tx: TransmitterArray) -> np.ndarray:
-    """Positions of every transmit antenna, shape (N, 3).
-
-    ULA antenna p (1-based) sits at center + ((N+1)/2 - p) * spacing * axis,
-    so positions are symmetric about the center.
-    """
+def _antenna_offsets(tx: TransmitterArray) -> np.ndarray:
+    """Offsets of every transmit antenna from the array center, shape
+    (N, 3), from the layout alone, with no center subtracted: ULA antenna
+    p (1-based) sits at ((N+1)/2 - p) * spacing * axis, so the offsets are
+    symmetric about the center, and UPA antenna q at x_m * axis_x +
+    y_n * axis_y over the centered row-major grid offsets."""
     lay = tx.layout
     if isinstance(lay, UlaLayout):
-        off = -_axis_offsets(lay.count, lay.spacing)
-        return tx.center[None, :] + off[:, None] * lay.axis[None, :]
+        return -_axis_offsets(lay.count, lay.spacing)[:, None] * lay.axis
     xo, yo = _grid_offsets(lay.rows, lay.cols, lay.spacing_x, lay.spacing_y)
-    return (tx.center[None, :]
-            + xo[:, None] * lay.axis_x[None, :]
-            + yo[:, None] * lay.axis_y[None, :])
+    return xo[:, None] * lay.axis_x + yo[:, None] * lay.axis_y
+
+
+def antenna_positions(tx: TransmitterArray) -> np.ndarray:
+    """Positions of every transmit antenna, shape (N, 3): the center plus
+    the offsets of _antenna_offsets."""
+    return tx.center + _antenna_offsets(tx)
 
 
 def _element_planes(ris: RisPanel) -> np.ndarray:

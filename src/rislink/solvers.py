@@ -228,12 +228,12 @@ def svd_solution(channels: ChannelSet, p_t: float) -> Solution:
     """SVD-based design: project the leading left singular vector u_1 of the
     cascade channel onto unit-modulus phases, theta = conj(u_1) / |u_1|
     (1 where u_1 is 0), then MRT against the effective row
-    (h_IR * theta) @ H_TI (+ h_TR)."""
+    theta @ C (+ h_TR)."""
     u1, _ = channels.leading_pair
     mag = np.abs(u1)
     theta = np.ones(len(u1), dtype=complex)
     np.divide(np.conj(u1), mag, out=theta, where=mag != 0)
-    row = (channels.h_ir * theta) @ channels.h_ti
+    row = theta @ channels.h_ti
     if channels.h_tr is not None:
         row = row + channels.h_tr
     v = mrt_beamforming(row, p_t)

@@ -107,8 +107,7 @@ def test_03_power_scaling_laws():
         a = np.exp(1j * rng.uniform(0, 2 * np.pi, l))
         b = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         c = np.exp(1j * rng.uniform(0, 2 * np.pi, l))
-        ch = ChannelSet(h_ti=a_tir * np.outer(a, b), h_ir=c,
-                        wavelength=0.0286)
+        ch = ChannelSet(h_ti=a_tir * np.outer(a * c, b))
         theta = np.conj(a * c)
         v = mrt_beamforming(theta @ ch.cascade(), p_t)
         return received_power(ch, theta, v)

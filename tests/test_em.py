@@ -97,9 +97,8 @@ def test_farfield_channel_rank_one_and_factors():
     assert s[1] <= s[0] * 1e-12
     a_tir = em._farfield_link(tx, ris, rx, RADIO, "off").a_tir[0]
     np.testing.assert_allclose(np.abs(channels.h_ti), a_tir, rtol=1e-12)
-    np.testing.assert_allclose(np.abs(channels.h_ir), 1.0, atol=1e-12)
-    # each cascade column is d_vec = c_vec * a_vec, the conjugate of the
-    # closed-form phases, times one constant
+    # each cascade column is d_vec, the conjugate of the closed-form
+    # phases, times one constant
     d_vec = np.conj(closed_form_phases(tx, ris, rx, RADIO.wavelength))
     column = channels.cascade()[:, 0]
     np.testing.assert_allclose(column, d_vec * (column[0] / d_vec[0]),
@@ -167,12 +166,18 @@ def test_far_field_enforcement_modes():
 
 
 def test_received_power_matches_manual_product():
+    """|theta @ C @ v + h_TR @ v|^2, with the cascade C written out by
+    dense_exact_channel and summed over every path."""
     tx, ris, rx = equilateral(300.0)
     ch = exact_channel(tx, ris, rx, RADIO, direct=True)
     rng = np.random.default_rng(3)
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, ris.count))
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    amp = (ch.h_ir * theta) @ ch.h_ti @ v + ch.h_tr @ v
+    delta = amplitude_gain_tir(link_angles(tx, ris, rx), tx, ris,
+                               RADIO).delta
+    c = dense_exact_channel(antenna_positions(tx), element_positions(ris),
+                            rx, delta, RADIO.wavelength)
+    amp = np.einsum("q,qp,p->", theta, c, v) + ch.h_tr @ v
     assert received_power(ch, theta, v) == pytest.approx(abs(amp) ** 2,
                                                          rel=1e-12)
 
@@ -195,11 +200,9 @@ def test_shape_mismatches_raise():
     with pytest.raises(DimensionMismatch):
         received_power(ch, np.ones(4, dtype=complex), np.ones(5))
     with pytest.raises(DimensionMismatch):
-        ChannelSet(h_ti=np.ones((4, 2), dtype=complex),
-                   h_ir=np.ones(3, dtype=complex), wavelength=0.0286)
+        ChannelSet(h_ti=np.ones(4, dtype=complex))
     with pytest.raises(DimensionMismatch):
         ChannelSet(h_ti=np.ones((4, 2), dtype=complex),
-                   h_ir=np.ones(4, dtype=complex), wavelength=0.0286,
                    h_tr=np.ones(3, dtype=complex))
 
 
@@ -283,7 +286,7 @@ def steering_beam(tx, tx_steering, p_t, wavelength):
     of the closed-form design: sqrt(P_t/N) * conj(b_0) with b_0[p] =
     exp(j*k*(antenna_p - T) . w) for the direction w whose components
     along the array axes are the steering, from the antenna positions of
-    the array moved to the origin (see at_origin)."""
+    the array moved to the origin, which are its layout offsets."""
     lay = tx.layout
     if isinstance(lay, UlaLayout):
         w = tx_steering * lay.axis
@@ -294,24 +297,11 @@ def steering_beam(tx, tx_steering, p_t, wavelength):
             * np.exp(-1j * 2 * np.pi / wavelength * offsets))
 
 
-def at_origin(tx, ris, rx):
-    """The scene moved so that T sits at the origin.  The dense far-field
-    channel takes its antenna offsets as antenna_positions(tx) - T, which
-    round by up to ulp(|T|)/2 per coordinate: at |T| = 200 m that is a
-    phase error of k * 1.4e-14 rad per antenna, which a random transmitter
-    steering that cancels the antenna sum turns into a relative error far
-    above 1e-12.  At the origin the offsets are exact."""
-    return (replace(tx, center=np.zeros(3)),
-            replace(ris, center=ris.center - tx.center), rx - tx.center)
-
-
 def dense_power(tx, ris, rx, radio, steering, tx_steering):
-    """received_power on the dense far-field channel of the scene, moved by
-    at_origin, of the design that the steering pair and the transmitter
-    steering stand for (steering_phases and steering_beam)."""
-    tx0, ris0, rx0 = at_origin(tx, ris, rx)
-    channels = farfield_channel(tx0, ris0, rx0, radio, direct=False,
-                                mode="off")
+    """received_power on the dense far-field channel of the scene, of the
+    design that the steering pair and the transmitter steering stand for
+    (steering_phases and steering_beam)."""
+    channels = farfield_channel(tx, ris, rx, radio, direct=False, mode="off")
     return received_power(
         channels, steering_phases(ris, steering, radio.wavelength),
         steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength))
@@ -359,28 +349,29 @@ def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
 @given(**scene_args)
 @example(rows=3, cols=6, upa=True, seed=3)
 def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
-    """The far-field channel equals its factorization built from the
-    per-element and per-antenna linearized offsets of the (L, 3) element and
-    (N, 3) antenna positions, in row-major element order: the separable
-    panel phasors are the element phasors a_vec and c_vec, and the link's
-    b_vec covers ULA and UPA layouts."""
+    """The far-field cascade equals its factorization built from the
+    per-element and per-antenna linearized offsets of the (L, 3) element
+    positions and of the (N, 3) antenna offsets of the layout (the antenna
+    positions of the array moved to the origin), in row-major element
+    order: the separable panel phasors toward u_TI + u_IR are the products
+    of the element phasors toward T and R, and the link's b_vec covers ULA
+    and UPA layouts."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
     channels = farfield_channel(tx, ris, rx, radio, mode="off")
     link = em._farfield_link(tx, ris, rx, radio, "off")
     wavenum = 2 * np.pi / radio.wavelength
     elems = element_positions(ris)
-    a_ref = np.exp(1j * wavenum * offsets_toward(elems, ris.center,
-                                                 tx.center))
-    c_ref = np.exp(1j * wavenum * offsets_toward(elems, ris.center, rx))
-    b_ref = np.exp(1j * wavenum * offsets_toward(antenna_positions(tx),
-                                                 tx.center, ris.center))
-    h_ti = (link.a_tir[0] * np.exp(1j * wavenum * link.d_ti[0])
-            * np.outer(a_ref, b_ref))
-    np.testing.assert_allclose(channels.h_ti, h_ti, rtol=0,
+    d_ref = np.exp(1j * wavenum * (offsets_toward(elems, ris.center,
+                                                  tx.center)
+                                   + offsets_toward(elems, ris.center, rx)))
+    layout = antenna_positions(replace(tx, center=np.zeros(3)))
+    b_ref = np.exp(1j * wavenum * offsets_toward(
+        layout, np.zeros(3), ris.center - tx.center))
+    cascade = (link.a_tir[0]
+               * np.exp(1j * wavenum * (link.d_ti[0] + link.d_ir[0]))
+               * np.outer(d_ref, b_ref))
+    np.testing.assert_allclose(channels.h_ti, cascade, rtol=0,
                                atol=1e-12 * link.a_tir[0])
-    np.testing.assert_allclose(channels.h_ir,
-                               np.exp(1j * wavenum * link.d_ir[0]) * c_ref,
-                               rtol=0, atol=1e-12)
 
 
 def mirrored_scene(rows, cols, seed):
@@ -421,15 +412,14 @@ def takes_mirror_build(tx, ris, rx):
 
 
 def dense_exact_channel(ants, elems, rx, delta, wavelength):
-    """h_ti and h_ir of the exact channel written out from the (N, 3)
+    """The cascade (L, N) of the exact channel written out from the (N, 3)
     antenna and (L, 3) element positions: the per-pair distances by
     np.linalg.norm of the (L, N, 3) differences, the amplitude
-    delta / (d * d_IR) and the phasor np.exp(j*k*d)."""
+    delta / (d * d_IR) and the phasor np.exp(j*k*(d + d_IR))."""
     wavenum = 2 * np.pi / wavelength
     d_ti = np.linalg.norm(elems[:, None, :] - ants[None, :, :], axis=2)
-    d_ir = np.linalg.norm(rx[None, :] - elems, axis=1)
-    h_ti = delta / (d_ti * d_ir[:, None]) * np.exp(1j * wavenum * d_ti)
-    return h_ti, np.exp(1j * wavenum * d_ir)
+    d_ir = np.linalg.norm(rx[None, :] - elems, axis=1)[:, None]
+    return delta / (d_ti * d_ir) * np.exp(1j * wavenum * (d_ti + d_ir))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -484,11 +474,9 @@ def test_exact_channel_matches_norm_formula(rows, cols, upa, seed,
     assert channels.mirrored == mirrored
     delta = amplitude_gain_tir(link_angles(tx, ris, rx), tx, ris,
                                radio).delta
-    h_ti, h_ir = dense_exact_channel(antenna_positions(tx),
-                                     element_positions(ris), rx, delta,
-                                     radio.wavelength)
-    assert np.array_equal(channels.h_ti, h_ti)
-    assert np.array_equal(channels.h_ir, h_ir)
+    assert np.array_equal(channels.h_ti, dense_exact_channel(
+        antenna_positions(tx), element_positions(ris), rx, delta,
+        radio.wavelength))
 
 
 @pytest.mark.parametrize("nudged", ["rx", "element", "antenna"])
@@ -513,10 +501,8 @@ def test_exact_channel_near_mirror_takes_full_build(nudged, monkeypatch):
     assert not channels.mirrored
     delta = amplitude_gain_tir(link_angles(tx, ris, rx), tx, ris,
                                radio).delta
-    h_ti, h_ir = dense_exact_channel(ants, planes.T, rx, delta,
-                                     radio.wavelength)
-    assert np.array_equal(channels.h_ti, h_ti)
-    assert np.array_equal(channels.h_ir, h_ir)
+    assert np.array_equal(channels.h_ti, dense_exact_channel(
+        ants, planes.T, rx, delta, radio.wavelength))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -579,13 +565,14 @@ def test_exact_channel_raises_on_coincident_antenna_and_element(monkeypatch):
         exact_channel(tx, ris, rx, RADIO)
 
 
-def test_channel_set_caches_cascade_and_leading_pair_read_only():
+def test_channel_set_cascade_is_a_view_and_leading_pair_read_only():
+    """cascade() is h_ti itself as a read-only view, no copy; the leading
+    pair is computed once and kept read-only."""
     tx, ris, rx = equilateral(50.0, rows=3, cols=2, count=3)
     channels = exact_channel(tx, ris, rx, RADIO)
     cascade = channels.cascade()
-    assert channels.cascade() is cascade
-    np.testing.assert_array_equal(cascade,
-                                  channels.h_ir[:, None] * channels.h_ti)
+    assert np.shares_memory(cascade, channels.h_ti)
+    np.testing.assert_array_equal(cascade, channels.h_ti)
     u1, sigma = channels.leading_pair
     assert channels.leading_pair[0] is u1
     assert sigma == pytest.approx(np.linalg.svd(cascade,

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -247,17 +248,33 @@ def test_distance_scenes_take_mirror_build(paper_scale, monkeypatch):
 @pytest.mark.parametrize("paper_scale", [False, True])
 def test_study_spectral_path_forms_no_cascade(paper_scale, monkeypatch):
     """sweep-distance and solve with the direct link take the SVD design
-    and the bound from h_ti and h_ir: a study that builds the L x N cascade
-    fails here instead of paying for it at every point."""
-    def no_cascade(self):
-        raise AssertionError("the L x N cascade was formed")
-
-    monkeypatch.setattr(em.ChannelSet, "_cascade", property(no_cascade))
+    and the bound from the one stored cascade: cascade() is a read-only
+    view of h_ti, and at paper scale the traced peak of solve, the channel
+    included, stays under twice the channel's size, so a solver path that
+    forms a second L x N matrix (theta[:, None] * h_ti, say) fails here
+    instead of paying for it at every point."""
+    build, channels = experiments.exact_channel, []
+    monkeypatch.setattr(experiments, "exact_channel",
+                        lambda *args, **kw: channels.append(
+                            build(*args, **kw)) or channels[-1])
     cfg = load_config(paper_scale=paper_scale)
     cfg = replace(cfg, sweeps=replace(cfg.sweeps, distance_points=3))
     assert len(sweep_distance(cfg)) == 3
-    assert solve(replace(cfg, direct_link=True)).columns["method"][-2:] == [
-        "svd-projected", "upper-bound"]
+    cfg = replace(cfg, direct_link=True)
+    assert solve(cfg).columns["method"][-2:] == ["svd-projected",
+                                                 "upper-bound"]
+    cascade = channels[-1].cascade()
+    assert np.shares_memory(cascade, channels[-1].h_ti)
+    assert not cascade.flags.writeable
+    if paper_scale:
+        channels.clear()
+        tracemalloc.start()
+        try:
+            solve(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * channels[0].h_ti.nbytes
 
 
 def test_sweep_plane_direct_link_adds_columns():

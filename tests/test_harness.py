@@ -68,7 +68,7 @@ def test_config_overrides():
     assert cfg.sweeps.robustness_points == 7
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.yaml")
     bad = tmp_path / "bad.yaml"
@@ -118,6 +118,37 @@ def test_config_errors(tmp_path):
         profile.write_text(text.replace(old, new))
         with pytest.raises(ConfigError, match=message):
             load_config(profile)
+    # values the loader used to misread, truncate or pass on to a failing
+    # or meaningless study: exit code 1, the key named, nothing written
+    for old, new, key in (
+            ("wavelength_m: 0.0286", "wavelength_m: .inf",
+             "radio.wavelength_m must be finite"),
+            ("direct_link: false", 'direct_link: "false"',
+             "flags.direct_link must be true or false"),
+            ("  rows: 20 ", "  rows: 20.7 ", "ris.rows must be an integer"),
+            ("points: 91", "points: 2.9",
+             "sweeps.distance.points must be an integer"),
+            ("min_m: 20.0", "min_m: -20.0", "sweeps.distance.min_m must be"),
+            ("min_m: 20.0", "min_m: 0.0", "sweeps.distance.min_m must be"),
+            ("d_tr_m: 200.0", "d_tr_m: .inf",
+             "geometry.d_tr_m must be finite"),
+            ("    max_m: 0.0286", "    max_m: 0.0",
+             "sweeps.wavelength.max_m must be"),
+            ("total_area_m2: 9.0", "total_area_m2: 0.0",
+             "sweeps.wavelength.total_area_m2 must be"),
+            ("element_ratio: 0.3333333333333333", "element_ratio: -1.0",
+             "sweeps.wavelength.element_ratio must be"),
+            ("antennas: 16", "antennas: true",
+             "transmitter.antennas must be a number")):
+        assert text.count(old) == 1
+        profile = tmp_path / "value.yaml"
+        profile.write_text(text.replace(old, new))
+        out = tmp_path / "value_out"
+        capsys.readouterr()
+        assert main(["solve", "--config", str(profile),
+                     "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_emit_csv_format_and_sidecar(tmp_path):

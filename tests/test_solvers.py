@@ -19,7 +19,7 @@ from rislink.solvers import (Method, _closed_form_design, anti_decay_design,
                              two_path_terms)
 from rislink.validation import random_feasible_solutions
 
-from test_em import (RADIO, at_origin, equilateral, offsets_toward,
+from test_em import (RADIO, equilateral, offsets_toward,
                      random_scene, random_steering, random_tx_steering,
                      scene_args, steering_beam, steering_phases)
 from test_geometry import EX, EY, make_ula
@@ -146,8 +146,7 @@ def test_closed_form_predicts_its_farfield_power(scene):
     assert np.array_equal(steering_phases(ris, steering, radio.wavelength),
                           sol.theta)
     v = steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength)
-    moved = closed_form_solution(*at_origin(tx, ris, rx), radio).v
-    assert np.allclose(v, moved, rtol=0, atol=1e-12 * np.abs(moved).max())
+    assert np.allclose(v, sol.v, rtol=0, atol=1e-12 * np.abs(sol.v).max())
     power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
                            mode="off")
     assert power == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
@@ -208,9 +207,8 @@ def test_scaling_laws_numeric_fixed_amplitude():
         a = np.exp(1j * rng.uniform(0, 2 * np.pi, l))
         b = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         c = np.exp(1j * rng.uniform(0, 2 * np.pi, l))
-        h_ti = a_tir * np.outer(a, b)
         from rislink.em import ChannelSet
-        ch = ChannelSet(h_ti=h_ti, h_ir=c, wavelength=RADIO.wavelength)
+        ch = ChannelSet(h_ti=a_tir * np.outer(a * c, b))
         theta = np.conj(a * c)
         v = mrt_beamforming(theta @ ch.cascade(), P_T)
         return received_power(ch, theta, v)
@@ -385,16 +383,17 @@ def test_two_path_power_formula_uses_coherence_magnitude():
 @example(rows=1, cols=1, n=3, rank=2, mirrored=True, seed=6)
 def test_leading_singular_pair_matches_dense_svd(rows, cols, n, rank,
                                                  mirrored, seed):
-    """The factor-form Gram `eigh` kernel against dense SVD of the cascade
-    h_ir[:, None] * h_ti, with h_ti a random complex L x N matrix of the
+    """The Gram `eigh` kernel against dense SVD of a cascade
+    C = h_ir[:, None] * h_ti, with h_ti a random complex L x N matrix of the
     drawn rank (capped at min(L, N); 0 is the zero matrix), L = rows * cols
-    panel elements, and h_ir of random moduli, about a fifth of them 0.
+    panel elements, and its rows scaled by the h_ir of random moduli, about
+    a fifth of them 0.
 
     A `mirrored` input has the symmetry of a mirror-symmetric exact
     channel and is passed with the flag: a random half reflected, so that
-    column N-1-p of h_ti is column p with the panel rows reversed and h_ir
-    is invariant under that reversal (odd N and odd rows have a middle
-    column and panel row that map onto themselves).
+    column N-1-p of C is column p with the panel rows reversed (odd N and
+    odd rows have a middle column and panel row that map onto
+    themselves).
 
     sigma is held to 1e-12 relative.  u is compared up to a global phase;
     its error scales with the spectral gap sigma_1^2 / (sigma_1^2 -
@@ -417,10 +416,12 @@ def test_leading_singular_pair_matches_dense_svd(rows, cols, n, rank,
         h_ti = pairs.reshape(n, l).T
         panel = h_ir.reshape(rows, cols)
         panel[rows - rows // 2:] = panel[:rows // 2][::-1]
-        assert np.array_equal(h_ti[:, ::-1],
-                              h_ti.reshape(rows, cols, n)[::-1].reshape(l, n))
-    u, sigma = _leading_singular_pair(h_ti, h_ir, mirrored)
-    u_ref, s_ref, _ = np.linalg.svd(h_ir[:, None] * h_ti)
+    c = h_ir[:, None] * h_ti
+    if mirrored:
+        assert np.array_equal(c[:, ::-1],
+                              c.reshape(rows, cols, n)[::-1].reshape(l, n))
+    u, sigma = _leading_singular_pair(c, mirrored)
+    u_ref, s_ref, _ = np.linalg.svd(c)
     assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
     if s_ref[0] == 0.0:
         assert sigma == 0.0
@@ -461,7 +462,7 @@ def test_svd_solution_matches_closed_form_on_farfield_channel(scene):
 @example(rows=2, cols=2, seed=0)
 def test_two_path_row_matches_dense_farfield_channel(rows, cols, seed):
     """The two-path MRT row formed from the rank-one factors equals the row
-    (h_ir * theta) @ h_ti + h_tr of the dense far-field channel, so the
+    theta @ C + h_tr of the dense far-field channel, so the
     beamformer is the MRT of that row."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, False, seed)
     with warnings.catch_warnings():
@@ -469,7 +470,7 @@ def test_two_path_row_matches_dense_farfield_channel(rows, cols, seed):
         sol = two_path_solution(tx, ris, rx, radio, mode="off")
     channels = farfield_channel(tx, ris, rx, radio, direct=True,
                                 mode="off")
-    row = (channels.h_ir * sol.theta) @ channels.h_ti + channels.h_tr
+    row = sol.theta @ channels.h_ti + channels.h_tr
     np.testing.assert_allclose(sol.v, mrt_beamforming(row, radio.tx_power),
                                rtol=0, atol=1e-12 * np.sqrt(radio.tx_power))
 
@@ -488,13 +489,10 @@ def test_solution_ordering_near_field():
 
 def test_power_upper_bound_zero_channel():
     from rislink.em import ChannelSet
-    ch = ChannelSet(h_ti=np.zeros((4, 2), dtype=complex),
-                    h_ir=np.zeros(4, dtype=complex), wavelength=0.0286)
+    ch = ChannelSet(h_ti=np.zeros((4, 2), dtype=complex))
     assert power_upper_bound(ch, 1.0) == 0.0
     # with a direct row the ceiling is the direct path's alone
-    h_tr = np.array([3e-4, 4e-4j])
-    direct = ChannelSet(h_ti=ch.h_ti, h_ir=ch.h_ir, wavelength=0.0286,
-                        h_tr=h_tr)
+    direct = ChannelSet(h_ti=ch.h_ti, h_tr=np.array([3e-4, 4e-4j]))
     assert power_upper_bound(direct, 2.0) == pytest.approx(2.0 * 25e-8,
                                                            rel=1e-15)
 

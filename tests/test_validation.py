@@ -20,8 +20,7 @@ def random_channels(l, n, seed, direct=False):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     h_tr = 0.3 * cplx(n) if direct else None
-    return ChannelSet(h_ti=cplx(l, n), h_ir=cplx(l), wavelength=0.01,
-                      h_tr=h_tr)
+    return ChannelSet(h_ti=cplx(l, n) * cplx(l)[:, None], h_tr=h_tr)
 
 
 def naive_search(channels, p_t, levels):
@@ -46,7 +45,7 @@ def test_exhaustive_search_matches_naive_enumeration(l, n, direct):
     best, theta = exhaustive_phase_search(channels, 2.0, levels=16)
     assert best == pytest.approx(naive_search(channels, 2.0, 16), rel=1e-12)
     # returned theta reproduces the reported power and lies on the grid
-    row = (channels.h_ir * theta) @ channels.h_ti
+    row = theta @ channels.h_ti
     if channels.h_tr is not None:
         row = row + channels.h_tr
     assert float(np.linalg.norm(row) ** 2) * 2.0 == pytest.approx(best,
