@@ -6,7 +6,7 @@ __version__ = "1.0.0"
 
 from .config import (SceneConfig, SweepRanges, db_to_linear, dbm_to_watts,
                      linear_to_db, load_config, watts_to_dbm)
-from .em import (ChannelSet, RadioParams, TirGain, amplitude_gain_tir,
+from .em import (ChannelSet, RadioParams, amplitude_gain_tir,
                  direct_channel, exact_channel, farfield_channel,
                  farfield_power, friis_amplitude, radiation_pattern,
                  received_power, tir_delta)
@@ -15,10 +15,9 @@ from .errors import (AmbiguousSignWarning, ConfigError, DegenerateGeometry,
                      EmptyFeasible, FarFieldViolation, FarFieldWarning,
                      RegionDWarning, RislinkError, ShadowedPanel, TooLarge,
                      ZeroChannel)
-from .geometry import (FarFieldCheck, LinkAngles, PanelPoses, RisPanel,
-                       TransmitterArray, UlaLayout, UpaLayout,
-                       antenna_positions, element_positions, far_field_check,
-                       link_angles)
+from .geometry import (LinkAngles, PanelPoses, RisPanel, TransmitterArray,
+                       UlaLayout, UpaLayout, antenna_positions,
+                       element_positions, far_field_check, link_angles)
 from .placement import (PlacementResult, PlaneScene, QuasiconvexityReport,
                         f_object, optimal_orientation, plane_objective,
                         position_search_plane, quasiconvexity_report,

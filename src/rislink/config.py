@@ -118,11 +118,12 @@ def _check_keys(section, known, where: str = "") -> None:
             _check_keys(value, known[key], f"{where}.{key}" if where else key)
 
 
-def _read(raw: dict, name: str, kind: type = float, default=None):
+def _read(raw: dict, name: str, kind=float, default=None):
     """The profile value at the dotted `name` ("radio.wavelength_m",
-    "sweeps.distance.points") as `kind` (float, int or bool), or `default`
-    where the key is absent; a missing key with no default is an error.  A
-    number must be finite and not a YAML boolean, an int must not drop a
+    "sweeps.distance.points") as `kind` (float, int, bool, or db_to_linear
+    or dbm_to_watts of a dB value), or `default` where the key is absent; a
+    missing key with no default is an error.  A number must be finite, not
+    a YAML boolean and, in dB, not overflow; an int must not drop a
     fraction, and a bool must be a YAML boolean.  Each error names the
     key."""
     *path, key = name.split(".")
@@ -150,7 +151,11 @@ def _read(raw: dict, name: str, kind: type = float, default=None):
         if not number.is_integer():
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(number)
-    return number
+    try:
+        return kind(number)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large: {value!r} overflows as a "
+                          "linear value") from None
 
 
 def load_config(path: str | Path | None = None, *,
@@ -223,15 +228,15 @@ def load_config(path: str | Path | None = None, *,
     profile_direct = _read(raw, "flags.direct_link", bool, False)
 
     cfg = SceneConfig(
-        tx_power=dbm_to_watts(_read(raw, "radio.tx_power_dbm")),
+        tx_power=_read(raw, "radio.tx_power_dbm", dbm_to_watts),
         wavelength=wavelength,
-        tx_gain=db_to_linear(_read(raw, "radio.tx_gain_db")),
-        rx_gain=db_to_linear(_read(raw, "radio.rx_gain_db")),
+        tx_gain=_read(raw, "radio.tx_gain_db", db_to_linear),
+        rx_gain=_read(raw, "radio.rx_gain_db", db_to_linear),
         ris_rows=paper_rows if paper_scale else cfg_rows,
         ris_cols=paper_cols if paper_scale else cfg_cols,
         element_size_x=_read(raw, "ris.element_size_x_m"),
         element_size_y=_read(raw, "ris.element_size_y_m"),
-        ris_gain=db_to_linear(_read(raw, "ris.gain_db")),
+        ris_gain=_read(raw, "ris.gain_db", db_to_linear),
         reflection_coeff=_read(raw, "ris.reflection_coeff", float, 1.0),
         pattern_exponent=_read(raw, "ris.pattern_exponent", float, 3.0),
         antennas=_read(raw, "transmitter.antennas", int),
@@ -249,6 +254,7 @@ def load_config(path: str | Path | None = None, *,
 
 
 def _validate(cfg: SceneConfig) -> None:
+    sw = cfg.sweeps
     checks = [
         (cfg.wavelength > 0, "wavelength must be > 0"),
         (cfg.tx_power >= 0, "transmit power must be >= 0"),
@@ -262,22 +268,22 @@ def _validate(cfg: SceneConfig) -> None:
         (cfg.spacing > 0, "antenna spacing must be > 0"),
         (cfg.d_tr > 0, "d_TR must be > 0"),
         (cfg.height >= 0, "height must be >= 0"),
-        (cfg.sweeps.distance_min > 0, "sweeps.distance.min_m must be > 0"),
-        (cfg.sweeps.distance_points >= 2, "distance sweep needs >= 2 points"),
-        (cfg.sweeps.plane_points >= 2, "plane sweep needs >= 2 points"),
-        (cfg.sweeps.wavelength_points >= 2,
-         "wavelength sweep needs >= 2 points"),
-        (cfg.sweeps.wavelength_octaves >= 0,
-         "wavelength sweep octaves must be >= 0"),
-        (cfg.sweeps.wavelength_max > 0, "sweeps.wavelength.max_m must be > 0"),
-        (cfg.sweeps.element_ratio > 0,
-         "sweeps.wavelength.element_ratio must be > 0"),
-        (cfg.sweeps.total_area > 0,
-         "sweeps.wavelength.total_area_m2 must be > 0"),
-        (cfg.sweeps.robustness_points >= 2,
-         "robustness sweep needs >= 2 points"),
-        (cfg.sweeps.robustness_extent > 0,
-         "robustness sweep extent must be > 0"),
+        (sw.distance_min > 0, "sweeps.distance.min_m must be > 0"),
+        (sw.distance_max > sw.distance_min,
+         "sweeps.distance.max_m must be > sweeps.distance.min_m"),
+        (sw.plane_x[1] > sw.plane_x[0],
+         "sweeps.plane.x_max_m must be > sweeps.plane.x_min_m"),
+        (sw.plane_y[1] > sw.plane_y[0],
+         "sweeps.plane.y_max_m must be > sweeps.plane.y_min_m"),
+        (sw.distance_points >= 2, "distance sweep needs >= 2 points"),
+        (sw.plane_points >= 2, "plane sweep needs >= 2 points"),
+        (sw.wavelength_points >= 2, "wavelength sweep needs >= 2 points"),
+        (sw.wavelength_octaves >= 0, "wavelength sweep octaves must be >= 0"),
+        (sw.wavelength_max > 0, "sweeps.wavelength.max_m must be > 0"),
+        (sw.element_ratio > 0, "sweeps.wavelength.element_ratio must be > 0"),
+        (sw.total_area > 0, "sweeps.wavelength.total_area_m2 must be > 0"),
+        (sw.robustness_points >= 2, "robustness sweep needs >= 2 points"),
+        (sw.robustness_extent > 0, "robustness sweep extent must be > 0"),
     ]
     for ok, msg in checks:
         if not ok:

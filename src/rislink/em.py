@@ -9,10 +9,10 @@ is theta @ C @ v.  No separate h_IR factor is kept: the received power
 depends on the RIS link only through C.  `h_tr` is the optional length-N
 direct row.
 
-The far-field link of a scene (its hop distances, a_TIR, the directions
-u_TI and u_IR and the antenna phasors b_vec) is written once, in
-`_farfield_link`; `farfield_channel`, `farfield_power` and the closed-form
-designs of `solvers` all read it from there.
+The scene route is `geometry.link_angles`, then `amplitude_gain_tir` (the
+distance-free amplitude delta): `exact_channel` reads it at the panel's
+own pose, and `_farfield_link` adds the far-field policy and the antenna
+phasors b_vec for `farfield_channel`, `farfield_power` and `solvers`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import numpy as np
 from .errors import (DegenerateGeometry, DimensionMismatch, DomainError,
                      FarFieldViolation, FarFieldWarning, ShadowedPanel)
 from .geometry import (LinkAngles, PanelPoses, RisPanel, TransmitterArray,
-                       UlaLayout, _antenna_offsets, _as_vec3, _axis_offsets,
-                       _element_planes, _norm, antenna_positions,
-                       far_field_ratios, link_angles)
+                       UlaLayout, _antenna_offsets, _axis_offsets,
+                       antenna_positions, element_positions, far_field_check,
+                       link_angles)
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,6 @@ class ChannelSet:
         return u, sigma
 
 
-@dataclass(frozen=True)
-class TirGain:
-    delta: float       # distance-free amplitude factor
-    amplitude: float   # delta / (d_TI * d_IR)
-
-
 def radiation_pattern(theta, k: float):
     """Normalized power pattern cos(theta)**k on the front half-space.
 
@@ -178,34 +172,21 @@ def friis_amplitude(g_t, g_r, wavelength, d_tr):
     return np.sqrt(g_t * g_r) * wavelength / (4 * np.pi * d_tr)
 
 
-def _pattern_delta(tx: TransmitterArray, ris: RisPanel, radio: RadioParams,
-                   theta_t, theta_r):
-    """`tir_delta` of the link at the pattern angles theta_t and theta_r
-    (floats, or arrays that broadcast), and where the panel sees both ends,
-    F(theta_t) * F(theta_r) != 0.  Elsewhere delta is 0."""
-    k = ris.pattern_exponent
-    f_t = radiation_pattern(theta_t, k)
-    f_r = radiation_pattern(theta_r, k)
-    delta = tir_delta(tx.element_gain, radio.rx_gain, ris.element_gain,
-                      ris.d_x, ris.d_y, radio.wavelength, f_t, f_r,
-                      ris.reflection_coeff)
-    return delta, f_t * f_r != 0.0
-
-
-def _require_lit(lit) -> None:
-    if not np.all(lit):
-        raise ShadowedPanel("pattern gain vanishes; panel does not see both ends")
-
-
 def amplitude_gain_tir(angles: LinkAngles, tx: TransmitterArray,
-                       ris: RisPanel, radio: RadioParams) -> TirGain:
-    """Combined per-element amplitude gain of the T->RIS->R link: `tir_delta`
-    at the link's pattern angles and amplitude = delta / (d_TI * d_IR)."""
-    delta, lit = _pattern_delta(tx, ris, radio, angles.theta_t,
-                                angles.theta_r)
-    _require_lit(lit)
-    return TirGain(delta=float(delta),
-                   amplitude=float(delta / (angles.d_ti * angles.d_ir)))
+                       ris: RisPanel, radio: RadioParams) -> np.ndarray:
+    """The distance-free amplitude delta (`tir_delta`) of the T->RIS->R
+    link at the pattern angles of each pose of `angles`, (P,); a pose's
+    a_TIR is delta / (d_TI * d_IR).  A pose that does not see both ends,
+    F(theta_t) * F(theta_r) = 0, gets 0 in a stack, and a lone panel
+    (P = 1) raises ShadowedPanel."""
+    k = ris.pattern_exponent
+    f_t = radiation_pattern(angles.theta_t, k)
+    f_r = radiation_pattern(angles.theta_r, k)
+    if len(f_t) == 1 and f_t[0] * f_r[0] == 0.0:
+        raise ShadowedPanel("pattern gain vanishes; panel does not see both ends")
+    return tir_delta(tx.element_gain, radio.rx_gain, ris.element_gain,
+                     ris.d_x, ris.d_y, radio.wavelength, f_t, f_r,
+                     ris.reflection_coeff)
 
 
 def _panel_phasors(ris: RisPanel, u: np.ndarray,
@@ -248,7 +229,7 @@ def _enforce_far_field(tx, ris, d_ti, d_ir, mode: str) -> None:
         raise DomainError(f"unknown far-field mode {mode!r}")
     if mode == "off":
         return
-    ratios = np.stack(far_field_ratios(tx, ris, d_ti, d_ir), axis=-1)
+    ratios = far_field_check(tx, ris, d_ti, d_ir)
     failing = np.any(ratios < 1.0, axis=-1)
     if not failing.any():
         return
@@ -265,18 +246,16 @@ class _FarFieldLink(NamedTuple):
     """Far-field factorization pieces of P panel poses; see _farfield_link."""
 
     poses: PanelPoses
-    d_ti: np.ndarray      # (P,)
-    d_ir: np.ndarray      # (P,)
+    angles: LinkAngles    # the route's hop distances and directions
     a_tir: np.ndarray     # (P,), 0 where the panel does not see both ends
-    u_ti: np.ndarray      # (P, 3)
-    u_ir: np.ndarray      # (P, 3)
     antennas: np.ndarray  # (N, 3) antenna offsets of _antenna_offsets
     wavenum: float
 
     def b_vec(self) -> np.ndarray:
         """Antenna phasors b_vec = exp(j*k*Delta d^I_{T,p}) of every pose,
         (P, N), with Delta d^I_{T,p} = (antenna_p - T) . u_TI."""
-        offsets = np.matmul(self.antennas, self.u_ti[:, :, None])[..., 0]
+        offsets = np.matmul(self.antennas,
+                            self.angles.u_ti[:, :, None])[..., 0]
         return np.exp(1j * self.wavenum * offsets)
 
 
@@ -285,38 +264,30 @@ def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
                    poses: PanelPoses | None = None) -> _FarFieldLink:
     """The part of the far-field factorization shared by farfield_channel,
     farfield_power and the closed-form and two-path designs of `solvers`,
-    for the grid of `ris` at P `poses`, after the far-field policy `mode` is
-    applied to every pose.
+    for the grid of `ris` at P `poses`: link_angles, the far-field policy
+    `mode` on every pose, then amplitude_gain_tir.
 
-    Per pose: the hop distances d_TI and d_IR, the TIR amplitude a_TIR and
-    the unit directions u_TI and u_IR from the center toward T and R; also
-    the antenna offsets that give the phasors b_vec, and k = 2*pi/lambda.
-    The elevations are the dot products of the normals with u_TI and u_IR.
-    A pose whose panel does not see both ends gets a_TIR = 0.  With `poses`
-    None the link is that of `ris` itself (P = 1), and such a panel raises
-    ShadowedPanel instead; closed_form_solution calls it with mode "off"
-    and relies on this check for its ShadowedPanel.
+    Per pose: the hop distances, a_TIR and the directions u_TI and u_IR of
+    the route; also the antenna offsets that give the phasors b_vec, and
+    k = 2*pi/lambda.  A pose of `poses` whose panel does not see both ends
+    gets a_TIR = 0, in a stack of any size.  With `poses` None the link is
+    that of `ris` itself (P = 1), and such a panel raises ShadowedPanel
+    instead; closed_form_solution calls it with mode "off" and relies on
+    this check for its ShadowedPanel.
     """
-    rx = _as_vec3(rx_position)
     one = poses is None
     if one:
         poses = PanelPoses.of(ris)
-    to_t = tx.center - poses.center
-    to_r = rx - poses.center
-    d_ti, d_ir = _norm(to_t), _norm(to_r)
-    if np.min(d_ti) == 0.0 or np.min(d_ir) == 0.0:
-        raise DegenerateGeometry("a panel center coincides with T or R")
-    _enforce_far_field(tx, ris, d_ti, d_ir, mode)
-    u_ti, u_ir = to_t / d_ti[:, None], to_r / d_ir[:, None]
-    elevation = [np.arccos(np.clip(np.vecdot(poses.normal, u), -1.0, 1.0))
-                 for u in (u_ti, u_ir)]
-    delta, lit = _pattern_delta(tx, ris, radio, *elevation)
-    if one:
-        _require_lit(lit)
-    return _FarFieldLink(poses=poses, d_ti=d_ti, d_ir=d_ir,
-                         a_tir=delta / (d_ti * d_ir), u_ti=u_ti, u_ir=u_ir,
-                         antennas=_antenna_offsets(tx),
-                         wavenum=2 * np.pi / radio.wavelength)
+    angles = link_angles(tx, rx_position, poses)
+    _enforce_far_field(tx, ris, angles.d_ti, angles.d_ir, mode)
+    try:
+        delta = amplitude_gain_tir(angles, tx, ris, radio)
+    except ShadowedPanel:
+        if one:
+            raise
+        delta = np.zeros(1)   # a stack of one pose, which is shadowed
+    return _FarFieldLink(poses, angles, delta / (angles.d_ti * angles.d_ir),
+                         _antenna_offsets(tx), 2 * np.pi / radio.wavelength)
 
 
 def _sin_ratio(y: np.ndarray) -> np.ndarray:
@@ -391,7 +362,8 @@ def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
     axes at u_TI + u_IR, exactly L at the design's own pose."""
     return _axis_factors([(ris.rows, ris.d_y, link.poses.axis_y),
                           (ris.cols, ris.d_x, link.poses.axis_x)],
-                         link.u_ti + link.u_ir, steering, link.wavenum)
+                         link.angles.u_ti + link.angles.u_ir, steering,
+                         link.wavenum)
 
 
 def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
@@ -406,9 +378,9 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     """
     rx = np.asarray(rx_position, dtype=float)
     link = _farfield_link(tx, ris, rx, radio, mode)
-    wavenum = link.wavenum
-    d_vec = _panel_phasors(ris, link.u_ti[0] + link.u_ir[0], wavenum)
-    hops = complex(np.exp(1j * wavenum * (link.d_ti[0] + link.d_ir[0])))
+    wavenum, ang = link.wavenum, link.angles
+    d_vec = _panel_phasors(ris, ang.u_ti[0] + ang.u_ir[0], wavenum)
+    hops = complex(np.exp(1j * wavenum * (ang.d_ti[0] + ang.d_ir[0])))
     h_ti = float(link.a_tir[0]) * hops * np.outer(d_vec, link.b_vec()[0])
     h_tr = direct_channel(tx, rx, radio, farfield=True) if direct else None
     return ChannelSet(h_ti=h_ti, h_tr=h_tr)
@@ -443,7 +415,7 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
                             "transmitter steering")
     link = _farfield_link(tx, ris, rx_position, radio, mode, poses)
     b_dot_v = (np.sqrt(radio.tx_power / tx.count)
-               * _axis_factors(_tx_axes(tx), link.u_ti, tx_steering,
+               * _axis_factors(_tx_axes(tx), link.angles.u_ti, tx_steering,
                                link.wavenum))
     power = (link.a_tir**2 * _theta_dot_d(ris, link, steering)**2
              * b_dot_v**2)
@@ -522,11 +494,12 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     at the panel center.
     """
     rx = np.asarray(rx_position, dtype=float)
-    angles = link_angles(tx, ris, rx)  # raises on coincident centers
-    gain = amplitude_gain_tir(angles, tx, ris, radio)
+    # raises on coincident centers and on a shadowed panel
+    delta = amplitude_gain_tir(link_angles(tx, rx, PanelPoses.of(ris)), tx,
+                               ris, radio)[0]
     wavenum = 2 * np.pi / radio.wavelength
 
-    elems = _element_planes(ris)               # (3, L)
+    elems = element_positions(ris)             # (3, L)
     ants = antenna_positions(tx)               # (N, 3)
     count = ris.count
     # The channel is built antenna-major, (N, L), so that every inner loop
@@ -574,7 +547,7 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
         phase *= wavenum
         _unit_phasors(phase, out=rows)
         amp = np.multiply(d_ti, d_ir, out=phase)
-        np.divide(gain.delta, amp, out=amp)
+        np.divide(delta, amp, out=amp)
         rows *= amp
     panels = h_ti.reshape(len(ants), ris.rows, ris.cols)
     panels[built:] = panels[:ants_copied][::-1, ::-1]

@@ -16,7 +16,7 @@ from .em import (RadioParams, _axis_factors, _enforce_far_field,
                  farfield_channel, farfield_power, friis_amplitude,
                  received_power, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
-                       UpaLayout, _norm, far_field_check)
+                       UpaLayout, _norm, far_field_check, link_angles)
 from .errors import RegionDWarning
 from .placement import (PlaneScene, optimal_orientation, plane_objective,
                         position_search_plane)
@@ -245,7 +245,8 @@ def sweep_distance(cfg: SceneConfig) -> SweepResult:
         closed[i] = received_power(channels, sol.theta, sol.v)
         svd[i] = svd_solution(channels, cfg.tx_power).predicted_power
         bound[i] = power_upper_bound(channels, cfg.tx_power)
-        ok[i] = far_field_check(tx, ris, rx).ok
+        ang = link_angles(tx, rx, PanelPoses.of(ris))
+        ok[i] = np.all(far_field_check(tx, ris, ang.d_ti, ang.d_ir) >= 1.0)
         # release this point's L x N channel before the next one is built,
         # so that the next reuses its memory: with two alive at once the
         # heap grows and is trimmed again on every pass of the sweep
@@ -456,7 +457,7 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     moved = _farfield_link(upa, panel, far_rx, radio, "off", poses)
     weakest = [float(np.min(np.abs(f))) / n for f, n in (
         (_theta_dot_d(panel, moved, steering), panel.count),
-        (_axis_factors(_tx_axes(upa), moved.u_ti, tx_steering,
+        (_axis_factors(_tx_axes(upa), moved.angles.u_ti, tx_steering,
                        moved.wavenum), upa.count))]
     scales = moved.a_tir**2 * panel.count * upa.count * tiny.tx_power
     gaps, agree = [], min(map(abs, (*steering, *tx_steering))) > 0.05

@@ -4,11 +4,15 @@ All positions are 3-D numpy vectors in meters.  The RIS carries an
 orthonormal frame (normal, in-plane x, in-plane y); elevation angles are
 measured from the panel normal and azimuths counterclockwise from the
 in-plane x axis, range [0, 2*pi).
+
+`link_angles` (hop distances, directions and elevations of P panel poses)
+and `far_field_check` are the one scene route every channel and study reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,17 +145,13 @@ class RisPanel:
     element_gain: float = 1.0  # linear power ratio
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_vec3(self.center))
+        for name in ("center", "normal", "axis_x", "axis_y"):
+            object.__setattr__(self, name, _as_vec3(getattr(self, name)))
         if self.rows < 1 or self.cols < 1:
             raise DomainError("panel rows and cols must be >= 1")
         if self.d_x <= 0 or self.d_y <= 0:
             raise DomainError("element sizes must be > 0")
-        n, ax, ay = (_as_vec3(v) for v in (self.normal, self.axis_x,
-                                            self.axis_y))
-        _check_frame(n, ax, ay)
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "axis_x", ax)
-        object.__setattr__(self, "axis_y", ay)
+        _check_frame(self.normal, self.axis_x, self.axis_y)
         if not 0.0 <= self.reflection_coeff <= 1.0:
             raise DomainError("reflection coefficient must lie in [0, 1]")
         if self.pattern_exponent < 0:
@@ -189,21 +189,12 @@ class PanelPoses:
 
     @classmethod
     def of(cls, ris: RisPanel) -> PanelPoses:
-        """The panel's own pose, P = 1."""
-        return cls(center=ris.center[None], normal=ris.normal[None],
-                   axis_x=ris.axis_x[None], axis_y=ris.axis_y[None])
-
-
-@dataclass(frozen=True)
-class LinkAngles:
-    """Center-to-center distances and the elevations of T and R from the
-    panel normal, which set the exact channel's amplitude."""
-
-    d_ti: float
-    d_ir: float
-    d_tr: float
-    theta_t: float
-    theta_r: float
+        """The panel's own pose, P = 1.  RisPanel has checked the frame, so
+        it is not checked again: every channel of a scene builds this pose."""
+        poses = object.__new__(cls)
+        for name in ("center", "normal", "axis_x", "axis_y"):
+            object.__setattr__(poses, name, getattr(ris, name)[None])
+        return poses
 
 
 def _axis_offsets(count: int, pitch: float) -> np.ndarray:
@@ -242,9 +233,9 @@ def antenna_positions(tx: TransmitterArray) -> np.ndarray:
     return tx.center + _antenna_offsets(tx)
 
 
-def _element_planes(ris: RisPanel) -> np.ndarray:
+def element_positions(ris: RisPanel) -> np.ndarray:
     """Element coordinates as a (3, L) array, one contiguous plane per axis,
-    in row-major element order.
+    in row-major element order; its transpose lists the (L, 3) positions.
 
     Element q = n*cols + m sits at center + x_m * axis_x + y_n * axis_y,
     summed in that order; center + x_m * axis_x is formed once per column
@@ -257,79 +248,57 @@ def _element_planes(ris: RisPanel) -> np.ndarray:
     return planes.reshape(3, ris.count)
 
 
-def element_positions(ris: RisPanel) -> np.ndarray:
-    """Positions of every reflective element, shape (L, 3), row-major order:
-    the C-ordered transpose of _element_planes."""
-    return _element_planes(ris).T.copy()
-
-
-def _angle_between(u: Vec3, v: Vec3) -> float:
-    c = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def cos_theta_0(d_ti, d_ir, d_tr):
     """Law of cosines: cos of the angle theta_0 at the RIS in the T-I-R
     triangle, from the three center distances (scalars or arrays)."""
     return (d_ti**2 + d_ir**2 - d_tr**2) / (2 * d_ti * d_ir)
 
 
-def link_angles(tx: TransmitterArray, ris: RisPanel, rx_position) -> LinkAngles:
-    """Derive the link angles and center distances for one scene."""
+class LinkAngles(NamedTuple):
+    """Line-of-sight geometry of P panel poses; see link_angles."""
+
+    d_ti: np.ndarray     # (P,) center-to-T distance
+    d_ir: np.ndarray     # (P,) center-to-R distance
+    u_ti: np.ndarray     # (P, 3) unit direction from the center toward T
+    u_ir: np.ndarray     # (P, 3) unit direction from the center toward R
+    theta_t: np.ndarray  # (P,) elevation of T from the panel normal
+    theta_r: np.ndarray  # (P,) elevation of R from the panel normal
+
+
+def link_angles(tx: TransmitterArray, rx_position,
+                poses: PanelPoses) -> LinkAngles:
+    """The line-of-sight geometry at each of the P `poses`: the hop
+    distances d_TI and d_IR, the unit directions u_TI and u_IR from the
+    center toward T and R, and their elevations arccos(normal . u), with
+    the bits of each pose alone.  A center on T or R is DegenerateGeometry.
+    """
     rx = _as_vec3(rx_position)
-    r_t, r_i = tx.center, ris.center
-    d_ti = float(np.linalg.norm(r_t - r_i))
-    d_ir = float(np.linalg.norm(rx - r_i))
-    d_tr = float(np.linalg.norm(rx - r_t))
-    if min(d_ti, d_ir, d_tr) == 0.0:
-        raise DegenerateGeometry("two of T, I, R coincide")
-
-    # elevations of T and R from the panel normal
-    theta_t = _angle_between(ris.normal, r_t - r_i)
-    theta_r = _angle_between(ris.normal, rx - r_i)
-    return LinkAngles(d_ti=d_ti, d_ir=d_ir, d_tr=d_tr, theta_t=theta_t,
-                      theta_r=theta_r)
-
-
-@dataclass(frozen=True)
-class FarFieldCheck:
-    ok: bool
-    ratios: tuple[float, float, float]
-
-
-def _tx_aperture_scale(tx: TransmitterArray) -> float:
-    lay = tx.layout
-    if isinstance(lay, UlaLayout):
-        return lay.count * lay.spacing
-    return lay.count * max(lay.spacing_x, lay.spacing_y)
+    to_t = tx.center - poses.center
+    to_r = rx - poses.center
+    d_ti, d_ir = _norm(to_t), _norm(to_r)
+    if np.min(d_ti) == 0.0 or np.min(d_ir) == 0.0:
+        raise DegenerateGeometry("a panel center coincides with T or R")
+    u_ti, u_ir = to_t / d_ti[:, None], to_r / d_ir[:, None]
+    theta_t, theta_r = (
+        np.arccos(np.clip(np.vecdot(poses.normal, u), -1.0, 1.0))
+        for u in (u_ti, u_ir))
+    return LinkAngles(d_ti, d_ir, u_ti, u_ir, theta_t, theta_r)
 
 
 _STRICTNESS = 2.0  # encodes the "much greater than" in the validity conditions
 
 
-def far_field_check(tx: TransmitterArray, ris: RisPanel,
-                    rx_position) -> FarFieldCheck:
-    """Check the three far-field validity conditions.
-
-    The conditions require the hop distances to strictly dominate the array
-    scales: ok iff d_TI >= 2 * N * spacing, d_TI >= 2 * L * hypot(d_x, d_y)
-    and the same for d_IR; the factor of two encodes the strict dominance.
-    `ratios` reports each left/right quotient (larger is safer).
-    """
-    rx = _as_vec3(rx_position)
-    ratios = far_field_ratios(tx, ris,
-                              float(np.linalg.norm(tx.center - ris.center)),
-                              float(np.linalg.norm(rx - ris.center)))
-    return FarFieldCheck(ok=all(r >= 1.0 for r in ratios), ratios=ratios)
-
-
-def far_field_ratios(tx: TransmitterArray, ris: RisPanel, d_ti, d_ir):
-    """The three quotients of far_field_check at the hop distances d_TI and
-    d_IR (floats, or arrays of P panel poses that broadcast):
-    d_TI / (2 * N * spacing), d_TI / (2 * L * hypot(d_x, d_y)) and
-    d_IR / (2 * L * hypot(d_x, d_y)).  The conditions hold where all three
-    are >= 1."""
+def far_field_check(tx: TransmitterArray, ris: RisPanel, d_ti,
+                    d_ir) -> np.ndarray:
+    """The quotients (..., 3) of the three far-field conditions at the hop
+    distances d_TI and d_IR (floats, or (P,) arrays of poses), larger is
+    safer: d_TI / (2 * N * spacing), d_TI / (2 * L * hypot(d_x, d_y)) and
+    d_IR / (2 * L * hypot(d_x, d_y)), the factor of two encoding the
+    strict dominance.  The conditions hold where all three are >= 1."""
+    lay = tx.layout
+    aperture = lay.count * (lay.spacing if isinstance(lay, UlaLayout)
+                            else max(lay.spacing_x, lay.spacing_y))
     panel_scale = ris.count * float(np.hypot(ris.d_x, ris.d_y))
-    return (d_ti / (_STRICTNESS * _tx_aperture_scale(tx)),
-            d_ti / (_STRICTNESS * panel_scale),
-            d_ir / (_STRICTNESS * panel_scale))
+    return np.stack((d_ti / (_STRICTNESS * aperture),
+                     d_ti / (_STRICTNESS * panel_scale),
+                     d_ir / (_STRICTNESS * panel_scale)), axis=-1)

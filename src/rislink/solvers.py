@@ -69,7 +69,7 @@ def _link_steering(ris: RisPanel,
     panel's own far-field link (P = 1), u_0 = u_TI + u_IR: the panel-axis
     components of the two-hop direction that the closed-form phases steer
     toward."""
-    u = link.u_ti[0] + link.u_ir[0]
+    u = link.angles.u_ti[0] + link.angles.u_ir[0]
     return np.vecdot(ris.axis_y, u), np.vecdot(ris.axis_x, u)
 
 
@@ -107,7 +107,7 @@ def _closed_form_design(tx: TransmitterArray, ris: RisPanel,
     steerings em.farfield_power takes: the pair of _link_steering for the
     phases, and for the beamformer of closed_form_solution axis . u_TI
     along each axis of em._tx_axes (a scalar for a ULA, a pair for a UPA)."""
-    tx_steering = [np.vecdot(axis, link.u_ti[0])
+    tx_steering = [np.vecdot(axis, link.angles.u_ti[0])
                    for _, _, axis in _tx_axes(tx)]
     return (_link_steering(ris, link),
             tx_steering[0] if len(tx_steering) == 1 else tuple(tx_steering))
@@ -202,9 +202,9 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     link = _farfield_link(tx, ris, rx_position, radio, mode)
     h_tr = direct_channel(tx, rx_position, radio, farfield=True)
     to_t = tx.center - _as_vec3(rx_position)
-    d_ti, d_ir = float(link.d_ti[0]), float(link.d_ir[0])
+    d_ti, d_ir = float(link.angles.d_ti[0]), float(link.angles.d_ir[0])
     d_tr = float(_norm(to_t))
-    terms = two_path_terms(lay, float(lay.axis @ link.u_ti[0]),
+    terms = two_path_terms(lay, float(lay.axis @ link.angles.u_ti[0]),
                            float(lay.axis @ to_t) / d_tr, d_ti, d_ir, d_tr,
                            radio.wavelength)
     steering = _link_steering(ris, link)

@@ -13,7 +13,7 @@ from rislink.em import (RadioParams, exact_channel, farfield_channel,
                         received_power)
 from rislink.errors import FarFieldWarning
 from rislink.experiments import robustness, sweep_wavelength
-from rislink.geometry import far_field_check
+from rislink.geometry import PanelPoses, far_field_check, link_angles
 from rislink.placement import f_object, optimal_orientation, quasiconvexity_report
 from rislink.solvers import (closed_form_predicted_power, closed_form_solution,
                              mrt_beamforming, power_upper_bound, svd_solution,
@@ -70,7 +70,8 @@ def test_02_upper_bound_attainment_over_distance():
         from rislink.geometry import TransmitterArray
         tx = TransmitterArray(center=tx.center, layout=tx.layout,
                               element_gain=cfg.tx_gain)
-        if not far_field_check(tx, ris, rx).ok:
+        ang = link_angles(tx, rx, PanelPoses.of(ris))
+        if not np.all(far_field_check(tx, ris, ang.d_ti, ang.d_ir) >= 1.0):
             continue
         channels = exact_channel(tx, ris, rx, radio)
         sol = closed_form_solution(tx, ris, rx, radio)

@@ -72,18 +72,21 @@ def test_amplitude_gain_frozen_value():
                           layout=UlaLayout(count=2, spacing=0.0143, axis=EY),
                           element_gain=10**2.1)
     radio = RadioParams(wavelength=0.0286, rx_gain=10**2.1)
-    ang = link_angles(tx, ris, rx)
-    assert ang.theta_t == pytest.approx(np.pi / 6)
-    assert ang.theta_r == pytest.approx(np.pi / 6)
-    gain = amplitude_gain_tir(ang, tx, ris, radio)
-    assert gain.delta == pytest.approx(0.0014847151229886238, rel=1e-14)
-    assert gain.amplitude == pytest.approx(3.7117878074715594e-8, rel=1e-14)
+    ang = link_angles(tx, rx, PanelPoses.of(ris))
+    assert ang.theta_t[0] == pytest.approx(np.pi / 6)
+    assert ang.theta_r[0] == pytest.approx(np.pi / 6)
+    delta = amplitude_gain_tir(ang, tx, ris, radio)
+    assert delta.shape == (1,)
+    assert delta[0] == pytest.approx(0.0014847151229886238, rel=1e-14)
+    # the far-field link's a_TIR = delta / (d_TI * d_IR)
+    a_tir = em._farfield_link(tx, ris, rx, radio, "off").a_tir[0]
+    assert a_tir == pytest.approx(3.7117878074715594e-8, rel=1e-14)
 
 
 def test_shadowed_panel_raises():
     tx, ris, rx = equilateral(100.0)
     behind = np.array([0.0, 0.0, 2000.0])  # on the panel's back side
-    ang = link_angles(tx, ris, behind)
+    ang = link_angles(tx, behind, PanelPoses.of(ris))
     with pytest.raises(ShadowedPanel):
         amplitude_gain_tir(ang, tx, ris, RADIO)
 
@@ -173,10 +176,9 @@ def test_received_power_matches_manual_product():
     rng = np.random.default_rng(3)
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, ris.count))
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    delta = amplitude_gain_tir(link_angles(tx, ris, rx), tx, ris,
-                               RADIO).delta
-    c = dense_exact_channel(antenna_positions(tx), element_positions(ris),
-                            rx, delta, RADIO.wavelength)
+    c = dense_exact_channel(antenna_positions(tx), element_positions(ris).T,
+                            rx, lone_delta(tx, ris, rx, RADIO),
+                            RADIO.wavelength)
     amp = np.einsum("q,qp,p->", theta, c, v) + ch.h_tr @ v
     assert received_power(ch, theta, v) == pytest.approx(abs(amp) ** 2,
                                                          rel=1e-12)
@@ -360,7 +362,7 @@ def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
     channels = farfield_channel(tx, ris, rx, radio, mode="off")
     link = em._farfield_link(tx, ris, rx, radio, "off")
     wavenum = 2 * np.pi / radio.wavelength
-    elems = element_positions(ris)
+    elems = element_positions(ris).T
     d_ref = np.exp(1j * wavenum * (offsets_toward(elems, ris.center,
                                                   tx.center)
                                    + offsets_toward(elems, ris.center, rx)))
@@ -368,7 +370,8 @@ def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
     b_ref = np.exp(1j * wavenum * offsets_toward(
         layout, np.zeros(3), ris.center - tx.center))
     cascade = (link.a_tir[0]
-               * np.exp(1j * wavenum * (link.d_ti[0] + link.d_ir[0]))
+               * np.exp(1j * wavenum * (link.angles.d_ti[0]
+                                        + link.angles.d_ir[0]))
                * np.outer(d_ref, b_ref))
     np.testing.assert_allclose(channels.h_ti, cascade, rtol=0,
                                atol=1e-12 * link.a_tir[0])
@@ -407,8 +410,14 @@ def mirrored_scene(rows, cols, seed):
 
 def takes_mirror_build(tx, ris, rx):
     """Whether exact_channel builds this scene from half its rows."""
-    return em._mirrored(antenna_positions(tx), em._element_planes(ris),
+    return em._mirrored(antenna_positions(tx), element_positions(ris),
                         ris.rows, rx)
+
+
+def lone_delta(tx, ris, rx, radio):
+    """The distance-free amplitude delta of the panel at its own pose."""
+    return amplitude_gain_tir(link_angles(tx, rx, PanelPoses.of(ris)), tx,
+                              ris, radio)[0]
 
 
 def dense_exact_channel(ants, elems, rx, delta, wavelength):
@@ -472,11 +481,9 @@ def test_exact_channel_matches_norm_formula(rows, cols, upa, seed,
             mp.setattr(em, "_CHANNEL_BLOCK", block_rows * ris.count)
         channels = exact_channel(tx, ris, rx, radio)
     assert channels.mirrored == mirrored
-    delta = amplitude_gain_tir(link_angles(tx, ris, rx), tx, ris,
-                               radio).delta
     assert np.array_equal(channels.h_ti, dense_exact_channel(
-        antenna_positions(tx), element_positions(ris), rx, delta,
-        radio.wavelength))
+        antenna_positions(tx), element_positions(ris).T, rx,
+        lone_delta(tx, ris, rx, radio), radio.wavelength))
 
 
 @pytest.mark.parametrize("nudged", ["rx", "element", "antenna"])
@@ -486,7 +493,7 @@ def test_exact_channel_near_mirror_takes_full_build(nudged, monkeypatch):
     still matches dense_exact_channel on the positions it was given."""
     tx, ris, rx, radio, _ = mirrored_scene(5, 4, seed=3)
     assert takes_mirror_build(tx, ris, rx)
-    planes = em._element_planes(ris)
+    planes = element_positions(ris)
     ants = antenna_positions(tx)
     if nudged == "rx":
         rx[1] = np.nextafter(0.0, 1.0)
@@ -494,15 +501,14 @@ def test_exact_channel_near_mirror_takes_full_build(nudged, monkeypatch):
         planes[1, 6] = np.nextafter(planes[1, 6], np.inf)
     else:
         ants[0, 2] = np.nextafter(ants[0, 2], np.inf)
-    monkeypatch.setattr(em, "_element_planes", lambda _: planes)
+    monkeypatch.setattr(em, "element_positions", lambda _: planes)
     monkeypatch.setattr(em, "antenna_positions", lambda _: ants)
     assert not em._mirrored(ants, planes, ris.rows, rx)
     channels = exact_channel(tx, ris, rx, radio)
     assert not channels.mirrored
-    delta = amplitude_gain_tir(link_angles(tx, ris, rx), tx, ris,
-                               radio).delta
     assert np.array_equal(channels.h_ti, dense_exact_channel(
-        ants, planes.T, rx, delta, radio.wavelength))
+        ants, planes.T, rx, lone_delta(tx, ris, rx, radio),
+        radio.wavelength))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -557,9 +563,10 @@ def test_exact_channel_raises_on_coincident_antenna_and_element(monkeypatch):
     ris = make_panel(rows=3, cols=3, d=0.5)
     # antennas at z = 3, 2, 1, 0 above the element at (0.5, 0.5, 0)
     tx = make_ula(center=(0.5, 0.5, 1.5), count=4, spacing=1.0, axis=EZ)
-    assert np.array_equal(antenna_positions(tx)[3], element_positions(ris)[8])
+    assert np.array_equal(antenna_positions(tx)[3],
+                          element_positions(ris)[:, 8])
     rx = np.array([5.0, 0.0, 5.0])
-    link_angles(tx, ris, rx)
+    link_angles(tx, rx, PanelPoses.of(ris))
     monkeypatch.setattr(em, "_CHANNEL_BLOCK", 2 * ris.count)
     with pytest.raises(DegenerateGeometry):
         exact_channel(tx, ris, rx, RADIO)
@@ -812,7 +819,7 @@ def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
     sums = em._theta_dot_d(ris, link, (g_y, g_x))
     assert sums.shape == (count,)
     wavenum = 2 * np.pi / radio.wavelength
-    theta = np.exp(1j * wavenum * ((element_positions(ris) - ris.center)
+    theta = np.exp(1j * wavenum * ((element_positions(ris).T - ris.center)
                                    @ (g_x * ris.axis_x + g_y * ris.axis_y)))
     for i in range(count):
         one = PanelPoses(poses.center[i:i + 1], poses.normal[i:i + 1],
@@ -823,7 +830,7 @@ def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
         assert np.array_equal(alone, sums[i:i + 1])
         panel = replace(ris, center=poses.center[i], normal=poses.normal[i],
                         axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
-        elems = element_positions(panel)
+        elems = element_positions(panel).T
         d_vec = np.exp(1j * wavenum
                        * (offsets_toward(elems, panel.center, tx.center)
                           + offsets_toward(elems, panel.center, rx)))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rislink import em, experiments
-from rislink.config import load_config, watts_to_dbm
+from rislink.cli import main
+from rislink.config import default_config_text, load_config, watts_to_dbm
 from rislink.em import RadioParams, farfield_channel, received_power
 from rislink.errors import (DegenerateTriangle, DomainError,
                             FarFieldViolation, FarFieldWarning, ShadowedPanel)
@@ -16,7 +17,7 @@ from rislink.experiments import (_BLOCK_ROWS, _panel_at, _plane_point_power,
                                  ris_point_power, robustness, solve,
                                  specular_frame, sweep_distance, sweep_plane,
                                  validate_suite)
-from rislink.geometry import link_angles
+from rislink.geometry import PanelPoses, link_angles
 from rislink.placement import PlaneScene
 from rislink.solvers import closed_form_solution
 
@@ -99,12 +100,12 @@ def test_specular_frame_stack_equals_one_point_frames():
 def test_equilateral_scene_angles():
     cfg = small_cfg()
     tx, ris, rx = equilateral_scene(cfg, 120.0)
-    ang = link_angles(tx, ris, rx)
-    assert ang.d_ti == pytest.approx(120.0)
-    assert ang.d_ir == pytest.approx(120.0)
-    assert ang.d_tr == pytest.approx(120.0)
-    assert ang.theta_t == pytest.approx(np.pi / 6)
-    assert ang.theta_r == pytest.approx(np.pi / 6)
+    ang = link_angles(tx, rx, PanelPoses.of(ris))
+    assert ang.d_ti[0] == pytest.approx(120.0)
+    assert ang.d_ir[0] == pytest.approx(120.0)
+    assert np.linalg.norm(rx - tx.center) == pytest.approx(120.0)
+    assert ang.theta_t[0] == pytest.approx(np.pi / 6)
+    assert ang.theta_r[0] == pytest.approx(np.pi / 6)
 
 
 def test_analytic_point_power_matches_solver_prediction():
@@ -216,6 +217,42 @@ def test_sweep_distance_monotone_decreasing():
     assert np.all(closed[:-1] > closed[1:])
     # far-field valid throughout
     assert res.columns["far_field_ok"].tolist() == [1, 1, 1, 1]
+
+
+def test_sweep_distance_far_field_ok_flips_inside_the_sweep(tmp_path):
+    """With a 50 x 50 panel the far-field threshold, d >= 2 * L *
+    hypot(d_x, d_y) ~ 70.7 m, lies inside the distance sweep: the written
+    `far_field_ok` column is 0 before, and 1 from, the first d where all
+    three quotients of the README conditions are >= 1, computed here from
+    the triangle's corners with np.linalg.norm."""
+    text = default_config_text()
+    for old, new in (("  rows: 20 ", "  rows: 50 "), ("  cols: 20\n",
+                                                       "  cols: 50\n")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    profile = tmp_path / "panel50.yaml"
+    profile.write_text(text)
+    out = tmp_path / "out"
+    assert main(["sweep-distance", "--config", str(profile), "--grid", "19",
+                 "--out", str(out)]) == 0
+    table = np.genfromtxt(out / "sweep_distance.csv", delimiter=",",
+                          names=True)
+    d = np.linspace(20.0, 200.0, 19)
+    np.testing.assert_allclose(table["d_m"], d, rtol=1e-9)
+    zeros = np.zeros_like(d)
+    t = np.stack([-d / 2, zeros, zeros], axis=1)
+    r = np.stack([d / 2, zeros, zeros], axis=1)
+    i = np.stack([zeros, zeros, np.sqrt(3) / 2 * d], axis=1)
+    d_ti = np.linalg.norm(t - i, axis=1)
+    d_ir = np.linalg.norm(r - i, axis=1)
+    cfg = load_config(profile)
+    panel = 2 * 50 * 50 * np.hypot(cfg.element_size_x, cfg.element_size_y)
+    quotients = np.stack([d_ti / (2 * cfg.antennas * cfg.spacing),
+                          d_ti / panel, d_ir / panel], axis=1)
+    first = int(np.argmax(np.all(quotients >= 1.0, axis=1)))
+    assert d[first] == 80.0
+    assert table["far_field_ok"].tolist() == [0] * first + [1] * (len(d)
+                                                                  - first)
 
 
 @pytest.mark.parametrize("paper_scale", [False, True])

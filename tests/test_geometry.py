@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from rislink.errors import DegenerateGeometry, DomainError
-from rislink.geometry import (RisPanel, TransmitterArray, UlaLayout, UpaLayout,
-                              antenna_positions, element_positions,
-                              far_field_check, far_field_ratios,
-                              link_angles)
+from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
+                              UlaLayout, UpaLayout, antenna_positions,
+                              element_positions, far_field_check, link_angles)
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -42,8 +41,10 @@ def test_single_antenna_sits_at_center():
 
 def test_element_positions_row_major_grid():
     ris = make_panel(rows=2, cols=3, d=1.0)
-    pos = element_positions(ris)
-    assert pos.shape == (6, 3)
+    planes = element_positions(ris)
+    assert planes.shape == (3, 6)
+    assert all(plane.flags.c_contiguous for plane in planes)
+    pos = planes.T
     # first element: column m=1, row n=1 -> offsets (-1, -0.5)
     np.testing.assert_allclose(pos[0], [-1.0, -0.5, 0.0], atol=1e-12)
     # q=1 moves along columns first
@@ -86,27 +87,44 @@ def test_link_angles_right_triangle():
     tx = make_ula(center=(0.0, 0.0, 10.0), axis=EY)
     ris = make_panel()
     rx = np.array([10.0, 0.0, 10.0])
-    ang = link_angles(tx, ris, rx)
-    assert ang.d_ti == pytest.approx(10.0)
-    assert ang.d_ir == pytest.approx(np.sqrt(200.0))
-    assert ang.d_tr == pytest.approx(10.0)
-    assert ang.theta_t == pytest.approx(0.0, abs=1e-12)
-    assert ang.theta_r == pytest.approx(np.pi / 4)
+    ang = link_angles(tx, rx, PanelPoses.of(ris))
+    assert all(a.shape == (1,) for a in (ang.d_ti, ang.d_ir, ang.theta_t,
+                                         ang.theta_r))
+    assert ang.d_ti[0] == pytest.approx(10.0)
+    assert ang.d_ir[0] == pytest.approx(np.sqrt(200.0))
+    assert ang.theta_t[0] == pytest.approx(0.0, abs=1e-12)
+    assert ang.theta_r[0] == pytest.approx(np.pi / 4)
+    np.testing.assert_allclose(ang.u_ti, [EZ], atol=1e-15)
+    np.testing.assert_allclose(ang.u_ir, [[np.sqrt(0.5), 0.0, np.sqrt(0.5)]],
+                               atol=1e-15)
 
 
 def test_coincident_points_raise():
     tx = make_ula(center=(0.0, 0.0, 0.0))
     ris = make_panel(center=(0.0, 0.0, 0.0))
     with pytest.raises(DegenerateGeometry):
-        link_angles(tx, ris, np.array([1.0, 1.0, 1.0]))
+        link_angles(tx, np.array([1.0, 1.0, 1.0]), PanelPoses.of(ris))
+    # a stack fails if any of its centers lies on R
+    rx = np.array([1.0, 1.0, 1.0])
+    with pytest.raises(DegenerateGeometry):
+        link_angles(make_ula(), rx, PanelPoses(
+            np.array([[0.0, 0.0, 0.0], rx]), *(np.array([a, a]) for a in
+                                               (EZ, EX, EY))))
+
+
+def far_field_quotients(tx, ris, rx):
+    """far_field_check of a lone panel at the hop distances of its own
+    pose, (3,)."""
+    ang = link_angles(tx, rx, PanelPoses.of(ris))
+    return far_field_check(tx, ris, ang.d_ti, ang.d_ir)[0]
 
 
 def test_far_field_check_huge_distance_passes():
     tx = make_ula(center=(0.0, 0.0, 1e6))
     ris = make_panel()
-    chk = far_field_check(tx, ris, np.array([1e6, 0.0, 1e6]))
-    assert chk.ok
-    assert all(r >= 1.0 for r in chk.ratios)
+    ratios = far_field_quotients(tx, ris, np.array([1e6, 0.0, 1e6]))
+    assert ratios.shape == (3,)
+    assert np.all(ratios >= 1.0)
 
 
 def test_far_field_check_large_panel_fails_at_200m():
@@ -115,28 +133,29 @@ def test_far_field_check_large_panel_fails_at_200m():
     big = make_panel(rows=100, cols=100)
     small = make_panel(rows=20, cols=20)
     rx = np.array([200.0, 0.0, 200.0])
-    assert not far_field_check(tx, big, rx).ok
-    assert far_field_check(tx, small, rx).ok
+    assert not np.all(far_field_quotients(tx, big, rx) >= 1.0)
+    assert np.all(far_field_quotients(tx, small, rx) >= 1.0)
 
 
-def test_far_field_ratios_over_poses_match_far_field_check():
-    """Arrays of hop distances give, entry by entry, the ratios that
-    far_field_check reports for a panel at each distance."""
+def test_far_field_check_over_poses_matches_single_panels():
+    """A stack of poses gives, entry by entry, the quotients of the panel
+    at each pose alone."""
     tx = make_ula(center=(0.0, 0.0, 200.0), count=16, spacing=0.0143)
     ris = make_panel(rows=100, cols=100)
     rx = np.array([200.0, 0.0, 200.0])
     heights = [-500.0, 0.0, 150.0]
     panels = [make_panel(center=(0.0, 0.0, z), rows=100, cols=100)
               for z in heights]
-    d_ti = np.array([np.linalg.norm(tx.center - p.center) for p in panels])
-    d_ir = np.array([np.linalg.norm(rx - p.center) for p in panels])
-    ratios = np.stack(far_field_ratios(tx, ris, d_ti, d_ir), axis=1)
+    poses = PanelPoses(np.array([p.center for p in panels]),
+                       *(np.tile(a, (len(panels), 1)) for a in
+                         (ris.normal, ris.axis_x, ris.axis_y)))
+    ang = link_angles(tx, rx, poses)
+    ratios = far_field_check(tx, ris, ang.d_ti, ang.d_ir)
+    assert ratios.shape == (len(panels), 3)
     for row, panel in zip(ratios, panels):
-        chk = far_field_check(tx, panel, rx)
-        assert tuple(row.tolist()) == chk.ratios
-        assert bool(np.all(row >= 1.0)) == chk.ok
-    assert far_field_check(tx, panels[0], rx).ok
-    assert not far_field_check(tx, panels[2], rx).ok
+        assert np.array_equal(row, far_field_quotients(tx, panel, rx))
+    assert np.all(ratios[0] >= 1.0)
+    assert not np.all(ratios[2] >= 1.0)
 
 
 def _random_scene(rng):
@@ -159,8 +178,8 @@ def _random_scene(rng):
 
 
 def _angles_tuple(tx, ris, rx):
-    a = link_angles(tx, ris, rx)
-    return np.array([a.d_ti, a.d_ir, a.d_tr, a.theta_t, a.theta_r])
+    a = link_angles(tx, rx, PanelPoses.of(ris))
+    return np.concatenate([a.d_ti, a.d_ir, a.theta_t, a.theta_r])
 
 
 def test_link_angles_translation_invariant():
@@ -208,7 +227,7 @@ def test_ula_offsets_bounded_by_half_aperture():
 
 def test_element_neighbor_spacing():
     ris = make_panel(rows=3, cols=4, d=0.01)
-    pos = element_positions(ris).reshape(3, 4, 3)
+    pos = element_positions(ris).T.reshape(3, 4, 3)
     row_gaps = np.linalg.norm(np.diff(pos, axis=1), axis=2)
     col_gaps = np.linalg.norm(np.diff(pos, axis=0), axis=2)
     np.testing.assert_allclose(row_gaps, 0.01, atol=1e-12)

@@ -139,7 +139,20 @@ def test_config_errors(tmp_path, capsys):
             ("element_ratio: 0.3333333333333333", "element_ratio: -1.0",
              "sweeps.wavelength.element_ratio must be"),
             ("antennas: 16", "antennas: true",
-             "transmitter.antennas must be a number")):
+             "transmitter.antennas must be a number"),
+            # dB values whose linear value overflows a float
+            ("gain_db: 9.03", "gain_db: 5000.0", "ris.gain_db is too large"),
+            ("tx_power_dbm: 0.0", "tx_power_dbm: 5000.0",
+             "radio.tx_power_dbm is too large"),
+            # reversed or empty sweep ranges
+            ("max_m: 200.0", "max_m: 10.0",
+             "sweeps.distance.max_m must be > sweeps.distance.min_m"),
+            ("max_m: 200.0", "max_m: 20.0",
+             "sweeps.distance.max_m must be > sweeps.distance.min_m"),
+            ("x_max_m: 250.0", "x_max_m: -100.0",
+             "sweeps.plane.x_max_m must be > sweeps.plane.x_min_m"),
+            ("y_max_m: 120.0", "y_max_m: 0.0",
+             "sweeps.plane.y_max_m must be > sweeps.plane.y_min_m")):
         assert text.count(old) == 1
         profile = tmp_path / "value.yaml"
         profile.write_text(text.replace(old, new))

@@ -71,7 +71,7 @@ def test_closed_form_phases_conjugate_channel_phasor(rows, cols, upa, seed):
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
     theta = closed_form_phases(tx, ris, rx, radio.wavelength)
     wavenum = 2 * np.pi / radio.wavelength
-    elems = element_positions(ris)
+    elems = element_positions(ris).T
     d_vec = np.exp(1j * wavenum
                    * (offsets_toward(elems, ris.center, tx.center)
                       + offsets_toward(elems, ris.center, rx)))
