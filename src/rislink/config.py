@@ -220,11 +220,13 @@ def load_config(path: str | Path | None = None, *,
                          wavelength_points=grid_override,
                          robustness_points=grid_override)
 
-    mode = str(raw.get("flags", {}).get("far_field_mode", "warn"))
+    mode = raw.get("flags", {}).get("far_field_mode", "warn")
+    mode = "off" if mode is False else mode  # YAML 1.1 reads `off` as false
+    if mode not in ("warn", "strict", "off"):
+        raise ConfigError("flags.far_field_mode must be warn, strict or off, "
+                          f"got {mode!r}")
     if strict_far_field:
         mode = "strict"
-    if mode not in ("warn", "strict", "off"):
-        raise ConfigError(f"unknown far_field_mode {mode!r}")
     profile_direct = _read(raw, "flags.direct_link", bool, False)
 
     cfg = SceneConfig(

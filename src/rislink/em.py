@@ -11,14 +11,14 @@ direct row.
 
 The scene route is `geometry.link_angles`, then `amplitude_gain_tir` (the
 distance-free amplitude delta): `exact_channel` reads it at the panel's
-own pose, and `_farfield_link` adds the far-field policy and the antenna
-phasors b_vec for `farfield_channel`, `farfield_power` and `solvers`.
+own pose, and `_farfield_link` adds the antenna phasors b_vec for
+`farfield_channel`, `farfield_power` and `solvers`.  None of them checks
+the far-field conditions; `geometry.far_field_check` is that check.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -26,11 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateGeometry, DimensionMismatch, DomainError,
-                     FarFieldViolation, FarFieldWarning, ShadowedPanel)
+                     ShadowedPanel)
 from .geometry import (LinkAngles, PanelPoses, RisPanel, TransmitterArray,
                        UlaLayout, _antenna_offsets, _axis_offsets,
-                       antenna_positions, element_positions, far_field_check,
-                       link_angles)
+                       antenna_positions, element_positions, link_angles)
 
 
 @dataclass(frozen=True)
@@ -221,27 +220,6 @@ def _centred_phasors(scale: float, count: int, pitch: float) -> np.ndarray:
     return out
 
 
-def _enforce_far_field(tx, ris, d_ti, d_ir, mode: str) -> None:
-    """Apply the far-field policy to P poses at hop distances d_ti, d_ir
-    (P,): "strict" raises and "warn" warns once if any pose fails the
-    check, "off" skips it."""
-    if mode not in ("strict", "warn", "off"):
-        raise DomainError(f"unknown far-field mode {mode!r}")
-    if mode == "off":
-        return
-    ratios = far_field_check(tx, ris, d_ti, d_ir)
-    failing = np.any(ratios < 1.0, axis=-1)
-    if not failing.any():
-        return
-    count = (f" at {failing.sum()} of {len(failing)} poses"
-             if len(failing) > 1 else "")
-    msg = (f"far-field conditions fail{count}: "
-           f"ratios {tuple(ratios[np.argmax(failing)].tolist())}")
-    if mode == "strict":
-        raise FarFieldViolation(msg)
-    warnings.warn(msg, FarFieldWarning)
-
-
 class _FarFieldLink(NamedTuple):
     """Far-field factorization pieces of P panel poses; see _farfield_link."""
 
@@ -260,26 +238,23 @@ class _FarFieldLink(NamedTuple):
 
 
 def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
-                   radio: RadioParams, mode: str,
+                   radio: RadioParams,
                    poses: PanelPoses | None = None) -> _FarFieldLink:
     """The part of the far-field factorization shared by farfield_channel,
     farfield_power and the closed-form and two-path designs of `solvers`,
-    for the grid of `ris` at P `poses`: link_angles, the far-field policy
-    `mode` on every pose, then amplitude_gain_tir.
+    for the grid of `ris` at P `poses`: link_angles, then amplitude_gain_tir.
 
     Per pose: the hop distances, a_TIR and the directions u_TI and u_IR of
     the route; also the antenna offsets that give the phasors b_vec, and
     k = 2*pi/lambda.  A pose of `poses` whose panel does not see both ends
     gets a_TIR = 0, in a stack of any size.  With `poses` None the link is
     that of `ris` itself (P = 1), and such a panel raises ShadowedPanel
-    instead; closed_form_solution calls it with mode "off" and relies on
-    this check for its ShadowedPanel.
+    instead, which closed_form_solution relies on.
     """
     one = poses is None
     if one:
         poses = PanelPoses.of(ris)
     angles = link_angles(tx, rx_position, poses)
-    _enforce_far_field(tx, ris, angles.d_ti, angles.d_ir, mode)
     try:
         delta = amplitude_gain_tir(angles, tx, ris, radio)
     except ShadowedPanel:
@@ -367,17 +342,16 @@ def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
 
 
 def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
-                     radio: RadioParams, *, direct: bool = False,
-                     mode: str = "warn") -> ChannelSet:
+                     radio: RadioParams, *, direct: bool = False) -> ChannelSet:
     """Rank-one far-field channel, assembled from the phasors and a_TIR of
     _farfield_link.
 
     C = a_TIR * exp(j*2*pi*(d_TI + d_IR)/l) * outer(d_vec, b_vec), with
-    d_vec the panel phasors toward u_TI + u_IR.  `mode` controls far-field
-    enforcement: "strict" raises, "warn" (default) warns, "off" skips.
+    d_vec the panel phasors toward u_TI + u_IR, built whether or not the
+    scene meets the far-field conditions.
     """
     rx = np.asarray(rx_position, dtype=float)
-    link = _farfield_link(tx, ris, rx, radio, mode)
+    link = _farfield_link(tx, ris, rx, radio)
     wavenum, ang = link.wavenum, link.angles
     d_vec = _panel_phasors(ris, ang.u_ti[0] + ang.u_ir[0], wavenum)
     hops = complex(np.exp(1j * wavenum * (ang.d_ti[0] + ang.d_ir[0])))
@@ -388,7 +362,7 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
 
 def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
                    radio: RadioParams, steering, tx_steering, *,
-                   poses: PanelPoses | None = None, mode: str = "warn"):
+                   poses: PanelPoses | None = None):
     """Received power of the far-field RIS link in watts, without the
     L x N channel, of the closed-form design as the two steerings of
     solvers._closed_form_design: the pair (g_y, g_x) of its phases, and
@@ -405,15 +379,13 @@ def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
     the result is a (P,) array; a pose whose panel does not see both ends
     gets 0 W.  Without `poses` the result is the float power of `ris`
     itself, and such a panel raises ShadowedPanel as farfield_channel
-    does.  `mode` is the far-field policy of farfield_channel, checked on
-    every pose: "strict" raises if any pose fails and "warn" warns once.
-    A steering of the wrong shape is DimensionMismatch, and one with a
-    NaN, infinite or complex component DomainError.
+    does.  A steering of the wrong shape is DimensionMismatch, and one
+    with a NaN, infinite or complex component DomainError.
     """
     steering = _steering(steering, 2, "steering")
     tx_steering = _steering(tx_steering, len(_tx_axes(tx)),
                             "transmitter steering")
-    link = _farfield_link(tx, ris, rx_position, radio, mode, poses)
+    link = _farfield_link(tx, ris, rx_position, radio, poses)
     b_dot_v = (np.sqrt(radio.tx_power / tx.count)
                * _axis_factors(_tx_axes(tx), link.angles.u_ti, tx_steering,
                                link.wavenum))

@@ -1,6 +1,7 @@
 """Experiment runner: scene builders and the simulation studies (distance
 sweep, plane sweeps with/without direct link, wavelength sweep with the
-anti-decay design, position-perturbation robustness, oracle validation)."""
+anti-decay design, position-perturbation robustness, oracle validation).
+Only the studies apply the profile's far-field policy, _enforce_far_field."""
 
 from __future__ import annotations
 
@@ -11,13 +12,13 @@ import numpy as np
 
 from . import __version__
 from .config import SceneConfig, watts_to_dbm
-from .em import (RadioParams, _axis_factors, _enforce_far_field,
-                 _farfield_link, _theta_dot_d, _tx_axes, exact_channel,
-                 farfield_channel, farfield_power, friis_amplitude,
-                 received_power, tir_delta)
+from .em import (RadioParams, _axis_factors, _farfield_link, _theta_dot_d,
+                 _tx_axes, exact_channel, farfield_channel, farfield_power,
+                 friis_amplitude, received_power, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
                        UpaLayout, _norm, far_field_check, link_angles)
-from .errors import RegionDWarning
+from .errors import (DomainError, FarFieldViolation, FarFieldWarning,
+                     RegionDWarning)
 from .placement import (PlaneScene, optimal_orientation, plane_objective,
                         position_search_plane)
 from .solvers import (_closed_form_design, anti_decay_design,
@@ -196,6 +197,27 @@ def analytic_point_power(cfg: SceneConfig, d_ti, d_ir, d_tr, cos_mu_ti,
     return {key: float(value[0]) for key, value in powers.items()}
 
 
+def _enforce_far_field(tx, ris, d_ti, d_ir, mode: str) -> None:
+    """Apply the far-field policy to P poses at hop distances d_ti, d_ir
+    (P,): "strict" raises and "warn" warns once if any pose fails the
+    check, "off" skips it."""
+    if mode not in ("strict", "warn", "off"):
+        raise DomainError(f"unknown far-field mode {mode!r}")
+    if mode == "off":
+        return
+    ratios = far_field_check(tx, ris, d_ti, d_ir)
+    failing = np.any(ratios < 1.0, axis=-1)
+    if not failing.any():
+        return
+    count = (f" at {failing.sum()} of {len(failing)} poses"
+             if len(failing) > 1 else "")
+    msg = (f"far-field conditions fail{count}: "
+           f"ratios {tuple(ratios[np.argmax(failing)].tolist())}")
+    if mode == "strict":
+        raise FarFieldViolation(msg)
+    warnings.warn(msg, FarFieldWarning)
+
+
 def _check_plane_far_field(cfg: SceneConfig, x, y) -> None:
     """Raise FarFieldViolation if the configured panel at a point (x, y) of
     plane S (arrays) fails the far-field check, between the endpoints of
@@ -340,9 +362,8 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     the assumed one, so the phases still match: theta . d_vec is exactly L
     at every position, and the deviation measures only the mismatch in
     a_TIR and in b_vec . v.  A true position where the panel does not see
-    both ends receives 0 W.  Under
-    far_field_mode "strict" a true position that fails the far-field check
-    is an error; otherwise the map is evaluated with the check off.
+    both ends receives 0 W.  Under far_field_mode "strict" a true position
+    that fails sweep_plane's check is an error; otherwise no check runs.
     """
     radio = _radio(cfg)
     sw = cfg.sweeps
@@ -350,16 +371,17 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     assumed = np.array([0.0, 0.0, 0.0])
     ris = _panel_at(cfg, assumed, specular_frame(assumed, tx.center, rx))
     steering, tx_steering = _closed_form_design(
-        tx, ris, _farfield_link(tx, ris, rx, radio, "off"))
-    mode = "strict" if cfg.far_field_mode == "strict" else "off"
+        tx, ris, _farfield_link(tx, ris, rx, radio))
 
     offs = np.linspace(-sw.robustness_extent, sw.robustness_extent,
                        sw.robustness_points)
     x, y = (g.ravel() for g in np.meshgrid(offs, offs))  # y outer, x inner
     centers = np.stack([x, y, np.zeros_like(x)], axis=1)
+    if cfg.far_field_mode == "strict":
+        _check_plane_far_field(cfg, x, y)
     poses = PanelPoses(centers, *specular_frame(centers, tx.center, rx))
     est_power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
-                               poses=poses, mode=mode)
+                               poses=poses)
     ideal = _plane_point_power(cfg, x, y, direct=False)["ris"]
     dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
     return SweepResult(kind="robustness",
@@ -371,14 +393,16 @@ def robustness(cfg: SceneConfig) -> SweepResult:
 
 def solve(cfg: SceneConfig) -> SweepResult:
     """One fixed scene: every method's predicted and evaluated power, and
-    the upper bound as the last row."""
+    the upper bound as the last row.  The far_field_mode is applied to the
+    panel's pose only before the two-path design of the direct link."""
     radio = _radio(cfg)
     tx, ris, rx = equilateral_scene(cfg, cfg.d_tr)
     channels = exact_channel(tx, ris, rx, radio, direct=cfg.direct_link)
     sols = [closed_form_solution(tx, ris, rx, radio)]
     if cfg.direct_link:
-        sols.append(two_path_solution(tx, ris, rx, radio,
-                                      mode=cfg.far_field_mode))
+        ang = link_angles(tx, rx, PanelPoses.of(ris))
+        _enforce_far_field(tx, ris, ang.d_ti, ang.d_ir, cfg.far_field_mode)
+        sols.append(two_path_solution(tx, ris, rx, radio))
     sols.append(svd_solution(channels, cfg.tx_power))
     bound = power_upper_bound(channels, cfg.tx_power)
     evaluated = [received_power(channels, s.theta, s.v) for s in sols]
@@ -401,7 +425,7 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     tx, ris, rx = equilateral_scene(tiny, 50.0)
     checks: list[tuple[str, bool, str]] = []
 
-    channels = farfield_channel(tx, ris, rx, radio, mode="off")
+    channels = farfield_channel(tx, ris, rx, radio)
     sol = closed_form_solution(tx, ris, rx, radio)
     closed = received_power(channels, sol.theta, sol.v)
     best, _ = exhaustive_phase_search(channels, tiny.tx_power, levels=64)
@@ -409,9 +433,8 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     checks.append(("closed-form vs phase-grid oracle", rel < 5e-3,
                    f"relative gap {rel:.2e}"))
 
-    channels2 = farfield_channel(tx, ris, rx, radio, direct=True,
-                                 mode="off")
-    sol2 = two_path_solution(tx, ris, rx, radio, mode="off")
+    channels2 = farfield_channel(tx, ris, rx, radio, direct=True)
+    sol2 = two_path_solution(tx, ris, rx, radio)
     closed2 = received_power(channels2, sol2.theta, sol2.v)
     best2, _ = exhaustive_phase_search(channels2, tiny.tx_power, levels=64)
     rel2 = abs(closed2 - best2) / best2
@@ -446,15 +469,15 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     far_rx = np.array([50.0, 0.0, 0.0])
     design = closed_form_solution(upa, panel, far_rx, radio)
     steering, tx_steering = _closed_form_design(
-        upa, panel, _farfield_link(upa, panel, far_rx, radio, "off"))
+        upa, panel, _farfield_link(upa, panel, far_rx, radio))
     shifts = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0], [0.0, 30.0, 0.0],
                        [-12.0, 8.0, 6.0], [-20.0, -10.0, 0.0]])
     poses = PanelPoses(panel.center + shifts, *(
         np.tile(a, (len(shifts), 1))
         for a in (panel.normal, panel.axis_x, panel.axis_y)))
     factored = farfield_power(upa, panel, far_rx, radio, steering,
-                              tx_steering, poses=poses, mode="off")
-    moved = _farfield_link(upa, panel, far_rx, radio, "off", poses)
+                              tx_steering, poses=poses)
+    moved = _farfield_link(upa, panel, far_rx, radio, poses)
     weakest = [float(np.min(np.abs(f))) / n for f, n in (
         (_theta_dot_d(panel, moved, steering), panel.count),
         (_axis_factors(_tx_axes(upa), moved.angles.u_ti, tx_steering,
@@ -464,7 +487,7 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     for center, power, scale in zip(poses.center, factored, scales):
         dense = received_power(
             farfield_channel(upa, replace(panel, center=center), far_rx,
-                             radio, mode="off"), design.theta, design.v)
+                             radio), design.theta, design.v)
         err = abs(power - dense)
         agree &= (err <= 1e-12 * max(dense, scale)
                   and (dense < 1e-6 * scale or err <= 1e-12 * dense))

@@ -91,7 +91,7 @@ def closed_form_phases(tx: TransmitterArray, ris: RisPanel, rx_position,
     the conjugate of the channel's two-hop element phasor d_vec, the panel
     phasors toward u_TI + u_IR of the far-field link.  A panel that does not
     see both ends raises ShadowedPanel."""
-    link = _farfield_link(tx, ris, rx_position, RadioParams(wavelength), "off")
+    link = _farfield_link(tx, ris, rx_position, RadioParams(wavelength))
     return _link_phases(ris, _link_steering(ris, link), link.wavenum)
 
 
@@ -119,7 +119,7 @@ def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     one scene: the phases of closed_form_phases and the beamformer
     v = sqrt(P_t/N) * conj(b_vec).  A panel that does not see both ends
     raises ShadowedPanel."""
-    link = _farfield_link(tx, ris, rx_position, radio, "off")
+    link = _farfield_link(tx, ris, rx_position, radio)
     steering, _ = _closed_form_design(tx, ris, link)
     theta = _link_phases(ris, steering, link.wavenum)
     v = np.sqrt(radio.tx_power / tx.count) * np.conj(link.b_vec()[0])
@@ -181,7 +181,7 @@ def two_path_power_closed_form(a_tir, a_tr, o, n: int, l: int, p_t: float):
 
 
 def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
-                      radio: RadioParams, *, mode: str = "warn") -> Solution:
+                      radio: RadioParams) -> Solution:
     """Two-path closed-form design: the RIS-only phases rotated by the
     constant offset of two_path_terms, which phase-aligns the RIS path with
     the direct path, and an MRT beamformer against the far-field effective
@@ -193,13 +193,13 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     a_TIR * exp(j*k*(d_TI + d_IR)) * (theta . d_vec) * b_vec + h_TR with
     the far-field direct row h_TR, where theta . d_vec is L times the
     offset rotation, as the RIS-only phases steer toward the link's own
-    steering pair.  `mode` is the far-field policy of farfield_channel; a
-    UPA transmitter raises DomainError before it is applied.
+    steering pair.  A UPA transmitter raises DomainError; no far-field
+    condition is checked.
     """
     lay = tx.layout
     if not isinstance(lay, UlaLayout):
         raise DomainError("two-path closed form is derived for ULA layouts")
-    link = _farfield_link(tx, ris, rx_position, radio, mode)
+    link = _farfield_link(tx, ris, rx_position, radio)
     h_tr = direct_channel(tx, rx_position, radio, farfield=True)
     to_t = tx.center - _as_vec3(rx_position)
     d_ti, d_ir = float(link.angles.d_ti[0]), float(link.angles.d_ir[0])

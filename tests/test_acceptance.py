@@ -36,15 +36,14 @@ def test_01_closed_form_matches_exhaustive_oracle():
     tx, ris, rx = equilateral(200.0, rows=2, cols=2, count=2)
     t0 = time.time()
 
-    channels = farfield_channel(tx, ris, rx, RADIO, mode="off")
+    channels = farfield_channel(tx, ris, rx, RADIO)
     sol = closed_form_solution(tx, ris, rx, RADIO)
     power = received_power(channels, sol.theta, sol.v)
     best, _ = exhaustive_phase_search(channels, RADIO.tx_power, levels=256)
     gap1 = abs(best - power) / best
 
-    channels2 = farfield_channel(tx, ris, rx, RADIO, direct=True,
-                                 mode="off")
-    sol2 = two_path_solution(tx, ris, rx, RADIO, mode="off")
+    channels2 = farfield_channel(tx, ris, rx, RADIO, direct=True)
+    sol2 = two_path_solution(tx, ris, rx, RADIO)
     power2 = received_power(channels2, sol2.theta, sol2.v)
     best2, _ = exhaustive_phase_search(channels2, RADIO.tx_power,
                                        levels=256)

@@ -13,11 +13,11 @@ from rislink.em import (ChannelSet, RadioParams,
                         farfield_channel, farfield_power, radiation_pattern,
                         received_power)
 from rislink.errors import (DegenerateGeometry, DimensionMismatch,
-                            DomainError, FarFieldViolation,
-                            FarFieldWarning, ShadowedPanel)
+                            DomainError, ShadowedPanel)
 from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
                               UlaLayout, UpaLayout, antenna_positions,
-                              element_positions, link_angles)
+                              element_positions, far_field_check,
+                              link_angles)
 from rislink.solvers import _link_phases, closed_form_phases
 
 from test_geometry import EX, EY, EZ, make_panel, make_ula
@@ -79,7 +79,7 @@ def test_amplitude_gain_frozen_value():
     assert delta.shape == (1,)
     assert delta[0] == pytest.approx(0.0014847151229886238, rel=1e-14)
     # the far-field link's a_TIR = delta / (d_TI * d_IR)
-    a_tir = em._farfield_link(tx, ris, rx, radio, "off").a_tir[0]
+    a_tir = em._farfield_link(tx, ris, rx, radio).a_tir[0]
     assert a_tir == pytest.approx(3.7117878074715594e-8, rel=1e-14)
 
 
@@ -98,7 +98,7 @@ def test_farfield_channel_rank_one_and_factors():
     # rank-one: every 2x2 minor vanishes
     s = np.linalg.svd(channels.h_ti, compute_uv=False)
     assert s[1] <= s[0] * 1e-12
-    a_tir = em._farfield_link(tx, ris, rx, RADIO, "off").a_tir[0]
+    a_tir = em._farfield_link(tx, ris, rx, RADIO).a_tir[0]
     np.testing.assert_allclose(np.abs(channels.h_ti), a_tir, rtol=1e-12)
     # each cascade column is d_vec, the conjugate of the closed-form
     # phases, times one constant
@@ -110,7 +110,7 @@ def test_farfield_channel_rank_one_and_factors():
 
 def test_exact_channel_matches_farfield_at_long_range():
     tx, ris, rx = equilateral(500.0)
-    ff = farfield_channel(tx, ris, rx, RADIO, mode="off")
+    ff = farfield_channel(tx, ris, rx, RADIO)
     ex = exact_channel(tx, ris, rx, RADIO)
     # same order of amplitude and phase agreement to a fraction of a radian
     np.testing.assert_allclose(np.abs(ex.h_ti), np.abs(ff.h_ti), rtol=1e-4)
@@ -122,7 +122,7 @@ def test_phase_discrepancy_shrinks_with_scale():
     errs = []
     for scale in (1e2, 1e3, 1e4):
         tx, ris, rx = equilateral(float(scale))
-        ff = farfield_channel(tx, ris, rx, RADIO, mode="off")
+        ff = farfield_channel(tx, ris, rx, RADIO)
         ex = exact_channel(tx, ris, rx, RADIO)
         full_ff = ff.cascade()
         full_ex = ex.cascade()
@@ -151,21 +151,21 @@ def test_direct_channel_friis_amplitude_and_phase():
                                atol=1e-9)
 
 
-def test_far_field_enforcement_modes():
-    # panel too large for the distance
+def test_farfield_functions_check_no_far_field_condition():
+    """The far-field channel and power are built on a scene that fails the
+    far-field conditions (a panel too large for the distance), with no
+    warning: only the studies apply a far-field policy."""
     tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
     ris = make_panel(rows=20, cols=20)
     rx = np.array([5.0, 0.0, 5.0])
-    with pytest.raises(FarFieldViolation):
-        farfield_channel(tx, ris, rx, RADIO, mode="strict")
-    with pytest.warns(FarFieldWarning):
-        farfield_channel(tx, ris, rx, RADIO, mode="warn")
-    import warnings as _w
-    with _w.catch_warnings():
-        _w.simplefilter("error", FarFieldWarning)
-        farfield_channel(tx, ris, rx, RADIO, mode="off")
-    with pytest.raises(DomainError):
-        farfield_channel(tx, ris, rx, RADIO, mode="loud")
+    ang = link_angles(tx, rx, PanelPoses.of(ris))
+    assert np.all(far_field_check(tx, ris, ang.d_ti, ang.d_ir)[0, 1:] < 1.0)
+    steering = random_steering(np.random.default_rng(1), ris)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        channels = farfield_channel(tx, ris, rx, RADIO, direct=True)
+        power = farfield_power(tx, ris, rx, RADIO, steering, 0.1)
+    assert np.all(np.isfinite(channels.h_ti)) and power > 0.0
 
 
 def test_received_power_matches_manual_product():
@@ -303,7 +303,7 @@ def dense_power(tx, ris, rx, radio, steering, tx_steering):
     """received_power on the dense far-field channel of the scene, of the
     design that the steering pair and the transmitter steering stand for
     (steering_phases and steering_beam)."""
-    channels = farfield_channel(tx, ris, rx, radio, direct=False, mode="off")
+    channels = farfield_channel(tx, ris, rx, radio, direct=False)
     return received_power(
         channels, steering_phases(ris, steering, radio.wavelength),
         steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength))
@@ -337,9 +337,8 @@ def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
     steering, tx_steering = random_design(rng, ris, tx)
     dense = dense_power(tx, ris, rx, radio, steering, tx_steering)
-    power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
-                           mode="off")
-    a_tir = em._farfield_link(tx, ris, rx, radio, "off").a_tir[0]
+    power = farfield_power(tx, ris, rx, radio, steering, tx_steering)
+    a_tir = em._farfield_link(tx, ris, rx, radio).a_tir[0]
     v = steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength)
     scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
     assert abs(power - dense) <= 1e-12 * max(dense, scale)
@@ -359,8 +358,8 @@ def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
     of the element phasors toward T and R, and the link's b_vec covers ULA
     and UPA layouts."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
-    channels = farfield_channel(tx, ris, rx, radio, mode="off")
-    link = em._farfield_link(tx, ris, rx, radio, "off")
+    channels = farfield_channel(tx, ris, rx, radio)
+    link = em._farfield_link(tx, ris, rx, radio)
     wavenum = 2 * np.pi / radio.wavelength
     elems = element_positions(ris).T
     d_ref = np.exp(1j * wavenum * (offsets_toward(elems, ris.center,
@@ -608,7 +607,7 @@ def test_farfield_power_checks_shapes_and_shadowing():
             farfield_power(tx, ris, rx, RADIO, bad, 0.1)
     behind = np.array([0.0, 0.0, 2000.0])  # on the panel's back side
     with pytest.raises(ShadowedPanel):
-        farfield_power(tx, ris, behind, RADIO, (g_y, g_x), 0.1, mode="off")
+        farfield_power(tx, ris, behind, RADIO, (g_y, g_x), 0.1)
 
 
 def test_farfield_power_checks_transmitter_steering():
@@ -636,55 +635,6 @@ def test_farfield_power_checks_transmitter_steering():
                     ((np.nan, 0.2), (0.3, -np.inf), (0.3j, 0.2))):
             with pytest.raises(DomainError):
                 farfield_power(array, ris, rx, RADIO, steering, bad)
-
-
-def test_farfield_power_applies_far_field_policy():
-    tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
-    ris = make_panel(rows=20, cols=20)
-    rx = np.array([5.0, 0.0, 5.0])
-    steering = random_steering(np.random.default_rng(1), ris)
-    with pytest.raises(FarFieldViolation):
-        farfield_power(tx, ris, rx, RADIO, steering, 0.1, mode="strict")
-    with pytest.warns(FarFieldWarning):
-        farfield_power(tx, ris, rx, RADIO, steering, 0.1, mode="warn")
-    with pytest.raises(DomainError):
-        farfield_power(tx, ris, rx, RADIO, steering, 0.1, mode="loud")
-
-
-def test_farfield_power_applies_far_field_policy_across_poses():
-    """Over a stack of poses, "strict" raises if any pose fails the check,
-    "warn" warns once for all failing poses and "off" checks nothing."""
-    tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
-    ris = make_panel(rows=20, cols=20)
-    rx = np.array([5.0, 0.0, 5.0])
-    steering = random_steering(np.random.default_rng(1), ris)
-
-    def poses(*heights):
-        z = np.array(heights, dtype=float)
-        centers = np.stack([np.zeros_like(z), np.zeros_like(z), z], axis=1)
-        return PanelPoses(centers, *(np.tile(a, (len(z), 1))
-                                     for a in (EZ, EX, EY)))
-
-    far = poses(-20.0, -30.0)      # d_TI >= 25 m > 2 * L * hypot(d_x, d_y)
-    mixed = poses(-20.0, 0.0, -1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", FarFieldWarning)
-        power = farfield_power(tx, ris, rx, RADIO, steering, 0.1, poses=far,
-                               mode="strict")
-    assert power.shape == (2,) and np.all(power > 0.0)
-    with pytest.raises(FarFieldViolation, match="2 of 3 poses"):
-        farfield_power(tx, ris, rx, RADIO, steering, 0.1, poses=mixed,
-                       mode="strict")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        warned = farfield_power(tx, ris, rx, RADIO, steering, 0.1, poses=mixed,
-                                mode="warn")
-    assert [w.category for w in caught] == [FarFieldWarning]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", FarFieldWarning)
-        off = farfield_power(tx, ris, rx, RADIO, steering, 0.1, poses=mixed,
-                             mode="off")
-    assert np.array_equal(warned, off)
 
 
 def test_panel_poses_are_checked_like_a_panel_frame():
@@ -732,7 +682,7 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
     v = steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength)
     poses = random_poses(rng, ris, 6)
     power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
-                           poses=poses, mode="off")
+                           poses=poses)
     assert power.shape == (len(poses.center),)
     assert power[-1] == 0.0
     for i, p in enumerate(power.tolist()):
@@ -743,7 +693,7 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
         except ShadowedPanel:
             assert p == 0.0
             continue
-        a_tir = em._farfield_link(tx, panel, rx, radio, "off").a_tir[0]
+        a_tir = em._farfield_link(tx, panel, rx, radio).a_tir[0]
         scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
         assert abs(p - dense) <= 1e-12 * max(dense, scale)
         if dense >= 1e-6 * scale:
@@ -759,13 +709,12 @@ def test_farfield_power_pose_blocks_equal_row_groups():
     poses = random_poses(rng, ris, 116)
     count = len(poses.center)
     whole = farfield_power(tx, ris, rx, radio, steering, tx_steering,
-                           poses=poses, mode="off")
+                           poses=poses)
     groups = [farfield_power(tx, ris, rx, radio, steering, tx_steering,
                              poses=PanelPoses(poses.center[s:s + 41],
                                               poses.normal[s:s + 41],
                                               poses.axis_x[s:s + 41],
-                                              poses.axis_y[s:s + 41]),
-                             mode="off")
+                                              poses.axis_y[s:s + 41]))
               for s in range(0, count, 41)]
     assert whole[-1] == 0.0 and np.count_nonzero(whole) > count // 2
     assert np.array_equal(whole, np.concatenate(groups))
@@ -790,7 +739,7 @@ def test_farfield_power_pose_bits_do_not_depend_on_batch(rows, cols, upa,
         part = PanelPoses(poses.center[start:stop], poses.normal[start:stop],
                           poses.axis_x[start:stop], poses.axis_y[start:stop])
         return farfield_power(tx, ris, rx, radio, steering, tx_steering,
-                              poses=part, mode="off")
+                              poses=part)
 
     alone = np.concatenate([power(i, i + 1) for i in range(n)])
     assert np.array_equal(power(0, n), alone)
@@ -815,7 +764,7 @@ def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
     g_y, g_x = random_steering(rng, ris)
     poses = random_poses(rng, ris, count - 1)
     assert len(poses.center) == count
-    link = em._farfield_link(tx, ris, rx, radio, "off", poses)
+    link = em._farfield_link(tx, ris, rx, radio, poses)
     sums = em._theta_dot_d(ris, link, (g_y, g_x))
     assert sums.shape == (count,)
     wavenum = 2 * np.pi / radio.wavelength
@@ -825,7 +774,7 @@ def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
         one = PanelPoses(poses.center[i:i + 1], poses.normal[i:i + 1],
                          poses.axis_x[i:i + 1], poses.axis_y[i:i + 1])
         alone = em._theta_dot_d(
-            ris, em._farfield_link(tx, ris, rx, radio, "off", one),
+            ris, em._farfield_link(tx, ris, rx, radio, one),
             (g_y, g_x))
         assert np.array_equal(alone, sums[i:i + 1])
         panel = replace(ris, center=poses.center[i], normal=poses.normal[i],

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -11,7 +12,8 @@ from rislink.config import default_config_text, load_config, watts_to_dbm
 from rislink.em import RadioParams, farfield_channel, received_power
 from rislink.errors import (DegenerateTriangle, DomainError,
                             FarFieldViolation, FarFieldWarning, ShadowedPanel)
-from rislink.experiments import (_BLOCK_ROWS, _panel_at, _plane_point_power,
+from rislink.experiments import (_BLOCK_ROWS, _enforce_far_field, _panel_at,
+                                 _plane_point_power,
                                  analytic_point_power,
                                  equilateral_scene, plane_endpoints,
                                  ris_point_power, robustness, solve,
@@ -23,7 +25,7 @@ from rislink.solvers import closed_form_solution
 
 from dataclasses import replace
 
-from test_geometry import EX, EY, EZ
+from test_geometry import EX, EY, EZ, make_panel, make_ula
 
 
 def small_cfg(**kw):
@@ -356,7 +358,7 @@ def test_robustness_matches_dense_channel_evaluation():
         pos = np.array([x, y, 0.0])
         ris = _panel_at(cfg, pos, specular_frame(pos, tx.center, rx))
         try:
-            channels = farfield_channel(tx, ris, rx, radio, mode="off")
+            channels = farfield_channel(tx, ris, rx, radio)
             dense = received_power(channels, est.theta, est.v)
         except ShadowedPanel:
             dense = 0.0
@@ -435,6 +437,58 @@ def test_robustness_honours_strict_far_field():
     with pytest.raises(FarFieldViolation):
         robustness(replace(big, far_field_mode="strict"))
     assert len(robustness(replace(big, far_field_mode="warn"))) == 25
+
+
+def near_field_hops(*heights):
+    """A 2-antenna ULA, a 20 x 20 panel and the hop distances of the panel
+    at each of the heights: it needs d_TI and d_IR >= 11.3 m, and at
+    height 0 its center is 5 m from T and 7.1 m from R."""
+    tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
+    ris = make_panel(rows=20, cols=20)
+    z = np.array(heights, dtype=float)
+    centers = np.stack([np.zeros_like(z), np.zeros_like(z), z], axis=1)
+    poses = PanelPoses(centers, *(np.tile(a, (len(z), 1))
+                                  for a in (EZ, EX, EY)))
+    ang = link_angles(tx, np.array([5.0, 0.0, 5.0]), poses)
+    return tx, ris, ang.d_ti, ang.d_ir
+
+
+def test_enforce_far_field_modes():
+    """On one pose that fails the check, "strict" raises, "warn" warns
+    once, "off" checks nothing, and an unknown mode is a DomainError."""
+    tx, ris, d_ti, d_ir = near_field_hops(0.0)
+    with pytest.raises(FarFieldViolation,
+                       match=r"far-field conditions fail: ratios \("):
+        _enforce_far_field(tx, ris, d_ti, d_ir, "strict")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _enforce_far_field(tx, ris, d_ti, d_ir, "warn")
+    assert [w.category for w in caught] == [FarFieldWarning]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _enforce_far_field(tx, ris, d_ti, d_ir, "off")
+    with pytest.raises(DomainError, match="unknown far-field mode 'loud'"):
+        _enforce_far_field(tx, ris, d_ti, d_ir, "loud")
+
+
+def test_enforce_far_field_across_poses():
+    """Over a stack of poses, "strict" raises if any pose fails the check
+    and names how many, "warn" warns once for all failing poses, "off"
+    checks nothing, and poses that all pass raise and warn nothing."""
+    far = near_field_hops(-20.0, -30.0)[2:]   # d_TI, d_IR >= 25 m
+    tx, ris, *mixed = near_field_hops(-20.0, 0.0, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _enforce_far_field(tx, ris, *far, "strict")
+        _enforce_far_field(tx, ris, *far, "warn")
+        _enforce_far_field(tx, ris, *mixed, "off")
+    with pytest.raises(FarFieldViolation, match="2 of 3 poses"):
+        _enforce_far_field(tx, ris, *mixed, "strict")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _enforce_far_field(tx, ris, *mixed, "warn")
+    assert [w.category for w in caught] == [FarFieldWarning]
+    assert "2 of 3 poses" in str(caught[0].message)
 
 
 def test_sweep_plane_blocks_equal_one_whole_grid_call():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from rislink.cli import main
 from rislink.config import (dbm_to_watts, db_to_linear, linear_to_db,
                             load_config, watts_to_dbm)
-from rislink.errors import ConfigError
+from rislink.errors import ConfigError, FarFieldWarning
 from rislink.experiments import SweepResult, sweep_plane
 from rislink.output import (_BLOCK_ROWS, _block_bytes, _float_fields,
                             emit_csv, emit_plot_script)
@@ -118,9 +119,19 @@ def test_config_errors(tmp_path, capsys):
         profile.write_text(text.replace(old, new))
         with pytest.raises(ConfigError, match=message):
             load_config(profile)
+    # YAML 1.1 reads the unquoted `off` the profile documents as false
+    for value in ("off", '"off"'):
+        profile = tmp_path / "off.yaml"
+        profile.write_text(text.replace("far_field_mode: warn",
+                                        f"far_field_mode: {value}"))
+        assert load_config(profile).far_field_mode == "off"
     # values the loader used to misread, truncate or pass on to a failing
     # or meaningless study: exit code 1, the key named, nothing written
     for old, new, key in (
+            ("far_field_mode: warn", "far_field_mode: true",
+             "flags.far_field_mode must be warn, strict or off"),
+            ("far_field_mode: warn", "far_field_mode: loud",
+             "flags.far_field_mode must be warn, strict or off"),
             ("wavelength_m: 0.0286", "wavelength_m: .inf",
              "radio.wavelength_m must be finite"),
             ("direct_link: false", 'direct_link: "false"',
@@ -466,6 +477,32 @@ def test_cli_solve_strict_far_field(tmp_path):
     assert main(["solve", "--out", str(tmp_path / "loose")]) == 0
     assert ((tmp_path / "strict" / "solve.csv").read_bytes()
             == (tmp_path / "loose" / "solve.csv").read_bytes())
+
+
+def test_cli_solve_direct_link_applies_far_field_mode(tmp_path, capsys):
+    """The two-path design of `solve --paper-scale --direct-link` runs on a
+    scene that fails the far-field conditions (the 100 x 100 panel needs
+    283 m, it is 200 m from T and R): --strict-far-field exits 2 and
+    writes nothing, the bundled `warn` warns once, and a profile's `off`
+    warns nothing and writes the CSV of the `warn` run."""
+    argv = ["solve", "--paper-scale", "--direct-link"]
+    strict = tmp_path / "strict"
+    assert main([*argv, "--strict-far-field", "--out", str(strict)]) == 2
+    assert "far-field conditions fail" in capsys.readouterr().err
+    assert not strict.exists()
+    from rislink.config import default_config_text
+    off = tmp_path / "off.yaml"
+    off.write_text(default_config_text().replace("far_field_mode: warn",
+                                                 "far_field_mode: off"))
+    csv = {}
+    for mode, flags, count in (("warn", [], 1),
+                               ("off", ["--config", str(off)], 0)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, *flags, "--out", str(tmp_path / mode)]) == 0
+        assert [w.category for w in caught] == [FarFieldWarning] * count
+        csv[mode] = (tmp_path / mode / "solve.csv").read_bytes()
+    assert csv["off"] == csv["warn"]
 
 
 def test_cli_sidecars_record_resolved_settings(tmp_path):

@@ -9,8 +9,10 @@ from rislink.em import (RadioParams, _farfield_link, _leading_singular_pair,
                         exact_channel, farfield_channel, farfield_power,
                         received_power)
 from rislink.errors import (AmbiguousSignWarning, DomainError,
-                            FarFieldViolation, ShadowedPanel, ZeroChannel)
-from rislink.geometry import UlaLayout, UpaLayout, element_positions
+                            ShadowedPanel, ZeroChannel)
+from rislink.geometry import (PanelPoses, UlaLayout, UpaLayout,
+                              element_positions, far_field_check,
+                              link_angles)
 from rislink.solvers import (Method, _closed_form_design, anti_decay_design,
                              closed_form_phases, closed_form_predicted_power,
                              closed_form_solution, mrt_beamforming,
@@ -88,7 +90,7 @@ def test_closed_form_achieves_predicted_power_on_farfield_channel():
     sol = closed_form_solution(tx, ris, rx, RADIO)
     achieved = received_power(channels, sol.theta, sol.v)
     assert achieved == pytest.approx(sol.predicted_power, rel=1e-10, abs=0)
-    a_tir = _farfield_link(tx, ris, rx, RADIO, "off").a_tir[0]
+    a_tir = _farfield_link(tx, ris, rx, RADIO).a_tir[0]
     assert sol.predicted_power == pytest.approx(
         closed_form_predicted_power(a_tir, 4, 9, P_T), rel=1e-12, abs=0)
     assert sol.method is Method.CLOSED_FORM
@@ -123,7 +125,7 @@ scenes = st.builds(lambda **kw: random_scene(**kw)[:4], **scene_args)
 @example(scene=(*equilateral(150.0, rows=2, cols=3, count=3), RADIO))
 def test_closed_form_dominates_random_designs(scene):
     tx, ris, rx, radio = scene
-    channels = farfield_channel(tx, ris, rx, radio, mode="off")
+    channels = farfield_channel(tx, ris, rx, radio)
     sol = closed_form_solution(tx, ris, rx, radio)
     best = received_power(channels, sol.theta, sol.v)
     for theta, v in random_feasible_solutions((ris.count, tx.count),
@@ -142,22 +144,21 @@ def test_closed_form_predicts_its_farfield_power(scene):
     tx, ris, rx, radio = scene
     sol = closed_form_solution(tx, ris, rx, radio)
     steering, tx_steering = _closed_form_design(
-        tx, ris, _farfield_link(tx, ris, rx, radio, "off"))
+        tx, ris, _farfield_link(tx, ris, rx, radio))
     assert np.array_equal(steering_phases(ris, steering, radio.wavelength),
                           sol.theta)
     v = steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength)
     assert np.allclose(v, sol.v, rtol=0, atol=1e-12 * np.abs(sol.v).max())
-    power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
-                           mode="off")
+    power = farfield_power(tx, ris, rx, radio, steering, tx_steering)
     assert power == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
     rng = np.random.default_rng(11)
     for _ in range(20):
         other = random_steering(rng, ris)
-        assert farfield_power(tx, ris, rx, radio, other, tx_steering,
-                              mode="off") <= power * (1 + 1e-12)
+        assert (farfield_power(tx, ris, rx, radio, other, tx_steering)
+                <= power * (1 + 1e-12))
         other_tx = random_tx_steering(rng, tx)
-        assert farfield_power(tx, ris, rx, radio, steering, other_tx,
-                              mode="off") <= power * (1 + 1e-12)
+        assert (farfield_power(tx, ris, rx, radio, steering, other_tx)
+                <= power * (1 + 1e-12))
 
 
 def test_closed_form_solution_raises_on_shadowed_panel():
@@ -317,9 +318,8 @@ def test_two_path_terms_sign_fold_and_warning():
 
 def test_two_path_solution_achieves_predicted_power():
     tx, ris, rx = equilateral(300.0, rows=3, cols=3, count=8)
-    channels = farfield_channel(tx, ris, rx, RADIO, direct=True,
-                                mode="off")
-    sol = two_path_solution(tx, ris, rx, RADIO, mode="off")
+    channels = farfield_channel(tx, ris, rx, RADIO, direct=True)
+    sol = two_path_solution(tx, ris, rx, RADIO)
     achieved = received_power(channels, sol.theta, sol.v)
     assert achieved == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
     assert sol.method is Method.CLOSED_FORM_TWO_PATH
@@ -343,23 +343,25 @@ def test_two_path_solution_uses_arrival_directions_at_transmitter(tilt):
     o = two_path_o(8, tx.layout.spacing, axis @ to_i / np.linalg.norm(to_i),
                    axis @ to_r / np.linalg.norm(to_r), RADIO.wavelength)
     assert 0.05 < abs(o) < 0.95
-    channels = farfield_channel(tx, ris, rx, RADIO, direct=True, mode="off")
-    sol = two_path_solution(tx, ris, rx, RADIO, mode="off")
+    channels = farfield_channel(tx, ris, rx, RADIO, direct=True)
+    sol = two_path_solution(tx, ris, rx, RADIO)
     achieved = received_power(channels, sol.theta, sol.v)
     assert achieved == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
 
 
 def test_two_path_solution_rejects_upa_before_far_field_check():
-    """A UPA transmitter is a DomainError even when the scene also fails a
-    strict far-field check."""
+    """A UPA transmitter is a DomainError, also on a scene that fails the
+    far-field conditions, where a ULA gets its design: the solver checks
+    no far-field condition."""
     tx, ris, rx = equilateral(2.0, rows=30, cols=30)
-    with pytest.raises(FarFieldViolation):
-        two_path_solution(tx, ris, rx, RADIO, mode="strict")
+    ang = link_angles(tx, rx, PanelPoses.of(ris))
+    assert np.any(far_field_check(tx, ris, ang.d_ti, ang.d_ir) < 1.0)
+    assert two_path_solution(tx, ris, rx, RADIO).predicted_power > 0.0
     upa = replace(tx, layout=UpaLayout(rows=2, cols=2, spacing_x=0.0143,
                                        spacing_y=0.0143, axis_x=EX,
                                        axis_y=EY))
     with pytest.raises(DomainError):
-        two_path_solution(upa, ris, rx, RADIO, mode="strict")
+        two_path_solution(upa, ris, rx, RADIO)
 
 
 def test_two_path_power_formula_uses_coherence_magnitude():
@@ -444,7 +446,7 @@ def test_leading_singular_pair_matches_dense_svd(rows, cols, n, rank,
 def test_svd_solution_matches_closed_form_on_farfield_channel(scene):
     tx, ris, rx, radio = scene
     p_t = radio.tx_power
-    channels = farfield_channel(tx, ris, rx, radio, mode="off")
+    channels = farfield_channel(tx, ris, rx, radio)
     svd = svd_solution(channels, p_t)
     closed = closed_form_solution(tx, ris, rx, radio)
     p_closed = received_power(channels, closed.theta, closed.v)
@@ -467,9 +469,8 @@ def test_two_path_row_matches_dense_farfield_channel(rows, cols, seed):
     tx, ris, rx, radio, _ = random_scene(rows, cols, False, seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AmbiguousSignWarning)
-        sol = two_path_solution(tx, ris, rx, radio, mode="off")
-    channels = farfield_channel(tx, ris, rx, radio, direct=True,
-                                mode="off")
+        sol = two_path_solution(tx, ris, rx, radio)
+    channels = farfield_channel(tx, ris, rx, radio, direct=True)
     row = sol.theta @ channels.h_ti + channels.h_tr
     np.testing.assert_allclose(sol.v, mrt_beamforming(row, radio.tx_power),
                                rtol=0, atol=1e-12 * np.sqrt(radio.tx_power))
@@ -511,7 +512,7 @@ def test_bound_is_at_least_every_design(direct, rows, cols, upa, seed):
     if direct and not upa:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AmbiguousSignWarning)
-            sols.append(two_path_solution(tx, ris, rx, radio, mode="off"))
+            sols.append(two_path_solution(tx, ris, rx, radio))
     bound = power_upper_bound(channels, radio.tx_power)
     for sol in sols:
         assert received_power(channels, sol.theta, sol.v) <= bound * (1 + 1e-9)
