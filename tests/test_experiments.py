@@ -471,6 +471,31 @@ def test_enforce_far_field_modes():
         _enforce_far_field(tx, ris, d_ti, d_ir, "loud")
 
 
+def test_enforce_far_field_guards_farfield_power():
+    """A study judges the panel's own pose, then farfield_power computes:
+    "strict" raises before any power, "warn" warns once and leaves the
+    power as computed without a check, and "loud" is a DomainError."""
+    tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
+    ris = make_panel(rows=20, cols=20)
+    rx = np.array([5.0, 0.0, 5.0])
+    radio = RadioParams(wavelength=0.0286, tx_power=0.001)
+    ang = link_angles(tx, rx, PanelPoses.of(ris))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unchecked = em.farfield_power(tx, ris, rx, radio, (0.3, -0.2), 0.1)
+    assert unchecked > 0.0
+    with pytest.raises(FarFieldViolation, match="far-field conditions fail"):
+        _enforce_far_field(tx, ris, ang.d_ti, ang.d_ir, "strict")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _enforce_far_field(tx, ris, ang.d_ti, ang.d_ir, "warn")
+        warned = em.farfield_power(tx, ris, rx, radio, (0.3, -0.2), 0.1)
+    assert [w.category for w in caught] == [FarFieldWarning]
+    assert warned == unchecked
+    with pytest.raises(DomainError, match="unknown far-field mode 'loud'"):
+        _enforce_far_field(tx, ris, ang.d_ti, ang.d_ir, "loud")
+
+
 def test_enforce_far_field_across_poses():
     """Over a stack of poses, "strict" raises if any pose fails the check
     and names how many, "warn" warns once for all failing poses, "off"
