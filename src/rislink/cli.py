@@ -19,7 +19,7 @@ from . import __version__
 from .config import load_config
 from .errors import ConfigError, RislinkError
 from .experiments import (robustness, solve, sweep_distance, sweep_plane,
-                          sweep_wavelength, validate_suite)
+                          sweep_wavelength)
 from .output import emit_csv, emit_plot_script
 
 _EXPERIMENTS = {
@@ -85,6 +85,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "validate":
+            # the oracle suite loads only here: no study reads it
+            from .validation import validate_suite
             checks = validate_suite(cfg)
             failed = False
             for name, ok, detail in checks:

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -40,8 +40,7 @@ def watts_to_dbm(w):
     return float(dbm) if dbm.ndim == 0 else dbm
 
 
-@dataclass(frozen=True)
-class SweepRanges:
+class SweepRanges(NamedTuple):
     distance_min: float = 20.0
     distance_max: float = 200.0
     distance_points: int = 91
@@ -57,8 +56,7 @@ class SweepRanges:
     robustness_points: int = 41
 
 
-@dataclass(frozen=True)
-class SceneConfig:
+class SceneConfig(NamedTuple):
     """Validated scene parameters in linear units (watts, ratios, meters)."""
 
     tx_power: float
@@ -215,10 +213,10 @@ def load_config(path: str | Path | None = None, *,
     if grid_override is not None:
         if grid_override < 2:
             raise ConfigError("--grid must be >= 2")
-        ranges = replace(ranges, distance_points=grid_override,
-                         plane_points=grid_override,
-                         wavelength_points=grid_override,
-                         robustness_points=grid_override)
+        ranges = ranges._replace(distance_points=grid_override,
+                                 plane_points=grid_override,
+                                 wavelength_points=grid_override,
+                                 robustness_points=grid_override)
 
     mode = raw.get("flags", {}).get("far_field_mode", "warn")
     mode = "off" if mode is False else mode  # YAML 1.1 reads `off` as false

@@ -19,7 +19,6 @@ the far-field conditions; `geometry.far_field_check` is that check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -28,24 +27,26 @@ import numpy as np
 from .errors import (DegenerateGeometry, DimensionMismatch, DomainError,
                      ShadowedPanel)
 from .geometry import (LinkAngles, PanelPoses, RisPanel, TransmitterArray,
-                       UlaLayout, _antenna_offsets, _axis_offsets,
+                       UlaLayout, _antenna_offsets, _axis_offsets, _Value,
                        antenna_positions, element_positions, link_angles)
 
 
-@dataclass(frozen=True)
-class RadioParams:
+class RadioParams(_Value):
     """Link-level radio constants: wavelength (m), transmit power budget (W),
     receive antenna gain (linear power ratio)."""
 
     wavelength: float
-    tx_power: float = 1.0
-    rx_gain: float = 1.0
+    tx_power: float
+    rx_gain: float
 
-    def __post_init__(self):
-        if self.wavelength <= 0:
+    def __init__(self, wavelength: float, tx_power: float = 1.0,
+                 rx_gain: float = 1.0):
+        if wavelength <= 0:
             raise DomainError("wavelength must be > 0")
-        if self.tx_power < 0 or self.rx_gain < 0:
+        if tx_power < 0 or rx_gain < 0:
             raise DomainError("power and gain must be nonnegative")
+        self.__dict__.update(wavelength=wavelength, tx_power=tx_power,
+                             rx_gain=rx_gain)
 
 
 def _leading_singular_pair(c: np.ndarray,
@@ -95,8 +96,7 @@ def _unit_phasors(phase: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class ChannelSet:
+class ChannelSet(_Value):
     """Assembled channel matrices for one scene: the one L x N cascade C
     and the optional direct row.
 
@@ -108,10 +108,17 @@ class ChannelSet:
     """
 
     h_ti: np.ndarray  # (L, N) cascade C, (q, p): antenna p -> element q -> R
-    h_tr: np.ndarray | None = None  # (N,) direct T->R row, if present
-    mirrored: bool = field(default=False, kw_only=True)
+    h_tr: np.ndarray | None  # (N,) direct T->R row, if present
+    mirrored: bool
+
+    def __init__(self, h_ti: np.ndarray, h_tr: np.ndarray | None = None, *,
+                 mirrored: bool = False):
+        self.__dict__.update(h_ti=h_ti, h_tr=h_tr, mirrored=mirrored)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The shape checks of the fields; a method of its own, so that the
+        benchmark's tracer can count the entries of every channel built."""
         if self.h_ti.ndim != 2:
             raise DimensionMismatch("h_ti must be (L, N)")
         if self.h_tr is not None and self.h_tr.shape != (self.h_ti.shape[1],):

@@ -1,32 +1,27 @@
 """Experiment runner: scene builders and the simulation studies (distance
 sweep, plane sweeps with/without direct link, wavelength sweep with the
-anti-decay design, position-perturbation robustness, oracle validation).
-Only the studies apply the profile's far-field policy, _enforce_far_field."""
+anti-decay design, position-perturbation robustness).  Only the studies
+apply the profile's far-field policy, _enforce_far_field.  The oracle
+suite of `rislink validate` lives with its oracles, in `validation`."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .config import SceneConfig, watts_to_dbm
-from .em import (RadioParams, _axis_factors, _farfield_link, _theta_dot_d,
-                 _tx_axes, exact_channel, farfield_channel, farfield_power,
+from .em import (RadioParams, _farfield_link, exact_channel, farfield_power,
                  friis_amplitude, received_power, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
-                       UpaLayout, _norm, far_field_check, link_angles)
-from .errors import (DomainError, FarFieldViolation, FarFieldWarning,
-                     RegionDWarning)
-from .placement import (PlaneScene, optimal_orientation, plane_objective,
-                        position_search_plane)
+                       _norm, far_field_check, link_angles)
+from .errors import DomainError, FarFieldViolation, FarFieldWarning
+from .placement import PlaneScene, optimal_orientation
 from .solvers import (_closed_form_design, anti_decay_design,
                       closed_form_predicted_power, closed_form_solution,
                       power_upper_bound, svd_solution, two_path_o,
                       two_path_power_closed_form, two_path_solution)
-from .validation import (dense_position_grid, exhaustive_phase_search,
-                         random_feasible_solutions)
 
 # Rows per block, shared by the plane map's model calls (sweep_plane), which
 # keep their temporaries to one block, and the CSV writer (output.emit_csv),
@@ -36,17 +31,19 @@ from .validation import (dense_position_grid, exhaustive_phase_search,
 _BLOCK_ROWS = 4096
 
 
-@dataclass
 class SweepResult:
     """The table of one experiment, as named columns, plus plotting metadata.
 
-    `columns` maps each CSV header, in order, to one column of equal length:
-    a numpy float or int array, or a list of str.
+    `kind` is "line", "bar", "heatmap" or "robustness".  `columns` maps
+    each CSV header, in order, to one column of equal length: a numpy float
+    or int array, or a list of str.
     """
 
-    kind: str                   # "line" | "bar" | "heatmap" | "robustness"
-    columns: dict[str, np.ndarray | list[str]]
-    meta: dict = field(default_factory=dict)
+    def __init__(self, kind: str, columns: dict[str, np.ndarray | list[str]],
+                 meta: dict | None = None):
+        self.kind = kind
+        self.columns = columns
+        self.meta = {} if meta is None else meta
 
     @property
     def header(self) -> tuple[str, ...]:
@@ -328,10 +325,10 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
     designs = [anti_decay_design(lam, "fix_area", sw.element_ratio,
                                  total_area=sw.total_area)
                for lam in lams.tolist()]
-    scenes = [replace(cfg, wavelength=lam, ris_rows=design.rows,
-                      ris_cols=design.cols, element_size_x=design.d_x,
-                      element_size_y=design.d_y,
-                      spacing=cfg.spacing / cfg.wavelength * lam)
+    scenes = [cfg._replace(wavelength=lam, ris_rows=design.rows,
+                           ris_cols=design.cols, element_size_x=design.d_x,
+                           element_size_y=design.d_y,
+                           spacing=cfg.spacing / cfg.wavelength * lam)
               for lam, design in zip(lams.tolist(), designs)]
     if cfg.far_field_mode == "strict":
         for scene in scenes:
@@ -416,115 +413,3 @@ def solve(cfg: SceneConfig) -> SweepResult:
                                     evaluated + [bound])},
                        meta=_meta(cfg, "solve",
                                   direct_link=cfg.direct_link))
-
-
-def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
-    """Small oracle suite: returns (name, passed, detail) triples."""
-    tiny = replace(cfg, ris_rows=2, ris_cols=2, antennas=2)
-    radio = _radio(tiny)
-    tx, ris, rx = equilateral_scene(tiny, 50.0)
-    checks: list[tuple[str, bool, str]] = []
-
-    channels = farfield_channel(tx, ris, rx, radio)
-    sol = closed_form_solution(tx, ris, rx, radio)
-    closed = received_power(channels, sol.theta, sol.v)
-    best, _ = exhaustive_phase_search(channels, tiny.tx_power, levels=64)
-    rel = abs(closed - best) / best
-    checks.append(("closed-form vs phase-grid oracle", rel < 5e-3,
-                   f"relative gap {rel:.2e}"))
-
-    channels2 = farfield_channel(tx, ris, rx, radio, direct=True)
-    sol2 = two_path_solution(tx, ris, rx, radio)
-    closed2 = received_power(channels2, sol2.theta, sol2.v)
-    best2, _ = exhaustive_phase_search(channels2, tiny.tx_power, levels=64)
-    rel2 = abs(closed2 - best2) / best2
-    checks.append(("two-path closed form vs oracle", rel2 < 5e-3,
-                   f"relative gap {rel2:.2e}"))
-
-    samples = random_feasible_solutions((ris.count, tx.count), tiny.tx_power,
-                                        200, seed=7)
-    dominated = all(received_power(channels, th, v) <= closed * (1 + 1e-9)
-                    for th, v in samples)
-    checks.append(("closed form dominates random designs", dominated,
-                   "200 samples"))
-
-    bound = power_upper_bound(channels, tiny.tx_power)
-    checks.append(("closed form within bound", closed <= bound * (1 + 1e-9),
-                   f"power {closed:.3e} bound {bound:.3e}"))
-
-    # the factored power of the closed form against the dense far-field
-    # channel, for a tilted 3 x 4 panel (d_x != d_y) and a 2 x 3 UPA
-    # (spacing_x != spacing_y) at the origin, all steering components
-    # nonzero, at poses moved off the design's pose: theta . d_vec falls
-    # below L and AF_T below N
-    normal = _unit(np.array([0.15, 0.25, -1.0]))
-    ax, tx_ax = _unit(_reject(_EX, normal)), _unit(np.array([1.0, 0.3, 0.4]))
-    panel = _panel_at(replace(tiny, ris_rows=3, ris_cols=4,
-                              element_size_y=1.5 * tiny.element_size_x),
-                      [25.0, 0.0, 25.0 * np.sqrt(3)],
-                      (normal, ax, np.cross(normal, ax)))
-    upa = TransmitterArray(np.zeros(3), UpaLayout(
-        2, 3, tiny.spacing, 1.4 * tiny.spacing, tx_ax,
-        _unit(_reject(_EY + _EZ, tx_ax))), tiny.tx_gain)
-    far_rx = np.array([50.0, 0.0, 0.0])
-    design = closed_form_solution(upa, panel, far_rx, radio)
-    steering, tx_steering = _closed_form_design(
-        upa, panel, _farfield_link(upa, panel, far_rx, radio))
-    shifts = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0], [0.0, 30.0, 0.0],
-                       [-12.0, 8.0, 6.0], [-20.0, -10.0, 0.0]])
-    poses = PanelPoses(panel.center + shifts, *(
-        np.tile(a, (len(shifts), 1))
-        for a in (panel.normal, panel.axis_x, panel.axis_y)))
-    factored = farfield_power(upa, panel, far_rx, radio, steering,
-                              tx_steering, poses=poses)
-    moved = _farfield_link(upa, panel, far_rx, radio, poses)
-    weakest = [float(np.min(np.abs(f))) / n for f, n in (
-        (_theta_dot_d(panel, moved, steering), panel.count),
-        (_axis_factors(_tx_axes(upa), moved.angles.u_ti, tx_steering,
-                       moved.wavenum), upa.count))]
-    scales = moved.a_tir**2 * panel.count * upa.count * tiny.tx_power
-    gaps, agree = [], min(map(abs, (*steering, *tx_steering))) > 0.05
-    for center, power, scale in zip(poses.center, factored, scales):
-        dense = received_power(
-            farfield_channel(upa, replace(panel, center=center), far_rx,
-                             radio), design.theta, design.v)
-        err = abs(power - dense)
-        agree &= (err <= 1e-12 * max(dense, scale)
-                  and (dense < 1e-6 * scale or err <= 1e-12 * dense))
-        gaps.append(err / dense)
-    checks.append(("factored far-field power vs dense channel",
-                   agree and max(weakest) < 0.9,
-                   f"{len(shifts)} poses, |theta.d_vec|/L down to "
-                   f"{weakest[0]:.2f}, |AF_T|/N down to {weakest[1]:.2f}, "
-                   f"relative gap up to {max(gaps):.1e}"))
-
-    # the exact channel of the symmetric scene takes the half-Gram path
-    exact = exact_channel(tx, ris, rx, radio)
-    u1, sigma = exact.leading_pair
-    u_ref, s_ref, _ = np.linalg.svd(exact.cascade())
-    sigma_err = abs(sigma - s_ref[0]) / s_ref[0]
-    c = np.vdot(u_ref[:, 0], u1)
-    u_err = float(np.linalg.norm(u1 - u_ref[:, 0] * c / abs(c)))
-    checks.append(("leading singular pair vs dense SVD",
-                   exact.mirrored and sigma_err < 1e-12 and u_err < 1e-10,
-                   f"sigma relative error {sigma_err:.1e}, u error "
-                   f"{u_err:.1e}, mirrored {exact.mirrored}"))
-
-    # the placement theorem on the sweep-plane window, which overlaps
-    # region D: the search's RegionDWarning is counted, not printed
-    (x0, x1), (y0, y1) = cfg.sweeps.plane_x, cfg.sweeps.plane_y
-    plane = PlaneScene(cfg.height, cfg.height, cfg.d_tr,
-                       [[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]])
-    objective = plane_objective(plane, cfg.pattern_exponent)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RegionDWarning)
-        found = position_search_plane(plane, objective)
-    grid = dense_position_grid(plane, objective, 101)
-    x, y = found.position
-    checks.append(("placement search vs dense position grid",
-                   found.value >= grid.value * (1 - 1e-9),
-                   f"search {found.value:.5e} at ({x:.2f}, {y:.2f}), "
-                   f"101 x 101 grid {grid.value:.5e}, "
-                   f"{sum(w.category is RegionDWarning for w in caught)} "
-                   "RegionDWarning"))
-    return checks

@@ -11,7 +11,6 @@ and `far_field_check` are the one scene route every channel and study reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,24 +61,63 @@ def _check_frame(normal: np.ndarray, axis_x: np.ndarray,
             raise DomainError(f"panel frame not orthogonal: {nm}")
 
 
-@dataclass(frozen=True)
-class UlaLayout:
+class _Value:
+    """Base of the checked value types, declared like a frozen record: the
+    annotations of a subclass name its fields, in order, and its
+    constructor checks the arguments and stores the fields.  Assigning or
+    deleting an attribute raises AttributeError, and `_replace` copies
+    with changes through the constructor, so a copy is checked like a new
+    value.  Equality, hashing and repr go by the fields."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()),
+                                 **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class UlaLayout(_Value):
     """Uniform linear array: `count` antennas spaced `spacing` along `axis`."""
 
     count: int
     spacing: float
     axis: Vec3
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, count: int, spacing: float, axis: Vec3):
+        if count < 1:
             raise DomainError("antenna count must be >= 1")
-        if self.spacing <= 0:
+        if spacing <= 0:
             raise DomainError("antenna spacing must be > 0")
-        object.__setattr__(self, "axis", _check_unit(self.axis, "ULA axis"))
+        self.__dict__.update(count=count, spacing=spacing,
+                             axis=_check_unit(axis, "ULA axis"))
 
 
-@dataclass(frozen=True)
-class UpaLayout:
+class UpaLayout(_Value):
     """Uniform planar array on two orthonormal in-plane axes."""
 
     rows: int
@@ -89,43 +127,45 @@ class UpaLayout:
     axis_x: Vec3
     axis_y: Vec3
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, spacing_x: float,
+                 spacing_y: float, axis_x: Vec3, axis_y: Vec3):
+        if rows < 1 or cols < 1:
             raise DomainError("UPA rows and cols must be >= 1")
-        if self.spacing_x <= 0 or self.spacing_y <= 0:
+        if spacing_x <= 0 or spacing_y <= 0:
             raise DomainError("UPA spacings must be > 0")
-        ax = _check_unit(self.axis_x, "UPA axis_x")
-        ay = _check_unit(self.axis_y, "UPA axis_y")
+        ax = _check_unit(axis_x, "UPA axis_x")
+        ay = _check_unit(axis_y, "UPA axis_y")
         if abs(np.dot(ax, ay)) > _UNIT_TOL:
             raise DomainError("UPA axes must be orthogonal")
-        object.__setattr__(self, "axis_x", ax)
-        object.__setattr__(self, "axis_y", ay)
+        self.__dict__.update(rows=rows, cols=cols, spacing_x=spacing_x,
+                             spacing_y=spacing_y, axis_x=ax, axis_y=ay)
 
     @property
     def count(self) -> int:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class TransmitterArray:
+class TransmitterArray(_Value):
     """Transmit array: a center point, a ULA or UPA layout, and element gain."""
 
     center: Vec3
     layout: UlaLayout | UpaLayout
-    element_gain: float = 1.0  # linear power ratio
+    element_gain: float  # linear power ratio
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_vec3(self.center))
-        if self.element_gain < 0:
+    def __init__(self, center: Vec3, layout: UlaLayout | UpaLayout,
+                 element_gain: float = 1.0):
+        center = _as_vec3(center)
+        if element_gain < 0:
             raise DomainError("element gain must be nonnegative")
+        self.__dict__.update(center=center, layout=layout,
+                             element_gain=element_gain)
 
     @property
     def count(self) -> int:
         return self.layout.count
 
 
-@dataclass(frozen=True)
-class RisPanel:
+class RisPanel(_Value):
     """Reflective panel: rows x cols elements of size d_x x d_y on a rigid frame.
 
     `normal`, `axis_x`, `axis_y` form an orthonormal frame; elements are laid
@@ -140,30 +180,37 @@ class RisPanel:
     normal: Vec3
     axis_x: Vec3
     axis_y: Vec3
-    reflection_coeff: float = 1.0
-    pattern_exponent: float = 3.0
-    element_gain: float = 1.0  # linear power ratio
+    reflection_coeff: float
+    pattern_exponent: float
+    element_gain: float  # linear power ratio
 
-    def __post_init__(self):
-        for name in ("center", "normal", "axis_x", "axis_y"):
-            object.__setattr__(self, name, _as_vec3(getattr(self, name)))
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, center: Vec3, rows: int, cols: int, d_x: float,
+                 d_y: float, normal: Vec3, axis_x: Vec3, axis_y: Vec3,
+                 reflection_coeff: float = 1.0,
+                 pattern_exponent: float = 3.0, element_gain: float = 1.0):
+        center, normal, axis_x, axis_y = (
+            _as_vec3(v) for v in (center, normal, axis_x, axis_y))
+        if rows < 1 or cols < 1:
             raise DomainError("panel rows and cols must be >= 1")
-        if self.d_x <= 0 or self.d_y <= 0:
+        if d_x <= 0 or d_y <= 0:
             raise DomainError("element sizes must be > 0")
-        _check_frame(self.normal, self.axis_x, self.axis_y)
-        if not 0.0 <= self.reflection_coeff <= 1.0:
+        _check_frame(normal, axis_x, axis_y)
+        if not 0.0 <= reflection_coeff <= 1.0:
             raise DomainError("reflection coefficient must lie in [0, 1]")
-        if self.pattern_exponent < 0:
+        if pattern_exponent < 0:
             raise DomainError("pattern exponent must be >= 0")
+        self.__dict__.update(center=center, rows=rows, cols=cols, d_x=d_x,
+                             d_y=d_y, normal=normal, axis_x=axis_x,
+                             axis_y=axis_y, reflection_coeff=reflection_coeff,
+                             pattern_exponent=pattern_exponent,
+                             element_gain=element_gain)
 
     @property
     def count(self) -> int:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class PanelPoses:
+class PanelPoses(_Value):
     """P rigid poses of one panel grid: the centers and the orthonormal
     frames (normal, in-plane x, in-plane y), each a (P, 3) array, checked
     like the frame of a RisPanel."""
@@ -173,9 +220,10 @@ class PanelPoses:
     axis_x: np.ndarray
     axis_y: np.ndarray
 
-    def __post_init__(self):
-        arrays = [np.asarray(getattr(self, name), dtype=float)
-                  for name in ("center", "normal", "axis_x", "axis_y")]
+    def __init__(self, center: np.ndarray, normal: np.ndarray,
+                 axis_x: np.ndarray, axis_y: np.ndarray):
+        arrays = [np.asarray(a, dtype=float)
+                  for a in (center, normal, axis_x, axis_y)]
         shape = arrays[0].shape
         if len(shape) != 2 or shape[0] < 1 or shape[1] != 3:
             raise DomainError(f"expected (P, 3) pose arrays, got {shape}")
@@ -184,16 +232,15 @@ class PanelPoses:
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise DomainError("pose components must be finite")
         _check_frame(*arrays[1:])
-        for name, a in zip(("center", "normal", "axis_x", "axis_y"), arrays):
-            object.__setattr__(self, name, a)
+        self.__dict__.update(zip(self._fields, arrays))
 
     @classmethod
     def of(cls, ris: RisPanel) -> PanelPoses:
         """The panel's own pose, P = 1.  RisPanel has checked the frame, so
         it is not checked again: every channel of a scene builds this pose."""
         poses = object.__new__(cls)
-        for name in ("center", "normal", "axis_x", "axis_y"):
-            object.__setattr__(poses, name, getattr(ris, name)[None])
+        poses.__dict__.update((name, getattr(ris, name)[None])
+                              for name in cls._fields)
         return poses
 
 

@@ -11,15 +11,14 @@ dense-grid fallback is used.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (DegenerateTriangle, DomainError, EmptyFeasible,
                      RegionDWarning)
-from .geometry import cos_theta_0
+from .geometry import _Value, cos_theta_0
 
 _TRIANGLE_TOL = 1e-9
 
@@ -69,8 +68,7 @@ def f_object(d_ti, d_ir, d_tr: float, k: float):
     return float(val) if val.ndim == 0 else val
 
 
-@dataclass(frozen=True)
-class PlaneScene:
+class PlaneScene(_Value):
     """Placement plane: T/R heights, projected separation, feasible polygons.
 
     `feasible` is a union of simple polygons given as (n, 2) vertex arrays in
@@ -82,23 +80,25 @@ class PlaneScene:
     h1: float
     h2: float
     separation: float
-    feasible: Sequence[np.ndarray] = field(default_factory=list)
-    d_tr: float | None = None
+    feasible: Sequence[np.ndarray]
+    d_tr: float | None
 
-    def __post_init__(self):
+    def __init__(self, h1: float, h2: float, separation: float,
+                 feasible: Sequence[np.ndarray] = (),
+                 d_tr: float | None = None):
+        self.__dict__.update(h1=h1, h2=h2, separation=separation, d_tr=d_tr)
         # written so that NaN fails every check
-        if not all(0 <= v < np.inf for v in (self.h1, self.h2,
-                                             self.separation)):
+        if not all(0 <= v < np.inf for v in (h1, h2, separation)):
             raise DomainError("heights and separation must be finite, >= 0")
         if not 0 < self.t_r_distance < np.inf:
             raise DomainError("d_tr must be finite and > 0")
-        polys = tuple(np.asarray(p, dtype=float) for p in self.feasible)
+        polys = tuple(np.asarray(p, dtype=float) for p in feasible)
         for p in polys:
             if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3:
                 raise DomainError("polygons must be (n>=3, 2) vertex arrays")
             if not np.all(np.isfinite(p)):
                 raise DomainError("polygon vertices must be finite")
-        object.__setattr__(self, "feasible", polys)
+        self.__dict__["feasible"] = polys
 
     @property
     def t_r_distance(self) -> float:
@@ -230,8 +230,7 @@ def _golden_max(fun: Callable[[float], float], a: float, b: float,
     return x, fun(x)
 
 
-@dataclass(frozen=True)
-class PlacementResult:
+class PlacementResult(NamedTuple):
     position: np.ndarray
     value: float
     search_set: str
@@ -324,8 +323,7 @@ def position_search_plane(scene: PlaneScene,
     return PlacementResult(best_point, best_val, search_set, fallback)
 
 
-@dataclass(frozen=True)
-class QuasiconvexityReport:
+class QuasiconvexityReport(NamedTuple):
     """Scan summary of F(x) = f_object with one distance fixed."""
 
     xs: np.ndarray

@@ -5,8 +5,8 @@ received-power upper bound."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ class Method(Enum):
     SVD_PROJECTED = "svd-projected"
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """One joint design: beamformer v, unit-modulus phases theta, and the
     power the method predicts for itself."""
 
@@ -34,15 +33,6 @@ class Solution:
     theta: np.ndarray
     predicted_power: float
     method: Method
-
-
-@dataclass(frozen=True)
-class TwoPathTerms:
-    """Coherence factor O between RIS and direct paths and the constant
-    phase offset added to every element in the two-path design."""
-
-    o: float
-    phase_offset: float
 
 
 def _check_feasible(v: np.ndarray, theta: np.ndarray, p_t: float) -> None:
@@ -85,16 +75,6 @@ def _link_phases(ris: RisPanel, steering, wavenum: float) -> np.ndarray:
         np.conj(_centred_phasors(wavenum * g_x, ris.cols, ris.d_x))).ravel()
 
 
-def closed_form_phases(tx: TransmitterArray, ris: RisPanel, rx_position,
-                       wavelength: float) -> np.ndarray:
-    """Far-field optimal phase shifts, one unit-modulus entry per element:
-    the conjugate of the channel's two-hop element phasor d_vec, the panel
-    phasors toward u_TI + u_IR of the far-field link.  A panel that does not
-    see both ends raises ShadowedPanel."""
-    link = _farfield_link(tx, ris, rx_position, RadioParams(wavelength))
-    return _link_phases(ris, _link_steering(ris, link), link.wavenum)
-
-
 def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
     """Received power achieved by the far-field closed form,
     N * L^2 * a_TIR^2 * P_t; a_tir may be an array."""
@@ -116,8 +96,10 @@ def _closed_form_design(tx: TransmitterArray, ris: RisPanel,
 def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                          radio: RadioParams) -> Solution:
     """Assemble the far-field closed-form design of _closed_form_design for
-    one scene: the phases of closed_form_phases and the beamformer
-    v = sqrt(P_t/N) * conj(b_vec).  A panel that does not see both ends
+    one scene: the phases, one unit-modulus entry per element, are the
+    conjugate of the channel's two-hop element phasor d_vec (the panel
+    phasors toward u_TI + u_IR of the far-field link), and the beamformer
+    is v = sqrt(P_t/N) * conj(b_vec).  A panel that does not see both ends
     raises ShadowedPanel."""
     link = _farfield_link(tx, ris, rx_position, radio)
     steering, _ = _closed_form_design(tx, ris, link)
@@ -149,25 +131,6 @@ def two_path_o(n: int, spacing: float, cos_mu_ti, cos_mu_tr,
     return float(o) if np.ndim(o) == 0 else o
 
 
-def two_path_terms(layout: UlaLayout, cos_mu_ti: float, cos_mu_tr: float,
-                   d_ti: float, d_ir: float, d_tr: float,
-                   wavelength: float) -> TwoPathTerms:
-    """O of two_path_o for the ULA `layout`, and the constant phase offset
-    of the two-path closed form at the hop distances d_TI, d_IR and d_TR:
-    pi/2*(O/|O| - 1) - (2*pi/l)*(d_TI + d_IR - d_TR)."""
-    o = two_path_o(layout.count, layout.spacing, cos_mu_ti, cos_mu_tr,
-                   wavelength)
-    if abs(o) < 1e-12:
-        warnings.warn("O = 0: sign fold undefined, using +1 branch "
-                      "(cross term vanishes)", AmbiguousSignWarning)
-        sign = 1.0
-    else:
-        sign = np.sign(o)
-    offset = (np.pi / 2 * (sign - 1.0)
-              - 2 * np.pi / wavelength * (d_ti + d_ir - d_tr))
-    return TwoPathTerms(o=o, phase_offset=float(offset))
-
-
 def two_path_power_closed_form(a_tir, a_tr, o, n: int, l: int, p_t: float):
     """Received power of the optimal two-path design:
     N*L^2*a_TIR^2*P_t + N*a_TR^2*P_t + 2*N*L*a_TR*a_TIR*|O|*P_t (the sign
@@ -183,9 +146,11 @@ def two_path_power_closed_form(a_tir, a_tr, o, n: int, l: int, p_t: float):
 def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                       radio: RadioParams) -> Solution:
     """Two-path closed-form design: the RIS-only phases rotated by the
-    constant offset of two_path_terms, which phase-aligns the RIS path with
-    the direct path, and an MRT beamformer against the far-field effective
-    channel row.
+    constant offset pi/2*(O/|O| - 1) - (2*pi/l)*(d_TI + d_IR - d_TR), which
+    phase-aligns the RIS path with the direct path, with O of two_path_o,
+    and an MRT beamformer against the far-field effective channel row.
+    Where |O| < 1e-12 the sign fold is undefined: the +1 branch is taken
+    with an AmbiguousSignWarning (the cross term vanishes).
 
     The hop distances and cos(mu_TI) = axis . u_TI come from the far-field
     link, and d_TR and cos(mu_TR) from the one vector T - R.  The row is
@@ -204,11 +169,19 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     to_t = tx.center - _as_vec3(rx_position)
     d_ti, d_ir = float(link.angles.d_ti[0]), float(link.angles.d_ir[0])
     d_tr = float(_norm(to_t))
-    terms = two_path_terms(lay, float(lay.axis @ link.angles.u_ti[0]),
-                           float(lay.axis @ to_t) / d_tr, d_ti, d_ir, d_tr,
-                           radio.wavelength)
+    o = two_path_o(lay.count, lay.spacing,
+                   float(lay.axis @ link.angles.u_ti[0]),
+                   float(lay.axis @ to_t) / d_tr, radio.wavelength)
+    if abs(o) < 1e-12:
+        warnings.warn("O = 0: sign fold undefined, using +1 branch "
+                      "(cross term vanishes)", AmbiguousSignWarning)
+        sign = 1.0
+    else:
+        sign = np.sign(o)
+    offset = (np.pi / 2 * (sign - 1.0)
+              - 2 * np.pi / radio.wavelength * (d_ti + d_ir - d_tr))
     steering = _link_steering(ris, link)
-    rotation = np.exp(1j * terms.phase_offset)
+    rotation = np.exp(1j * float(offset))
     theta = _link_phases(ris, steering, link.wavenum) * rotation
     a_tir = float(link.a_tir[0])
     ris_amp = (a_tir * np.exp(1j * link.wavenum * (d_ti + d_ir))
@@ -216,7 +189,7 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     row = ris_amp * link.b_vec()[0] + h_tr
     v = mrt_beamforming(row, radio.tx_power)
     a_tr = float(np.abs(h_tr[0]))
-    predicted = two_path_power_closed_form(a_tir, a_tr, terms.o,
+    predicted = two_path_power_closed_form(a_tir, a_tr, o,
                                            tx.count, ris.count,
                                            radio.tx_power)
     _check_feasible(v, theta, radio.tx_power)
@@ -259,8 +232,7 @@ def power_upper_bound(channels: ChannelSet, p_t: float) -> float:
     return float(amp**2 * p_t)
 
 
-@dataclass(frozen=True)
-class GridDesign:
+class GridDesign(NamedTuple):
     """Panel grid produced by the anti-decay design rule."""
 
     rows: int

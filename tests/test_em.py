@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
                               UlaLayout, UpaLayout, antenna_positions,
                               element_positions, far_field_check,
                               link_angles)
-from rislink.solvers import _link_phases, closed_form_phases
+from rislink.solvers import _link_phases, closed_form_solution
 
 from test_geometry import EX, EY, EZ, make_panel, make_ula
 
@@ -102,7 +101,7 @@ def test_farfield_channel_rank_one_and_factors():
     np.testing.assert_allclose(np.abs(channels.h_ti), a_tir, rtol=1e-12)
     # each cascade column is d_vec, the conjugate of the closed-form
     # phases, times one constant
-    d_vec = np.conj(closed_form_phases(tx, ris, rx, RADIO.wavelength))
+    d_vec = np.conj(closed_form_solution(tx, ris, rx, RADIO).theta)
     column = channels.cascade()[:, 0]
     np.testing.assert_allclose(column, d_vec * (column[0] / d_vec[0]),
                                rtol=1e-12)
@@ -294,7 +293,7 @@ def steering_beam(tx, tx_steering, p_t, wavelength):
         w = tx_steering * lay.axis
     else:
         w = tx_steering[0] * lay.axis_y + tx_steering[1] * lay.axis_x
-    offsets = antenna_positions(replace(tx, center=np.zeros(3))) @ w
+    offsets = antenna_positions(tx._replace(center=np.zeros(3))) @ w
     return (np.sqrt(p_t / tx.count)
             * np.exp(-1j * 2 * np.pi / wavelength * offsets))
 
@@ -365,7 +364,7 @@ def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
     d_ref = np.exp(1j * wavenum * (offsets_toward(elems, ris.center,
                                                   tx.center)
                                    + offsets_toward(elems, ris.center, rx)))
-    layout = antenna_positions(replace(tx, center=np.zeros(3)))
+    layout = antenna_positions(tx._replace(center=np.zeros(3)))
     b_ref = np.exp(1j * wavenum * offsets_toward(
         layout, np.zeros(3), ris.center - tx.center))
     cascade = (link.a_tir[0]
@@ -473,7 +472,7 @@ def test_exact_channel_matches_norm_formula(rows, cols, upa, seed,
         tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
     if aligned and not mirrored:
         axes = (dict(axis_x=EX, axis_y=EZ) if upa else dict(axis=EY))
-        tx = replace(tx, layout=replace(tx.layout, **axes))
+        tx = tx._replace(layout=tx.layout._replace(**axes))
     assert takes_mirror_build(tx, ris, rx) == mirrored
     with pytest.MonkeyPatch.context() as mp:
         if block_rows:
@@ -617,7 +616,7 @@ def test_farfield_power_checks_transmitter_steering():
     a NaN, infinite or complex component DomainError.  A valid steering
     gives a finite, nonnegative float."""
     tx, ris, rx = equilateral(300.0, rows=2, cols=3)
-    upa = replace(tx, layout=UpaLayout(rows=2, cols=3, spacing_x=0.0143,
+    upa = tx._replace(layout=UpaLayout(rows=2, cols=3, spacing_x=0.0143,
                                        spacing_y=0.02, axis_x=EX, axis_y=EY))
     steering = random_steering(np.random.default_rng(0), ris)
     for array, good, bads in (
@@ -686,8 +685,8 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
     assert power.shape == (len(poses.center),)
     assert power[-1] == 0.0
     for i, p in enumerate(power.tolist()):
-        panel = replace(ris, center=poses.center[i], normal=poses.normal[i],
-                        axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
+        panel = ris._replace(center=poses.center[i], normal=poses.normal[i],
+                             axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
         try:
             dense = dense_power(tx, panel, rx, radio, steering, tx_steering)
         except ShadowedPanel:
@@ -777,8 +776,8 @@ def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
             ris, em._farfield_link(tx, ris, rx, radio, one),
             (g_y, g_x))
         assert np.array_equal(alone, sums[i:i + 1])
-        panel = replace(ris, center=poses.center[i], normal=poses.normal[i],
-                        axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
+        panel = ris._replace(center=poses.center[i], normal=poses.normal[i],
+                             axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
         elems = element_positions(panel).T
         d_vec = np.exp(1j * wavenum
                        * (offsets_toward(elems, panel.center, tx.center)

@@ -17,23 +17,21 @@ from rislink.experiments import (_BLOCK_ROWS, _enforce_far_field, _panel_at,
                                  analytic_point_power,
                                  equilateral_scene, plane_endpoints,
                                  ris_point_power, robustness, solve,
-                                 specular_frame, sweep_distance, sweep_plane,
-                                 validate_suite)
+                                 specular_frame, sweep_distance, sweep_plane)
 from rislink.geometry import PanelPoses, link_angles
 from rislink.placement import PlaneScene
 from rislink.solvers import closed_form_solution
-
-from dataclasses import replace
+from rislink.validation import validate_suite
 
 from test_geometry import EX, EY, EZ, make_panel, make_ula
 
 
 def small_cfg(**kw):
     cfg = load_config()
-    sweeps = replace(cfg.sweeps, distance_points=4, plane_points=4,
-                     wavelength_points=4, robustness_points=5,
-                     robustness_extent=4.0)
-    return replace(cfg, sweeps=sweeps, **kw)
+    sweeps = cfg.sweeps._replace(distance_points=4, plane_points=4,
+                                 wavelength_points=4, robustness_points=5,
+                                 robustness_extent=4.0)
+    return cfg._replace(sweeps=sweeps, **kw)
 
 
 def test_specular_frame_is_orthonormal_and_bisecting():
@@ -131,7 +129,7 @@ def test_ris_point_power_is_the_ris_term_of_analytic_point_power(points, k):
     "ris" bit for bit, on arrays and on scalars, and both equal the paper's
     N * L^2 * P_t * delta^2 * F* / (d_TI * d_IR)^2 with F* = cos^(2k) of
     half the angle at the RIS, taken here from the positions themselves."""
-    cfg = replace(load_config(), pattern_exponent=k)
+    cfg = load_config()._replace(pattern_exponent=k)
     x, y = np.array(points).T
     d_ti, d_ir = PlaneScene(cfg.height, cfg.height, cfg.d_tr).hops(x, y)
     full = analytic_point_power(cfg, d_ti, d_ir, cfg.d_tr,
@@ -273,11 +271,11 @@ def test_distance_scenes_take_mirror_build(paper_scale, monkeypatch):
                         lambda *args, **kw: channels.append(
                             build(*args, **kw)) or channels[-1])
     cfg = load_config(paper_scale=paper_scale)
-    cfg = replace(cfg, sweeps=replace(cfg.sweeps, distance_points=5))
+    cfg = cfg._replace(sweeps=cfg.sweeps._replace(distance_points=5))
     sweep_distance(cfg)
     # the paper-scale two-path design is near-field and warns
     with (pytest.warns(FarFieldWarning) if paper_scale else nullcontext()):
-        solve(replace(cfg, direct_link=True))
+        solve(cfg._replace(direct_link=True))
     assert seen == [True] * 6
     assert [c.mirrored for c in channels] == [True] * 6
 
@@ -297,9 +295,9 @@ def test_study_spectral_path_forms_no_cascade(paper_scale, monkeypatch):
                         lambda *args, **kw: channels.append(
                             build(*args, **kw)) or channels[-1])
     cfg = load_config(paper_scale=paper_scale)
-    cfg = replace(cfg, sweeps=replace(cfg.sweeps, distance_points=3))
+    cfg = cfg._replace(sweeps=cfg.sweeps._replace(distance_points=3))
     assert len(sweep_distance(cfg)) == 3
-    cfg = replace(cfg, direct_link=True)
+    cfg = cfg._replace(direct_link=True)
     assert solve(cfg).columns["method"][-2:] == ["svd-projected",
                                                  "upper-bound"]
     cascade = channels[-1].cascade()
@@ -391,8 +389,8 @@ def test_robustness_evaluates_grid_in_one_call(monkeypatch):
 
     monkeypatch.setattr(experiments, "RisPanel", counted_panel)
     monkeypatch.setattr(experiments, "farfield_power", counted_power)
-    sweeps = replace(small_cfg().sweeps, robustness_points=7)
-    res = robustness(replace(small_cfg(), sweeps=sweeps))
+    sweeps = small_cfg().sweeps._replace(robustness_points=7)
+    res = robustness(small_cfg()._replace(sweeps=sweeps))
     assert len(res) == 49
     assert calls["panel"] <= 1
     assert calls["power"] == 1
@@ -406,7 +404,7 @@ def test_robustness_theta_dot_d_is_the_panel_size(monkeypatch, paper_scale):
     a_TIR and b_vec . v mismatch."""
     cfg = load_config()
     if paper_scale:
-        cfg = replace(cfg, ris_rows=100, ris_cols=100)
+        cfg = cfg._replace(ris_rows=100, ris_cols=100)
     seen = []
     theta_dot_d = em._theta_dot_d
 
@@ -428,15 +426,15 @@ def test_robustness_honours_strict_far_field():
     far-field check is an error; a scene that passes it writes the same
     map as without the check."""
     cfg = small_cfg()
-    strict = robustness(replace(cfg, far_field_mode="strict"))
+    strict = robustness(cfg._replace(far_field_mode="strict"))
     loose = robustness(cfg)
     for name in loose.header:
         assert np.array_equal(strict.columns[name], loose.columns[name])
     # the 100 x 100 panel needs d_TI >= 283 m; the map sits 80 m below T
-    big = replace(cfg, ris_rows=100, ris_cols=100)
+    big = cfg._replace(ris_rows=100, ris_cols=100)
     with pytest.raises(FarFieldViolation):
-        robustness(replace(big, far_field_mode="strict"))
-    assert len(robustness(replace(big, far_field_mode="warn"))) == 25
+        robustness(big._replace(far_field_mode="strict"))
+    assert len(robustness(big._replace(far_field_mode="warn"))) == 25
 
 
 def near_field_hops(*heights):

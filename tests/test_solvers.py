@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -13,18 +13,18 @@ from rislink.errors import (AmbiguousSignWarning, DomainError,
 from rislink.geometry import (PanelPoses, UlaLayout, UpaLayout,
                               element_positions, far_field_check,
                               link_angles)
+from rislink.experiments import specular_frame
 from rislink.solvers import (Method, _closed_form_design, anti_decay_design,
-                             closed_form_phases, closed_form_predicted_power,
+                             closed_form_predicted_power,
                              closed_form_solution, mrt_beamforming,
                              power_upper_bound, svd_solution, two_path_o,
-                             two_path_power_closed_form, two_path_solution,
-                             two_path_terms)
+                             two_path_power_closed_form, two_path_solution)
 from rislink.validation import random_feasible_solutions
 
 from test_em import (RADIO, equilateral, offsets_toward,
                      random_scene, random_steering, random_tx_steering,
                      scene_args, steering_beam, steering_phases)
-from test_geometry import EX, EY, make_ula
+from test_geometry import EX, EY, make_panel, make_ula
 
 P_T = RADIO.tx_power
 
@@ -71,7 +71,7 @@ def test_closed_form_phases_conjugate_channel_phasor(rows, cols, upa, seed):
     two formulas round differently, by an error that grows with the phase,
     so the unit-modulus entries are held to 1e-12."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
-    theta = closed_form_phases(tx, ris, rx, radio.wavelength)
+    theta = closed_form_solution(tx, ris, rx, radio).theta
     wavenum = 2 * np.pi / radio.wavelength
     elems = element_positions(ris).T
     d_vec = np.exp(1j * wavenum
@@ -167,7 +167,7 @@ def test_closed_form_solution_raises_on_shadowed_panel():
     with pytest.raises(ShadowedPanel):
         closed_form_solution(tx, ris, behind, RADIO)
     with pytest.raises(ShadowedPanel):
-        closed_form_solution(replace(tx, center=behind), ris, rx, RADIO)
+        closed_form_solution(tx._replace(center=behind), ris, rx, RADIO)
 
 
 def test_ula_and_general_beamformer_agree():
@@ -303,17 +303,33 @@ def test_two_path_power_closed_form_arrays_match_scalar_calls():
 
 
 def test_two_path_terms_sign_fold_and_warning():
-    lay = make_ula(count=16, spacing=0.0143, axis=EY).layout
-    lam = 0.0286
-    # u = pi/16 zeroes the numerator sinc only -> O = 0
-    with pytest.warns(AmbiguousSignWarning):
-        terms = two_path_terms(lay, 1 / 8, 0.0, 100.0, 100.0, 150.0, lam)
-    assert terms.o == pytest.approx(0.0, abs=1e-12)
-    # negative O folds a -pi offset in
-    terms2 = two_path_terms(lay, 1.0, -1.0, 100.0, 100.0, 150.0, lam)
-    assert terms2.o < 0
-    expected = -np.pi - 2 * np.pi / lam * (100.0 + 100.0 - 150.0)
-    assert terms2.phase_offset == pytest.approx(expected, rel=1e-12)
+    """two_path_solution rotates the RIS-only phases by the constant offset
+    pi/2*(O/|O| - 1) - k*(d_TI + d_IR - d_TR).  The ULA axis is normal to
+    T - R, so cos(mu_TR) = 0, and the panel sits where cos(mu_TI) = 1/8,
+    u = pi/16, which zeroes the numerator sinc only: O = 0 takes the +1
+    branch with an AmbiguousSignWarning.  At cos(mu_TI) = 3/16 O is
+    negative and folds a -pi offset in, with no warning."""
+    lam, spacing = RADIO.wavelength, 0.0143
+    tx = make_ula(center=(0.0, 0.0, 0.0), count=16, spacing=spacing, axis=EY)
+    rx = np.array([150.0, 0.0, 0.0])
+    for cos_mu_ti, fold in ((1 / 8, 0.0), (3 / 16, -np.pi)):
+        center = 100.0 * np.array([np.sqrt(1 - cos_mu_ti**2), -cos_mu_ti,
+                                   0.0])
+        ris = make_panel(center, 3, 3, 0.01,
+                         *specular_frame(center, tx.center, rx))
+        o = two_path_o(16, spacing, cos_mu_ti, 0.0, lam)
+        with (pytest.warns(AmbiguousSignWarning) if fold == 0.0
+              else nullcontext()):
+            sol = two_path_solution(tx, ris, rx, RADIO)
+        if fold == 0.0:
+            assert o == pytest.approx(0.0, abs=1e-12)
+        else:
+            assert o < 0
+        rotation = sol.theta / closed_form_solution(tx, ris, rx, RADIO).theta
+        expected = fold - 2 * np.pi / lam * (
+            np.linalg.norm(center) + np.linalg.norm(rx - center) - 150.0)
+        np.testing.assert_allclose(rotation, np.exp(1j * expected), rtol=0,
+                                   atol=1e-12 * abs(expected))
 
 
 def test_two_path_solution_achieves_predicted_power():
@@ -338,7 +354,7 @@ def test_two_path_solution_uses_arrival_directions_at_transmitter(tilt):
     direction changes O, and with it the prediction and the sign fold."""
     tx, ris, rx = equilateral(300.0, rows=3, cols=3, count=8)
     axis = np.array([np.cos(tilt), 0.0, np.sin(tilt)])
-    tx = replace(tx, layout=replace(tx.layout, axis=axis))
+    tx = tx._replace(layout=tx.layout._replace(axis=axis))
     to_i, to_r = tx.center - ris.center, tx.center - rx
     o = two_path_o(8, tx.layout.spacing, axis @ to_i / np.linalg.norm(to_i),
                    axis @ to_r / np.linalg.norm(to_r), RADIO.wavelength)
@@ -357,7 +373,7 @@ def test_two_path_solution_rejects_upa_before_far_field_check():
     ang = link_angles(tx, rx, PanelPoses.of(ris))
     assert np.any(far_field_check(tx, ris, ang.d_ti, ang.d_ir) < 1.0)
     assert two_path_solution(tx, ris, rx, RADIO).predicted_power > 0.0
-    upa = replace(tx, layout=UpaLayout(rows=2, cols=2, spacing_x=0.0143,
+    upa = tx._replace(layout=UpaLayout(rows=2, cols=2, spacing_x=0.0143,
                                        spacing_y=0.0143, axis_x=EX,
                                        axis_y=EY))
     with pytest.raises(DomainError):
