@@ -28,7 +28,7 @@ print(f"\nRIS-link swing over the octave:    {ris.max() - ris.min():.3f} dB")
 print(f"direct-link swing over the octave: "
       f"{direct.max() - direct.min():.3f} dB")
 
-d = anti_decay_design(cfg.wavelength / 2, "fix_area", 1 / 3, total_area=9.0)
+d = anti_decay_design(cfg.wavelength / 2, 1 / 3, 9.0)
 print(f"\nAt half the default wavelength the 9 m^2 panel carries "
       f"{d.rows} x {d.cols} elements of {d.d_x * 100:.2f} cm.")
 print("The residual RIS-link ripple is pure grid rounding: element counts")

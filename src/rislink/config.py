@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .solvers import anti_decay_design
 
 
 def db_to_linear(db: float) -> float:
@@ -41,19 +42,21 @@ def watts_to_dbm(w):
 
 
 class SweepRanges(NamedTuple):
-    distance_min: float = 20.0
-    distance_max: float = 200.0
-    distance_points: int = 91
-    plane_x: tuple[float, float] = (-50.0, 250.0)
-    plane_y: tuple[float, float] = (0.0, 120.0)
-    plane_points: int = 101
-    wavelength_max: float = 0.0286
-    wavelength_octaves: float = 1.0
-    wavelength_points: int = 25
-    element_ratio: float = 1.0 / 3.0
-    total_area: float = 9.0
-    robustness_extent: float = 10.0
-    robustness_points: int = 41
+    """Sweep ranges and point counts; load_config holds the defaults."""
+
+    distance_min: float
+    distance_max: float
+    distance_points: int
+    plane_x: tuple[float, float]
+    plane_y: tuple[float, float]
+    plane_points: int
+    wavelength_max: float
+    wavelength_octaves: float
+    wavelength_points: int
+    element_ratio: float
+    total_area: float
+    robustness_extent: float
+    robustness_points: int
 
 
 class SceneConfig(NamedTuple):
@@ -77,7 +80,7 @@ class SceneConfig(NamedTuple):
     direct_link: bool
     far_field_mode: str
     sweeps: SweepRanges
-    config_hash: str = ""
+    config_hash: str
 
 
 def default_config_text() -> str:
@@ -267,7 +270,8 @@ def _validate(cfg: SceneConfig) -> None:
         (cfg.antennas >= 1, "antenna count must be >= 1"),
         (cfg.spacing > 0, "antenna spacing must be > 0"),
         (cfg.d_tr > 0, "d_TR must be > 0"),
-        (cfg.height >= 0, "height must be >= 0"),
+        (cfg.height > 0, "geometry.height_m must be > 0: at 0 the "
+         "transmitter and receiver sit on the panel's plane"),
         (sw.distance_min > 0, "sweeps.distance.min_m must be > 0"),
         (sw.distance_max > sw.distance_min,
          "sweeps.distance.max_m must be > sweeps.distance.min_m"),
@@ -288,3 +292,12 @@ def _validate(cfg: SceneConfig) -> None:
     for ok, msg in checks:
         if not ok:
             raise ConfigError(msg)
+    try:
+        # the design's own rule at the longest wavelength, the largest element
+        anti_decay_design(sw.wavelength_max, sw.element_ratio, sw.total_area)
+    except DomainError:
+        raise ConfigError(
+            "sweeps.wavelength.total_area_m2 must hold one element of side "
+            "sweeps.wavelength.element_ratio * sweeps.wavelength.max_m, got "
+            f"{sw.total_area} m^2 against {sw.element_ratio} * "
+            f"{sw.wavelength_max} m") from None

@@ -338,8 +338,9 @@ def _axis_factors(axes, u, steering, wavenum: float) -> np.ndarray:
 def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
                  steering) -> np.ndarray:
     """theta . d_vec for every pose of the link, (P,), real, for the
-    closed-form phases of the steering pair (g_y, g_x) (solvers._link_phases):
-    theta and each pose's d_vec (_panel_phasors toward its u_TI + u_IR)
+    closed-form phases of the steering pair (g_y, g_x), the conjugate panel
+    phasors toward a direction with those panel-axis components: theta and
+    each pose's d_vec (_panel_phasors toward its u_TI + u_IR)
     separate along the panel axes, so this is _axis_factors of the pose's
     axes at u_TI + u_IR, exactly L at the design's own pose."""
     return _axis_factors([(ris.rows, ris.d_y, link.poses.axis_y),

@@ -312,8 +312,8 @@ def sweep_plane(cfg: SceneConfig) -> SweepResult:
 
 
 def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
-    """Wavelength sweep with the fix-area anti-decay panel design; RIS fixed
-    at R' on plane S.
+    """Wavelength sweep with the fixed-area anti-decay panel design; RIS
+    fixed at R' on plane S.
 
     Under far_field_mode "strict" a wavelength whose panel fails the
     far-field check at R' is an error; otherwise no check runs.
@@ -322,8 +322,7 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
     lam_hi = sw.wavelength_max
     lam_lo = lam_hi / 2.0 ** sw.wavelength_octaves
     lams = np.linspace(lam_lo, lam_hi, sw.wavelength_points)
-    designs = [anti_decay_design(lam, "fix_area", sw.element_ratio,
-                                 total_area=sw.total_area)
+    designs = [anti_decay_design(lam, sw.element_ratio, sw.total_area)
                for lam in lams.tolist()]
     scenes = [cfg._replace(wavelength=lam, ris_rows=design.rows,
                            ris_cols=design.cols, element_size_x=design.d_x,

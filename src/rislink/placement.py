@@ -72,26 +72,27 @@ class PlaneScene(_Value):
     """Placement plane: T/R heights, projected separation, feasible polygons.
 
     `feasible` is a union of simple polygons given as (n, 2) vertex arrays in
-    plane coordinates.  `d_tr` defaults to hypot(separation, h1 - h2), which
-    assumes T and R on the same side of the plane; pass it explicitly for
-    slices running between the endpoint heights.
+    plane coordinates.  T and R sit on the same side of the plane, so
+    d_TR = hypot(separation, h1 - h2).
     """
 
     h1: float
     h2: float
     separation: float
     feasible: Sequence[np.ndarray]
-    d_tr: float | None
 
     def __init__(self, h1: float, h2: float, separation: float,
-                 feasible: Sequence[np.ndarray] = (),
-                 d_tr: float | None = None):
-        self.__dict__.update(h1=h1, h2=h2, separation=separation, d_tr=d_tr)
+                 feasible: Sequence[np.ndarray] = ()):
+        self.__dict__.update(h1=h1, h2=h2, separation=separation)
         # written so that NaN fails every check
         if not all(0 <= v < np.inf for v in (h1, h2, separation)):
             raise DomainError("heights and separation must be finite, >= 0")
-        if not 0 < self.t_r_distance < np.inf:
-            raise DomainError("d_tr must be finite and > 0")
+        # T = R (h1 == h2, separation 0) gives 0, and hypot can overflow
+        with np.errstate(over="ignore"):
+            d_tr = self.t_r_distance
+        if not 0 < d_tr < np.inf:
+            raise DomainError("d_tr = hypot(separation, h1 - h2) must be "
+                              "finite and > 0")
         polys = tuple(np.asarray(p, dtype=float) for p in feasible)
         for p in polys:
             if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3:
@@ -102,8 +103,6 @@ class PlaneScene(_Value):
 
     @property
     def t_r_distance(self) -> float:
-        if self.d_tr is not None:
-            return self.d_tr
         return float(np.hypot(self.separation, self.h1 - self.h2))
 
     def hops(self, x, y):

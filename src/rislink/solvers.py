@@ -10,8 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em import (ChannelSet, RadioParams, _array_factor, _centred_phasors,
-                 _FarFieldLink, _farfield_link, _tx_axes, direct_channel)
+from .em import (ChannelSet, RadioParams, _array_factor, _FarFieldLink,
+                 _farfield_link, _panel_phasors, _tx_axes, direct_channel)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import RisPanel, TransmitterArray, UlaLayout, _as_vec3, _norm
 
@@ -63,18 +63,6 @@ def _link_steering(ris: RisPanel,
     return np.vecdot(ris.axis_y, u), np.vecdot(ris.axis_x, u)
 
 
-def _link_phases(ris: RisPanel, steering, wavenum: float) -> np.ndarray:
-    """The closed-form phases (L,) of the steering pair (g_y, g_x):
-    outer(theta_y, theta_x).ravel() of the panel-axis factors theta_y[n] =
-    exp(j*k*g_y*o_n) over the centred row offsets o_n and theta_x likewise,
-    the conjugates of the row and column phasors toward u_0 (see
-    em._panel_phasors)."""
-    g_y, g_x = steering
-    return np.outer(
-        np.conj(_centred_phasors(wavenum * g_y, ris.rows, ris.d_y)),
-        np.conj(_centred_phasors(wavenum * g_x, ris.cols, ris.d_x))).ravel()
-
-
 def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
     """Received power achieved by the far-field closed form,
     N * L^2 * a_TIR^2 * P_t; a_tir may be an array."""
@@ -95,15 +83,15 @@ def _closed_form_design(tx: TransmitterArray, ris: RisPanel,
 
 def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                          radio: RadioParams) -> Solution:
-    """Assemble the far-field closed-form design of _closed_form_design for
-    one scene: the phases, one unit-modulus entry per element, are the
-    conjugate of the channel's two-hop element phasor d_vec (the panel
-    phasors toward u_TI + u_IR of the far-field link), and the beamformer
-    is v = sqrt(P_t/N) * conj(b_vec).  A panel that does not see both ends
-    raises ShadowedPanel."""
+    """The far-field closed-form design of one scene, whose steerings
+    _closed_form_design gives: the phases, one unit-modulus entry per
+    element, are the conjugate of the channel's two-hop element phasor
+    d_vec (em._panel_phasors toward u_TI + u_IR of the far-field link), and
+    the beamformer is v = sqrt(P_t/N) * conj(b_vec).  A panel that does not
+    see both ends raises ShadowedPanel."""
     link = _farfield_link(tx, ris, rx_position, radio)
-    steering, _ = _closed_form_design(tx, ris, link)
-    theta = _link_phases(ris, steering, link.wavenum)
+    theta = np.conj(_panel_phasors(
+        ris, link.angles.u_ti[0] + link.angles.u_ir[0], link.wavenum))
     v = np.sqrt(radio.tx_power / tx.count) * np.conj(link.b_vec()[0])
     predicted = closed_form_predicted_power(float(link.a_tir[0]), tx.count,
                                             ris.count, radio.tx_power)
@@ -180,9 +168,10 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
         sign = np.sign(o)
     offset = (np.pi / 2 * (sign - 1.0)
               - 2 * np.pi / radio.wavelength * (d_ti + d_ir - d_tr))
-    steering = _link_steering(ris, link)
     rotation = np.exp(1j * float(offset))
-    theta = _link_phases(ris, steering, link.wavenum) * rotation
+    theta = np.conj(_panel_phasors(
+        ris, link.angles.u_ti[0] + link.angles.u_ir[0],
+        link.wavenum)) * rotation
     a_tir = float(link.a_tir[0])
     ris_amp = (a_tir * np.exp(1j * link.wavenum * (d_ti + d_ir))
                * (rotation * ris.count))
@@ -244,43 +233,19 @@ class GridDesign(NamedTuple):
     def count(self) -> int:
         return self.rows * self.cols
 
-    @property
-    def achieved_area(self) -> float:
-        return self.rows * self.cols * self.d_x * self.d_y
 
-
-def anti_decay_design(wavelength: float, mode: str, ratio: float, *,
-                      total_area: float | None = None,
-                      element_size: tuple[float, float] | None = None,
-                      count_wavelength_product: float | None = None,
-                      ) -> GridDesign:
-    """Wavelength-tracking panel design that keeps the RIS-link power flat.
-
-    mode "fix_area": element side = ratio * wavelength; the square grid is
-    the largest one fitting the requested total area (rounded down, achieved
-    area reported by the result).  mode "fix_element": element size fixed,
-    element count L = floor(count_wavelength_product / wavelength) so that
-    L * wavelength stays constant.
-    """
-    if ratio <= 0:
-        raise DomainError("ratio must be > 0")
-    if mode == "fix_area":
-        if total_area is None:
-            raise DomainError("fix_area mode requires total_area")
-        d = ratio * wavelength
-        side = int(np.floor(np.sqrt(total_area) / d))
-        if side < 1:
-            raise DomainError("total area too small for one element")
-        return GridDesign(rows=side, cols=side, d_x=d, d_y=d)
-    if mode == "fix_element":
-        if element_size is None or count_wavelength_product is None:
-            raise DomainError("fix_element mode requires element_size and "
-                              "count_wavelength_product")
-        l = int(np.floor(count_wavelength_product / wavelength))
-        if l < 1:
-            raise DomainError("wavelength too long for one element")
-        rows = max(int(np.floor(np.sqrt(l))), 1)
-        cols = l // rows
-        return GridDesign(rows=rows, cols=cols, d_x=element_size[0],
-                          d_y=element_size[1])
-    raise DomainError(f"unknown anti-decay mode {mode!r}")
+def anti_decay_design(wavelength: float, ratio: float,
+                      total_area: float) -> GridDesign:
+    """Wavelength-tracking panel design that keeps the RIS-link power flat:
+    element side = ratio * wavelength, and the square grid is the largest
+    one that fits the total area (rounded down).  Each argument must be
+    finite and > 0, and the area must hold one element."""
+    # written so that NaN fails the check
+    if not all(0 < v < np.inf for v in (wavelength, ratio, total_area)):
+        raise DomainError("wavelength, ratio and total area must be finite "
+                          "and > 0")
+    d = ratio * wavelength
+    side = int(np.floor(np.sqrt(total_area) / d))
+    if side < 1:
+        raise DomainError("total area too small for one element")
+    return GridDesign(rows=side, cols=side, d_x=d, d_y=d)

@@ -17,7 +17,7 @@ from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
                               UlaLayout, UpaLayout, antenna_positions,
                               element_positions, far_field_check,
                               link_angles)
-from rislink.solvers import _link_phases, closed_form_solution
+from rislink.solvers import closed_form_solution
 
 from test_geometry import EX, EY, EZ, make_panel, make_ula
 
@@ -265,8 +265,13 @@ def random_steering(rng, ris):
 
 def steering_phases(ris, steering, wavelength):
     """The phase vector (L,) that the steering pair stands for, that of the
-    closed-form design."""
-    return _link_phases(ris, steering, 2 * np.pi / wavelength)
+    closed-form design: the conjugate of em._panel_phasors toward a
+    direction whose panel-axis components are (g_y, g_x)."""
+    wavenum = 2 * np.pi / wavelength
+    g_y, g_x = steering
+    return np.conj(np.outer(
+        em._centred_phasors(wavenum * g_y, ris.rows, ris.d_y),
+        em._centred_phasors(wavenum * g_x, ris.cols, ris.d_x)).ravel())
 
 
 def random_tx_steering(rng, tx):

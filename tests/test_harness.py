@@ -59,6 +59,57 @@ def test_config_loads_without_libyaml(monkeypatch, tmp_path):
         load_config(bad)
 
 
+def test_loader_defaults_of_the_sweeps(tmp_path):
+    """A profile with no sweeps section loads to the defaults load_config
+    states, and the wavelength sweep starts from the radio's wavelength."""
+    from rislink.config import SweepRanges, default_config_text
+    text = default_config_text()
+    profile = tmp_path / "no_sweeps.yaml"
+    profile.write_text(text[:text.index("sweeps:")].replace(
+        "wavelength_m: 0.0286", "wavelength_m: 0.05"))
+    assert load_config(profile).sweeps == SweepRanges(
+        distance_min=20.0, distance_max=200.0, distance_points=91,
+        plane_x=(-50.0, 250.0), plane_y=(0.0, 120.0), plane_points=101,
+        wavelength_max=0.05, wavelength_octaves=1.0, wavelength_points=25,
+        element_ratio=1.0 / 3.0, total_area=9.0, robustness_extent=10.0,
+        robustness_points=41)
+
+
+def test_wavelength_sweep_area_must_hold_one_element(tmp_path, capsys):
+    """A total area too small for one element at the longest wavelength is
+    a profile error naming both keys: exit 1, nothing written.  The loader
+    applies the design's own rule, so at the boundary a profile loads
+    exactly when its sweep runs."""
+    from rislink.config import default_config_text
+    from rislink.experiments import sweep_wavelength
+    text = default_config_text()
+    profile = tmp_path / "area.yaml"
+    profile.write_text(text.replace("total_area_m2: 9.0",
+                                    "total_area_m2: 0.00001"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep-wavelength", "--config", str(profile),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "sweeps.wavelength.total_area_m2" in err
+    assert "sweeps.wavelength.element_ratio" in err
+    assert not out.exists()
+    side = 0.3333333333333333 * 0.0286
+    loaded = []
+    for area in (side**2 * (1 - 1e-9), np.nextafter(side**2, 0.0),
+                 side**2, np.nextafter(side**2, 1.0)):
+        profile.write_text(text.replace("total_area_m2: 9.0",
+                                        f"total_area_m2: {float(area)!r}"))
+        try:
+            cfg = load_config(profile, grid_override=3)
+        except ConfigError:
+            loaded.append(False)
+            continue
+        loaded.append(True)
+        assert len(sweep_wavelength(cfg)) == 3
+    assert loaded[-1] and not loaded[0]
+
+
 def test_config_overrides():
     cfg = load_config(paper_scale=True, direct_link=True,
                       strict_far_field=True, grid_override=7)
@@ -143,6 +194,8 @@ def test_config_errors(tmp_path, capsys):
             ("min_m: 20.0", "min_m: 0.0", "sweeps.distance.min_m must be"),
             ("d_tr_m: 200.0", "d_tr_m: .inf",
              "geometry.d_tr_m must be finite"),
+            # T and R on plane S, where the studies place the panel
+            ("height_m: 80.0", "height_m: 0", "geometry.height_m must be > 0"),
             ("    max_m: 0.0286", "    max_m: 0.0",
              "sweeps.wavelength.max_m must be"),
             ("total_area_m2: 9.0", "total_area_m2: 0.0",

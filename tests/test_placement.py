@@ -112,12 +112,12 @@ def test_plane_scene_distances_and_membership():
                                [np.hypot(100.0, 80.0), np.sqrt(20000.0)])
     assert scene.contains([[0.0, 50.0]])[0]
     assert not scene.contains([[-60.0, 50.0]])[0]
-    override = PlaneScene(h1=80.0, h2=80.0, separation=200.0, d_tr=123.0)
-    assert override.t_r_distance == 123.0
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(d_tr=-3.0), dict(d_tr=0.0), dict(d_tr=np.nan), dict(d_tr=np.inf),
+    # d_TR = hypot(separation, h1 - h2): 0 where T = R, and an overflow
+    dict(h1=0.0, h2=0.0, separation=0.0), dict(h1=1.5e308, separation=1.5e308),
+    dict(h2=1.5e308, separation=1.5e308), dict(separation=np.inf),
     dict(h1=np.nan), dict(h2=-1.0), dict(h2=np.inf), dict(separation=np.nan),
     dict(separation=-1.0), dict(h1=5.0, h2=5.0, separation=0.0),
     dict(feasible=[rect(0.0, 0.0, np.nan, 10.0)]),

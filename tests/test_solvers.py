@@ -535,11 +535,11 @@ def test_bound_is_at_least_every_design(direct, rows, cols, upa, seed):
 
 
 def test_anti_decay_fix_area_design():
-    d1 = anti_decay_design(0.0286, "fix_area", 1 / 3, total_area=9.0)
+    d1 = anti_decay_design(0.0286, 1 / 3, 9.0)
     assert (d1.rows, d1.cols) == (314, 314)
     assert d1.d_x == pytest.approx(0.0286 / 3)
-    assert d1.achieved_area <= 9.0
-    d2 = anti_decay_design(0.0143, "fix_area", 1 / 3, total_area=9.0)
+    assert d1.rows * d1.cols * d1.d_x * d1.d_y <= 9.0
+    d2 = anti_decay_design(0.0143, 1 / 3, 9.0)
     assert (d2.rows, d2.cols) == (629, 629)
     # the flatness invariant: L * d_x * d_y * wavelength^2 nearly constant
     k1 = d1.count * d1.d_x * d1.d_y
@@ -547,16 +547,14 @@ def test_anti_decay_fix_area_design():
     assert k1 == pytest.approx(k2, rel=5e-3)
 
 
-def test_anti_decay_fix_element_design():
-    d = anti_decay_design(0.01, "fix_element", 0.5, element_size=(0.01, 0.01),
-                          count_wavelength_product=4.0)
-    assert d.count <= 400
-    assert d.rows * d.cols == d.count
-    with pytest.raises(DomainError):
-        anti_decay_design(0.01, "fix_element", 0.5)
-    with pytest.raises(DomainError):
-        anti_decay_design(0.01, "fix_area", 0.5)
-    with pytest.raises(DomainError):
-        anti_decay_design(0.01, "hold_that_thought", 0.5, total_area=1.0)
-    with pytest.raises(DomainError):
-        anti_decay_design(10.0, "fix_area", 1 / 3, total_area=9.0)
+def test_anti_decay_design_rejects_bad_inputs():
+    """A wavelength, ratio or total area that is not finite and > 0 raises
+    DomainError, NaN included, and so does an area too small for one
+    element; no RuntimeWarning escapes on the way."""
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        for args in ((bad, 1 / 3, 9.0), (0.0286, bad, 9.0),
+                     (0.0286, 1 / 3, bad)):
+            with pytest.raises(DomainError, match="finite and > 0"):
+                anti_decay_design(*args)
+    with pytest.raises(DomainError, match="too small for one element"):
+        anti_decay_design(10.0, 1 / 3, 9.0)

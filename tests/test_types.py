@@ -160,7 +160,7 @@ _CASES = [
                       feasible=[[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]]), [
         (dict(h1=-1.0), DomainError, "heights and separation"),
         (dict(separation=np.nan), DomainError, "heights and separation"),
-        (dict(d_tr=0.0), DomainError, "d_tr"),
+        (dict(separation=0.0), DomainError, "d_tr"),
         (dict(feasible=[[(0.0, 0.0), (1.0, 0.0)]]), DomainError,
          "polygons must be"),
         (dict(feasible=[[(0.0, 0.0), (1.0, np.inf), (0.0, 1.0)]]),
