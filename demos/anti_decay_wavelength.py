@@ -6,6 +6,10 @@ the wavelength costs 6 dB.  The reflected link's per-element gain also
 shrinks, but the element count grows if the panel area is held fixed while
 elements track the wavelength (side = wavelength / 3 here).  The L^2 growth
 of the reflected power exactly offsets the per-element loss.
+
+Under the bundled far_field_mode `warn` the sweep prints one
+FarFieldWarning to stderr: each fixed-area 9 m^2 panel fails the
+far-field check at R', at all 25 wavelengths.
 """
 
 from rislink import anti_decay_design, load_config

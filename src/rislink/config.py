@@ -295,9 +295,8 @@ def _validate(cfg: SceneConfig) -> None:
     try:
         # the design's own rule at the longest wavelength, the largest element
         anti_decay_design(sw.wavelength_max, sw.element_ratio, sw.total_area)
-    except DomainError:
+    except DomainError as exc:
         raise ConfigError(
-            "sweeps.wavelength.total_area_m2 must hold one element of side "
-            "sweeps.wavelength.element_ratio * sweeps.wavelength.max_m, got "
-            f"{sw.total_area} m^2 against {sw.element_ratio} * "
-            f"{sw.wavelength_max} m") from None
+            f"sweeps.wavelength.total_area_m2 ({sw.total_area} m^2) and "
+            "sweeps.wavelength.element_ratio * sweeps.wavelength.max_m "
+            f"({sw.element_ratio} * {sw.wavelength_max} m): {exc}") from None

@@ -194,18 +194,18 @@ def analytic_point_power(cfg: SceneConfig, d_ti, d_ir, d_tr, cos_mu_ti,
     return {key: float(value[0]) for key, value in powers.items()}
 
 
-def _enforce_far_field(tx, ris, d_ti, d_ir, mode: str) -> None:
-    """Apply the far-field policy to P poses at hop distances d_ti, d_ir
-    (P,): "strict" raises and "warn" warns once if any pose fails the
-    check, "off" skips it."""
+def _enforce_far_field(cfg: SceneConfig, ratios: np.ndarray) -> None:
+    """Apply the profile's far_field_mode to the quotients (P, 3) of
+    far_field_check at all P poses of one study: "strict" raises and "warn"
+    warns once if any pose fails, "off" skips the verdict.  A pose passes
+    where all three quotients are >= 1, as in sweep_distance's far_field_ok."""
+    mode = cfg.far_field_mode
     if mode not in ("strict", "warn", "off"):
         raise DomainError(f"unknown far-field mode {mode!r}")
-    if mode == "off":
+    # one pass over the whole array; the per-pose verdict only on a failure
+    if mode == "off" or np.all(ratios >= 1.0):
         return
-    ratios = far_field_check(tx, ris, d_ti, d_ir)
-    failing = np.any(ratios < 1.0, axis=-1)
-    if not failing.any():
-        return
+    failing = ~np.all(ratios >= 1.0, axis=-1)
     count = (f" at {failing.sum()} of {len(failing)} poses"
              if len(failing) > 1 else "")
     msg = (f"far-field conditions fail{count}: "
@@ -215,21 +215,20 @@ def _enforce_far_field(tx, ris, d_ti, d_ir, mode: str) -> None:
     warnings.warn(msg, FarFieldWarning)
 
 
-def _check_plane_far_field(cfg: SceneConfig, x, y) -> None:
-    """Raise FarFieldViolation if the configured panel at a point (x, y) of
-    plane S (arrays) fails the far-field check, between the endpoints of
-    plane_endpoints."""
+def _plane_ratios(cfg: SceneConfig, d_ti, d_ir) -> np.ndarray:
+    """far_field_check of the configured panel at hop distances of
+    PlaneScene.hops on plane S, between the endpoints of plane_endpoints."""
     tx, _ = plane_endpoints(cfg)
     panel = _panel_at(cfg, np.zeros(3), (_EZ, _EX, _EY))
-    plane = PlaneScene(cfg.height, cfg.height, cfg.d_tr)
-    _enforce_far_field(tx, panel, *plane.hops(x, y), mode="strict")
+    return far_field_check(tx, panel, d_ti, d_ir)
 
 
-def _plane_point_power(cfg: SceneConfig, x, y, direct: bool = True) -> dict:
-    """analytic_point_power with the RIS at (x, y) on plane S, between the
-    endpoints of plane_endpoints.  Without `direct`, only the RIS-only
-    route runs: ris_point_power, returned as the one key "ris"."""
-    d_ti, d_ir = PlaneScene(cfg.height, cfg.height, cfg.d_tr).hops(x, y)
+def _plane_point_power(cfg: SceneConfig, d_ti, d_ir,
+                       direct: bool = True) -> dict:
+    """analytic_point_power with the RIS on plane S at hop distances of
+    PlaneScene.hops, between the endpoints of plane_endpoints.  Without
+    `direct`, only the RIS-only route runs: ris_point_power, returned as
+    the one key "ris"."""
     if not direct:
         return {"ris": ris_point_power(cfg, d_ti, d_ir, cfg.d_tr)}
     # ULA axis is the plane normal, so cos(mu_TI) = h / d_TI and the
@@ -283,23 +282,20 @@ def sweep_distance(cfg: SceneConfig) -> SweepResult:
 def sweep_plane(cfg: SceneConfig) -> SweepResult:
     """Received power versus RIS position on plane S, analytic per-point
     optimal design; adds the two-path balance when the direct link is on.
-
-    Under far_field_mode "strict" a position that fails the far-field check
-    of the configured panel is an error; otherwise no check runs.
+    The far-field policy judges the configured panel at every position.
     """
     sw = cfg.sweeps
     xs = np.linspace(sw.plane_x[0], sw.plane_x[1], sw.plane_points)
     ys = np.linspace(sw.plane_y[0], sw.plane_y[1], sw.plane_points)
     x, y = np.tile(xs, len(ys)), np.repeat(ys, len(xs))  # y outer, x inner
-    strict = cfg.far_field_mode == "strict"
+    d_ti, d_ir = PlaneScene(cfg.height, cfg.height, cfg.d_tr).hops(x, y)
+    _enforce_far_field(cfg, _plane_ratios(cfg, d_ti, d_ir))
     # the model is elementwise: blocks of _BLOCK_ROWS points give the bits
     # of one whole-grid call and keep the temporaries small
-    blocks = []
-    for start in range(0, len(x), _BLOCK_ROWS):
-        xb, yb = x[start:start + _BLOCK_ROWS], y[start:start + _BLOCK_ROWS]
-        if strict:
-            _check_plane_far_field(cfg, xb, yb)
-        blocks.append(_plane_point_power(cfg, xb, yb, cfg.direct_link))
+    blocks = [_plane_point_power(cfg, d_ti[start:start + _BLOCK_ROWS],
+                                 d_ir[start:start + _BLOCK_ROWS],
+                                 cfg.direct_link)
+              for start in range(0, len(x), _BLOCK_ROWS)]
     p = {key: np.concatenate([q[key] for q in blocks]) for key in blocks[0]}
     columns = {"x_m": x, "y_m": y, "ris_dbm": watts_to_dbm(p["ris"])}
     if cfg.direct_link:
@@ -313,10 +309,8 @@ def sweep_plane(cfg: SceneConfig) -> SweepResult:
 
 def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
     """Wavelength sweep with the fixed-area anti-decay panel design; RIS
-    fixed at R' on plane S.
-
-    Under far_field_mode "strict" a wavelength whose panel fails the
-    far-field check at R' is an error; otherwise no check runs.
+    fixed at R' on plane S.  The far-field policy judges each wavelength's
+    panel at R', all wavelengths at once.
     """
     sw = cfg.sweeps
     lam_hi = sw.wavelength_max
@@ -329,11 +323,13 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
                            element_size_y=design.d_y,
                            spacing=cfg.spacing / cfg.wavelength * lam)
               for lam, design in zip(lams.tolist(), designs)]
-    if cfg.far_field_mode == "strict":
-        for scene in scenes:
-            _check_plane_far_field(scene, np.array([cfg.d_tr]), np.zeros(1))
+    # the panel moves with none of the wavelengths: one pair of hops
+    plane = PlaneScene(cfg.height, cfg.height, cfg.d_tr)
+    d_ti, d_ir = plane.hops(cfg.d_tr, 0.0)
+    _enforce_far_field(cfg, np.stack([_plane_ratios(scene, d_ti, d_ir)
+                                      for scene in scenes]))
     # one model call per wavelength, since each has its own panel
-    points = [_plane_point_power(scene, cfg.d_tr, 0.0) for scene in scenes]
+    points = [_plane_point_power(scene, d_ti, d_ir) for scene in scenes]
     ris, direct, combined = (np.array([p[key] for p in points])
                              for key in ("ris", "direct", "combined"))
     return SweepResult(kind="line",
@@ -358,8 +354,8 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     the assumed one, so the phases still match: theta . d_vec is exactly L
     at every position, and the deviation measures only the mismatch in
     a_TIR and in b_vec . v.  A true position where the panel does not see
-    both ends receives 0 W.  Under far_field_mode "strict" a true position
-    that fails sweep_plane's check is an error; otherwise no check runs.
+    both ends receives 0 W.  The far-field policy judges the panel at
+    every true position.
     """
     radio = _radio(cfg)
     sw = cfg.sweeps
@@ -372,13 +368,13 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     offs = np.linspace(-sw.robustness_extent, sw.robustness_extent,
                        sw.robustness_points)
     x, y = (g.ravel() for g in np.meshgrid(offs, offs))  # y outer, x inner
+    d_ti, d_ir = PlaneScene(cfg.height, cfg.height, cfg.d_tr).hops(x, y)
+    _enforce_far_field(cfg, far_field_check(tx, ris, d_ti, d_ir))
     centers = np.stack([x, y, np.zeros_like(x)], axis=1)
-    if cfg.far_field_mode == "strict":
-        _check_plane_far_field(cfg, x, y)
     poses = PanelPoses(centers, *specular_frame(centers, tx.center, rx))
     est_power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
                                poses=poses)
-    ideal = _plane_point_power(cfg, x, y, direct=False)["ris"]
+    ideal = ris_point_power(cfg, d_ti, d_ir, cfg.d_tr)
     dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
     return SweepResult(kind="robustness",
                        columns={"x_m": x, "y_m": y, "deviation": dev,
@@ -389,7 +385,7 @@ def robustness(cfg: SceneConfig) -> SweepResult:
 
 def solve(cfg: SceneConfig) -> SweepResult:
     """One fixed scene: every method's predicted and evaluated power, and
-    the upper bound as the last row.  The far_field_mode is applied to the
+    the upper bound as the last row.  The far-field policy judges the
     panel's pose only before the two-path design of the direct link."""
     radio = _radio(cfg)
     tx, ris, rx = equilateral_scene(cfg, cfg.d_tr)
@@ -397,7 +393,7 @@ def solve(cfg: SceneConfig) -> SweepResult:
     sols = [closed_form_solution(tx, ris, rx, radio)]
     if cfg.direct_link:
         ang = link_angles(tx, rx, PanelPoses.of(ris))
-        _enforce_far_field(tx, ris, ang.d_ti, ang.d_ir, cfg.far_field_mode)
+        _enforce_far_field(cfg, far_field_check(tx, ris, ang.d_ti, ang.d_ir))
         sols.append(two_path_solution(tx, ris, rx, radio))
     sols.append(svd_solution(channels, cfg.tx_power))
     bound = power_upper_bound(channels, cfg.tx_power)

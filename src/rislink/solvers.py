@@ -239,13 +239,16 @@ def anti_decay_design(wavelength: float, ratio: float,
     """Wavelength-tracking panel design that keeps the RIS-link power flat:
     element side = ratio * wavelength, and the square grid is the largest
     one that fits the total area (rounded down).  Each argument must be
-    finite and > 0, and the area must hold one element."""
+    finite and > 0, and the area must hold one element and finitely many."""
     # written so that NaN fails the check
     if not all(0 < v < np.inf for v in (wavelength, ratio, total_area)):
         raise DomainError("wavelength, ratio and total area must be finite "
                           "and > 0")
     d = ratio * wavelength
-    side = int(np.floor(np.sqrt(total_area) / d))
+    with np.errstate(over="ignore", divide="ignore"):
+        side = np.floor(np.sqrt(total_area) / d)
+    if side == np.inf:
+        raise DomainError("the element side is too small for a finite grid")
     if side < 1:
-        raise DomainError("total area too small for one element")
-    return GridDesign(rows=side, cols=side, d_x=d, d_y=d)
+        raise DomainError("the area is too small for one element")
+    return GridDesign(rows=int(side), cols=int(side), d_x=d, d_y=d)

@@ -218,7 +218,9 @@ def test_07_two_path_ripple_count_half_of_antennas():
 
 def test_08_anti_decay_keeps_ris_power_flat():
     cfg = load_config()
-    result = sweep_wavelength(cfg)
+    # the fixed-area 9 m^2 panels fail the far-field check at R'
+    with pytest.warns(FarFieldWarning):
+        result = sweep_wavelength(cfg)
     lams, ris, direct = (result.columns[name]
                          for name in ("wavelength_m", "ris_w", "direct_w"))
     flatness = float((ris.max() - ris.min()) / ris.max())
@@ -242,6 +244,8 @@ def test_09_robust_region_contains_5m_square():
            f"max deviation on the square {worst:.4f}")
 
 
+# the default sweep-wavelength's 9 m^2 panels fail the far-field check
+@pytest.mark.filterwarnings("ignore::rislink.errors.FarFieldWarning")
 def test_10_cli_experiments_deterministic(tmp_path):
     from rislink.cli import main
     mismatches = []
@@ -268,8 +272,11 @@ _GOLDEN_NAMES = {("solve", "--direct-link"): "solve_direct_link.csv",
                  ("solve", "--paper-scale", "--direct-link"):
                  "solve_paper_scale_direct_link.csv"}
 # the cases whose far-field model is near-field and warns: the two-path
-# design of the 100 x 100 panel
-_NEAR_FIELD = {("solve", "--paper-scale", "--direct-link")}
+# design and the robustness map of the 100 x 100 panel, and the fixed-area
+# 9 m^2 panels of the wavelength sweep
+_NEAR_FIELD = {("solve", "--paper-scale", "--direct-link"),
+               ("sweep-wavelength", "--grid", "7"),
+               ("robustness", "--paper-scale", "--grid", "7")}
 
 
 @pytest.mark.parametrize("argv", [

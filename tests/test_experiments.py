@@ -18,7 +18,7 @@ from rislink.experiments import (_BLOCK_ROWS, _enforce_far_field, _panel_at,
                                  equilateral_scene, plane_endpoints,
                                  ris_point_power, robustness, solve,
                                  specular_frame, sweep_distance, sweep_plane)
-from rislink.geometry import PanelPoses, link_angles
+from rislink.geometry import PanelPoses, far_field_check, link_angles
 from rislink.placement import PlaneScene
 from rislink.solvers import closed_form_solution
 from rislink.validation import validate_suite
@@ -414,7 +414,9 @@ def test_robustness_theta_dot_d_is_the_panel_size(monkeypatch, paper_scale):
         return sums
 
     monkeypatch.setattr(em, "_theta_dot_d", recorded)
-    robustness(cfg)
+    # the 100 x 100 panel fails the far-field check at every position
+    with (pytest.warns(FarFieldWarning) if paper_scale else nullcontext()):
+        robustness(cfg)
     [(count, sums)] = seen
     assert count == cfg.ris_rows * cfg.ris_cols
     assert sums.shape == (41 * 41,)
@@ -423,8 +425,8 @@ def test_robustness_theta_dot_d_is_the_panel_size(monkeypatch, paper_scale):
 
 def test_robustness_honours_strict_far_field():
     """Under far_field_mode "strict" a true position that fails the
-    far-field check is an error; a scene that passes it writes the same
-    map as without the check."""
+    far-field check is an error, and "warn" warns and writes the map; a
+    scene that passes it writes the same map as without the check."""
     cfg = small_cfg()
     strict = robustness(cfg._replace(far_field_mode="strict"))
     loose = robustness(cfg)
@@ -434,12 +436,13 @@ def test_robustness_honours_strict_far_field():
     big = cfg._replace(ris_rows=100, ris_cols=100)
     with pytest.raises(FarFieldViolation):
         robustness(big._replace(far_field_mode="strict"))
-    assert len(robustness(big._replace(far_field_mode="warn"))) == 25
+    with pytest.warns(FarFieldWarning, match="fail at 25 of 25 poses"):
+        assert len(robustness(big._replace(far_field_mode="warn"))) == 25
 
 
-def near_field_hops(*heights):
-    """A 2-antenna ULA, a 20 x 20 panel and the hop distances of the panel
-    at each of the heights: it needs d_TI and d_IR >= 11.3 m, and at
+def near_field_ratios(*heights):
+    """A 2-antenna ULA, a 20 x 20 panel and the far-field quotients of the
+    panel at each of the heights: it needs d_TI and d_IR >= 11.3 m, and at
     height 0 its center is 5 m from T and 7.1 m from R."""
     tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
     ris = make_panel(rows=20, cols=20)
@@ -448,25 +451,30 @@ def near_field_hops(*heights):
     poses = PanelPoses(centers, *(np.tile(a, (len(z), 1))
                                   for a in (EZ, EX, EY)))
     ang = link_angles(tx, np.array([5.0, 0.0, 5.0]), poses)
-    return tx, ris, ang.d_ti, ang.d_ir
+    return far_field_check(tx, ris, ang.d_ti, ang.d_ir)
+
+
+def enforce(ratios, mode):
+    """The far-field policy under a profile of the given far_field_mode."""
+    _enforce_far_field(load_config()._replace(far_field_mode=mode), ratios)
 
 
 def test_enforce_far_field_modes():
     """On one pose that fails the check, "strict" raises, "warn" warns
     once, "off" checks nothing, and an unknown mode is a DomainError."""
-    tx, ris, d_ti, d_ir = near_field_hops(0.0)
+    ratios = near_field_ratios(0.0)
     with pytest.raises(FarFieldViolation,
                        match=r"far-field conditions fail: ratios \("):
-        _enforce_far_field(tx, ris, d_ti, d_ir, "strict")
+        enforce(ratios, "strict")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _enforce_far_field(tx, ris, d_ti, d_ir, "warn")
+        enforce(ratios, "warn")
     assert [w.category for w in caught] == [FarFieldWarning]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _enforce_far_field(tx, ris, d_ti, d_ir, "off")
+        enforce(ratios, "off")
     with pytest.raises(DomainError, match="unknown far-field mode 'loud'"):
-        _enforce_far_field(tx, ris, d_ti, d_ir, "loud")
+        enforce(ratios, "loud")
 
 
 def test_enforce_far_field_guards_farfield_power():
@@ -478,38 +486,39 @@ def test_enforce_far_field_guards_farfield_power():
     rx = np.array([5.0, 0.0, 5.0])
     radio = RadioParams(wavelength=0.0286, tx_power=0.001)
     ang = link_angles(tx, rx, PanelPoses.of(ris))
+    ratios = far_field_check(tx, ris, ang.d_ti, ang.d_ir)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         unchecked = em.farfield_power(tx, ris, rx, radio, (0.3, -0.2), 0.1)
     assert unchecked > 0.0
     with pytest.raises(FarFieldViolation, match="far-field conditions fail"):
-        _enforce_far_field(tx, ris, ang.d_ti, ang.d_ir, "strict")
+        enforce(ratios, "strict")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _enforce_far_field(tx, ris, ang.d_ti, ang.d_ir, "warn")
+        enforce(ratios, "warn")
         warned = em.farfield_power(tx, ris, rx, radio, (0.3, -0.2), 0.1)
     assert [w.category for w in caught] == [FarFieldWarning]
     assert warned == unchecked
     with pytest.raises(DomainError, match="unknown far-field mode 'loud'"):
-        _enforce_far_field(tx, ris, ang.d_ti, ang.d_ir, "loud")
+        enforce(ratios, "loud")
 
 
 def test_enforce_far_field_across_poses():
     """Over a stack of poses, "strict" raises if any pose fails the check
     and names how many, "warn" warns once for all failing poses, "off"
     checks nothing, and poses that all pass raise and warn nothing."""
-    far = near_field_hops(-20.0, -30.0)[2:]   # d_TI, d_IR >= 25 m
-    tx, ris, *mixed = near_field_hops(-20.0, 0.0, -1.0)
+    far = near_field_ratios(-20.0, -30.0)   # d_TI, d_IR >= 25 m
+    mixed = near_field_ratios(-20.0, 0.0, -1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _enforce_far_field(tx, ris, *far, "strict")
-        _enforce_far_field(tx, ris, *far, "warn")
-        _enforce_far_field(tx, ris, *mixed, "off")
+        enforce(far, "strict")
+        enforce(far, "warn")
+        enforce(mixed, "off")
     with pytest.raises(FarFieldViolation, match="2 of 3 poses"):
-        _enforce_far_field(tx, ris, *mixed, "strict")
+        enforce(mixed, "strict")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _enforce_far_field(tx, ris, *mixed, "warn")
+        enforce(mixed, "warn")
     assert [w.category for w in caught] == [FarFieldWarning]
     assert "2 of 3 poses" in str(caught[0].message)
 
@@ -527,7 +536,8 @@ def test_sweep_plane_blocks_equal_one_whole_grid_call():
     ys = np.linspace(*cfg.sweeps.plane_y, 91)
     assert np.array_equal(x, np.tile(xs, 91))
     assert np.array_equal(y, np.repeat(ys, 91))
-    whole = _plane_point_power(cfg, x, y)
+    whole = _plane_point_power(
+        cfg, *PlaneScene(cfg.height, cfg.height, cfg.d_tr).hops(x, y))
     want = {"ris_dbm": watts_to_dbm(whole["ris"]),
             "direct_dbm": watts_to_dbm(whole["direct"]),
             "total_dbm": watts_to_dbm(whole["combined"]),

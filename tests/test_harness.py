@@ -12,12 +12,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rislink.cli import main
-from rislink.config import (dbm_to_watts, db_to_linear, linear_to_db,
-                            load_config, watts_to_dbm)
+from rislink.config import (dbm_to_watts, db_to_linear, default_config_text,
+                            linear_to_db, load_config, watts_to_dbm)
 from rislink.errors import ConfigError, FarFieldWarning
 from rislink.experiments import SweepResult, sweep_plane
 from rislink.output import (_BLOCK_ROWS, _block_bytes, _float_fields,
                             emit_csv, emit_plot_script)
+
+# a filter for the runs whose far-field model is near-field, where the
+# test's subject is not the far-field policy
+_NEAR_FIELD_IGNORED = "ignore::rislink.errors.FarFieldWarning"
 
 
 def test_unit_round_trips():
@@ -202,6 +206,14 @@ def test_config_errors(tmp_path, capsys):
              "sweeps.wavelength.total_area_m2 must be"),
             ("element_ratio: 0.3333333333333333", "element_ratio: -1.0",
              "sweeps.wavelength.element_ratio must be"),
+            # an element side so small that the grid side overflows
+            ("max_m: 0.0286\n    octaves: 1.0\n    points: 25\n"
+             "    element_ratio: 0.3333333333333333",
+             "max_m: 1.0e-20\n    octaves: 1.0\n    points: 25\n"
+             "    element_ratio: 1.0e-300",
+             "sweeps.wavelength.element_ratio * sweeps.wavelength.max_m "
+             "(1e-300 * 1e-20 m): the element side is too small for a "
+             "finite grid"),
             ("antennas: 16", "antennas: true",
              "transmitter.antennas must be a number"),
             # dB values whose linear value overflows a float
@@ -417,6 +429,8 @@ def test_emit_plot_scripts(tmp_path):
                          tmp_path / "m.csv", tmp_path / "m.gp")
 
 
+# the default sweep-wavelength's 9 m^2 panels fail the far-field check
+@pytest.mark.filterwarnings(_NEAR_FIELD_IGNORED)
 def test_no_plot_script_has_an_empty_plot(tmp_path):
     commands = [["solve"], ["solve", "--direct-link"], ["sweep-distance"],
                 ["sweep-plane"], ["sweep-plane", "--direct-link"],
@@ -450,58 +464,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["solve", "--config", missing]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
-
-
-def test_cli_robustness_strict_far_field(tmp_path, capsys):
-    """`robustness --strict-far-field` exits 2 where a perturbed position
-    fails the far-field check (the 100 x 100 panel, 80 m from T) and writes
-    nothing; the 20 x 20 panel passes and writes the map."""
-    out = tmp_path / "paper"
-    assert main(["robustness", "--paper-scale", "--strict-far-field",
-                 "--grid", "3", "--out", str(out)]) == 2
-    assert "far-field conditions fail" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(["robustness", "--strict-far-field", "--grid", "3",
-                 "--out", str(tmp_path / "default")]) == 0
-
-
-def test_cli_sweep_plane_strict_far_field(tmp_path, capsys):
-    """`sweep-plane --strict-far-field` exits 2 where a plane position fails
-    the far-field check (the 100 x 100 panel needs 283 m, the plane lies
-    80 m below T) and writes nothing; the 20 x 20 panel needs 11.3 m and
-    writes the map."""
-    out = tmp_path / "paper"
-    assert main(["sweep-plane", "--paper-scale", "--strict-far-field",
-                 "--grid", "3", "--out", str(out)]) == 2
-    assert "far-field conditions fail" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(["sweep-plane", "--strict-far-field", "--grid", "3",
-                 "--out", str(tmp_path / "default")]) == 0
-
-
-def test_cli_sweep_wavelength_strict_far_field(tmp_path, capsys):
-    """`sweep-wavelength --strict-far-field` exits 2 where a wavelength's
-    panel fails the far-field check at R' (every fixed-area 9 m^2 panel of
-    the default profile does, 80 m from the panel to R) and writes nothing;
-    a 0.1 m^2 panel passes at every wavelength, and without the flag the
-    default study writes its golden CSV."""
-    out = tmp_path / "strict"
-    assert main(["sweep-wavelength", "--strict-far-field", "--grid", "7",
-                 "--out", str(out)]) == 2
-    assert "far-field conditions fail" in capsys.readouterr().err
-    assert not out.exists()
-    from rislink.config import default_config_text
-    small = tmp_path / "small.yaml"
-    small.write_text(default_config_text().replace("total_area_m2: 9.0",
-                                                   "total_area_m2: 0.1"))
-    assert main(["sweep-wavelength", "--strict-far-field", "--grid", "7",
-                 "--config", str(small),
-                 "--out", str(tmp_path / "small")]) == 0
-    assert main(["sweep-wavelength", "--grid", "7",
-                 "--out", str(tmp_path / "loose")]) == 0
-    golden = Path(__file__).parent / "golden" / "sweep_wavelength.csv"
-    assert ((tmp_path / "loose" / "sweep_wavelength.csv").read_bytes()
-            == golden.read_bytes())
 
 
 def test_cli_sweep_distance_strict_far_field(tmp_path):
@@ -556,6 +518,65 @@ def test_cli_solve_direct_link_applies_far_field_mode(tmp_path, capsys):
         assert [w.category for w in caught] == [FarFieldWarning] * count
         csv[mode] = (tmp_path / mode / "solve.csv").read_bytes()
     assert csv["off"] == csv["warn"]
+
+
+# every study that evaluates the far-field model, at a scale where its
+# check fails and at one where it passes: the command line, the
+# sweeps.wavelength.total_area_m2 of its profile, and how many poses of
+# the whole study fail
+_FAR_FIELD_STUDIES = {
+    "robustness-paper": (["robustness", "--paper-scale"], 9.0, 9),
+    "robustness": (["robustness"], 9.0, 0),
+    "sweep-plane-paper": (["sweep-plane", "--paper-scale"], 9.0, 9),
+    "sweep-plane": (["sweep-plane", "--direct-link"], 9.0, 0),
+    "sweep-wavelength": (["sweep-wavelength"], 9.0, 3),
+    "sweep-wavelength-0.1m2": (["sweep-wavelength"], 0.1, 0),
+    "solve-paper": (["solve", "--paper-scale", "--direct-link"], 9.0, 1),
+    "solve": (["solve", "--direct-link"], 9.0, 0),
+}
+
+
+@pytest.mark.parametrize("mode", ["warn", "strict", "off"])
+@pytest.mark.parametrize("study", list(_FAR_FIELD_STUDIES))
+def test_far_field_policy_across_studies(study, mode, tmp_path, capsys):
+    """One far-field policy for every study that evaluates the far-field
+    model.  Where the check fails, --strict-far-field exits 2, names the
+    failing poses of the whole study and writes nothing, the profile's
+    `warn` warns once and `off` not at all; where it passes, no mode
+    warns.  Every run that succeeds writes the CSV of the `off` run.  The
+    100 x 100 panel needs 283 m, and the plane lies 80 m below T and R;
+    each fixed-area 9 m^2 panel of the wavelength sweep fails at R'."""
+    argv, area, failing = _FAR_FIELD_STUDIES[study]
+    text = default_config_text().replace("total_area_m2: 9.0",
+                                         f"total_area_m2: {area}")
+    runs = {}
+    for name in dict.fromkeys(("off", mode)):
+        profile = tmp_path / f"{name}.yaml"
+        profile.write_text(text.replace(
+            "far_field_mode: warn",
+            f"far_field_mode: {'off' if name == 'off' else 'warn'}"))
+        flags = ["--strict-far-field"] if name == "strict" else []
+        out = tmp_path / name
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, "--grid", "3", "--config", str(profile),
+                       *flags, "--out", str(out)])
+        runs[name] = (rc, [w.category for w in caught],
+                      capsys.readouterr().err, out)
+    rc, caught, err, out = runs[mode]
+    if mode == "strict" and failing:
+        count = f" at {failing} of {failing} poses" if failing > 1 else ""
+        assert rc == 2
+        assert f"far-field conditions fail{count}: ratios (" in err
+        assert caught == []
+        assert not out.exists()
+        return
+    assert rc == 0
+    assert caught == [FarFieldWarning] * (mode == "warn" and failing > 0)
+    assert runs["off"][:2] == (0, [])
+    csv = argv[0].replace("-", "_") + ".csv"
+    assert (out / csv).read_bytes() == (tmp_path / "off" / csv).read_bytes()
 
 
 def test_cli_sidecars_record_resolved_settings(tmp_path):
@@ -626,8 +647,10 @@ def test_cli_rejects_missing_or_unknown_command(argv, message, tmp_path,
     assert not any(tmp_path.iterdir())
 
 
+# the 100 x 100 panel fails robustness's far-field check
 @pytest.mark.parametrize("command, flags", [
-    ("robustness", ["--grid", "3", "--paper-scale"]),
+    pytest.param("robustness", ["--grid", "3", "--paper-scale"],
+                 marks=pytest.mark.filterwarnings(_NEAR_FIELD_IGNORED)),
     ("sweep-plane", ["--direct-link", "--grid", "4"]),
     ("solve", ["--no-direct-link", "--strict-far-field"]),
 ])
@@ -666,8 +689,12 @@ def test_cli_solve_rows(tmp_path):
                        "upper-bound"]
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep-distance", "sweep-plane",
-                                     "sweep-wavelength", "robustness"])
+# the default sweep-wavelength's 9 m^2 panels fail the far-field check
+@pytest.mark.parametrize("command", [
+    "solve", "sweep-distance", "sweep-plane",
+    pytest.param("sweep-wavelength",
+                 marks=pytest.mark.filterwarnings(_NEAR_FIELD_IGNORED)),
+    "robustness"])
 def test_cli_reruns_are_byte_identical(command, tmp_path):
     args = [command, "--grid", "4"]
     assert main(args + ["--out", str(tmp_path / "one")]) == 0

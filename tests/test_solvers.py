@@ -550,7 +550,9 @@ def test_anti_decay_fix_area_design():
 def test_anti_decay_design_rejects_bad_inputs():
     """A wavelength, ratio or total area that is not finite and > 0 raises
     DomainError, NaN included, and so does an area too small for one
-    element; no RuntimeWarning escapes on the way."""
+    element or an element side so small that the grid side overflows (or
+    the side itself underflows to 0); no RuntimeWarning escapes on the
+    way."""
     for bad in (0.0, -1.0, np.nan, np.inf):
         for args in ((bad, 1 / 3, 9.0), (0.0286, bad, 9.0),
                      (0.0286, 1 / 3, bad)):
@@ -558,3 +560,6 @@ def test_anti_decay_design_rejects_bad_inputs():
                 anti_decay_design(*args)
     with pytest.raises(DomainError, match="too small for one element"):
         anti_decay_design(10.0, 1 / 3, 9.0)
+    for wavelength in (1e-20, 1e-30):
+        with pytest.raises(DomainError, match="too small for a finite grid"):
+            anti_decay_design(wavelength, 1e-300, 9.0)
