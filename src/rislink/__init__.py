@@ -8,7 +8,7 @@ The oracles of `validation` load on first use of one of their names
 __version__ = "1.0.0"
 
 from .config import (SceneConfig, SweepRanges, db_to_linear, dbm_to_watts,
-                     linear_to_db, load_config, watts_to_dbm)
+                     load_config, watts_to_dbm)
 from .em import (ChannelSet, RadioParams, amplitude_gain_tir,
                  direct_channel, exact_channel, farfield_channel,
                  farfield_power, friis_amplitude, radiation_pattern,
@@ -47,7 +47,7 @@ __all__ = [
     "closed_form_solution", "db_to_linear", "dbm_to_watts",
     "direct_channel", "element_positions", "exact_channel", "f_object",
     "far_field_check", "farfield_channel", "farfield_power",
-    "friis_amplitude", "linear_to_db", "link_angles", "load_config",
+    "friis_amplitude", "link_angles", "load_config",
     "mrt_beamforming", "optimal_orientation", "plane_objective",
     "position_search_plane", "power_upper_bound", "quasiconvexity_report",
     "radiation_pattern", "received_power", "region_d_membership",

@@ -23,12 +23,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ConfigError("cannot express a nonpositive ratio in dB")
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
@@ -57,6 +51,12 @@ class SweepRanges(NamedTuple):
     total_area: float
     robustness_extent: float
     robustness_points: int
+
+    @property
+    def wavelength_min(self) -> float:
+        """The shortest wavelength of the sweep, max_m / 2**octaves; an
+        OverflowError where 2**octaves does not fit in a float."""
+        return self.wavelength_max / 2.0 ** self.wavelength_octaves
 
 
 class SceneConfig(NamedTuple):
@@ -292,11 +292,21 @@ def _validate(cfg: SceneConfig) -> None:
     for ok, msg in checks:
         if not ok:
             raise ConfigError(msg)
+    key = "sweeps.wavelength."
     try:
-        # the design's own rule at the longest wavelength, the largest element
-        anti_decay_design(sw.wavelength_max, sw.element_ratio, sw.total_area)
-    except DomainError as exc:
+        shortest = sw.wavelength_min
+    except OverflowError:
         raise ConfigError(
-            f"sweeps.wavelength.total_area_m2 ({sw.total_area} m^2) and "
-            "sweeps.wavelength.element_ratio * sweeps.wavelength.max_m "
-            f"({sw.element_ratio} * {sw.wavelength_max} m): {exc}") from None
+            f"{key}octaves is too large: 2**{sw.wavelength_octaves} "
+            "overflows a float") from None
+    # the design's own rule at both ends of the sweep: the longest
+    # wavelength has the largest element, the shortest the largest grid
+    for lam, name in ((sw.wavelength_max, "max_m"),
+                      (shortest, f"max_m / 2**{key}octaves")):
+        try:
+            anti_decay_design(lam, sw.element_ratio, sw.total_area)
+        except DomainError as exc:
+            raise ConfigError(
+                f"{key}total_area_m2 ({sw.total_area} m^2) and "
+                f"{key}element_ratio * {key}{name} "
+                f"({sw.element_ratio} * {lam} m): {exc}") from None

@@ -12,7 +12,9 @@ direct row.
 The scene route is `geometry.link_angles`, then `amplitude_gain_tir` (the
 distance-free amplitude delta): `exact_channel` reads it at the panel's
 own pose, and `_farfield_link` adds the antenna phasors b_vec for
-`farfield_channel`, `farfield_power` and `solvers`.  None of them checks
+`farfield_channel`, `farfield_power` and `solvers`, and `_design_steering`
+the steerings of the closed-form design, which `farfield_power` evaluates
+at P poses of its panel.  None of them checks
 the far-field conditions; `geometry.far_field_check` is that check.
 """
 
@@ -195,18 +197,17 @@ def amplitude_gain_tir(angles: LinkAngles, tx: TransmitterArray,
                      ris.reflection_coeff)
 
 
-def _panel_phasors(ris: RisPanel, u: np.ndarray,
-                   wavenum: float) -> np.ndarray:
-    """The linearized element phasors exp(-j*k*(x_m*axis_x + y_n*axis_y) . u)
-    of the panel grid toward the direction u (3,), (L,) in row-major order:
-    the phasor of element q = n*cols + m is e_y[n] * e_x[m], with the row
-    and column phasors of _centred_phasors.  `u` need not be unit: the sum
-    u_TI + u_IR gives the two-hop phasor d_vec."""
+def _panel_phasors(tx: TransmitterArray, ris: RisPanel,
+                   link: _FarFieldLink) -> np.ndarray:
+    """The linearized two-hop element phasors d_vec of the link's first
+    pose, exp(-j*k*(x_m*axis_x + y_n*axis_y) . (u_TI + u_IR)), (L,) in
+    row-major order: the phasor of element q = n*cols + m is e_y[n] *
+    e_x[m], the row and column phasors of _centred_phasors at the panel
+    steering (g_y, g_x) of _design_steering."""
+    (g_y, g_x), _ = _design_steering(tx, ris, link)
     return np.outer(
-        _centred_phasors(wavenum * np.vecdot(ris.axis_y, u), ris.rows,
-                         ris.d_y),
-        _centred_phasors(wavenum * np.vecdot(ris.axis_x, u), ris.cols,
-                         ris.d_x)).ravel()
+        _centred_phasors(link.wavenum * g_y, ris.rows, ris.d_y),
+        _centred_phasors(link.wavenum * g_x, ris.cols, ris.d_x)).ravel()
 
 
 def _centred_phasors(scale: float, count: int, pitch: float) -> np.ndarray:
@@ -297,22 +298,6 @@ def _array_factor(n: int, pitch: float, c, g, wavenum: float) -> np.ndarray:
     return sign * n * _sin_ratio(n * u) / _sin_ratio(u)
 
 
-def _steering(steering, count: int, name: str) -> list[np.ndarray]:
-    """`steering`, one scalar for `count` 1 and else `count` scalars, as a
-    list of real, finite 0-d arrays.  Any other shape is DimensionMismatch,
-    a NaN, infinite or complex component DomainError."""
-    try:
-        parts = [np.asarray(g)
-                 for g in ([steering] if count == 1 else steering)]
-    except TypeError:
-        parts = []
-    if len(parts) != count or any(g.ndim for g in parts):
-        raise DimensionMismatch(f"{name} must be {count} scalar(s)")
-    if not all(np.isrealobj(g) and np.isfinite(g) for g in parts):
-        raise DomainError(f"{name} components must be real and finite")
-    return parts
-
-
 def _tx_axes(tx: TransmitterArray) -> list[tuple[int, float, np.ndarray]]:
     """(count, spacing, axis) of each axis of the transmit array, in the
     order of its steering components axis . u_TI: a ULA's one axis, or a
@@ -322,6 +307,18 @@ def _tx_axes(tx: TransmitterArray) -> list[tuple[int, float, np.ndarray]]:
         return [(lay.count, lay.spacing, lay.axis)]
     return [(lay.rows, lay.spacing_y, lay.axis_y),
             (lay.cols, lay.spacing_x, lay.axis_x)]
+
+
+def _design_steering(tx: TransmitterArray, ris: RisPanel,
+                     link: _FarFieldLink):
+    """The two steerings of the closed-form design of the link's first
+    pose (that of `ris` itself in a link without poses), real scalars: the
+    phases steer toward [axis_y . u_0, axis_x . u_0] of u_0 = u_TI + u_IR,
+    and the beamformer toward axis . u_TI along each axis of _tx_axes."""
+    u_ti = link.angles.u_ti[0]
+    u = u_ti + link.angles.u_ir[0]
+    return ([np.vecdot(ris.axis_y, u), np.vecdot(ris.axis_x, u)],
+            [np.vecdot(axis, u_ti) for _, _, axis in _tx_axes(tx)])
 
 
 def _axis_factors(axes, u, steering, wavenum: float) -> np.ndarray:
@@ -361,7 +358,7 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     rx = np.asarray(rx_position, dtype=float)
     link = _farfield_link(tx, ris, rx, radio)
     wavenum, ang = link.wavenum, link.angles
-    d_vec = _panel_phasors(ris, ang.u_ti[0] + ang.u_ir[0], wavenum)
+    d_vec = _panel_phasors(tx, ris, link)
     hops = complex(np.exp(1j * wavenum * (ang.d_ti[0] + ang.d_ir[0])))
     h_ti = float(link.a_tir[0]) * hops * np.outer(d_vec, link.b_vec()[0])
     h_tr = direct_channel(tx, rx, radio, farfield=True) if direct else None
@@ -369,37 +366,30 @@ def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
 
 
 def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
-                   radio: RadioParams, steering, tx_steering, *,
-                   poses: PanelPoses | None = None):
-    """Received power of the far-field RIS link in watts, without the
-    L x N channel, of the closed-form design as the two steerings of
-    solvers._closed_form_design: the pair (g_y, g_x) of its phases, and
-    the transmitter steering (a scalar for a ULA, a pair for a UPA) of its
-    beamformer v = sqrt(P_t/N) * conj(b_0).
+                   radio: RadioParams, poses: PanelPoses) -> np.ndarray:
+    """Received power in watts, (P,), of the closed-form design of `ris`
+    at its own pose (the theta and v of solvers.closed_form_solution),
+    with the grid of `ris` placed at each of the P `poses`, without the
+    L x N channel.
 
-    Equals received_power(farfield_channel(..., direct=False), theta, v)
-    as a_TIR^2 * (theta . d_vec)^2 * (sqrt(P_t/N) * AF_T)^2: theta . d_vec
-    (_theta_dot_d) and the antenna sum AF_T = b_vec . conj(b_0), exactly N
-    at the design's own pose, are _axis_factors in closed form, O(1) per
-    pose, so a pose gets the same bits in a stack of any size as alone.
-
-    With `poses` the grid of `ris` is evaluated at each of the P poses and
-    the result is a (P,) array; a pose whose panel does not see both ends
-    gets 0 W.  Without `poses` the result is the float power of `ris`
-    itself, and such a panel raises ShadowedPanel as farfield_channel
-    does.  A steering of the wrong shape is DimensionMismatch, and one
-    with a NaN, infinite or complex component DomainError.
+    The design's two steerings come from the far-field link of `ris`
+    itself (_design_steering).  A pose's power equals
+    received_power(farfield_channel(..., direct=False), theta, v) of the
+    panel moved to that pose, as a_TIR^2 * (theta . d_vec)^2 *
+    (sqrt(P_t/N) * AF_T)^2: theta . d_vec (_theta_dot_d) and the antenna
+    sum AF_T = b_vec . conj(b_0), exactly L and N at the design's own
+    pose, are _axis_factors in closed form, O(1) per pose, so a pose gets
+    the same bits in a stack of any size as alone.  A design panel that
+    does not see both ends raises ShadowedPanel, as closed_form_solution
+    does; a pose whose panel does not see both ends gets 0 W.
     """
-    steering = _steering(steering, 2, "steering")
-    tx_steering = _steering(tx_steering, len(_tx_axes(tx)),
-                            "transmitter steering")
+    steering, tx_steering = _design_steering(
+        tx, ris, _farfield_link(tx, ris, rx_position, radio))
     link = _farfield_link(tx, ris, rx_position, radio, poses)
     b_dot_v = (np.sqrt(radio.tx_power / tx.count)
                * _axis_factors(_tx_axes(tx), link.angles.u_ti, tx_steering,
                                link.wavenum))
-    power = (link.a_tir**2 * _theta_dot_d(ris, link, steering)**2
-             * b_dot_v**2)
-    return float(power[0]) if poses is None else power
+    return link.a_tir**2 * _theta_dot_d(ris, link, steering)**2 * b_dot_v**2
 
 
 # Entries per block of the exact channel build (exact_channel): a block is

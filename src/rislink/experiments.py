@@ -12,16 +12,16 @@ import numpy as np
 
 from . import __version__
 from .config import SceneConfig, watts_to_dbm
-from .em import (RadioParams, _farfield_link, exact_channel, farfield_power,
-                 friis_amplitude, received_power, tir_delta)
+from .em import (RadioParams, exact_channel, farfield_power, friis_amplitude,
+                 received_power, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
                        _norm, far_field_check, link_angles)
 from .errors import DomainError, FarFieldViolation, FarFieldWarning
 from .placement import PlaneScene, optimal_orientation
-from .solvers import (_closed_form_design, anti_decay_design,
-                      closed_form_predicted_power, closed_form_solution,
-                      power_upper_bound, svd_solution, two_path_o,
-                      two_path_power_closed_form, two_path_solution)
+from .solvers import (anti_decay_design, closed_form_predicted_power,
+                      closed_form_solution, power_upper_bound, svd_solution,
+                      two_path_o, two_path_power_closed_form,
+                      two_path_solution)
 
 # Rows per block, shared by the plane map's model calls (sweep_plane), which
 # keep their temporaries to one block, and the CSV writer (output.emit_csv),
@@ -313,9 +313,8 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
     panel at R', all wavelengths at once.
     """
     sw = cfg.sweeps
-    lam_hi = sw.wavelength_max
-    lam_lo = lam_hi / 2.0 ** sw.wavelength_octaves
-    lams = np.linspace(lam_lo, lam_hi, sw.wavelength_points)
+    lams = np.linspace(sw.wavelength_min, sw.wavelength_max,
+                       sw.wavelength_points)
     designs = [anti_decay_design(lam, sw.element_ratio, sw.total_area)
                for lam in lams.tolist()]
     scenes = [cfg._replace(wavelength=lam, ris_rows=design.rows,
@@ -362,8 +361,6 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     tx, rx = plane_endpoints(cfg)
     assumed = np.array([0.0, 0.0, 0.0])
     ris = _panel_at(cfg, assumed, specular_frame(assumed, tx.center, rx))
-    steering, tx_steering = _closed_form_design(
-        tx, ris, _farfield_link(tx, ris, rx, radio))
 
     offs = np.linspace(-sw.robustness_extent, sw.robustness_extent,
                        sw.robustness_points)
@@ -372,8 +369,7 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     _enforce_far_field(cfg, far_field_check(tx, ris, d_ti, d_ir))
     centers = np.stack([x, y, np.zeros_like(x)], axis=1)
     poses = PanelPoses(centers, *specular_frame(centers, tx.center, rx))
-    est_power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
-                               poses=poses)
+    est_power = farfield_power(tx, ris, rx, radio, poses)
     ideal = ris_point_power(cfg, d_ti, d_ir, cfg.d_tr)
     dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
     return SweepResult(kind="robustness",

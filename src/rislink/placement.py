@@ -30,17 +30,25 @@ def _specular_pattern(cos_t0, k: float):
     return np.clip(cos_t0 / 2 + 0.5, 0.0, 1.0) ** k
 
 
+def _check_distances(*distances) -> None:
+    """DomainError unless every distance is finite and > 0: one min and one
+    max reduction per argument, both NaN-propagating, so that a NaN fails
+    the check too."""
+    if not all(0 < np.min(d) and np.max(d) < np.inf for d in distances):
+        raise DomainError("distances must be finite and > 0")
+
+
 def optimal_orientation(d_ti, d_ir, d_tr, k: float):
     """Specular-reflection optimum: theta_t = theta_r = theta_0 / 2.
 
     Returns (theta_t, theta_r, F*); the distances broadcast as numpy arrays
-    and scalars give floats.  Raises DegenerateTriangle if any distance
-    triple violates the triangle inequality.
+    and scalars give floats.  Raises DomainError for a distance that is
+    not finite and > 0, and DegenerateTriangle if any distance triple
+    violates the triangle inequality.
     """
-    d_ti, d_ir, d_tr = np.broadcast_arrays(
-        *(np.asarray(d, dtype=float) for d in (d_ti, d_ir, d_tr)))
-    if min(d_ti.min(), d_ir.min(), d_tr.min()) <= 0:
-        raise DomainError("distances must be > 0")
+    d_ti, d_ir, d_tr = (np.asarray(d, dtype=float) for d in (d_ti, d_ir, d_tr))
+    _check_distances(d_ti, d_ir, d_tr)
+    d_ti, d_ir, d_tr = np.broadcast_arrays(d_ti, d_ir, d_tr)
     cos_t0 = cos_theta_0(d_ti, d_ir, d_tr)
     bad = np.abs(cos_t0) > 1 + _TRIANGLE_TOL
     if np.any(bad):
@@ -57,12 +65,12 @@ def f_object(d_ti, d_ir, d_tr: float, k: float):
     """Position-only factor of the optimally-oriented received power:
     F* * d_TI^-2 * d_IR^-2.  Vectorized over d_ti / d_ir; unlike
     optimal_orientation it accepts distance pairs that no triangle
-    realizes, where the clamped pattern term applies.
+    realizes, where the clamped pattern term applies.  A distance that is
+    not finite and > 0 raises DomainError.
     """
     d_ti = np.asarray(d_ti, dtype=float)
     d_ir = np.asarray(d_ir, dtype=float)
-    if np.any(d_ti <= 0) or np.any(d_ir <= 0) or d_tr <= 0:
-        raise DomainError("distances must be > 0")
+    _check_distances(d_ti, d_ir, d_tr)
     val = (_specular_pattern(cos_theta_0(d_ti, d_ir, d_tr), k)
            * d_ti**-2 * d_ir**-2)
     return float(val) if val.ndim == 0 else val
@@ -347,6 +355,7 @@ def quasiconvexity_report(d_tr: float, k: float, d_fixed: float,
     """
     if which not in ("fix_d_ti", "fix_d_ir"):
         raise DomainError(f"unknown scan variant {which!r}")
+    _check_distances(d_tr, d_fixed)   # before np.logspace warns on them
     xs = np.logspace(np.log10(1e-2 * d_tr), np.log10(4.0 * (d_fixed + d_tr)),
                      _SCAN_POINTS)
     values = (f_object(d_fixed, xs, d_tr, k) if which == "fix_d_ti"

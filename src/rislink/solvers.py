@@ -1,6 +1,7 @@
 """Beamforming and phase-shift solutions: MRT, closed-form far-field designs
 (with and without direct link), SVD-based projected solutions, and the
-received-power upper bound."""
+received-power upper bound.  em.farfield_power evaluates the closed-form
+design at P poses of its panel."""
 
 from __future__ import annotations
 
@@ -10,12 +11,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em import (ChannelSet, RadioParams, _array_factor, _FarFieldLink,
-                 _farfield_link, _panel_phasors, _tx_axes, direct_channel)
+from .em import (ChannelSet, RadioParams, _array_factor, _farfield_link,
+                 _panel_phasors, direct_channel)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import RisPanel, TransmitterArray, UlaLayout, _as_vec3, _norm
 
 _FEAS_POWER_SLACK = 1e-9
+# the bound on a grid side: below it the rows and cols columns of the
+# wavelength sweep fit a 64-bit integer array, and the element count and
+# its square (in the predicted power N * L^2 * a_TIR^2 * P_t) fit in a float
+_GRID_SIDE_LIMIT = 2.0**64
 _UNIT_TOL = 1e-12
 
 
@@ -53,45 +58,23 @@ def mrt_beamforming(h_eff: np.ndarray, p_t: float) -> np.ndarray:
     return np.sqrt(p_t) * np.conj(h_eff) / norm
 
 
-def _link_steering(ris: RisPanel,
-                   link: _FarFieldLink) -> tuple[np.ndarray, np.ndarray]:
-    """The steering pair (g_y, g_x) = (axis_y . u_0, axis_x . u_0) of the
-    panel's own far-field link (P = 1), u_0 = u_TI + u_IR: the panel-axis
-    components of the two-hop direction that the closed-form phases steer
-    toward."""
-    u = link.angles.u_ti[0] + link.angles.u_ir[0]
-    return np.vecdot(ris.axis_y, u), np.vecdot(ris.axis_x, u)
-
-
 def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
     """Received power achieved by the far-field closed form,
     N * L^2 * a_TIR^2 * P_t; a_tir may be an array."""
     return n * l**2 * a_tir**2 * p_t
 
 
-def _closed_form_design(tx: TransmitterArray, ris: RisPanel,
-                        link: _FarFieldLink):
-    """The closed-form design of the panel's own far-field link as the two
-    steerings em.farfield_power takes: the pair of _link_steering for the
-    phases, and for the beamformer of closed_form_solution axis . u_TI
-    along each axis of em._tx_axes (a scalar for a ULA, a pair for a UPA)."""
-    tx_steering = [np.vecdot(axis, link.angles.u_ti[0])
-                   for _, _, axis in _tx_axes(tx)]
-    return (_link_steering(ris, link),
-            tx_steering[0] if len(tx_steering) == 1 else tuple(tx_steering))
-
-
 def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                          radio: RadioParams) -> Solution:
-    """The far-field closed-form design of one scene, whose steerings
-    _closed_form_design gives: the phases, one unit-modulus entry per
-    element, are the conjugate of the channel's two-hop element phasor
-    d_vec (em._panel_phasors toward u_TI + u_IR of the far-field link), and
-    the beamformer is v = sqrt(P_t/N) * conj(b_vec).  A panel that does not
-    see both ends raises ShadowedPanel."""
+    """The far-field closed-form design of one scene: the phases, one
+    unit-modulus entry per element, are the conjugate of the channel's
+    two-hop element phasor d_vec (em._panel_phasors of the far-field link,
+    steered toward u_TI + u_IR), and the beamformer is
+    v = sqrt(P_t/N) * conj(b_vec).  em.farfield_power evaluates this design
+    at other poses of the panel.  A panel that does not see both ends
+    raises ShadowedPanel."""
     link = _farfield_link(tx, ris, rx_position, radio)
-    theta = np.conj(_panel_phasors(
-        ris, link.angles.u_ti[0] + link.angles.u_ir[0], link.wavenum))
+    theta = np.conj(_panel_phasors(tx, ris, link))
     v = np.sqrt(radio.tx_power / tx.count) * np.conj(link.b_vec()[0])
     predicted = closed_form_predicted_power(float(link.a_tir[0]), tx.count,
                                             ris.count, radio.tx_power)
@@ -169,9 +152,7 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     offset = (np.pi / 2 * (sign - 1.0)
               - 2 * np.pi / radio.wavelength * (d_ti + d_ir - d_tr))
     rotation = np.exp(1j * float(offset))
-    theta = np.conj(_panel_phasors(
-        ris, link.angles.u_ti[0] + link.angles.u_ir[0],
-        link.wavenum)) * rotation
+    theta = np.conj(_panel_phasors(tx, ris, link)) * rotation
     a_tir = float(link.a_tir[0])
     ris_amp = (a_tir * np.exp(1j * link.wavenum * (d_ti + d_ir))
                * (rotation * ris.count))
@@ -239,7 +220,8 @@ def anti_decay_design(wavelength: float, ratio: float,
     """Wavelength-tracking panel design that keeps the RIS-link power flat:
     element side = ratio * wavelength, and the square grid is the largest
     one that fits the total area (rounded down).  Each argument must be
-    finite and > 0, and the area must hold one element and finitely many."""
+    finite and > 0, and the area must hold one element and a grid side
+    below _GRID_SIDE_LIMIT."""
     # written so that NaN fails the check
     if not all(0 < v < np.inf for v in (wavelength, ratio, total_area)):
         raise DomainError("wavelength, ratio and total area must be finite "
@@ -247,8 +229,9 @@ def anti_decay_design(wavelength: float, ratio: float,
     d = ratio * wavelength
     with np.errstate(over="ignore", divide="ignore"):
         side = np.floor(np.sqrt(total_area) / d)
-    if side == np.inf:
-        raise DomainError("the element side is too small for a finite grid")
+    if side >= _GRID_SIDE_LIMIT:
+        raise DomainError("the element side is too small for a finite grid "
+                          "of fewer than 2**64 elements a side")
     if side < 1:
         raise DomainError("the area is too small for one element")
     return GridDesign(rows=int(side), cols=int(side), d_x=d, d_y=d)

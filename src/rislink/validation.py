@@ -16,17 +16,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SceneConfig
-from .em import (ChannelSet, _axis_factors, _farfield_link, _theta_dot_d,
-                 _tx_axes, exact_channel, farfield_channel, farfield_power,
-                 received_power)
+from .em import (ChannelSet, _axis_factors, _design_steering, _farfield_link,
+                 _theta_dot_d, _tx_axes, exact_channel, farfield_channel,
+                 farfield_power, received_power)
 from .errors import EmptyFeasible, RegionDWarning, TooLarge
 from .experiments import (_EX, _EY, _EZ, _panel_at, _radio, _reject, _unit,
                           equilateral_scene)
 from .geometry import PanelPoses, TransmitterArray, UpaLayout
 from .placement import (PlaneScene, _box_grid, plane_objective,
                         position_search_plane)
-from .solvers import (_closed_form_design, closed_form_solution,
-                      power_upper_bound, two_path_solution)
+from .solvers import (closed_form_solution, power_upper_bound,
+                      two_path_solution)
 
 _ENUM_BUDGET = 10**9
 
@@ -201,15 +201,14 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
         _unit(_reject(_EY + _EZ, tx_ax))), tiny.tx_gain)
     far_rx = np.array([50.0, 0.0, 0.0])
     design = closed_form_solution(upa, panel, far_rx, radio)
-    steering, tx_steering = _closed_form_design(
+    steering, tx_steering = _design_steering(
         upa, panel, _farfield_link(upa, panel, far_rx, radio))
     shifts = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0], [0.0, 30.0, 0.0],
                        [-12.0, 8.0, 6.0], [-20.0, -10.0, 0.0]])
     poses = PanelPoses(panel.center + shifts, *(
         np.tile(a, (len(shifts), 1))
         for a in (panel.normal, panel.axis_x, panel.axis_y)))
-    factored = farfield_power(upa, panel, far_rx, radio, steering,
-                              tx_steering, poses=poses)
+    factored = farfield_power(upa, panel, far_rx, radio, poses)
     moved = _farfield_link(upa, panel, far_rx, radio, poses)
     weakest = [float(np.min(np.abs(f))) / n for f, n in (
         (_theta_dot_d(panel, moved, steering), panel.count),

@@ -152,19 +152,21 @@ def test_direct_channel_friis_amplitude_and_phase():
 
 def test_farfield_functions_check_no_far_field_condition():
     """The far-field channel and power are built on a scene that fails the
-    far-field conditions (a panel too large for the distance), with no
-    warning: only the studies apply a far-field policy."""
+    far-field conditions (a panel too large for the distance) at every
+    pose of a random_poses stack, with no warning: only the studies apply a
+    far-field policy."""
     tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
     ris = make_panel(rows=20, cols=20)
     rx = np.array([5.0, 0.0, 5.0])
-    ang = link_angles(tx, rx, PanelPoses.of(ris))
-    assert np.all(far_field_check(tx, ris, ang.d_ti, ang.d_ir)[0, 1:] < 1.0)
-    steering = random_steering(np.random.default_rng(1), ris)
+    poses = random_poses(np.random.default_rng(1), ris, 4)
+    ang = link_angles(tx, rx, poses)
+    assert np.all(far_field_check(tx, ris, ang.d_ti, ang.d_ir)[:, 1:] < 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         channels = farfield_channel(tx, ris, rx, RADIO, direct=True)
-        power = farfield_power(tx, ris, rx, RADIO, steering, 0.1)
-    assert np.all(np.isfinite(channels.h_ti)) and power > 0.0
+        power = farfield_power(tx, ris, rx, RADIO, poses)
+    assert np.all(np.isfinite(channels.h_ti))
+    assert np.all(np.isfinite(power)) and power[0] > 0.0
 
 
 def test_received_power_matches_manual_product():
@@ -263,61 +265,17 @@ def random_steering(rng, ris):
     return ris.axis_y @ u, ris.axis_x @ u
 
 
-def steering_phases(ris, steering, wavelength):
-    """The phase vector (L,) that the steering pair stands for, that of the
-    closed-form design: the conjugate of em._panel_phasors toward a
-    direction whose panel-axis components are (g_y, g_x)."""
-    wavenum = 2 * np.pi / wavelength
-    g_y, g_x = steering
-    return np.conj(np.outer(
-        em._centred_phasors(wavenum * g_y, ris.rows, ris.d_y),
-        em._centred_phasors(wavenum * g_x, ris.cols, ris.d_x)).ravel())
+def moved_panel(ris, poses, i):
+    """The panel `ris` moved to pose i of the stack."""
+    return ris._replace(center=poses.center[i], normal=poses.normal[i],
+                        axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
 
 
-def random_tx_steering(rng, tx):
-    """A random transmitter steering: the components of a random unit
-    vector along the array axes, a scalar for a ULA and the pair
-    (axis_y . w, axis_x . w) for a UPA, as a closed-form design takes them
-    from its own u_TI."""
-    w = rng.standard_normal(3)
-    w /= np.linalg.norm(w)
-    lay = tx.layout
-    if isinstance(lay, UlaLayout):
-        return lay.axis @ w
-    return lay.axis_y @ w, lay.axis_x @ w
-
-
-def steering_beam(tx, tx_steering, p_t, wavelength):
-    """The beamformer (N,) that the transmitter steering stands for, that
-    of the closed-form design: sqrt(P_t/N) * conj(b_0) with b_0[p] =
-    exp(j*k*(antenna_p - T) . w) for the direction w whose components
-    along the array axes are the steering, from the antenna positions of
-    the array moved to the origin, which are its layout offsets."""
-    lay = tx.layout
-    if isinstance(lay, UlaLayout):
-        w = tx_steering * lay.axis
-    else:
-        w = tx_steering[0] * lay.axis_y + tx_steering[1] * lay.axis_x
-    offsets = antenna_positions(tx._replace(center=np.zeros(3))) @ w
-    return (np.sqrt(p_t / tx.count)
-            * np.exp(-1j * 2 * np.pi / wavelength * offsets))
-
-
-def dense_power(tx, ris, rx, radio, steering, tx_steering):
-    """received_power on the dense far-field channel of the scene, of the
-    design that the steering pair and the transmitter steering stand for
-    (steering_phases and steering_beam)."""
-    channels = farfield_channel(tx, ris, rx, radio, direct=False)
-    return received_power(
-        channels, steering_phases(ris, steering, radio.wavelength),
-        steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength))
-
-
-def random_design(rng, ris, tx):
-    """A steering pair of random_steering and a transmitter steering of
-    random_tx_steering; the phases are steering_phases of the pair and the
-    beamformer is steering_beam of the transmitter steering."""
-    return random_steering(rng, ris), random_tx_steering(rng, tx)
+def design_power(tx, ris, rx, radio, sol):
+    """received_power of the design `sol` on the dense far-field channel
+    of the scene."""
+    return received_power(farfield_channel(tx, ris, rx, radio), sol.theta,
+                          sol.v)
 
 
 scene_args = dict(rows=st.integers(1, 7), cols=st.integers(1, 7),
@@ -329,25 +287,17 @@ scene_args = dict(rows=st.integers(1, 7), cols=st.integers(1, 7),
 @example(rows=2, cols=5, upa=False, seed=1)
 @example(rows=4, cols=1, upa=True, seed=2)
 def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
-    """The factored power equals the dense far-field evaluation of the
-    design that the two steerings stand for.
-
-    The rounding error is absolute in the element and antenna sums, so it
-    is held to 1e-12 of the larger of the power and the power of a design
-    whose sums do not cancel, a_TIR^2 * L * N * ||v||^2.  A power that is
-    not a strong cancellation (at least 1e-6 of that maximum) is held to
-    1e-12 relative error.
-    """
-    tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    steering, tx_steering = random_design(rng, ris, tx)
-    dense = dense_power(tx, ris, rx, radio, steering, tx_steering)
-    power = farfield_power(tx, ris, rx, radio, steering, tx_steering)
-    a_tir = em._farfield_link(tx, ris, rx, radio).a_tir[0]
-    v = steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength)
-    scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
-    assert abs(power - dense) <= 1e-12 * max(dense, scale)
-    if dense >= 1e-6 * scale:
-        assert abs(power - dense) <= 1e-12 * dense
+    """At the panel's own pose the factored power is that of its
+    closed-form design, a (1,) array: the design's predicted
+    N * L^2 * a_TIR^2 * P_t, and received_power of its theta and v on the
+    dense far-field channel, each to 1e-12 relative error."""
+    tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
+    sol = closed_form_solution(tx, ris, rx, radio)
+    power = farfield_power(tx, ris, rx, radio, PanelPoses.of(ris))
+    assert power.shape == (1,)
+    assert power[0] == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
+    assert power[0] == pytest.approx(design_power(tx, ris, rx, radio, sol),
+                                     rel=1e-12, abs=0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -523,22 +473,18 @@ def test_panel_phasors_bits_match_exp(rows, cols, seed):
     """_panel_phasors evaluates half of each axis and conjugates the rest,
     and still gives the bits, signs of zero included, of the row-major
     outer product of np.exp(-1j * k*(axis . u) * offsets) along axis_y and
-    axis_x, for odd and even counts."""
-    rng = np.random.default_rng(seed)
-    lam = rng.uniform(0.01, 0.1)
-    normal, axis_x, axis_y = _frame(rng)
-    ris = RisPanel(center=np.zeros(3), rows=rows, cols=cols,
-                   d_x=lam * rng.uniform(0.1, 0.5),
-                   d_y=lam * rng.uniform(0.1, 0.5),
-                   normal=normal, axis_x=axis_x, axis_y=axis_y)
-    u = rng.standard_normal(3)
-    wavenum = 2 * np.pi / lam
-    got = em._panel_phasors(ris, u, wavenum)
+    axis_x, u = u_TI + u_IR of the panel's far-field link, for odd and even
+    counts."""
+    tx, ris, rx, radio, _ = random_scene(rows, cols, False, seed)
+    link = em._farfield_link(tx, ris, rx, radio)
+    u = link.angles.u_ti[0] + link.angles.u_ir[0]
+    wavenum = 2 * np.pi / radio.wavelength
+    got = em._panel_phasors(tx, ris, link)
     e_y, e_x = (np.exp(-1j * (wavenum * np.vecdot(axis, u)
                               * ((np.arange(1, count + 1) - (count + 1) / 2)
                                  * pitch)))
-                for axis, count, pitch in ((axis_y, rows, ris.d_y),
-                                           (axis_x, cols, ris.d_x)))
+                for axis, count, pitch in ((ris.axis_y, rows, ris.d_y),
+                                           (ris.axis_x, cols, ris.d_x)))
     ref = np.outer(e_y, e_x).ravel()
     assert got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
@@ -594,51 +540,43 @@ def test_channel_set_cascade_is_a_view_and_leading_pair_read_only():
 
 
 def test_farfield_power_checks_shapes_and_shadowing():
-    """The steering is a pair of scalars (g_y, g_x): a single scalar, one
-    or three components, a pair of (rows,) and (cols,) phase factors and
-    the (L,) phase vector are all DimensionMismatch, and a NaN, infinite or
-    complex component is DomainError."""
+    """The power is a (P,) array.  A design panel that does not see both
+    ends raises ShadowedPanel, as closed_form_solution does; a pose of a
+    stack whose panel does not see both ends gets 0 W, and the others the
+    bits of a call of their own."""
     tx, ris, rx = equilateral(300.0, rows=2, cols=3)
-    g_y, g_x = random_steering(np.random.default_rng(0), ris)
-    for bad in (g_y, (g_y,), (g_y, g_x, g_x),
-                (np.ones(2, dtype=complex), np.ones(3, dtype=complex)),
-                steering_phases(ris, (g_y, g_x), RADIO.wavelength),
-                (g_y, np.array([g_x]))):
-        with pytest.raises(DimensionMismatch):
-            farfield_power(tx, ris, rx, RADIO, bad, 0.1)
-    for bad in ((np.nan, g_x), (g_y, np.inf), (g_y, 1j * g_x)):
-        with pytest.raises(DomainError):
-            farfield_power(tx, ris, rx, RADIO, bad, 0.1)
     behind = np.array([0.0, 0.0, 2000.0])  # on the panel's back side
     with pytest.raises(ShadowedPanel):
-        farfield_power(tx, ris, behind, RADIO, (g_y, g_x), 0.1)
+        farfield_power(tx, ris, behind, RADIO, PanelPoses.of(ris))
+    own = PanelPoses.of(ris)
+    flipped = PanelPoses(np.tile(ris.center, (2, 1)),
+                         np.stack([ris.normal, -ris.normal]),
+                         np.tile(ris.axis_x, (2, 1)),
+                         np.stack([ris.axis_y, -ris.axis_y]))
+    power = farfield_power(tx, ris, rx, RADIO, flipped)
+    assert power.shape == (2,)
+    assert power[1] == 0.0
+    assert np.array_equal(power[:1], farfield_power(tx, ris, rx, RADIO, own))
+    assert power[0] > 0.0
 
 
 def test_farfield_power_checks_transmitter_steering():
-    """The transmitter steering is one real scalar for a ULA and a pair of
-    scalars for a UPA: a pair or an (N,) beamformer for a ULA, a scalar or
-    three components for a UPA, and a (1,) component are DimensionMismatch,
-    a NaN, infinite or complex component DomainError.  A valid steering
-    gives a finite, nonnegative float."""
+    """The design's transmitter steering is one scalar for a ULA and a
+    pair for a UPA, and either stands for the beamformer of
+    closed_form_solution: at the panel's own pose the power is the
+    design's predicted power to 1e-12 relative error."""
     tx, ris, rx = equilateral(300.0, rows=2, cols=3)
     upa = tx._replace(layout=UpaLayout(rows=2, cols=3, spacing_x=0.0143,
                                        spacing_y=0.02, axis_x=EX, axis_y=EY))
-    steering = random_steering(np.random.default_rng(0), ris)
-    for array, good, bads in (
-            (tx, 0.3, ((0.3, 0.2), np.ones(2, dtype=complex),
-                       np.array([0.3]))),
-            (upa, (0.3, -0.2), (0.3, (0.3,), (0.3, 0.2, 0.1),
-                                (0.3, np.array([0.2]))))):
-        power = farfield_power(array, ris, rx, RADIO, steering, good)
-        assert isinstance(power, float)
-        assert np.isfinite(power) and power >= 0.0
-        for bad in bads:
-            with pytest.raises(DimensionMismatch):
-                farfield_power(array, ris, rx, RADIO, steering, bad)
-        for bad in ((np.nan, np.inf, 1j) if array is tx else
-                    ((np.nan, 0.2), (0.3, -np.inf), (0.3j, 0.2))):
-            with pytest.raises(DomainError):
-                farfield_power(array, ris, rx, RADIO, steering, bad)
+    for array, components in ((tx, 1), (upa, 2)):
+        link = em._farfield_link(array, ris, rx, RADIO)
+        _, tx_steering = em._design_steering(array, ris, link)
+        assert len(tx_steering) == components
+        power = farfield_power(array, ris, rx, RADIO, PanelPoses.of(ris))
+        assert power.shape == (1,) and power[0] > 0.0
+        assert power[0] == pytest.approx(
+            closed_form_solution(array, ris, rx, RADIO).predicted_power,
+            rel=1e-12, abs=0)
 
 
 def test_panel_poses_are_checked_like_a_panel_frame():
@@ -677,28 +615,32 @@ def random_poses(rng, ris, count):
 @example(rows=4, cols=1, upa=True, seed=2)
 def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
                                                          seed):
-    """Each pose of a stack gives the dense far-field evaluation of the
-    panel at that pose, to the tolerance of
-    test_farfield_power_matches_dense_channel; a pose whose panel does not
-    see both ends gives 0 W, where the dense channel raises ShadowedPanel."""
+    """Each pose of a stack gives received_power of the closed-form design
+    of the panel's own pose on the dense far-field channel of the panel
+    moved to that pose; a pose whose panel does not see both ends gives
+    0 W, where the dense channel raises ShadowedPanel.
+
+    The rounding error is absolute in the element and antenna sums, so it
+    is held to 1e-12 of the larger of the power and the power of a design
+    whose sums do not cancel, a_TIR^2 * L * N * ||v||^2.  A power that is
+    not a strong cancellation (at least 1e-6 of that maximum) is held to
+    1e-12 relative error.
+    """
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    steering, tx_steering = random_design(rng, ris, tx)
-    v = steering_beam(tx, tx_steering, radio.tx_power, radio.wavelength)
+    sol = closed_form_solution(tx, ris, rx, radio)
     poses = random_poses(rng, ris, 6)
-    power = farfield_power(tx, ris, rx, radio, steering, tx_steering,
-                           poses=poses)
+    power = farfield_power(tx, ris, rx, radio, poses)
     assert power.shape == (len(poses.center),)
     assert power[-1] == 0.0
     for i, p in enumerate(power.tolist()):
-        panel = ris._replace(center=poses.center[i], normal=poses.normal[i],
-                             axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
+        panel = moved_panel(ris, poses, i)
         try:
-            dense = dense_power(tx, panel, rx, radio, steering, tx_steering)
+            dense = design_power(tx, panel, rx, radio, sol)
         except ShadowedPanel:
             assert p == 0.0
             continue
         a_tir = em._farfield_link(tx, panel, rx, radio).a_tir[0]
-        scale = a_tir**2 * ris.count * tx.count * np.vdot(v, v).real
+        scale = a_tir**2 * ris.count * tx.count * np.vdot(sol.v, sol.v).real
         assert abs(p - dense) <= 1e-12 * max(dense, scale)
         if dense >= 1e-6 * scale:
             assert abs(p - dense) <= 1e-12 * dense
@@ -709,16 +651,14 @@ def test_farfield_power_pose_blocks_equal_row_groups():
     same poses evaluated 41 at a time, the grid-row groups the robustness
     map used to call with."""
     tx, ris, rx, radio, rng = random_scene(12, 10, False, 5)
-    steering, tx_steering = random_design(rng, ris, tx)
     poses = random_poses(rng, ris, 116)
     count = len(poses.center)
-    whole = farfield_power(tx, ris, rx, radio, steering, tx_steering,
-                           poses=poses)
-    groups = [farfield_power(tx, ris, rx, radio, steering, tx_steering,
-                             poses=PanelPoses(poses.center[s:s + 41],
-                                              poses.normal[s:s + 41],
-                                              poses.axis_x[s:s + 41],
-                                              poses.axis_y[s:s + 41]))
+    whole = farfield_power(tx, ris, rx, radio, poses)
+    groups = [farfield_power(tx, ris, rx, radio,
+                             PanelPoses(poses.center[s:s + 41],
+                                        poses.normal[s:s + 41],
+                                        poses.axis_x[s:s + 41],
+                                        poses.axis_y[s:s + 41]))
               for s in range(0, count, 41)]
     assert whole[-1] == 0.0 and np.count_nonzero(whole) > count // 2
     assert np.array_equal(whole, np.concatenate(groups))
@@ -732,7 +672,6 @@ def test_farfield_power_pose_bits_do_not_depend_on_batch(rows, cols, upa,
     """Every pose of a stack, whole or cut at random points, gets the bits of
     its own one-pose call."""
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    steering, tx_steering = random_design(rng, ris, tx)
     poses = random_poses(rng, ris, count)
     n = len(poses.center)
     cuts = np.sort(rng.choice(np.arange(1, n), replace=False,
@@ -742,8 +681,7 @@ def test_farfield_power_pose_bits_do_not_depend_on_batch(rows, cols, upa,
     def power(start, stop):
         part = PanelPoses(poses.center[start:stop], poses.normal[start:stop],
                           poses.axis_x[start:stop], poses.axis_y[start:stop])
-        return farfield_power(tx, ris, rx, radio, steering, tx_steering,
-                              poses=part)
+        return farfield_power(tx, ris, rx, radio, part)
 
     alone = np.concatenate([power(i, i + 1) for i in range(n)])
     assert np.array_equal(power(0, n), alone)
@@ -781,8 +719,7 @@ def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
             ris, em._farfield_link(tx, ris, rx, radio, one),
             (g_y, g_x))
         assert np.array_equal(alone, sums[i:i + 1])
-        panel = ris._replace(center=poses.center[i], normal=poses.normal[i],
-                             axis_x=poses.axis_x[i], axis_y=poses.axis_y[i])
+        panel = moved_panel(ris, poses, i)
         elems = element_positions(panel).T
         d_vec = np.exp(1j * wavenum
                        * (offsets_toward(elems, panel.center, tx.center)

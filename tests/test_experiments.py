@@ -23,6 +23,7 @@ from rislink.placement import PlaneScene
 from rislink.solvers import closed_form_solution
 from rislink.validation import validate_suite
 
+from test_em import random_poses
 from test_geometry import EX, EY, EZ, make_panel, make_ula
 
 
@@ -375,7 +376,8 @@ def test_robustness_matches_dense_channel_evaluation():
 
 def test_robustness_evaluates_grid_in_one_call(monkeypatch):
     """The whole map is evaluated in one farfield_power call, with one
-    RisPanel (the assumed pose) and no panel per point."""
+    RisPanel (the assumed pose) and no panel per point: the call takes the
+    assumed panel and the stack of all 49 true poses, and no steering."""
     calls = {"panel": 0, "power": 0}
     panel, power = experiments.RisPanel, experiments.farfield_power
 
@@ -383,9 +385,10 @@ def test_robustness_evaluates_grid_in_one_call(monkeypatch):
         calls["panel"] += 1
         return panel(*args, **kwargs)
 
-    def counted_power(*args, **kwargs):
+    def counted_power(tx, ris, rx, radio, poses):
         calls["power"] += 1
-        return power(*args, **kwargs)
+        assert len(poses.center) == 49
+        return power(tx, ris, rx, radio, poses)
 
     monkeypatch.setattr(experiments, "RisPanel", counted_panel)
     monkeypatch.setattr(experiments, "farfield_power", counted_power)
@@ -478,27 +481,29 @@ def test_enforce_far_field_modes():
 
 
 def test_enforce_far_field_guards_farfield_power():
-    """A study judges the panel's own pose, then farfield_power computes:
+    """A study judges the panel at every pose of a random_poses stack, then
+    farfield_power computes the design of the panel's own pose there:
     "strict" raises before any power, "warn" warns once and leaves the
-    power as computed without a check, and "loud" is a DomainError."""
+    powers as computed without a check, and "loud" is a DomainError."""
     tx = make_ula(center=(0.0, 0.0, 5.0), count=2, spacing=0.0143, axis=EY)
     ris = make_panel(rows=20, cols=20)
     rx = np.array([5.0, 0.0, 5.0])
     radio = RadioParams(wavelength=0.0286, tx_power=0.001)
-    ang = link_angles(tx, rx, PanelPoses.of(ris))
+    poses = random_poses(np.random.default_rng(2), ris, 4)
+    ang = link_angles(tx, rx, poses)
     ratios = far_field_check(tx, ris, ang.d_ti, ang.d_ir)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        unchecked = em.farfield_power(tx, ris, rx, radio, (0.3, -0.2), 0.1)
-    assert unchecked > 0.0
+        unchecked = em.farfield_power(tx, ris, rx, radio, poses)
+    assert unchecked[0] > 0.0
     with pytest.raises(FarFieldViolation, match="far-field conditions fail"):
         enforce(ratios, "strict")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         enforce(ratios, "warn")
-        warned = em.farfield_power(tx, ris, rx, radio, (0.3, -0.2), 0.1)
+        warned = em.farfield_power(tx, ris, rx, radio, poses)
     assert [w.category for w in caught] == [FarFieldWarning]
-    assert warned == unchecked
+    assert np.array_equal(warned, unchecked)
     with pytest.raises(DomainError, match="unknown far-field mode 'loud'"):
         enforce(ratios, "loud")
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rislink.cli import main
 from rislink.config import (dbm_to_watts, db_to_linear, default_config_text,
-                            linear_to_db, load_config, watts_to_dbm)
+                            load_config, watts_to_dbm)
 from rislink.errors import ConfigError, FarFieldWarning
 from rislink.experiments import SweepResult, sweep_plane
 from rislink.output import (_BLOCK_ROWS, _block_bytes, _float_fields,
@@ -28,12 +29,11 @@ def test_unit_round_trips():
     for dbm in (-90.0, 0.0, 13.5, 30.0):
         assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm,
                                                                 abs=1e-12)
-    for db in (-3.0, 0.0, 9.03, 21.0):
-        assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
+    for db, ratio in ((0.0, 1.0), (10.0, 10.0), (-3.0, 0.5011872336272722),
+                      (21.0, 125.89254117941675)):
+        assert db_to_linear(db) == pytest.approx(ratio, rel=1e-12)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-15)
     assert watts_to_dbm(0.0) == -np.inf
-    with pytest.raises(ConfigError):
-        linear_to_db(-1.0)
 
 
 def test_default_config_loads_and_validates():
@@ -214,6 +214,24 @@ def test_config_errors(tmp_path, capsys):
              "sweeps.wavelength.element_ratio * sweeps.wavelength.max_m "
              "(1e-300 * 1e-20 m): the element side is too small for a "
              "finite grid"),
+            # a grid side that is finite but fits no 64-bit integer, so
+            # that its element count would not fit in a float
+            ("max_m: 0.0286\n    octaves: 1.0\n    points: 25\n"
+             "    element_ratio: 0.3333333333333333",
+             "max_m: 1.0e-7\n    octaves: 1.0\n    points: 25\n"
+             "    element_ratio: 1.0e-300",
+             "sweeps.wavelength.element_ratio * sweeps.wavelength.max_m "
+             "(1e-300 * 1e-07 m): the element side is too small"),
+            # the same rule at the shortest wavelength, max_m / 2**octaves,
+            # and an octave count whose 2**octaves overflows a float
+            ("octaves: 1.0", "octaves: 56.0",
+             "sweeps.wavelength.max_m / 2**sweeps.wavelength.octaves "
+             "(0.3333333333333333 * 3.9690473130349347e-19 m)"),
+            ("octaves: 1.0", "octaves: 1000.0",
+             "sweeps.wavelength.max_m / 2**sweeps.wavelength.octaves "
+             "(0.3333333333333333 * 2.669133948919206e-303 m)"),
+            ("octaves: 1.0", "octaves: 1074.0",
+             "sweeps.wavelength.octaves is too large"),
             ("antennas: 16", "antennas: true",
              "transmitter.antennas must be a number"),
             # dB values whose linear value overflows a float
@@ -740,6 +758,20 @@ def test_demo_runs(demo):
                           env=env, capture_output=True, text=True,
                           timeout=120, stdin=subprocess.DEVNULL)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    """The first python block of README.md, its Quick start, runs as the
+    demos do: exit code 0 and one line of output, a power in dBm."""
+    text = (ROOT / "README.md").read_text()
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          stdin=subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and re.fullmatch(r"-?\d+\.\d\d dBm", lines[0])
 
 
 def test_benchmark_trace_spans_resolve():

@@ -49,6 +49,12 @@ def test_degenerate_triangle_raises():
         optimal_orientation(10.0, 10.0, 100.0, 3.0)
     with pytest.raises(DomainError):
         optimal_orientation(0.0, 10.0, 10.0, 3.0)
+    # a NaN or infinite distance, alone or in an array, is no distance
+    for bad in (np.nan, np.inf, -np.inf):
+        for args in ((bad, 10.0, 10.0), (10.0, np.array([10.0, bad]), 10.0),
+                     (10.0, 10.0, bad)):
+            with pytest.raises(DomainError, match="finite and > 0"):
+                optimal_orientation(*args, 3.0)
     # one bad entry in an array is enough
     with pytest.raises(DegenerateTriangle, match="10.0, 10.0, 100.0"):
         optimal_orientation(np.array([100.0, 10.0]), 10.0, 100.0, 3.0)
@@ -98,6 +104,11 @@ def test_f_object_values_and_clamp():
     assert arr.shape == (2,)
     with pytest.raises(DomainError):
         f_object(-1.0, 10.0, 10.0, 3.0)
+    for bad in (np.nan, np.inf):
+        for args in ((np.array([10.0, bad]), 10.0, 10.0), (10.0, bad, 10.0),
+                     (10.0, 10.0, bad)):
+            with pytest.raises(DomainError, match="finite and > 0"):
+                f_object(*args, 3.0)
 
 
 def test_plane_scene_distances_and_membership():
@@ -208,6 +219,12 @@ def test_quasiconvexity_scan_k_zero_monotone():
     assert rep2.monotone_decreasing
     with pytest.raises(DomainError):
         quasiconvexity_report(100.0, 0.0, 150.0, "fix_everything")
+    # a NaN or infinite distance used to scan all-NaN values into a report
+    # that claimed quasiconvex and monotone decreasing
+    for d_tr, d_fixed in ((100.0, np.nan), (100.0, np.inf), (np.nan, 150.0)):
+        for which in ("fix_d_ti", "fix_d_ir"):
+            with pytest.raises(DomainError, match="finite and > 0"):
+                quasiconvexity_report(d_tr, 3.0, d_fixed, which)
 
 
 def star_polygon(rng, center, radius):

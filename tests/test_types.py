@@ -37,7 +37,7 @@ EXPORTS = (
     "dense_position_grid", "direct_channel", "element_positions",
     "exact_channel", "exhaustive_phase_search", "f_object",
     "far_field_check", "farfield_channel", "farfield_power",
-    "friis_amplitude", "linear_to_db", "link_angles", "load_config",
+    "friis_amplitude", "link_angles", "load_config",
     "mrt_beamforming", "optimal_orientation", "plane_objective",
     "position_search_plane", "power_upper_bound", "quasiconvexity_report",
     "radiation_pattern", "random_feasible_solutions", "received_power",
