@@ -86,18 +86,6 @@ def _leading_singular_pair(c: np.ndarray,
     return u * np.exp(-1j * np.angle(u[idx])), sigma
 
 
-def _unit_phasors(phase: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """exp(j*phase) as cos(phase) + j*sin(phase), written into the real and
-    imaginary parts of the complex array `out` (a new one if None), with no
-    complex temporaries; the bits are those of np.exp(1j * phase)."""
-    if out is None:
-        out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
-
-
 class ChannelSet(_Value):
     """Assembled channel matrices for one scene: the one L x N cascade C
     and the optional direct row.
@@ -202,30 +190,13 @@ def _panel_phasors(tx: TransmitterArray, ris: RisPanel,
     """The linearized two-hop element phasors d_vec of the link's first
     pose, exp(-j*k*(x_m*axis_x + y_n*axis_y) . (u_TI + u_IR)), (L,) in
     row-major order: the phasor of element q = n*cols + m is e_y[n] *
-    e_x[m], the row and column phasors of _centred_phasors at the panel
-    steering (g_y, g_x) of _design_steering."""
+    e_x[m], each axis exp(-j*k*g*o_i) over the centred offsets o_i of
+    `_axis_offsets` at the panel steering (g_y, g_x) of _design_steering."""
     (g_y, g_x), _ = _design_steering(tx, ris, link)
-    return np.outer(
-        _centred_phasors(link.wavenum * g_y, ris.rows, ris.d_y),
-        _centred_phasors(link.wavenum * g_x, ris.cols, ris.d_x)).ravel()
-
-
-def _centred_phasors(scale: float, count: int, pitch: float) -> np.ndarray:
-    """exp(-j*scale*o_i) over the centred offsets o_i of `_axis_offsets`,
-    (count,).
-
-    The offsets are exact negatives of each other, o_{count-1-i} = -o_i, so
-    the phases are too: only the first ceil(count/2) phasors are evaluated,
-    as `_unit_phasors` of the negated phase, and the rest are their mirrored
-    conjugates.  The middle phasor of an odd count is evaluated with the
-    first half: conjugating it would flip the sign of its zero imaginary
-    part.  The bits are those of np.exp(-1j * (scale * offsets))."""
-    offsets = _axis_offsets(count, pitch)
-    half = (count + 1) // 2
-    out = np.empty(count, dtype=complex)
-    _unit_phasors(-(scale * offsets[:half]), out=out[:half])
-    np.conjugate(out[:count // 2][::-1], out=out[half:])
-    return out
+    e_y, e_x = (np.exp(-1j * (link.wavenum * g * _axis_offsets(count, pitch)))
+                for g, count, pitch in ((g_y, ris.rows, ris.d_y),
+                                        (g_x, ris.cols, ris.d_x)))
+    return np.outer(e_y, e_x).ravel()
 
 
 class _FarFieldLink(NamedTuple):
@@ -479,28 +450,23 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     # once per call (the distances, and a work plane for the squared
     # differences, then k*(d + d_IR), then d*d_IR); an axis on which all
     # antennas agree, two of three for a ULA along a coordinate axis, gets
-    # one squared-difference plane for every row.  _unit_phasors writes
-    # exp(j*k*(d + d_IR)) straight into the block's rows, which are then
+    # one squared-difference plane for every row.  exp(j*k*(d + d_IR)) is
+    # written as its cos and sin straight into the real and imaginary parts
+    # of the block's rows, with no complex temporaries, which are then
     # scaled by the real amplitude delta / (d * d_IR) in place.  In a
     # mirror-symmetric scene (_mirrored; every equilateral scene of the
-    # studies) the loop builds only the first ceil(N/2) antenna rows and
-    # d_IR only its first ceil(rows/2) panel rows: the last N//2 antenna
-    # rows and rows//2 panel rows are copies of their mirror images with
-    # the panel rows reversed, and equal to what the build would give.
-    # The ChannelSet records that as `mirrored`, so that the leading pair
-    # multiplies out only half the Gram rows.
+    # studies) the loop builds only the first ceil(N/2) antenna rows: the
+    # last N//2 are copies of their mirror images with the panel rows
+    # reversed, and equal to what the build would give.  The ChannelSet
+    # records that as `mirrored`, so that the leading pair multiplies out
+    # only half the Gram rows.
     mirror = _mirrored(ants, elems, ris.rows, rx)
     ants_copied = len(ants) // 2 if mirror else 0
     built = len(ants) - ants_copied
-    rows_copied = ris.rows // 2 if mirror else 0
-    evaluated = count - rows_copied * ris.cols
     step = min(built, max(1, _CHANNEL_BLOCK // count))
     dist, work = np.empty((step, count)), np.empty((step, count))
-    d_ir = np.empty(count)
-    _plane_distances(rx[None, :], elems[:, :evaluated],
-                     d_ir[None, :evaluated], work[:1, :evaluated], {})
-    panel_ir = d_ir.reshape(ris.rows, ris.cols)
-    panel_ir[ris.rows - rows_copied:] = panel_ir[:rows_copied][::-1]
+    d_ir = _plane_distances(rx[None, :], elems, np.empty((1, count)),
+                            work[:1], {})[0]
     if np.min(d_ir) == 0.0:
         raise DegenerateGeometry("element and receiver positions coincide")
     shared = {c: np.square(ants[0, c] - elems[c]) for c in range(3)
@@ -515,7 +481,8 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
             raise DegenerateGeometry("antenna and element positions coincide")
         phase = np.add(d_ti, d_ir, out=work[:len(rows)])
         phase *= wavenum
-        _unit_phasors(phase, out=rows)
+        np.cos(phase, out=rows.real)
+        np.sin(phase, out=rows.imag)
         amp = np.multiply(d_ti, d_ir, out=phase)
         np.divide(delta, amp, out=amp)
         rows *= amp

@@ -204,10 +204,8 @@ def emit_csv(result: SweepResult, path: str | Path) -> Path:
                                    for col in columns]))
 
     sidecar = path.with_suffix(path.suffix + ".meta.json")
-    meta = dict(sorted(result.meta.items()))
-    meta["rows"] = n
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    sidecar.write_text(json.dumps({**result.meta, "rows": n}, indent=2,
+                                  sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .em import (ChannelSet, RadioParams, _array_factor, _farfield_link,
-                 _panel_phasors, direct_channel)
+                 _panel_phasors, direct_channel, friis_amplitude)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import RisPanel, TransmitterArray, UlaLayout, _as_vec3, _norm
 
@@ -124,7 +124,8 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     with an AmbiguousSignWarning (the cross term vanishes).
 
     The hop distances and cos(mu_TI) = axis . u_TI come from the far-field
-    link, and d_TR and cos(mu_TR) from the one vector T - R.  The row is
+    link, and d_TR and cos(mu_TR) from the one vector T - R; the predicted
+    power reads a_TR as friis_amplitude at that d_TR.  The row is
     formed from the rank-one factors in O(N), with no L x N channel:
     a_TIR * exp(j*k*(d_TI + d_IR)) * (theta . d_vec) * b_vec + h_TR with
     the far-field direct row h_TR, where theta . d_vec is L times the
@@ -150,7 +151,7 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     else:
         sign = np.sign(o)
     offset = (np.pi / 2 * (sign - 1.0)
-              - 2 * np.pi / radio.wavelength * (d_ti + d_ir - d_tr))
+              - link.wavenum * (d_ti + d_ir - d_tr))
     rotation = np.exp(1j * float(offset))
     theta = np.conj(_panel_phasors(tx, ris, link)) * rotation
     a_tir = float(link.a_tir[0])
@@ -158,7 +159,8 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
                * (rotation * ris.count))
     row = ris_amp * link.b_vec()[0] + h_tr
     v = mrt_beamforming(row, radio.tx_power)
-    a_tr = float(np.abs(h_tr[0]))
+    a_tr = friis_amplitude(tx.element_gain, radio.rx_gain, radio.wavelength,
+                           d_tr)
     predicted = two_path_power_closed_form(a_tir, a_tr, o,
                                            tx.count, ris.count,
                                            radio.tx_power)

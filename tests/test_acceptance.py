@@ -263,14 +263,15 @@ def test_10_cli_experiments_deterministic(tmp_path):
            f"mismatches: {mismatches or 'none'}")
 
 
-# golden file of each case whose name is not the command's CSV name
-_GOLDEN_NAMES = {("solve", "--direct-link"): "solve_direct_link.csv",
+# golden stem of each case whose stem is not the command's output stem
+_GOLDEN_STEMS = {("solve", "--direct-link"): "solve_direct_link",
+                 ("sweep-plane", "--grid", "7"): "sweep_plane_ris_only",
                  ("robustness", "--paper-scale", "--grid", "7"):
-                 "robustness_paper_scale.csv",
+                 "robustness_paper_scale",
                  ("sweep-distance", "--paper-scale", "--grid", "5"):
-                 "sweep_distance_paper_scale.csv",
+                 "sweep_distance_paper_scale",
                  ("solve", "--paper-scale", "--direct-link"):
-                 "solve_paper_scale_direct_link.csv"}
+                 "solve_paper_scale_direct_link"}
 # the cases whose far-field model is near-field and warns: the two-path
 # design and the robustness map of the 100 x 100 panel, and the fixed-area
 # 9 m^2 panels of the wavelength sweep
@@ -289,6 +290,7 @@ _NEAR_FIELD = {("solve", "--paper-scale", "--direct-link"),
     ("robustness", "--paper-scale", "--grid", "7"),
     ("sweep-distance", "--paper-scale", "--grid", "5"),
     ("solve", "--paper-scale", "--direct-link"),
+    ("sweep-plane", "--grid", "7"),
 ])
 def test_10b_cli_analytic_studies_match_golden_csv(argv, tmp_path):
     """The studies reproduce the checked-in CSVs byte for byte.  tests/golden/
@@ -304,14 +306,19 @@ def test_10b_cli_analytic_studies_match_golden_csv(argv, tmp_path):
     block, is pinned as written before the channel took its element
     coordinates as (3, L) planes, and the paper-scale solve with the direct
     row h_TR beside the cascade as written before the channel was built
-    from half its mirrored rows."""
+    from half its mirrored rows.  The RIS-only plane map, and each case's
+    `.csv.meta.json` sidecar and `.gp` script (golden files beside its CSV,
+    `<stem>.csv.meta.json` and `<stem>.gp`), are pinned as written before
+    the panel phasors and d_IR were built whole."""
     from rislink.cli import main
     with (pytest.warns(FarFieldWarning) if argv in _NEAR_FIELD
           else nullcontext()):
         assert main([*argv, "--out", str(tmp_path)]) == 0
-    name = argv[0].replace("-", "_") + ".csv"
-    golden = (Path(__file__).parent / "golden"
-              / _GOLDEN_NAMES.get(argv, name)).read_bytes()
-    fresh = (tmp_path / name).read_bytes()
-    report(f"{argv[0]} CSV matches the golden file", fresh == golden,
-           f"{len(fresh)} bytes vs {len(golden)} golden")
+    stem = argv[0].replace("-", "_")
+    golden_stem = _GOLDEN_STEMS.get(argv, stem)
+    for suffix in (".csv", ".csv.meta.json", ".gp"):
+        golden = (Path(__file__).parent / "golden"
+                  / (golden_stem + suffix)).read_bytes()
+        fresh = (tmp_path / (stem + suffix)).read_bytes()
+        report(f"{argv[0]} {suffix} matches the golden file", fresh == golden,
+               f"{len(fresh)} bytes vs {len(golden)} golden")

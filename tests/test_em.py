@@ -470,11 +470,11 @@ def test_exact_channel_near_mirror_takes_full_build(nudged, monkeypatch):
 @example(rows=7, cols=4, seed=0)
 @example(rows=1, cols=1, seed=1)
 def test_panel_phasors_bits_match_exp(rows, cols, seed):
-    """_panel_phasors evaluates half of each axis and conjugates the rest,
-    and still gives the bits, signs of zero included, of the row-major
-    outer product of np.exp(-1j * k*(axis . u) * offsets) along axis_y and
-    axis_x, u = u_TI + u_IR of the panel's far-field link, for odd and even
-    counts."""
+    """_panel_phasors gives the bits, signs of zero included, of the
+    row-major outer product of np.exp(-1j * k*(axis . u) * offsets) along
+    axis_y and axis_x, u = u_TI + u_IR of the panel's far-field link, for
+    odd and even counts, with the offsets formed here from their formula
+    and not from _axis_offsets."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, False, seed)
     link = em._farfield_link(tx, ris, rx, radio)
     u = link.angles.u_ti[0] + link.angles.u_ir[0]

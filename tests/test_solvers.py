@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rislink.em import (RadioParams, _farfield_link, _leading_singular_pair,
                         exact_channel, farfield_channel, farfield_power,
-                        received_power)
+                        friis_amplitude, received_power)
 from rislink.errors import (AmbiguousSignWarning, DomainError,
                             ShadowedPanel, ZeroChannel)
 from rislink.geometry import (PanelPoses, UlaLayout, UpaLayout,
@@ -88,7 +88,7 @@ def test_closed_form_achieves_predicted_power_on_farfield_channel():
     channels = farfield_channel(tx, ris, rx, RADIO)
     sol = closed_form_solution(tx, ris, rx, RADIO)
     achieved = received_power(channels, sol.theta, sol.v)
-    assert achieved == pytest.approx(sol.predicted_power, rel=1e-10, abs=0)
+    assert achieved == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
     a_tir = _farfield_link(tx, ris, rx, RADIO).a_tir[0]
     assert sol.predicted_power == pytest.approx(
         closed_form_predicted_power(a_tir, 4, 9, P_T), rel=1e-12, abs=0)
@@ -337,6 +337,16 @@ def test_two_path_solution_achieves_predicted_power():
     achieved = received_power(channels, sol.theta, sol.v)
     assert achieved == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
     assert sol.method is Method.CLOSED_FORM_TWO_PATH
+    # the prediction reads a_TR from the Friis formula at d_TR = 300 m, not
+    # from a rounded phasor of the direct row; the ULA axis is normal to
+    # T - R, so cos(mu_TR) = 0
+    link = _farfield_link(tx, ris, rx, RADIO)
+    o = two_path_o(8, 0.0143, float(EY @ link.angles.u_ti[0]), 0.0,
+                   RADIO.wavelength)
+    a_tr = friis_amplitude(tx.element_gain, RADIO.rx_gain, RADIO.wavelength,
+                           300.0)
+    assert sol.predicted_power == two_path_power_closed_form(
+        float(link.a_tir[0]), a_tr, o, 8, 9, P_T)
     # and it beats the single-path design evaluated on the same channel
     single = closed_form_solution(tx, ris, rx, RADIO)
     assert achieved >= received_power(channels, single.theta, single.v) * (
