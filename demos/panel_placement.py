@@ -11,8 +11,9 @@ quasiconvex shape.
 
 import numpy as np
 
-from rislink import (PlaneScene, dense_position_grid, plane_objective,
-                     position_search_plane, quasiconvexity_report)
+from rislink import PlaneScene, dense_position_grid, plane_objective
+from rislink.position_search import (position_search_plane,
+                                     quasiconvexity_report)
 
 # endpoints 60 m apart, both 25 m above the plane, panel confined to a
 # rectangular patch off to the side

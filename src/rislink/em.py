@@ -158,7 +158,7 @@ def tir_delta(g_t, g_r, g_ris, d_x, d_y, wavelength, f_t, f_r, gamma):
     """Distance-free T->RIS->R amplitude, arrays broadcast:
     delta = sqrt(G_t*G_r*G*d_x*d_y*l^2*F(theta_t)*F(theta_r)*Gamma^2
                  / (64*pi^3)).
-    A pattern product known only as a whole (F*) goes in as f_t, f_r = 1."""
+    With f_t = f_r = 1 it is the delta_1 of the studies' specular power."""
     return np.sqrt(g_t * g_r * g_ris * d_x * d_y * wavelength**2
                    * f_t * f_r * gamma**2 / (64 * np.pi**3))
 

@@ -17,7 +17,7 @@ from .em import (RadioParams, exact_channel, farfield_power, friis_amplitude,
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
                        _norm, far_field_check, link_angles)
 from .errors import DomainError, FarFieldViolation, FarFieldWarning
-from .placement import PlaneScene, optimal_orientation
+from .placement import PlaneScene, _triangle_cos, f_object
 from .solvers import (anti_decay_design, closed_form_predicted_power,
                       closed_form_solution, power_upper_bound, svd_solution,
                       two_path_o, two_path_power_closed_form,
@@ -146,22 +146,25 @@ def _point_arrays(*args):
 
 
 def _ris_terms(cfg: SceneConfig, d_ti, d_ir, d_tr):
-    """a_TIR and the RIS-only power N * L^2 * a_TIR^2 * P_t at optimally
-    oriented RIS positions, from distance arrays of one shape."""
-    _, _, f_star = optimal_orientation(d_ti, d_ir, d_tr,
-                                       cfg.pattern_exponent)
-    a_tir = tir_delta(cfg.tx_gain, cfg.rx_gain, cfg.ris_gain,
+    """a_TIR = delta_1 * sqrt(f) and the RIS-only power
+    N * L^2 * P_t * delta_1^2 * f at optimally oriented RIS positions, from
+    distance arrays of one shape: f is the position factor f_object, and
+    delta_1 is tir_delta with the pattern set to 1."""
+    _triangle_cos(d_ti, d_ir, d_tr)   # raises as optimal_orientation does
+    f = f_object(d_ti, d_ir, d_tr, cfg.pattern_exponent)
+    delta = tir_delta(cfg.tx_gain, cfg.rx_gain, cfg.ris_gain,
                       cfg.element_size_x, cfg.element_size_y, cfg.wavelength,
-                      f_star, 1.0, cfg.reflection_coeff) / (d_ti * d_ir)
-    return a_tir, closed_form_predicted_power(
-        a_tir, cfg.antennas, cfg.ris_rows * cfg.ris_cols, cfg.tx_power)
+                      1.0, 1.0, cfg.reflection_coeff)
+    return delta * np.sqrt(f), closed_form_predicted_power(
+        delta, cfg.antennas, cfg.ris_rows * cfg.ris_cols, cfg.tx_power) * f
 
 
 def ris_point_power(cfg: SceneConfig, d_ti, d_ir, d_tr):
     """Closed-form RIS-only received power (W) at RIS positions with optimal
-    orientation: F*, a_TIR, then N * L^2 * a_TIR^2 * P_t, with the bits of
-    analytic_point_power's "ris" and none of its two-path terms.  The
-    distances broadcast as numpy arrays; scalars give a float.
+    orientation: N * L^2 * P_t * delta_1^2 times the position factor
+    placement.f_object, with the bits of analytic_point_power's "ris" and
+    none of its two-path terms.  The distances broadcast as numpy arrays;
+    scalars give a float.
     """
     shape, (d_ti, d_ir, d_tr) = _point_arrays(d_ti, d_ir, d_tr)
     power = _ris_terms(cfg, d_ti, d_ir, d_tr)[1]
@@ -255,7 +258,6 @@ def sweep_distance(cfg: SceneConfig) -> SweepResult:
     sw = cfg.sweeps
     ds = np.linspace(sw.distance_min, sw.distance_max, sw.distance_points)
     closed, svd, bound = (np.empty(len(ds)) for _ in range(3))
-    ok = np.empty(len(ds), dtype=int)
     for i, d in enumerate(ds.tolist()):
         tx, ris, rx = equilateral_scene(cfg, d)
         channels = exact_channel(tx, ris, rx, radio)
@@ -263,12 +265,13 @@ def sweep_distance(cfg: SceneConfig) -> SweepResult:
         closed[i] = received_power(channels, sol.theta, sol.v)
         svd[i] = svd_solution(channels, cfg.tx_power).predicted_power
         bound[i] = power_upper_bound(channels, cfg.tx_power)
-        ang = link_angles(tx, rx, PanelPoses.of(ris))
-        ok[i] = np.all(far_field_check(tx, ris, ang.d_ti, ang.d_ir) >= 1.0)
         # release this point's L x N channel before the next one is built,
         # so that the next reuses its memory: with two alive at once the
         # heap grows and is trimmed again on every pass of the sweep
         del channels
+    # every point has the same array and panel, and the equilateral hops
+    # are d_TI = d_IR = d: one check over every distance
+    ok = np.all(far_field_check(tx, ris, ds, ds) >= 1.0, axis=-1).astype(int)
     return SweepResult(kind="line",
                        columns={"d_m": ds, "closed_form_w": closed,
                                 "svd_w": svd, "upper_bound_w": bound,
@@ -331,6 +334,9 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
     points = [_plane_point_power(scene, d_ti, d_ir) for scene in scenes]
     ris, direct, combined = (np.array([p[key] for p in points])
                              for key in ("ris", "direct", "combined"))
+    # the panels are the rows x cols designs, not the profile's grid
+    meta = _meta(cfg, "sweep-wavelength")
+    del meta["ris_rows"], meta["ris_cols"]
     return SweepResult(kind="line",
                        columns={"wavelength_m": lams, "ris_w": ris,
                                 "direct_w": direct, "combined_w": combined,
@@ -339,7 +345,7 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
                                 "combined_dbm": watts_to_dbm(combined),
                                 "rows": np.array([d.rows for d in designs]),
                                 "cols": np.array([d.cols for d in designs])},
-                       meta=_meta(cfg, "sweep-wavelength"))
+                       meta=meta)
 
 
 def robustness(cfg: SceneConfig) -> SweepResult:

@@ -23,8 +23,8 @@ from .errors import EmptyFeasible, RegionDWarning, TooLarge
 from .experiments import (_EX, _EY, _EZ, _panel_at, _radio, _reject, _unit,
                           equilateral_scene)
 from .geometry import PanelPoses, TransmitterArray, UpaLayout
-from .placement import (PlaneScene, _box_grid, plane_objective,
-                        position_search_plane)
+from .placement import PlaneScene, plane_objective
+from .position_search import _box_grid, position_search_plane
 from .solvers import (closed_form_solution, power_upper_bound,
                       two_path_solution)
 

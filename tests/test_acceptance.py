@@ -14,7 +14,8 @@ from rislink.em import (RadioParams, exact_channel, farfield_channel,
 from rislink.errors import FarFieldWarning
 from rislink.experiments import robustness, sweep_wavelength
 from rislink.geometry import PanelPoses, far_field_check, link_angles
-from rislink.placement import f_object, optimal_orientation, quasiconvexity_report
+from rislink.placement import f_object, optimal_orientation
+from rislink.position_search import quasiconvexity_report
 from rislink.solvers import (closed_form_predicted_power, closed_form_solution,
                              mrt_beamforming, power_upper_bound, svd_solution,
                              two_path_o, two_path_solution)

@@ -626,6 +626,24 @@ def test_cli_sidecars_record_resolved_settings(tmp_path):
     assert "direct_link" not in meta["base"]
 
 
+def test_wavelength_sidecar_names_no_profile_grid(tmp_path):
+    """sweep-wavelength sizes its panels by the anti-decay rule (the CSV's
+    rows and cols columns) and never reads the profile's panel grid, so
+    --paper-scale changes neither its CSV nor its sidecar, which names no
+    ris_rows or ris_cols."""
+    files = {}
+    for name, flags in (("base", []), ("paper", ["--paper-scale"])):
+        out = tmp_path / name
+        with pytest.warns(FarFieldWarning):
+            assert main(["sweep-wavelength", "--grid", "3", "--out",
+                         str(out), *flags]) == 0
+        files[name] = [(out / f"sweep_wavelength{suffix}").read_bytes()
+                       for suffix in (".csv", ".csv.meta.json")]
+    assert files["paper"] == files["base"]
+    meta = json.loads(files["base"][1])
+    assert not {"ris_rows", "ris_cols"} & set(meta)
+
+
 @pytest.mark.parametrize("command", ["sweep-distance", "sweep-wavelength",
                                      "robustness", "validate"])
 def test_cli_rejects_direct_link_where_no_study_reads_it(command, tmp_path,
@@ -753,11 +771,16 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", sorted(p.name for p in
                                         (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
+    """Each demo exits 0 and prints, byte for byte, the output pinned in
+    tests/demo_output/<name>.txt."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           env=env, capture_output=True, text=True,
                           timeout=120, stdin=subprocess.DEVNULL)
     assert proc.returncode == 0, proc.stderr
+    expected = Path(__file__).parent / "demo_output" / demo.replace(".py",
+                                                                    ".txt")
+    assert proc.stdout == expected.read_text()
 
 
 def test_readme_quick_start_runs():

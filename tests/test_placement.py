@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from rislink import placement
+from rislink import position_search
 from rislink.errors import (DegenerateTriangle, DomainError, EmptyFeasible,
                             RegionDWarning)
-from rislink.placement import (PlaneScene, QuasiconvexityReport,
-                               _golden_max, _polygon_boundary_points,
-                               f_object, optimal_orientation,
-                               plane_objective, position_search_plane,
-                               quasiconvexity_report, region_d_membership)
+from rislink.placement import (PlaneScene, f_object, optimal_orientation,
+                               plane_objective)
+from rislink.position_search import (QuasiconvexityReport, _golden_max,
+                                     _polygon_boundary_points,
+                                     position_search_plane,
+                                     quasiconvexity_report,
+                                     region_d_membership)
 from rislink.validation import dense_position_grid
 
 
@@ -301,7 +303,7 @@ def test_search_skips_region_d_grid_where_box_cannot_reach_it(monkeypatch):
         raise AssertionError("region-D grid built")
 
     with monkeypatch.context() as patched:
-        patched.setattr(placement, "region_d_membership", unreachable)
+        patched.setattr(position_search, "region_d_membership", unreachable)
         res = position_search_plane(scene, plane_objective(scene, 3.0))
     assert not res.region_d_fallback
     assert res.search_set == "line-l + boundary"
@@ -310,13 +312,13 @@ def test_search_skips_region_d_grid_where_box_cannot_reach_it(monkeypatch):
                               variant="E")
 
     calls = []
-    membership = placement.region_d_membership
+    membership = position_search.region_d_membership
 
     def counted(*args, **kwargs):
         calls.append(1)
         return membership(*args, **kwargs)
 
-    monkeypatch.setattr(placement, "region_d_membership", counted)
+    monkeypatch.setattr(position_search, "region_d_membership", counted)
     # d_TI at the box point (0, 54.4) nearest T' is 59.87 m < d_TR; d_IR
     # there is 84.8 m, so the grid finds no point of region D
     edge = PlaneScene(h1=25.0, h2=25.0, separation=60.0,

@@ -1,6 +1,7 @@
 """The record and value types, and the start-up contract of the CLI: a
 fresh `import rislink.cli` builds no dataclass and leaves the oracles of
-`rislink.validation` unloaded, while every exported name still resolves."""
+`rislink.validation` and the placement search of `rislink.position_search`
+unloaded, while every exported name still resolves."""
 
 import json
 import os
@@ -80,11 +81,13 @@ def _fresh(code: str, *args: str) -> str:
 
 def test_cli_import_builds_no_dataclass_and_loads_no_oracle():
     """In a fresh interpreter `import rislink.cli` builds no dataclass and
-    leaves rislink.validation unloaded; every exported name is then listed
-    by dir(rislink) and imports by name, the oracles' on first use."""
+    leaves rislink.validation and rislink.position_search unloaded; every
+    exported name is then listed by dir(rislink) and imports by name, the
+    oracles' and the search's on first use."""
     report = json.loads(_fresh(_STARTUP, json.dumps(EXPORTS)))
     assert "rislink.experiments" in report["loaded"]
     assert "rislink.validation" not in report["loaded"]
+    assert "rislink.position_search" not in report["loaded"]
     assert not report["validation_before"]
     assert report["dataclasses"] == []
     assert report["missing_from_dir"] == []
