@@ -16,7 +16,8 @@ from rislink.experiments import robustness
 cfg = load_config()
 result = robustness(cfg)
 
-x, y, deviation = (result.columns[name]
+# the map's columns have the grid's shape; its rows are their cells in order
+x, y, deviation = (np.ravel(result.columns[name])
                    for name in ("x_m", "y_m", "deviation"))
 
 xs = np.unique(x)

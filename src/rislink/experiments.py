@@ -17,17 +17,18 @@ from .em import (RadioParams, exact_channel, farfield_power, friis_amplitude,
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
                        _norm, far_field_check, link_angles)
 from .errors import DomainError, FarFieldViolation, FarFieldWarning
-from .placement import PlaneScene, _triangle_cos, f_object
+from .placement import PlaneScene, _position_factor, _triangle_cos
 from .solvers import (anti_decay_design, closed_form_predicted_power,
                       closed_form_solution, power_upper_bound, svd_solution,
                       two_path_o, two_path_power_closed_form,
                       two_path_solution)
 
 # Rows per block, shared by the plane map's model calls (sweep_plane), which
-# keep their temporaries to one block, and the CSV writer (output.emit_csv),
-# which turns one block at a time into one byte matrix, compacts it and
-# writes it: joining the text of the whole 40 401-row plane map before
-# writing raised a run's peak memory by 5 %.
+# keep their temporaries to one block and carry its powers to dBm in its
+# rows of the written columns, and the CSV writer (output.emit_csv), which
+# turns at most this many rows at a time, whole grid rows of a map, into
+# one byte matrix, compacts it and writes it: joining the text of the whole
+# 40 401-row plane map before writing raised a run's peak memory by 5 %.
 _BLOCK_ROWS = 4096
 
 
@@ -35,8 +36,13 @@ class SweepResult:
     """The table of one experiment, as named columns, plus plotting metadata.
 
     `kind` is "line", "bar", "heatmap" or "robustness".  `columns` maps
-    each CSV header, in order, to one column of equal length: a numpy float
-    or int array, or a list of str.
+    each CSV header, in order, to one column: a numpy float or int array,
+    or a list of str.  The rows are a column's cells in C order, the same
+    number in every column.  The two maps ("heatmap", "robustness") give
+    every column the grid's shape, y outer and x inner: the axes x_m and
+    y_m, and a column that holds one value, are read-only broadcast views
+    of their distinct values, whose zero strides output.emit_csv reads.
+    `np.ravel(column)` gives a column's rows as one array.
     """
 
     def __init__(self, kind: str, columns: dict[str, np.ndarray | list[str]],
@@ -50,8 +56,8 @@ class SweepResult:
         return tuple(self.columns)
 
     def __len__(self) -> int:
-        """Number of rows: the length of the first column."""
-        return len(next(iter(self.columns.values()), ()))
+        """Number of rows: the number of cells of the first column."""
+        return np.size(next(iter(self.columns.values()), ()))
 
 
 def _radio(cfg: SceneConfig) -> RadioParams:
@@ -149,9 +155,11 @@ def _ris_terms(cfg: SceneConfig, d_ti, d_ir, d_tr):
     """a_TIR = delta_1 * sqrt(f) and the RIS-only power
     N * L^2 * P_t * delta_1^2 * f at optimally oriented RIS positions, from
     distance arrays of one shape: f is the position factor f_object, and
-    delta_1 is tir_delta with the pattern set to 1."""
-    _triangle_cos(d_ti, d_ir, d_tr)   # raises as optimal_orientation does
-    f = f_object(d_ti, d_ir, d_tr, cfg.pattern_exponent)
+    delta_1 is tir_delta with the pattern set to 1.  It raises as
+    optimal_orientation does, and f is f_object's expression on the one
+    cos(theta_0) of those checks."""
+    f = _position_factor(_triangle_cos(d_ti, d_ir, d_tr), d_ti, d_ir,
+                         cfg.pattern_exponent)
     delta = tir_delta(cfg.tx_gain, cfg.rx_gain, cfg.ris_gain,
                       cfg.element_size_x, cfg.element_size_y, cfg.wavelength,
                       1.0, 1.0, cfg.reflection_coeff)
@@ -285,26 +293,42 @@ def sweep_distance(cfg: SceneConfig) -> SweepResult:
 def sweep_plane(cfg: SceneConfig) -> SweepResult:
     """Received power versus RIS position on plane S, analytic per-point
     optimal design; adds the two-path balance when the direct link is on.
-    The far-field policy judges the configured panel at every position.
+    The far-field policy judges the configured panel at every position,
+    in one verdict over the whole grid.
+
+    The columns have the grid's shape: x_m and y_m are broadcast views of
+    the two axes, and direct_dbm, which no position changes, is one value
+    broadcast.  The model runs on blocks of _BLOCK_ROWS points, and each
+    block's powers go to dBm, and its O to |O|, in the block's rows of the
+    written columns: no full-grid x, y, watt or O array is built.
     """
     sw = cfg.sweeps
     xs = np.linspace(sw.plane_x[0], sw.plane_x[1], sw.plane_points)
     ys = np.linspace(sw.plane_y[0], sw.plane_y[1], sw.plane_points)
-    x, y = np.tile(xs, len(ys)), np.repeat(ys, len(xs))  # y outer, x inner
-    d_ti, d_ir = PlaneScene(cfg.height, cfg.height, cfg.d_tr).hops(x, y)
+    x, y = np.meshgrid(xs, ys, copy=False)   # y outer, x inner
+    d_ti, d_ir = (d.ravel() for d in PlaneScene(
+        cfg.height, cfg.height, cfg.d_tr).hops(xs, ys[:, None]))
     _enforce_far_field(cfg, _plane_ratios(cfg, d_ti, d_ir))
+    # each written column, from the model's key it carries to dBm or |O|
+    carried = {"ris_dbm": ("ris", watts_to_dbm)}
+    if cfg.direct_link:
+        carried.update(total_dbm=("combined", watts_to_dbm),
+                       abs_o=("o", np.abs))
+    written = {name: np.empty(x.shape) for name in carried}
     # the model is elementwise: blocks of _BLOCK_ROWS points give the bits
     # of one whole-grid call and keep the temporaries small
-    blocks = [_plane_point_power(cfg, d_ti[start:start + _BLOCK_ROWS],
-                                 d_ir[start:start + _BLOCK_ROWS],
-                                 cfg.direct_link)
-              for start in range(0, len(x), _BLOCK_ROWS)]
-    p = {key: np.concatenate([q[key] for q in blocks]) for key in blocks[0]}
-    columns = {"x_m": x, "y_m": y, "ris_dbm": watts_to_dbm(p["ris"])}
+    for start in range(0, d_ti.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        p = _plane_point_power(cfg, d_ti[rows], d_ir[rows], cfg.direct_link)
+        for name, (key, carry) in carried.items():
+            written[name].reshape(-1)[rows] = carry(p[key])
+    columns = {"x_m": x, "y_m": y, "ris_dbm": written["ris_dbm"]}
     if cfg.direct_link:
-        columns.update(direct_dbm=watts_to_dbm(p["direct"]),
-                       total_dbm=watts_to_dbm(p["combined"]),
-                       abs_o=np.abs(p["o"]))
+        # the direct path does not see the panel: one value at every point
+        columns.update(direct_dbm=np.broadcast_to(
+                           watts_to_dbm(p["direct"][:1]), x.shape),
+                       total_dbm=written["total_dbm"],
+                       abs_o=written["abs_o"])
     return SweepResult(kind="heatmap", columns=columns,
                        meta=_meta(cfg, "sweep-plane",
                                   direct_link=cfg.direct_link))
@@ -370,7 +394,8 @@ def robustness(cfg: SceneConfig) -> SweepResult:
 
     offs = np.linspace(-sw.robustness_extent, sw.robustness_extent,
                        sw.robustness_points)
-    x, y = (g.ravel() for g in np.meshgrid(offs, offs))  # y outer, x inner
+    grid = np.meshgrid(offs, offs, copy=False)   # y outer, x inner
+    x, y = (g.ravel() for g in grid)
     d_ti, d_ir = PlaneScene(cfg.height, cfg.height, cfg.d_tr).hops(x, y)
     _enforce_far_field(cfg, far_field_check(tx, ris, d_ti, d_ir))
     centers = np.stack([x, y, np.zeros_like(x)], axis=1)
@@ -378,10 +403,15 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     est_power = farfield_power(tx, ris, rx, radio, poses)
     ideal = ris_point_power(cfg, d_ti, d_ir, cfg.d_tr)
     dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
+    # the columns take the grid's shape, the axes as broadcast views
+    shape = grid[0].shape
     return SweepResult(kind="robustness",
-                       columns={"x_m": x, "y_m": y, "deviation": dev,
-                                "estimated_dbm": watts_to_dbm(est_power),
-                                "ideal_dbm": watts_to_dbm(ideal)},
+                       columns={"x_m": grid[0], "y_m": grid[1],
+                                "deviation": dev.reshape(shape),
+                                "estimated_dbm": watts_to_dbm(
+                                    est_power).reshape(shape),
+                                "ideal_dbm": watts_to_dbm(
+                                    ideal).reshape(shape)},
                        meta=_meta(cfg, "robustness"))
 
 

@@ -4,6 +4,7 @@ and gnuplot scripts (written, never executed)."""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -132,40 +133,66 @@ def _float_fields(x: np.ndarray, words: np.ndarray, sep: int) -> np.ndarray:
     return ~fast
 
 
+def _fields(x: np.ndarray, words: np.ndarray, sep: int) -> None:
+    """Write `'%.9g' % v` for every float v of x, then the byte sep, into
+    the rows of words, an (n, 3) '<u8' array whose rows are contiguous:
+    _float_fields, then `%` for the cells it leaves, written over its
+    placeholders up to the separator."""
+    slow = np.flatnonzero(_float_fields(x, words, sep))
+    if slow.size:
+        text = np.array([b"%.9g" % v for v in x[slow].tolist()], dtype="S23")
+        words.view(np.uint8)[slow, :23] = text.view(np.uint8).reshape(
+            slow.size, -1)
+
+
+def _distinct_fields(col: np.ndarray, sep: int) -> np.ndarray:
+    """The fields of a float column with zero strides, three '<u8' words
+    per cell, as a read-only broadcast view of the column's shape plus an
+    axis of 3: each distinct value, the column cut to length 1 along its
+    zero-stride axes, is formatted once."""
+    distinct = col[tuple(slice(None) if stride else slice(0, 1)
+                         for stride in col.strides)]
+    words = np.zeros(distinct.shape + (3,), "<u8")
+    _fields(np.asarray(distinct, dtype=np.float64).ravel(),
+            words.reshape(-1, 3), sep)
+    return np.broadcast_to(words, col.shape + (3,))
+
+
 def _block_bytes(parts: list[np.ndarray]) -> bytearray:
-    """The CSV rows of one block, one part (column slice) per column.
+    """The CSV rows of one block, one part per column: the block's cells,
+    or for a float column of distinct values the block's rows of its
+    `_distinct_fields`, separator included.
 
     Each cell gets a field of whole words ending in its separator, with
     NUL bytes where it has no character; the rows' fields form one
     zero-filled matrix whose NUL bytes are dropped in one pass.
     """
-    n = len(parts[0])
     cells, widths = [], []
     for part in parts:
-        if part.dtype.kind == "f":
-            cells.append(np.asarray(part, dtype=np.float64))
+        if part.dtype.kind in "fu":
+            cells.append(part if part.dtype.kind == "u"
+                         else np.asarray(part, dtype=np.float64))
             widths.append(3)
         else:
             text = (part.astype("S") if part.dtype.kind == "i"
                     else np.strings.encode(part, "utf-8"))
             cells.append(text)
             widths.append(text.itemsize // 8 + 1)
+    n = math.prod(parts[0].shape[:-1] if parts[0].dtype.kind == "u"
+                  else parts[0].shape)
     buf = bytearray(8 * n * sum(widths))
     words = np.frombuffer(buf, dtype="<u8").reshape(n, sum(widths))
     raw = words.view(np.uint8)
     col = 0
     for j, (cell, width) in enumerate(zip(cells, widths)):
         sep = ord("\n") if j == len(cells) - 1 else ord(",")
-        start, end = 8 * col, 8 * (col + width) - 1   # end: the separator
-        if cell.dtype.kind == "f":
-            slow = np.flatnonzero(_float_fields(cell, words[:, col:col + 3],
-                                                sep))
-            if slow.size:
-                text = np.array([b"%.9g" % v for v in cell[slow].tolist()],
-                                dtype=f"S{end - start}")
-                raw[slow, start:end] = text.view(np.uint8).reshape(
-                    slow.size, -1)
+        if cell.dtype.kind == "u":
+            # the block's rows shaped like the fields, which broadcast
+            words.reshape(cell.shape[:-1] + (-1,))[..., col:col + 3] = cell
+        elif cell.dtype.kind == "f":
+            _fields(cell, words[:, col:col + 3], sep)
         else:
+            start, end = 8 * col, 8 * (col + width) - 1   # end: the separator
             raw[:, start:start + cell.itemsize] = cell.view(np.uint8).reshape(
                 n, -1)
             raw[:, end] = sep
@@ -178,34 +205,46 @@ def emit_csv(result: SweepResult, path: str | Path) -> Path:
 
     Every float cell reads as `'%.9g' % v` (which writes nan, inf, -inf
     and -0 as such), every int cell as `'%d' % v` and every str cell as its
-    UTF-8 bytes.  Rows are formatted and written in blocks of
-    `_BLOCK_ROWS`, one compacted byte matrix per block (`_block_bytes`):
-    `_float_fields` formats a block's float column as one array program
-    and leaves the few cells it cannot round exactly to `%`; int and str
-    columns go through fixed-width byte strings.  Output is
-    byte-deterministic for identical inputs: fixed float format, fixed row
-    order, no timestamps in the sidecar.
+    UTF-8 bytes.  The columns share one shape, and the rows are their cells
+    in C order.  Rows are formatted and written in blocks of whole
+    first-axis rows of that shape, at most `_BLOCK_ROWS` rows unless one
+    first-axis row is longer, one compacted byte matrix per block
+    (`_block_bytes`): `_float_fields` formats a block's float column as one
+    array program and leaves the few cells it cannot round exactly to `%`;
+    int and str columns go through fixed-width byte strings.  A float
+    column with zero strides, such as a map's broadcast axis or a column of
+    one value, has its distinct values formatted once
+    (`_distinct_fields`), and each block copies their fields to its rows.
+    Output is byte-deterministic for identical inputs: fixed float format,
+    fixed row order, no timestamps in the sidecar.
     """
     path = Path(path)
-    n = len(result)
+    shape = np.shape(next(iter(result.columns.values()), ()))
     columns = []
-    for name, col in result.columns.items():
-        if len(col) != n:
-            raise ValueError(f"column {name!r} has {len(col)} rows, not {n}")
+    for j, (name, col) in enumerate(result.columns.items()):
         col = np.asarray(col)
+        if col.shape != shape:
+            raise ValueError(f"column {name!r} has shape {col.shape}, "
+                             f"not {shape}")
         if col.dtype.kind not in _KINDS:
             raise ValueError(f"column {name!r} is neither float, int nor str")
+        if col.dtype.kind == "f" and 0 in col.strides:
+            sep = ord("\n") if j == len(result.columns) - 1 else ord(",")
+            col = _distinct_fields(col, sep)
         columns.append(col)
+    step = max(1, _BLOCK_ROWS // math.prod(shape[1:]))
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write((",".join(result.header) + "\n").encode("utf-8"))
-        for start in range(0, n, _BLOCK_ROWS):
-            fh.write(_block_bytes([col[start:start + _BLOCK_ROWS]
-                                   for col in columns]))
+        for start in range(0, shape[0], step):
+            fh.write(_block_bytes([
+                col[start:start + step] if col.dtype.kind == "u"
+                else col[start:start + step].reshape(-1) for col in columns]))
 
     sidecar = path.with_suffix(path.suffix + ".meta.json")
-    sidecar.write_text(json.dumps({**result.meta, "rows": n}, indent=2,
-                                  sort_keys=True) + "\n", encoding="utf-8")
+    sidecar.write_text(json.dumps({**result.meta, "rows": len(result)},
+                                  indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
     return path
 
 

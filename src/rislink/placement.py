@@ -63,6 +63,13 @@ def optimal_orientation(d_ti, d_ir, d_tr, k: float):
     return tuple(map(float, out)) if half.ndim == 0 else out
 
 
+def _position_factor(cos_t0, d_ti, d_ir, k: float):
+    """F* * d_TI^-2 * d_IR^-2 from cos(theta_0) of the distance triples:
+    the expression of f_object, which experiments._ris_terms evaluates on
+    the cos(theta_0) of its own _triangle_cos."""
+    return _specular_pattern(cos_t0, k) * d_ti**-2 * d_ir**-2
+
+
 def f_object(d_ti, d_ir, d_tr: float, k: float):
     """Position-only factor of the optimally-oriented received power,
     F* * d_TI^-2 * d_IR^-2, which the studies' specular power and the
@@ -74,8 +81,7 @@ def f_object(d_ti, d_ir, d_tr: float, k: float):
     d_ti = np.asarray(d_ti, dtype=float)
     d_ir = np.asarray(d_ir, dtype=float)
     _check_distances(d_ti, d_ir, d_tr)
-    val = (_specular_pattern(cos_theta_0(d_ti, d_ir, d_tr), k)
-           * d_ti**-2 * d_ir**-2)
+    val = _position_factor(cos_theta_0(d_ti, d_ir, d_tr), d_ti, d_ir, k)
     return float(val) if val.ndim == 0 else val
 
 

@@ -19,8 +19,8 @@ from rislink.experiments import (_BLOCK_ROWS, _enforce_far_field, _panel_at,
                                  ris_point_power, robustness, solve,
                                  specular_frame, sweep_distance, sweep_plane)
 from rislink.geometry import PanelPoses, far_field_check, link_angles
-from rislink.placement import PlaneScene
-from rislink.solvers import closed_form_solution
+from rislink.placement import PlaneScene, f_object
+from rislink.solvers import closed_form_predicted_power, closed_form_solution
 from rislink.validation import validate_suite
 
 from test_em import random_poses
@@ -157,6 +157,30 @@ def test_ris_point_power_is_the_ris_term_of_analytic_point_power(points, k):
     want = (cfg.antennas * l**2 * cfg.tx_power * delta_sq
             * np.cos(half)**(2 * k) / (r_t * r_r)**2)
     np.testing.assert_allclose(ris, want, rtol=1e-10)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sides=st.lists(st.tuples(st.floats(1.0, 500.0), st.floats(1.0, 500.0),
+                                st.floats(0.01, 0.99)),
+                      min_size=1, max_size=8),
+       k=st.floats(0.5, 8.0))
+def test_ris_point_power_is_delta_power_times_f_object(sides, k):
+    """On valid triangles, ris_point_power is closed_form_predicted_power of
+    delta_1 (tir_delta with the pattern set to 1) times f_object, bit for
+    bit: the model evaluates f_object's expression on the cos(theta_0) of
+    its own triangle check."""
+    cfg = small_cfg()._replace(pattern_exponent=k)
+    d_ti, d_ir, t = np.array(sides).T
+    # d_TR strictly between |d_TI - d_IR| and d_TI + d_IR
+    low = np.abs(d_ti - d_ir)
+    d_tr = low + t * (d_ti + d_ir - low)
+    delta = em.tir_delta(cfg.tx_gain, cfg.rx_gain, cfg.ris_gain,
+                         cfg.element_size_x, cfg.element_size_y,
+                         cfg.wavelength, 1.0, 1.0, cfg.reflection_coeff)
+    want = closed_form_predicted_power(
+        delta, cfg.antennas, cfg.ris_rows * cfg.ris_cols,
+        cfg.tx_power) * f_object(d_ti, d_ir, d_tr, k)
+    assert np.array_equal(ris_point_power(cfg, d_ti, d_ir, d_tr), want)
 
 
 def _outcome(fn):
@@ -353,7 +377,7 @@ def test_robustness_matches_dense_channel_evaluation():
                           "ideal_dbm")
     assert len(res) == 25
     for x, y, deviation, estimated_dbm, ideal_dbm in zip(
-            *(res.columns[name].tolist() for name in res.header)):
+            *(np.ravel(res.columns[name]).tolist() for name in res.header)):
         pos = np.array([x, y, 0.0])
         ris = _panel_at(cfg, pos, specular_frame(pos, tx.center, rx))
         try:
@@ -536,7 +560,7 @@ def test_sweep_plane_blocks_equal_one_whole_grid_call():
     res = sweep_plane(cfg)
     assert len(res) == 91 * 91 > 2 * _BLOCK_ROWS
     assert len(res) % _BLOCK_ROWS
-    x, y = res.columns["x_m"], res.columns["y_m"]
+    x, y = (np.ravel(res.columns[name]) for name in ("x_m", "y_m"))
     xs = np.linspace(*cfg.sweeps.plane_x, 91)
     ys = np.linspace(*cfg.sweeps.plane_y, 91)
     assert np.array_equal(x, np.tile(xs, 91))
@@ -548,7 +572,44 @@ def test_sweep_plane_blocks_equal_one_whole_grid_call():
             "total_dbm": watts_to_dbm(whole["combined"]),
             "abs_o": np.abs(whole["o"])}
     for name, column in want.items():
-        assert np.array_equal(res.columns[name], column), name
+        assert np.array_equal(np.ravel(res.columns[name]), column), name
+
+
+def test_sweep_plane_columns_are_grid_shaped_with_broadcast_axes():
+    """The map's columns have the grid's shape (y outer, x inner); x_m and
+    y_m are broadcast views of the axes and direct_dbm of its one value,
+    with zero strides, while the model's columns are dense."""
+    cfg = load_config(direct_link=True, grid_override=5)
+    res = sweep_plane(cfg)
+    col = res.columns
+    assert all(c.shape == (5, 5) for c in col.values())
+    assert col["x_m"].strides == (0, 8) and col["y_m"].strides == (8, 0)
+    assert col["direct_dbm"].strides == (0, 0)
+    for name in ("ris_dbm", "total_dbm", "abs_o"):
+        assert 0 not in col[name].strides
+    assert np.array_equal(col["x_m"][0], np.linspace(*cfg.sweeps.plane_x, 5))
+    assert np.array_equal(col["y_m"][:, 0],
+                          np.linspace(*cfg.sweeps.plane_y, 5))
+    rob = robustness(small_cfg())
+    assert rob.columns["x_m"].strides == (0, 8)
+    assert rob.columns["y_m"].strides == (8, 0)
+
+
+def test_sweep_plane_memory_stays_below_ten_columns():
+    """One sweep_plane call at --direct-link --grid 201 holds less than
+    ten full-grid float64 columns at its traced peak: the far-field
+    verdict's (P, 3) quotients and their three stacked parts beside the
+    two hop arrays make about eight, and a full-grid x, y, watt or O array
+    built beside the written columns would add one each."""
+    cfg = load_config(direct_link=True, grid_override=201)
+    sweep_plane(cfg)
+    tracemalloc.start()
+    try:
+        sweep_plane(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 201 * 201 * 8
 
 
 def test_solve_reports_all_methods():

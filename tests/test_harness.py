@@ -316,6 +316,69 @@ def test_emit_csv_repeated_values_read_like_single_cells(tmp_path):
     assert {"0", "-0", "nan", "inf", "-inf"} <= first_block
 
 
+# the values a column of distinct values must write as `%` does
+_DISTINCT_SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 100000000.5,
+                      5e-324]
+
+
+def _percent_rows(columns: dict) -> str:
+    """The CSV text of columns formatted cell by cell with `%`."""
+    cells = [np.ravel(col).tolist() for col in columns.values()]
+    formats = ["%d" if np.asarray(col).dtype.kind == "i" else "%.9g"
+               for col in columns.values()]
+    return ",".join(columns) + "\n" + "".join(
+        ",".join(f % v for f, v in zip(formats, row)) + "\n"
+        for row in zip(*cells))
+
+
+def _first_difference(got: str, want: str):
+    """None when the texts are equal, else the first line where they
+    differ, as (line number, got, want): a short report of a long file."""
+    if got == want:
+        return None
+    pairs = zip(got.split("\n") + [None], want.split("\n") + [None])
+    return next((i, a, b) for i, (a, b) in enumerate(pairs) if a != b)
+
+
+@pytest.mark.parametrize("order", [("y", "d", "x"), ("x", "c", "d", "k", "y"),
+                                   ("d", "y", "x", "c"), ("c", "x")])
+def test_emit_csv_distinct_values_read_like_single_cells(order, tmp_path):
+    """Broadcast axes and one-valued columns of a grid, holding 0, -0, nan,
+    +-inf, 100000000.5 and 5e-324, read cell for cell as `%` in the first,
+    a middle and the last column, across block boundaries and in the
+    partial last block."""
+    rng = np.random.default_rng(32)
+    xs = np.array(_DISTINCT_SPECIALS + [1.5, -2.25e-7])
+    step = _BLOCK_ROWS // len(xs)    # grid rows per block
+    ys = rng.standard_normal(2 * step + 90) * 1e3
+    # the specials at both sides of each block boundary and in the last,
+    # partial block
+    for i, v in zip([0, step - 1, step, 2 * step - 1, 2 * step,
+                     len(ys) - 1, len(ys) - 2], _DISTINCT_SPECIALS):
+        ys[i] = v
+    x, y = np.meshgrid(xs, ys, copy=False)
+    for v in _DISTINCT_SPECIALS:
+        grid = {"x": x, "y": y, "c": np.broadcast_to(v, x.shape),
+                "d": rng.standard_normal(x.shape) * 1e-3,
+                "k": rng.integers(-9, 10, x.shape)}
+        result = SweepResult(kind="heatmap",
+                             columns={name: grid[name] for name in order})
+        path = emit_csv(result, tmp_path / "grid.csv")
+        assert _first_difference(path.read_text(),
+                                 _percent_rows(result.columns)) is None
+        assert json.loads(path.with_suffix(".csv.meta.json").read_text()) == {
+            "rows": x.size}
+    # one-valued 1-D columns beside a dense one, over three blocks
+    n = 2 * _BLOCK_ROWS + 100
+    for v in _DISTINCT_SPECIALS:
+        columns = {"c": np.broadcast_to(v, (n,)), "d": rng.standard_normal(n),
+                   "e": np.broadcast_to(-v, (n,))}
+        emit_csv(SweepResult(kind="line", columns=columns),
+                 tmp_path / "line.csv")
+        assert _first_difference((tmp_path / "line.csv").read_text(),
+                                 _percent_rows(columns)) is None
+
+
 def test_emit_csv_int_and_str_cells(tmp_path):
     """Int cells read as `%d` up to the int64 limits and str cells as their
     UTF-8 bytes, the empty string included, in any column position."""
@@ -378,16 +441,17 @@ def plane_map():
 
 
 def test_emit_csv_plane_map_reads_like_single_cells(plane_map, tmp_path):
-    """The 40 401-row map, 10 blocks, reads cell for cell as `%`, and the
+    """The 40 401-row map, 10 blocks of _BLOCK_ROWS rows (the writer's
+    blocks are 11 of whole grid rows), reads cell for cell as `%`, and the
     kernel leaves only its zero cells to `%`."""
     assert len(plane_map) == 40_401
     assert -(-len(plane_map) // _BLOCK_ROWS) == 10
     path = emit_csv(plane_map, tmp_path / "plane.csv")
-    columns = [col.tolist() for col in plane_map.columns.values()]
+    columns = [np.ravel(col).tolist() for col in plane_map.columns.values()]
     template = ",".join(["%.9g"] * len(columns)) + "\n"
     want = "".join(template % row for row in zip(*columns))
     assert path.read_text() == ",".join(plane_map.header) + "\n" + want
-    for col in plane_map.columns.values():
+    for col in map(np.ravel, plane_map.columns.values()):
         cells = _kernel_cells(col)
         assert [c is None for c in cells] == (col == 0).tolist()
 
