@@ -15,7 +15,8 @@ from .config import SceneConfig, watts_to_dbm
 from .em import (RadioParams, exact_channel, farfield_power, friis_amplitude,
                  received_power, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
-                       _norm, far_field_check, link_angles)
+                       _norm, far_field_check, far_field_holds,
+                       link_angles)
 from .errors import DomainError, FarFieldViolation, FarFieldWarning
 from .placement import PlaneScene, _position_factor, _triangle_cos
 from .solvers import (anti_decay_design, closed_form_predicted_power,
@@ -226,12 +227,23 @@ def _enforce_far_field(cfg: SceneConfig, ratios: np.ndarray) -> None:
     warnings.warn(msg, FarFieldWarning)
 
 
-def _plane_ratios(cfg: SceneConfig, d_ti, d_ir) -> np.ndarray:
-    """far_field_check of the configured panel at hop distances of
-    PlaneScene.hops on plane S, between the endpoints of plane_endpoints."""
+def _judge_far_field(cfg: SceneConfig, tx: TransmitterArray,
+                     ris: RisPanel, d_ti, d_ir) -> None:
+    """_enforce_far_field of one panel at the hop distances d_TI and d_IR
+    of its poses, whose quotients are built only when a pose fails
+    far_field_holds; when all pass, the mode is still checked, against
+    quotients of 1."""
+    passing = far_field_holds(tx, ris, d_ti, d_ir)
+    _enforce_far_field(cfg, np.ones(3) if passing
+                       else far_field_check(tx, ris, d_ti, d_ir))
+
+
+def _plane_panel(cfg: SceneConfig) -> tuple[TransmitterArray, RisPanel]:
+    """The array at T of plane_endpoints and the configured panel on plane
+    S, which the far-field policy judges at hop distances of
+    PlaneScene.hops."""
     tx, _ = plane_endpoints(cfg)
-    panel = _panel_at(cfg, np.zeros(3), (_EZ, _EX, _EY))
-    return far_field_check(tx, panel, d_ti, d_ir)
+    return tx, _panel_at(cfg, np.zeros(3), (_EZ, _EX, _EY))
 
 
 def _plane_point_power(cfg: SceneConfig, d_ti, d_ir,
@@ -308,7 +320,7 @@ def sweep_plane(cfg: SceneConfig) -> SweepResult:
     x, y = np.meshgrid(xs, ys, copy=False)   # y outer, x inner
     d_ti, d_ir = (d.ravel() for d in PlaneScene(
         cfg.height, cfg.height, cfg.d_tr).hops(xs, ys[:, None]))
-    _enforce_far_field(cfg, _plane_ratios(cfg, d_ti, d_ir))
+    _judge_far_field(cfg, *_plane_panel(cfg), d_ti, d_ir)
     # each written column, from the model's key it carries to dBm or |O|
     carried = {"ris_dbm": ("ris", watts_to_dbm)}
     if cfg.direct_link:
@@ -352,8 +364,9 @@ def sweep_wavelength(cfg: SceneConfig) -> SweepResult:
     # the panel moves with none of the wavelengths: one pair of hops
     plane = PlaneScene(cfg.height, cfg.height, cfg.d_tr)
     d_ti, d_ir = plane.hops(cfg.d_tr, 0.0)
-    _enforce_far_field(cfg, np.stack([_plane_ratios(scene, d_ti, d_ir)
-                                      for scene in scenes]))
+    _enforce_far_field(cfg, np.stack([
+        far_field_check(*_plane_panel(scene), d_ti, d_ir)
+        for scene in scenes]))
     # one model call per wavelength, since each has its own panel
     points = [_plane_point_power(scene, d_ti, d_ir) for scene in scenes]
     ris, direct, combined = (np.array([p[key] for p in points])
@@ -397,7 +410,7 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     grid = np.meshgrid(offs, offs, copy=False)   # y outer, x inner
     x, y = (g.ravel() for g in grid)
     d_ti, d_ir = PlaneScene(cfg.height, cfg.height, cfg.d_tr).hops(x, y)
-    _enforce_far_field(cfg, far_field_check(tx, ris, d_ti, d_ir))
+    _judge_far_field(cfg, tx, ris, d_ti, d_ir)
     centers = np.stack([x, y, np.zeros_like(x)], axis=1)
     poses = PanelPoses(centers, *specular_frame(centers, tx.center, rx))
     est_power = farfield_power(tx, ris, rx, radio, poses)
@@ -425,7 +438,7 @@ def solve(cfg: SceneConfig) -> SweepResult:
     sols = [closed_form_solution(tx, ris, rx, radio)]
     if cfg.direct_link:
         ang = link_angles(tx, rx, PanelPoses.of(ris))
-        _enforce_far_field(cfg, far_field_check(tx, ris, ang.d_ti, ang.d_ir))
+        _judge_far_field(cfg, tx, ris, ang.d_ti, ang.d_ir)
         sols.append(two_path_solution(tx, ris, rx, radio))
     sols.append(svd_solution(channels, cfg.tx_power))
     bound = power_upper_bound(channels, cfg.tx_power)

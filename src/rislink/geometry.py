@@ -335,6 +335,17 @@ def link_angles(tx: TransmitterArray, rx_position,
 _STRICTNESS = 2.0  # encodes the "much greater than" in the validity conditions
 
 
+def _far_field_thresholds(tx: TransmitterArray,
+                          ris: RisPanel) -> tuple[float, float]:
+    """The hop distances at which the far-field quotients reach 1: the
+    array's 2 * N * spacing and the panel's 2 * L * hypot(d_x, d_y)."""
+    lay = tx.layout
+    aperture = lay.count * (lay.spacing if isinstance(lay, UlaLayout)
+                            else max(lay.spacing_x, lay.spacing_y))
+    panel_scale = ris.count * float(np.hypot(ris.d_x, ris.d_y))
+    return _STRICTNESS * aperture, _STRICTNESS * panel_scale
+
+
 def far_field_check(tx: TransmitterArray, ris: RisPanel, d_ti,
                     d_ir) -> np.ndarray:
     """The quotients (..., 3) of the three far-field conditions at the hop
@@ -342,10 +353,16 @@ def far_field_check(tx: TransmitterArray, ris: RisPanel, d_ti,
     safer: d_TI / (2 * N * spacing), d_TI / (2 * L * hypot(d_x, d_y)) and
     d_IR / (2 * L * hypot(d_x, d_y)), the factor of two encoding the
     strict dominance.  The conditions hold where all three are >= 1."""
-    lay = tx.layout
-    aperture = lay.count * (lay.spacing if isinstance(lay, UlaLayout)
-                            else max(lay.spacing_x, lay.spacing_y))
-    panel_scale = ris.count * float(np.hypot(ris.d_x, ris.d_y))
-    return np.stack((d_ti / (_STRICTNESS * aperture),
-                     d_ti / (_STRICTNESS * panel_scale),
-                     d_ir / (_STRICTNESS * panel_scale)), axis=-1)
+    array, panel = _far_field_thresholds(tx, ris)
+    return np.stack((d_ti / array, d_ti / panel, d_ir / panel), axis=-1)
+
+
+def far_field_holds(tx: TransmitterArray, ris: RisPanel, d_ti,
+                    d_ir) -> bool:
+    """Whether every quotient of far_field_check at the hop distances d_TI
+    and d_IR is >= 1, without building them: for a hop d and a threshold
+    t, positive doubles, the rounded d / t is >= 1 exactly when d >= t, so
+    the shortest hops are compared with the thresholds (a nan hop fails)."""
+    array, panel = _far_field_thresholds(tx, ris)
+    return bool(np.min(d_ti, initial=np.inf) >= max(array, panel)
+                and np.min(d_ir, initial=np.inf) >= panel)

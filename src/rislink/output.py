@@ -13,12 +13,13 @@ from .experiments import _BLOCK_ROWS, SweepResult
 
 _KINDS = "fiU"   # float (`%.9g`), int (`%d`) and str columns, by dtype kind
 
-# Tables of the `%.9g` kernel, built once by numpy arithmetic.  A float
-# field is three little-endian words: the sign, the "0.000" prefix of
-# fixed notation below 1 and the leading digit d0; the eight digits
-# d1..d8 with the point inserted among them; and the digit pushed out by
-# the point, the exponent and the separator.  Unused bytes are NUL.  The
-# key of the per-exponent tables is 2 * (e - _E_MIN) + (v < 0).
+# Tables of the `%.9g` kernel, built once at import.  A float
+# field is two little-endian words, 16 bytes: the sign and "0.000" prefix
+# of fixed notation below 1 in bytes 0 to p - 1; the leading digit d0 at
+# byte p; the eight digits d1..d8, with the point inserted among them, from
+# byte p + 1; the exponent in bytes 11-14 and the separator in byte 15.
+# Unused bytes are NUL.  The key of the per-exponent tables is
+# 2 * (e - _E_MIN) + (v < 0).
 _E_MIN, _E_MAX = -14, 30   # exponents e with |8 - e| <= 22: 10**|8 - e| exact
 _POW10 = np.array([float(10**k) for k in range(23)])
 _SHIFT = np.repeat(8 - np.arange(_E_MIN, _E_MAX + 1), 2)
@@ -50,7 +51,8 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 def _layout_tables() -> tuple[np.ndarray, ...]:
     """Per-exponent and sign words: the '0' of each digit of d1..d8
     before the point, the mask of the digits after it, the point, the
-    first word's sign and prefix, and the last word's exponent."""
+    first word's sign and "0.000" prefix, 8 p for its length p, and the
+    second word's exponent."""
     e, neg = np.meshgrid(np.arange(_E_MIN, _E_MAX + 1), np.arange(2),
                          indexing="ij")
     fixed = (e >= -4) & (e < 9)
@@ -60,31 +62,27 @@ def _layout_tables() -> tuple[np.ndarray, ...]:
     zeros = _words(np.where(i < lead, ord("0"), 0))
     after = _words(np.where((i >= lead) & ~small[..., None], 255, 0))
     point = _words(np.where((i == lead) & ~small[..., None], ord("."), 0))
-    prefix = np.zeros(e.shape + (8,), np.uint8)
-    prefix[..., 0] = np.where(neg == 1, ord("-"), 0)
-    prefix[..., 1] = np.where(small, ord("0"), 0)
-    prefix[..., 2] = np.where(small, ord("."), 0)
-    for j in range(3):
-        prefix[..., 3 + j] = np.where(small & (e <= -2 - j), ord("0"), 0)
-    expo = np.zeros(e.shape + (8,), np.uint8)
-    expo[..., 1] = ord("e")
-    expo[..., 2] = np.where(e < 0, ord("-"), ord("+"))
-    expo[..., 3] = abs(e) // 10 + ord("0")
-    expo[..., 4] = abs(e) % 10 + ord("0")
-    expo[fixed] = 0
-    return tuple(t.ravel() for t in (zeros, after, point, _words(prefix),
-                                     _words(expo)))
+    cases = zip(e.ravel().tolist(), neg.ravel().tolist(),
+                small.ravel().tolist(), fixed.ravel().tolist())
+    prefix, expo = zip(*[
+        (b"-" * n + (b"0." + b"0" * (-1 - k) if below_one else b""),
+         b"" if plain else b"\0\0\0e%+03d" % k)
+        for k, n, below_one, plain in cases])
+    return (zeros.ravel(), after.ravel(), point.ravel(),
+            np.array(prefix, "S8").view("<u8"),
+            np.array([8 * len(p) for p in prefix], np.uint64),
+            np.array(expo, "S8").view("<u8"))
 
 
 _FIRST4, _SECOND4 = _digit_tables()
-_ZEROS, _AFTER, _POINT, _PREFIX, _EXPONENT = _layout_tables()
-_LEADING = (np.arange(10, dtype=np.uint64) + ord("0")) << 56
+_ZEROS, _AFTER, _POINT, _PREFIX, _AT, _EXPONENT = _layout_tables()
+_FIELD_WORDS = 2   # a kernel field: its text, at most 15 bytes, and sep
 
 
 def _float_fields(x: np.ndarray, words: np.ndarray, sep: int) -> np.ndarray:
     """Write `'%.9g' % v` for every float v of x, then the byte sep, into
-    the rows of words, an (n, 3) '<u8' array; return the mask of the cells
-    left to `%`.
+    the first _FIELD_WORDS words of the rows of words, an (n, w) '<u8'
+    array, w >= _FIELD_WORDS; return the mask of the cells left to `%`.
 
     With e = floor(log10|v|), s = |v| * 10**(8 - e) is one correctly
     rounded product or quotient of exact doubles.  Rounding is monotone and
@@ -93,7 +91,8 @@ def _float_fields(x: np.ndarray, words: np.ndarray, sep: int) -> np.ndarray:
     mantissa `'%.9g'` prints unless it is a half or lies outside [1e8,
     1e9 - 0.5), which also catches a log10 off by one and a carry to 1e9.
     Those cells, zeros, nan, inf, subnormals and |e - 8| > 22 are left to
-    `%`; their bytes here are placeholders.
+    `%`; their bytes here are placeholders.  A text the kernel writes has
+    at most 15 characters, such as -0.000123456789 or -1.23456789e-05.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.abs(x)
@@ -125,54 +124,85 @@ def _float_fields(x: np.ndarray, words: np.ndarray, sep: int) -> np.ndarray:
     point = _POINT[key]
     point *= after != 0            # no point when no digit follows it
     digits |= point
-    np.bitwise_or(digits, after << 8, out=words[:, 1])
-    np.bitwise_or(_PREFIX[key], _LEADING[d0], out=words[:, 0])
-    after >>= 56
-    np.bitwise_or(after, (_EXPONENT | np.uint64(sep << 56))[key],
-                  out=words[:, 2])
+    # the ten bytes from d0 on: d0, then the digits up to the point, then
+    # the digits after it one byte up; `low` holds eight and `high` two,
+    # and both move up p bytes, behind the prefix
+    d0 += ord("0")
+    low = d0.view(np.uint64)
+    low |= digits << 8
+    low |= after << 16
+    high = digits >> 56
+    high |= after >> 48
+    at = _AT[key]
+    np.bitwise_or(_PREFIX[key], low << at, out=words[:, 0])
+    high <<= at
+    high |= low >> (64 - at)       # numpy shifts by 64 to 0
+    np.bitwise_or(high, (_EXPONENT | np.uint64(sep << 56))[key],
+                  out=words[:, 1])
     return ~fast
 
 
-def _fields(x: np.ndarray, words: np.ndarray, sep: int) -> None:
+def _fields(x: np.ndarray, words: np.ndarray, sep: int) -> bool:
     """Write `'%.9g' % v` for every float v of x, then the byte sep, into
-    the rows of words, an (n, 3) '<u8' array whose rows are contiguous:
-    _float_fields, then `%` for the cells it leaves, written over its
-    placeholders up to the separator."""
+    the rows of words, an (n, w) '<u8' array of zeros whose rows are
+    contiguous, w >= _FIELD_WORDS: _float_fields, then `%` for the cells it
+    leaves, written over its placeholders with the separator in the last
+    byte.  Return False, with those cells unwritten, when a `%` text does
+    not fit: `%` writes 16 characters, which take three words, for some
+    negative values with a 3-digit exponent, such as -4.94065646e-324."""
     slow = np.flatnonzero(_float_fields(x, words, sep))
     if slow.size:
-        text = np.array([b"%.9g" % v for v in x[slow].tolist()], dtype="S23")
-        words.view(np.uint8)[slow, :23] = text.view(np.uint8).reshape(
-            slow.size, -1)
+        end = 8 * words.shape[1] - 1
+        text = np.array([b"%.9g" % v for v in x[slow].tolist()])
+        if text.itemsize > end:
+            return False
+        raw = words.view(np.uint8)
+        raw[slow, :end] = text.astype(f"S{end}").view(np.uint8).reshape(
+            slow.size, end)
+        raw[slow, end] = sep
+    return True
 
 
 def _distinct_fields(col: np.ndarray, sep: int) -> np.ndarray:
-    """The fields of a float column with zero strides, three '<u8' words
-    per cell, as a read-only broadcast view of the column's shape plus an
-    axis of 3: each distinct value, the column cut to length 1 along its
-    zero-stride axes, is formatted once."""
-    distinct = col[tuple(slice(None) if stride else slice(0, 1)
-                         for stride in col.strides)]
-    words = np.zeros(distinct.shape + (3,), "<u8")
-    _fields(np.asarray(distinct, dtype=np.float64).ravel(),
-            words.reshape(-1, 3), sep)
-    return np.broadcast_to(words, col.shape + (3,))
+    """The fields of a float column with zero strides, as a read-only
+    broadcast view of the column's shape plus an axis of words: each
+    distinct value, the column cut to length 1 along its zero-stride axes,
+    is formatted once, and its text and separator are stored left-aligned
+    in the fewest whole words that hold those of every distinct value."""
+    distinct = np.asarray(col[tuple(slice(None) if stride else slice(0, 1)
+                                    for stride in col.strides)],
+                          dtype=np.float64)
+    words = np.zeros((distinct.size, 3), "<u8")   # room for any `%` text
+    _fields(distinct.ravel(), words, sep)
+    end = bytes([sep])
+    texts = words.tobytes().translate(None, b"\0").split(end)[:-1]
+    width = max(map(len, texts), default=0) // 8 + 1
+    fields = np.array([t + end for t in texts], f"S{8 * width}").view("<u8")
+    return np.broadcast_to(fields.reshape(distinct.shape + (width,)),
+                           col.shape + (width,))
 
 
-def _block_bytes(parts: list[np.ndarray]) -> bytearray:
+def _block_bytes(parts: list[np.ndarray], wide: tuple = ()) -> bytes:
     """The CSV rows of one block, one part per column: the block's cells,
     or for a float column of distinct values the block's rows of its
     `_distinct_fields`, separator included.
 
     Each cell gets a field of whole words ending in its separator, with
-    NUL bytes where it has no character; the rows' fields form one
-    zero-filled matrix whose NUL bytes are dropped in one pass.
+    NUL bytes where it has no character: _FIELD_WORDS for a float cell, or
+    three in the columns whose indices `wide` holds, the distinct fields'
+    own words, and enough for an int or str cell.  The rows' fields form
+    one zero-filled matrix whose NUL bytes are dropped in one pass.  A
+    float column where `%` writes a text too long for its fields is made
+    wide, and the block is built again.
     """
     cells, widths = [], []
-    for part in parts:
-        if part.dtype.kind in "fu":
-            cells.append(part if part.dtype.kind == "u"
-                         else np.asarray(part, dtype=np.float64))
-            widths.append(3)
+    for j, part in enumerate(parts):
+        if part.dtype.kind == "u":
+            cells.append(part)
+            widths.append(part.shape[-1])
+        elif part.dtype.kind == "f":
+            cells.append(np.asarray(part, dtype=np.float64))
+            widths.append(3 if j in wide else _FIELD_WORDS)
         else:
             text = (part.astype("S") if part.dtype.kind == "i"
                     else np.strings.encode(part, "utf-8"))
@@ -188,16 +218,17 @@ def _block_bytes(parts: list[np.ndarray]) -> bytearray:
         sep = ord("\n") if j == len(cells) - 1 else ord(",")
         if cell.dtype.kind == "u":
             # the block's rows shaped like the fields, which broadcast
-            words.reshape(cell.shape[:-1] + (-1,))[..., col:col + 3] = cell
+            words.reshape(cell.shape[:-1] + (-1,))[..., col:col + width] = cell
         elif cell.dtype.kind == "f":
-            _fields(cell, words[:, col:col + 3], sep)
+            if not _fields(cell, words[:, col:col + width], sep):
+                return _block_bytes(parts, wide + (j,))
         else:
             start, end = 8 * col, 8 * (col + width) - 1   # end: the separator
             raw[:, start:start + cell.itemsize] = cell.view(np.uint8).reshape(
                 n, -1)
             raw[:, end] = sep
         col += width
-    return buf.translate(None, b"\0")
+    return bytes(buf).translate(None, b"\0")
 
 
 def emit_csv(result: SweepResult, path: str | Path) -> Path:
@@ -215,8 +246,9 @@ def emit_csv(result: SweepResult, path: str | Path) -> Path:
     column with zero strides, such as a map's broadcast axis or a column of
     one value, has its distinct values formatted once
     (`_distinct_fields`), and each block copies their fields to its rows.
-    Output is byte-deterministic for identical inputs: fixed float format,
-    fixed row order, no timestamps in the sidecar.
+    A table with no rows, such as a grid with an empty axis, writes the
+    header alone.  Output is byte-deterministic for identical inputs:
+    fixed float format, fixed row order, no timestamps in the sidecar.
     """
     path = Path(path)
     shape = np.shape(next(iter(result.columns.values()), ()))
@@ -232,6 +264,8 @@ def emit_csv(result: SweepResult, path: str | Path) -> Path:
             sep = ord("\n") if j == len(result.columns) - 1 else ord(",")
             col = _distinct_fields(col, sep)
         columns.append(col)
+    if 0 in shape:
+        shape = (0,)         # no rows: the header alone
     step = max(1, _BLOCK_ROWS // math.prod(shape[1:]))
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:

@@ -552,6 +552,21 @@ def test_enforce_far_field_across_poses():
     assert "2 of 3 poses" in str(caught[0].message)
 
 
+def test_studies_whose_poses_pass_reject_an_unknown_mode():
+    """The studies that build the far-field quotients only when a pose
+    fails still reject an unknown far_field_mode where every pose
+    passes."""
+    for study, cfg in ((sweep_plane, small_cfg(direct_link=True)),
+                       (robustness, small_cfg()),
+                       (solve, small_cfg(direct_link=True))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            study(cfg)
+        with pytest.raises(DomainError,
+                           match="unknown far-field mode 'loud'"):
+            study(cfg._replace(far_field_mode="loud"))
+
+
 def test_sweep_plane_blocks_equal_one_whole_grid_call():
     """The plane map is evaluated in blocks of _BLOCK_ROWS points; every
     column equals one model call on the whole flattened grid, across block
@@ -595,12 +610,13 @@ def test_sweep_plane_columns_are_grid_shaped_with_broadcast_axes():
     assert rob.columns["y_m"].strides == (8, 0)
 
 
-def test_sweep_plane_memory_stays_below_ten_columns():
+def test_sweep_plane_memory_stays_below_seven_columns():
     """One sweep_plane call at --direct-link --grid 201 holds less than
-    ten full-grid float64 columns at its traced peak: the far-field
-    verdict's (P, 3) quotients and their three stacked parts beside the
-    two hop arrays make about eight, and a full-grid x, y, watt or O array
-    built beside the written columns would add one each."""
+    seven full-grid float64 columns at its traced peak: the two hop arrays
+    and the three written columns make five, and one block's temporaries
+    about 1.6 more.  The far-field verdict's (P, 3) quotients, three
+    columns and their three stacked parts, or a full-grid x, y, watt or O
+    array built beside the written columns would add one or more."""
     cfg = load_config(direct_link=True, grid_override=201)
     sweep_plane(cfg)
     tracemalloc.start()
@@ -609,7 +625,7 @@ def test_sweep_plane_memory_stays_below_ten_columns():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 201 * 201 * 8
+    assert peak < 7 * 201 * 201 * 8
 
 
 def test_solve_reports_all_methods():

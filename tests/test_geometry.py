@@ -3,8 +3,9 @@ import pytest
 
 from rislink.errors import DegenerateGeometry, DomainError
 from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
-                              UlaLayout, UpaLayout, antenna_positions,
-                              element_positions, far_field_check, link_angles)
+                              UlaLayout, UpaLayout, _far_field_thresholds,
+                              antenna_positions, element_positions,
+                              far_field_check, far_field_holds, link_angles)
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -156,6 +157,34 @@ def test_far_field_check_over_poses_matches_single_panels():
         assert np.array_equal(row, far_field_quotients(tx, panel, rx))
     assert np.all(ratios[0] >= 1.0)
     assert not np.all(ratios[2] >= 1.0)
+
+
+def test_far_field_holds_is_the_quotients_verdict():
+    """far_field_holds reads like np.all(far_field_check(...) >= 1) with
+    hops on and one ulp either side of each threshold, at random hops,
+    with a nan hop and with no poses."""
+    tx = make_ula(count=16, spacing=0.0143)
+    ris = make_panel(rows=20, cols=20)
+    rng = np.random.default_rng(33)
+    thresholds = _far_field_thresholds(tx, ris)
+    assert thresholds[0] != thresholds[1]
+    edges = [np.nextafter(t, toward) for t in thresholds
+             for toward in (0.0, t, np.inf)]
+    hops = np.concatenate([edges, rng.uniform(0.8, 4.0, 100)
+                           * max(thresholds), [np.nan]])
+
+    def verdicts(d_ti, d_ir):
+        return (far_field_holds(tx, ris, d_ti, d_ir),
+                bool(np.all(far_field_check(tx, ris, d_ti, d_ir) >= 1.0)))
+
+    for d_ti in edges + [np.nan]:
+        for d_ir in edges + [np.nan]:
+            got, want = verdicts(np.array([d_ti]), np.array([d_ir]))
+            assert got == want, (d_ti, d_ir)
+    for _ in range(200):
+        got, want = verdicts(rng.choice(hops, 3), rng.choice(hops, 3))
+        assert got == want
+    assert verdicts(np.empty(0), np.empty(0)) == (True, True)
 
 
 def _random_scene(rng):

@@ -17,8 +17,8 @@ from rislink.config import (dbm_to_watts, db_to_linear, default_config_text,
                             load_config, watts_to_dbm)
 from rislink.errors import ConfigError, FarFieldWarning
 from rislink.experiments import SweepResult, sweep_plane
-from rislink.output import (_BLOCK_ROWS, _block_bytes, _float_fields,
-                            emit_csv, emit_plot_script)
+from rislink.output import (_BLOCK_ROWS, _FIELD_WORDS, _block_bytes,
+                            _float_fields, emit_csv, emit_plot_script)
 
 # a filter for the runs whose far-field model is near-field, where the
 # test's subject is not the far-field policy
@@ -318,7 +318,8 @@ def test_emit_csv_repeated_values_read_like_single_cells(tmp_path):
 
 # the values a column of distinct values must write as `%` does
 _DISTINCT_SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 100000000.5,
-                      5e-324]
+                      5e-324, -5e-324, -1.7976931348623157e308,
+                      -1.23456789e-100]
 
 
 def _percent_rows(columns: dict) -> str:
@@ -344,7 +345,8 @@ def _first_difference(got: str, want: str):
                                    ("d", "y", "x", "c"), ("c", "x")])
 def test_emit_csv_distinct_values_read_like_single_cells(order, tmp_path):
     """Broadcast axes and one-valued columns of a grid, holding 0, -0, nan,
-    +-inf, 100000000.5 and 5e-324, read cell for cell as `%` in the first,
+    +-inf, 100000000.5, +-5e-324 and the 16-character texts of negative
+    values with a 3-digit exponent, read cell for cell as `%` in the first,
     a middle and the last column, across block boundaries and in the
     partial last block."""
     rng = np.random.default_rng(32)
@@ -353,13 +355,16 @@ def test_emit_csv_distinct_values_read_like_single_cells(order, tmp_path):
     ys = rng.standard_normal(2 * step + 90) * 1e3
     # the specials at both sides of each block boundary and in the last,
     # partial block
-    for i, v in zip([0, step - 1, step, 2 * step - 1, 2 * step,
-                     len(ys) - 1, len(ys) - 2], _DISTINCT_SPECIALS):
-        ys[i] = v
+    at = [0, step - 1, step, 2 * step - 1, 2 * step, len(ys) - 1,
+          len(ys) - 2, 1, step + 1, len(ys) - 3]
+    ys[at] = _DISTINCT_SPECIALS
     x, y = np.meshgrid(xs, ys, copy=False)
     for v in _DISTINCT_SPECIALS:
-        grid = {"x": x, "y": y, "c": np.broadcast_to(v, x.shape),
-                "d": rng.standard_normal(x.shape) * 1e-3,
+        # and in the dense column, first and last in each of those grid rows
+        d = rng.standard_normal(x.shape) * 1e-3
+        d[at, 0] = _DISTINCT_SPECIALS
+        d[at, -1] = _DISTINCT_SPECIALS[::-1]
+        grid = {"x": x, "y": y, "c": np.broadcast_to(v, x.shape), "d": d,
                 "k": rng.integers(-9, 10, x.shape)}
         result = SweepResult(kind="heatmap",
                              columns={name: grid[name] for name in order})
@@ -395,11 +400,13 @@ def test_emit_csv_int_and_str_cells(tmp_path):
 
 
 # values where `%.9g` rounds a tie, carries into the next power of ten,
-# leaves the kernel's exact-scaling range or is not a finite nonzero number,
-# and near-ties whose scaled mantissa rounds to exactly x.5 although the
-# exact value does not lie on the tie
+# leaves the kernel's exact-scaling range, is not a finite nonzero number or
+# takes 16 characters (a negative value with a 3-digit exponent), and
+# near-ties whose scaled mantissa rounds to exactly x.5 although the exact
+# value does not lie on the tie
 _FORMAT_EDGES = [0.0, -0.0, np.copysign(np.nan, -1), np.inf, -np.inf, 5e-324,
-                 1.7976931348623157e308, 0.0001, 9.9999999995e-05,
+                 1.7976931348623157e308, -5e-324, -1.7976931348623157e308,
+                 -1.23456789e-100, 0.0001, 9.9999999995e-05,
                  9.99999999949e-05, 100000000.5, 999999999.5, 1e22, 1e23,
                  6.123234e-17, 0.009815713415, 0.001407476745, 4.006019415,
                  787.3875305, 792320.4065, 9.074924195e-07]
@@ -407,8 +414,8 @@ _FORMAT_EDGES = [0.0, -0.0, np.copysign(np.nan, -1), np.inf, -np.inf, 5e-324,
 
 def _kernel_cells(x: np.ndarray) -> list:
     """The kernel's text of each float of x, with its separator, or None
-    where it leaves the cell to `%`."""
-    words = np.zeros((len(x), 3), "<u8")
+    where it leaves the cell to `%`, from fields of the kernel's width."""
+    words = np.zeros((len(x), _FIELD_WORDS), "<u8")
     slow = _float_fields(x, words, ord(","))
     raw = words.view(np.uint8)
     return [None if s else bytes(row[row != 0]) for s, row in zip(slow, raw)]
@@ -474,6 +481,12 @@ def test_emit_csv_empty_and_mismatched(tmp_path):
     empty = SweepResult(kind="line", columns={"a": np.array([])})
     path = emit_csv(empty, tmp_path / "empty.csv")
     assert path.read_text() == "a\n"
+    # a grid whose trailing axis is empty has no rows either
+    grid = SweepResult(kind="heatmap", columns={"a": np.zeros((3, 0))})
+    path = emit_csv(grid, tmp_path / "grid.csv")
+    assert path.read_text() == "a\n"
+    assert json.loads(path.with_suffix(".csv.meta.json").read_text()) == {
+        "rows": 0}
     for columns in ({"a": np.array([1.0]), "b": np.array([1.0, 2.0])},
                     {"a": np.array([True])}):
         with pytest.raises(ValueError):
