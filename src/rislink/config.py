@@ -6,6 +6,7 @@ watts/ratios at the configuration boundary and stays linear internally.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from importlib import resources
@@ -159,23 +160,8 @@ def _read(raw: dict, name: str, kind=float, default=None):
                           "linear value") from None
 
 
-def load_config(path: str | Path | None = None, *,
-                paper_scale: bool = False,
-                direct_link: bool | None = None,
-                strict_far_field: bool = False,
-                grid_override: int | None = None) -> SceneConfig:
-    """Load and validate a YAML profile; `None` loads the bundled default.
-
-    CLI-level switches (paper scale, direct link, strict far field, sweep
-    grid size) override the file values.
-    """
-    if path is None:
-        text = default_config_text()
-    else:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        text = p.read_text()
+def _parse(text: str) -> dict:
+    """The profile mapping of YAML text, its keys checked."""
     try:
         # libyaml's safe loader where PyYAML was built with it: the same
         # dicts and YAMLError subclasses as the pure-Python SafeLoader, and
@@ -187,6 +173,36 @@ def load_config(path: str | Path | None = None, *,
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     _check_keys(raw, _PROFILE_KEYS)
+    return raw
+
+
+@functools.cache
+def _bundled_profile() -> tuple[str, dict]:
+    """The bundled profile's text and mapping, which nothing mutates."""
+    text = default_config_text()
+    return text, _parse(text)
+
+
+def load_config(path: str | Path | None = None, *,
+                paper_scale: bool = False,
+                direct_link: bool | None = None,
+                strict_far_field: bool = False,
+                grid_override: int | None = None) -> SceneConfig:
+    """Load and validate a YAML profile; `None` loads the bundled default,
+    read and parsed once per process, and a file at `path` is read and
+    parsed on every call, as it may change between calls.
+
+    CLI-level switches (paper scale, direct link, strict far field, sweep
+    grid size) override the file values.
+    """
+    if path is None:
+        text, raw = _bundled_profile()
+    else:
+        p = Path(path)
+        if not p.is_file():
+            raise ConfigError(f"config file not found: {p}")
+        text = p.read_text()
+        raw = _parse(text)
 
     wavelength = _read(raw, "radio.wavelength_m")
     cfg_rows, cfg_cols = (_read(raw, f"ris.{k}", int)

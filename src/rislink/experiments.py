@@ -103,7 +103,8 @@ def specular_frame(position, tx_center, rx_position):
 
     `position` is one point (3,) or a stack of P points (P, 3); normal,
     axis_x and axis_y come back in the same shape, and each row of a stack
-    has the bits of its one-point frame.
+    has the bits of its one-point frame.  The fallbacks of the degenerate
+    cases are built only when some row needs them.
     """
     p = np.asarray(position, dtype=float)
     u_t = _unit(np.asarray(tx_center, dtype=float) - p)
@@ -112,14 +113,19 @@ def specular_frame(position, tx_center, rx_position):
     nn = _norm(normal)[..., None]
     # T and R exactly opposite: any normal in the bisecting plane works
     opposite = nn < 1e-12
-    seed = np.where(np.abs(u_t[..., 2:]) < 0.9, _EZ, _EX)
-    normal = np.where(opposite, _reject(seed, u_t),
-                      normal / np.where(opposite, 1.0, nn))
+    if opposite.any():
+        seed = np.where(np.abs(u_t[..., 2:]) < 0.9, _EZ, _EX)
+        normal = np.where(opposite, _reject(seed, u_t),
+                          normal / np.where(opposite, 1.0, nn))
+    else:
+        normal = normal / nn
     ax = _reject(u_t, normal)
     # T and R both along the normal: any in-plane axis works
     flat = _norm(ax)[..., None] < 1e-12
-    seed = np.where(np.abs(normal[..., :1]) < 0.9, _EX, _EY)
-    ax = _unit(np.where(flat, _reject(seed, normal), ax))
+    if flat.any():
+        seed = np.where(np.abs(normal[..., :1]) < 0.9, _EX, _EY)
+        ax = np.where(flat, _reject(seed, normal), ax)
+    ax = _unit(ax)
     return _unit(normal), ax, _unit(np.cross(normal, ax))
 
 

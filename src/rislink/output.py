@@ -167,17 +167,14 @@ def _distinct_fields(col: np.ndarray, sep: int) -> np.ndarray:
     """The fields of a float column with zero strides, as a read-only
     broadcast view of the column's shape plus an axis of words: each
     distinct value, the column cut to length 1 along its zero-stride axes,
-    is formatted once, and its text and separator are stored left-aligned
-    in the fewest whole words that hold those of every distinct value."""
-    distinct = np.asarray(col[tuple(slice(None) if stride else slice(0, 1)
-                                    for stride in col.strides)],
-                          dtype=np.float64)
-    words = np.zeros((distinct.size, 3), "<u8")   # room for any `%` text
-    _fields(distinct.ravel(), words, sep)
-    end = bytes([sep])
-    texts = words.tobytes().translate(None, b"\0").split(end)[:-1]
-    width = max(map(len, texts), default=0) // 8 + 1
-    fields = np.array([t + end for t in texts], f"S{8 * width}").view("<u8")
+    is formatted once by `'%.9g'` itself, and its text and separator are
+    stored left-aligned in the fewest whole words that hold those of every
+    distinct value."""
+    distinct = col[tuple(slice(None) if stride else slice(0, 1)
+                         for stride in col.strides)]
+    texts = [b"%.9g%c" % (v, sep) for v in distinct.ravel().tolist()]
+    width = (max(map(len, texts), default=1) + 7) // 8
+    fields = np.array(texts, f"S{8 * width}").view("<u8")
     return np.broadcast_to(fields.reshape(distinct.shape + (width,)),
                            col.shape + (width,))
 
@@ -244,7 +241,7 @@ def emit_csv(result: SweepResult, path: str | Path) -> Path:
     array program and leaves the few cells it cannot round exactly to `%`;
     int and str columns go through fixed-width byte strings.  A float
     column with zero strides, such as a map's broadcast axis or a column of
-    one value, has its distinct values formatted once
+    one value, has its distinct values formatted once by `%`
     (`_distinct_fields`), and each block copies their fields to its rows.
     A table with no rows, such as a grid with an empty axis, writes the
     header alone.  Output is byte-deterministic for identical inputs:

@@ -56,6 +56,27 @@ def _unit(rng):
     return v / np.linalg.norm(v)
 
 
+def test_specular_frame_stack_without_degenerate_poses():
+    """The robustness grid's stack of specular frames, where no pose has T
+    and R opposite or on one ray, gives each row its one-point frame bit
+    for bit."""
+    cfg = load_config(paper_scale=True)
+    tx, rx = plane_endpoints(cfg)
+    offs = np.linspace(-cfg.sweeps.robustness_extent,
+                       cfg.sweeps.robustness_extent,
+                       cfg.sweeps.robustness_points)
+    x, y = (g.ravel() for g in np.meshgrid(offs, offs))
+    rows = np.stack([x, y, np.zeros_like(x)], axis=1)
+    u_t, u_r = ((end - rows) / np.linalg.norm(end - rows, axis=1)[:, None]
+                for end in (tx.center, rx))
+    # T and R never opposite (-1) nor on one ray (+1)
+    assert np.abs(np.vecdot(u_t, u_r)).max() < 0.99
+    stack = specular_frame(rows, tx.center, rx)
+    for i, p in enumerate(rows):
+        for a, b in zip(stack, specular_frame(p, tx.center, rx)):
+            assert np.array_equal(a[i], b)
+
+
 def test_specular_frame_stack_equals_one_point_frames():
     """A (P, 3) stack of positions gives each row's one-point frame bit for
     bit.  Regular rows are mixed with both degenerate branches: T and R

@@ -52,15 +52,51 @@ def test_default_config_loads_and_validates():
 def test_config_loads_without_libyaml(monkeypatch, tmp_path):
     """Without PyYAML's libyaml loader the pure-Python SafeLoader loads the
     bundled profile to the same SceneConfig, and malformed YAML is still a
-    ConfigError."""
+    ConfigError.  The profile is loaded from a copy by path: load_config()
+    reuses its first parse of the bundled one, which would parse nothing."""
     import yaml
     with_libyaml = load_config()
+    copy = tmp_path / "default.yaml"
+    copy.write_text(default_config_text())
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    assert load_config() == with_libyaml
+    assert load_config(copy) == with_libyaml
     bad = tmp_path / "bad.yaml"
     bad.write_text("radio: [not, a, mapping\n")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def test_bundled_profile_is_parsed_once_and_a_file_every_call(monkeypatch,
+                                                               tmp_path):
+    """Repeated loads of the bundled profile add no YAML parse, a profile
+    file is parsed on every call and sees an edit made between two loads,
+    the bundled profile loads like a copy of it read by path, hash
+    included, and the reused mapping still equals a fresh parse."""
+    import yaml
+    from rislink import config
+    parses = []
+    parse = yaml.load
+    monkeypatch.setattr(yaml, "load",
+                        lambda *a, **kw: parses.append(1) or parse(*a, **kw))
+    first = load_config()
+    before = len(parses)
+    for _ in range(50):
+        assert load_config() == first
+        load_config(paper_scale=True)
+    assert len(parses) == before
+    text = default_config_text()
+    profile = tmp_path / "profile.yaml"
+    profile.write_text(text)
+    assert load_config(profile).tx_power == pytest.approx(1e-3)
+    profile.write_text(text.replace("tx_power_dbm: 0.0", "tx_power_dbm: 30.0"))
+    assert load_config(profile).tx_power == pytest.approx(1.0)
+    assert len(parses) == before + 2
+    copy = tmp_path / "default.yaml"
+    copy.write_text(text)
+    from_path = load_config(copy)
+    for field in first._fields:
+        assert getattr(first, field) == getattr(from_path, field), field
+    assert config._bundled_profile() == (text, yaml.safe_load(text))
 
 
 def test_loader_defaults_of_the_sweeps(tmp_path):
