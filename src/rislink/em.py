@@ -10,8 +10,10 @@ depends on the RIS link only through C.  `h_tr` is the optional length-N
 direct row.
 
 The scene route is `geometry.link_angles`, then `amplitude_gain_tir` (the
-distance-free amplitude delta): `exact_channel` reads it at the panel's
-own pose, and `_farfield_link` adds the antenna phasors b_vec for
+distance-free amplitude delta), and `_farfield_link` runs it once per
+scene: `exact_channel` reads delta from it at the panel's own pose and
+keeps the link in its ChannelSet, whose closed-form and two-path designs
+(`solvers`) read it there; the link adds the antenna phasors b_vec for
 `farfield_channel`, `farfield_power` and `solvers`, and `_design_steering`
 the steerings of the closed-form design, which `farfield_power` evaluates
 at P poses of its panel.  None of them checks
@@ -66,7 +68,9 @@ def _leading_singular_pair(c: np.ndarray,
     sigma = sqrt(max(lambda_max, 0)) and u = C @ v_1 / sigma, normalized;
     the global phase of u makes its first significant entry real-positive.
     A zero cascade gives sigma = 0 and u = e_1, which is then a leading
-    singular vector like any other unit vector.
+    singular vector like any other unit vector.  The two quotients by a
+    real are products by its reciprocal on the real and imaginary parts
+    (_scale_parts), which have the bits of numpy's complex quotient.
     """
     n = c.shape[1]
     top = (n + 1) // 2 if mirrored else n
@@ -79,11 +83,28 @@ def _leading_singular_pair(c: np.ndarray,
         u = np.zeros(c.shape[0], dtype=complex)
         u[0] = 1.0
         return u, 0.0
-    u = c @ vecs[:, -1] / sigma
-    u /= np.linalg.norm(u)
-    mag = np.abs(u)
-    idx = int(np.argmax(mag > 1e-12 * mag.max()))
+    u = _scale_parts(c @ vecs[:, -1], 1 / sigma)
+    _scale_parts(u, 1 / np.linalg.norm(u))
+    # u is unit-norm, so no entry exceeds 2 and an entry 0 above 2e-12 is
+    # above 1e-12 times the largest: the scan is needed only below that
+    idx = 0
+    if not abs(u[0]) > 2e-12:
+        mag = np.abs(u)
+        idx = int(np.argmax(mag > 1e-12 * mag.max()))
     return u * np.exp(-1j * np.angle(u[idx])), sigma
+
+
+def _scale_parts(z: np.ndarray, r) -> np.ndarray:
+    """The complex vector z with its real and imaginary parts multiplied in
+    place by the real r (a scalar, or an array of z's length), returned.
+    With r = 1/s this is numpy's quotient z / s by a real s: numpy divides
+    by s + 0j on the branch of Smith's method with ratio 0, which forms
+    (re + im*0) * (1/s) and (im - re*0) * (1/s), so only a part that is an
+    exact zero can differ, and only in its sign."""
+    # a scalar scales both parts in one contiguous pass
+    for part in ((z.view(float),) if np.ndim(r) == 0 else (z.real, z.imag)):
+        part *= r
+    return z
 
 
 class ChannelSet(_Value):
@@ -94,12 +115,16 @@ class ChannelSet(_Value):
     read-only; the channel arrays must not be changed after that.
     `mirrored` states that the channel has the symmetry of a mirror-
     symmetric exact channel (see `_leading_singular_pair`); only
-    `exact_channel` sets it, from its `_mirrored` check.
+    `exact_channel` sets it, from its `_mirrored` check.  `_link` is the
+    far-field link of the scene route an exact channel was built from,
+    which the designs of that scene read instead of routing the scene
+    again; it is None on every other channel and is not a field.
     """
 
     h_ti: np.ndarray  # (L, N) cascade C, (q, p): antenna p -> element q -> R
     h_tr: np.ndarray | None  # (N,) direct T->R row, if present
     mirrored: bool
+    _link = None
 
     def __init__(self, h_ti: np.ndarray, h_tr: np.ndarray | None = None, *,
                  mirrored: bool = False):
@@ -204,6 +229,7 @@ class _FarFieldLink(NamedTuple):
 
     poses: PanelPoses
     angles: LinkAngles    # the route's hop distances and directions
+    delta: np.ndarray     # (P,) amplitude_gain_tir, the distance-free a_TIR
     a_tir: np.ndarray     # (P,), 0 where the panel does not see both ends
     antennas: np.ndarray  # (N, 3) antenna offsets of _antenna_offsets
     wavenum: float
@@ -219,16 +245,19 @@ class _FarFieldLink(NamedTuple):
 def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
                    radio: RadioParams,
                    poses: PanelPoses | None = None) -> _FarFieldLink:
-    """The part of the far-field factorization shared by farfield_channel,
-    farfield_power and the closed-form and two-path designs of `solvers`,
-    for the grid of `ris` at P `poses`: link_angles, then amplitude_gain_tir.
+    """The scene route for the grid of `ris` at P `poses` (link_angles,
+    then amplitude_gain_tir) and the part of the far-field factorization
+    built on it: exact_channel reads its delta, and farfield_channel,
+    farfield_power and the closed-form and two-path designs of `solvers`
+    the rest.
 
-    Per pose: the hop distances, a_TIR and the directions u_TI and u_IR of
-    the route; also the antenna offsets that give the phasors b_vec, and
-    k = 2*pi/lambda.  A pose of `poses` whose panel does not see both ends
-    gets a_TIR = 0, in a stack of any size.  With `poses` None the link is
-    that of `ris` itself (P = 1), and such a panel raises ShadowedPanel
-    instead, which closed_form_solution relies on.
+    Per pose: the hop distances, delta, a_TIR and the directions u_TI and
+    u_IR of the route; also the antenna offsets that give the phasors
+    b_vec, and k = 2*pi/lambda.  A pose of `poses` whose panel does not see
+    both ends gets a_TIR = 0, in a stack of any size.  With `poses` None
+    the link is that of `ris` itself (P = 1), and such a panel raises
+    ShadowedPanel instead, which closed_form_solution and exact_channel
+    rely on.
     """
     one = poses is None
     if one:
@@ -240,7 +269,8 @@ def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
         if one:
             raise
         delta = np.zeros(1)   # a stack of one pose, which is shadowed
-    return _FarFieldLink(poses, angles, delta / (angles.d_ti * angles.d_ir),
+    return _FarFieldLink(poses, angles, delta,
+                         delta / (angles.d_ti * angles.d_ir),
                          _antenna_offsets(tx), 2 * np.pi / radio.wavelength)
 
 
@@ -432,12 +462,13 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     Entry (q, p) of the cascade carries the exact phase
     2*pi*(d_{TI,p,q} + d_{IR,q})/l of its two hops and the per-pair
     amplitude delta / (d_{TI,p,q} * d_{IR,q}); pattern angles are evaluated
-    at the panel center.
+    at the panel center, from the scene route of _farfield_link, which the
+    ChannelSet keeps as `_link` for the designs of the scene.
     """
     rx = np.asarray(rx_position, dtype=float)
     # raises on coincident centers and on a shadowed panel
-    delta = amplitude_gain_tir(link_angles(tx, rx, PanelPoses.of(ris)), tx,
-                               ris, radio)[0]
+    link = _farfield_link(tx, ris, rx, radio)
+    delta = link.delta[0]
     wavenum = 2 * np.pi / radio.wavelength
 
     elems = element_positions(ris)             # (3, L)
@@ -490,7 +521,9 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     panels[built:] = panels[:ants_copied][::-1, ::-1]
 
     h_tr = direct_channel(tx, rx, radio, farfield=False) if direct else None
-    return ChannelSet(h_ti=h_ti.T, h_tr=h_tr, mirrored=mirror)
+    channels = ChannelSet(h_ti=h_ti.T, h_tr=h_tr, mirrored=mirror)
+    vars(channels)["_link"] = link
+    return channels
 
 
 def direct_channel(tx: TransmitterArray, rx_position, radio: RadioParams,

@@ -15,14 +15,13 @@ from .config import SceneConfig, watts_to_dbm
 from .em import (RadioParams, exact_channel, farfield_power, friis_amplitude,
                  received_power, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
-                       _norm, far_field_check, far_field_holds,
-                       link_angles)
+                       _norm, far_field_check, far_field_holds)
 from .errors import DomainError, FarFieldViolation, FarFieldWarning
 from .placement import PlaneScene, _position_factor, _triangle_cos
-from .solvers import (anti_decay_design, closed_form_predicted_power,
-                      closed_form_solution, power_upper_bound, svd_solution,
-                      two_path_o, two_path_power_closed_form,
-                      two_path_solution)
+from .solvers import (_closed_form_design, _two_path_design,
+                      anti_decay_design, closed_form_predicted_power,
+                      power_upper_bound, svd_solution, two_path_o,
+                      two_path_power_closed_form)
 
 # Rows per block, shared by the plane map's model calls (sweep_plane), which
 # keep their temporaries to one block and carry its powers to dBm in its
@@ -132,11 +131,22 @@ def specular_frame(position, tx_center, rx_position):
 def equilateral_scene(cfg: SceneConfig, d: float):
     """T, RIS, R on an equilateral triangle of side d with the RIS at the
     specular (optimal) orientation; ULA axis out of the triangle plane."""
-    t_pos = np.array([-d / 2, 0.0, 0.0])
-    r_pos = np.array([d / 2, 0.0, 0.0])
-    i_pos = np.array([0.0, 0.0, np.sqrt(3) / 2 * d])
-    ris = _panel_at(cfg, i_pos, specular_frame(i_pos, t_pos, r_pos))
-    return _ula_at(cfg, t_pos, [0.0, 1.0, 0.0]), ris, r_pos
+    return _equilateral_scenes(cfg, [d])[0]
+
+
+def _equilateral_scenes(cfg: SceneConfig, ds) -> list:
+    """The scene (tx, ris, rx) of equilateral_scene at each side d of
+    `ds`: T = (-d/2, 0, 0), R = (d/2, 0, 0) and the RIS centre
+    (0, 0, sqrt(3)/2 * d) as (P, 3) stacks, whose frames come from one
+    specular_frame call, each row with the bits of its one-point frame."""
+    d = np.asarray(ds, dtype=float)[:, None]
+    zero = np.zeros_like(d)
+    t_pos = np.hstack((-d / 2, zero, zero))
+    r_pos = np.hstack((d / 2, zero, zero))
+    i_pos = np.hstack((zero, zero, np.sqrt(3) / 2 * d))
+    frames = zip(*specular_frame(i_pos, t_pos, r_pos))
+    return [(_ula_at(cfg, t, [0.0, 1.0, 0.0]), _panel_at(cfg, i, frame), r)
+            for t, r, i, frame in zip(t_pos, r_pos, i_pos, frames)]
 
 
 def plane_endpoints(cfg: SceneConfig):
@@ -284,10 +294,10 @@ def sweep_distance(cfg: SceneConfig) -> SweepResult:
     sw = cfg.sweeps
     ds = np.linspace(sw.distance_min, sw.distance_max, sw.distance_points)
     closed, svd, bound = (np.empty(len(ds)) for _ in range(3))
-    for i, d in enumerate(ds.tolist()):
-        tx, ris, rx = equilateral_scene(cfg, d)
+    for i, (tx, ris, rx) in enumerate(_equilateral_scenes(cfg, ds)):
         channels = exact_channel(tx, ris, rx, radio)
-        sol = closed_form_solution(tx, ris, rx, radio)
+        # the closed-form design reads the scene route of the channel
+        sol = _closed_form_design(tx, ris, radio, channels._link)
         closed[i] = received_power(channels, sol.theta, sol.v)
         svd[i] = svd_solution(channels, cfg.tx_power).predicted_power
         bound[i] = power_upper_bound(channels, cfg.tx_power)
@@ -437,15 +447,16 @@ def robustness(cfg: SceneConfig) -> SweepResult:
 def solve(cfg: SceneConfig) -> SweepResult:
     """One fixed scene: every method's predicted and evaluated power, and
     the upper bound as the last row.  The far-field policy judges the
-    panel's pose only before the two-path design of the direct link."""
+    panel's pose only before the two-path design of the direct link.  The
+    designs and the verdict read the scene route of the exact channel."""
     radio = _radio(cfg)
     tx, ris, rx = equilateral_scene(cfg, cfg.d_tr)
     channels = exact_channel(tx, ris, rx, radio, direct=cfg.direct_link)
-    sols = [closed_form_solution(tx, ris, rx, radio)]
+    link = channels._link
+    sols = [_closed_form_design(tx, ris, radio, link)]
     if cfg.direct_link:
-        ang = link_angles(tx, rx, PanelPoses.of(ris))
-        _judge_far_field(cfg, tx, ris, ang.d_ti, ang.d_ir)
-        sols.append(two_path_solution(tx, ris, rx, radio))
+        _judge_far_field(cfg, tx, ris, link.angles.d_ti, link.angles.d_ir)
+        sols.append(_two_path_design(tx, ris, rx, radio, link))
     sols.append(svd_solution(channels, cfg.tx_power))
     bound = power_upper_bound(channels, cfg.tx_power)
     evaluated = [received_power(channels, s.theta, s.v) for s in sols]

@@ -12,7 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .em import (ChannelSet, RadioParams, _array_factor, _farfield_link,
-                 _panel_phasors, direct_channel, friis_amplitude)
+                 _FarFieldLink, _panel_phasors, _scale_parts, direct_channel,
+                 friis_amplitude)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
 from .geometry import RisPanel, TransmitterArray, UlaLayout, _as_vec3, _norm
 
@@ -73,7 +74,14 @@ def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     v = sqrt(P_t/N) * conj(b_vec).  em.farfield_power evaluates this design
     at other poses of the panel.  A panel that does not see both ends
     raises ShadowedPanel."""
-    link = _farfield_link(tx, ris, rx_position, radio)
+    return _closed_form_design(tx, ris, radio,
+                               _farfield_link(tx, ris, rx_position, radio))
+
+
+def _closed_form_design(tx: TransmitterArray, ris: RisPanel,
+                        radio: RadioParams, link: _FarFieldLink) -> Solution:
+    """closed_form_solution on `link`, the far-field link of its scene,
+    which the studies take from the scene's exact channel (its `_link`)."""
     theta = np.conj(_panel_phasors(tx, ris, link))
     v = np.sqrt(radio.tx_power / tx.count) * np.conj(link.b_vec()[0])
     predicted = closed_form_predicted_power(float(link.a_tir[0]), tx.count,
@@ -133,10 +141,20 @@ def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
     steering pair.  A UPA transmitter raises DomainError; no far-field
     condition is checked.
     """
+    return _two_path_design(tx, ris, rx_position, radio)
+
+
+def _two_path_design(tx: TransmitterArray, ris: RisPanel, rx_position,
+                     radio: RadioParams,
+                     link: _FarFieldLink | None = None) -> Solution:
+    """two_path_solution on `link`, the far-field link of its scene, which
+    solve takes from the scene's exact channel (its `_link`); with `link`
+    None the link is built here, after the layout check."""
     lay = tx.layout
     if not isinstance(lay, UlaLayout):
         raise DomainError("two-path closed form is derived for ULA layouts")
-    link = _farfield_link(tx, ris, rx_position, radio)
+    if link is None:
+        link = _farfield_link(tx, ris, rx_position, radio)
     h_tr = direct_channel(tx, rx_position, radio, farfield=True)
     to_t = tx.center - _as_vec3(rx_position)
     d_ti, d_ir = float(link.angles.d_ti[0]), float(link.angles.d_ir[0])
@@ -173,11 +191,14 @@ def svd_solution(channels: ChannelSet, p_t: float) -> Solution:
     """SVD-based design: project the leading left singular vector u_1 of the
     cascade channel onto unit-modulus phases, theta = conj(u_1) / |u_1|
     (1 where u_1 is 0), then MRT against the effective row
-    theta @ C (+ h_TR)."""
+    theta @ C (+ h_TR).  The quotient is a product by 1/|u_1| on the real
+    and imaginary parts (em._scale_parts), with the bits of numpy's."""
     u1, _ = channels.leading_pair
     mag = np.abs(u1)
-    theta = np.ones(len(u1), dtype=complex)
-    np.divide(np.conj(u1), mag, out=theta, where=mag != 0)
+    zero = mag == 0
+    mag[zero] = 1.0
+    theta = _scale_parts(np.conj(u1), np.divide(1.0, mag, out=mag))
+    theta[zero] = 1.0
     row = theta @ channels.h_ti
     if channels.h_tr is not None:
         row = row + channels.h_tr

@@ -326,6 +326,62 @@ def test_distance_scenes_take_mirror_build(paper_scale, monkeypatch):
     assert [c.mirrored for c in channels] == [True] * 6
 
 
+def test_one_scene_route_per_scene(monkeypatch):
+    """Each scene of sweep-distance and solve runs its route (link_angles,
+    then amplitude_gain_tir) once, in exact_channel: the closed-form and
+    two-path designs and the far-field verdict of the direct link read the
+    route the channel keeps.  link_angles is counted at every module that
+    binds it."""
+    import sys
+    from rislink import geometry
+    route, calls = geometry.link_angles, []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return route(*args, **kw)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rislink") and \
+                getattr(module, "link_angles", None) is route:
+            monkeypatch.setattr(module, "link_angles", counted)
+    cfg = small_cfg()
+    cfg = cfg._replace(sweeps=cfg.sweeps._replace(distance_points=5))
+    sweep_distance(cfg)
+    assert len(calls) == 5
+    for direct_link in (True, False):
+        calls.clear()
+        solve(cfg._replace(direct_link=direct_link))
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("paper_scale", [False, True])
+def test_stacked_scenes_equal_one_point_scenes(paper_scale):
+    """The sweep's scenes, built from one specular_frame call over the
+    stacked T, R and RIS centres of every distance of the bundled sweep,
+    equal equilateral_scene at each distance bit for bit, and its frame
+    that of a one-point specular_frame call on the scene's (3,) points."""
+    cfg = load_config(paper_scale=paper_scale)
+    sw = cfg.sweeps
+    ds = np.linspace(sw.distance_min, sw.distance_max, sw.distance_points)
+    scenes = experiments._equilateral_scenes(cfg, ds)
+    assert len(scenes) == len(ds)
+
+    def bits(*arrays):
+        return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+    for d, (tx, ris, rx) in zip(ds.tolist(), scenes):
+        one_tx, one_ris, one_rx = equilateral_scene(cfg, d)
+        t = np.array([-d / 2, 0.0, 0.0])
+        r = np.array([d / 2, 0.0, 0.0])
+        i = np.array([0.0, 0.0, np.sqrt(3) / 2 * d])
+        frame = (ris.normal, ris.axis_x, ris.axis_y)
+        assert bits(tx.center, rx, ris.center, *frame) == bits(
+            one_tx.center, one_rx, one_ris.center, one_ris.normal,
+            one_ris.axis_x, one_ris.axis_y)
+        assert bits(tx.center, rx, ris.center, *frame) == bits(
+            t, r, i, *specular_frame(i, t, r))
+
+
 # the paper-scale two-path design of solve warns that it is near-field
 @pytest.mark.filterwarnings("ignore::rislink.errors.FarFieldWarning")
 @pytest.mark.parametrize("paper_scale", [False, True])

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rislink.em import (RadioParams, _farfield_link, _leading_singular_pair,
-                        exact_channel, farfield_channel, farfield_power,
-                        friis_amplitude, received_power)
+from rislink.em import (ChannelSet, RadioParams, _farfield_link,
+                        _leading_singular_pair, _scale_parts, exact_channel,
+                        farfield_channel, farfield_power, friis_amplitude,
+                        received_power)
 from rislink.errors import (AmbiguousSignWarning, DomainError,
                             ShadowedPanel, ZeroChannel)
 from rislink.geometry import (PanelPoses, UlaLayout, UpaLayout,
@@ -464,6 +465,62 @@ def test_leading_singular_pair_matches_dense_svd(rows, cols, n, rank,
     assert u[idx].real > 0
 
 
+def test_reciprocal_product_is_numpys_quotient_by_a_real():
+    """The spectral path divides complex vectors by reals as products by
+    the reciprocal on the real and imaginary parts (em._scale_parts),
+    which must give numpy's quotient x / s element for element.  numpy
+    divides by s + 0j on the branch of Smith's method with ratio 0 and
+    forms (re + im*0) * (1/s): only a part that is an exact zero can
+    differ from re * (1/s), and only in its sign, which == ignores.  A
+    numpy whose complex division changes fails here, not in the goldens.
+    The parts include 0, -0, subnormals and 1e300, so products overflow
+    to inf and underflow to 0 on both sides."""
+    rng = np.random.default_rng(35)
+    special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0])
+    n = 4000
+    re, im = (np.where(rng.random(n) < 0.3, rng.choice(special, n),
+                       rng.standard_normal(n)
+                       * 10.0**rng.uniform(-300, 300, n))
+              for _ in range(2))
+    x = np.empty(n, dtype=complex)
+    x.real, x.imag = re, im   # the parts as drawn, signed zeros included
+    divisors = 10.0**rng.uniform(-300, 300, 64)
+    with np.errstate(over="ignore", under="ignore"):
+        for s in [1e-300, 1e300, *divisors]:
+            want = x / s
+            inv = 1 / s
+            scaled = _scale_parts(x.copy(), inv)
+            for got in ((x.real * inv, x.imag * inv),
+                        (scaled.real, scaled.imag)):
+                for part, ref in zip(got, (want.real, want.imag)):
+                    assert np.all(part == ref)
+                    assert np.all((np.signbit(part) == np.signbit(ref))
+                                  | (part == 0))
+        # a real array of divisors, as theta = conj(u_1) / |u_1| takes it
+        s = 10.0**rng.uniform(-300, 300, n)
+        want = x / s
+        got = _scale_parts(x.copy(), 1 / s)
+        assert np.all(got.real == want.real) and np.all(got.imag == want.imag)
+
+
+def test_svd_theta_is_numpys_quotient_with_one_at_zero_entries():
+    """svd_solution's theta equals the quotient conj(u_1) / |u_1| that
+    numpy forms, with 1 where u_1 is 0: a zero row of the cascade gives u_1
+    an exact zero there."""
+    rng = np.random.default_rng(7)
+    h_ti = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    h_ti[[0, 5]] = 0.0
+    channels = ChannelSet(h_ti=h_ti)
+    u1, _ = channels.leading_pair
+    mag = abs(u1)
+    assert mag[0] == 0.0 and mag[5] == 0.0
+    want = np.divide(np.conj(u1), mag, out=np.ones(len(u1), dtype=complex),
+                     where=mag != 0)
+    theta = svd_solution(channels, P_T).theta
+    assert np.all(theta.real == want.real) and np.all(theta.imag == want.imag)
+    assert theta[0] == 1.0 and theta[5] == 1.0
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(scene=scenes)
 @example(scene=(*equilateral(200.0, rows=3, cols=3, count=4), RADIO))
@@ -513,7 +570,6 @@ def test_solution_ordering_near_field():
 
 
 def test_power_upper_bound_zero_channel():
-    from rislink.em import ChannelSet
     ch = ChannelSet(h_ti=np.zeros((4, 2), dtype=complex))
     assert power_upper_bound(ch, 1.0) == 0.0
     # with a direct row the ceiling is the direct path's alone
