@@ -11,7 +11,7 @@ import numpy as np
 
 from rislink import (RadioParams, exact_channel, load_config,
                      closed_form_solution, power_upper_bound, received_power,
-                     svd_solution, watts_to_dbm)
+                     scene_route, svd_solution, watts_to_dbm)
 from rislink.experiments import equilateral_scene
 
 cfg = load_config()
@@ -25,9 +25,10 @@ print(f"{'d (m)':>7} {'closed form':>12} {'svd':>12} {'bound':>12} "
 
 for d in np.linspace(20.0, 200.0, 10):
     tx, ris, rx = equilateral_scene(cfg, float(d))
-    channels = exact_channel(tx, ris, rx, radio)
+    route = scene_route(tx, ris, rx, radio)
+    channels = exact_channel(route)
 
-    sol = closed_form_solution(tx, ris, rx, radio)
+    sol = closed_form_solution(route)
     p_closed = received_power(channels, sol.theta, sol.v)
     p_svd = svd_solution(channels, cfg.tx_power).predicted_power
     bound = power_upper_bound(channels, cfg.tx_power)

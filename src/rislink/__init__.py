@@ -10,10 +10,10 @@ __version__ = "1.0.0"
 
 from .config import (SceneConfig, SweepRanges, db_to_linear, dbm_to_watts,
                      load_config, watts_to_dbm)
-from .em import (ChannelSet, RadioParams, amplitude_gain_tir,
+from .em import (ChannelSet, RadioParams, SceneRoute, amplitude_gain_tir,
                  direct_channel, exact_channel, farfield_channel,
                  farfield_power, friis_amplitude, radiation_pattern,
-                 received_power, tir_delta)
+                 received_power, scene_route, tir_delta)
 from .errors import (AmbiguousSignWarning, ConfigError, DegenerateGeometry,
                      DegenerateTriangle, DimensionMismatch, DomainError,
                      EmptyFeasible, FarFieldViolation, FarFieldWarning,
@@ -43,9 +43,9 @@ __all__ = [
     "DegenerateTriangle", "DimensionMismatch", "DomainError", "EmptyFeasible",
     "FarFieldViolation", "FarFieldWarning", "GridDesign", "LinkAngles",
     "Method", "PanelPoses", "PlaneScene", "RadioParams", "RegionDWarning",
-    "RisPanel", "RislinkError", "SceneConfig", "ShadowedPanel", "Solution",
-    "SweepRanges", "TooLarge", "TransmitterArray", "UlaLayout", "UpaLayout",
-    "ZeroChannel", "amplitude_gain_tir", "antenna_positions",
+    "RisPanel", "RislinkError", "SceneConfig", "SceneRoute", "ShadowedPanel",
+    "Solution", "SweepRanges", "TooLarge", "TransmitterArray", "UlaLayout",
+    "UpaLayout", "ZeroChannel", "amplitude_gain_tir", "antenna_positions",
     "anti_decay_design", "closed_form_predicted_power",
     "closed_form_solution", "db_to_linear", "dbm_to_watts",
     "direct_channel", "element_positions", "exact_channel", "f_object",
@@ -53,8 +53,9 @@ __all__ = [
     "friis_amplitude", "link_angles", "load_config",
     "mrt_beamforming", "optimal_orientation", "plane_objective",
     "power_upper_bound", "radiation_pattern", "received_power",
-    "svd_solution", "tir_delta", "two_path_o", "two_path_power_closed_form",
-    "two_path_solution", "watts_to_dbm", *_LAZY]
+    "scene_route", "svd_solution", "tir_delta", "two_path_o",
+    "two_path_power_closed_form", "two_path_solution", "watts_to_dbm",
+    *_LAZY]
 
 def __getattr__(name):
     if name in _LAZY:

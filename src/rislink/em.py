@@ -9,14 +9,15 @@ is theta @ C @ v.  No separate h_IR factor is kept: the received power
 depends on the RIS link only through C.  `h_tr` is the optional length-N
 direct row.
 
-The scene route is `geometry.link_angles`, then `amplitude_gain_tir` (the
-distance-free amplitude delta), and `_farfield_link` runs it once per
-scene: `exact_channel` reads delta from it at the panel's own pose and
-keeps the link in its ChannelSet, whose closed-form and two-path designs
-(`solvers`) read it there; the link adds the antenna phasors b_vec for
-`farfield_channel`, `farfield_power` and `solvers`, and `_design_steering`
-the steerings of the closed-form design, which `farfield_power` evaluates
-at P poses of its panel.  None of them checks
+The scene route (`scene_route`, a `SceneRoute`) is the line-of-sight
+geometry of one scene, `geometry.link_angles`, then `amplitude_gain_tir`
+(the distance-free amplitude delta), with the antenna offsets of the phasors
+b_vec and the transmitter, panel, receiver and radio it was built from.  A
+caller routes a scene once and passes the route to `exact_channel`, which
+reads delta at the panel's own pose, to `farfield_channel` and
+`farfield_power`, and to the closed-form and two-path designs of `solvers`;
+`_design_steering` gives the steerings of the closed-form design, which
+`farfield_power` evaluates at P poses of its panel.  None of them checks
 the far-field conditions; `geometry.far_field_check` is that check.
 """
 
@@ -31,8 +32,9 @@ import numpy as np
 from .errors import (DegenerateGeometry, DimensionMismatch, DomainError,
                      ShadowedPanel)
 from .geometry import (LinkAngles, PanelPoses, RisPanel, TransmitterArray,
-                       UlaLayout, _antenna_offsets, _axis_offsets, _Value,
-                       antenna_positions, element_positions, link_angles)
+                       UlaLayout, _antenna_offsets, _as_vec3, _axis_offsets,
+                       _Value, antenna_positions, element_positions,
+                       link_angles)
 
 
 class RadioParams(_Value):
@@ -115,16 +117,14 @@ class ChannelSet(_Value):
     read-only; the channel arrays must not be changed after that.
     `mirrored` states that the channel has the symmetry of a mirror-
     symmetric exact channel (see `_leading_singular_pair`); only
-    `exact_channel` sets it, from its `_mirrored` check.  `_link` is the
-    far-field link of the scene route an exact channel was built from,
-    which the designs of that scene read instead of routing the scene
-    again; it is None on every other channel and is not a field.
+    `exact_channel` sets it, from its `_mirrored` check.  The scene route
+    a channel was built from is not kept: a caller that designs for the
+    scene passes the same `SceneRoute` to the design.
     """
 
     h_ti: np.ndarray  # (L, N) cascade C, (q, p): antenna p -> element q -> R
     h_tr: np.ndarray | None  # (N,) direct T->R row, if present
     mirrored: bool
-    _link = None
 
     def __init__(self, h_ti: np.ndarray, h_tr: np.ndarray | None = None, *,
                  mirrored: bool = False):
@@ -210,23 +210,28 @@ def amplitude_gain_tir(angles: LinkAngles, tx: TransmitterArray,
                      ris.reflection_coeff)
 
 
-def _panel_phasors(tx: TransmitterArray, ris: RisPanel,
-                   link: _FarFieldLink) -> np.ndarray:
-    """The linearized two-hop element phasors d_vec of the link's first
+def _panel_phasors(route: SceneRoute) -> np.ndarray:
+    """The linearized two-hop element phasors d_vec of the route's first
     pose, exp(-j*k*(x_m*axis_x + y_n*axis_y) . (u_TI + u_IR)), (L,) in
     row-major order: the phasor of element q = n*cols + m is e_y[n] *
     e_x[m], each axis exp(-j*k*g*o_i) over the centred offsets o_i of
     `_axis_offsets` at the panel steering (g_y, g_x) of _design_steering."""
-    (g_y, g_x), _ = _design_steering(tx, ris, link)
-    e_y, e_x = (np.exp(-1j * (link.wavenum * g * _axis_offsets(count, pitch)))
+    (g_y, g_x), _ = _design_steering(route)
+    ris, wavenum = route.ris, route.wavenum
+    e_y, e_x = (np.exp(-1j * (wavenum * g * _axis_offsets(count, pitch)))
                 for g, count, pitch in ((g_y, ris.rows, ris.d_y),
                                         (g_x, ris.cols, ris.d_x)))
     return np.outer(e_y, e_x).ravel()
 
 
-class _FarFieldLink(NamedTuple):
-    """Far-field factorization pieces of P panel poses; see _farfield_link."""
+class SceneRoute(NamedTuple):
+    """The line-of-sight route of one scene at P panel poses, and the part
+    of the far-field factorization built on it; see scene_route."""
 
+    tx: TransmitterArray
+    ris: RisPanel
+    rx: np.ndarray        # (3,) receiver position, checked by _as_vec3
+    radio: RadioParams
     poses: PanelPoses
     angles: LinkAngles    # the route's hop distances and directions
     delta: np.ndarray     # (P,) amplitude_gain_tir, the distance-free a_TIR
@@ -242,36 +247,36 @@ class _FarFieldLink(NamedTuple):
         return np.exp(1j * self.wavenum * offsets)
 
 
-def _farfield_link(tx: TransmitterArray, ris: RisPanel, rx_position,
-                   radio: RadioParams,
-                   poses: PanelPoses | None = None) -> _FarFieldLink:
+def scene_route(tx: TransmitterArray, ris: RisPanel, rx_position,
+                radio: RadioParams,
+                poses: PanelPoses | None = None) -> SceneRoute:
     """The scene route for the grid of `ris` at P `poses` (link_angles,
-    then amplitude_gain_tir) and the part of the far-field factorization
-    built on it: exact_channel reads its delta, and farfield_channel,
+    then amplitude_gain_tir), which exact_channel, farfield_channel,
     farfield_power and the closed-form and two-path designs of `solvers`
-    the rest.
+    read, so that a scene is routed once for all of them.
 
     Per pose: the hop distances, delta, a_TIR and the directions u_TI and
     u_IR of the route; also the antenna offsets that give the phasors
     b_vec, and k = 2*pi/lambda.  A pose of `poses` whose panel does not see
     both ends gets a_TIR = 0, in a stack of any size.  With `poses` None
-    the link is that of `ris` itself (P = 1), and such a panel raises
-    ShadowedPanel instead, which closed_form_solution and exact_channel
-    rely on.
+    the route is that of `ris` itself (P = 1), which the channels and the
+    designs take, and such a panel raises ShadowedPanel instead; a center
+    on T or R raises DegenerateGeometry.
     """
     one = poses is None
     if one:
         poses = PanelPoses.of(ris)
-    angles = link_angles(tx, rx_position, poses)
+    rx = _as_vec3(rx_position)
+    angles = link_angles(tx, rx, poses)
     try:
         delta = amplitude_gain_tir(angles, tx, ris, radio)
     except ShadowedPanel:
         if one:
             raise
         delta = np.zeros(1)   # a stack of one pose, which is shadowed
-    return _FarFieldLink(poses, angles, delta,
-                         delta / (angles.d_ti * angles.d_ir),
-                         _antenna_offsets(tx), 2 * np.pi / radio.wavelength)
+    return SceneRoute(tx, ris, rx, radio, poses, angles, delta,
+                      delta / (angles.d_ti * angles.d_ir),
+                      _antenna_offsets(tx), 2 * np.pi / radio.wavelength)
 
 
 def _sin_ratio(y: np.ndarray) -> np.ndarray:
@@ -310,16 +315,15 @@ def _tx_axes(tx: TransmitterArray) -> list[tuple[int, float, np.ndarray]]:
             (lay.cols, lay.spacing_x, lay.axis_x)]
 
 
-def _design_steering(tx: TransmitterArray, ris: RisPanel,
-                     link: _FarFieldLink):
-    """The two steerings of the closed-form design of the link's first
-    pose (that of `ris` itself in a link without poses), real scalars: the
+def _design_steering(route: SceneRoute):
+    """The two steerings of the closed-form design of the route's first
+    pose (that of `ris` itself in a route without poses), real scalars: the
     phases steer toward [axis_y . u_0, axis_x . u_0] of u_0 = u_TI + u_IR,
     and the beamformer toward axis . u_TI along each axis of _tx_axes."""
-    u_ti = link.angles.u_ti[0]
-    u = u_ti + link.angles.u_ir[0]
-    return ([np.vecdot(ris.axis_y, u), np.vecdot(ris.axis_x, u)],
-            [np.vecdot(axis, u_ti) for _, _, axis in _tx_axes(tx)])
+    u_ti = route.angles.u_ti[0]
+    u = u_ti + route.angles.u_ir[0]
+    return ([np.vecdot(route.ris.axis_y, u), np.vecdot(route.ris.axis_x, u)],
+            [np.vecdot(axis, u_ti) for _, _, axis in _tx_axes(route.tx)])
 
 
 def _axis_factors(axes, u, steering, wavenum: float) -> np.ndarray:
@@ -333,64 +337,59 @@ def _axis_factors(axes, u, steering, wavenum: float) -> np.ndarray:
                      for (count, pitch, axis), g in zip(axes, steering))
 
 
-def _theta_dot_d(ris: RisPanel, link: _FarFieldLink,
-                 steering) -> np.ndarray:
-    """theta . d_vec for every pose of the link, (P,), real, for the
+def _theta_dot_d(route: SceneRoute, steering) -> np.ndarray:
+    """theta . d_vec for every pose of the route, (P,), real, for the
     closed-form phases of the steering pair (g_y, g_x), the conjugate panel
     phasors toward a direction with those panel-axis components: theta and
     each pose's d_vec (_panel_phasors toward its u_TI + u_IR)
     separate along the panel axes, so this is _axis_factors of the pose's
     axes at u_TI + u_IR, exactly L at the design's own pose."""
-    return _axis_factors([(ris.rows, ris.d_y, link.poses.axis_y),
-                          (ris.cols, ris.d_x, link.poses.axis_x)],
-                         link.angles.u_ti + link.angles.u_ir, steering,
-                         link.wavenum)
+    ris, poses, ang = route.ris, route.poses, route.angles
+    return _axis_factors([(ris.rows, ris.d_y, poses.axis_y),
+                          (ris.cols, ris.d_x, poses.axis_x)],
+                         ang.u_ti + ang.u_ir, steering, route.wavenum)
 
 
-def farfield_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
-                     radio: RadioParams, *, direct: bool = False) -> ChannelSet:
-    """Rank-one far-field channel, assembled from the phasors and a_TIR of
-    _farfield_link.
+def farfield_channel(route: SceneRoute, *, direct: bool = False) -> ChannelSet:
+    """Rank-one far-field channel of the scene of `route`, assembled from
+    the route's phasors and a_TIR.
 
     C = a_TIR * exp(j*2*pi*(d_TI + d_IR)/l) * outer(d_vec, b_vec), with
     d_vec the panel phasors toward u_TI + u_IR, built whether or not the
     scene meets the far-field conditions.
     """
-    rx = np.asarray(rx_position, dtype=float)
-    link = _farfield_link(tx, ris, rx, radio)
-    wavenum, ang = link.wavenum, link.angles
-    d_vec = _panel_phasors(tx, ris, link)
-    hops = complex(np.exp(1j * wavenum * (ang.d_ti[0] + ang.d_ir[0])))
-    h_ti = float(link.a_tir[0]) * hops * np.outer(d_vec, link.b_vec()[0])
-    h_tr = direct_channel(tx, rx, radio, farfield=True) if direct else None
+    ang = route.angles
+    d_vec = _panel_phasors(route)
+    hops = complex(np.exp(1j * route.wavenum * (ang.d_ti[0] + ang.d_ir[0])))
+    h_ti = float(route.a_tir[0]) * hops * np.outer(d_vec, route.b_vec()[0])
+    h_tr = (direct_channel(route.tx, route.rx, route.radio, farfield=True)
+            if direct else None)
     return ChannelSet(h_ti=h_ti, h_tr=h_tr)
 
 
-def farfield_power(tx: TransmitterArray, ris: RisPanel, rx_position,
-                   radio: RadioParams, poses: PanelPoses) -> np.ndarray:
-    """Received power in watts, (P,), of the closed-form design of `ris`
-    at its own pose (the theta and v of solvers.closed_form_solution),
-    with the grid of `ris` placed at each of the P `poses`, without the
+def farfield_power(route: SceneRoute, poses: PanelPoses) -> np.ndarray:
+    """Received power in watts, (P,), of the closed-form design of the
+    route (the theta and v of solvers.closed_form_solution), with the grid
+    of the route's panel placed at each of the P `poses`, without the
     L x N channel.
 
-    The design's two steerings come from the far-field link of `ris`
-    itself (_design_steering).  A pose's power equals
-    received_power(farfield_channel(..., direct=False), theta, v) of the
-    panel moved to that pose, as a_TIR^2 * (theta . d_vec)^2 *
-    (sqrt(P_t/N) * AF_T)^2: theta . d_vec (_theta_dot_d) and the antenna
-    sum AF_T = b_vec . conj(b_0), exactly L and N at the design's own
-    pose, are _axis_factors in closed form, O(1) per pose, so a pose gets
-    the same bits in a stack of any size as alone.  A design panel that
-    does not see both ends raises ShadowedPanel, as closed_form_solution
-    does; a pose whose panel does not see both ends gets 0 W.
+    The design's two steerings come from the route (_design_steering), and
+    the poses get a route of their own.  A pose's power equals
+    received_power(farfield_channel(route), theta, v) of the panel moved to
+    that pose, as a_TIR^2 * (theta . d_vec)^2 * (sqrt(P_t/N) * AF_T)^2:
+    theta . d_vec (_theta_dot_d) and the antenna sum AF_T =
+    b_vec . conj(b_0), exactly L and N at the design's own pose, are
+    _axis_factors in closed form, O(1) per pose, so a pose gets the same
+    bits in a stack of any size as alone.  A pose whose panel does not see
+    both ends gets 0 W.
     """
-    steering, tx_steering = _design_steering(
-        tx, ris, _farfield_link(tx, ris, rx_position, radio))
-    link = _farfield_link(tx, ris, rx_position, radio, poses)
+    tx, radio = route.tx, route.radio
+    steering, tx_steering = _design_steering(route)
+    moved = scene_route(tx, route.ris, route.rx, radio, poses)
     b_dot_v = (np.sqrt(radio.tx_power / tx.count)
-               * _axis_factors(_tx_axes(tx), link.angles.u_ti, tx_steering,
-                               link.wavenum))
-    return link.a_tir**2 * _theta_dot_d(ris, link, steering)**2 * b_dot_v**2
+               * _axis_factors(_tx_axes(tx), moved.angles.u_ti, tx_steering,
+                               moved.wavenum))
+    return moved.a_tir**2 * _theta_dot_d(moved, steering)**2 * b_dot_v**2
 
 
 # Entries per block of the exact channel build (exact_channel): a block is
@@ -455,21 +454,17 @@ def _mirrored(points: np.ndarray, planes: np.ndarray, rows: int,
                for c in range(3))
 
 
-def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
-                  radio: RadioParams, *, direct: bool = False) -> ChannelSet:
-    """Per-pair geometric channel used as the validation oracle.
+def exact_channel(route: SceneRoute, *, direct: bool = False) -> ChannelSet:
+    """Per-pair geometric channel of the scene of `route`, used as the
+    validation oracle.
 
     Entry (q, p) of the cascade carries the exact phase
     2*pi*(d_{TI,p,q} + d_{IR,q})/l of its two hops and the per-pair
     amplitude delta / (d_{TI,p,q} * d_{IR,q}); pattern angles are evaluated
-    at the panel center, from the scene route of _farfield_link, which the
-    ChannelSet keeps as `_link` for the designs of the scene.
+    at the panel center, by the route, whose delta this reads.
     """
-    rx = np.asarray(rx_position, dtype=float)
-    # raises on coincident centers and on a shadowed panel
-    link = _farfield_link(tx, ris, rx, radio)
-    delta = link.delta[0]
-    wavenum = 2 * np.pi / radio.wavelength
+    tx, ris, rx, radio = route.tx, route.ris, route.rx, route.radio
+    delta, wavenum = route.delta[0], route.wavenum
 
     elems = element_positions(ris)             # (3, L)
     ants = antenna_positions(tx)               # (N, 3)
@@ -521,9 +516,7 @@ def exact_channel(tx: TransmitterArray, ris: RisPanel, rx_position,
     panels[built:] = panels[:ants_copied][::-1, ::-1]
 
     h_tr = direct_channel(tx, rx, radio, farfield=False) if direct else None
-    channels = ChannelSet(h_ti=h_ti.T, h_tr=h_tr, mirrored=mirror)
-    vars(channels)["_link"] = link
-    return channels
+    return ChannelSet(h_ti=h_ti.T, h_tr=h_tr, mirrored=mirror)
 
 
 def direct_channel(tx: TransmitterArray, rx_position, radio: RadioParams,
@@ -533,7 +526,7 @@ def direct_channel(tx: TransmitterArray, rx_position, radio: RadioParams,
 
     The far-field variant linearizes the per-antenna distances as
     d_TR + (antenna_p - T) . (T - R) / d_TR, with the offsets
-    antenna_p - T of _antenna_offsets, as _FarFieldLink.b_vec takes them.
+    antenna_p - T of _antenna_offsets, as SceneRoute.b_vec takes them.
     """
     rx = np.asarray(rx_position, dtype=float)
     d_tr = float(np.linalg.norm(rx - tx.center))

@@ -13,15 +13,15 @@ import numpy as np
 from . import __version__
 from .config import SceneConfig, watts_to_dbm
 from .em import (RadioParams, exact_channel, farfield_power, friis_amplitude,
-                 received_power, tir_delta)
+                 received_power, scene_route, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
                        _norm, far_field_check, far_field_holds)
 from .errors import DomainError, FarFieldViolation, FarFieldWarning
 from .placement import PlaneScene, _position_factor, _triangle_cos
-from .solvers import (_closed_form_design, _two_path_design,
-                      anti_decay_design, closed_form_predicted_power,
-                      power_upper_bound, svd_solution, two_path_o,
-                      two_path_power_closed_form)
+from .solvers import (anti_decay_design, closed_form_predicted_power,
+                      closed_form_solution, power_upper_bound, svd_solution,
+                      two_path_o, two_path_power_closed_form,
+                      two_path_solution)
 
 # Rows per block, shared by the plane map's model calls (sweep_plane), which
 # keep their temporaries to one block and carry its powers to dBm in its
@@ -295,9 +295,9 @@ def sweep_distance(cfg: SceneConfig) -> SweepResult:
     ds = np.linspace(sw.distance_min, sw.distance_max, sw.distance_points)
     closed, svd, bound = (np.empty(len(ds)) for _ in range(3))
     for i, (tx, ris, rx) in enumerate(_equilateral_scenes(cfg, ds)):
-        channels = exact_channel(tx, ris, rx, radio)
-        # the closed-form design reads the scene route of the channel
-        sol = _closed_form_design(tx, ris, radio, channels._link)
+        route = scene_route(tx, ris, rx, radio)
+        channels = exact_channel(route)
+        sol = closed_form_solution(route)
         closed[i] = received_power(channels, sol.theta, sol.v)
         svd[i] = svd_solution(channels, cfg.tx_power).predicted_power
         bound[i] = power_upper_bound(channels, cfg.tx_power)
@@ -429,7 +429,7 @@ def robustness(cfg: SceneConfig) -> SweepResult:
     _judge_far_field(cfg, tx, ris, d_ti, d_ir)
     centers = np.stack([x, y, np.zeros_like(x)], axis=1)
     poses = PanelPoses(centers, *specular_frame(centers, tx.center, rx))
-    est_power = farfield_power(tx, ris, rx, radio, poses)
+    est_power = farfield_power(scene_route(tx, ris, rx, radio), poses)
     ideal = ris_point_power(cfg, d_ti, d_ir, cfg.d_tr)
     dev = np.abs(est_power - ideal) / np.maximum(est_power, ideal)
     # the columns take the grid's shape, the axes as broadcast views
@@ -448,15 +448,15 @@ def solve(cfg: SceneConfig) -> SweepResult:
     """One fixed scene: every method's predicted and evaluated power, and
     the upper bound as the last row.  The far-field policy judges the
     panel's pose only before the two-path design of the direct link.  The
-    designs and the verdict read the scene route of the exact channel."""
+    channel, the designs and the verdict read one scene route."""
     radio = _radio(cfg)
     tx, ris, rx = equilateral_scene(cfg, cfg.d_tr)
-    channels = exact_channel(tx, ris, rx, radio, direct=cfg.direct_link)
-    link = channels._link
-    sols = [_closed_form_design(tx, ris, radio, link)]
+    route = scene_route(tx, ris, rx, radio)
+    channels = exact_channel(route, direct=cfg.direct_link)
+    sols = [closed_form_solution(route)]
     if cfg.direct_link:
-        _judge_far_field(cfg, tx, ris, link.angles.d_ti, link.angles.d_ir)
-        sols.append(_two_path_design(tx, ris, rx, radio, link))
+        _judge_far_field(cfg, tx, ris, route.angles.d_ti, route.angles.d_ir)
+        sols.append(two_path_solution(route))
     sols.append(svd_solution(channels, cfg.tx_power))
     bound = power_upper_bound(channels, cfg.tx_power)
     evaluated = [received_power(channels, s.theta, s.v) for s in sols]

@@ -21,7 +21,12 @@ _TRIANGLE_TOL = 1e-9
 def _specular_pattern(cos_t0, k: float):
     """Pattern term of the specular orientation, F* = clip(cos(theta_0)/2
     + 1/2, 0, 1)^k = clip((d_TI^2 + d_IR^2 - d_TR^2)/(4 d_TI d_IR) + 1/2,
-    0, 1)^k; the clamp matters only for distances no triangle realizes."""
+    0, 1)^k; the clamp matters only for distances no triangle realizes.
+    It stays apart from em.radiation_pattern, which takes an angle: this
+    takes cos(theta_0) of distance triples, with a clamp, and
+    F(theta_0/2)^2 = ((1 + cos(theta_0))/2)^k holds only in exact
+    arithmetic, so a merge would move the bits of the plane map and the
+    robustness map."""
     return np.clip(cos_t0 / 2 + 0.5, 0.0, 1.0) ** k
 
 

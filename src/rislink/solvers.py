@@ -11,11 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em import (ChannelSet, RadioParams, _array_factor, _farfield_link,
-                 _FarFieldLink, _panel_phasors, _scale_parts, direct_channel,
-                 friis_amplitude)
+from .em import (ChannelSet, SceneRoute, _array_factor, _panel_phasors,
+                 _scale_parts, direct_channel, friis_amplitude)
 from .errors import AmbiguousSignWarning, DomainError, ZeroChannel
-from .geometry import RisPanel, TransmitterArray, UlaLayout, _as_vec3, _norm
+from .geometry import UlaLayout, _norm
 
 _FEAS_POWER_SLACK = 1e-9
 # the bound on a grid side: below it the rows and cols columns of the
@@ -65,26 +64,17 @@ def closed_form_predicted_power(a_tir, n: int, l: int, p_t: float):
     return n * l**2 * a_tir**2 * p_t
 
 
-def closed_form_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
-                         radio: RadioParams) -> Solution:
-    """The far-field closed-form design of one scene: the phases, one
-    unit-modulus entry per element, are the conjugate of the channel's
-    two-hop element phasor d_vec (em._panel_phasors of the far-field link,
-    steered toward u_TI + u_IR), and the beamformer is
+def closed_form_solution(route: SceneRoute) -> Solution:
+    """The far-field closed-form design of the scene of `route`: the
+    phases, one unit-modulus entry per element, are the conjugate of the
+    channel's two-hop element phasor d_vec (em._panel_phasors of the
+    route, steered toward u_TI + u_IR), and the beamformer is
     v = sqrt(P_t/N) * conj(b_vec).  em.farfield_power evaluates this design
-    at other poses of the panel.  A panel that does not see both ends
-    raises ShadowedPanel."""
-    return _closed_form_design(tx, ris, radio,
-                               _farfield_link(tx, ris, rx_position, radio))
-
-
-def _closed_form_design(tx: TransmitterArray, ris: RisPanel,
-                        radio: RadioParams, link: _FarFieldLink) -> Solution:
-    """closed_form_solution on `link`, the far-field link of its scene,
-    which the studies take from the scene's exact channel (its `_link`)."""
-    theta = np.conj(_panel_phasors(tx, ris, link))
-    v = np.sqrt(radio.tx_power / tx.count) * np.conj(link.b_vec()[0])
-    predicted = closed_form_predicted_power(float(link.a_tir[0]), tx.count,
+    at other poses of the panel."""
+    tx, ris, radio = route.tx, route.ris, route.radio
+    theta = np.conj(_panel_phasors(route))
+    v = np.sqrt(radio.tx_power / tx.count) * np.conj(route.b_vec()[0])
+    predicted = closed_form_predicted_power(float(route.a_tir[0]), tx.count,
                                             ris.count, radio.tx_power)
     _check_feasible(v, theta, radio.tx_power)
     return Solution(v=v, theta=theta, predicted_power=predicted,
@@ -122,45 +112,35 @@ def two_path_power_closed_form(a_tir, a_tr, o, n: int, l: int, p_t: float):
     return float(power) if np.ndim(power) == 0 else power
 
 
-def two_path_solution(tx: TransmitterArray, ris: RisPanel, rx_position,
-                      radio: RadioParams) -> Solution:
-    """Two-path closed-form design: the RIS-only phases rotated by the
-    constant offset pi/2*(O/|O| - 1) - (2*pi/l)*(d_TI + d_IR - d_TR), which
-    phase-aligns the RIS path with the direct path, with O of two_path_o,
-    and an MRT beamformer against the far-field effective channel row.
-    Where |O| < 1e-12 the sign fold is undefined: the +1 branch is taken
-    with an AmbiguousSignWarning (the cross term vanishes).
+def two_path_solution(route: SceneRoute) -> Solution:
+    """Two-path closed-form design of the scene of `route`: the RIS-only
+    phases rotated by the constant offset
+    pi/2*(O/|O| - 1) - (2*pi/l)*(d_TI + d_IR - d_TR), which phase-aligns
+    the RIS path with the direct path, with O of two_path_o, and an MRT
+    beamformer against the far-field effective channel row.  Where
+    |O| < 1e-12 the sign fold is undefined: the +1 branch is taken with an
+    AmbiguousSignWarning (the cross term vanishes).
 
-    The hop distances and cos(mu_TI) = axis . u_TI come from the far-field
-    link, and d_TR and cos(mu_TR) from the one vector T - R; the predicted
+    The hop distances and cos(mu_TI) = axis . u_TI come from the route,
+    and d_TR and cos(mu_TR) from the one vector T - R; the predicted
     power reads a_TR as friis_amplitude at that d_TR.  The row is
     formed from the rank-one factors in O(N), with no L x N channel:
     a_TIR * exp(j*k*(d_TI + d_IR)) * (theta . d_vec) * b_vec + h_TR with
     the far-field direct row h_TR, where theta . d_vec is L times the
-    offset rotation, as the RIS-only phases steer toward the link's own
+    offset rotation, as the RIS-only phases steer toward the route's own
     steering pair.  A UPA transmitter raises DomainError; no far-field
     condition is checked.
     """
-    return _two_path_design(tx, ris, rx_position, radio)
-
-
-def _two_path_design(tx: TransmitterArray, ris: RisPanel, rx_position,
-                     radio: RadioParams,
-                     link: _FarFieldLink | None = None) -> Solution:
-    """two_path_solution on `link`, the far-field link of its scene, which
-    solve takes from the scene's exact channel (its `_link`); with `link`
-    None the link is built here, after the layout check."""
+    tx, ris, radio = route.tx, route.ris, route.radio
     lay = tx.layout
     if not isinstance(lay, UlaLayout):
         raise DomainError("two-path closed form is derived for ULA layouts")
-    if link is None:
-        link = _farfield_link(tx, ris, rx_position, radio)
-    h_tr = direct_channel(tx, rx_position, radio, farfield=True)
-    to_t = tx.center - _as_vec3(rx_position)
-    d_ti, d_ir = float(link.angles.d_ti[0]), float(link.angles.d_ir[0])
+    h_tr = direct_channel(tx, route.rx, radio, farfield=True)
+    to_t = tx.center - route.rx
+    d_ti, d_ir = float(route.angles.d_ti[0]), float(route.angles.d_ir[0])
     d_tr = float(_norm(to_t))
     o = two_path_o(lay.count, lay.spacing,
-                   float(lay.axis @ link.angles.u_ti[0]),
+                   float(lay.axis @ route.angles.u_ti[0]),
                    float(lay.axis @ to_t) / d_tr, radio.wavelength)
     if abs(o) < 1e-12:
         warnings.warn("O = 0: sign fold undefined, using +1 branch "
@@ -169,13 +149,13 @@ def _two_path_design(tx: TransmitterArray, ris: RisPanel, rx_position,
     else:
         sign = np.sign(o)
     offset = (np.pi / 2 * (sign - 1.0)
-              - link.wavenum * (d_ti + d_ir - d_tr))
+              - route.wavenum * (d_ti + d_ir - d_tr))
     rotation = np.exp(1j * float(offset))
-    theta = np.conj(_panel_phasors(tx, ris, link)) * rotation
-    a_tir = float(link.a_tir[0])
-    ris_amp = (a_tir * np.exp(1j * link.wavenum * (d_ti + d_ir))
+    theta = np.conj(_panel_phasors(route)) * rotation
+    a_tir = float(route.a_tir[0])
+    ris_amp = (a_tir * np.exp(1j * route.wavenum * (d_ti + d_ir))
                * (rotation * ris.count))
-    row = ris_amp * link.b_vec()[0] + h_tr
+    row = ris_amp * route.b_vec()[0] + h_tr
     v = mrt_beamforming(row, radio.tx_power)
     a_tr = friis_amplitude(tx.element_gain, radio.rx_gain, radio.wavelength,
                            d_tr)

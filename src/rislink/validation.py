@@ -16,9 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SceneConfig
-from .em import (ChannelSet, _axis_factors, _design_steering, _farfield_link,
-                 _theta_dot_d, _tx_axes, exact_channel, farfield_channel,
-                 farfield_power, received_power)
+from .em import (ChannelSet, _axis_factors, _design_steering, _theta_dot_d,
+                 _tx_axes, exact_channel, farfield_channel, farfield_power,
+                 received_power, scene_route)
 from .errors import EmptyFeasible, RegionDWarning, TooLarge
 from .experiments import (_EX, _EY, _EZ, _panel_at, _radio, _reject, _unit,
                           equilateral_scene)
@@ -158,16 +158,17 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
     tx, ris, rx = equilateral_scene(tiny, 50.0)
     checks: list[tuple[str, bool, str]] = []
 
-    channels = farfield_channel(tx, ris, rx, radio)
-    sol = closed_form_solution(tx, ris, rx, radio)
+    route = scene_route(tx, ris, rx, radio)
+    channels = farfield_channel(route)
+    sol = closed_form_solution(route)
     closed = received_power(channels, sol.theta, sol.v)
     best, _ = exhaustive_phase_search(channels, tiny.tx_power, levels=64)
     rel = abs(closed - best) / best
     checks.append(("closed-form vs phase-grid oracle", rel < 5e-3,
                    f"relative gap {rel:.2e}"))
 
-    channels2 = farfield_channel(tx, ris, rx, radio, direct=True)
-    sol2 = two_path_solution(tx, ris, rx, radio)
+    channels2 = farfield_channel(route, direct=True)
+    sol2 = two_path_solution(route)
     closed2 = received_power(channels2, sol2.theta, sol2.v)
     best2, _ = exhaustive_phase_search(channels2, tiny.tx_power, levels=64)
     rel2 = abs(closed2 - best2) / best2
@@ -200,26 +201,26 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
         2, 3, tiny.spacing, 1.4 * tiny.spacing, tx_ax,
         _unit(_reject(_EY + _EZ, tx_ax))), tiny.tx_gain)
     far_rx = np.array([50.0, 0.0, 0.0])
-    design = closed_form_solution(upa, panel, far_rx, radio)
-    steering, tx_steering = _design_steering(
-        upa, panel, _farfield_link(upa, panel, far_rx, radio))
+    own = scene_route(upa, panel, far_rx, radio)
+    design = closed_form_solution(own)
+    steering, tx_steering = _design_steering(own)
     shifts = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0], [0.0, 30.0, 0.0],
                        [-12.0, 8.0, 6.0], [-20.0, -10.0, 0.0]])
     poses = PanelPoses(panel.center + shifts, *(
         np.tile(a, (len(shifts), 1))
         for a in (panel.normal, panel.axis_x, panel.axis_y)))
-    factored = farfield_power(upa, panel, far_rx, radio, poses)
-    moved = _farfield_link(upa, panel, far_rx, radio, poses)
+    factored = farfield_power(own, poses)
+    moved = scene_route(upa, panel, far_rx, radio, poses)
     weakest = [float(np.min(np.abs(f))) / n for f, n in (
-        (_theta_dot_d(panel, moved, steering), panel.count),
+        (_theta_dot_d(moved, steering), panel.count),
         (_axis_factors(_tx_axes(upa), moved.angles.u_ti, tx_steering,
                        moved.wavenum), upa.count))]
     scales = moved.a_tir**2 * panel.count * upa.count * tiny.tx_power
     gaps, agree = [], min(map(abs, (*steering, *tx_steering))) > 0.05
     for center, power, scale in zip(poses.center, factored, scales):
-        dense = received_power(
-            farfield_channel(upa, panel._replace(center=center), far_rx,
-                             radio), design.theta, design.v)
+        dense = received_power(farfield_channel(scene_route(
+            upa, panel._replace(center=center), far_rx, radio)),
+            design.theta, design.v)
         err = abs(power - dense)
         agree &= (err <= 1e-12 * max(dense, scale)
                   and (dense < 1e-6 * scale or err <= 1e-12 * dense))
@@ -231,7 +232,7 @@ def validate_suite(cfg: SceneConfig) -> list[tuple[str, bool, str]]:
                    f"relative gap up to {max(gaps):.1e}"))
 
     # the exact channel of the symmetric scene takes the half-Gram path
-    exact = exact_channel(tx, ris, rx, radio)
+    exact = exact_channel(route)
     u1, sigma = exact.leading_pair
     u_ref, s_ref, _ = np.linalg.svd(exact.cascade())
     sigma_err = abs(sigma - s_ref[0]) / s_ref[0]

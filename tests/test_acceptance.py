@@ -10,7 +10,7 @@ import pytest
 
 from rislink.config import load_config, watts_to_dbm
 from rislink.em import (RadioParams, exact_channel, farfield_channel,
-                        received_power)
+                        received_power, scene_route)
 from rislink.errors import FarFieldWarning
 from rislink.experiments import robustness, sweep_wavelength
 from rislink.geometry import PanelPoses, far_field_check, link_angles
@@ -37,14 +37,14 @@ def test_01_closed_form_matches_exhaustive_oracle():
     tx, ris, rx = equilateral(200.0, rows=2, cols=2, count=2)
     t0 = time.time()
 
-    channels = farfield_channel(tx, ris, rx, RADIO)
-    sol = closed_form_solution(tx, ris, rx, RADIO)
+    channels = farfield_channel(scene_route(tx, ris, rx, RADIO))
+    sol = closed_form_solution(scene_route(tx, ris, rx, RADIO))
     power = received_power(channels, sol.theta, sol.v)
     best, _ = exhaustive_phase_search(channels, RADIO.tx_power, levels=256)
     gap1 = abs(best - power) / best
 
-    channels2 = farfield_channel(tx, ris, rx, RADIO, direct=True)
-    sol2 = two_path_solution(tx, ris, rx, RADIO)
+    channels2 = farfield_channel(scene_route(tx, ris, rx, RADIO), direct=True)
+    sol2 = two_path_solution(scene_route(tx, ris, rx, RADIO))
     power2 = received_power(channels2, sol2.theta, sol2.v)
     best2, _ = exhaustive_phase_search(channels2, RADIO.tx_power,
                                        levels=256)
@@ -73,8 +73,8 @@ def test_02_upper_bound_attainment_over_distance():
         ang = link_angles(tx, rx, PanelPoses.of(ris))
         if not np.all(far_field_check(tx, ris, ang.d_ti, ang.d_ir) >= 1.0):
             continue
-        channels = exact_channel(tx, ris, rx, radio)
-        sol = closed_form_solution(tx, ris, rx, radio)
+        channels = exact_channel(scene_route(tx, ris, rx, radio))
+        sol = closed_form_solution(scene_route(tx, ris, rx, radio))
         p_closed = received_power(channels, sol.theta, sol.v)
         p_svd = svd_solution(channels, cfg.tx_power).predicted_power
         bound = power_upper_bound(channels, cfg.tx_power)

@@ -10,7 +10,7 @@ from rislink import em
 from rislink.em import (ChannelSet, RadioParams,
                         amplitude_gain_tir, direct_channel, exact_channel,
                         farfield_channel, farfield_power, radiation_pattern,
-                        received_power)
+                        received_power, scene_route)
 from rislink.errors import (DegenerateGeometry, DimensionMismatch,
                             DomainError, ShadowedPanel)
 from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
@@ -78,7 +78,7 @@ def test_amplitude_gain_frozen_value():
     assert delta.shape == (1,)
     assert delta[0] == pytest.approx(0.0014847151229886238, rel=1e-14)
     # the far-field link's a_TIR = delta / (d_TI * d_IR)
-    a_tir = em._farfield_link(tx, ris, rx, radio).a_tir[0]
+    a_tir = scene_route(tx, ris, rx, radio).a_tir[0]
     assert a_tir == pytest.approx(3.7117878074715594e-8, rel=1e-14)
 
 
@@ -92,16 +92,17 @@ def test_shadowed_panel_raises():
 
 def test_farfield_channel_rank_one_and_factors():
     tx, ris, rx = equilateral(200.0)
-    channels = farfield_channel(tx, ris, rx, RADIO)
+    channels = farfield_channel(scene_route(tx, ris, rx, RADIO))
     assert channels.h_ti.shape == (4, 2)
     # rank-one: every 2x2 minor vanishes
     s = np.linalg.svd(channels.h_ti, compute_uv=False)
     assert s[1] <= s[0] * 1e-12
-    a_tir = em._farfield_link(tx, ris, rx, RADIO).a_tir[0]
+    a_tir = scene_route(tx, ris, rx, RADIO).a_tir[0]
     np.testing.assert_allclose(np.abs(channels.h_ti), a_tir, rtol=1e-12)
     # each cascade column is d_vec, the conjugate of the closed-form
     # phases, times one constant
-    d_vec = np.conj(closed_form_solution(tx, ris, rx, RADIO).theta)
+    d_vec = np.conj(
+        closed_form_solution(scene_route(tx, ris, rx, RADIO)).theta)
     column = channels.cascade()[:, 0]
     np.testing.assert_allclose(column, d_vec * (column[0] / d_vec[0]),
                                rtol=1e-12)
@@ -109,8 +110,8 @@ def test_farfield_channel_rank_one_and_factors():
 
 def test_exact_channel_matches_farfield_at_long_range():
     tx, ris, rx = equilateral(500.0)
-    ff = farfield_channel(tx, ris, rx, RADIO)
-    ex = exact_channel(tx, ris, rx, RADIO)
+    ff = farfield_channel(scene_route(tx, ris, rx, RADIO))
+    ex = exact_channel(scene_route(tx, ris, rx, RADIO))
     # same order of amplitude and phase agreement to a fraction of a radian
     np.testing.assert_allclose(np.abs(ex.h_ti), np.abs(ff.h_ti), rtol=1e-4)
     dphase = np.angle(ex.h_ti * np.conj(ff.h_ti))
@@ -121,8 +122,8 @@ def test_phase_discrepancy_shrinks_with_scale():
     errs = []
     for scale in (1e2, 1e3, 1e4):
         tx, ris, rx = equilateral(float(scale))
-        ff = farfield_channel(tx, ris, rx, RADIO)
-        ex = exact_channel(tx, ris, rx, RADIO)
+        ff = farfield_channel(scene_route(tx, ris, rx, RADIO))
+        ex = exact_channel(scene_route(tx, ris, rx, RADIO))
         full_ff = ff.cascade()
         full_ex = ex.cascade()
         errs.append(np.max(np.abs(np.angle(full_ex * np.conj(full_ff)))))
@@ -132,8 +133,8 @@ def test_phase_discrepancy_shrinks_with_scale():
 def test_amplitude_inverse_square_scaling():
     tx1, ris1, rx1 = equilateral(100.0)
     tx2, ris2, rx2 = equilateral(1000.0)
-    a1 = np.abs(exact_channel(tx1, ris1, rx1, RADIO).h_ti)
-    a2 = np.abs(exact_channel(tx2, ris2, rx2, RADIO).h_ti)
+    a1 = np.abs(exact_channel(scene_route(tx1, ris1, rx1, RADIO)).h_ti)
+    a2 = np.abs(exact_channel(scene_route(tx2, ris2, rx2, RADIO)).h_ti)
     np.testing.assert_allclose(a2 * 100.0, a1, rtol=1e-3)
 
 
@@ -163,8 +164,9 @@ def test_farfield_functions_check_no_far_field_condition():
     assert np.all(far_field_check(tx, ris, ang.d_ti, ang.d_ir)[:, 1:] < 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        channels = farfield_channel(tx, ris, rx, RADIO, direct=True)
-        power = farfield_power(tx, ris, rx, RADIO, poses)
+        channels = farfield_channel(scene_route(tx, ris, rx, RADIO),
+                                    direct=True)
+        power = farfield_power(scene_route(tx, ris, rx, RADIO), poses)
     assert np.all(np.isfinite(channels.h_ti))
     assert np.all(np.isfinite(power)) and power[0] > 0.0
 
@@ -173,7 +175,7 @@ def test_received_power_matches_manual_product():
     """|theta @ C @ v + h_TR @ v|^2, with the cascade C written out by
     dense_exact_channel and summed over every path."""
     tx, ris, rx = equilateral(300.0)
-    ch = exact_channel(tx, ris, rx, RADIO, direct=True)
+    ch = exact_channel(scene_route(tx, ris, rx, RADIO), direct=True)
     rng = np.random.default_rng(3)
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, ris.count))
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -187,7 +189,7 @@ def test_received_power_matches_manual_product():
 
 def test_received_power_scales_quadratically_in_v():
     tx, ris, rx = equilateral(300.0)
-    ch = exact_channel(tx, ris, rx, RADIO)
+    ch = exact_channel(scene_route(tx, ris, rx, RADIO))
     theta = np.ones(ris.count, dtype=complex)
     v = np.array([1.0 + 0.5j, -0.25j])
     p1 = received_power(ch, theta, v)
@@ -197,7 +199,7 @@ def test_received_power_scales_quadratically_in_v():
 
 def test_shape_mismatches_raise():
     tx, ris, rx = equilateral(300.0)
-    ch = exact_channel(tx, ris, rx, RADIO)
+    ch = exact_channel(scene_route(tx, ris, rx, RADIO))
     with pytest.raises(DimensionMismatch):
         received_power(ch, np.ones(3, dtype=complex), np.ones(2))
     with pytest.raises(DimensionMismatch):
@@ -274,8 +276,8 @@ def moved_panel(ris, poses, i):
 def design_power(tx, ris, rx, radio, sol):
     """received_power of the design `sol` on the dense far-field channel
     of the scene."""
-    return received_power(farfield_channel(tx, ris, rx, radio), sol.theta,
-                          sol.v)
+    return received_power(farfield_channel(scene_route(tx, ris, rx, radio)),
+                          sol.theta, sol.v)
 
 
 scene_args = dict(rows=st.integers(1, 7), cols=st.integers(1, 7),
@@ -292,8 +294,8 @@ def test_farfield_power_matches_dense_channel(rows, cols, upa, seed):
     N * L^2 * a_TIR^2 * P_t, and received_power of its theta and v on the
     dense far-field channel, each to 1e-12 relative error."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
-    sol = closed_form_solution(tx, ris, rx, radio)
-    power = farfield_power(tx, ris, rx, radio, PanelPoses.of(ris))
+    sol = closed_form_solution(scene_route(tx, ris, rx, radio))
+    power = farfield_power(scene_route(tx, ris, rx, radio), PanelPoses.of(ris))
     assert power.shape == (1,)
     assert power[0] == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
     assert power[0] == pytest.approx(design_power(tx, ris, rx, radio, sol),
@@ -312,8 +314,8 @@ def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
     of the element phasors toward T and R, and the link's b_vec covers ULA
     and UPA layouts."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
-    channels = farfield_channel(tx, ris, rx, radio)
-    link = em._farfield_link(tx, ris, rx, radio)
+    channels = farfield_channel(scene_route(tx, ris, rx, radio))
+    link = scene_route(tx, ris, rx, radio)
     wavenum = 2 * np.pi / radio.wavelength
     elems = element_positions(ris).T
     d_ref = np.exp(1j * wavenum * (offsets_toward(elems, ris.center,
@@ -432,7 +434,7 @@ def test_exact_channel_matches_norm_formula(rows, cols, upa, seed,
     with pytest.MonkeyPatch.context() as mp:
         if block_rows:
             mp.setattr(em, "_CHANNEL_BLOCK", block_rows * ris.count)
-        channels = exact_channel(tx, ris, rx, radio)
+        channels = exact_channel(scene_route(tx, ris, rx, radio))
     assert channels.mirrored == mirrored
     assert np.array_equal(channels.h_ti, dense_exact_channel(
         antenna_positions(tx), element_positions(ris).T, rx,
@@ -457,7 +459,7 @@ def test_exact_channel_near_mirror_takes_full_build(nudged, monkeypatch):
     monkeypatch.setattr(em, "element_positions", lambda _: planes)
     monkeypatch.setattr(em, "antenna_positions", lambda _: ants)
     assert not em._mirrored(ants, planes, ris.rows, rx)
-    channels = exact_channel(tx, ris, rx, radio)
+    channels = exact_channel(scene_route(tx, ris, rx, radio))
     assert not channels.mirrored
     assert np.array_equal(channels.h_ti, dense_exact_channel(
         ants, planes.T, rx, lone_delta(tx, ris, rx, radio),
@@ -476,10 +478,10 @@ def test_panel_phasors_bits_match_exp(rows, cols, seed):
     odd and even counts, with the offsets formed here from their formula
     and not from _axis_offsets."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, False, seed)
-    link = em._farfield_link(tx, ris, rx, radio)
+    link = scene_route(tx, ris, rx, radio)
     u = link.angles.u_ti[0] + link.angles.u_ir[0]
     wavenum = 2 * np.pi / radio.wavelength
-    got = em._panel_phasors(tx, ris, link)
+    got = em._panel_phasors(link)
     e_y, e_x = (np.exp(-1j * (wavenum * np.vecdot(axis, u)
                               * ((np.arange(1, count + 1) - (count + 1) / 2)
                                  * pitch)))
@@ -495,10 +497,11 @@ def test_exact_channel_working_memory_is_block_sized():
     at a time: the traced peak of the call, the returned channel included,
     stays under twice the channel's own size."""
     tx, ris, rx = equilateral(50.0, rows=100, cols=100, count=16)
-    exact_channel(tx, ris, rx, RADIO)   # first call: imports and caches
+    # first call: imports and caches
+    exact_channel(scene_route(tx, ris, rx, RADIO))
     tracemalloc.start()
     try:
-        channels = exact_channel(tx, ris, rx, RADIO)
+        channels = exact_channel(scene_route(tx, ris, rx, RADIO))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -518,14 +521,14 @@ def test_exact_channel_raises_on_coincident_antenna_and_element(monkeypatch):
     link_angles(tx, rx, PanelPoses.of(ris))
     monkeypatch.setattr(em, "_CHANNEL_BLOCK", 2 * ris.count)
     with pytest.raises(DegenerateGeometry):
-        exact_channel(tx, ris, rx, RADIO)
+        exact_channel(scene_route(tx, ris, rx, RADIO))
 
 
 def test_channel_set_cascade_is_a_view_and_leading_pair_read_only():
     """cascade() is h_ti itself as a read-only view, no copy; the leading
     pair is computed once and kept read-only."""
     tx, ris, rx = equilateral(50.0, rows=3, cols=2, count=3)
-    channels = exact_channel(tx, ris, rx, RADIO)
+    channels = exact_channel(scene_route(tx, ris, rx, RADIO))
     cascade = channels.cascade()
     assert np.shares_memory(cascade, channels.h_ti)
     np.testing.assert_array_equal(cascade, channels.h_ti)
@@ -547,16 +550,17 @@ def test_farfield_power_checks_shapes_and_shadowing():
     tx, ris, rx = equilateral(300.0, rows=2, cols=3)
     behind = np.array([0.0, 0.0, 2000.0])  # on the panel's back side
     with pytest.raises(ShadowedPanel):
-        farfield_power(tx, ris, behind, RADIO, PanelPoses.of(ris))
+        farfield_power(scene_route(tx, ris, behind, RADIO), PanelPoses.of(ris))
     own = PanelPoses.of(ris)
     flipped = PanelPoses(np.tile(ris.center, (2, 1)),
                          np.stack([ris.normal, -ris.normal]),
                          np.tile(ris.axis_x, (2, 1)),
                          np.stack([ris.axis_y, -ris.axis_y]))
-    power = farfield_power(tx, ris, rx, RADIO, flipped)
+    power = farfield_power(scene_route(tx, ris, rx, RADIO), flipped)
     assert power.shape == (2,)
     assert power[1] == 0.0
-    assert np.array_equal(power[:1], farfield_power(tx, ris, rx, RADIO, own))
+    assert np.array_equal(
+        power[:1], farfield_power(scene_route(tx, ris, rx, RADIO), own))
     assert power[0] > 0.0
 
 
@@ -569,13 +573,15 @@ def test_farfield_power_checks_transmitter_steering():
     upa = tx._replace(layout=UpaLayout(rows=2, cols=3, spacing_x=0.0143,
                                        spacing_y=0.02, axis_x=EX, axis_y=EY))
     for array, components in ((tx, 1), (upa, 2)):
-        link = em._farfield_link(array, ris, rx, RADIO)
-        _, tx_steering = em._design_steering(array, ris, link)
+        link = scene_route(array, ris, rx, RADIO)
+        _, tx_steering = em._design_steering(link)
         assert len(tx_steering) == components
-        power = farfield_power(array, ris, rx, RADIO, PanelPoses.of(ris))
+        power = farfield_power(scene_route(array, ris, rx, RADIO),
+                               PanelPoses.of(ris))
         assert power.shape == (1,) and power[0] > 0.0
         assert power[0] == pytest.approx(
-            closed_form_solution(array, ris, rx, RADIO).predicted_power,
+            closed_form_solution(
+                scene_route(array, ris, rx, RADIO)).predicted_power,
             rel=1e-12, abs=0)
 
 
@@ -627,9 +633,9 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
     1e-12 relative error.
     """
     tx, ris, rx, radio, rng = random_scene(rows, cols, upa, seed)
-    sol = closed_form_solution(tx, ris, rx, radio)
+    sol = closed_form_solution(scene_route(tx, ris, rx, radio))
     poses = random_poses(rng, ris, 6)
-    power = farfield_power(tx, ris, rx, radio, poses)
+    power = farfield_power(scene_route(tx, ris, rx, radio), poses)
     assert power.shape == (len(poses.center),)
     assert power[-1] == 0.0
     for i, p in enumerate(power.tolist()):
@@ -639,7 +645,7 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
         except ShadowedPanel:
             assert p == 0.0
             continue
-        a_tir = em._farfield_link(tx, panel, rx, radio).a_tir[0]
+        a_tir = scene_route(tx, panel, rx, radio).a_tir[0]
         scale = a_tir**2 * ris.count * tx.count * np.vdot(sol.v, sol.v).real
         assert abs(p - dense) <= 1e-12 * max(dense, scale)
         if dense >= 1e-6 * scale:
@@ -653,8 +659,8 @@ def test_farfield_power_pose_blocks_equal_row_groups():
     tx, ris, rx, radio, rng = random_scene(12, 10, False, 5)
     poses = random_poses(rng, ris, 116)
     count = len(poses.center)
-    whole = farfield_power(tx, ris, rx, radio, poses)
-    groups = [farfield_power(tx, ris, rx, radio,
+    whole = farfield_power(scene_route(tx, ris, rx, radio), poses)
+    groups = [farfield_power(scene_route(tx, ris, rx, radio),
                              PanelPoses(poses.center[s:s + 41],
                                         poses.normal[s:s + 41],
                                         poses.axis_x[s:s + 41],
@@ -681,7 +687,7 @@ def test_farfield_power_pose_bits_do_not_depend_on_batch(rows, cols, upa,
     def power(start, stop):
         part = PanelPoses(poses.center[start:stop], poses.normal[start:stop],
                           poses.axis_x[start:stop], poses.axis_y[start:stop])
-        return farfield_power(tx, ris, rx, radio, part)
+        return farfield_power(scene_route(tx, ris, rx, radio), part)
 
     alone = np.concatenate([power(i, i + 1) for i in range(n)])
     assert np.array_equal(power(0, n), alone)
@@ -706,8 +712,8 @@ def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
     g_y, g_x = random_steering(rng, ris)
     poses = random_poses(rng, ris, count - 1)
     assert len(poses.center) == count
-    link = em._farfield_link(tx, ris, rx, radio, poses)
-    sums = em._theta_dot_d(ris, link, (g_y, g_x))
+    link = scene_route(tx, ris, rx, radio, poses)
+    sums = em._theta_dot_d(link, (g_y, g_x))
     assert sums.shape == (count,)
     wavenum = 2 * np.pi / radio.wavelength
     theta = np.exp(1j * wavenum * ((element_positions(ris).T - ris.center)
@@ -715,9 +721,8 @@ def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
     for i in range(count):
         one = PanelPoses(poses.center[i:i + 1], poses.normal[i:i + 1],
                          poses.axis_x[i:i + 1], poses.axis_y[i:i + 1])
-        alone = em._theta_dot_d(
-            ris, em._farfield_link(tx, ris, rx, radio, one),
-            (g_y, g_x))
+        alone = em._theta_dot_d(scene_route(tx, ris, rx, radio, one),
+                                (g_y, g_x))
         assert np.array_equal(alone, sums[i:i + 1])
         panel = moved_panel(ris, poses, i)
         elems = element_positions(panel).T

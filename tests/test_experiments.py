@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from rislink import em, experiments
 from rislink.cli import main
 from rislink.config import default_config_text, load_config, watts_to_dbm
-from rislink.em import RadioParams, farfield_channel, received_power
+from rislink.em import (RadioParams, farfield_channel, received_power,
+                        scene_route)
 from rislink.errors import (DegenerateTriangle, DomainError,
                             FarFieldViolation, FarFieldWarning, ShadowedPanel)
 from rislink.experiments import (_BLOCK_ROWS, _enforce_far_field, _panel_at,
@@ -135,7 +136,7 @@ def test_analytic_point_power_matches_solver_prediction():
     radio = RadioParams(wavelength=cfg.wavelength, tx_power=cfg.tx_power,
                         rx_gain=cfg.rx_gain)
     tx, ris, rx = equilateral_scene(cfg, 150.0)
-    sol = closed_form_solution(tx, ris, rx, radio)
+    sol = closed_form_solution(scene_route(tx, ris, rx, radio))
     p = analytic_point_power(cfg, 150.0, 150.0, 150.0, cos_mu_ti=0.0,
                              cos_mu_tr=0.0)
     assert p["ris"] == pytest.approx(sol.predicted_power, rel=1e-12)
@@ -328,10 +329,10 @@ def test_distance_scenes_take_mirror_build(paper_scale, monkeypatch):
 
 def test_one_scene_route_per_scene(monkeypatch):
     """Each scene of sweep-distance and solve runs its route (link_angles,
-    then amplitude_gain_tir) once, in exact_channel: the closed-form and
+    then amplitude_gain_tir) once, in scene_route: the closed-form and
     two-path designs and the far-field verdict of the direct link read the
-    route the channel keeps.  link_angles is counted at every module that
-    binds it."""
+    route the channel is built from.  link_angles is counted at every
+    module that binds it."""
     import sys
     from rislink import geometry
     route, calls = geometry.link_angles, []
@@ -447,9 +448,9 @@ def test_robustness_matches_dense_channel_evaluation():
                         rx_gain=cfg.rx_gain)
     tx, rx = plane_endpoints(cfg)
     assumed = np.zeros(3)
-    est = closed_form_solution(
+    est = closed_form_solution(scene_route(
         tx, _panel_at(cfg, assumed, specular_frame(assumed, tx.center, rx)),
-        rx, radio)
+        rx, radio))
     assert res.header == ("x_m", "y_m", "deviation", "estimated_dbm",
                           "ideal_dbm")
     assert len(res) == 25
@@ -458,7 +459,7 @@ def test_robustness_matches_dense_channel_evaluation():
         pos = np.array([x, y, 0.0])
         ris = _panel_at(cfg, pos, specular_frame(pos, tx.center, rx))
         try:
-            channels = farfield_channel(tx, ris, rx, radio)
+            channels = farfield_channel(scene_route(tx, ris, rx, radio))
             dense = received_power(channels, est.theta, est.v)
         except ShadowedPanel:
             dense = 0.0
@@ -486,10 +487,10 @@ def test_robustness_evaluates_grid_in_one_call(monkeypatch):
         calls["panel"] += 1
         return panel(*args, **kwargs)
 
-    def counted_power(tx, ris, rx, radio, poses):
+    def counted_power(route, poses):
         calls["power"] += 1
         assert len(poses.center) == 49
-        return power(tx, ris, rx, radio, poses)
+        return power(route, poses)
 
     monkeypatch.setattr(experiments, "RisPanel", counted_panel)
     monkeypatch.setattr(experiments, "farfield_power", counted_power)
@@ -512,9 +513,9 @@ def test_robustness_theta_dot_d_is_the_panel_size(monkeypatch, paper_scale):
     seen = []
     theta_dot_d = em._theta_dot_d
 
-    def recorded(ris, link, steering):
-        sums = theta_dot_d(ris, link, steering)
-        seen.append((ris.count, sums))
+    def recorded(link, steering):
+        sums = theta_dot_d(link, steering)
+        seen.append((link.ris.count, sums))
         return sums
 
     monkeypatch.setattr(em, "_theta_dot_d", recorded)
@@ -595,14 +596,14 @@ def test_enforce_far_field_guards_farfield_power():
     ratios = far_field_check(tx, ris, ang.d_ti, ang.d_ir)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        unchecked = em.farfield_power(tx, ris, rx, radio, poses)
+        unchecked = em.farfield_power(scene_route(tx, ris, rx, radio), poses)
     assert unchecked[0] > 0.0
     with pytest.raises(FarFieldViolation, match="far-field conditions fail"):
         enforce(ratios, "strict")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         enforce(ratios, "warn")
-        warned = em.farfield_power(tx, ris, rx, radio, poses)
+        warned = em.farfield_power(scene_route(tx, ris, rx, radio), poses)
     assert [w.category for w in caught] == [FarFieldWarning]
     assert np.array_equal(warned, unchecked)
     with pytest.raises(DomainError, match="unknown far-field mode 'loud'"):

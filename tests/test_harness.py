@@ -910,12 +910,40 @@ def test_readme_quick_start_runs():
     assert len(lines) == 1 and re.fullmatch(r"-?\d+\.\d\d dBm", lines[0])
 
 
-def test_benchmark_trace_spans_resolve():
-    """Every layer function the benchmark traces still exists under the name
-    it traces, so `perfbench/run.py --trace 1` can install its spans."""
+def _benchmark_tracing():
+    """The benchmark's tracing module, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_trace_spans_resolve():
+    """Every layer function the benchmark traces still exists under the name
+    it traces, so `perfbench/run.py --trace 1` can install its spans."""
+    tracing = _benchmark_tracing()
     for name in tracing.SPANS:
         assert callable(tracing._resolve(name)[2]), name
+
+
+def test_benchmark_design_spans_count_the_studies_designs():
+    """The studies call the public closed-form and two-path designs, so
+    the benchmark's design spans count them: a 5-point distance sweep and
+    solve with the direct link make six closed-form designs and one
+    two-path design."""
+    from rislink import experiments
+    tracer = _benchmark_tracing().Tracer()
+    cfg = load_config()
+    cfg = cfg._replace(sweeps=cfg.sweeps._replace(distance_points=5))
+    tracer.install()
+    try:
+        tracer.begin_pass()
+        experiments.sweep_distance(cfg)
+        experiments.solve(cfg._replace(direct_link=True))
+        tracer.end_pass()
+    finally:
+        tracer.uninstall()
+    [layer] = tracer.per_pass()
+    assert layer["solvers.closed_form_solution.calls"] == 6
+    assert layer["solvers.two_path_solution.calls"] == 1

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rislink.em import (ChannelSet, RadioParams, _farfield_link,
-                        _leading_singular_pair, _scale_parts, exact_channel,
-                        farfield_channel, farfield_power, friis_amplitude,
-                        received_power)
+from rislink.em import (ChannelSet, RadioParams, _leading_singular_pair,
+                        _scale_parts, exact_channel, farfield_channel,
+                        farfield_power, friis_amplitude, received_power,
+                        scene_route)
 from rislink.errors import (AmbiguousSignWarning, DomainError,
                             ShadowedPanel, ZeroChannel)
 from rislink.geometry import (PanelPoses, UlaLayout, UpaLayout,
@@ -71,7 +71,7 @@ def test_closed_form_phases_conjugate_channel_phasor(rows, cols, upa, seed):
     two formulas round differently, by an error that grows with the phase,
     so the unit-modulus entries are held to 1e-12."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
-    theta = closed_form_solution(tx, ris, rx, radio).theta
+    theta = closed_form_solution(scene_route(tx, ris, rx, radio)).theta
     wavenum = 2 * np.pi / radio.wavelength
     elems = element_positions(ris).T
     d_vec = np.exp(1j * wavenum
@@ -86,11 +86,11 @@ def test_closed_form_phases_conjugate_channel_phasor(rows, cols, upa, seed):
 
 def test_closed_form_achieves_predicted_power_on_farfield_channel():
     tx, ris, rx = equilateral(200.0, rows=3, cols=3, count=4)
-    channels = farfield_channel(tx, ris, rx, RADIO)
-    sol = closed_form_solution(tx, ris, rx, RADIO)
+    channels = farfield_channel(scene_route(tx, ris, rx, RADIO))
+    sol = closed_form_solution(scene_route(tx, ris, rx, RADIO))
     achieved = received_power(channels, sol.theta, sol.v)
     assert achieved == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
-    a_tir = _farfield_link(tx, ris, rx, RADIO).a_tir[0]
+    a_tir = scene_route(tx, ris, rx, RADIO).a_tir[0]
     assert sol.predicted_power == pytest.approx(
         closed_form_predicted_power(a_tir, 4, 9, P_T), rel=1e-12, abs=0)
     assert sol.method is Method.CLOSED_FORM
@@ -109,8 +109,8 @@ def test_closed_form_frozen_regression_value():
                    normal=np.array([0.0, 0.0, -1.0]), axis_x=EX, axis_y=-EY,
                    element_gain=10**0.903)
     radio = RadioParams(wavelength=0.0286, tx_power=0.001, rx_gain=10**2.1)
-    sol = closed_form_solution(tx, ris, rx_position=np.array([d / 2, 0, 0]),
-                               radio=radio)
+    sol = closed_form_solution(scene_route(
+        tx, ris, rx_position=np.array([d / 2, 0, 0]), radio=radio))
     assert sol.predicted_power == pytest.approx(3.5270063942897986e-12,
                                                 rel=1e-12, abs=0)
 
@@ -125,8 +125,8 @@ scenes = st.builds(lambda **kw: random_scene(**kw)[:4], **scene_args)
 @example(scene=(*equilateral(150.0, rows=2, cols=3, count=3), RADIO))
 def test_closed_form_dominates_random_designs(scene):
     tx, ris, rx, radio = scene
-    channels = farfield_channel(tx, ris, rx, radio)
-    sol = closed_form_solution(tx, ris, rx, radio)
+    channels = farfield_channel(scene_route(tx, ris, rx, radio))
+    sol = closed_form_solution(scene_route(tx, ris, rx, radio))
     best = received_power(channels, sol.theta, sol.v)
     for theta, v in random_feasible_solutions((ris.count, tx.count),
                                               radio.tx_power, 500, seed=5):
@@ -144,16 +144,16 @@ def test_closed_form_predicts_its_farfield_power(scene):
     the closed-form design of the moved panel, to 1e-12, and a pose that
     does not see both ends gets 0 W."""
     tx, ris, rx, radio = scene
-    sol = closed_form_solution(tx, ris, rx, radio)
-    own = farfield_power(tx, ris, rx, radio, PanelPoses.of(ris))
+    sol = closed_form_solution(scene_route(tx, ris, rx, radio))
+    own = farfield_power(scene_route(tx, ris, rx, radio), PanelPoses.of(ris))
     assert own[0] == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
     poses = random_poses(np.random.default_rng(11), ris, 20)
-    power = farfield_power(tx, ris, rx, radio, poses)
+    power = farfield_power(scene_route(tx, ris, rx, radio), poses)
     assert power[-1] == 0.0
     for i, p in enumerate(power.tolist()):
         try:
-            best = closed_form_solution(tx, moved_panel(ris, poses, i), rx,
-                                        radio).predicted_power
+            best = closed_form_solution(scene_route(
+                tx, moved_panel(ris, poses, i), rx, radio)).predicted_power
         except ShadowedPanel:
             assert p == 0.0
             continue
@@ -164,9 +164,10 @@ def test_closed_form_solution_raises_on_shadowed_panel():
     tx, ris, rx = equilateral(100.0)
     behind = np.array([0.0, 0.0, 2000.0])  # on the panel's back side
     with pytest.raises(ShadowedPanel):
-        closed_form_solution(tx, ris, behind, RADIO)
+        closed_form_solution(scene_route(tx, ris, behind, RADIO))
     with pytest.raises(ShadowedPanel):
-        closed_form_solution(tx._replace(center=behind), ris, rx, RADIO)
+        closed_form_solution(scene_route(tx._replace(center=behind), ris,
+                                         rx, RADIO))
 
 
 def test_ula_and_general_beamformer_agree():
@@ -184,7 +185,7 @@ def test_ula_and_general_beamformer_agree():
     # the closed-form design takes its beamformer from the far-field link,
     # which covers any layout; both maximize the same rank-one channel, so
     # they are equal up to a global phase
-    v2 = closed_form_solution(tx, ris, rx, RADIO).v
+    v2 = closed_form_solution(scene_route(tx, ris, rx, RADIO)).v
     c = np.vdot(v1, v2)
     np.testing.assert_allclose(v2, v1 * c / abs(c), atol=1e-9)
 
@@ -319,12 +320,13 @@ def test_two_path_terms_sign_fold_and_warning():
         o = two_path_o(16, spacing, cos_mu_ti, 0.0, lam)
         with (pytest.warns(AmbiguousSignWarning) if fold == 0.0
               else nullcontext()):
-            sol = two_path_solution(tx, ris, rx, RADIO)
+            sol = two_path_solution(scene_route(tx, ris, rx, RADIO))
         if fold == 0.0:
             assert o == pytest.approx(0.0, abs=1e-12)
         else:
             assert o < 0
-        rotation = sol.theta / closed_form_solution(tx, ris, rx, RADIO).theta
+        rotation = sol.theta / closed_form_solution(
+            scene_route(tx, ris, rx, RADIO)).theta
         expected = fold - 2 * np.pi / lam * (
             np.linalg.norm(center) + np.linalg.norm(rx - center) - 150.0)
         np.testing.assert_allclose(rotation, np.exp(1j * expected), rtol=0,
@@ -333,15 +335,15 @@ def test_two_path_terms_sign_fold_and_warning():
 
 def test_two_path_solution_achieves_predicted_power():
     tx, ris, rx = equilateral(300.0, rows=3, cols=3, count=8)
-    channels = farfield_channel(tx, ris, rx, RADIO, direct=True)
-    sol = two_path_solution(tx, ris, rx, RADIO)
+    channels = farfield_channel(scene_route(tx, ris, rx, RADIO), direct=True)
+    sol = two_path_solution(scene_route(tx, ris, rx, RADIO))
     achieved = received_power(channels, sol.theta, sol.v)
     assert achieved == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
     assert sol.method is Method.CLOSED_FORM_TWO_PATH
     # the prediction reads a_TR from the Friis formula at d_TR = 300 m, not
     # from a rounded phasor of the direct row; the ULA axis is normal to
     # T - R, so cos(mu_TR) = 0
-    link = _farfield_link(tx, ris, rx, RADIO)
+    link = scene_route(tx, ris, rx, RADIO)
     o = two_path_o(8, 0.0143, float(EY @ link.angles.u_ti[0]), 0.0,
                    RADIO.wavelength)
     a_tr = friis_amplitude(tx.element_gain, RADIO.rx_gain, RADIO.wavelength,
@@ -349,7 +351,7 @@ def test_two_path_solution_achieves_predicted_power():
     assert sol.predicted_power == two_path_power_closed_form(
         float(link.a_tir[0]), a_tr, o, 8, 9, P_T)
     # and it beats the single-path design evaluated on the same channel
-    single = closed_form_solution(tx, ris, rx, RADIO)
+    single = closed_form_solution(scene_route(tx, ris, rx, RADIO))
     assert achieved >= received_power(channels, single.theta, single.v) * (
         1 - 1e-12)
 
@@ -368,8 +370,8 @@ def test_two_path_solution_uses_arrival_directions_at_transmitter(tilt):
     o = two_path_o(8, tx.layout.spacing, axis @ to_i / np.linalg.norm(to_i),
                    axis @ to_r / np.linalg.norm(to_r), RADIO.wavelength)
     assert 0.05 < abs(o) < 0.95
-    channels = farfield_channel(tx, ris, rx, RADIO, direct=True)
-    sol = two_path_solution(tx, ris, rx, RADIO)
+    channels = farfield_channel(scene_route(tx, ris, rx, RADIO), direct=True)
+    sol = two_path_solution(scene_route(tx, ris, rx, RADIO))
     achieved = received_power(channels, sol.theta, sol.v)
     assert achieved == pytest.approx(sol.predicted_power, rel=1e-12, abs=0)
 
@@ -381,12 +383,13 @@ def test_two_path_solution_rejects_upa_before_far_field_check():
     tx, ris, rx = equilateral(2.0, rows=30, cols=30)
     ang = link_angles(tx, rx, PanelPoses.of(ris))
     assert np.any(far_field_check(tx, ris, ang.d_ti, ang.d_ir) < 1.0)
-    assert two_path_solution(tx, ris, rx, RADIO).predicted_power > 0.0
+    assert two_path_solution(
+        scene_route(tx, ris, rx, RADIO)).predicted_power > 0.0
     upa = tx._replace(layout=UpaLayout(rows=2, cols=2, spacing_x=0.0143,
                                        spacing_y=0.0143, axis_x=EX,
                                        axis_y=EY))
     with pytest.raises(DomainError):
-        two_path_solution(upa, ris, rx, RADIO)
+        two_path_solution(scene_route(upa, ris, rx, RADIO))
 
 
 def test_two_path_power_formula_uses_coherence_magnitude():
@@ -527,9 +530,9 @@ def test_svd_theta_is_numpys_quotient_with_one_at_zero_entries():
 def test_svd_solution_matches_closed_form_on_farfield_channel(scene):
     tx, ris, rx, radio = scene
     p_t = radio.tx_power
-    channels = farfield_channel(tx, ris, rx, radio)
+    channels = farfield_channel(scene_route(tx, ris, rx, radio))
     svd = svd_solution(channels, p_t)
-    closed = closed_form_solution(tx, ris, rx, radio)
+    closed = closed_form_solution(scene_route(tx, ris, rx, radio))
     p_closed = received_power(channels, closed.theta, closed.v)
     assert svd.predicted_power == pytest.approx(p_closed, rel=1e-9, abs=0)
     # rank-one channel: the projected solution attains the bound exactly
@@ -550,8 +553,8 @@ def test_two_path_row_matches_dense_farfield_channel(rows, cols, seed):
     tx, ris, rx, radio, _ = random_scene(rows, cols, False, seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AmbiguousSignWarning)
-        sol = two_path_solution(tx, ris, rx, radio)
-    channels = farfield_channel(tx, ris, rx, radio, direct=True)
+        sol = two_path_solution(scene_route(tx, ris, rx, radio))
+    channels = farfield_channel(scene_route(tx, ris, rx, radio), direct=True)
     row = sol.theta @ channels.h_ti + channels.h_tr
     np.testing.assert_allclose(sol.v, mrt_beamforming(row, radio.tx_power),
                                rtol=0, atol=1e-12 * np.sqrt(radio.tx_power))
@@ -560,8 +563,8 @@ def test_two_path_row_matches_dense_farfield_channel(rows, cols, seed):
 def test_solution_ordering_near_field():
     # compact scene where the far-field formulas are stressed
     tx, ris, rx = equilateral(5.0, rows=4, cols=4, count=4)
-    channels = exact_channel(tx, ris, rx, RADIO)
-    closed = closed_form_solution(tx, ris, rx, RADIO)
+    channels = exact_channel(scene_route(tx, ris, rx, RADIO))
+    closed = closed_form_solution(scene_route(tx, ris, rx, RADIO))
     p_closed = received_power(channels, closed.theta, closed.v)
     p_svd = svd_solution(channels, P_T).predicted_power
     bound = power_upper_bound(channels, P_T)
@@ -586,13 +589,13 @@ def test_bound_is_at_least_every_design(direct, rows, cols, upa, seed):
     link, no design (closed form, two-path on ULA scenes, SVD) evaluates
     above power_upper_bound."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, upa, seed)
-    channels = exact_channel(tx, ris, rx, radio, direct=direct)
-    sols = [closed_form_solution(tx, ris, rx, radio),
+    channels = exact_channel(scene_route(tx, ris, rx, radio), direct=direct)
+    sols = [closed_form_solution(scene_route(tx, ris, rx, radio)),
             svd_solution(channels, radio.tx_power)]
     if direct and not upa:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AmbiguousSignWarning)
-            sols.append(two_path_solution(tx, ris, rx, radio))
+            sols.append(two_path_solution(scene_route(tx, ris, rx, radio)))
     bound = power_upper_bound(channels, radio.tx_power)
     for sol in sols:
         assert received_power(channels, sol.theta, sol.v) <= bound * (1 + 1e-9)

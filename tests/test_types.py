@@ -12,25 +12,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rislink.em import ChannelSet, RadioParams
+from rislink.em import ChannelSet, RadioParams, exact_channel, scene_route
 from rislink.errors import DimensionMismatch, DomainError
 from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
                               UlaLayout, UpaLayout)
 from rislink.placement import PlaneScene
 
+from test_em import RADIO, equilateral
 from test_geometry import EX, EY, EZ
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # Every name `from rislink import *` gave before the oracles loaded lazily,
-# less TwoPathTerms, two_path_terms and closed_form_phases, which are gone.
+# less TwoPathTerms, two_path_terms and closed_form_phases, which are gone,
+# plus SceneRoute and scene_route.
 EXPORTS = (
     "AmbiguousSignWarning", "ChannelSet", "ConfigError", "DegenerateGeometry",
     "DegenerateTriangle", "DimensionMismatch", "DomainError", "EmptyFeasible",
     "FarFieldViolation", "FarFieldWarning", "GridArgmax", "GridDesign",
     "LinkAngles", "Method", "PanelPoses", "PlacementResult", "PlaneScene",
     "QuasiconvexityReport", "RadioParams", "RegionDWarning", "RisPanel",
-    "RislinkError", "SceneConfig", "ShadowedPanel", "Solution",
+    "RislinkError", "SceneConfig", "SceneRoute", "ShadowedPanel", "Solution",
     "SweepRanges", "TooLarge", "TransmitterArray", "UlaLayout", "UpaLayout",
     "ZeroChannel", "amplitude_gain_tir", "antenna_positions",
     "anti_decay_design", "closed_form_predicted_power",
@@ -42,8 +44,9 @@ EXPORTS = (
     "mrt_beamforming", "optimal_orientation", "plane_objective",
     "position_search_plane", "power_upper_bound", "quasiconvexity_report",
     "radiation_pattern", "random_feasible_solutions", "received_power",
-    "region_d_membership", "svd_solution", "tir_delta", "two_path_o",
-    "two_path_power_closed_form", "two_path_solution", "watts_to_dbm",
+    "region_d_membership", "scene_route", "svd_solution", "tir_delta",
+    "two_path_o", "two_path_power_closed_form", "two_path_solution",
+    "watts_to_dbm",
 )
 
 _STARTUP = """
@@ -204,3 +207,11 @@ def test_value_types_are_immutable(cls, good):
     copy = value._replace()
     assert type(copy) is cls and copy is not value
     assert repr(copy).startswith(f"{cls.__name__}(")
+
+
+def test_exact_channel_holds_only_its_fields():
+    """An exact channel holds its three fields and nothing more until its
+    leading pair is read: the scene route it was built from stays with the
+    caller."""
+    channels = exact_channel(scene_route(*equilateral(50.0), RADIO))
+    assert set(vars(channels)) == {"h_ti", "h_tr", "mirrored"}
