@@ -94,14 +94,13 @@ def main(argv: list[str] | None = None) -> int:
                 failed |= not ok
             return 3 if failed else 0
         result = _EXPERIMENTS[args.command](cfg)
-    except RislinkError as exc:
+        out = Path(args.out)
+        stem = args.command.replace("-", "_")
+        csv_path = emit_csv(result, out / f"{stem}.csv")
+        emit_plot_script(result, csv_path, out / f"{stem}.gp")
+    except (RislinkError, OSError) as exc:   # OSError: e.g. --out is a file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    out = Path(args.out)
-    stem = args.command.replace("-", "_")
-    csv_path = emit_csv(result, out / f"{stem}.csv")
-    emit_plot_script(result, csv_path, out / f"{stem}.gp")
     print(f"wrote {csv_path} ({len(result)} rows)")
     return 0
 

@@ -10,15 +10,16 @@ depends on the RIS link only through C.  `h_tr` is the optional length-N
 direct row.
 
 The scene route (`scene_route`, a `SceneRoute`) is the line-of-sight
-geometry of one scene, `geometry.link_angles`, then `amplitude_gain_tir`
-(the distance-free amplitude delta), with the antenna offsets of the phasors
-b_vec and the transmitter, panel, receiver and radio it was built from.  A
-caller routes a scene once and passes the route to `exact_channel`, which
-reads delta at the panel's own pose, to `farfield_channel` and
-`farfield_power`, and to the closed-form and two-path designs of `solvers`;
-`_design_steering` gives the steerings of the closed-form design, which
-`farfield_power` evaluates at P poses of its panel.  None of them checks
-the far-field conditions; `geometry.far_field_check` is that check.
+geometry of one scene with the panel at its own pose, `geometry.link_angles`,
+then `amplitude_gain_tir` (the distance-free amplitude delta), with the
+antenna phasors b_vec and the transmitter, panel, receiver and radio it was
+built from.  A caller routes a scene once and passes the route to
+`exact_channel`, which reads its delta, to `farfield_channel`, and to the
+closed-form and two-path designs of `solvers`.  `farfield_power` alone
+takes a stack of P panel poses besides the route: it evaluates the route's
+closed-form design, whose steerings `_design_steering` gives, with the
+panel moved to each pose.  None of them checks the far-field conditions;
+`geometry.far_field_check` is that check.
 """
 
 from __future__ import annotations
@@ -211,11 +212,11 @@ def amplitude_gain_tir(angles: LinkAngles, tx: TransmitterArray,
 
 
 def _panel_phasors(route: SceneRoute) -> np.ndarray:
-    """The linearized two-hop element phasors d_vec of the route's first
-    pose, exp(-j*k*(x_m*axis_x + y_n*axis_y) . (u_TI + u_IR)), (L,) in
-    row-major order: the phasor of element q = n*cols + m is e_y[n] *
-    e_x[m], each axis exp(-j*k*g*o_i) over the centred offsets o_i of
-    `_axis_offsets` at the panel steering (g_y, g_x) of _design_steering."""
+    """The linearized two-hop element phasors d_vec of the route,
+    exp(-j*k*(x_m*axis_x + y_n*axis_y) . (u_TI + u_IR)), (L,) in row-major
+    order: the phasor of element q = n*cols + m is e_y[n] * e_x[m], each
+    axis exp(-j*k*g*o_i) over the centred offsets o_i of `_axis_offsets`
+    at the panel steering (g_y, g_x) of _design_steering."""
     (g_y, g_x), _ = _design_steering(route)
     ris, wavenum = route.ris, route.wavenum
     e_y, e_x = (np.exp(-1j * (wavenum * g * _axis_offsets(count, pitch)))
@@ -225,58 +226,45 @@ def _panel_phasors(route: SceneRoute) -> np.ndarray:
 
 
 class SceneRoute(NamedTuple):
-    """The line-of-sight route of one scene at P panel poses, and the part
-    of the far-field factorization built on it; see scene_route."""
+    """The line-of-sight route of one scene, the panel at its own pose, and
+    the part of the far-field factorization built on it; see scene_route."""
 
     tx: TransmitterArray
     ris: RisPanel
-    rx: np.ndarray        # (3,) receiver position, checked by _as_vec3
+    rx: np.ndarray      # (3,) receiver position, checked by _as_vec3
     radio: RadioParams
-    poses: PanelPoses
-    angles: LinkAngles    # the route's hop distances and directions
-    delta: np.ndarray     # (P,) amplitude_gain_tir, the distance-free a_TIR
-    a_tir: np.ndarray     # (P,), 0 where the panel does not see both ends
-    antennas: np.ndarray  # (N, 3) antenna offsets of _antenna_offsets
+    d_ti: float         # center-to-T distance
+    d_ir: float         # center-to-R distance
+    u_ti: np.ndarray    # (3,) unit direction from the center toward T
+    u_ir: np.ndarray    # (3,) unit direction from the center toward R
+    delta: float        # amplitude_gain_tir, the distance-free a_TIR
+    a_tir: float        # delta / (d_TI * d_IR)
+    b_vec: np.ndarray   # (N,) antenna phasors exp(j*k*(antenna_p - T) . u_TI)
     wavenum: float
-
-    def b_vec(self) -> np.ndarray:
-        """Antenna phasors b_vec = exp(j*k*Delta d^I_{T,p}) of every pose,
-        (P, N), with Delta d^I_{T,p} = (antenna_p - T) . u_TI."""
-        offsets = np.matmul(self.antennas,
-                            self.angles.u_ti[:, :, None])[..., 0]
-        return np.exp(1j * self.wavenum * offsets)
 
 
 def scene_route(tx: TransmitterArray, ris: RisPanel, rx_position,
-                radio: RadioParams,
-                poses: PanelPoses | None = None) -> SceneRoute:
-    """The scene route for the grid of `ris` at P `poses` (link_angles,
-    then amplitude_gain_tir), which exact_channel, farfield_channel,
+                radio: RadioParams) -> SceneRoute:
+    """The scene route of `ris` at its own pose (link_angles, then
+    amplitude_gain_tir), which exact_channel, farfield_channel,
     farfield_power and the closed-form and two-path designs of `solvers`
     read, so that a scene is routed once for all of them.
 
-    Per pose: the hop distances, delta, a_TIR and the directions u_TI and
-    u_IR of the route; also the antenna offsets that give the phasors
-    b_vec, and k = 2*pi/lambda.  A pose of `poses` whose panel does not see
-    both ends gets a_TIR = 0, in a stack of any size.  With `poses` None
-    the route is that of `ris` itself (P = 1), which the channels and the
-    designs take, and such a panel raises ShadowedPanel instead; a center
-    on T or R raises DegenerateGeometry.
+    The hop distances, delta, a_TIR and the directions u_TI and u_IR of
+    the route; the antenna phasors b_vec, from the antenna offsets
+    antenna_p - T of _antenna_offsets; and k = 2*pi/lambda.  A panel that
+    does not see both ends raises ShadowedPanel, and a center on T or R
+    DegenerateGeometry.
     """
-    one = poses is None
-    if one:
-        poses = PanelPoses.of(ris)
     rx = _as_vec3(rx_position)
-    angles = link_angles(tx, rx, poses)
-    try:
-        delta = amplitude_gain_tir(angles, tx, ris, radio)
-    except ShadowedPanel:
-        if one:
-            raise
-        delta = np.zeros(1)   # a stack of one pose, which is shadowed
-    return SceneRoute(tx, ris, rx, radio, poses, angles, delta,
-                      delta / (angles.d_ti * angles.d_ir),
-                      _antenna_offsets(tx), 2 * np.pi / radio.wavelength)
+    ang = link_angles(tx, rx, PanelPoses.of(ris))
+    delta = amplitude_gain_tir(ang, tx, ris, radio)
+    wavenum = 2 * np.pi / radio.wavelength
+    offsets = np.matmul(_antenna_offsets(tx), ang.u_ti[:, :, None])[..., 0]
+    return SceneRoute(tx, ris, rx, radio, ang.d_ti[0], ang.d_ir[0],
+                      ang.u_ti[0], ang.u_ir[0], delta[0],
+                      (delta / (ang.d_ti * ang.d_ir))[0],
+                      np.exp(1j * wavenum * offsets)[0], wavenum)
 
 
 def _sin_ratio(y: np.ndarray) -> np.ndarray:
@@ -316,14 +304,13 @@ def _tx_axes(tx: TransmitterArray) -> list[tuple[int, float, np.ndarray]]:
 
 
 def _design_steering(route: SceneRoute):
-    """The two steerings of the closed-form design of the route's first
-    pose (that of `ris` itself in a route without poses), real scalars: the
-    phases steer toward [axis_y . u_0, axis_x . u_0] of u_0 = u_TI + u_IR,
-    and the beamformer toward axis . u_TI along each axis of _tx_axes."""
-    u_ti = route.angles.u_ti[0]
-    u = u_ti + route.angles.u_ir[0]
+    """The two steerings of the closed-form design of the route, real
+    scalars: the phases steer toward [axis_y . u_0, axis_x . u_0] of
+    u_0 = u_TI + u_IR, and the beamformer toward axis . u_TI along each
+    axis of _tx_axes."""
+    u = route.u_ti + route.u_ir
     return ([np.vecdot(route.ris.axis_y, u), np.vecdot(route.ris.axis_x, u)],
-            [np.vecdot(axis, u_ti) for _, _, axis in _tx_axes(route.tx)])
+            [np.vecdot(axis, route.u_ti) for _, _, axis in _tx_axes(route.tx)])
 
 
 def _axis_factors(axes, u, steering, wavenum: float) -> np.ndarray:
@@ -337,17 +324,18 @@ def _axis_factors(axes, u, steering, wavenum: float) -> np.ndarray:
                      for (count, pitch, axis), g in zip(axes, steering))
 
 
-def _theta_dot_d(route: SceneRoute, steering) -> np.ndarray:
-    """theta . d_vec for every pose of the route, (P,), real, for the
-    closed-form phases of the steering pair (g_y, g_x), the conjugate panel
-    phasors toward a direction with those panel-axis components: theta and
-    each pose's d_vec (_panel_phasors toward its u_TI + u_IR)
-    separate along the panel axes, so this is _axis_factors of the pose's
-    axes at u_TI + u_IR, exactly L at the design's own pose."""
-    ris, poses, ang = route.ris, route.poses, route.angles
+def _theta_dot_d(ris: RisPanel, poses: PanelPoses, angles: LinkAngles,
+                 steering, wavenum: float) -> np.ndarray:
+    """theta . d_vec of the grid of `ris` at each of the P `poses`, (P,),
+    real, from their link_angles `angles`, for the closed-form phases of
+    the steering pair (g_y, g_x), the conjugate panel phasors toward a
+    direction with those panel-axis components: theta and each pose's
+    d_vec (_panel_phasors toward its u_TI + u_IR) separate along the panel
+    axes, so this is _axis_factors of the pose's axes at u_TI + u_IR,
+    exactly L at the design's own pose."""
     return _axis_factors([(ris.rows, ris.d_y, poses.axis_y),
                           (ris.cols, ris.d_x, poses.axis_x)],
-                         ang.u_ti + ang.u_ir, steering, route.wavenum)
+                         angles.u_ti + angles.u_ir, steering, wavenum)
 
 
 def farfield_channel(route: SceneRoute, *, direct: bool = False) -> ChannelSet:
@@ -358,10 +346,9 @@ def farfield_channel(route: SceneRoute, *, direct: bool = False) -> ChannelSet:
     d_vec the panel phasors toward u_TI + u_IR, built whether or not the
     scene meets the far-field conditions.
     """
-    ang = route.angles
     d_vec = _panel_phasors(route)
-    hops = complex(np.exp(1j * route.wavenum * (ang.d_ti[0] + ang.d_ir[0])))
-    h_ti = float(route.a_tir[0]) * hops * np.outer(d_vec, route.b_vec()[0])
+    hops = complex(np.exp(1j * route.wavenum * (route.d_ti + route.d_ir)))
+    h_ti = float(route.a_tir) * hops * np.outer(d_vec, route.b_vec)
     h_tr = (direct_channel(route.tx, route.rx, route.radio, farfield=True)
             if direct else None)
     return ChannelSet(h_ti=h_ti, h_tr=h_tr)
@@ -374,22 +361,29 @@ def farfield_power(route: SceneRoute, poses: PanelPoses) -> np.ndarray:
     L x N channel.
 
     The design's two steerings come from the route (_design_steering), and
-    the poses get a route of their own.  A pose's power equals
-    received_power(farfield_channel(route), theta, v) of the panel moved to
-    that pose, as a_TIR^2 * (theta . d_vec)^2 * (sqrt(P_t/N) * AF_T)^2:
-    theta . d_vec (_theta_dot_d) and the antenna sum AF_T =
-    b_vec . conj(b_0), exactly L and N at the design's own pose, are
-    _axis_factors in closed form, O(1) per pose, so a pose gets the same
-    bits in a stack of any size as alone.  A pose whose panel does not see
-    both ends gets 0 W.
+    the poses get their own link_angles and amplitude_gain_tir.  A pose's
+    power equals received_power(farfield_channel(route), theta, v) of the
+    panel moved to that pose, as
+    a_TIR^2 * (theta . d_vec)^2 * (sqrt(P_t/N) * AF_T)^2: theta . d_vec
+    (_theta_dot_d) and the antenna sum AF_T = b_vec . conj(b_0), exactly L
+    and N at the design's own pose, are _axis_factors in closed form, O(1)
+    per pose, so a pose gets the same bits in a stack of any size as
+    alone.  A pose whose panel does not see both ends gets 0 W, also in a
+    stack of one pose.
     """
-    tx, radio = route.tx, route.radio
+    tx, ris, radio = route.tx, route.ris, route.radio
     steering, tx_steering = _design_steering(route)
-    moved = scene_route(tx, route.ris, route.rx, radio, poses)
+    angles = link_angles(tx, route.rx, poses)
+    try:
+        delta = amplitude_gain_tir(angles, tx, ris, radio)
+    except ShadowedPanel:
+        delta = np.zeros(1)   # a stack of one pose, which is shadowed
+    a_tir = delta / (angles.d_ti * angles.d_ir)
     b_dot_v = (np.sqrt(radio.tx_power / tx.count)
-               * _axis_factors(_tx_axes(tx), moved.angles.u_ti, tx_steering,
-                               moved.wavenum))
-    return moved.a_tir**2 * _theta_dot_d(moved, steering)**2 * b_dot_v**2
+               * _axis_factors(_tx_axes(tx), angles.u_ti, tx_steering,
+                               route.wavenum))
+    theta_dot_d = _theta_dot_d(ris, poses, angles, steering, route.wavenum)
+    return a_tir**2 * theta_dot_d**2 * b_dot_v**2
 
 
 # Entries per block of the exact channel build (exact_channel): a block is
@@ -464,7 +458,7 @@ def exact_channel(route: SceneRoute, *, direct: bool = False) -> ChannelSet:
     at the panel center, by the route, whose delta this reads.
     """
     tx, ris, rx, radio = route.tx, route.ris, route.rx, route.radio
-    delta, wavenum = route.delta[0], route.wavenum
+    delta, wavenum = route.delta, route.wavenum
 
     elems = element_positions(ris)             # (3, L)
     ants = antenna_positions(tx)               # (N, 3)
@@ -526,7 +520,7 @@ def direct_channel(tx: TransmitterArray, rx_position, radio: RadioParams,
 
     The far-field variant linearizes the per-antenna distances as
     d_TR + (antenna_p - T) . (T - R) / d_TR, with the offsets
-    antenna_p - T of _antenna_offsets, as SceneRoute.b_vec takes them.
+    antenna_p - T of _antenna_offsets, as scene_route's b_vec takes them.
     """
     rx = np.asarray(rx_position, dtype=float)
     d_tr = float(np.linalg.norm(rx - tx.center))

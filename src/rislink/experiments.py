@@ -455,7 +455,8 @@ def solve(cfg: SceneConfig) -> SweepResult:
     channels = exact_channel(route, direct=cfg.direct_link)
     sols = [closed_form_solution(route)]
     if cfg.direct_link:
-        _judge_far_field(cfg, tx, ris, route.angles.d_ti, route.angles.d_ir)
+        _judge_far_field(cfg, tx, ris, np.array([route.d_ti]),
+                         np.array([route.d_ir]))
         sols.append(two_path_solution(route))
     sols.append(svd_solution(channels, cfg.tx_power))
     bound = power_upper_bound(channels, cfg.tx_power)

@@ -6,7 +6,7 @@ measured from the panel normal and azimuths counterclockwise from the
 in-plane x axis, range [0, 2*pi).
 
 `link_angles` (hop distances, directions and elevations of P panel poses)
-and `far_field_check` are the one scene route every channel and study reads.
+and `far_field_check` are the geometry `em.scene_route` and the studies read.
 """
 
 from __future__ import annotations

@@ -73,8 +73,8 @@ def closed_form_solution(route: SceneRoute) -> Solution:
     at other poses of the panel."""
     tx, ris, radio = route.tx, route.ris, route.radio
     theta = np.conj(_panel_phasors(route))
-    v = np.sqrt(radio.tx_power / tx.count) * np.conj(route.b_vec()[0])
-    predicted = closed_form_predicted_power(float(route.a_tir[0]), tx.count,
+    v = np.sqrt(radio.tx_power / tx.count) * np.conj(route.b_vec)
+    predicted = closed_form_predicted_power(float(route.a_tir), tx.count,
                                             ris.count, radio.tx_power)
     _check_feasible(v, theta, radio.tx_power)
     return Solution(v=v, theta=theta, predicted_power=predicted,
@@ -137,10 +137,9 @@ def two_path_solution(route: SceneRoute) -> Solution:
         raise DomainError("two-path closed form is derived for ULA layouts")
     h_tr = direct_channel(tx, route.rx, radio, farfield=True)
     to_t = tx.center - route.rx
-    d_ti, d_ir = float(route.angles.d_ti[0]), float(route.angles.d_ir[0])
+    d_ti, d_ir = float(route.d_ti), float(route.d_ir)
     d_tr = float(_norm(to_t))
-    o = two_path_o(lay.count, lay.spacing,
-                   float(lay.axis @ route.angles.u_ti[0]),
+    o = two_path_o(lay.count, lay.spacing, float(lay.axis @ route.u_ti),
                    float(lay.axis @ to_t) / d_tr, radio.wavelength)
     if abs(o) < 1e-12:
         warnings.warn("O = 0: sign fold undefined, using +1 branch "
@@ -152,10 +151,10 @@ def two_path_solution(route: SceneRoute) -> Solution:
               - route.wavenum * (d_ti + d_ir - d_tr))
     rotation = np.exp(1j * float(offset))
     theta = np.conj(_panel_phasors(route)) * rotation
-    a_tir = float(route.a_tir[0])
+    a_tir = float(route.a_tir)
     ris_amp = (a_tir * np.exp(1j * route.wavenum * (d_ti + d_ir))
                * (rotation * ris.count))
-    row = ris_amp * route.b_vec()[0] + h_tr
+    row = ris_amp * route.b_vec + h_tr
     v = mrt_beamforming(row, radio.tx_power)
     a_tr = friis_amplitude(tx.element_gain, radio.rx_gain, radio.wavelength,
                            d_tr)

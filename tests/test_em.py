@@ -78,7 +78,7 @@ def test_amplitude_gain_frozen_value():
     assert delta.shape == (1,)
     assert delta[0] == pytest.approx(0.0014847151229886238, rel=1e-14)
     # the far-field link's a_TIR = delta / (d_TI * d_IR)
-    a_tir = scene_route(tx, ris, rx, radio).a_tir[0]
+    a_tir = scene_route(tx, ris, rx, radio).a_tir
     assert a_tir == pytest.approx(3.7117878074715594e-8, rel=1e-14)
 
 
@@ -97,7 +97,7 @@ def test_farfield_channel_rank_one_and_factors():
     # rank-one: every 2x2 minor vanishes
     s = np.linalg.svd(channels.h_ti, compute_uv=False)
     assert s[1] <= s[0] * 1e-12
-    a_tir = scene_route(tx, ris, rx, RADIO).a_tir[0]
+    a_tir = scene_route(tx, ris, rx, RADIO).a_tir
     np.testing.assert_allclose(np.abs(channels.h_ti), a_tir, rtol=1e-12)
     # each cascade column is d_vec, the conjugate of the closed-form
     # phases, times one constant
@@ -324,12 +324,11 @@ def test_farfield_factors_match_element_positions(rows, cols, upa, seed):
     layout = antenna_positions(tx._replace(center=np.zeros(3)))
     b_ref = np.exp(1j * wavenum * offsets_toward(
         layout, np.zeros(3), ris.center - tx.center))
-    cascade = (link.a_tir[0]
-               * np.exp(1j * wavenum * (link.angles.d_ti[0]
-                                        + link.angles.d_ir[0]))
+    cascade = (link.a_tir
+               * np.exp(1j * wavenum * (link.d_ti + link.d_ir))
                * np.outer(d_ref, b_ref))
     np.testing.assert_allclose(channels.h_ti, cascade, rtol=0,
-                               atol=1e-12 * link.a_tir[0])
+                               atol=1e-12 * link.a_tir)
 
 
 def mirrored_scene(rows, cols, seed):
@@ -479,7 +478,7 @@ def test_panel_phasors_bits_match_exp(rows, cols, seed):
     and not from _axis_offsets."""
     tx, ris, rx, radio, _ = random_scene(rows, cols, False, seed)
     link = scene_route(tx, ris, rx, radio)
-    u = link.angles.u_ti[0] + link.angles.u_ir[0]
+    u = link.u_ti + link.u_ir
     wavenum = 2 * np.pi / radio.wavelength
     got = em._panel_phasors(link)
     e_y, e_x = (np.exp(-1j * (wavenum * np.vecdot(axis, u)
@@ -645,7 +644,7 @@ def test_farfield_power_over_poses_matches_dense_channel(rows, cols, upa,
         except ShadowedPanel:
             assert p == 0.0
             continue
-        a_tir = scene_route(tx, panel, rx, radio).a_tir[0]
+        a_tir = scene_route(tx, panel, rx, radio).a_tir
         scale = a_tir**2 * ris.count * tx.count * np.vdot(sol.v, sol.v).real
         assert abs(p - dense) <= 1e-12 * max(dense, scale)
         if dense >= 1e-6 * scale:
@@ -712,17 +711,17 @@ def test_theta_dot_d_factor_form_matches_dense_sum(rows, cols, upa, seed,
     g_y, g_x = random_steering(rng, ris)
     poses = random_poses(rng, ris, count - 1)
     assert len(poses.center) == count
-    link = scene_route(tx, ris, rx, radio, poses)
-    sums = em._theta_dot_d(link, (g_y, g_x))
-    assert sums.shape == (count,)
     wavenum = 2 * np.pi / radio.wavelength
+    sums = em._theta_dot_d(ris, poses, link_angles(tx, rx, poses),
+                           (g_y, g_x), wavenum)
+    assert sums.shape == (count,)
     theta = np.exp(1j * wavenum * ((element_positions(ris).T - ris.center)
                                    @ (g_x * ris.axis_x + g_y * ris.axis_y)))
     for i in range(count):
         one = PanelPoses(poses.center[i:i + 1], poses.normal[i:i + 1],
                          poses.axis_x[i:i + 1], poses.axis_y[i:i + 1])
-        alone = em._theta_dot_d(scene_route(tx, ris, rx, radio, one),
-                                (g_y, g_x))
+        alone = em._theta_dot_d(ris, one, link_angles(tx, rx, one),
+                                (g_y, g_x), wavenum)
         assert np.array_equal(alone, sums[i:i + 1])
         panel = moved_panel(ris, poses, i)
         elems = element_positions(panel).T

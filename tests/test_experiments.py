@@ -513,9 +513,9 @@ def test_robustness_theta_dot_d_is_the_panel_size(monkeypatch, paper_scale):
     seen = []
     theta_dot_d = em._theta_dot_d
 
-    def recorded(link, steering):
-        sums = theta_dot_d(link, steering)
-        seen.append((link.ris.count, sums))
+    def recorded(ris, *rest):
+        sums = theta_dot_d(ris, *rest)
+        seen.append((ris.count, sums))
         return sums
 
     monkeypatch.setattr(em, "_theta_dot_d", recorded)
@@ -716,6 +716,21 @@ def test_validate_suite_all_pass():
     checks = validate_suite(small_cfg())
     assert len(checks) == 7
     assert all(ok for _, ok, _ in checks)
+
+
+def test_validate_factored_check_fails_on_a_wrong_power(monkeypatch):
+    """validate's factored far-field check can fail: farfield_power off by
+    a relative 1e-10 turns that one check to FAIL and leaves the other six
+    PASS."""
+    from rislink import validation
+    factored = validation.farfield_power
+    monkeypatch.setattr(validation, "farfield_power",
+                        lambda route, poses: factored(route, poses)
+                        * (1 + 1e-10))
+    verdicts = {name: ok for name, ok, _ in validate_suite(small_cfg())}
+    assert len(verdicts) == 7
+    assert not verdicts.pop("factored far-field power vs dense channel")
+    assert all(verdicts.values())
 
 
 def test_plane_endpoints_heights():

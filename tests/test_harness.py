@@ -597,6 +597,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cli_out_naming_a_regular_file_is_a_bad_argument(tmp_path, capsys):
+    """--out naming an existing regular file exits 2 with a one-line
+    error, no traceback, and leaves the file as it was."""
+    taken = tmp_path / "afile"
+    taken.write_bytes(b"keep")
+    assert main(["solve", "--grid", "3", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert taken.read_bytes() == b"keep"
+
+
 def test_cli_sweep_distance_strict_far_field(tmp_path):
     """`sweep-distance` runs on the exact channel, which assumes no far
     field: under --strict-far-field it records validity rather than

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rislink.em import ChannelSet, RadioParams, exact_channel, scene_route
+from rislink.em import (ChannelSet, RadioParams, SceneRoute, exact_channel,
+                        scene_route)
 from rislink.errors import DimensionMismatch, DomainError
 from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
                               UlaLayout, UpaLayout)
@@ -207,6 +208,20 @@ def test_value_types_are_immutable(cls, good):
     copy = value._replace()
     assert type(copy) is cls and copy is not value
     assert repr(copy).startswith(f"{cls.__name__}(")
+
+
+def test_scene_route_is_one_panel_pose():
+    """A scene route is the panel at its own pose: its values are one
+    pose's, with no pose stack, and scene_route takes no poses."""
+    assert SceneRoute._fields == (
+        "tx", "ris", "rx", "radio", "d_ti", "d_ir", "u_ti", "u_ir", "delta",
+        "a_tir", "b_vec", "wavenum")
+    tx, ris, rx = equilateral(50.0)
+    route = scene_route(tx, ris, rx, RADIO)
+    assert route.u_ti.shape == route.u_ir.shape == (3,)
+    assert route.b_vec.shape == (tx.count,)
+    with pytest.raises(TypeError):
+        scene_route(tx, ris, rx, RADIO, PanelPoses.of(ris))
 
 
 def test_exact_channel_holds_only_its_fields():
