@@ -120,14 +120,14 @@ def _check_keys(section, known, where: str = "") -> None:
             _check_keys(value, known[key], f"{where}.{key}" if where else key)
 
 
-def _read(raw: dict, name: str, kind=float, default=None):
+def _read(raw: dict, name: str, kind=float, default=None, above=None):
     """The profile value at the dotted `name` ("radio.wavelength_m",
     "sweeps.distance.points") as `kind` (float, int, bool, or db_to_linear
     or dbm_to_watts of a dB value), or `default` where the key is absent; a
     missing key with no default is an error.  A number must be finite, not
     a YAML boolean and, in dB, not overflow; an int must not drop a
-    fraction, and a bool must be a YAML boolean.  Each error names the
-    key."""
+    fraction, a bool must be a YAML boolean, and a value read with `above`
+    must be > above.  Each error names the key."""
     *path, key = name.split(".")
     section = raw
     for part in path:
@@ -149,15 +149,16 @@ def _read(raw: dict, name: str, kind=float, default=None):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    if kind is int:
-        if not number.is_integer():
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return int(number)
+    if kind is int and not number.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
-        return kind(number)
+        value = kind(number)
     except OverflowError:
         raise ConfigError(f"{name} is too large: {value!r} overflows as a "
                           "linear value") from None
+    if above is not None and not value > above:
+        raise ConfigError(f"{name} must be > {above}, got {value!r}")
+    return value
 
 
 def _parse(text: str) -> dict:
@@ -204,30 +205,37 @@ def load_config(path: str | Path | None = None, *,
         text = p.read_text()
         raw = _parse(text)
 
-    wavelength = _read(raw, "radio.wavelength_m")
-    cfg_rows, cfg_cols = (_read(raw, f"ris.{k}", int)
+    wavelength = _read(raw, "radio.wavelength_m", above=0)
+    # both grids are checked, whichever --paper-scale selects
+    cfg_rows, cfg_cols = (_read(raw, f"ris.{k}", int, above=0)
                           for k in ("rows", "cols"))
-    paper_rows, paper_cols = (_read(raw, f"ris.paper_scale_{k}", int, 100)
+    paper_rows, paper_cols = (_read(raw, f"ris.paper_scale_{k}", int, 100,
+                                    above=0)
                               for k in ("rows", "cols"))
     ranges = SweepRanges(
-        distance_min=_read(raw, "sweeps.distance.min_m", float, 20.0),
+        distance_min=_read(raw, "sweeps.distance.min_m", float, 20.0,
+                           above=0),
         distance_max=_read(raw, "sweeps.distance.max_m", float, 200.0),
-        distance_points=_read(raw, "sweeps.distance.points", int, 91),
+        distance_points=_read(raw, "sweeps.distance.points", int, 91,
+                              above=1),
         plane_x=(_read(raw, "sweeps.plane.x_min_m", float, -50.0),
                  _read(raw, "sweeps.plane.x_max_m", float, 250.0)),
         plane_y=(_read(raw, "sweeps.plane.y_min_m", float, 0.0),
                  _read(raw, "sweeps.plane.y_max_m", float, 120.0)),
-        plane_points=_read(raw, "sweeps.plane.points", int, 101),
+        plane_points=_read(raw, "sweeps.plane.points", int, 101, above=1),
         wavelength_max=_read(raw, "sweeps.wavelength.max_m", float,
-                             wavelength),
+                             wavelength, above=0),
         wavelength_octaves=_read(raw, "sweeps.wavelength.octaves", float, 1.0),
-        wavelength_points=_read(raw, "sweeps.wavelength.points", int, 25),
+        wavelength_points=_read(raw, "sweeps.wavelength.points", int, 25,
+                                above=1),
         element_ratio=_read(raw, "sweeps.wavelength.element_ratio", float,
-                            1.0 / 3.0),
-        total_area=_read(raw, "sweeps.wavelength.total_area_m2", float, 9.0),
+                            1.0 / 3.0, above=0),
+        total_area=_read(raw, "sweeps.wavelength.total_area_m2", float, 9.0,
+                         above=0),
         robustness_extent=_read(raw, "sweeps.robustness.extent_m", float,
-                                10.0),
-        robustness_points=_read(raw, "sweeps.robustness.points", int, 41),
+                                10.0, above=0),
+        robustness_points=_read(raw, "sweeps.robustness.points", int, 41,
+                                above=1),
     )
     if grid_override is not None:
         if grid_override < 2:
@@ -253,15 +261,17 @@ def load_config(path: str | Path | None = None, *,
         rx_gain=_read(raw, "radio.rx_gain_db", db_to_linear),
         ris_rows=paper_rows if paper_scale else cfg_rows,
         ris_cols=paper_cols if paper_scale else cfg_cols,
-        element_size_x=_read(raw, "ris.element_size_x_m"),
-        element_size_y=_read(raw, "ris.element_size_y_m"),
+        element_size_x=_read(raw, "ris.element_size_x_m", above=0),
+        element_size_y=_read(raw, "ris.element_size_y_m", above=0),
         ris_gain=_read(raw, "ris.gain_db", db_to_linear),
         reflection_coeff=_read(raw, "ris.reflection_coeff", float, 1.0),
         pattern_exponent=_read(raw, "ris.pattern_exponent", float, 3.0),
-        antennas=_read(raw, "transmitter.antennas", int),
-        spacing=_read(raw, "transmitter.spacing_wavelengths") * wavelength,
-        d_tr=_read(raw, "geometry.d_tr_m"),
-        height=_read(raw, "geometry.height_m"),
+        antennas=_read(raw, "transmitter.antennas", int, above=0),
+        spacing=_read(raw, "transmitter.spacing_wavelengths",
+                      above=0) * wavelength,
+        d_tr=_read(raw, "geometry.d_tr_m", above=0),
+        # at 0 the transmitter and receiver sit on the panel's plane
+        height=_read(raw, "geometry.height_m", above=0),
         direct_link=profile_direct if direct_link is None else direct_link,
         far_field_mode=mode,
         sweeps=ranges,
@@ -273,37 +283,23 @@ def load_config(path: str | Path | None = None, *,
 
 
 def _validate(cfg: SceneConfig) -> None:
+    """The rules _read's `above` cannot state: the bounds that admit 0,
+    and those that span keys."""
     sw = cfg.sweeps
     checks = [
-        (cfg.wavelength > 0, "wavelength must be > 0"),
-        (cfg.tx_power >= 0, "transmit power must be >= 0"),
-        (cfg.ris_rows >= 1 and cfg.ris_cols >= 1, "panel grid must be >= 1x1"),
-        (cfg.element_size_x > 0 and cfg.element_size_y > 0,
-         "element sizes must be > 0"),
         (0.0 <= cfg.reflection_coeff <= 1.0,
-         "reflection coefficient must lie in [0, 1]"),
-        (cfg.pattern_exponent >= 0, "pattern exponent must be >= 0"),
-        (cfg.antennas >= 1, "antenna count must be >= 1"),
-        (cfg.spacing > 0, "antenna spacing must be > 0"),
-        (cfg.d_tr > 0, "d_TR must be > 0"),
-        (cfg.height > 0, "geometry.height_m must be > 0: at 0 the "
-         "transmitter and receiver sit on the panel's plane"),
-        (sw.distance_min > 0, "sweeps.distance.min_m must be > 0"),
+         "ris.reflection_coeff must lie in [0, 1]"),
+        (cfg.pattern_exponent >= 0, "ris.pattern_exponent must be >= 0"),
+        (sw.wavelength_octaves >= 0,
+         "sweeps.wavelength.octaves must be >= 0"),
+        (cfg.spacing > 0, "transmitter.spacing_wavelengths * "
+         "radio.wavelength_m underflows to 0"),
         (sw.distance_max > sw.distance_min,
          "sweeps.distance.max_m must be > sweeps.distance.min_m"),
         (sw.plane_x[1] > sw.plane_x[0],
          "sweeps.plane.x_max_m must be > sweeps.plane.x_min_m"),
         (sw.plane_y[1] > sw.plane_y[0],
          "sweeps.plane.y_max_m must be > sweeps.plane.y_min_m"),
-        (sw.distance_points >= 2, "distance sweep needs >= 2 points"),
-        (sw.plane_points >= 2, "plane sweep needs >= 2 points"),
-        (sw.wavelength_points >= 2, "wavelength sweep needs >= 2 points"),
-        (sw.wavelength_octaves >= 0, "wavelength sweep octaves must be >= 0"),
-        (sw.wavelength_max > 0, "sweeps.wavelength.max_m must be > 0"),
-        (sw.element_ratio > 0, "sweeps.wavelength.element_ratio must be > 0"),
-        (sw.total_area > 0, "sweeps.wavelength.total_area_m2 must be > 0"),
-        (sw.robustness_points >= 2, "robustness sweep needs >= 2 points"),
-        (sw.robustness_extent > 0, "robustness sweep extent must be > 0"),
     ]
     for ok, msg in checks:
         if not ok:

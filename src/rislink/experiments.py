@@ -15,7 +15,7 @@ from .config import SceneConfig, watts_to_dbm
 from .em import (RadioParams, exact_channel, farfield_power, friis_amplitude,
                  received_power, scene_route, tir_delta)
 from .geometry import (PanelPoses, RisPanel, TransmitterArray, UlaLayout,
-                       _norm, far_field_check, far_field_holds)
+                       _norm, far_field_check)
 from .errors import DomainError, FarFieldViolation, FarFieldWarning
 from .placement import PlaneScene, _position_factor, _triangle_cos
 from .solvers import (anti_decay_design, closed_form_predicted_power,
@@ -246,11 +246,12 @@ def _enforce_far_field(cfg: SceneConfig, ratios: np.ndarray) -> None:
 def _judge_far_field(cfg: SceneConfig, tx: TransmitterArray,
                      ris: RisPanel, d_ti, d_ir) -> None:
     """_enforce_far_field of one panel at the hop distances d_TI and d_IR
-    of its poses, whose quotients are built only when a pose fails
-    far_field_holds; when all pass, the mode is still checked, against
-    quotients of 1."""
-    passing = far_field_holds(tx, ris, d_ti, d_ir)
-    _enforce_far_field(cfg, np.ones(3) if passing
+    of its poses.  A quotient grows with its hop, so the quotients of the
+    shortest hops pass exactly when every pose's do; only when they fail
+    are the quotients of all poses built, for the message."""
+    least = far_field_check(tx, ris, np.min(d_ti, initial=np.inf),
+                            np.min(d_ir, initial=np.inf))
+    _enforce_far_field(cfg, least if np.all(least >= 1.0)
                        else far_field_check(tx, ris, d_ti, d_ir))
 
 

@@ -67,7 +67,8 @@ class _Value:
     constructor checks the arguments and stores the fields.  Assigning or
     deleting an attribute raises AttributeError, and `_replace` copies
     with changes through the constructor, so a copy is checked like a new
-    value.  Equality, hashing and repr go by the fields."""
+    value.  Equality and hashing are those of object, by identity, as
+    the fields hold arrays; repr goes by the fields."""
 
     _fields: tuple[str, ...] = ()
 
@@ -86,14 +87,6 @@ class _Value:
     def _replace(self, **changes):
         return type(self)(**dict(zip(self._fields, self._values()),
                                  **changes))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value
@@ -355,14 +348,3 @@ def far_field_check(tx: TransmitterArray, ris: RisPanel, d_ti,
     strict dominance.  The conditions hold where all three are >= 1."""
     array, panel = _far_field_thresholds(tx, ris)
     return np.stack((d_ti / array, d_ti / panel, d_ir / panel), axis=-1)
-
-
-def far_field_holds(tx: TransmitterArray, ris: RisPanel, d_ti,
-                    d_ir) -> bool:
-    """Whether every quotient of far_field_check at the hop distances d_TI
-    and d_IR is >= 1, without building them: for a hop d and a threshold
-    t, positive doubles, the rounded d / t is >= 1 exactly when d >= t, so
-    the shortest hops are compared with the thresholds (a nan hop fails)."""
-    array, panel = _far_field_thresholds(tx, ris)
-    return bool(np.min(d_ti, initial=np.inf) >= max(array, panel)
-                and np.min(d_ir, initial=np.inf) >= panel)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from rislink.errors import DegenerateGeometry, DomainError
+from rislink.config import load_config
+from rislink.errors import DegenerateGeometry, DomainError, FarFieldViolation
+from rislink.experiments import _judge_far_field
 from rislink.geometry import (PanelPoses, RisPanel, TransmitterArray,
                               UlaLayout, UpaLayout, _far_field_thresholds,
                               antenna_positions, element_positions,
-                              far_field_check, far_field_holds, link_angles)
+                              far_field_check, link_angles)
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -159,12 +161,14 @@ def test_far_field_check_over_poses_matches_single_panels():
     assert not np.all(ratios[2] >= 1.0)
 
 
-def test_far_field_holds_is_the_quotients_verdict():
-    """far_field_holds reads like np.all(far_field_check(...) >= 1) with
-    hops on and one ulp either side of each threshold, at random hops,
-    with a nan hop and with no poses."""
+def test_judge_far_field_is_the_quotients_verdict():
+    """_judge_far_field, which checks the quotients of the shortest hops,
+    raises under "strict" exactly when np.all(far_field_check(...) >= 1)
+    fails, with hops on and one ulp either side of each threshold, at
+    random hops, with a nan hop and with no poses."""
     tx = make_ula(count=16, spacing=0.0143)
     ris = make_panel(rows=20, cols=20)
+    strict = load_config()._replace(far_field_mode="strict")
     rng = np.random.default_rng(33)
     thresholds = _far_field_thresholds(tx, ris)
     assert thresholds[0] != thresholds[1]
@@ -174,7 +178,12 @@ def test_far_field_holds_is_the_quotients_verdict():
                            * max(thresholds), [np.nan]])
 
     def verdicts(d_ti, d_ir):
-        return (far_field_holds(tx, ris, d_ti, d_ir),
+        try:
+            _judge_far_field(strict, tx, ris, d_ti, d_ir)
+            passed = True
+        except FarFieldViolation:
+            passed = False
+        return (passed,
                 bool(np.all(far_field_check(tx, ris, d_ti, d_ir) >= 1.0)))
 
     for d_ti in edges + [np.nan]:

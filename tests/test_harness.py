@@ -294,6 +294,60 @@ def test_config_errors(tmp_path, capsys):
         assert not out.exists()
 
 
+# every key whose single lower bound is checked where it is read, at that
+# bound: the grid keys under both --paper-scale settings
+_BOUNDED_KEYS = [
+    *((key, 0, []) for key in (
+        "radio.wavelength_m", "ris.cols", "ris.paper_scale_cols",
+        "ris.element_size_x_m", "ris.element_size_y_m",
+        "transmitter.antennas", "transmitter.spacing_wavelengths",
+        "geometry.d_tr_m", "geometry.height_m", "sweeps.distance.min_m",
+        "sweeps.wavelength.max_m", "sweeps.wavelength.element_ratio",
+        "sweeps.wavelength.total_area_m2", "sweeps.robustness.extent_m")),
+    *((key, 0, flags) for key in ("ris.rows", "ris.paper_scale_rows")
+      for flags in ([], ["--paper-scale"])),
+    *((f"sweeps.{sweep}.points", 1, [])
+      for sweep in ("distance", "plane", "wavelength", "robustness")),
+]
+
+
+@pytest.mark.parametrize("key, bound, flags", _BOUNDED_KEYS,
+                         ids=[" ".join([key, *flags])
+                              for key, _, flags in _BOUNDED_KEYS])
+def test_config_bound_names_its_key(tmp_path, capsys, key, bound, flags):
+    """A key at its lower bound exits 1 with an error that names the key
+    and writes nothing, whichever grid --paper-scale selects."""
+    import yaml
+    raw = yaml.safe_load(default_config_text())
+    *path, name = key.split(".")
+    section = raw
+    for part in path:
+        section = section[part]
+    assert name in section
+    section[name] = bound
+    profile = tmp_path / "bound.yaml"
+    profile.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(profile), "--out", str(out),
+                 *flags]) == 1
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_spacing_underflow_names_both_keys(tmp_path, capsys):
+    """Two positive keys whose product, the antenna spacing, underflows to
+    0 are a profile error naming both: exit 1, nothing written."""
+    profile = tmp_path / "spacing.yaml"
+    profile.write_text(default_config_text().replace(
+        "wavelength_m: 0.0286", "wavelength_m: 1.0e-100").replace(
+        "spacing_wavelengths: 0.5", "spacing_wavelengths: 1.0e-300"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(profile), "--out", str(out)]) == 1
+    assert ("transmitter.spacing_wavelengths * radio.wavelength_m "
+            "underflows to 0" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_emit_csv_format_and_sidecar(tmp_path):
     result = SweepResult(kind="line",
                          columns={"a": np.array([1.0, 2.0, np.nan, -0.0]),

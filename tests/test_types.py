@@ -210,6 +210,19 @@ def test_value_types_are_immutable(cls, good):
     assert repr(copy).startswith(f"{cls.__name__}(")
 
 
+@pytest.mark.parametrize("cls, good", [(c, g) for c, g, _ in _CASES],
+                         ids=lambda v: v.__name__ if isinstance(v, type)
+                         else None)
+def test_value_types_compare_and_hash(cls, good):
+    """Two values built from the same arguments, each array its own copy,
+    compare to a bool and hash without raising: a field-wise comparison
+    would reach ndarray == ndarray, and a field-wise hash an array."""
+    a, b = (cls(**{k: np.copy(v) if isinstance(v, np.ndarray) else v
+                   for k, v in good.items()}) for _ in range(2))
+    assert isinstance(a == b, bool)
+    hash(a)
+
+
 def test_scene_route_is_one_panel_pose():
     """A scene route is the panel at its own pose: its values are one
     pose's, with no pose stack, and scene_route takes no poses."""
