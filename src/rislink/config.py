@@ -125,9 +125,10 @@ def _read(raw: dict, name: str, kind=float, default=None, above=None):
     "sweeps.distance.points") as `kind` (float, int, bool, or db_to_linear
     or dbm_to_watts of a dB value), or `default` where the key is absent; a
     missing key with no default is an error.  A number must be finite, not
-    a YAML boolean and, in dB, not overflow; an int must not drop a
-    fraction, a bool must be a YAML boolean, and a value read with `above`
-    must be > above.  Each error names the key."""
+    a YAML boolean and, in dB, neither overflow nor underflow to 0 as a
+    linear value; an int must not drop a fraction, a bool must be a YAML
+    boolean, and a value read with `above` must be > above.  Each error
+    names the key."""
     *path, key = name.split(".")
     section = raw
     for part in path:
@@ -156,6 +157,9 @@ def _read(raw: dict, name: str, kind=float, default=None, above=None):
     except OverflowError:
         raise ConfigError(f"{name} is too large: {value!r} overflows as a "
                           "linear value") from None
+    if kind in (db_to_linear, dbm_to_watts) and value == 0.0:
+        raise ConfigError(f"{name} is too small: {number!r} underflows to 0 "
+                          "as a linear value")
     if above is not None and not value > above:
         raise ConfigError(f"{name} must be > {above}, got {value!r}")
     return value

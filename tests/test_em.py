@@ -378,11 +378,22 @@ def dense_exact_channel(ants, elems, rx, delta, wavelength):
     """The cascade (L, N) of the exact channel written out from the (N, 3)
     antenna and (L, 3) element positions: the per-pair distances by
     np.linalg.norm of the (L, N, 3) differences, the amplitude
-    delta / (d * d_IR) and the phasor np.exp(j*k*(d + d_IR))."""
+    delta / (d * d_IR) and the phasor np.exp(j*k*(d + d_IR)).  It has the
+    distances and phases of exact_channel bit for bit; exact_channel forms
+    the phasor from the tangent of the half phase instead, so the two agree
+    within the tolerance of within_phasor_tolerance."""
     wavenum = 2 * np.pi / wavelength
     d_ti = np.linalg.norm(elems[:, None, :] - ants[None, :, :], axis=2)
     d_ir = np.linalg.norm(rx[None, :] - elems, axis=1)[:, None]
     return delta / (d_ti * d_ir) * np.exp(1j * wavenum * (d_ti + d_ir))
+
+
+def within_phasor_tolerance(got, ref):
+    """Whether each entry of `got` is within 4 eps of its modulus of the
+    entry of `ref`: the stated tolerance of the tangent phasors of
+    exact_channel against the np.exp form."""
+    eps = np.finfo(float).eps
+    return bool(np.all(np.abs(got - ref) <= 4 * eps * np.abs(ref)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -412,11 +423,11 @@ def dense_exact_channel(ants, elems, rx, delta, wavelength):
          aligned=False, mirrored=True)
 def test_exact_channel_matches_norm_formula(rows, cols, upa, seed,
                                             block_rows, aligned, mirrored):
-    """The per-axis distance planes and the cos/sin phasor give the same
-    bits as the (L, N, 3) norm and np.exp formula of dense_exact_channel.
-    That holds with the channel in one block (`block_rows` None), one
-    antenna row per block as at paper scale, or blocks of two or three rows
-    with a shorter last block; with the array along coordinate axes
+    """The per-axis distance planes and the tangent phasor give the
+    (L, N, 3) norm and np.exp formula of dense_exact_channel within 4 eps
+    of each entry's modulus.  That holds with the channel in one block
+    (`block_rows` None), one antenna row per block as at paper scale, or
+    blocks of two or three rows with a shorter last block; with the array along coordinate axes
     (`aligned`), where all antennas share a coordinate on one or two axes;
     and in a scene mirrored through y = 0 (`mirrored`, from
     mirrored_scene: odd and even N and panel rows, and -0.0 coordinates),
@@ -435,7 +446,7 @@ def test_exact_channel_matches_norm_formula(rows, cols, upa, seed,
             mp.setattr(em, "_CHANNEL_BLOCK", block_rows * ris.count)
         channels = exact_channel(scene_route(tx, ris, rx, radio))
     assert channels.mirrored == mirrored
-    assert np.array_equal(channels.h_ti, dense_exact_channel(
+    assert within_phasor_tolerance(channels.h_ti, dense_exact_channel(
         antenna_positions(tx), element_positions(ris).T, rx,
         lone_delta(tx, ris, rx, radio), radio.wavelength))
 
@@ -444,7 +455,8 @@ def test_exact_channel_matches_norm_formula(rows, cols, upa, seed,
 def test_exact_channel_near_mirror_takes_full_build(nudged, monkeypatch):
     """A mirrored scene with R, one element or one antenna a single ulp off
     its mirror image fails the symmetry check, is built row by row and
-    still matches dense_exact_channel on the positions it was given."""
+    still matches dense_exact_channel on the positions it was given, within
+    4 eps of each entry's modulus."""
     tx, ris, rx, radio, _ = mirrored_scene(5, 4, seed=3)
     assert takes_mirror_build(tx, ris, rx)
     planes = element_positions(ris)
@@ -460,9 +472,75 @@ def test_exact_channel_near_mirror_takes_full_build(nudged, monkeypatch):
     assert not em._mirrored(ants, planes, ris.rows, rx)
     channels = exact_channel(scene_route(tx, ris, rx, radio))
     assert not channels.mirrored
-    assert np.array_equal(channels.h_ti, dense_exact_channel(
+    assert within_phasor_tolerance(channels.h_ti, dense_exact_channel(
         ants, planes.T, rx, lone_delta(tx, ris, rx, radio),
         radio.wavelength))
+
+
+def assert_mirror_build_is_exact(tx, ris, rx, radio):
+    """exact_channel of the scene with and without its mirror build give
+    the same bits."""
+    route = scene_route(tx, ris, rx, radio)
+    halved = exact_channel(route)
+    assert halved.mirrored
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(em, "_mirrored", lambda *args: False)
+        whole = exact_channel(route)
+    assert not whole.mirrored
+    assert halved.h_ti.tobytes() == whole.h_ti.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=5, cols=2, seed=3)     # N = 5, odd panel rows
+@example(rows=4, cols=3, seed=1)     # N = 8, even panel rows
+@example(rows=1, cols=4, seed=0)     # N = 1, one panel row
+@example(rows=7, cols=3, seed=7)     # N = 2
+def test_exact_channel_mirror_build_is_exact(rows, cols, seed):
+    """A mirror-symmetric scene's channel, built from half its antenna and
+    panel rows, is the channel built row by row with the symmetry check
+    switched off, bit for bit."""
+    tx, ris, rx, radio, _ = mirrored_scene(rows, cols, seed)
+    assert_mirror_build_is_exact(tx, ris, rx, radio)
+
+
+def test_exact_channel_mirror_build_is_exact_at_paper_scale():
+    """The same for the paper-scale equilateral scene (100 x 100 panel,
+    16 antennas), built one antenna row per block."""
+    tx, ris, rx = equilateral(50.0, rows=100, cols=100, count=16)
+    assert_mirror_build_is_exact(tx, ris, rx, RADIO)
+
+
+# the worst case for tan among doubles: the one closest to an odd multiple
+# of pi/2, about 4.7e-19 away, where tan is -2.13e18
+_WORST_HALF_PHASE = 6381956970095103 * 2.0**797
+
+
+def test_tangent_phasors_on_hard_arguments():
+    """The tangent phasors of exact_channel on phases 0 and +-5e-324, the
+    neighbours of odd multiples of pi (where the half phase's tangent is
+    largest), the double closest to an odd multiple of pi/2 as half phase,
+    and random phases up to 1e300: every entry is finite, within 4 eps of
+    its modulus of amp * np.exp(1j*x), and no RuntimeWarning is raised."""
+    rng = np.random.default_rng(11)
+    odd_pi = np.array([(2 * m + 1) * np.pi
+                       for m in (0, 1, 2, 10, 99, 1000, 12345, 1e6, 1e9,
+                                 1e12, 1e15)])
+    phase = np.concatenate([
+        [0.0, 5e-324, -5e-324, 2 * _WORST_HALF_PHASE,
+         -2 * _WORST_HALF_PHASE],
+        odd_pi, -odd_pi, np.nextafter(odd_pi, np.inf),
+        np.nextafter(odd_pi, -np.inf),
+        rng.uniform(1e4, 1e5, 2000),
+        rng.uniform(0.0, 1e300, 2000),
+        rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-10, 300, 2000)])
+    den = rng.uniform(1e2, 1e5, phase.shape)
+    scale = 1e-3
+    got = em._tangent_phasors(phase / 2, den.copy(), scale,
+                              np.empty(phase.shape, dtype=complex))
+    assert np.all(np.isfinite(got))
+    assert within_phasor_tolerance(got, scale / den * np.exp(1j * phase))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -334,6 +334,25 @@ def test_config_bound_names_its_key(tmp_path, capsys, key, bound, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["radio.tx_power_dbm", "radio.tx_gain_db",
+                                 "radio.rx_gain_db", "ris.gain_db"])
+def test_config_db_underflow_names_its_key(tmp_path, capsys, key):
+    """A dB value whose linear value underflows to 0 is a profile error
+    naming the key: exit 1, nothing written."""
+    import yaml
+    raw = yaml.safe_load(default_config_text())
+    section, name = key.split(".")
+    assert name in raw[section]
+    raw[section][name] = -5000.0
+    profile = tmp_path / "db.yaml"
+    profile.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(profile), "--out", str(out)]) == 1
+    assert (f"{key} is too small: -5000.0 underflows to 0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_config_spacing_underflow_names_both_keys(tmp_path, capsys):
     """Two positive keys whose product, the antenna spacing, underflows to
     0 are a profile error naming both: exit 1, nothing written."""
